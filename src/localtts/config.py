@@ -1,10 +1,14 @@
-"""Experiment configuration: defaults, deep-merge, and full validation.
+"""Experiment configuration: defaults, deep-merge, and JSON-shape checks.
 
-One JSON document configures a run. Validation is exhaustive rather than
-fail-fast: every violation is collected with a dotted JSON path so a bad
-config can be fixed in one pass. Scalar keys may be overridden from the
-command line; the resolved document (defaults applied, overrides recorded)
-is embedded in every report so results are self-describing.
+One JSON document configures a run. This module checks what only the JSON
+shows (value types and unknown keys), merges defaults, and builds the
+experiment objects. A range rule on a value that an object holds lives in
+that object's type; this module reports each broken rule at its dotted JSON
+path and itself checks only the values no type holds (the run-level keys,
+search.reference_n and the theory options). Validation is
+exhaustive rather than fail-fast, so a bad config can be fixed in one pass. Scalar keys may be overridden from the command line;
+the resolved document (defaults applied, overrides recorded) is embedded
+in every report so results are self-describing.
 """
 from __future__ import annotations
 
@@ -14,8 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
+from .errors import FieldErrors
 from .resample import ResampleConfig
-from .search import SweepSettings, split_budget
+from .search import SweepSettings, TrialSettings
 from .testbed import CosineSchedule, PatchWorld
 from .theory import MaskStats, PatchEconomy, ValueDistribution
 
@@ -92,13 +97,48 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
+# workers is a runtime knob, not an experiment parameter: results are
+# worker-count independent, so it stays out of the resolved document and the
+# recorded overrides, and report bodies are byte-identical across worker counts.
+RUNTIME_KEYS = ("workers",)
+
 _SECTIONS_BY_KIND = {
-    "theory": ("master_seed", "trials", "workers", "economy", "mask_stats", "theory"),
-    "testbed": ("master_seed", "trials", "workers", "world", "schedule",
-                "resample", "defects", "attention"),
-    "scaling": ("master_seed", "trials", "workers", "world", "schedule",
-                "resample", "search", "defects", "attention"),
+    "theory": ("economy", "mask_stats", "theory"),
+    "testbed": ("world", "schedule", "resample", "defects", "attention"),
+    "scaling": ("world", "schedule", "resample", "search", "defects", "attention"),
     "maskgen": ("maskgen",),
+}
+
+# JSON shape of each section value that an object is built from
+_SHAPES = {
+    "schedule": {"horizon": "number", "n_steps": "integer"},
+    "resample": {"t0": "number", "t_g": "number", "n_refine": "integer",
+                 "n_integrate": "integer"},
+    "defects": {"count": "integer", "magnitude": "number", "randomize": "boolean"},
+    "attention": {"gain_pos": "number", "gain_neg": "number", "noise_sd": "number",
+                  "weight": "number", "ratio": "number", "oracle_masks": "boolean"},
+    "search": {"refinements": "integer", "n_grid": "integers", "bon_grid": "integers"},
+    "economy": {"m_patches": "integer", "defects": "integer",
+                **dict.fromkeys(("repair_gain", "harm_loss", "repair_prob_global",
+                                 "repair_prob_local", "harm_prob_global",
+                                 "harm_prob_local", "cost_global", "cost_local",
+                                 "budget"), "number")},
+    "mask_stats": {"recall": "number", "precision": "number"},
+    "theory": {"mc_trials": "integer", "bon_repair_prob_one": "number",
+               "bon_n_max": "integer"},
+    "maskgen": {"weight": "number", "ratio": "number"},
+}
+_EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
+             "integers": "a list of integers"}
+
+# trial-settings field -> its dotted path in the config document
+_SETTINGS_PATHS = {
+    "defect_count": "defects.count", "defect_magnitude": "defects.magnitude",
+    "randomize_defects": "defects.randomize", "gain_pos": "attention.gain_pos",
+    "gain_neg": "attention.gain_neg", "noise_sd": "attention.noise_sd",
+    "mask_weight": "attention.weight", "mask_ratio": "attention.ratio",
+    "oracle_masks": "attention.oracle_masks", "refinements": "search.refinements",
+    "n_grid": "search.n_grid", "bon_grid": "search.bon_grid",
 }
 
 
@@ -112,14 +152,9 @@ class ExperimentConfig:
     workers: int
     resolved: dict
     warnings: list[str] = field(default_factory=list)
-    world: Optional[PatchWorld] = None
-    schedule: Optional[CosineSchedule] = None
-    resample: Optional[ResampleConfig] = None
-    sweep: Optional[SweepSettings] = None
+    settings: Optional[TrialSettings] = None
     economy: Optional[PatchEconomy] = None
     mask_stats: Optional[MaskStats] = None
-    attention: Optional[dict] = None
-    defects: Optional[tuple[int, float]] = None
     theory_options: dict = field(default_factory=dict)
     maskgen: dict = field(default_factory=dict)
 
@@ -139,236 +174,102 @@ def _merge_section(defaults: dict, user: Any, path: str, errors: list[str]) -> d
     return merged
 
 
-def _expect_number(doc: dict, section: str, key: str, errors: list[str],
-                   integer: bool = False) -> Optional[float]:
-    value = doc.get(key)
-    path = f"{section}.{key}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{path}: expected a number, got {value!r}")
+def _typed(value: Any, shape: str):
+    """value converted to its shape's Python type, or None if the JSON value
+    does not have that shape."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if shape == "number":
+        return float(value) if number else None
+    if shape == "integer":
+        return int(value) if number and float(value).is_integer() else None
+    if shape == "boolean":
+        return value if isinstance(value, bool) else None
+    if isinstance(value, list):
+        items = [_typed(item, "integer") for item in value]
+        return None if None in items else tuple(items)
+    return None
+
+
+def _read(doc: dict, path: str, shapes: dict, errors: list[str]) -> Optional[dict]:
+    """The typed value of every key in shapes, or None if any has the wrong shape."""
+    values = {}
+    for key, shape in shapes.items():
+        value = _typed(doc.get(key), shape)
+        if value is None:
+            errors.append(f"{path}.{key}: expected {_EXPECTED[shape]}, got {doc.get(key)!r}")
+        else:
+            values[key] = value
+    return values if len(values) == len(shapes) else None
+
+
+def _build(cls, kwargs: Optional[dict], path: str, errors: list[str]):
+    """cls(**kwargs), or None after recording each broken rule at path.field."""
+    if kwargs is None:
         return None
-    if integer and int(value) != value:
-        errors.append(f"{path}: expected an integer, got {value!r}")
-        return None
-    return int(value) if integer else float(value)
+    try:
+        return cls(**kwargs)
+    except FieldErrors as exc:
+        errors.extend(f"{path}.{error}" for error in exc.errors)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+    return None
+
+
+def _section(cls, section: str, docs: dict, errors: list[str]):
+    """cls built from a section whose keys are its fields, or None."""
+    return _build(cls, _read(docs[section], section, _SHAPES[section], errors),
+                  section, errors)
 
 
 def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
-    ok = True
-    grid = doc.get("grid")
-    if (not isinstance(grid, (list, tuple)) or len(grid) != 2
-            or not all(isinstance(g, int) and g >= 1 for g in grid)):
-        errors.append(f"world.grid: expected two positive integers, got {grid!r}")
-        ok = False
-    patch_dim = _expect_number(doc, "world", "patch_dim", errors, integer=True)
-    if patch_dim is not None and patch_dim < 1:
-        errors.append(f"world.patch_dim: must be at least 1, got {patch_dim}")
-        ok = False
+    values = _read(doc, "world", {"grid": "integers", "patch_dim": "integer"}, errors)
+    if values is not None and len(values["grid"]) != 2:
+        errors.append(f"world.grid: expected two integers, got {doc['grid']!r}")
+        values = None
     components = doc.get("components")
-    comp_list = []
-    if not isinstance(components, list) or not components:
-        errors.append("world.components: expected a non-empty list of components")
-        ok = False
-    else:
-        total = 0.0
-        for i, comp in enumerate(components):
-            if not isinstance(comp, dict):
-                errors.append(f"world.components[{i}]: expected an object")
-                ok = False
-                continue
-            weight = comp.get("weight")
-            mean = comp.get("mean", 0.0)
-            variance = comp.get("variance")
-            if not isinstance(weight, (int, float)) or weight < 0:
-                errors.append(f"world.components[{i}].weight: expected a non-negative number")
-                ok = False
-                continue
-            if not isinstance(variance, (int, float)) or variance <= 0:
-                errors.append(f"world.components[{i}].variance: expected a positive number")
-                ok = False
-                continue
-            total += float(weight)
-            comp_list.append((float(weight), mean, float(variance)))
-        if comp_list and abs(total - 1.0) > 1e-12:
-            errors.append(f"world.components: weights must sum to 1 within 1e-12, got {total!r}")
-            ok = False
-    if not ok or patch_dim is None:
+    if not isinstance(components, list):
+        errors.append(f"world.components: expected a list of components, got {components!r}")
         return None
-    vweights = doc.get("verifier_weights")
+    specs = []
+    for i, comp in enumerate(components):
+        path = f"world.components[{i}]"
+        if not isinstance(comp, dict):
+            errors.append(f"{path}: expected an object")
+            continue
+        typed = _read(comp, path, {"weight": "number", "variance": "number"}, errors)
+        if typed is not None:
+            specs.append((typed["weight"], comp.get("mean", 0.0), typed["variance"]))
+    if values is None or len(specs) != len(components):
+        return None
+    return _build(PatchWorld.uniform, {**values, "components": specs,
+                                       "verifier_weights": doc.get("verifier_weights")},
+                  "world", errors)
+
+
+def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialSettings]:
+    """The trial settings of a testbed or scaling run. A world, schedule or
+    resample section that fails its own checks is passed as None, so the
+    remaining rules are still reported."""
+    kwargs = {
+        "world": _build_world(docs["world"], errors),
+        "schedule": _section(CosineSchedule, "schedule", docs, errors),
+        "resample": _section(ResampleConfig, "resample", docs, errors),
+    }
+    sections = [s for s in ("defects", "attention", "search") if s in docs]
+    typed = {s: _read(docs[s], s, _SHAPES[s], errors) for s in sections}
+    if None in typed.values():
+        return None
+    for name, path in _SETTINGS_PATHS.items():
+        section, key = path.split(".")
+        if section in typed:
+            kwargs[name] = typed[section][key]
     try:
-        return PatchWorld.uniform(tuple(grid), int(patch_dim), comp_list,
-                                  verifier_weights=vweights)
-    except ValueError as exc:
-        errors.append(f"world: {exc}")
-        return None
-
-
-def _build_schedule(doc: dict, errors: list[str]) -> Optional[CosineSchedule]:
-    horizon = _expect_number(doc, "schedule", "horizon", errors)
-    n_steps = _expect_number(doc, "schedule", "n_steps", errors, integer=True)
-    if horizon is None or n_steps is None:
-        return None
-    ok = True
-    if horizon <= 0:
-        errors.append(f"schedule.horizon: must be positive, got {horizon}")
-        ok = False
-    if n_steps < 1:
-        errors.append(f"schedule.n_steps: must be at least 1, got {n_steps}")
-        ok = False
-    return CosineSchedule(horizon=horizon, n_steps=int(n_steps)) if ok else None
-
-
-def _build_resample(doc: dict, schedule: Optional[CosineSchedule],
-                    errors: list[str]) -> Optional[ResampleConfig]:
-    t0 = _expect_number(doc, "resample", "t0", errors)
-    t_g = _expect_number(doc, "resample", "t_g", errors)
-    n_refine = _expect_number(doc, "resample", "n_refine", errors, integer=True)
-    n_integrate = _expect_number(doc, "resample", "n_integrate", errors, integer=True)
-    if None in (t0, t_g, n_refine, n_integrate):
-        return None
-    ok = True
-    if t0 <= 0:
-        errors.append(f"resample.t0: must be positive, got {t0}")
-        ok = False
-    if schedule is not None and t0 > schedule.horizon:
-        errors.append(f"resample.t0: exceeds schedule horizon {schedule.horizon}")
-        ok = False
-    if t_g < 0:
-        errors.append(f"resample.t_g: must be non-negative, got {t_g}")
-        ok = False
-    elif ok and t_g >= t0:
-        errors.append(f"resample.t_g: must be strictly below t0={t0}, got {t_g}")
-        ok = False
-    if n_refine < 1:
-        errors.append(f"resample.n_refine: must be at least 1, got {n_refine}")
-        ok = False
-    if t_g == 0 and n_integrate != 0:
-        errors.append("resample.n_integrate: must be 0 when t_g is 0")
-        ok = False
-    if t_g > 0 and n_integrate < 1:
-        errors.append("resample.n_integrate: must be at least 1 when t_g > 0")
-        ok = False
-    if not ok:
-        return None
-    return ResampleConfig(t0=t0, t_g=t_g, n_refine=int(n_refine),
-                          n_integrate=int(n_integrate))
-
-
-def _build_economy(doc: dict, errors: list[str]) -> Optional[PatchEconomy]:
-    values = {}
-    for key in ("m_patches", "defects"):
-        values[key] = _expect_number(doc, "economy", key, errors, integer=True)
-    for key in ("repair_gain", "harm_loss", "repair_prob_global", "repair_prob_local",
-                "harm_prob_global", "harm_prob_local", "cost_global", "cost_local",
-                "budget"):
-        values[key] = _expect_number(doc, "economy", key, errors)
-    if any(v is None for v in values.values()):
-        return None
-    checks = [
-        (values["m_patches"] >= 1, "economy.m_patches: must be at least 1"),
-        (1 <= values["defects"] <= values["m_patches"],
-         f"economy.defects: must lie in [1, {values['m_patches']}]"),
-        (values["repair_gain"] >= 0, "economy.repair_gain: must be non-negative"),
-        (values["harm_loss"] >= 0, "economy.harm_loss: must be non-negative"),
-        (values["cost_global"] > 0, "economy.cost_global: must be positive"),
-        (values["cost_local"] > 0, "economy.cost_local: must be positive"),
-        (values["budget"] > 0, "economy.budget: must be positive"),
-    ]
-    for key in ("repair_prob_global", "repair_prob_local", "harm_prob_global",
-                "harm_prob_local"):
-        checks.append((0.0 <= values[key] <= 1.0, f"economy.{key}: must lie in [0, 1]"))
-    ok = True
-    for passed, message in checks:
-        if not passed:
-            errors.append(message)
-            ok = False
-    if not ok:
-        return None
-    return PatchEconomy(
-        m_patches=int(values["m_patches"]), defects=int(values["defects"]),
-        repair_gain=values["repair_gain"], harm_loss=values["harm_loss"],
-        repair_prob_global=values["repair_prob_global"],
-        repair_prob_local=values["repair_prob_local"],
-        harm_prob_global=values["harm_prob_global"],
-        harm_prob_local=values["harm_prob_local"],
-        cost_global=values["cost_global"], cost_local=values["cost_local"],
-        budget=values["budget"],
-    )
-
-
-def _build_mask_stats(doc: dict, errors: list[str]) -> Optional[MaskStats]:
-    recall = _expect_number(doc, "mask_stats", "recall", errors)
-    precision = _expect_number(doc, "mask_stats", "precision", errors)
-    if recall is None or precision is None:
-        return None
-    ok = True
-    if not 0.0 <= recall <= 1.0:
-        errors.append(f"mask_stats.recall: must lie in [0, 1], got {recall}")
-        ok = False
-    if not 0.0 < precision <= 1.0:
-        errors.append(
-            f"mask_stats.precision: must lie in (0, 1] (zero precision is the "
-            f"excluded degenerate case: it forces zero true positives or an "
-            f"unbounded selection), got {precision}"
-        )
-        ok = False
-    return MaskStats(recall=recall, precision=precision) if ok else None
-
-
-def _build_attention(doc: dict, errors: list[str]) -> Optional[dict]:
-    out = {}
-    for key in ("gain_pos", "gain_neg", "noise_sd", "weight", "ratio"):
-        out[key] = _expect_number(doc, "attention", key, errors)
-    if any(v is None for v in out.values()):
-        return None
-    ok = True
-    for key in ("gain_pos", "gain_neg", "noise_sd", "weight"):
-        if out[key] < 0:
-            errors.append(f"attention.{key}: must be non-negative, got {out[key]}")
-            ok = False
-    if not 0.0 < out["ratio"] < 1.0:
-        errors.append(f"attention.ratio: must lie strictly inside (0, 1), got {out['ratio']}")
-        ok = False
-    oracle = doc.get("oracle_masks")
-    if not isinstance(oracle, bool):
-        errors.append(f"attention.oracle_masks: expected a boolean, got {oracle!r}")
-        ok = False
-    else:
-        out["oracle_masks"] = oracle
-    return out if ok else None
-
-
-def _build_defects(doc: dict, world: Optional[PatchWorld], errors: list[str]):
-    count = _expect_number(doc, "defects", "count", errors, integer=True)
-    magnitude = _expect_number(doc, "defects", "magnitude", errors)
-    randomize = doc.get("randomize")
-    if not isinstance(randomize, bool):
-        errors.append(f"defects.randomize: expected a boolean, got {randomize!r}")
-        randomize = True
-    if count is None or magnitude is None:
-        return None
-    ok = True
-    if count < 1:
-        errors.append(f"defects.count: must be at least 1, got {count}")
-        ok = False
-    elif world is not None and count > world.n_patches:
-        errors.append(f"defects.count: exceeds patch count {world.n_patches}")
-        ok = False
-    if magnitude < 0:
-        errors.append(f"defects.magnitude: must be non-negative, got {magnitude}")
-        ok = False
-    return (int(count), magnitude, randomize) if ok else None
-
-
-def _build_value_dist(doc: Any, mean: float, path: str,
-                      errors: list[str]) -> Optional[ValueDistribution]:
-    if not isinstance(doc, dict):
-        errors.append(f"{path}: expected an object with a 'kind' key")
-        return None
-    kind = doc.get("kind", "constant")
-    if kind not in ("constant", "uniform", "exponential"):
-        errors.append(f"{path}.kind: unknown distribution kind {kind!r}")
-        return None
-    return ValueDistribution(kind=kind, mean=mean)
+        return (SweepSettings if kind == "scaling" else TrialSettings)(**kwargs)
+    except FieldErrors as exc:
+        for error in exc.errors:
+            name, _, message = error.partition(": ")
+            errors.append(f"{_SETTINGS_PATHS.get(name, name)}: {message}")
+    return None
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -403,132 +304,62 @@ def validate_config(raw: dict) -> ExperimentConfig:
         trials = 1
     resolved["trials"] = trials
 
-    # workers is a runtime knob, not an experiment parameter: results are
-    # worker-count independent, so it is kept out of the resolved document
-    # and report bodies stay byte-identical across worker counts.
     workers = raw.get("workers", DEFAULTS["workers"])
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         errors.append(f"workers: expected a positive integer, got {workers!r}")
         workers = 1
 
-    sections = _SECTIONS_BY_KIND[kind]
     cfg = ExperimentConfig(kind=kind, master_seed=master_seed, trials=trials,
                            workers=workers, resolved=resolved, warnings=warnings)
+    docs = {}
+    for section in _SECTIONS_BY_KIND[kind]:
+        docs[section] = resolved[section] = _merge_section(
+            DEFAULTS[section], raw.get(section), section, errors)
 
-    world = schedule = resample = None
-    if "world" in sections:
-        doc = _merge_section(DEFAULTS["world"], raw.get("world"), "world", errors)
-        resolved["world"] = doc
-        world = _build_world(doc, errors)
-        cfg.world = world
-    if "schedule" in sections:
-        doc = _merge_section(DEFAULTS["schedule"], raw.get("schedule"), "schedule", errors)
-        resolved["schedule"] = doc
-        schedule = _build_schedule(doc, errors)
-        cfg.schedule = schedule
-    if "resample" in sections:
-        doc = _merge_section(DEFAULTS["resample"], raw.get("resample"), "resample", errors)
-        resolved["resample"] = doc
-        resample = _build_resample(doc, schedule, errors)
-        cfg.resample = resample
-
-    attention = None
-    defects = None
-    if "attention" in sections:
-        doc = _merge_section(DEFAULTS["attention"], raw.get("attention"), "attention", errors)
-        resolved["attention"] = doc
-        attention = _build_attention(doc, errors)
-        cfg.attention = attention
-    if "defects" in sections:
-        doc = _merge_section(DEFAULTS["defects"], raw.get("defects"), "defects", errors)
-        resolved["defects"] = doc
-        defects = _build_defects(doc, world, errors)
-        cfg.defects = defects
+    if kind in ("testbed", "scaling"):
+        cfg.settings = _build_settings(kind, docs, errors)
 
     if kind == "scaling":
-        doc = _merge_section(DEFAULTS["search"], raw.get("search"), "search", errors)
-        resolved["search"] = doc
-        refinements = _expect_number(doc, "search", "refinements", errors, integer=True)
-        n_grid = doc.get("n_grid")
-        bon_grid = doc.get("bon_grid")
-        grids_ok = True
-        for name, grid_values in (("n_grid", n_grid), ("bon_grid", bon_grid)):
-            if (not isinstance(grid_values, list) or not grid_values
-                    or not all(isinstance(v, int) and v >= 1 for v in grid_values)):
-                errors.append(f"search.{name}: expected a non-empty list of positive integers")
-                grids_ok = False
-        if refinements is not None and refinements < 0:
-            errors.append(f"search.refinements: must be non-negative, got {refinements}")
-            grids_ok = False
-        if grids_ok and refinements is not None:
-            for n in n_grid:
-                try:
-                    split_budget(n, int(refinements))
-                except ValueError as exc:
-                    errors.append(f"search.n_grid: {exc}")
-            reference_n = doc.get("reference_n")
+        doc = docs["search"]
+        n_grid = _typed(doc["n_grid"], "integers")
+        if n_grid:
+            reference_n = doc["reference_n"]
             if reference_n is None:
                 reference_n = max(n_grid)
             elif not isinstance(reference_n, int) or reference_n not in n_grid:
                 errors.append(f"search.reference_n: must be a value from n_grid, got {reference_n!r}")
-            resolved["search"]["reference_n"] = reference_n
+            doc["reference_n"] = reference_n
         if trials < 2:
             errors.append("trials: scaling needs at least 2 trials for standard errors")
-        if (grids_ok and refinements is not None and not errors and world is not None
-                and schedule is not None and resample is not None and attention is not None
-                and defects is not None):
-            cfg.sweep = SweepSettings(
-                world=world, schedule=schedule, resample=resample,
-                refinements=int(refinements), n_grid=tuple(n_grid),
-                bon_grid=tuple(bon_grid), defect_count=defects[0],
-                defect_magnitude=defects[1], gain_pos=attention["gain_pos"],
-                gain_neg=attention["gain_neg"], noise_sd=attention["noise_sd"],
-                mask_weight=attention["weight"], mask_ratio=attention["ratio"],
-                oracle_masks=attention["oracle_masks"],
-                randomize_defects=defects[2],
-            )
 
     if kind == "theory":
-        doc = _merge_section(DEFAULTS["economy"], raw.get("economy"), "economy", errors)
-        resolved["economy"] = doc
-        cfg.economy = _build_economy(doc, errors)
-        doc = _merge_section(DEFAULTS["mask_stats"], raw.get("mask_stats"), "mask_stats", errors)
-        resolved["mask_stats"] = doc
-        cfg.mask_stats = _build_mask_stats(doc, errors)
-        doc = _merge_section(DEFAULTS["theory"], raw.get("theory"), "theory", errors)
-        resolved["theory"] = doc
-        mc_trials = _expect_number(doc, "theory", "mc_trials", errors, integer=True)
-        if mc_trials is not None and mc_trials < 0:
-            errors.append(f"theory.mc_trials: must be non-negative, got {mc_trials}")
-        bon_p1 = _expect_number(doc, "theory", "bon_repair_prob_one", errors)
-        if bon_p1 is not None and not 0.0 < bon_p1 < 1.0:
-            errors.append(f"theory.bon_repair_prob_one: must lie in (0, 1), got {bon_p1}")
-        bon_n_max = _expect_number(doc, "theory", "bon_n_max", errors, integer=True)
-        if bon_n_max is not None and bon_n_max < 1:
-            errors.append(f"theory.bon_n_max: must be at least 1, got {bon_n_max}")
-        repair_dist = harm_dist = None
-        if cfg.economy is not None:
-            repair_dist = _build_value_dist(doc.get("repair_dist"), cfg.economy.repair_gain,
-                                            "theory.repair_dist", errors)
-            harm_dist = _build_value_dist(doc.get("harm_dist"), cfg.economy.harm_loss,
-                                          "theory.harm_dist", errors)
-        cfg.theory_options = {
-            "mc_trials": int(mc_trials) if mc_trials is not None else 0,
-            "bon_repair_prob_one": bon_p1,
-            "bon_n_max": int(bon_n_max) if bon_n_max is not None else 1,
-            "repair_dist": repair_dist,
-            "harm_dist": harm_dist,
-        }
+        cfg.economy = _section(PatchEconomy, "economy", docs, errors)
+        cfg.mask_stats = _section(MaskStats, "mask_stats", docs, errors)
+        doc = docs["theory"]
+        opts = _read(doc, "theory", _SHAPES["theory"], errors) or {}
+        if opts:
+            mc, p_one, n_max = opts["mc_trials"], opts["bon_repair_prob_one"], opts["bon_n_max"]
+            errors.extend(f"theory.{key}: {message}" for passed, key, message in [
+                (mc >= 0, "mc_trials", f"must be non-negative, got {mc}"),
+                (0.0 < p_one < 1.0, "bon_repair_prob_one", f"must lie in (0, 1), got {p_one}"),
+                (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
+            ] if not passed)
+        for name, mean in (("repair_dist", "repair_gain"), ("harm_dist", "harm_loss")):
+            spec = doc.get(name)
+            if not isinstance(spec, dict):
+                errors.append(f"theory.{name}: expected an object with a 'kind' key")
+            elif cfg.economy is not None:
+                opts[name] = _build(ValueDistribution,
+                                    {"kind": spec.get("kind", "constant"),
+                                     "mean": getattr(cfg.economy, mean)},
+                                    f"theory.{name}", errors)
+        cfg.theory_options = opts
 
     if kind == "maskgen":
-        doc = _merge_section(DEFAULTS["maskgen"], raw.get("maskgen"), "maskgen", errors)
-        resolved["maskgen"] = doc
-        weight = _expect_number(doc, "maskgen", "weight", errors)
-        ratio = _expect_number(doc, "maskgen", "ratio", errors)
-        if weight is not None and weight < 0:
-            errors.append(f"maskgen.weight: must be non-negative, got {weight}")
-        if ratio is not None and not 0.0 < ratio < 1.0:
-            errors.append(f"maskgen.ratio: must lie strictly inside (0, 1), got {ratio}")
+        doc = docs["maskgen"]
+        # weight and ratio ranges are checked by the mask pipeline (reweight,
+        # threshold_mask); run_maskgen reports a broken one as a config error
+        _read(doc, "maskgen", _SHAPES["maskgen"], errors)
         sources = [key for key in ("bundle", "bundle_path", "raw", "raw_paths")
                    if doc.get(key) is not None]
         if len(sources) != 1:
@@ -573,6 +404,7 @@ def load_config(path: str | Path, overrides: Optional[list[str]] = None
             if not isinstance(target, dict):
                 raise ConfigError([f"--set {key}: path collides with a scalar"])
         target[parts[-1]] = value
-        applied.append(f"{key}={text}")
+        if key not in RUNTIME_KEYS:
+            applied.append(f"{key}={text}")
     cfg = validate_config(raw)
     return cfg, applied

@@ -18,27 +18,24 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import binomtest
 
 from . import attention as attn
 from .config import ConfigError, ExperimentConfig
-from .resample import ResampleConfig, localized_resample
+from .resample import localized_resample
 from .search import (
-    SweepSettings,
-    attention_mask_source,
+    TrialSettings,
+    _mean_stderr,
     crossover_summary,
-    defect_injecting_sampler,
-    oracle_mask_source,
     summarize_sweep,
     sweep_trial,
 )
-from .testbed import CosineSchedule, NoisePredictor, PatchWorld, verifier_score
+from .testbed import NoisePredictor, verifier_score
 from .theory import (
     InfeasibleParameterError,
     bon_curve,
@@ -92,12 +89,10 @@ def run_trials(fn: Callable, payload, trials: int, master_seed: int,
     return results
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+def sign_test_p_greater(positives: int, n: int) -> float:
+    """Exact one-sided sign test: P(X >= positives) for X ~ Binomial(n, 1/2),
+    as an exact integer ratio rounded once to the nearest float."""
+    return sum(math.comb(n, i) for i in range(positives, n + 1)) / 2 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +179,12 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # testbed
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestbedSettings:
-    world: PatchWorld
-    schedule: CosineSchedule
-    resample: ResampleConfig
-    defect_count: int
-    defect_magnitude: float
-    gain_pos: float
-    gain_neg: float
-    noise_sd: float
-    mask_weight: float
-    mask_ratio: float
-    oracle_masks: bool
-    randomize_defects: bool
-
-
-def testbed_trial(settings: TestbedSettings, seed_seq: np.random.SeedSequence) -> tuple:
+def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> tuple:
     """One refinement trial: sample, injure, mask, refine, score."""
     rng = np.random.default_rng(seed_seq)
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    sampler = defect_injecting_sampler(settings.defect_count, settings.defect_magnitude,
-                                       randomize=settings.randomize_defects)
-    anchor, true_set = sampler(predictor, rng)
-    if settings.oracle_masks:
-        mask = oracle_mask_source(settings.world)(anchor, true_set, rng)
-    else:
-        source = attention_mask_source(
-            settings.world, gain_pos=settings.gain_pos, gain_neg=settings.gain_neg,
-            noise_sd=settings.noise_sd, weight=settings.mask_weight,
-            ratio=settings.mask_ratio)
-        mask = source(anchor, true_set, rng)
+    anchor, true_set = settings.sampler()(predictor, rng)
+    mask = settings.mask_source()(anchor, true_set, rng)
     anchor_score = float(verifier_score(settings.world, anchor))
     refined, refined_score = localized_resample(
         predictor, anchor, mask,
@@ -229,26 +199,16 @@ def testbed_trial(settings: TestbedSettings, seed_seq: np.random.SeedSequence) -
 
 
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    settings = TestbedSettings(
-        world=cfg.world, schedule=cfg.schedule, resample=cfg.resample,
-        defect_count=cfg.defects[0], defect_magnitude=cfg.defects[1],
-        gain_pos=cfg.attention["gain_pos"], gain_neg=cfg.attention["gain_neg"],
-        noise_sd=cfg.attention["noise_sd"], mask_weight=cfg.attention["weight"],
-        mask_ratio=cfg.attention["ratio"], oracle_masks=cfg.attention["oracle_masks"],
-        randomize_defects=cfg.defects[2],
-    )
-    rows = run_trials(testbed_trial, settings, cfg.trials, cfg.master_seed, cfg.workers)
+    rows = run_trials(testbed_trial, cfg.settings, cfg.trials, cfg.master_seed, cfg.workers)
     improvements = np.array([row[2] for row in rows])
     mean, stderr = _mean_stderr(improvements)
     positives = int(np.sum(improvements > 0))
-    sign_p = float(binomtest(positives, improvements.size, 0.5,
-                             alternative="greater").pvalue)
     results = {
         "trials": cfg.trials,
         "mean_improvement": mean,
         "stderr_improvement": stderr,
         "positive_fraction": positives / improvements.size,
-        "sign_test_p_greater": sign_p,
+        "sign_test_p_greater": sign_test_p_greater(positives, improvements.size),
         "mean_mask_recall": float(np.mean([row[3] for row in rows])),
         "mean_mask_precision": float(np.mean([row[4] for row in rows])),
         "nfe_per_trial": rows[0][5],
@@ -265,7 +225,7 @@ def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    settings: SweepSettings = cfg.sweep
+    settings = cfg.settings
     trial_results = run_trials(sweep_trial, settings, cfg.trials,
                                cfg.master_seed, cfg.workers)
     rows = summarize_sweep(settings, trial_results)

@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import DefectMask
+from .errors import check
 from .testbed import (
+    _TIME_TOL,
     LatentState,
     NoisePredictor,
     _ancestral_coefficients,
     _resolve_target_time,
     reverse_sde_step,
 )
-
-_TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,16 @@ class ResampleConfig:
     n_integrate: int
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
-        if not 0.0 <= self.t_g < self.t0:
-            raise ValueError(f"t_g must lie in [0, t0), got t_g={self.t_g}, t0={self.t0}")
-        if self.n_refine < 1:
-            raise ValueError(f"n_refine must be at least 1, got {self.n_refine}")
-        if self.t_g == 0.0:
-            if self.n_integrate != 0:
-                raise ValueError("n_integrate must be 0 when t_g is 0")
-        elif self.n_integrate < 1:
-            raise ValueError("n_integrate must be at least 1 when t_g > 0")
+        check([
+            (self.t0 > 0, "t0", f"must be positive, got {self.t0}"),
+            (0.0 <= self.t_g < self.t0, "t_g",
+             f"must lie in [0, t0={self.t0}), got {self.t_g}"),
+            (self.n_refine >= 1, "n_refine", f"must be at least 1, got {self.n_refine}"),
+            (self.t_g != 0.0 or self.n_integrate == 0, "n_integrate",
+             f"must be 0 when t_g is 0, got {self.n_integrate}"),
+            (not self.t_g > 0.0 or self.n_integrate >= 1, "n_integrate",
+             f"must be at least 1 when t_g > 0, got {self.n_integrate}"),
+        ])
 
     @classmethod
     def with_default_tail(cls, t0: float, n_refine: int, n_integrate: int = 1,

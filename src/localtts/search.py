@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .attention import DefectMask, mask_from_indices, mask_gen
+from .errors import check
 from .resample import ResampleConfig, localized_resample
 from .testbed import (
     CosineSchedule,
@@ -38,20 +39,18 @@ Verifier = Callable[[LatentState], float]
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """S global seeds x K refinements each, at fixed depth 2."""
+    """S global seeds x K refinements each (the search has depth 2)."""
 
     seeds: int
     refinements: int
     resample: ResampleConfig
-    depth: int = 2
 
     def __post_init__(self):
-        if self.seeds < 1:
-            raise ValueError(f"seeds must be at least 1, got {self.seeds}")
-        if self.refinements < 0:
-            raise ValueError(f"refinements must be non-negative, got {self.refinements}")
-        if self.depth != 2:
-            raise ValueError(f"search depth is fixed at 2, got {self.depth}")
+        check([
+            (self.seeds >= 1, "seeds", f"must be at least 1, got {self.seeds}"),
+            (self.refinements >= 0, "refinements",
+             f"must be non-negative, got {self.refinements}"),
+        ])
 
     @property
     def total_candidates(self) -> int:
@@ -217,16 +216,20 @@ class SweepRow:
     trials: int
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """Everything one scaling-sweep trial needs (picklable for workers)."""
+@dataclass(frozen=True, kw_only=True)
+class TrialSettings:
+    """One trial's world, schedule, refinement timing, injected defects and
+    mask source (picklable for workers).
+
+    world, schedule and resample check their own fields; this type checks
+    the defect and attention ranges and the rules that tie its parts
+    together. While a configuration is being validated, a part that failed
+    its own checks is passed as None and the rules that need it are skipped.
+    """
 
     world: PatchWorld
     schedule: CosineSchedule
     resample: ResampleConfig
-    refinements: int
-    n_grid: tuple[int, ...]
-    bon_grid: tuple[int, ...]
     defect_count: int
     defect_magnitude: float
     gain_pos: float
@@ -236,6 +239,28 @@ class SweepSettings:
     mask_ratio: float
     oracle_masks: bool = False
     randomize_defects: bool = True
+
+    def __post_init__(self):
+        check(self._rules())
+
+    def _rules(self) -> list:
+        v = vars(self)
+        rules = [
+            (self.defect_count >= 1, "defect_count",
+             f"must be at least 1, got {self.defect_count}"),
+            *((v[n] >= 0, n, f"must be non-negative, got {v[n]}")
+              for n in ("defect_magnitude", "gain_pos", "gain_neg", "noise_sd",
+                        "mask_weight")),
+            (0.0 < self.mask_ratio < 1.0, "mask_ratio",
+             f"must lie strictly inside (0, 1), got {self.mask_ratio}"),
+        ]
+        if self.world is not None:
+            rules.append((self.defect_count <= self.world.n_patches, "defect_count",
+                          f"exceeds patch count {self.world.n_patches}"))
+        if self.schedule is not None and self.resample is not None:
+            rules.append((self.resample.t0 <= self.schedule.horizon, "resample.t0",
+                          f"exceeds schedule horizon {self.schedule.horizon}"))
+        return rules
 
     def mask_source(self) -> MaskSource:
         if self.oracle_masks:
@@ -247,6 +272,31 @@ class SweepSettings:
     def sampler(self) -> BaseSampler:
         return defect_injecting_sampler(self.defect_count, self.defect_magnitude,
                                         randomize=self.randomize_defects)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepSettings(TrialSettings):
+    """Everything one scaling-sweep trial needs: a trial's settings plus the
+    refinements per seed and the localized and best-of-N budget grids."""
+
+    refinements: int
+    n_grid: tuple[int, ...]
+    bon_grid: tuple[int, ...]
+
+    def _rules(self) -> list:
+        rules = super()._rules()
+        rules.append((self.refinements >= 0, "refinements",
+                      f"must be non-negative, got {self.refinements}"))
+        rules.append((len(self.n_grid) > 0, "n_grid", "must not be empty"))
+        if self.refinements >= 0:
+            for n in self.n_grid:
+                try:
+                    split_budget(n, self.refinements)
+                except ValueError as exc:
+                    rules.append((False, "n_grid", str(exc)))
+        rules.append((len(self.bon_grid) > 0 and min(self.bon_grid) >= 1, "bon_grid",
+                      "must be a non-empty list of positive integers"))
+        return rules
 
     def local_nfe(self, n: int) -> int:
         seeds, refinements = split_budget(n, self.refinements)

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .attention import AttentionBundle, AttentionField, Grid, _as_grid
+from .errors import check
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TIME_TOL = 1e-12
@@ -42,10 +42,10 @@ class CosineSchedule:
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"schedule horizon must be positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
+        check([
+            (self.horizon > 0, "horizon", f"must be positive, got {self.horizon}"),
+            (self.n_steps >= 1, "n_steps", f"must be at least 1, got {self.n_steps}"),
+        ])
 
     def _phase(self, t: float) -> float:
         return 0.5 * math.pi * t / self.horizon
@@ -92,29 +92,31 @@ class PatchWorld:
         grid = _as_grid(self.grid)
         m = grid[0] * grid[1]
         d = int(self.patch_dim)
-        if d < 1:
-            raise ValueError(f"patch_dim must be at least 1, got {d}")
         weights = np.asarray(self.weights, dtype=float)
         means = np.asarray(self.means, dtype=float)
         variances = np.asarray(self.variances, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != m:
-            raise ValueError(f"weights must have shape ({m}, K), got {weights.shape}")
-        k = weights.shape[1]
-        if means.shape != (m, k, d):
-            raise ValueError(f"means must have shape ({m}, {k}, {d}), got {means.shape}")
-        if variances.shape != (m, k):
-            raise ValueError(f"variances must have shape ({m}, {k}), got {variances.shape}")
-        if np.any(weights < 0):
-            raise ValueError("mixture weights must be non-negative")
-        if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("mixture weights must sum to 1 within 1e-12 per patch")
-        if np.any(variances <= 0):
-            raise ValueError("mixture variances must be positive")
         vweights = np.asarray(self.verifier_weights, dtype=float)
-        if vweights.shape != (m,):
-            raise ValueError(f"verifier_weights must have shape ({m},), got {vweights.shape}")
-        if np.any(vweights < 0) or abs(vweights.sum() - 1.0) > 1e-9:
-            raise ValueError("verifier weights must be non-negative and sum to 1")
+        # the component count K and patch_dim fix every other shape
+        check([
+            (d >= 1, "patch_dim", f"must be at least 1, got {d}"),
+            (weights.ndim == 2 and weights.shape[0] == m, "weights",
+             f"must have shape ({m}, K), got {weights.shape}"),
+        ])
+        k = weights.shape[1]
+        check([
+            (means.shape == (m, k, d), "means",
+             f"must have shape ({m}, {k}, {d}), got {means.shape}"),
+            (variances.shape == (m, k), "variances",
+             f"must have shape ({m}, {k}), got {variances.shape}"),
+            (vweights.shape == (m,), "verifier_weights",
+             f"must have shape ({m},), got {vweights.shape}"),
+            (not np.any(weights < 0), "weights", "mixture weights must be non-negative"),
+            (not np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-12), "weights",
+             "mixture weights must sum to 1 within 1e-12 per patch"),
+            (not np.any(variances <= 0), "variances", "mixture variances must be positive"),
+            (not (np.any(vweights < 0) or abs(vweights.sum() - 1.0) > 1e-9),
+             "verifier_weights", "verifier weights must be non-negative and sum to 1"),
+        ])
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "patch_dim", d)
         object.__setattr__(self, "weights", weights)
@@ -133,11 +135,11 @@ class PatchWorld:
         m = grid[0] * grid[1]
         d = int(patch_dim)
         comp = list(components)
-        if not comp:
-            raise ValueError("at least one mixture component is required")
+        check([(bool(comp), "components", "at least one mixture component is required")])
         weights = np.array([c[0] for c in comp], dtype=float)
+        # a patch_dim below 1 is reported by __post_init__
         means = np.array(
-            [np.broadcast_to(np.asarray(c[1], dtype=float), (d,)) for c in comp]
+            [np.broadcast_to(np.asarray(c[1], dtype=float), (max(d, 0),)) for c in comp]
         )
         variances = np.array([c[2] for c in comp], dtype=float)
         if verifier_weights is None:
@@ -203,81 +205,86 @@ class OracleEval:
     eps: np.ndarray
 
 
-def _component_log_weights(world: PatchWorld) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(world.weights)
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, for rows with a finite maximum.
 
-
-def _oracle_terms(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float):
-    """Shared responsibility computation for score / posterior mean / density.
-
-    Component k of patch j at time t is N(alpha mu_jk, (alpha^2 s_jk^2 +
-    sigma^2) I); responsibilities are formed in log space so small densities
-    never underflow to zero before normalization.
+    Same algorithm, and so the same bits, as ``scipy.special.logsumexp``:
+    the maximal terms are split out of the sum, the rest is divided by their
+    count, and log(count) and the maximum are added back.
     """
-    a = schedule.alpha(t)
-    s2 = schedule.sigma(t) ** 2
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + a_max)[..., 0]
+
+
+def _oracle_terms(world: PatchWorld, a: float, s2: float, x: np.ndarray):
+    """Per-component log-densities of the marginal with x_t = a x_0 + noise
+    of variance s2, and their per-patch log-sum.
+
+    Component k of patch j is N(a mu_jk, (a^2 s_jk^2 + s2) I). At
+    (a, s2) = (1, 0) this is the clean target the verifier scores.
+    """
     xp = world.patch_view(x)[..., None, :]          # (..., M, 1, d)
     centered = xp - a * world.means                 # (..., M, K, d)
     var_t = a * a * world.variances + s2            # (M, K)
     sq = np.sum(centered * centered, axis=-1)       # (..., M, K)
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(world.weights)
     log_comp = (
-        _component_log_weights(world)
+        log_weights
         - 0.5 * world.patch_dim * (np.log(var_t) + _LOG_2PI)
         - 0.5 * sq / var_t
     )
-    log_norm = logsumexp(log_comp, axis=-1)          # (..., M)
-    resp = np.exp(log_comp - log_norm[..., None])    # (..., M, K)
-    return a, var_t, centered, resp, log_norm
+    return var_t, centered, log_comp, logsumexp(log_comp)
+
+
+def _score_and_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float):
+    """Exact score of the time-t marginal and posterior mean E[x_0 | x_t].
+
+    Responsibilities are formed in log space so small densities never
+    underflow before normalization; the posterior mean is formed per
+    component so it stays stable even where alpha(t) is at roundoff level.
+    """
+    a = schedule.alpha(t)
+    var_t, centered, log_comp, log_norm = _oracle_terms(world, a, schedule.sigma(t) ** 2, x)
+    resp = np.exp(log_comp - log_norm[..., None])[..., None]    # (..., M, K, 1)
+    score = np.sum(resp * (-centered / var_t[..., None]), axis=-2)
+    gain = (a * world.variances / var_t)[..., None]             # (M, K, 1)
+    mean = np.sum(resp * (world.means + gain * centered), axis=-2)
+    return score.reshape(np.shape(x)), mean.reshape(np.shape(x))
 
 
 def log_density(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact log-density of the time-t marginal (summed over patches)."""
     t = schedule.check_time(t)
-    *_, log_norm = _oracle_terms(world, schedule, x, t)
+    log_norm = _oracle_terms(world, schedule.alpha(t), schedule.sigma(t) ** 2, x)[-1]
     return log_norm.sum(axis=-1)
 
 
 def gmm_score(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact score of the time-t marginal, evaluated per patch independently."""
-    t = schedule.check_time(t)
-    _, var_t, centered, resp, _ = _oracle_terms(world, schedule, x, t)
-    per_comp = -centered / var_t[..., None]
-    score = np.sum(resp[..., None] * per_comp, axis=-2)
-    return score.reshape(np.shape(x))
+    return _score_and_mean(world, schedule, x, schedule.check_time(t))[0]
 
 
 def posterior_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
-    """E[x_0 | x_t], formed per component so it stays stable even where
-    alpha(t) is at roundoff level."""
-    t = schedule.check_time(t)
-    a, var_t, centered, resp, _ = _oracle_terms(world, schedule, x, t)
-    gain = (a * world.variances / var_t)[..., None]  # (M, K, 1)
-    per_comp = world.means + gain * centered
-    mean = np.sum(resp[..., None] * per_comp, axis=-2)
-    return mean.reshape(np.shape(x))
+    """E[x_0 | x_t] of the time-t marginal."""
+    return _score_and_mean(world, schedule, x, schedule.check_time(t))[1]
 
 
 @dataclass
 class NoisePredictor:
     """Closed-form noise oracle bound to a world and schedule.
 
-    eps(x, t) = -sigma(t) * score(x, t). ``mode`` records which integrator
-    family the predictor is meant for; both step functions accept either.
-    The ``nfe`` counter increases by one per evaluated state (batched calls
-    count the batch size), which is the compute unit for budget matching.
+    eps(x, t) = -sigma(t) * score(x, t). The ``nfe`` counter increases by
+    one per evaluated state (batched calls count the batch size), which is
+    the compute unit for budget matching.
     """
 
     world: PatchWorld
     schedule: CosineSchedule
-    mode: str = "diffusion-sde"
     nfe: int = field(default=0)
-
-    _MODES = ("diffusion-sde", "flow-sde")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
 
     def _count(self, x: np.ndarray):
         x = np.asarray(x)
@@ -286,12 +293,7 @@ class NoisePredictor:
     def evaluate(self, x: np.ndarray, t: float) -> OracleEval:
         t = self.schedule.check_time(t)
         self._count(x)
-        a, var_t, centered, resp, _ = _oracle_terms(self.world, self.schedule, x, t)
-        per_score = -centered / var_t[..., None]
-        score = np.sum(resp[..., None] * per_score, axis=-2).reshape(np.shape(x))
-        gain = (a * self.world.variances / var_t)[..., None]
-        per_mean = self.world.means + gain * centered
-        denoised = np.sum(resp[..., None] * per_mean, axis=-2).reshape(np.shape(x))
+        score, denoised = _score_and_mean(self.world, self.schedule, x, t)
         return OracleEval(score=score, denoised=denoised, eps=-self.schedule.sigma(t) * score)
 
     def eps(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -400,15 +402,7 @@ def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:
     """Weighted per-patch log-density of a clean state; higher is better."""
     if abs(state.t) > _TIME_TOL:
         raise ValueError(f"verifier expects a state at t=0, got t={state.t}")
-    xp = world.patch_view(state.x)[..., None, :]
-    centered = xp - world.means
-    sq = np.sum(centered * centered, axis=-1)
-    log_comp = (
-        _component_log_weights(world)
-        - 0.5 * world.patch_dim * (np.log(world.variances) + _LOG_2PI)
-        - 0.5 * sq / world.variances
-    )
-    per_patch = logsumexp(log_comp, axis=-1)
+    per_patch = _oracle_terms(world, 1.0, 0.0, state.x)[-1]
     total = np.sum(world.verifier_weights * per_patch, axis=-1)
     return float(total) if np.ndim(total) == 0 else total
 

@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import check
+
 _CHUNK = 4096  # fixed simulation chunk so results never depend on worker count
 
 
@@ -41,13 +43,13 @@ class MaskStats:
     precision: float
 
     def __post_init__(self):
-        if not 0.0 <= self.recall <= 1.0:
-            raise ValueError(f"recall must lie in [0, 1], got {self.recall}")
-        if not 0.0 < self.precision <= 1.0:
-            raise ValueError(
-                f"precision must lie in (0, 1] (the degenerate 0 case is excluded), "
-                f"got {self.precision}"
-            )
+        check([
+            (0.0 <= self.recall <= 1.0, "recall", f"must lie in [0, 1], got {self.recall}"),
+            (0.0 < self.precision <= 1.0, "precision",
+             f"must lie in (0, 1] (zero precision is the excluded degenerate case: "
+             f"it forces zero true positives or an unbounded selection), "
+             f"got {self.precision}"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -75,21 +77,19 @@ class PatchEconomy:
     budget: float = 1.0
 
     def __post_init__(self):
-        if self.m_patches < 1:
-            raise ValueError(f"m_patches must be at least 1, got {self.m_patches}")
-        if not 1 <= self.defects <= self.m_patches:
-            raise ValueError(
-                f"defects must lie in [1, {self.m_patches}], got {self.defects}"
-            )
-        if self.repair_gain < 0 or self.harm_loss < 0:
-            raise ValueError("repair_gain and harm_loss must be non-negative")
-        for name in ("repair_prob_global", "repair_prob_local",
-                     "harm_prob_global", "harm_prob_local"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.cost_global <= 0 or self.cost_local <= 0 or self.budget <= 0:
-            raise ValueError("costs and budget must be positive")
+        v = vars(self)
+        check([
+            (self.m_patches >= 1, "m_patches", f"must be at least 1, got {self.m_patches}"),
+            (1 <= self.defects <= self.m_patches, "defects",
+             f"must lie in [1, {self.m_patches}], got {self.defects}"),
+            *((v[n] >= 0, n, f"must be non-negative, got {v[n]}")
+              for n in ("repair_gain", "harm_loss")),
+            *((0.0 <= v[n] <= 1.0, n, f"must lie in [0, 1], got {v[n]}")
+              for n in ("repair_prob_global", "repair_prob_local",
+                        "harm_prob_global", "harm_prob_local")),
+            *((v[n] > 0, n, f"must be positive, got {v[n]}")
+              for n in ("cost_global", "cost_local", "budget")),
+        ])
 
 
 def expected_selection_stats(stats: MaskStats, defects: int) -> tuple[float, float, float]:
@@ -304,10 +304,11 @@ class ValueDistribution:
     mean: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "uniform", "exponential"):
-            raise ValueError(f"unknown value distribution kind {self.kind!r}")
-        if self.mean < 0:
-            raise ValueError(f"distribution mean must be non-negative, got {self.mean}")
+        check([
+            (self.kind in ("constant", "uniform", "exponential"), "kind",
+             f"unknown value distribution kind {self.kind!r}"),
+            (self.mean >= 0, "mean", f"must be non-negative, got {self.mean}"),
+        ])
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.kind == "constant":

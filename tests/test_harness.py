@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+import localtts
 from localtts.cli import main as cli_main
 from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
-from localtts.harness import run_experiment
+from localtts.harness import run_experiment, sign_test_p_greater
 
 
 def theory_raw(**over):
@@ -207,6 +213,16 @@ class TestTestbedExperiment:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+class TestSignTest:
+    def test_matches_scipy_binomial_tail(self):
+        # binomtest(k, n, 0.5, alternative="greater").pvalue is binom.sf(k - 1, n, 0.5);
+        # the exact tail is correctly rounded, scipy's is off in the last bits
+        for n in range(0, 301, 3):
+            k = np.arange(n + 1)
+            exact = [sign_test_p_greater(int(i), n) for i in k]
+            np.testing.assert_allclose(exact, binom.sf(k - 1, n, 0.5), rtol=1e-12, atol=0)
+
+
 class TestScalingExperiment:
     @staticmethod
     def scaling_raw(**over):
@@ -304,6 +320,13 @@ class TestCli:
         assert code == 2
         assert "mask_stats.precision" in capsys.readouterr().err
 
+    def test_maskgen_ratio_out_of_range_exit_two(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {
+            "bundle": {"grid": [1, 2], "orig": [1, 1], "pos": [1, 0.2], "neg": [1, 1.4]},
+            "weight": 0.5, "ratio": 1.5}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "ratio must lie strictly inside (0, 1)" in capsys.readouterr().err
+
     def test_kind_mismatch_exit_two(self, tmp_path, capsys):
         path = self.write(tmp_path, theory_raw())
         assert cli_main(["testbed", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -328,6 +351,26 @@ class TestCli:
         assert report["overrides"] == ["mask_stats.recall=0.9"]
         assert report["config"]["mask_stats"]["recall"] == 0.9
 
+    def test_worker_count_leaves_every_output_file_unchanged(self, tmp_path, capsys):
+        path = self.write(tmp_path, make_testbed_raw(trials=8))
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert cli_main(["testbed", "--config", path, "--set", f"workers={workers}",
+                             "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(localtts.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, localtts.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
 
 class TestWorldConfig:
     def test_verifier_weights_flow_through(self):
@@ -335,7 +378,7 @@ class TestWorldConfig:
         weights = [0.5] + [0.5 / 15] * 15
         raw["world"]["verifier_weights"] = weights
         cfg = validate_config(raw)
-        assert cfg.world.verifier_weights[0] == pytest.approx(0.5)
+        assert cfg.settings.world.verifier_weights[0] == pytest.approx(0.5)
 
     def test_bad_verifier_weights_rejected(self):
         raw = make_testbed_raw()
@@ -350,5 +393,5 @@ class TestWorldConfig:
             {"weight": 0.5, "mean": [0.5, 0.0], "variance": 0.04},
         ]
         cfg = validate_config(raw)
-        assert cfg.world.weights.shape == (16, 2)
-        np.testing.assert_allclose(cfg.world.means[0, 0], [-0.5, 0.0])
+        assert cfg.settings.world.weights.shape == (16, 2)
+        np.testing.assert_allclose(cfg.settings.world.means[0, 0], [-0.5, 0.0])

@@ -40,8 +40,6 @@ class TestConfigs:
             SearchConfig(seeds=0, refinements=2, resample=RESAMPLE)
         with pytest.raises(ValueError, match="refinements"):
             SearchConfig(seeds=1, refinements=-1, resample=RESAMPLE)
-        with pytest.raises(ValueError, match="depth"):
-            SearchConfig(seeds=1, refinements=1, resample=RESAMPLE, depth=3)
         assert SearchConfig(seeds=3, refinements=2, resample=RESAMPLE).total_candidates == 9
 
     def test_split_budget(self):
@@ -236,6 +234,16 @@ def small_settings(**kwargs):
     )
     defaults.update(kwargs)
     return SweepSettings(**defaults)
+
+
+class TestSweepSettingsValidation:
+    def test_every_broken_rule_reported_by_field(self):
+        with pytest.raises(ValueError) as err:
+            small_settings(defect_count=99, mask_ratio=1.5, noise_sd=-1.0, n_grid=(1, 4),
+                           resample=ResampleConfig(t0=1.5, t_g=0.1, n_refine=4,
+                                                   n_integrate=1))
+        fields = sorted(error.split(":")[0] for error in err.value.errors)
+        assert fields == ["defect_count", "mask_ratio", "n_grid", "noise_sd", "resample.t0"]
 
 
 class TestScalingSweep:
