@@ -27,15 +27,17 @@ import numpy as np
 
 from . import attention as attn
 from .config import ConfigError, ExperimentConfig
-from .resample import localized_resample
 from .search import (
+    SearchConfig,
     TrialSettings,
     _mean_stderr,
+    check_nfe,
     crossover_summary,
+    dfs_search,
     summarize_sweep,
     sweep_trial,
 )
-from .testbed import NoisePredictor, verifier_score
+from .testbed import NoisePredictor
 from .theory import (
     InfeasibleParameterError,
     bon_curve,
@@ -56,7 +58,6 @@ EXIT_INFEASIBLE = 3
 
 _TRIAL_STREAM = 0
 _SIM_STREAM = 1
-_BON_STREAM = 2
 
 
 def trial_seed(master_seed: int, index: int, stream: int = _TRIAL_STREAM) -> np.random.SeedSequence:
@@ -65,8 +66,7 @@ def trial_seed(master_seed: int, index: int, stream: int = _TRIAL_STREAM) -> np.
 
 def _trial_chunk(args):
     fn, payload, master_seed, stream, start, stop = args
-    return start, [fn(payload, trial_seed(master_seed, idx, stream))
-                   for idx in range(start, stop)]
+    return [fn(payload, trial_seed(master_seed, idx, stream)) for idx in range(start, stop)]
 
 
 def run_trials(fn: Callable, payload, trials: int, master_seed: int,
@@ -82,11 +82,7 @@ def run_trials(fn: Callable, payload, trials: int, master_seed: int,
     tasks = [(fn, payload, master_seed, stream, start, min(start + chunk, trials))
              for start in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_trial_chunk, tasks))
-    results = []
-    for _, rows in sorted(parts, key=lambda item: item[0]):
-        results.extend(rows)
-    return results
+        return [row for rows in pool.map(_trial_chunk, tasks) for row in rows]
 
 
 def sign_test_p_greater(positives: int, n: int) -> float:
@@ -180,26 +176,28 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> tuple:
-    """One refinement trial: sample, injure, mask, refine, score."""
-    rng = np.random.default_rng(seed_seq)
+    """One refinement trial: a one-seed, one-refinement search on a
+    defect-injected draw, scored against the draw's ground-truth defects."""
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    anchor, true_set = settings.sampler()(predictor, rng)
-    mask = settings.mask_source()(anchor, true_set, rng)
-    anchor_score = float(verifier_score(settings.world, anchor))
-    refined, refined_score = localized_resample(
-        predictor, anchor, mask,
-        settings.resample, lambda s: verifier_score(settings.world, s), rng)
-    selected = set(mask.selected.tolist())
-    truth = set(int(j) for j in true_set)
+    anchor_and_refined: list = []
+    dfs_search(predictor, settings.mask_source(),
+               SearchConfig(seeds=1, refinements=1, resample=settings.resample),
+               np.random.default_rng(seed_seq), base_sampler=settings.sampler(),
+               collect=anchor_and_refined)
+    anchor, refined = anchor_and_refined
+    selected = set(refined.mask.selected.tolist())
+    truth = set(int(j) for j in anchor.defects)
     tp = len(selected & truth)
     recall = tp / len(truth) if truth else 1.0
     precision = tp / len(selected) if selected else 0.0
-    return (anchor_score, float(refined_score), float(refined_score) - anchor_score,
+    return (anchor.score, refined.score, refined.score - anchor.score,
             recall, precision, predictor.nfe)
 
 
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rows = run_trials(testbed_trial, cfg.settings, cfg.trials, cfg.master_seed, cfg.workers)
+    nfe = cfg.settings.schedule.n_steps + cfg.settings.resample.nfe_cost
+    check_nfe("testbed trial", [row[5] for row in rows], nfe)
     improvements = np.array([row[2] for row in rows])
     mean, stderr = _mean_stderr(improvements)
     positives = int(np.sum(improvements > 0))
@@ -211,7 +209,7 @@ def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "sign_test_p_greater": sign_test_p_greater(positives, improvements.size),
         "mean_mask_recall": float(np.mean([row[3] for row in rows])),
         "mean_mask_precision": float(np.mean([row[4] for row in rows])),
-        "nfe_per_trial": rows[0][5],
+        "nfe_per_trial": nfe,
     }
     csv_rows = [(idx, *row) for idx, row in enumerate(rows)]
     files = {"trials.csv": render_csv(

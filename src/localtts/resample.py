@@ -24,8 +24,9 @@ from .testbed import (
     _TIME_TOL,
     LatentState,
     NoisePredictor,
-    _ancestral_coefficients,
+    _ancestral_update,
     _resolve_target_time,
+    forward_noise,
     reverse_sde_step,
 )
 
@@ -81,21 +82,16 @@ def _check_mask(predictor: NoisePredictor, mask: DefectMask) -> np.ndarray:
 
 def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
             cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
-    """Re-noise the anchor to t0 with independent noise per region.
+    """Forward-noise the anchor to t0 with region-blended noise.
 
     x_t0 = alpha(t0) anchor + sigma(t0) ((1-M) z_bg + M z_mask); both
     regions end up at the same noise level, only the masked region's noise
     is decoupled from the background's.
     """
-    if abs(anchor.t) > _TIME_TOL:
-        raise ValueError(f"anchor must be at t=0, got t={anchor.t}")
-    sched = predictor.schedule
-    t0 = sched.check_time(cfg.t0)
     mcoord = _check_mask(predictor, mask)
     z_bg = rng.standard_normal(anchor.x.shape)
     z_mask = rng.standard_normal(anchor.x.shape)
-    z = np.where(mcoord, z_mask, z_bg)
-    return LatentState(x=sched.alpha(t0) * anchor.x + sched.sigma(t0) * z, t=t0)
+    return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
 
 
 def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: DefectMask,
@@ -116,10 +112,7 @@ def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: Defe
         raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
     s = _resolve_target_time(t, cfg.refine_dt)
     mcoord = _check_mask(predictor, mask)
-    ev = predictor.evaluate(state.x, t)
-    coef_x, coef_x0, noise_std = _ancestral_coefficients(sched, t, s)
-    z = rng.standard_normal(state.x.shape)
-    refined = coef_x * state.x + coef_x0 * ev.denoised + noise_std * z
+    refined, z = _ancestral_update(predictor, state.x, t, s, rng)
     anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
     return LatentState(x=np.where(mcoord, refined, anchored), t=s)
 

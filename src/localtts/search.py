@@ -3,9 +3,10 @@
 The depth-2 search draws S global seeds, generates K localized refinements
 per seed, scores every candidate exactly once with the verifier, and
 returns the argmax (ties broken by evaluation order: seed-major, base
-before its refinements). Best-of-N is the matching global baseline. The
-scaling sweep runs both over a grid of candidate counts and reports mean
-score and standard error per (method, N, NFE) row.
+before its refinements). Best-of-N, the matching global baseline, is the
+same search with no refinements. The scaling sweep runs both over a grid
+of candidate counts and reports mean score and standard error per
+(method, N, NFE) row.
 """
 from __future__ import annotations
 
@@ -43,13 +44,15 @@ class SearchConfig:
 
     seeds: int
     refinements: int
-    resample: ResampleConfig
+    resample: Optional[ResampleConfig]
 
     def __post_init__(self):
         check([
             (self.seeds >= 1, "seeds", f"must be at least 1, got {self.seeds}"),
             (self.refinements >= 0, "refinements",
              f"must be non-negative, got {self.refinements}"),
+            (self.resample is not None or self.refinements <= 0, "resample",
+             f"may be None only when refinements is 0, got {self.refinements}"),
         ])
 
     @property
@@ -62,13 +65,16 @@ class Candidate:
     """A scored candidate: clean state, verifier score, provenance, NFE cost.
 
     lineage is (seed index, refinement index) with refinement index None for
-    base samples.
+    base samples. defects is the seed's ground-truth defect set and mask the
+    defect mask a refinement resampled (None where there is none).
     """
 
     state: LatentState
     score: float
     lineage: tuple[int, Optional[int]]
     nfe_cost: int
+    defects: Optional[np.ndarray] = None
+    mask: Optional[DefectMask] = None
 
 
 def plain_sampler(predictor: NoisePredictor, rng: np.random.Generator):
@@ -123,69 +129,48 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     return source
 
 
-def _default_verifier(world: PatchWorld) -> Verifier:
-    return functools.partial(verifier_score, world)
-
-
-def _best(candidates: list[Candidate]) -> Candidate:
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.score > best.score:
-            best = cand
-    return best
-
-
-def dfs_search(predictor: NoisePredictor, mask_source: MaskSource, cfg: SearchConfig,
+def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg: SearchConfig,
                rng: np.random.Generator, base_sampler: Optional[BaseSampler] = None,
                verifier: Optional[Verifier] = None,
                collect: Optional[list[Candidate]] = None) -> Candidate:
     """Depth-2 search: S base samples, K localized refinements per base.
 
-    One mask is generated per base candidate and shared by its refinements.
-    Total cost is S * n_steps + S * K * (n_refine + n_integrate) NFEs.
-    Pass ``collect`` to also receive every evaluated candidate in order.
+    One mask is generated per base candidate and shared by its refinements;
+    the verifier draws no randomness. Total cost is S * n_steps + S * K *
+    (n_refine + n_integrate) NFEs. Pass ``collect`` to also receive every
+    evaluated candidate in order.
     """
     sampler = base_sampler or plain_sampler
-    verify = verifier or _default_verifier(predictor.world)
-    base_cost = predictor.schedule.n_steps
+    verify = verifier or functools.partial(verifier_score, predictor.world)
     candidates: list[Candidate] = []
     for seed_idx in range(cfg.seeds):
-        state, context = sampler(predictor, rng)
+        state, defects = sampler(predictor, rng)
         candidates.append(Candidate(state=state, score=float(verify(state)),
-                                    lineage=(seed_idx, None), nfe_cost=base_cost))
-        if cfg.refinements == 0:
-            continue
-        mask = mask_source(state, context, rng)
+                                    lineage=(seed_idx, None),
+                                    nfe_cost=predictor.schedule.n_steps, defects=defects))
+        if cfg.refinements > 0:
+            mask = mask_source(state, defects, rng)
         for ref_idx in range(cfg.refinements):
             refined, score = localized_resample(predictor, state, mask,
                                                 cfg.resample, verify, rng)
             candidates.append(Candidate(state=refined, score=float(score),
                                         lineage=(seed_idx, ref_idx),
-                                        nfe_cost=cfg.resample.nfe_cost))
+                                        nfe_cost=cfg.resample.nfe_cost,
+                                        defects=defects, mask=mask))
     if collect is not None:
         collect.extend(candidates)
-    return _best(candidates)
+    # max keeps the first of equal scores: evaluation order breaks ties
+    return max(candidates, key=lambda cand: cand.score)
 
 
 def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
               base_sampler: Optional[BaseSampler] = None,
               verifier: Optional[Verifier] = None,
               collect: Optional[list[Candidate]] = None) -> Candidate:
-    """Argmax over n independent base samples (n * n_steps NFEs)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    sampler = base_sampler or plain_sampler
-    verify = verifier or _default_verifier(predictor.world)
-    base_cost = predictor.schedule.n_steps
-    candidates = []
-    for idx in range(n):
-        state, _ = sampler(predictor, rng)
-        candidates.append(Candidate(state=state, score=float(verify(state)),
-                                    lineage=(idx, None), nfe_cost=base_cost))
-    best = _best(candidates)
-    if collect is not None:
-        collect.extend(candidates)
-    return best
+    """Argmax over n independent base samples (n * n_steps NFEs): the
+    depth-2 search with n seeds and no refinements."""
+    cfg = SearchConfig(seeds=n, refinements=0, resample=None)
+    return dfs_search(predictor, None, cfg, rng, base_sampler, verifier, collect)
 
 
 def split_budget(n: int, refinements: int) -> tuple[int, int]:
@@ -323,14 +308,12 @@ def sweep_trial(settings: SweepSettings, seed_seq: np.random.SeedSequence) -> di
         local_scores[n] = best.score
         local_nfes[n] = predictor.nfe
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    verify = _default_verifier(settings.world)
-    draws = []
-    for _ in range(max(settings.bon_grid)):
-        state, _ = sampler(predictor, rng)
-        draws.append(float(verify(state)))
-    prefix_best = np.maximum.accumulate(draws)
+    draws: list[Candidate] = []
+    best_of_n(predictor, max(settings.bon_grid), rng, base_sampler=sampler, collect=draws)
+    prefix_best = np.maximum.accumulate([draw.score for draw in draws])
     bon_scores = {n: float(prefix_best[n - 1]) for n in settings.bon_grid}
-    return {"local": local_scores, "local_nfe": local_nfes, "bon": bon_scores}
+    return {"local": local_scores, "local_nfe": local_nfes,
+            "bon": bon_scores, "bon_nfe": predictor.nfe}
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -341,20 +324,29 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def check_nfe(what: str, measured: list[int], analytic: int) -> None:
+    """Raise when a measured oracle-evaluation count differs from the
+    analytic cost: some call site escaped the NFE accounting."""
+    if any(nfe != analytic for nfe in measured):
+        raise RuntimeError(f"{what}: measured NFE {sorted(set(measured))} "
+                           f"differs from analytic {analytic}")
+
+
 def summarize_sweep(settings: SweepSettings, trial_results: list[dict]) -> list[SweepRow]:
-    """Aggregate per-trial sweep results into fixed-order table rows."""
-    rows = []
-    trials = len(trial_results)
+    """Aggregate per-trial sweep results into fixed-order table rows after
+    checking every measured NFE against the analytic cost."""
+    check_nfe("best_of_n", [r["bon_nfe"] for r in trial_results],
+              max(settings.bon_grid) * settings.schedule.n_steps)
     for n in settings.n_grid:
-        scores = np.array([r["local"][n] for r in trial_results])
-        mean, stderr = _mean_stderr(scores)
-        rows.append(SweepRow(method="localized", n=n, nfe=settings.local_nfe(n),
-                             mean_score=mean, stderr=stderr, trials=trials))
-    for n in settings.bon_grid:
-        scores = np.array([r["bon"][n] for r in trial_results])
-        mean, stderr = _mean_stderr(scores)
-        rows.append(SweepRow(method="best_of_n", n=n, nfe=n * settings.schedule.n_steps,
-                             mean_score=mean, stderr=stderr, trials=trials))
+        check_nfe(f"localized n={n}", [r["local_nfe"][n] for r in trial_results],
+                  settings.local_nfe(n))
+    cells = ([("localized", "local", n, settings.local_nfe(n)) for n in settings.n_grid]
+             + [("best_of_n", "bon", n, n * settings.schedule.n_steps) for n in settings.bon_grid])
+    rows = []
+    for method, key, n, nfe in cells:
+        mean, stderr = _mean_stderr(np.array([r[key][n] for r in trial_results]))
+        rows.append(SweepRow(method=method, n=n, nfe=nfe, mean_score=mean, stderr=stderr,
+                             trials=len(trial_results)))
     return rows
 
 

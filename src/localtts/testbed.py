@@ -296,12 +296,6 @@ class NoisePredictor:
         score, denoised = _score_and_mean(self.world, self.schedule, x, t)
         return OracleEval(score=score, denoised=denoised, eps=-self.schedule.sigma(t) * score)
 
-    def eps(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate(x, t).eps
-
-    def score(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate(x, t).score
-
     def reset_nfe(self):
         self.nfe = 0
 
@@ -317,16 +311,22 @@ def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.
     return LatentState(x=schedule.alpha(t) * state.x + schedule.sigma(t) * z, t=t)
 
 
-def _ancestral_coefficients(schedule: CosineSchedule, t: float, s: float):
-    """Coefficients of the ancestral posterior q(x_s | x_t, x_0)."""
-    a_t, s_t = schedule.alpha(t), schedule.sigma(t)
-    a_s, s_s = schedule.alpha(s), schedule.sigma(s)
+def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw x_s from the ancestral posterior q(x_s | x_t, x_0) with x_0 the
+    oracle's posterior mean at t (one NFE); returns the draw and the
+    standard-normal noise it used."""
+    ev = predictor.evaluate(x, t)
+    sched = predictor.schedule
+    a_t, s_t = sched.alpha(t), sched.sigma(t)
+    a_s, s_s = sched.alpha(s), sched.sigma(s)
     ratio = a_t / a_s
     var_ts = max(s_t * s_t - ratio * ratio * s_s * s_s, 0.0)
     coef_x = ratio * (s_s * s_s) / (s_t * s_t)
     coef_x0 = a_s * var_ts / (s_t * s_t)
     noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
-    return coef_x, coef_x0, noise_std
+    z = rng.standard_normal(x.shape)
+    return coef_x * x + coef_x0 * ev.denoised + noise_std * z, z
 
 
 def _resolve_target_time(t: float, dt: float) -> float:
@@ -348,11 +348,7 @@ def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
     """
     t = predictor.schedule.check_time(state.t)
     s = _resolve_target_time(t, dt)
-    ev = predictor.evaluate(state.x, t)
-    coef_x, coef_x0, noise_std = _ancestral_coefficients(predictor.schedule, t, s)
-    z = rng.standard_normal(state.x.shape)
-    x_next = coef_x * state.x + coef_x0 * ev.denoised + noise_std * z
-    return LatentState(x=x_next, t=s)
+    return LatentState(x=_ancestral_update(predictor, state.x, t, s, rng)[0], t=s)
 
 
 def velocity(schedule: CosineSchedule, ev: OracleEval, t: float) -> np.ndarray:

@@ -335,25 +335,13 @@ class EconomySimResult:
     fp_se: float
 
 
-class _Accumulator:
-    __slots__ = ("n", "total", "total_sq")
-
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
-
-    def mean_se(self) -> tuple[float, float]:
-        mean = self.total / self.n
-        if self.n < 2:
-            return mean, 0.0
-        var = max(self.total_sq / self.n - mean * mean, 0.0) * self.n / (self.n - 1)
-        return mean, math.sqrt(var / self.n)
+def _mean_se(n: int, total: float, total_sq: float) -> tuple[float, float]:
+    """Mean and standard error from a count, a sum and a sum of squares."""
+    mean = total / n
+    if n < 2:
+        return mean, 0.0
+    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
@@ -388,7 +376,7 @@ def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
     return tp, fp, local, global_
 
 
-def _chunk_task(args) -> tuple[int, tuple]:
+def _chunk_task(args) -> tuple:
     """Sufficient statistics (count, sum, sum of squares per stream) for one
     chunk of trials; top-level so worker processes can receive it."""
     econ, stats, p_clean, repair_dist, harm_dist, entropy, spawn_key, chunk_idx, n = args
@@ -401,7 +389,7 @@ def _chunk_task(args) -> tuple[int, tuple]:
         values = np.asarray(values, dtype=float)
         return values.size, float(values.sum()), float(np.square(values).sum())
 
-    return chunk_idx, (agg(tp), agg(tp + fp), agg(fp), agg(local), agg(global_))
+    return agg(tp), agg(tp + fp), agg(fp), agg(local), agg(global_)
 
 
 def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
@@ -443,18 +431,14 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
 
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             results = list(pool.map(_chunk_task, tasks))
-    accs = [_Accumulator() for _ in range(5)]
-    for _, parts in sorted(results, key=lambda item: item[0]):
-        for acc, (count, total, total_sq) in zip(accs, parts):
-            acc.n += count
-            acc.total += total
-            acc.total_sq += total_sq
-    acc_tp, acc_sel, acc_fp, acc_local, acc_global = accs
-    tp_mean, tp_se = acc_tp.mean_se()
-    sel_mean, sel_se = acc_sel.mean_se()
-    fp_mean, fp_se = acc_fp.mean_se()
-    local_mean, local_se = acc_local.mean_se()
-    global_mean, global_se = acc_global.mean_se()
+    # plain left-to-right float additions in chunk order (not sum(), which
+    # compensates float sums from Python 3.12 and would change the bits)
+    sums = [(0, 0.0, 0.0)] * 5
+    for parts in results:
+        sums = [(n + count, total + part, total_sq + part_sq)
+                for (n, total, total_sq), (count, part, part_sq) in zip(sums, parts)]
+    ((tp_mean, tp_se), (sel_mean, sel_se), (fp_mean, fp_se),
+     (local_mean, local_se), (global_mean, global_se)) = (_mean_se(*stream) for stream in sums)
     return EconomySimResult(
         trials=trials,
         gain_global_mean=global_mean, gain_global_se=global_se,

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import binom
 
 import localtts
+from localtts import harness
 from localtts.cli import main as cli_main
 from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
 from localtts.harness import run_experiment, sign_test_p_greater
@@ -191,6 +192,18 @@ class TestTestbedExperiment:
         assert lines[0] == ("trial,anchor_score,refined_score,improvement,"
                             "mask_recall,mask_precision,nfe")
         assert len(lines) == 61
+
+    def test_measured_nfe_off_analytic_raises(self, tmp_path, monkeypatch):
+        trial = harness.testbed_trial
+
+        def one_nfe_short(settings, seed_seq):
+            *row, nfe = trial(settings, seed_seq)
+            return (*row, nfe - 1)
+
+        monkeypatch.setattr(harness, "testbed_trial", one_nfe_short)
+        cfg = validate_config(make_testbed_raw(trials=2))
+        with pytest.raises(RuntimeError, match=r"measured NFE \[25\] differs from analytic 26"):
+            run_experiment(cfg, tmp_path)
 
     def test_zero_magnitude_improvement_is_statistically_zero(self, tmp_path):
         raw = make_testbed_raw(trials=150)

@@ -42,6 +42,11 @@ class TestConfigs:
             SearchConfig(seeds=1, refinements=-1, resample=RESAMPLE)
         assert SearchConfig(seeds=3, refinements=2, resample=RESAMPLE).total_candidates == 9
 
+    def test_resample_may_be_none_only_without_refinements(self):
+        with pytest.raises(ValueError, match="resample: may be None only when refinements is 0"):
+            SearchConfig(seeds=1, refinements=1, resample=None)
+        assert SearchConfig(seeds=2, refinements=0, resample=None).total_candidates == 2
+
     def test_split_budget(self):
         assert split_budget(1, 2) == (1, 0)
         assert split_budget(3, 2) == (1, 2)
@@ -254,6 +259,22 @@ class TestScalingSweep:
         assert set(result["bon"]) == {1, 2, 4}
         assert result["local_nfe"][3] == settings.local_nfe(3) == 8 + 2 * 5
         assert settings.local_nfe(1) == 8
+        assert result["bon_nfe"] == 4 * 8
+
+    @pytest.mark.parametrize("key", ["local_nfe", "bon_nfe"])
+    def test_summary_rejects_measured_nfe_off_analytic(self, key):
+        settings = small_settings()
+        results = [sweep_trial(settings, np.random.SeedSequence(entropy=5, spawn_key=(i,)))
+                   for i in range(2)]
+        summarize_sweep(settings, results)
+        if key == "local_nfe":
+            results[1]["local_nfe"][3] += 1
+            match = r"localized n=3: measured NFE \[18, 19\] differs from analytic 18"
+        else:
+            results[1]["bon_nfe"] -= 1
+            match = r"best_of_n: measured NFE \[31, 32\] differs from analytic 32"
+        with pytest.raises(RuntimeError, match=match):
+            summarize_sweep(settings, results)
 
     def test_bon_prefix_is_monotone_within_each_trial(self):
         settings = small_settings()
