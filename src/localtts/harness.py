@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -34,8 +33,10 @@ from .search import (
     check_nfe,
     crossover_summary,
     dfs_search,
+    mask_recall_precision,
     summarize_sweep,
     sweep_trial,
+    trial_rng,
 )
 from .testbed import NoisePredictor
 from .theory import (
@@ -45,6 +46,7 @@ from .theory import (
     classify_regime,
     dominance_check,
     expected_selection_stats,
+    map_in_order,
     per_trial_gains,
     precision_floor,
     required_recall,
@@ -76,13 +78,10 @@ def run_trials(fn: Callable, payload, trials: int, master_seed: int,
     Every trial gets its own counter-derived seed, so the result list does
     not depend on how the trials are sharded across workers.
     """
-    if workers <= 1 or trials == 1:
-        return [fn(payload, trial_seed(master_seed, idx, stream)) for idx in range(trials)]
     chunk = max(1, -(-trials // (workers * 4)))
     tasks = [(fn, payload, master_seed, stream, start, min(start + chunk, trials))
              for start in range(0, trials, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(_trial_chunk, tasks) for row in rows]
+    return [row for rows in map_in_order(_trial_chunk, tasks, workers) for row in rows]
 
 
 def sign_test_p_greater(positives: int, n: int) -> float:
@@ -182,14 +181,10 @@ def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> 
     anchor_and_refined: list = []
     dfs_search(predictor, settings.mask_source(),
                SearchConfig(seeds=1, refinements=1, resample=settings.resample),
-               np.random.default_rng(seed_seq), base_sampler=settings.sampler(),
+               trial_rng(seed_seq), base_sampler=settings.sampler(),
                collect=anchor_and_refined)
     anchor, refined = anchor_and_refined
-    selected = set(refined.mask.selected.tolist())
-    truth = set(int(j) for j in anchor.defects)
-    tp = len(selected & truth)
-    recall = tp / len(truth) if truth else 1.0
-    precision = tp / len(selected) if selected else 0.0
+    recall, precision = mask_recall_precision(refined.mask, anchor.defects)
     return (anchor.score, refined.score, refined.score - anchor.score,
             recall, precision, predictor.nfe)
 
@@ -234,7 +229,8 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "crossover": summary,
         "rows": [
             {"method": r.method, "n": r.n, "nfe": r.nfe,
-             "mean_score": r.mean_score, "stderr": r.stderr}
+             "mean_score": r.mean_score, "stderr": r.stderr,
+             "mask_recall": r.mask_recall, "mask_precision": r.mask_precision}
             for r in rows
         ],
     }

@@ -23,11 +23,12 @@ from .errors import check
 from .testbed import (
     _TIME_TOL,
     LatentState,
+    Noise,
     NoisePredictor,
     _ancestral_update,
     _resolve_target_time,
+    _reverse_sweep,
     forward_noise,
-    reverse_sde_step,
 )
 
 
@@ -80,6 +81,13 @@ def _check_mask(predictor: NoisePredictor, mask: DefectMask) -> np.ndarray:
     return predictor.world.coordinate_mask(mask.bits)
 
 
+def _renoise(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
+             cfg: ResampleConfig, noise: Noise) -> LatentState:
+    z_bg = noise(anchor.x.shape)
+    z_mask = noise(anchor.x.shape)
+    return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
+
+
 def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
             cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
     """Forward-noise the anchor to t0 with region-blended noise.
@@ -88,10 +96,19 @@ def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
     regions end up at the same noise level, only the masked region's noise
     is decoupled from the background's.
     """
-    mcoord = _check_mask(predictor, mask)
-    z_bg = rng.standard_normal(anchor.x.shape)
-    z_mask = rng.standard_normal(anchor.x.shape)
-    return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
+    return _renoise(predictor, anchor, _check_mask(predictor, mask), cfg, rng.standard_normal)
+
+
+def _masked_refine(predictor: NoisePredictor, state: LatentState, mcoord: np.ndarray,
+                   anchor: LatentState, cfg: ResampleConfig, noise: Noise) -> LatentState:
+    sched = predictor.schedule
+    t = sched.check_time(state.t)
+    if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
+        raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
+    s = _resolve_target_time(t, cfg.refine_dt)
+    refined, z = _ancestral_update(predictor, state.x, t, s, noise)
+    anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
+    return LatentState(x=np.where(mcoord, refined, anchored), t=s)
 
 
 def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: DefectMask,
@@ -106,15 +123,22 @@ def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: Defe
     destination of 0 both branches are noiseless, making unmasked outputs
     equal the anchor exactly.
     """
-    sched = predictor.schedule
-    t = sched.check_time(state.t)
-    if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
-        raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
-    s = _resolve_target_time(t, cfg.refine_dt)
-    mcoord = _check_mask(predictor, mask)
-    refined, z = _ancestral_update(predictor, state.x, t, s, rng)
-    anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
-    return LatentState(x=np.where(mcoord, refined, anchored), t=s)
+    return _masked_refine(predictor, state, _check_mask(predictor, mask), anchor, cfg,
+                          rng.standard_normal)
+
+
+def _resample(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
+              cfg: ResampleConfig, noise: Noise) -> tuple[LatentState, int]:
+    """Renoise, masked refinement and global sweep; returns the clean
+    state and the number of steps run. mcoord broadcasts against the
+    anchor, so a batch may carry one coordinate mask per row."""
+    state = _renoise(predictor, anchor, mcoord, cfg, noise)
+    for _ in range(cfg.n_refine):
+        state = _masked_refine(predictor, state, mcoord, anchor, cfg, noise)
+    if cfg.t_g == 0.0:
+        return state, cfg.n_refine
+    times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
+    return _reverse_sweep(predictor, state, times, noise), cfg.n_refine + len(times) - 1
 
 
 def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
@@ -125,11 +149,6 @@ def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: Def
     Returns the refined clean state and its verifier score. Consumes
     exactly cfg.n_refine + cfg.n_integrate oracle evaluations.
     """
-    state = renoise(predictor, anchor, mask, cfg, rng)
-    for _ in range(cfg.n_refine):
-        state = masked_refine_step(predictor, state, mask, anchor, cfg, rng)
-    if cfg.t_g > 0.0:
-        times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
-        for t_cur, t_next in zip(times[:-1], times[1:]):
-            state = reverse_sde_step(predictor, state, float(t_cur - t_next), rng)
+    state, _ = _resample(predictor, anchor, _check_mask(predictor, mask), cfg,
+                         rng.standard_normal)
     return state, verifier(state)

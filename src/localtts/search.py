@@ -7,6 +7,11 @@ before its refinements). Best-of-N, the matching global baseline, is the
 same search with no refinements. The scaling sweep runs both over a grid
 of candidate counts and reports mean score and standard error per
 (method, N, NFE) row.
+
+Every search runs on one lockstep engine: the base draws of all its seeds
+integrate as one batch, and so do all refinements. Each candidate draws its
+randomness from its own generator, spawned by lineage (search, seed,
+refinement), so batching does not change any candidate's bits.
 """
 from __future__ import annotations
 
@@ -18,24 +23,28 @@ import numpy as np
 
 from .attention import DefectMask, mask_from_indices, mask_gen
 from .errors import check
-from .resample import ResampleConfig, localized_resample
+from .resample import ResampleConfig, _check_mask, _resample
 from .testbed import (
     CosineSchedule,
     LatentState,
     NoisePredictor,
     PatchWorld,
+    _row_noise,
+    _sample,
     inject_defects,
-    sample_base,
+    sample_base,  # noqa: F401  (perfbench's tracer patches search.sample_base)
     synth_attention,
     verifier_score,
 )
 
-# A base sampler returns a candidate state at t=0 plus optional context
-# (the ground-truth defect set when defects are injected); a mask source
-# turns that candidate into a defect mask.
-BaseSampler = Callable[[NoisePredictor, np.random.Generator], tuple[LatentState, Optional[np.ndarray]]]
+# A base sampler turns one integrated base draw (a clean state) into a
+# candidate plus optional context (the ground-truth defect set when defects
+# are injected); a mask source turns that candidate into a defect mask. A
+# verifier scores a (rows, dim) batch of clean states, one score per row.
+BaseSampler = Callable[[PatchWorld, LatentState, np.random.Generator],
+                       tuple[LatentState, Optional[np.ndarray]]]
 MaskSource = Callable[[LatentState, Optional[np.ndarray], np.random.Generator], DefectMask]
-Verifier = Callable[[LatentState], float]
+Verifier = Callable[[LatentState], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,8 @@ class Candidate:
     mask: Optional[DefectMask] = None
 
 
-def plain_sampler(predictor: NoisePredictor, rng: np.random.Generator):
-    return sample_base(predictor, rng), None
+def plain_sampler(world: PatchWorld, state: LatentState, rng: np.random.Generator):
+    return state, None
 
 
 def defect_injecting_sampler(count: int, magnitude: float,
@@ -92,13 +101,12 @@ def defect_injecting_sampler(count: int, magnitude: float,
     on a nearly defect-free sample.
     """
 
-    def sampler(predictor: NoisePredictor, rng: np.random.Generator):
-        state = sample_base(predictor, rng)
-        m = predictor.world.n_patches
+    def sampler(world: PatchWorld, state: LatentState, rng: np.random.Generator):
+        m = world.n_patches
         k = int(rng.binomial(m, count / m)) if randomize else count
         if k == 0:
             return state, np.array([], dtype=int)
-        return inject_defects(predictor.world, state, k, magnitude, rng)
+        return inject_defects(world, state, k, magnitude, rng)
 
     return sampler
 
@@ -129,6 +137,91 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     return source
 
 
+def trial_rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    """The generator of one trial. It spawns from a copy of seed_seq, so the
+    trial leaves seed_seq's spawn counter alone and depends on its entropy
+    and spawn key only."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed_seq.entropy, spawn_key=seed_seq.spawn_key, pool_size=seed_seq.pool_size))
+
+
+def _scores(verify: Verifier, states: LatentState) -> list[float]:
+    """One verifier call for a batch; a constant verifier scores every row alike."""
+    return np.broadcast_to(np.asarray(verify(states), dtype=float), states.x.shape[:1]).tolist()
+
+
+def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, phase: str) -> int:
+    """Per-row NFE of a phase, from the predictor's counter; raises when the
+    counter moved by other than rows x steps run."""
+    delta = predictor.nfe - before
+    if delta != rows * steps:
+        raise RuntimeError(f"{phase} phase: the oracle counted {delta} evaluations "
+                           f"for {rows} rows x {steps} steps")
+    return delta // rows
+
+
+def _lockstep(predictor: NoisePredictor, searches: list[tuple[SearchConfig, np.random.Generator]],
+              mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None,
+              verifier: Optional[Verifier] = None) -> list[list[Candidate]]:
+    """Run depth-2 searches in four batched phases: every base draw as one
+    integration, one mask per refined seed, every refinement as one
+    integration, one verifier call per batch.
+
+    Seed i of a search draws its base sample, defects and mask from the i-th
+    generator spawned from the search's generator; refinement j of that seed
+    draws from the j-th generator spawned from the seed's. Batches only
+    stack rows, so each candidate equals its one-at-a-time counterpart bit
+    for bit. Returns each search's candidates in evaluation order (seed-major,
+    base before its refinements); nfe_cost is the measured per-row cost.
+    """
+    world = predictor.world
+    inject = base_sampler or plain_sampler
+    verify = verifier or functools.partial(verifier_score, world)
+    resamples = {cfg.resample for cfg, _ in searches if cfg.refinements > 0}
+    if len(resamples) > 1:
+        raise ValueError("searches that refine must share one resample config")
+    seeds = [(g, idx, rng) for g, (cfg, search_rng) in enumerate(searches)
+             for idx, rng in enumerate(search_rng.spawn(cfg.seeds))]
+
+    # base phase: one (B, dim) integration, then each draw's own injection
+    rngs = [rng for *_, rng in seeds]
+    before = predictor.nfe
+    base, steps = _sample(predictor, _row_noise(rngs), (len(rngs), world.dim))
+    base_nfe = _measured(predictor, before, len(rngs), steps, "base")
+    drawn = [inject(world, LatentState(x=x, t=base.t), rng) for x, rng in zip(base.x, rngs)]
+    base_scores = _scores(verify, LatentState(x=np.stack([st.x for st, _ in drawn]), t=base.t))
+
+    # mask phase: one mask per seed that refines, drawn from the seed's stream
+    refine_rows, masks = [], {}
+    for row, ((g, _, rng), (state, defects)) in enumerate(zip(seeds, drawn)):
+        refinements = searches[g][0].refinements
+        if refinements > 0:
+            masks[row] = mask_source(state, defects, rng)
+            refine_rows += [(row, ref_rng) for ref_rng in rng.spawn(refinements)]
+
+    # refinement phase: every refinement of every seed as one batch
+    if refine_rows:
+        anchors = LatentState(x=np.stack([drawn[row][0].x for row, _ in refine_rows]), t=0.0)
+        mcoord = np.stack([_check_mask(predictor, masks[row]) for row, _ in refine_rows])
+        before = predictor.nfe
+        refined, steps = _resample(predictor, anchors, mcoord, resamples.pop(),
+                                   _row_noise([rng for _, rng in refine_rows]))
+        refine_nfe = _measured(predictor, before, len(refine_rows), steps, "refinement")
+        refined_scores = _scores(verify, refined)
+
+    out: list[list[Candidate]] = [[] for _ in searches]
+    k = 0  # refinement rows are seed-major, like the candidates
+    for row, ((g, idx, _), (state, defects)) in enumerate(zip(seeds, drawn)):
+        out[g].append(Candidate(state=state, score=base_scores[row], lineage=(idx, None),
+                                nfe_cost=base_nfe, defects=defects))
+        for ref_idx in range(searches[g][0].refinements):
+            out[g].append(Candidate(state=LatentState(x=refined.x[k], t=refined.t),
+                                    score=refined_scores[k], lineage=(idx, ref_idx),
+                                    nfe_cost=refine_nfe, defects=defects, mask=masks[row]))
+            k += 1
+    return out
+
+
 def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg: SearchConfig,
                rng: np.random.Generator, base_sampler: Optional[BaseSampler] = None,
                verifier: Optional[Verifier] = None,
@@ -137,26 +230,11 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
 
     One mask is generated per base candidate and shared by its refinements;
     the verifier draws no randomness. Total cost is S * n_steps + S * K *
-    (n_refine + n_integrate) NFEs. Pass ``collect`` to also receive every
-    evaluated candidate in order.
+    (n_refine + n_integrate) NFEs. The per-candidate streams are spawned
+    from rng. Pass ``collect`` to also receive every evaluated candidate in
+    order.
     """
-    sampler = base_sampler or plain_sampler
-    verify = verifier or functools.partial(verifier_score, predictor.world)
-    candidates: list[Candidate] = []
-    for seed_idx in range(cfg.seeds):
-        state, defects = sampler(predictor, rng)
-        candidates.append(Candidate(state=state, score=float(verify(state)),
-                                    lineage=(seed_idx, None),
-                                    nfe_cost=predictor.schedule.n_steps, defects=defects))
-        if cfg.refinements > 0:
-            mask = mask_source(state, defects, rng)
-        for ref_idx in range(cfg.refinements):
-            refined, score = localized_resample(predictor, state, mask,
-                                                cfg.resample, verify, rng)
-            candidates.append(Candidate(state=refined, score=float(score),
-                                        lineage=(seed_idx, ref_idx),
-                                        nfe_cost=cfg.resample.nfe_cost,
-                                        defects=defects, mask=mask))
+    [candidates] = _lockstep(predictor, [(cfg, rng)], mask_source, base_sampler, verifier)
     if collect is not None:
         collect.extend(candidates)
     # max keeps the first of equal scores: evaluation order breaks ties
@@ -171,6 +249,14 @@ def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
     depth-2 search with n seeds and no refinements."""
     cfg = SearchConfig(seeds=n, refinements=0, resample=None)
     return dfs_search(predictor, None, cfg, rng, base_sampler, verifier, collect)
+
+
+def mask_recall_precision(mask: DefectMask, truth) -> tuple[float, float]:
+    """Recall and precision of a mask against a ground-truth defect set."""
+    selected = set(mask.selected.tolist())
+    truth = set(int(j) for j in truth)
+    tp = len(selected & truth)
+    return (tp / len(truth) if truth else 1.0, tp / len(selected) if selected else 0.0)
 
 
 def split_budget(n: int, refinements: int) -> tuple[int, int]:
@@ -199,6 +285,8 @@ class SweepRow:
     mean_score: float
     stderr: float
     trials: int
+    mask_recall: Optional[float] = None
+    mask_precision: Optional[float] = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -289,31 +377,32 @@ class SweepSettings(TrialSettings):
 
 
 def sweep_trial(settings: SweepSettings, seed_seq: np.random.SeedSequence) -> dict:
-    """One master seed of the scaling comparison.
+    """One master seed of the scaling comparison, as one engine call.
 
     Localized search runs once per budget in n_grid; the global baseline
     draws max(bon_grid) samples once and reads best-of-first-n prefixes, so
-    its per-trial curve is monotone by construction.
+    its per-trial curve is monotone by construction. Every budget and the
+    baseline draw from their own streams (independent draws, not common
+    random numbers). NFE counts are each search's measured share; masks
+    lists (recall, precision) of each mask a localized budget made.
     """
-    rng = np.random.default_rng(seed_seq)
-    sampler = settings.sampler()
-    mask_source = settings.mask_source()
-    local_scores = {}
-    local_nfes = {}
-    for n in settings.n_grid:
-        seeds, refinements = split_budget(n, settings.refinements)
-        predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-        cfg = SearchConfig(seeds=seeds, refinements=refinements, resample=settings.resample)
-        best = dfs_search(predictor, mask_source, cfg, rng, base_sampler=sampler)
-        local_scores[n] = best.score
-        local_nfes[n] = predictor.nfe
+    searches = [SearchConfig(*split_budget(n, settings.refinements), resample=settings.resample)
+                for n in settings.n_grid]
+    searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0, resample=None))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    draws: list[Candidate] = []
-    best_of_n(predictor, max(settings.bon_grid), rng, base_sampler=sampler, collect=draws)
+    streams = trial_rng(seed_seq).spawn(len(searches))
+    *local, draws = _lockstep(predictor, list(zip(searches, streams)),
+                              settings.mask_source(), settings.sampler())
+    local = dict(zip(settings.n_grid, local))
     prefix_best = np.maximum.accumulate([draw.score for draw in draws])
-    bon_scores = {n: float(prefix_best[n - 1]) for n in settings.bon_grid}
-    return {"local": local_scores, "local_nfe": local_nfes,
-            "bon": bon_scores, "bon_nfe": predictor.nfe}
+    return {
+        "local": {n: max(c.score for c in group) for n, group in local.items()},
+        "local_nfe": {n: sum(c.nfe_cost for c in group) for n, group in local.items()},
+        "bon": {n: float(prefix_best[n - 1]) for n in settings.bon_grid},
+        "bon_nfe": sum(draw.nfe_cost for draw in draws),
+        "masks": {n: [mask_recall_precision(c.mask, c.defects)
+                      for c in group if c.lineage[1] == 0] for n, group in local.items()},
+    }
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -345,8 +434,11 @@ def summarize_sweep(settings: SweepSettings, trial_results: list[dict]) -> list[
     rows = []
     for method, key, n, nfe in cells:
         mean, stderr = _mean_stderr(np.array([r[key][n] for r in trial_results]))
+        masks = [pair for r in trial_results for pair in r["masks"][n]] if key == "local" else []
+        recall, precision = np.mean(masks, axis=0).tolist() if masks else (None, None)
         rows.append(SweepRow(method=method, n=n, nfe=nfe, mean_score=mean, stderr=stderr,
-                             trials=len(trial_results)))
+                             trials=len(trial_results), mask_recall=recall,
+                             mask_precision=precision))
     return rows
 
 

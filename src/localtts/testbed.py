@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from .errors import check
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TIME_TOL = 1e-12
+
+# Draws standard normals of a given shape: a generator's standard_normal, or
+# per-row generators for a batch (see _row_noise).
+Noise = Callable[[tuple], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -212,10 +217,10 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     the maximal terms are split out of the sum, the rest is divided by their
     count, and log(count) and the maximum are added back.
     """
-    a_max = np.max(a, axis=-1, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     is_max = a == a_max
-    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
-    rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+    count = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
     return (np.log1p(rest / count) + np.log(count) + a_max)[..., 0]
 
 
@@ -229,7 +234,7 @@ def _oracle_terms(world: PatchWorld, a: float, s2: float, x: np.ndarray):
     xp = world.patch_view(x)[..., None, :]          # (..., M, 1, d)
     centered = xp - a * world.means                 # (..., M, K, d)
     var_t = a * a * world.variances + s2            # (M, K)
-    sq = np.sum(centered * centered, axis=-1)       # (..., M, K)
+    sq = (centered * centered).sum(axis=-1)         # (..., M, K)
     with np.errstate(divide="ignore"):
         log_weights = np.log(world.weights)
     log_comp = (
@@ -250,9 +255,9 @@ def _score_and_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, 
     a = schedule.alpha(t)
     var_t, centered, log_comp, log_norm = _oracle_terms(world, a, schedule.sigma(t) ** 2, x)
     resp = np.exp(log_comp - log_norm[..., None])[..., None]    # (..., M, K, 1)
-    score = np.sum(resp * (-centered / var_t[..., None]), axis=-2)
+    score = (resp * (-centered / var_t[..., None])).sum(axis=-2)
     gain = (a * world.variances / var_t)[..., None]             # (M, K, 1)
-    mean = np.sum(resp * (world.means + gain * centered), axis=-2)
+    mean = (resp * (world.means + gain * centered)).sum(axis=-2)
     return score.reshape(np.shape(x)), mean.reshape(np.shape(x))
 
 
@@ -287,8 +292,7 @@ class NoisePredictor:
     nfe: int = field(default=0)
 
     def _count(self, x: np.ndarray):
-        x = np.asarray(x)
-        self.nfe += int(np.prod(x.shape[:-1], dtype=int)) if x.ndim > 1 else 1
+        self.nfe += math.prod(np.shape(x)[:-1])
 
     def evaluate(self, x: np.ndarray, t: float) -> OracleEval:
         t = self.schedule.check_time(t)
@@ -311,10 +315,26 @@ def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.
     return LatentState(x=schedule.alpha(t) * state.x + schedule.sigma(t) * z, t=t)
 
 
+def _row_noise(rngs) -> Noise:
+    """Noise for a batch of shape (len(rngs), ...) whose row i draws only
+    from rngs[i]: a row's draws do not depend on the rest of the batch, so a
+    batched run equals a one-at-a-time run over the same generators."""
+
+    def draw(shape: tuple) -> np.ndarray:
+        if shape[0] != len(rngs):
+            raise ValueError(f"{shape[0]} rows need as many generators, got {len(rngs)}")
+        out = np.empty(shape)
+        for rng, row in zip(rngs, out):
+            rng.standard_normal(out=row)
+        return out
+
+    return draw
+
+
 def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                      noise: Noise) -> tuple[np.ndarray, np.ndarray]:
     """Draw x_s from the ancestral posterior q(x_s | x_t, x_0) with x_0 the
-    oracle's posterior mean at t (one NFE); returns the draw and the
+    oracle's posterior mean at t (one NFE per row); returns the draw and the
     standard-normal noise it used."""
     ev = predictor.evaluate(x, t)
     sched = predictor.schedule
@@ -325,7 +345,7 @@ def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: flo
     coef_x = ratio * (s_s * s_s) / (s_t * s_t)
     coef_x0 = a_s * var_ts / (s_t * s_t)
     noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
-    z = rng.standard_normal(x.shape)
+    z = noise(x.shape)
     return coef_x * x + coef_x0 * ev.denoised + noise_std * z, z
 
 
@@ -338,6 +358,21 @@ def _resolve_target_time(t: float, dt: float) -> float:
     return 0.0 if abs(s) < _TIME_TOL else s
 
 
+def _reverse_step(predictor: NoisePredictor, state: LatentState, dt: float,
+                  noise: Noise) -> LatentState:
+    t = predictor.schedule.check_time(state.t)
+    s = _resolve_target_time(t, dt)
+    return LatentState(x=_ancestral_update(predictor, state.x, t, s, noise)[0], t=s)
+
+
+def _reverse_sweep(predictor: NoisePredictor, state: LatentState, times: np.ndarray,
+                   noise: Noise) -> LatentState:
+    """Ancestral reverse steps from times[0] (the state's time) along the grid."""
+    for t_cur, t_next in zip(times[:-1], times[1:]):
+        state = _reverse_step(predictor, state, float(t_cur - t_next), noise)
+    return state
+
+
 def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
                      rng: np.random.Generator) -> LatentState:
     """One ancestral stochastic reverse step t -> t - dt (one NFE).
@@ -346,9 +381,7 @@ def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
     target time of 0 the posterior noise vanishes, so the final step is
     deterministic given the oracle.
     """
-    t = predictor.schedule.check_time(state.t)
-    s = _resolve_target_time(t, dt)
-    return LatentState(x=_ancestral_update(predictor, state.x, t, s, rng)[0], t=s)
+    return _reverse_step(predictor, state, dt, rng.standard_normal)
 
 
 def velocity(schedule: CosineSchedule, ev: OracleEval, t: float) -> np.ndarray:
@@ -378,6 +411,14 @@ def flow_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
     return LatentState(x=x_next, t=s)
 
 
+def _sample(predictor: NoisePredictor, noise: Noise, shape: tuple) -> tuple[LatentState, int]:
+    """Draw x_T ~ N(0, I) of the given (..., dim) shape and integrate it to
+    t = 0; returns the clean states and the number of steps run."""
+    times = predictor.schedule.step_times()
+    state = LatentState(x=noise(shape), t=float(times[0]))
+    return _reverse_sweep(predictor, state, times, noise), len(times) - 1
+
+
 def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
                 shape=None) -> LatentState:
     """Draw x_T ~ N(0, I) and integrate to t = 0 with ancestral reverse steps.
@@ -387,11 +428,7 @@ def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
     """
     dim = predictor.world.dim
     full_shape = (dim,) if shape is None else (*tuple(shape), dim)
-    times = predictor.schedule.step_times()
-    state = LatentState(x=rng.standard_normal(full_shape), t=float(times[0]))
-    for t_cur, t_next in zip(times[:-1], times[1:]):
-        state = reverse_sde_step(predictor, state, float(t_cur - t_next), rng)
-    return state
+    return _sample(predictor, rng.standard_normal, full_shape)[0]
 
 
 def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:

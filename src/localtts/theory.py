@@ -17,6 +17,7 @@ selection probability above 1 are rejected as infeasible.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -335,6 +336,15 @@ class EconomySimResult:
     fp_se: float
 
 
+def map_in_order(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], in a process pool of min(workers,
+    len(tasks)) processes when both exceed one; results keep task order."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _mean_se(n: int, total: float, total_sq: float) -> tuple[float, float]:
     """Mean and standard error from a count, a sum and a sum of squares."""
     mean = total / n
@@ -424,13 +434,7 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
          idx, min(_CHUNK, trials - idx * _CHUNK))
         for idx in range(n_chunks)
     ]
-    if workers == 1 or n_chunks == 1:
-        results = [_chunk_task(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            results = list(pool.map(_chunk_task, tasks))
+    results = map_in_order(_chunk_task, tasks, workers)
     # plain left-to-right float additions in chunk order (not sum(), which
     # compensates float sums from Python 3.12 and would change the bits)
     sums = [(0, 0.0, 0.0)] * 5

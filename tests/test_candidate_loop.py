@@ -1,8 +1,12 @@
-"""Best-of-N, the scaling sweep's best-of-N stream and the testbed trial all
-run through ``dfs_search``. The loops they had of their own are kept here as
-reference implementations, and the property tests require the shared loop
-to reproduce them bit for bit: states, scores, ties, mask recall and
-precision, NFE and random-stream consumption.
+"""dfs_search, best_of_n, the scaling sweep trial and the testbed trial all
+run on the lockstep engine, which batches every base draw and every
+refinement of a trial. The references here run the same searches one
+candidate at a time through the public single-state functions, on the
+same lineage generators: seed i of a search draws from the i-th generator
+spawned from the search's generator, refinement j of that seed from the
+j-th generator spawned from the seed's. The property tests require the
+engine to reproduce them bit for bit: states, scores, lineages, ties,
+defects, masks, mask recall and precision, and NFE.
 """
 import functools
 
@@ -24,19 +28,35 @@ from localtts.search import (
     split_budget,
     sweep_trial,
 )
-from localtts.testbed import CosineSchedule, NoisePredictor, PatchWorld, verifier_score
+from localtts.testbed import (
+    CosineSchedule,
+    NoisePredictor,
+    PatchWorld,
+    sample_base,
+    verifier_score,
+)
 
 
-def reference_best_of_n(predictor, n, rng, base_sampler=None, verifier=None):
-    """Argmax over n base samples, as its own loop; returns (best, all)."""
-    sampler = base_sampler or plain_sampler
+def reference_search(predictor, mask_source, cfg, rng, base_sampler=None, verifier=None):
+    """The depth-2 search one candidate at a time; returns (best, all)."""
+    inject = base_sampler or plain_sampler
     verify = verifier or functools.partial(verifier_score, predictor.world)
     candidates = []
-    for idx in range(n):
-        state, _ = sampler(predictor, rng)
+    for idx in range(cfg.seeds):
+        seed_rng = rng.spawn(1)[0]
+        state, defects = inject(predictor.world, sample_base(predictor, seed_rng), seed_rng)
         candidates.append(Candidate(state=state, score=float(verify(state)),
-                                    lineage=(idx, None),
-                                    nfe_cost=predictor.schedule.n_steps))
+                                    lineage=(idx, None), nfe_cost=predictor.schedule.n_steps,
+                                    defects=defects))
+        if cfg.refinements == 0:
+            continue
+        mask = mask_source(state, defects, seed_rng)
+        for ref_idx in range(cfg.refinements):
+            refined, score = localized_resample(predictor, state, mask, cfg.resample, verify,
+                                                seed_rng.spawn(1)[0])
+            candidates.append(Candidate(state=refined, score=float(score),
+                                        lineage=(idx, ref_idx), nfe_cost=cfg.resample.nfe_cost,
+                                        defects=defects, mask=mask))
     best = candidates[0]
     for cand in candidates[1:]:
         if cand.score > best.score:
@@ -44,48 +64,51 @@ def reference_best_of_n(predictor, n, rng, base_sampler=None, verifier=None):
     return best, candidates
 
 
-def reference_testbed_trial(settings: TrialSettings, seed_seq) -> tuple:
-    """Sample, mask, score, refine, score: the trial as its own sequence."""
-    rng = np.random.default_rng(seed_seq)
+def recall_precision(mask, truth) -> tuple:
+    selected = set(mask.selected.tolist())
+    truth = set(int(j) for j in truth)
+    tp = len(selected & truth)
+    return (tp / len(truth) if truth else 1.0, tp / len(selected) if selected else 0.0)
+
+
+def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
+    """Sample, inject, mask, score, refine, score: the trial as its own sequence."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    anchor, true_set = settings.sampler()(predictor, rng)
-    mask = settings.mask_source()(anchor, true_set, rng)
+    seed_rng = rng.spawn(1)[0]
+    anchor, true_set = settings.sampler()(settings.world, sample_base(predictor, seed_rng),
+                                          seed_rng)
+    mask = settings.mask_source()(anchor, true_set, seed_rng)
     anchor_score = float(verifier_score(settings.world, anchor))
     refined, refined_score = localized_resample(
-        predictor, anchor, mask,
-        settings.resample, lambda s: verifier_score(settings.world, s), rng)
-    selected = set(mask.selected.tolist())
-    truth = set(int(j) for j in true_set)
-    tp = len(selected & truth)
-    recall = tp / len(truth) if truth else 1.0
-    precision = tp / len(selected) if selected else 0.0
+        predictor, anchor, mask, settings.resample,
+        lambda s: verifier_score(settings.world, s), seed_rng.spawn(1)[0])
     return (anchor_score, float(refined_score), float(refined_score) - anchor_score,
-            recall, precision, predictor.nfe)
+            *recall_precision(mask, true_set), predictor.nfe)
 
 
-def reference_sweep_trial(settings: SweepSettings, seed_seq) -> dict:
-    """The sweep trial with its best-of-N stream drawn by its own loop."""
-    rng = np.random.default_rng(seed_seq)
-    sampler = settings.sampler()
-    mask_source = settings.mask_source()
-    local_scores, local_nfes = {}, {}
+def reference_sweep_trial(settings: SweepSettings, seed: int) -> dict:
+    """The sweep trial as one search after another, each with its own predictor."""
+    trial = np.random.default_rng(np.random.SeedSequence(seed))
+    sampler, mask_source = settings.sampler(), settings.mask_source()
+    result = {"local": {}, "local_nfe": {}, "masks": {}}
     for n in settings.n_grid:
         seeds, refinements = split_budget(n, settings.refinements)
         predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
         cfg = SearchConfig(seeds=seeds, refinements=refinements, resample=settings.resample)
-        local_scores[n] = dfs_search(predictor, mask_source, cfg, rng,
-                                     base_sampler=sampler).score
-        local_nfes[n] = predictor.nfe
+        best, candidates = reference_search(predictor, mask_source, cfg, trial.spawn(1)[0],
+                                            sampler)
+        result["local"][n] = best.score
+        result["local_nfe"][n] = predictor.nfe
+        result["masks"][n] = [recall_precision(c.mask, c.defects)
+                              for c in candidates if c.lineage[1] == 0]
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    verify = functools.partial(verifier_score, settings.world)
-    draws = []
-    for _ in range(max(settings.bon_grid)):
-        state, _ = sampler(predictor, rng)
-        draws.append(float(verify(state)))
-    prefix_best = np.maximum.accumulate(draws)
-    return {"local": local_scores, "local_nfe": local_nfes,
-            "bon": {n: float(prefix_best[n - 1]) for n in settings.bon_grid},
-            "bon_nfe": predictor.nfe}
+    cfg = SearchConfig(seeds=max(settings.bon_grid), refinements=0, resample=None)
+    _, draws = reference_search(predictor, None, cfg, trial.spawn(1)[0], sampler)
+    prefix_best = np.maximum.accumulate([draw.score for draw in draws])
+    result["bon"] = {n: float(prefix_best[n - 1]) for n in settings.bon_grid}
+    result["bon_nfe"] = predictor.nfe
+    return result
 
 
 @st.composite
@@ -99,16 +122,20 @@ def worlds(draw):
 
 
 @st.composite
-def trial_kwargs(draw):
-    world = draw(worlds())
+def resamples(draw):
     t0 = draw(st.floats(0.1, 1.0))
     t_g = draw(st.sampled_from([0.0, 0.1, 0.5])) * t0
-    resample = ResampleConfig(t0=t0, t_g=t_g, n_refine=draw(st.integers(1, 3)),
-                              n_integrate=draw(st.integers(1, 2)) if t_g > 0 else 0)
+    return ResampleConfig(t0=t0, t_g=t_g, n_refine=draw(st.integers(1, 3)),
+                          n_integrate=draw(st.integers(1, 2)) if t_g > 0 else 0)
+
+
+@st.composite
+def trial_kwargs(draw):
+    world = draw(worlds())
     unit = st.floats(0.0, 1.0)
     return dict(
         world=world, schedule=CosineSchedule(horizon=1.0, n_steps=draw(st.integers(1, 5))),
-        resample=resample, defect_count=draw(st.integers(1, world.n_patches)),
+        resample=draw(resamples()), defect_count=draw(st.integers(1, world.n_patches)),
         defect_magnitude=draw(unit), gain_pos=draw(unit), gain_neg=draw(unit),
         noise_sd=draw(st.floats(0.0, 0.5)), mask_weight=draw(unit),
         mask_ratio=draw(st.floats(0.05, 0.95)), oracle_masks=draw(st.booleans()),
@@ -119,29 +146,66 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_candidates(got: list, want: list) -> bool:
+    def key(c):
+        return (c.score, c.lineage, c.nfe_cost, c.state.t,
+                None if c.defects is None else c.defects.tolist(),
+                None if c.mask is None else c.mask.bits.tolist())
+    return ([key(c) for c in got] == [key(c) for c in want]
+            and all(same_bits(c.state.x, r.state.x) for c, r in zip(got, want)))
+
+
+def coarse(world):
+    """A rounded verifier: ties become common, so the first-wins rule is exercised."""
+    return lambda state: np.round(verifier_score(world, state))
+
+
 seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(world=worlds(), n_steps=st.integers(1, 5), n=st.integers(1, 5), seed=seeds,
-       defects=st.booleans(), coarse=st.booleans())
-def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, coarse):
-    schedule = CosineSchedule(horizon=1.0, n_steps=n_steps)
-    sampler = defect_injecting_sampler(1, 0.5, randomize=True) if defects else None
-    # a coarse verifier makes ties common, so the first-wins rule is exercised
-    verifier = ((lambda state: round(verifier_score(world, state))) if coarse else None)
-    ref_pred, new_pred = (NoisePredictor(world=world, schedule=schedule) for _ in range(2))
+@given(kwargs=trial_kwargs(), n_seeds=st.integers(1, 4), refinements=st.integers(0, 3),
+       seed=seeds, is_coarse=st.booleans())
+def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is_coarse):
+    trial_settings = TrialSettings(**kwargs)
+    world = trial_settings.world
+    cfg = SearchConfig(seeds=n_seeds, refinements=refinements, resample=trial_settings.resample)
+    verifier = coarse(world) if is_coarse else None
+    ref_pred, new_pred = (NoisePredictor(world=world, schedule=trial_settings.schedule)
+                          for _ in range(2))
     ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref_best, ref_all = reference_best_of_n(ref_pred, n, ref_rng, sampler, verifier)
+    ref_best, ref_all = reference_search(ref_pred, trial_settings.mask_source(), cfg, ref_rng,
+                                         trial_settings.sampler(), verifier)
     collected = []
-    best = best_of_n(new_pred, n, new_rng, sampler, verifier, collect=collected)
+    best = dfs_search(new_pred, trial_settings.mask_source(), cfg, new_rng,
+                      base_sampler=trial_settings.sampler(), verifier=verifier,
+                      collect=collected)
     assert best.lineage == ref_best.lineage and best.score == ref_best.score
     assert same_bits(best.state.x, ref_best.state.x)
-    assert [(c.score, c.lineage, c.nfe_cost) for c in collected] == \
-        [(c.score, c.lineage, c.nfe_cost) for c in ref_all]
-    assert all(same_bits(c.state.x, r.state.x) for c, r in zip(collected, ref_all))
+    assert same_candidates(collected, ref_all)
+    assert new_pred.nfe == ref_pred.nfe == cfg.seeds * (
+        trial_settings.schedule.n_steps + cfg.refinements * trial_settings.resample.nfe_cost)
+    # both consumed the same spawn slots of the caller's generator
+    assert same_bits(new_rng.spawn(1)[0].random(3), ref_rng.spawn(1)[0].random(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), n_steps=st.integers(1, 5), n=st.integers(1, 5), seed=seeds,
+       defects=st.booleans(), is_coarse=st.booleans())
+def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, is_coarse):
+    schedule = CosineSchedule(horizon=1.0, n_steps=n_steps)
+    sampler = defect_injecting_sampler(1, 0.5, randomize=True) if defects else None
+    verifier = coarse(world) if is_coarse else None
+    ref_pred, new_pred = (NoisePredictor(world=world, schedule=schedule) for _ in range(2))
+    ref_best, ref_all = reference_search(
+        ref_pred, None, SearchConfig(seeds=n, refinements=0, resample=None),
+        np.random.default_rng(seed), sampler, verifier)
+    collected = []
+    best = best_of_n(new_pred, n, np.random.default_rng(seed), sampler, verifier,
+                     collect=collected)
+    assert best.lineage == ref_best.lineage and best.score == ref_best.score
+    assert same_candidates(collected, ref_all)
     assert new_pred.nfe == ref_pred.nfe == n * n_steps
-    assert new_rng.random() == ref_rng.random()
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,9 +214,11 @@ def test_testbed_trial_equals_reference_sequence(kwargs, seed):
     trial_settings = TrialSettings(**kwargs)
     seed_seq = np.random.SeedSequence(seed)
     row = harness.testbed_trial(trial_settings, seed_seq)
-    ref_row = reference_testbed_trial(trial_settings, seed_seq)
+    ref_row = reference_testbed_trial(trial_settings, seed)
     assert row == ref_row
     assert [type(cell) for cell in row] == [type(cell) for cell in ref_row]
+    # a trial reads its seed sequence without consuming it
+    assert harness.testbed_trial(trial_settings, seed_seq) == row
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,5 +229,5 @@ def test_sweep_trial_equals_reference_loop(kwargs, refinements, bon_max, seed):
     sweep = SweepSettings(**kwargs, refinements=refinements,
                           n_grid=tuple(sorted({1, share, 2 * share})),
                           bon_grid=tuple(sorted({1, bon_max})))
-    seed_seq = np.random.SeedSequence(seed)
-    assert sweep_trial(sweep, seed_seq) == reference_sweep_trial(sweep, seed_seq)
+    assert sweep_trial(sweep, np.random.SeedSequence(seed)) == reference_sweep_trial(sweep, seed)
+

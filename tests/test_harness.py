@@ -264,6 +264,19 @@ class TestScalingExperiment:
         assert crossover["reference_n"] == 3
         assert crossover["reference_nfe"] == 8 + 2 * 5
 
+    def test_localized_rows_report_mask_recall_and_precision(self, tmp_path):
+        raw = self.scaling_raw()
+        raw["defects"]["randomize"] = False
+        raw["attention"]["oracle_masks"] = True
+        rows = run_experiment(validate_config(raw), tmp_path)["results"]["rows"]
+        masks = {(r["method"], r["n"]): (r["mask_recall"], r["mask_precision"]) for r in rows}
+        # n = 1 is one plain sample and best-of-N refines nothing: no masks
+        assert masks == {("localized", 1): (None, None), ("localized", 3): (1.0, 1.0),
+                         ("best_of_n", 1): (None, None), ("best_of_n", 2): (None, None),
+                         ("best_of_n", 4): (None, None)}
+        lines = (tmp_path / "scaling.csv").read_text().splitlines()
+        assert lines[0] == "method,n,nfe,mean_score,stderr,trials"
+
     def test_worker_counts_produce_identical_bytes(self, tmp_path):
         blobs = []
         for workers in (1, 4):

@@ -23,6 +23,7 @@ from localtts.testbed import (
     CosineSchedule,
     NoisePredictor,
     PatchWorld,
+    sample_base,
 )
 
 RESAMPLE = ResampleConfig(t0=0.4, t_g=0.04, n_refine=8, n_integrate=2)
@@ -211,7 +212,7 @@ class TestMaskSources:
         predictor = make_predictor()
         sampler = defect_injecting_sampler(4, 0.8)
         rng = np.random.default_rng(10)
-        state, true_set = sampler(predictor, rng)
+        state, true_set = sampler(predictor.world, sample_base(predictor, rng), rng)
         source = attention_mask_source(predictor.world, gain_pos=0.3, gain_neg=0.3,
                                        noise_sd=0.0, weight=0.5, ratio=4 / 16)
         mask = source(state, true_set, rng)
@@ -221,10 +222,12 @@ class TestMaskSources:
         predictor = make_predictor()
         sampler = defect_injecting_sampler(3, 0.5, randomize=True)
         rng = np.random.default_rng(11)
-        counts = {sampler(predictor, rng)[1].size for _ in range(40)}
+        counts = {sampler(predictor.world, sample_base(predictor, rng), rng)[1].size
+                  for _ in range(40)}
         assert len(counts) > 1
         fixed = defect_injecting_sampler(3, 0.5, randomize=False)
-        assert all(fixed(predictor, rng)[1].size == 3 for _ in range(5))
+        assert all(fixed(predictor.world, sample_base(predictor, rng), rng)[1].size == 3
+                   for _ in range(5))
 
 
 def small_settings(**kwargs):
@@ -276,6 +279,29 @@ class TestScalingSweep:
         with pytest.raises(RuntimeError, match=match):
             summarize_sweep(settings, results)
 
+    def test_summary_rejects_a_dropped_integration_step(self, monkeypatch):
+        # every base draw runs one step short: each phase's counter delta
+        # still equals rows x steps run, but no share matches the analytic NFE
+        grid = CosineSchedule.step_times
+        monkeypatch.setattr(CosineSchedule, "step_times", lambda self: grid(self)[1:])
+        settings = small_settings()
+        results = [sweep_trial(settings, np.random.SeedSequence(entropy=6, spawn_key=(i,)))
+                   for i in range(2)]
+        assert results[0]["bon_nfe"] == 4 * 7
+        with pytest.raises(RuntimeError, match=r"best_of_n: measured NFE \[28\] differs"):
+            summarize_sweep(settings, results)
+
+    def test_engine_rejects_oracle_counter_off_rows_times_steps(self, monkeypatch):
+        count = NoisePredictor._count
+
+        def count_one_extra(self, x):
+            count(self, x)
+            self.nfe += 1
+
+        monkeypatch.setattr(NoisePredictor, "_count", count_one_extra)
+        with pytest.raises(RuntimeError, match="base phase: the oracle counted"):
+            sweep_trial(small_settings(), np.random.SeedSequence(7))
+
     def test_bon_prefix_is_monotone_within_each_trial(self):
         settings = small_settings()
         for seed in range(5):
@@ -320,6 +346,8 @@ class TestScalingSweep:
 class TestPlainSampler:
     def test_returns_state_without_context(self):
         predictor = make_predictor(n_steps=8)
-        state, context = plain_sampler(predictor, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        drawn = sample_base(predictor, rng)
+        state, context = plain_sampler(predictor.world, drawn, rng)
         assert context is None
-        assert state.t == 0.0
+        assert state is drawn and state.t == 0.0

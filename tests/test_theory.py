@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from localtts import theory
 from localtts.theory import (
     InfeasibleParameterError,
     MaskStats,
@@ -14,6 +15,7 @@ from localtts.theory import (
     clean_selection_probability,
     dominance_check,
     expected_selection_stats,
+    map_in_order,
     per_trial_gains,
     precision_floor,
     required_recall,
@@ -306,6 +308,28 @@ class TestSimulator:
         a = simulate_patch_economy(WORKED, WORKED_STATS, 20_000, seed=5, workers=1)
         b = simulate_patch_economy(WORKED, WORKED_STATS, 20_000, seed=5, workers=3)
         assert a == b
+
+    def test_pool_only_for_several_tasks_and_workers(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # runs in-process and records the pool size
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(theory, "ProcessPoolExecutor", RecordingPool)
+        assert map_in_order(abs, [-3, 2, -1], 8) == [3, 2, 1]
+        assert map_in_order(abs, [-3], 8) == [3]
+        assert map_in_order(abs, [-3, -2], 1) == [3, 2]
+        assert sizes == [3]
 
     def test_dominance_sign_agreement_when_margin_is_clear(self):
         holds, margin = dominance_check(WORKED, WORKED_STATS)
