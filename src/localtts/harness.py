@@ -16,6 +16,7 @@ carry no timestamps; CSV files use '.' decimals and a fixed column order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -29,13 +30,13 @@ from .config import ConfigError, ExperimentConfig
 from .search import (
     SearchConfig,
     TrialSettings,
+    _lockstep,
     _mean_stderr,
     check_nfe,
     crossover_summary,
-    dfs_search,
     mask_recall_precision,
     summarize_sweep,
-    sweep_trial,
+    sweep_trials,
     trial_rng,
 )
 from .testbed import NoisePredictor
@@ -66,22 +67,33 @@ def trial_seed(master_seed: int, index: int, stream: int = _TRIAL_STREAM) -> np.
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, index))
 
 
-def _trial_chunk(args):
+def _chunk_task(args):
     fn, payload, master_seed, stream, start, stop = args
-    return [fn(payload, trial_seed(master_seed, idx, stream)) for idx in range(start, stop)]
+    return fn(payload, [trial_seed(master_seed, idx, stream) for idx in range(start, stop)])
+
+
+def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
+               workers: int = 1, stream: int = _TRIAL_STREAM) -> list:
+    """Run fn(payload, seed_sequences) once per chunk of ceil(trials / (4 *
+    workers)) trial indices; returns the per-trial results in trial order.
+
+    Every trial gets its own counter-derived seed, so the result list does
+    not depend on how the trials are sharded across workers."""
+    chunk = max(1, -(-trials // (workers * 4)))
+    tasks = [(fn, payload, master_seed, stream, start, min(start + chunk, trials))
+             for start in range(0, trials, chunk)]
+    return [row for rows in map_in_order(_chunk_task, tasks, workers) for row in rows]
+
+
+def _one_at_a_time(fn: Callable, payload, seed_seqs: list) -> list:
+    return [fn(payload, seed_seq) for seed_seq in seed_seqs]
 
 
 def run_trials(fn: Callable, payload, trials: int, master_seed: int,
                workers: int = 1, stream: int = _TRIAL_STREAM) -> list:
-    """Run fn(payload, seed_sequence) for each trial index, in order.
-
-    Every trial gets its own counter-derived seed, so the result list does
-    not depend on how the trials are sharded across workers.
-    """
-    chunk = max(1, -(-trials // (workers * 4)))
-    tasks = [(fn, payload, master_seed, stream, start, min(start + chunk, trials))
-             for start in range(0, trials, chunk)]
-    return [row for rows in map_in_order(_trial_chunk, tasks, workers) for row in rows]
+    """Run fn(payload, seed_sequence) for each trial index, in order."""
+    return run_chunks(functools.partial(_one_at_a_time, fn), payload, trials, master_seed,
+                      workers, stream)
 
 
 def sign_test_p_greater(positives: int, n: int) -> float:
@@ -174,23 +186,27 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # testbed
 # ---------------------------------------------------------------------------
 
-def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> tuple:
-    """One refinement trial: a one-seed, one-refinement search on a
-    defect-injected draw, scored against the draw's ground-truth defects."""
+def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequence]) -> list[tuple]:
+    """Refinement trials as one engine call: each is a one-seed, one-refinement
+    search on a defect-injected draw, scored against its ground-truth defects.
+    A row's NFE is the measured cost of its own two candidates."""
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    anchor_and_refined: list = []
-    dfs_search(predictor, settings.mask_source(),
-               SearchConfig(seeds=1, refinements=1, resample=settings.resample),
-               trial_rng(seed_seq), base_sampler=settings.sampler(),
-               collect=anchor_and_refined)
-    anchor, refined = anchor_and_refined
-    recall, precision = mask_recall_precision(refined.mask, anchor.defects)
-    return (anchor.score, refined.score, refined.score - anchor.score,
-            recall, precision, predictor.nfe)
+    cfg = SearchConfig(seeds=1, refinements=1, resample=settings.resample)
+    searches = [(cfg, trial_rng(seed_seq)) for seed_seq in seed_seqs]
+    return [(anchor.score, refined.score, refined.score - anchor.score,
+             *mask_recall_precision(refined.mask, anchor.defects),
+             anchor.nfe_cost + refined.nfe_cost)
+            for anchor, refined in _lockstep(predictor, searches, settings.mask_source(),
+                                             settings.sampler())]
+
+
+def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> tuple:
+    """One refinement trial: a batch of one."""
+    return testbed_trials(settings, [seed_seq])[0]
 
 
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    rows = run_trials(testbed_trial, cfg.settings, cfg.trials, cfg.master_seed, cfg.workers)
+    rows = run_chunks(testbed_trials, cfg.settings, cfg.trials, cfg.master_seed, cfg.workers)
     nfe = cfg.settings.schedule.n_steps + cfg.settings.resample.nfe_cost
     check_nfe("testbed trial", [row[5] for row in rows], nfe)
     improvements = np.array([row[2] for row in rows])
@@ -219,7 +235,7 @@ def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
     settings = cfg.settings
-    trial_results = run_trials(sweep_trial, settings, cfg.trials,
+    trial_results = run_chunks(sweep_trials, settings, cfg.trials,
                                cfg.master_seed, cfg.workers)
     rows = summarize_sweep(settings, trial_results)
     reference_n = cfg.resolved["search"]["reference_n"]

@@ -376,33 +376,43 @@ class SweepSettings(TrialSettings):
         return seeds * self.schedule.n_steps + seeds * refinements * self.resample.nfe_cost
 
 
-def sweep_trial(settings: SweepSettings, seed_seq: np.random.SeedSequence) -> dict:
-    """One master seed of the scaling comparison, as one engine call.
+def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence]) -> list[dict]:
+    """Master seeds of the scaling comparison, one result each, as one engine call.
 
     Localized search runs once per budget in n_grid; the global baseline
     draws max(bon_grid) samples once and reads best-of-first-n prefixes, so
     its per-trial curve is monotone by construction. Every budget and the
-    baseline draw from their own streams (independent draws, not common
-    random numbers). NFE counts are each search's measured share; masks
-    lists (recall, precision) of each mask a localized budget made.
+    baseline draw from their own streams, spawned from their trial's seed
+    sequence (independent draws, not common random numbers). NFE counts are
+    each search's measured share; masks lists (recall, precision) of each
+    mask a localized budget made.
     """
     searches = [SearchConfig(*split_budget(n, settings.refinements), resample=settings.resample)
                 for n in settings.n_grid]
     searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0, resample=None))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    streams = trial_rng(seed_seq).spawn(len(searches))
-    *local, draws = _lockstep(predictor, list(zip(searches, streams)),
-                              settings.mask_source(), settings.sampler())
-    local = dict(zip(settings.n_grid, local))
-    prefix_best = np.maximum.accumulate([draw.score for draw in draws])
-    return {
-        "local": {n: max(c.score for c in group) for n, group in local.items()},
-        "local_nfe": {n: sum(c.nfe_cost for c in group) for n, group in local.items()},
-        "bon": {n: float(prefix_best[n - 1]) for n in settings.bon_grid},
-        "bon_nfe": sum(draw.nfe_cost for draw in draws),
-        "masks": {n: [mask_recall_precision(c.mask, c.defects)
-                      for c in group if c.lineage[1] == 0] for n, group in local.items()},
-    }
+    streams = [(cfg, rng) for seed_seq in seed_seqs
+               for cfg, rng in zip(searches, trial_rng(seed_seq).spawn(len(searches)))]
+    groups = _lockstep(predictor, streams, settings.mask_source(), settings.sampler())
+    results = []
+    for start in range(0, len(groups), len(searches)):
+        *local, draws = groups[start:start + len(searches)]
+        local = dict(zip(settings.n_grid, local))
+        prefix_best = np.maximum.accumulate([draw.score for draw in draws])
+        results.append({
+            "local": {n: max(c.score for c in group) for n, group in local.items()},
+            "local_nfe": {n: sum(c.nfe_cost for c in group) for n, group in local.items()},
+            "bon": {n: float(prefix_best[n - 1]) for n in settings.bon_grid},
+            "bon_nfe": sum(draw.nfe_cost for draw in draws),
+            "masks": {n: [mask_recall_precision(c.mask, c.defects)
+                          for c in group if c.lineage[1] == 0] for n, group in local.items()},
+        })
+    return results
+
+
+def sweep_trial(settings: SweepSettings, seed_seq: np.random.SeedSequence) -> dict:
+    """One master seed of the scaling comparison: a batch of one."""
+    return sweep_trials(settings, [seed_seq])[0]
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

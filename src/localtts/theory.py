@@ -345,13 +345,26 @@ def map_in_order(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _mean_se(n: int, total: float, total_sq: float) -> tuple[float, float]:
-    """Mean and standard error from a count, a sum and a sum of squares."""
-    mean = total / n
+def _moments(values) -> tuple[int, float, float]:
+    """Count, mean and M2, the sum of squared deviations from the mean."""
+    values = np.asarray(values, dtype=float)
+    mean = values.mean()
+    return values.size, float(mean), float(np.square(values - mean).sum())
+
+
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Chan-Golub-LeVeque parallel update of two (count, mean, M2) triples."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def _mean_se(n: int, mean: float, m2: float) -> tuple[float, float]:
+    """Mean and standard error from a count, a mean and M2."""
     if n < 2:
         return mean, 0.0
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return mean, math.sqrt(var / n)
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
@@ -387,19 +400,14 @@ def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
 
 
 def _chunk_task(args) -> tuple:
-    """Sufficient statistics (count, sum, sum of squares per stream) for one
-    chunk of trials; top-level so worker processes can receive it."""
+    """Sufficient statistics (count, mean, M2 per stream) for one chunk of
+    trials; top-level so worker processes can receive it."""
     econ, stats, p_clean, repair_dist, harm_dist, entropy, spawn_key, chunk_idx, n = args
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=entropy, spawn_key=(*spawn_key, chunk_idx)))
     tp, fp, local, global_ = _simulate_chunk(econ, stats, p_clean, n, rng,
                                              repair_dist, harm_dist)
-
-    def agg(values):
-        values = np.asarray(values, dtype=float)
-        return values.size, float(values.sum()), float(np.square(values).sum())
-
-    return agg(tp), agg(tp + fp), agg(fp), agg(local), agg(global_)
+    return tuple(_moments(values) for values in (tp, tp + fp, fp, local, global_))
 
 
 def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
@@ -434,15 +442,11 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
          idx, min(_CHUNK, trials - idx * _CHUNK))
         for idx in range(n_chunks)
     ]
-    results = map_in_order(_chunk_task, tasks, workers)
-    # plain left-to-right float additions in chunk order (not sum(), which
-    # compensates float sums from Python 3.12 and would change the bits)
-    sums = [(0, 0.0, 0.0)] * 5
-    for parts in results:
-        sums = [(n + count, total + part, total_sq + part_sq)
-                for (n, total, total_sq), (count, part, part_sq) in zip(sums, parts)]
+    streams, *rest = map_in_order(_chunk_task, tasks, workers)
+    for parts in rest:  # in chunk order, so the bits do not depend on the workers
+        streams = [_merge(*pair) for pair in zip(streams, parts)]
     ((tp_mean, tp_se), (sel_mean, sel_se), (fp_mean, fp_se),
-     (local_mean, local_se), (global_mean, global_se)) = (_mean_se(*stream) for stream in sums)
+     (local_mean, local_se), (global_mean, global_se)) = (_mean_se(*m) for m in streams)
     return EconomySimResult(
         trials=trials,
         gain_global_mean=global_mean, gain_global_se=global_se,

@@ -19,7 +19,7 @@ from localtts.attention import QualityMap, mask_cardinality, mask_from_indices, 
 from localtts.config import validate_config
 from localtts.harness import run_experiment
 from localtts.resample import ResampleConfig, localized_resample
-from localtts.search import SweepSettings, crossover_summary, summarize_sweep, sweep_trial
+from localtts.search import SweepSettings, crossover_summary, summarize_sweep, sweep_trials
 from localtts.testbed import (
     CosineSchedule,
     LatentState,
@@ -403,9 +403,8 @@ def test_criterion_09_directional_scaling():
     seeds. The NFE ratio is reported, not asserted against any target."""
     settings = _acceptance_sweep_settings()
     trials = 200
-    results = [sweep_trial(settings,
-                           np.random.SeedSequence(entropy=20260810, spawn_key=(0, i)))
-               for i in range(trials)]
+    results = sweep_trials(settings, [np.random.SeedSequence(entropy=20260810, spawn_key=(0, i))
+                                      for i in range(trials)])
     rows = summarize_sweep(settings, results)
     failures = []
     paired = np.array([r["local"][9] - r["bon"][9] for r in results])

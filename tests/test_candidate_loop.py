@@ -6,7 +6,8 @@ same lineage generators: seed i of a search draws from the i-th generator
 spawned from the search's generator, refinement j of that seed from the
 j-th generator spawned from the seed's. The property tests require the
 engine to reproduce them bit for bit: states, scores, lineages, ties,
-defects, masks, mask recall and precision, and NFE.
+defects, masks, mask recall and precision, and NFE. A worker chunk runs all
+its trials as one engine call; it must equal its trials run one at a time.
 """
 import functools
 
@@ -27,6 +28,7 @@ from localtts.search import (
     plain_sampler,
     split_budget,
     sweep_trial,
+    sweep_trials,
 )
 from localtts.testbed import (
     CosineSchedule,
@@ -231,3 +233,25 @@ def test_sweep_trial_equals_reference_loop(kwargs, refinements, bon_max, seed):
                           bon_grid=tuple(sorted({1, bon_max})))
     assert sweep_trial(sweep, np.random.SeedSequence(seed)) == reference_sweep_trial(sweep, seed)
 
+
+@settings(max_examples=60, deadline=None)
+@given(kwargs=trial_kwargs(), chunk=st.lists(seeds, min_size=1, max_size=5),
+       refinements=st.integers(0, 2), bon_max=st.integers(1, 4))
+def test_chunk_equals_its_trials_one_at_a_time(kwargs, chunk, refinements, bon_max):
+    trial_settings = TrialSettings(**kwargs)
+    share = refinements + 1
+    sweep = SweepSettings(**kwargs, refinements=refinements,
+                          n_grid=tuple(sorted({1, share, 2 * share})),
+                          bon_grid=tuple(sorted({1, bon_max})))
+    seed_seqs = [np.random.SeedSequence(seed, spawn_key=(idx,)) for idx, seed in enumerate(chunk)]
+    rows = harness.testbed_trials(trial_settings, seed_seqs)
+    results = sweep_trials(sweep, seed_seqs)
+    # a chunk reads its seed sequences without consuming them
+    assert all(seed_seq.n_children_spawned == 0 for seed_seq in seed_seqs)
+    one_at_a_time = [harness.testbed_trial(trial_settings, q) for q in seed_seqs]
+    assert rows == one_at_a_time
+    assert [[type(cell) for cell in row] for row in rows] == \
+        [[type(cell) for cell in row] for row in one_at_a_time]
+    one_at_a_time = [sweep_trial(sweep, q) for q in seed_seqs]
+    # repr tells float from np.float64 and 0.0 from -0.0, and round-trips every bit
+    assert results == one_at_a_time and repr(results) == repr(one_at_a_time)

@@ -194,13 +194,12 @@ class TestTestbedExperiment:
         assert len(lines) == 61
 
     def test_measured_nfe_off_analytic_raises(self, tmp_path, monkeypatch):
-        trial = harness.testbed_trial
+        trials = harness.testbed_trials
 
-        def one_nfe_short(settings, seed_seq):
-            *row, nfe = trial(settings, seed_seq)
-            return (*row, nfe - 1)
+        def one_nfe_short(settings, seed_seqs):
+            return [(*row, nfe - 1) for *row, nfe in trials(settings, seed_seqs)]
 
-        monkeypatch.setattr(harness, "testbed_trial", one_nfe_short)
+        monkeypatch.setattr(harness, "testbed_trials", one_nfe_short)
         cfg = validate_config(make_testbed_raw(trials=2))
         with pytest.raises(RuntimeError, match=r"measured NFE \[25\] differs from analytic 26"):
             run_experiment(cfg, tmp_path)

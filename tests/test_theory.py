@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -330,6 +331,23 @@ class TestSimulator:
         assert map_in_order(abs, [-3], 8) == [3]
         assert map_in_order(abs, [-3, -2], 1) == [3, 2]
         assert sizes == [3]
+
+    def test_chunk_merge_keeps_variance_of_offset_stream(self):
+        values = 1e9 + np.random.default_rng(0).standard_normal(5 * 4096)
+        chunks = np.array_split(values, 5)
+        exact_var = float(np.var(values - 1e9, ddof=1))  # the shift is exact here
+        n, mean, m2 = functools.reduce(theory._merge, map(theory._moments, chunks))
+        assert n == values.size and mean == pytest.approx(1e9 + np.mean(values - 1e9), abs=1e-6)
+        assert m2 / (n - 1) == pytest.approx(exact_var, rel=1e-6)
+        assert theory._mean_se(n, mean, m2)[1] == pytest.approx(
+            math.sqrt(exact_var / n), rel=1e-6)
+        # a sum and a sum of squares per chunk lose the unit spread entirely
+        total = total_sq = 0.0
+        for chunk in chunks:
+            total += float(chunk.sum())
+            total_sq += float(np.square(chunk).sum())
+        naive_var = max(total_sq / n - (total / n) ** 2, 0.0) * n / (n - 1)
+        assert abs(naive_var - exact_var) > 0.5 * exact_var
 
     def test_dominance_sign_agreement_when_margin_is_clear(self):
         holds, margin = dominance_check(WORKED, WORKED_STATS)
