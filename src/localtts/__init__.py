@@ -27,7 +27,6 @@ from .testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
-    flow_sde_step,
     forward_noise,
     gmm_score,
     inject_defects,
@@ -77,7 +76,6 @@ __all__ = [
     "dfs_search",
     "dominance_check",
     "expected_selection_stats",
-    "flow_sde_step",
     "forward_noise",
     "gmm_score",
     "inject_defects",

@@ -74,12 +74,14 @@ def _chunk_task(args):
 
 def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
                workers: int = 1, stream: int = _TRIAL_STREAM) -> list:
-    """Run fn(payload, seed_sequences) once per chunk of ceil(trials / (4 *
-    workers)) trial indices; returns the per-trial results in trial order.
+    """Run fn(payload, seed_sequences) once per chunk of trial indices;
+    returns the per-trial results in trial order. One worker runs every
+    trial as one chunk; more workers get chunks of ceil(trials / (4 *
+    workers)) trials, which balances the pool.
 
     Every trial gets its own counter-derived seed, so the result list does
     not depend on how the trials are sharded across workers."""
-    chunk = max(1, -(-trials // (workers * 4)))
+    chunk = max(1, trials if workers <= 1 else -(-trials // (workers * 4)))
     tasks = [(fn, payload, master_seed, stream, start, min(start + chunk, trials))
              for start in range(0, trials, chunk)]
     return [row for rows in map_in_order(_chunk_task, tasks, workers) for row in rows]
@@ -192,7 +194,7 @@ def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequen
     A row's NFE is the measured cost of its own two candidates."""
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     cfg = SearchConfig(seeds=1, refinements=1, resample=settings.resample)
-    searches = [(cfg, trial_rng(seed_seq)) for seed_seq in seed_seqs]
+    searches = ((cfg, trial_rng(seed_seq)) for seed_seq in seed_seqs)
     return [(anchor.score, refined.score, refined.score - anchor.score,
              *mask_recall_precision(refined.mask, anchor.defects),
              anchor.nfe_cost + refined.nfe_cost)

@@ -9,15 +9,18 @@ of candidate counts and reports mean score and standard error per
 (method, N, NFE) row.
 
 Every search runs on one lockstep engine: the base draws of all its seeds
-integrate as one batch, and so do all refinements. Each candidate draws its
-randomness from its own generator, spawned by lineage (search, seed,
-refinement), so batching does not change any candidate's bits.
+integrate as one batch, and so do all refinements, in blocks of bounded
+size. Each candidate draws its randomness from its own generator, spawned
+by lineage (search, seed, refinement), so batching does not change any
+candidate's bits.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -29,20 +32,20 @@ from .testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
-    _row_noise,
+    _inject_rows,
+    _RowNoise,
     _sample,
-    inject_defects,
     sample_base,  # noqa: F401  (perfbench's tracer patches search.sample_base)
     synth_attention,
     verifier_score,
 )
 
-# A base sampler turns one integrated base draw (a clean state) into a
-# candidate plus optional context (the ground-truth defect set when defects
-# are injected); a mask source turns that candidate into a defect mask. A
-# verifier scores a (rows, dim) batch of clean states, one score per row.
-BaseSampler = Callable[[PatchWorld, LatentState, np.random.Generator],
-                       tuple[LatentState, Optional[np.ndarray]]]
+# A base sampler turns a (rows, dim) batch of clean base draws, row i drawing
+# from the i-th generator, into candidates plus context per row (the defect
+# set when defects are injected); a mask source turns one candidate into a
+# defect mask. A verifier scores a (rows, dim) batch, one score per row.
+BaseSampler = Callable[[PatchWorld, np.ndarray, list[np.random.Generator]],
+                       tuple[np.ndarray, list[Optional[np.ndarray]]]]
 MaskSource = Callable[[LatentState, Optional[np.ndarray], np.random.Generator], DefectMask]
 Verifier = Callable[[LatentState], np.ndarray]
 
@@ -86,8 +89,8 @@ class Candidate:
     mask: Optional[DefectMask] = None
 
 
-def plain_sampler(world: PatchWorld, state: LatentState, rng: np.random.Generator):
-    return state, None
+def plain_sampler(world: PatchWorld, x: np.ndarray, rngs: list[np.random.Generator]):
+    return x, [None] * len(rngs)
 
 
 def defect_injecting_sampler(count: int, magnitude: float,
@@ -98,15 +101,15 @@ def defect_injecting_sampler(count: int, magnitude: float,
     randomize=True the per-draw count is Binomial(n_patches, count/n_patches)
     (mean ``count``), so defect burden varies across draws the way overall
     sample quality does; a global redraw then has a real chance of landing
-    on a nearly defect-free sample.
+    on a nearly defect-free sample. Each row draws its count first, from
+    its own generator.
     """
 
-    def sampler(world: PatchWorld, state: LatentState, rng: np.random.Generator):
+    def sampler(world: PatchWorld, x: np.ndarray, rngs: list[np.random.Generator]):
         m = world.n_patches
-        k = int(rng.binomial(m, count / m)) if randomize else count
-        if k == 0:
-            return state, np.array([], dtype=int)
-        return inject_defects(world, state, k, magnitude, rng)
+        counts = ([int(rng.binomial(m, count / m)) for rng in rngs] if randomize
+                  else [count] * len(rngs))
+        return _inject_rows(world, x, counts, magnitude, rngs)
 
     return sampler
 
@@ -160,66 +163,114 @@ def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, pha
     return delta // rows
 
 
-def _lockstep(predictor: NoisePredictor, searches: list[tuple[SearchConfig, np.random.Generator]],
-              mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None,
-              verifier: Optional[Verifier] = None) -> list[list[Candidate]]:
-    """Run depth-2 searches in four batched phases: every base draw as one
+# Noise coordinates (rows x draws x dim) one phase of an engine block draws
+# at once: 4 MiB, 496 rows of 33 draws at dim 32. The noise is a block's
+# largest array, so memory stays bounded however many trials a chunk holds
+# and however long the schedule.
+_BLOCK_NOISE = 1 << 19
+
+
+def _refine_draws(cfg: SearchConfig) -> int:
+    """Noise slices one refinement of cfg draws: two to renoise, one per step."""
+    return 2 + cfg.resample.nfe_cost if cfg.refinements > 0 else 0
+
+
+def _blocks(searches, base_draws: int, dim: int):
+    """Seeds as (search index, seed index, generator, config), in order, in
+    blocks whose base and refinement noise each stay within _BLOCK_NOISE
+    coordinates (a block holds at least one seed); a search's seeds are
+    spawned when reached. Searches that refine share one resample config,
+    because a refinement batch runs one."""
+    block, refining, resamples = [], 0, set()
+    for g, (cfg, search_rng) in enumerate(searches):
+        if cfg.refinements > 0:
+            resamples.add(cfg.resample)
+        if len(resamples) > 1:
+            raise ValueError("searches that refine must share one resample config")
+        for idx, rng in enumerate(search_rng.spawn(cfg.seeds)):
+            if block and ((len(block) + 1) * base_draws * dim > _BLOCK_NOISE or (
+                    refining + cfg.refinements) * _refine_draws(cfg) * dim > _BLOCK_NOISE):
+                yield block
+                block, refining = [], 0
+            block.append((g, idx, rng, cfg))
+            refining += cfg.refinements
+    if block:
+        yield block
+
+
+def _lockstep(predictor: NoisePredictor, searches, mask_source: Optional[MaskSource],
+              base_sampler: Optional[BaseSampler] = None,
+              verifier: Optional[Verifier] = None) -> Iterator[list[Candidate]]:
+    """Run depth-2 searches, (SearchConfig, generator) pairs read as needed,
+    block by block in four batched phases: every base draw as one
     integration, one mask per refined seed, every refinement as one
     integration, one verifier call per batch.
 
     Seed i of a search draws its base sample, defects and mask from the i-th
     generator spawned from the search's generator; refinement j of that seed
-    draws from the j-th generator spawned from the seed's. Batches only
-    stack rows, so each candidate equals its one-at-a-time counterpart bit
-    for bit. Returns each search's candidates in evaluation order (seed-major,
-    base before its refinements); nfe_cost is the measured per-row cost.
+    from the j-th spawned from the seed's. Batches and blocks only stack
+    rows, so each candidate equals its one-at-a-time counterpart bit for
+    bit. Yields each search's candidates once its last block has run, in
+    evaluation order (seed-major, base first); nfe_cost is measured per row.
     """
     world = predictor.world
     inject = base_sampler or plain_sampler
     verify = verifier or functools.partial(verifier_score, world)
-    resamples = {cfg.resample for cfg, _ in searches if cfg.refinements > 0}
-    if len(resamples) > 1:
-        raise ValueError("searches that refine must share one resample config")
-    seeds = [(g, idx, rng) for g, (cfg, search_rng) in enumerate(searches)
-             for idx, rng in enumerate(search_rng.spawn(cfg.seeds))]
+    draws = len(predictor.schedule.step_times())  # x_T, then one per step
+    per_seed = (item for block in _blocks(searches, draws, world.dim)
+                for item in _lockstep_block(predictor, block, draws, mask_source, inject, verify))
+    # every search has a seed, so the groups are the searches in order
+    for _, group in itertools.groupby(per_seed, key=operator.itemgetter(0)):
+        yield [cand for _, candidates in group for cand in candidates]
 
-    # base phase: one (B, dim) integration, then each draw's own injection
-    rngs = [rng for *_, rng in seeds]
+
+def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
+                    mask_source: Optional[MaskSource], inject: BaseSampler, verify: Verifier):
+    """The four phases over one block; yields (search index, candidates) per seed."""
+    world = predictor.world
+    rngs = [rng for _, _, rng, _ in block]
+
+    # base phase: one integration, one injection, one verifier call
+    noise = _RowNoise(rngs, base_draws, world.dim)
     before = predictor.nfe
-    base, steps = _sample(predictor, _row_noise(rngs), (len(rngs), world.dim))
+    base, steps = _sample(predictor, noise, (len(rngs), world.dim))
+    noise.check_spent("base")
+    del noise  # freed before the refinement phase draws its own
     base_nfe = _measured(predictor, before, len(rngs), steps, "base")
-    drawn = [inject(world, LatentState(x=x, t=base.t), rng) for x, rng in zip(base.x, rngs)]
-    base_scores = _scores(verify, LatentState(x=np.stack([st.x for st, _ in drawn]), t=base.t))
+    x, defects = inject(world, base.x, rngs)
+    drawn = LatentState(x=x, t=0.0)  # one finiteness scan for the batch
+    base_scores = _scores(verify, drawn)
 
     # mask phase: one mask per seed that refines, drawn from the seed's stream
-    refine_rows, masks = [], {}
-    for row, ((g, _, rng), (state, defects)) in enumerate(zip(seeds, drawn)):
-        refinements = searches[g][0].refinements
-        if refinements > 0:
-            masks[row] = mask_source(state, defects, rng)
-            refine_rows += [(row, ref_rng) for ref_rng in rng.spawn(refinements)]
+    masks, coords, refine_rows, refine_rngs = {}, [], [], []
+    for row, (_, _, rng, cfg) in enumerate(block):
+        if cfg.refinements > 0:
+            masks[row] = mask_source(drawn.row(row), defects[row], rng)
+            refine_cfg = cfg
+            coords += [_check_mask(predictor, masks[row])] * cfg.refinements
+            refine_rows += [row] * cfg.refinements
+            refine_rngs += rng.spawn(cfg.refinements)
 
-    # refinement phase: every refinement of every seed as one batch
+    # refinement phase: one batch, on the resample config every refining search shares
     if refine_rows:
-        anchors = LatentState(x=np.stack([drawn[row][0].x for row, _ in refine_rows]), t=0.0)
-        mcoord = np.stack([_check_mask(predictor, masks[row]) for row, _ in refine_rows])
+        noise = _RowNoise(refine_rngs, _refine_draws(refine_cfg), world.dim)
         before = predictor.nfe
-        refined, steps = _resample(predictor, anchors, mcoord, resamples.pop(),
-                                   _row_noise([rng for _, rng in refine_rows]))
+        refined, steps = _resample(predictor, LatentState(x=drawn.x[refine_rows], t=0.0),
+                                   np.stack(coords), refine_cfg.resample, noise)
+        noise.check_spent("refinement")
         refine_nfe = _measured(predictor, before, len(refine_rows), steps, "refinement")
         refined_scores = _scores(verify, refined)
 
-    out: list[list[Candidate]] = [[] for _ in searches]
     k = 0  # refinement rows are seed-major, like the candidates
-    for row, ((g, idx, _), (state, defects)) in enumerate(zip(seeds, drawn)):
-        out[g].append(Candidate(state=state, score=base_scores[row], lineage=(idx, None),
-                                nfe_cost=base_nfe, defects=defects))
-        for ref_idx in range(searches[g][0].refinements):
-            out[g].append(Candidate(state=LatentState(x=refined.x[k], t=refined.t),
-                                    score=refined_scores[k], lineage=(idx, ref_idx),
-                                    nfe_cost=refine_nfe, defects=defects, mask=masks[row]))
+    for row, (g, idx, _, cfg) in enumerate(block):
+        candidates = [Candidate(state=drawn.row(row), score=base_scores[row],
+                                lineage=(idx, None), nfe_cost=base_nfe, defects=defects[row])]
+        for ref_idx in range(cfg.refinements):
+            candidates.append(Candidate(state=refined.row(k), score=refined_scores[k],
+                                        lineage=(idx, ref_idx), nfe_cost=refine_nfe,
+                                        defects=defects[row], mask=masks[row]))
             k += 1
-    return out
+        yield g, candidates
 
 
 def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg: SearchConfig,
@@ -391,12 +442,12 @@ def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence
                 for n in settings.n_grid]
     searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0, resample=None))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    streams = [(cfg, rng) for seed_seq in seed_seqs
-               for cfg, rng in zip(searches, trial_rng(seed_seq).spawn(len(searches)))]
+    streams = ((cfg, rng) for seed_seq in seed_seqs
+               for cfg, rng in zip(searches, trial_rng(seed_seq).spawn(len(searches))))
     groups = _lockstep(predictor, streams, settings.mask_source(), settings.sampler())
     results = []
-    for start in range(0, len(groups), len(searches)):
-        *local, draws = groups[start:start + len(searches)]
+    for _ in seed_seqs:  # reduce each trial as soon as its searches are done
+        *local, draws = itertools.islice(groups, len(searches))
         local = dict(zip(settings.n_grid, local))
         prefix_best = np.maximum.accumulate([draw.score for draw in draws])
         results.append({

@@ -7,8 +7,6 @@ posterior mean of the clean state are all available in closed form. On top
 of that oracle the module provides:
 
   * an ancestral stochastic reverse sampler (the testbed's "plain" step),
-  * an Euler-Maruyama integrator for the velocity-form SDE that shares the
-    same marginals (zero injected noise recovers the deterministic ODE),
   * a patch-additive verifier (weighted per-patch log-density at t = 0),
   * defect injection and synthetic attention generation so the mask
     pipeline can be exercised against known ground truth.
@@ -31,7 +29,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _TIME_TOL = 1e-12
 
 # Draws standard normals of a given shape: a generator's standard_normal, or
-# per-row generators for a batch (see _row_noise).
+# per-row generators for a batch (see _RowNoise).
 Noise = Callable[[tuple], np.ndarray]
 
 
@@ -199,6 +197,13 @@ class LatentState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", max(float(self.t), 0.0))
 
+    def row(self, i: int) -> "LatentState":
+        """Row i of a batch that passed the finiteness check, as a view that
+        is not scanned again."""
+        state = object.__new__(LatentState)
+        state.__dict__.update(x=self.x[i], t=self.t)
+        return state
+
 
 @dataclass(frozen=True)
 class OracleEval:
@@ -315,20 +320,33 @@ def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.
     return LatentState(x=schedule.alpha(t) * state.x + schedule.sigma(t) * z, t=t)
 
 
-def _row_noise(rngs) -> Noise:
-    """Noise for a batch of shape (len(rngs), ...) whose row i draws only
-    from rngs[i]: a row's draws do not depend on the rest of the batch, so a
-    batched run equals a one-at-a-time run over the same generators."""
+class _RowNoise:
+    """Noise for a (rows, dim) batch whose row i draws only from rngs[i], so
+    a batched run equals a one-at-a-time run over the same generators. Each
+    row draws the slices its phase declares in one call (the same bits and
+    generator state as one (dim,) call per slice); each step takes the next
+    (rows, dim) slice. Drawing past the declared count, or check_spent with
+    slices unused, raises: a change to a phase's steps cannot shift bits
+    unnoticed."""
 
-    def draw(shape: tuple) -> np.ndarray:
-        if shape[0] != len(rngs):
-            raise ValueError(f"{shape[0]} rows need as many generators, got {len(rngs)}")
-        out = np.empty(shape)
-        for rng, row in zip(rngs, out):
+    def __init__(self, rngs, draws: int, dim: int):
+        self._buf = np.empty((len(rngs), draws, dim))
+        for rng, row in zip(rngs, self._buf):
             rng.standard_normal(out=row)
-        return out
+        self._used = 0
 
-    return draw
+    def __call__(self, shape: tuple) -> np.ndarray:
+        rows, draws, dim = self._buf.shape
+        if tuple(shape) != (rows, dim) or self._used == draws:
+            raise RuntimeError(f"noise of shape {tuple(shape)} drawn after {self._used} of the "
+                               f"{draws} ({rows}, {dim}) noise slices its phase declared")
+        self._used += 1
+        return self._buf[:, self._used - 1]
+
+    def check_spent(self, phase: str) -> None:
+        if self._used != self._buf.shape[1]:
+            raise RuntimeError(f"{phase} phase drew {self._used} of the {self._buf.shape[1]} "
+                               f"noise slices it declared")
 
 
 def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
@@ -384,33 +402,6 @@ def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
     return _reverse_step(predictor, state, dt, rng.standard_normal)
 
 
-def velocity(schedule: CosineSchedule, ev: OracleEval, t: float) -> np.ndarray:
-    """Interpolant velocity d/dt E[alpha x_0 + sigma eps | x_t] under the
-    bound schedule, assembled from one oracle evaluation."""
-    return schedule.dalpha(t) * ev.denoised - schedule.dsigma(t) * schedule.sigma(t) * ev.score
-
-
-def flow_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
-                  sigma_inj, rng: np.random.Generator) -> LatentState:
-    """Euler-Maruyama step of the velocity-form SDE, backward in time (one NFE).
-
-    dx = (u_t - sigma_inj(t)^2 / 2 * score) dt + sigma_inj(t) dw. With
-    sigma_inj = 0 this is exactly an Euler step of the deterministic flow.
-    """
-    t = predictor.schedule.check_time(state.t)
-    s = _resolve_target_time(t, dt)
-    ev = predictor.evaluate(state.x, t)
-    u = velocity(predictor.schedule, ev, t)
-    g = float(sigma_inj(t)) if callable(sigma_inj) else float(sigma_inj)
-    if g < 0:
-        raise ValueError(f"injected noise scale must be non-negative, got {g}")
-    drift = u - 0.5 * g * g * ev.score
-    x_next = state.x - dt * drift
-    if g > 0:
-        x_next = x_next + g * math.sqrt(dt) * rng.standard_normal(state.x.shape)
-    return LatentState(x=x_next, t=s)
-
-
 def _sample(predictor: NoisePredictor, noise: Noise, shape: tuple) -> tuple[LatentState, int]:
     """Draw x_T ~ N(0, I) of the given (..., dim) shape and integrate it to
     t = 0; returns the clean states and the number of steps run."""
@@ -440,6 +431,25 @@ def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:
     return float(total) if np.ndim(total) == 0 else total
 
 
+def _inject_rows(world: PatchWorld, x: np.ndarray, counts, magnitude: float,
+                 rngs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Displace counts[i] distinct patches of row i of x (rows, dim) by
+    ``magnitude`` in uniformly random directions. Row i draws its patches,
+    then its directions, from rngs[i] (a count of 0 draws nothing); the
+    normalisation and the displacement run once for the batch. Returns the
+    displaced rows and each row's sorted defect index set."""
+    m, d = world.n_patches, world.patch_dim
+    defects = [np.sort(rng.choice(m, size=k, replace=False)) for k, rng in zip(counts, rngs)]
+    directions = np.concatenate([rng.standard_normal((k, d)) for k, rng in zip(counts, rngs)])
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    directions /= norms
+    x = np.array(x, dtype=float)
+    hit = np.repeat(np.arange(len(x)), counts), np.concatenate(defects)
+    x.reshape(len(x), m, d)[hit] += magnitude * directions
+    return x, defects
+
+
 def inject_defects(world: PatchWorld, state: LatentState, count: int, magnitude: float,
                    rng: np.random.Generator) -> tuple[LatentState, np.ndarray]:
     """Displace ``count`` distinct patches by ``magnitude`` in uniformly
@@ -452,15 +462,8 @@ def inject_defects(world: PatchWorld, state: LatentState, count: int, magnitude:
         raise ValueError(f"defect count must lie in [1, {m}], got {count}")
     if state.x.ndim != 1:
         raise ValueError("inject_defects operates on a single (unbatched) state")
-    chosen = np.sort(rng.choice(m, size=count, replace=False))
-    directions = rng.standard_normal((count, world.patch_dim))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    directions /= norms
-    x = state.x.copy()
-    patches = x.reshape(m, world.patch_dim)
-    patches[chosen] += magnitude * directions
-    return LatentState(x=x, t=0.0), chosen
+    x, [chosen] = _inject_rows(world, state.x[None], [count], magnitude, [rng])
+    return LatentState(x=x[0], t=0.0), chosen
 
 
 _QUERY_LOGIT_GAP = 2.0

@@ -7,15 +7,20 @@ spawned from the search's generator, refinement j of that seed from the
 j-th generator spawned from the seed's. The property tests require the
 engine to reproduce them bit for bit: states, scores, lineages, ties,
 defects, masks, mask recall and precision, and NFE. A worker chunk runs all
-its trials as one engine call; it must equal its trials run one at a time.
+its trials as one engine call; it must equal its trials run one at a time,
+and splitting it into blocks of any size must change no bit. The batched
+defect injection must equal injection one state at a time, and a phase
+that draws other than the noise it declared must raise.
 """
 import functools
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localtts import harness
+from localtts import harness, search
 from localtts.resample import ResampleConfig, localized_resample
 from localtts.search import (
     Candidate,
@@ -25,23 +30,57 @@ from localtts.search import (
     best_of_n,
     defect_injecting_sampler,
     dfs_search,
-    plain_sampler,
     split_budget,
     sweep_trial,
     sweep_trials,
 )
 from localtts.testbed import (
     CosineSchedule,
+    LatentState,
     NoisePredictor,
     PatchWorld,
+    inject_defects,
     sample_base,
     verifier_score,
 )
 
 
+def reference_inject(world, state, count, magnitude, rng):
+    """Defect injection on one state: the patches, then their directions."""
+    m = world.n_patches
+    chosen = np.sort(rng.choice(m, size=count, replace=False))
+    directions = rng.standard_normal((count, world.patch_dim))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    directions /= norms
+    x = state.x.copy()
+    x.reshape(m, world.patch_dim)[chosen] += magnitude * directions
+    return LatentState(x=x, t=0.0), chosen
+
+
+def row_sampler(count, magnitude, randomize):
+    """The defect-injecting base sampler on one state: the count, then the
+    injection, from the state's own generator."""
+
+    def sampler(world, state, rng):
+        m = world.n_patches
+        k = int(rng.binomial(m, count / m)) if randomize else count
+        if k == 0:
+            return state, np.array([], dtype=int)
+        return reference_inject(world, state, k, magnitude, rng)
+
+    return sampler
+
+
+def settings_row_sampler(trial_settings):
+    return row_sampler(trial_settings.defect_count, trial_settings.defect_magnitude,
+                       trial_settings.randomize_defects)
+
+
 def reference_search(predictor, mask_source, cfg, rng, base_sampler=None, verifier=None):
-    """The depth-2 search one candidate at a time; returns (best, all)."""
-    inject = base_sampler or plain_sampler
+    """The depth-2 search one candidate at a time, base_sampler a row sampler
+    (see row_sampler); returns (best, all)."""
+    inject = base_sampler or (lambda world, state, rng: (state, None))
     verify = verifier or functools.partial(verifier_score, predictor.world)
     candidates = []
     for idx in range(cfg.seeds):
@@ -78,8 +117,8 @@ def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     seed_rng = rng.spawn(1)[0]
-    anchor, true_set = settings.sampler()(settings.world, sample_base(predictor, seed_rng),
-                                          seed_rng)
+    anchor, true_set = settings_row_sampler(settings)(
+        settings.world, sample_base(predictor, seed_rng), seed_rng)
     mask = settings.mask_source()(anchor, true_set, seed_rng)
     anchor_score = float(verifier_score(settings.world, anchor))
     refined, refined_score = localized_resample(
@@ -92,7 +131,7 @@ def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
 def reference_sweep_trial(settings: SweepSettings, seed: int) -> dict:
     """The sweep trial as one search after another, each with its own predictor."""
     trial = np.random.default_rng(np.random.SeedSequence(seed))
-    sampler, mask_source = settings.sampler(), settings.mask_source()
+    sampler, mask_source = settings_row_sampler(settings), settings.mask_source()
     result = {"local": {}, "local_nfe": {}, "masks": {}}
     for n in settings.n_grid:
         seeds, refinements = split_budget(n, settings.refinements)
@@ -165,6 +204,13 @@ def coarse(world):
 seeds = st.integers(0, 2**32 - 1)
 
 
+def sweep_settings(kwargs, refinements, bon_max):
+    share = refinements + 1
+    return SweepSettings(**kwargs, refinements=refinements,
+                         n_grid=tuple(sorted({1, share, 2 * share})),
+                         bon_grid=tuple(sorted({1, bon_max})))
+
+
 @settings(max_examples=100, deadline=None)
 @given(kwargs=trial_kwargs(), n_seeds=st.integers(1, 4), refinements=st.integers(0, 3),
        seed=seeds, is_coarse=st.booleans())
@@ -177,7 +223,7 @@ def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is
                           for _ in range(2))
     ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ref_best, ref_all = reference_search(ref_pred, trial_settings.mask_source(), cfg, ref_rng,
-                                         trial_settings.sampler(), verifier)
+                                         settings_row_sampler(trial_settings), verifier)
     collected = []
     best = dfs_search(new_pred, trial_settings.mask_source(), cfg, new_rng,
                       base_sampler=trial_settings.sampler(), verifier=verifier,
@@ -201,7 +247,7 @@ def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, is_co
     ref_pred, new_pred = (NoisePredictor(world=world, schedule=schedule) for _ in range(2))
     ref_best, ref_all = reference_search(
         ref_pred, None, SearchConfig(seeds=n, refinements=0, resample=None),
-        np.random.default_rng(seed), sampler, verifier)
+        np.random.default_rng(seed), row_sampler(1, 0.5, True) if defects else None, verifier)
     collected = []
     best = best_of_n(new_pred, n, np.random.default_rng(seed), sampler, verifier,
                      collect=collected)
@@ -227,10 +273,7 @@ def test_testbed_trial_equals_reference_sequence(kwargs, seed):
 @given(kwargs=trial_kwargs(), refinements=st.integers(0, 2),
        bon_max=st.integers(1, 4), seed=seeds)
 def test_sweep_trial_equals_reference_loop(kwargs, refinements, bon_max, seed):
-    share = refinements + 1
-    sweep = SweepSettings(**kwargs, refinements=refinements,
-                          n_grid=tuple(sorted({1, share, 2 * share})),
-                          bon_grid=tuple(sorted({1, bon_max})))
+    sweep = sweep_settings(kwargs, refinements, bon_max)
     assert sweep_trial(sweep, np.random.SeedSequence(seed)) == reference_sweep_trial(sweep, seed)
 
 
@@ -239,10 +282,7 @@ def test_sweep_trial_equals_reference_loop(kwargs, refinements, bon_max, seed):
        refinements=st.integers(0, 2), bon_max=st.integers(1, 4))
 def test_chunk_equals_its_trials_one_at_a_time(kwargs, chunk, refinements, bon_max):
     trial_settings = TrialSettings(**kwargs)
-    share = refinements + 1
-    sweep = SweepSettings(**kwargs, refinements=refinements,
-                          n_grid=tuple(sorted({1, share, 2 * share})),
-                          bon_grid=tuple(sorted({1, bon_max})))
+    sweep = sweep_settings(kwargs, refinements, bon_max)
     seed_seqs = [np.random.SeedSequence(seed, spawn_key=(idx,)) for idx, seed in enumerate(chunk)]
     rows = harness.testbed_trials(trial_settings, seed_seqs)
     results = sweep_trials(sweep, seed_seqs)
@@ -255,3 +295,146 @@ def test_chunk_equals_its_trials_one_at_a_time(kwargs, chunk, refinements, bon_m
     one_at_a_time = [sweep_trial(sweep, q) for q in seed_seqs]
     # repr tells float from np.float64 and 0.0 from -0.0, and round-trips every bit
     assert results == one_at_a_time and repr(results) == repr(one_at_a_time)
+
+
+def engine_candidates(run):
+    """Run run() with the engine's candidates recorded; returns (result,
+    each search's candidates in order)."""
+    engine, searches = search._lockstep, []
+
+    def recording(*args, **kwargs):
+        for candidates in engine(*args, **kwargs):
+            searches.append(candidates)
+            yield candidates
+
+    with mock.patch.object(search, "_lockstep", recording), \
+            mock.patch.object(harness, "_lockstep", recording):
+        return run(), searches
+
+
+@settings(max_examples=60, deadline=None)
+@given(kwargs=trial_kwargs(), chunk=st.lists(seeds, min_size=1, max_size=5),
+       refinements=st.integers(0, 2), bon_max=st.integers(1, 4), block_rows=st.integers(1, 8))
+def test_blocks_equal_one_block(kwargs, chunk, refinements, bon_max, block_rows):
+    trial_settings = TrialSettings(**kwargs)
+    sweep = sweep_settings(kwargs, refinements, bon_max)
+    seed_seqs = [np.random.SeedSequence(seed, spawn_key=(idx,)) for idx, seed in enumerate(chunk)]
+    runs = (lambda: harness.testbed_trials(trial_settings, seed_seqs),
+            lambda: sweep_trials(sweep, seed_seqs))
+    # a trial has at most 8 base rows (1 + 1 + 2 seeds, 4 best-of-N draws) of
+    # at most 6 noise draws, and 6 refinement rows of at most 7: at the shipped
+    # size a chunk of these worlds is one block
+    assert len(chunk) * 8 * 7 * trial_settings.world.dim <= search._BLOCK_NOISE
+    whole = [engine_candidates(run) for run in runs]
+    base_noise = (trial_settings.schedule.n_steps + 1) * trial_settings.world.dim
+    with mock.patch.object(search, "_BLOCK_NOISE", block_rows * base_noise):
+        blocked = [engine_candidates(run) for run in runs]
+    for (result, candidates), (want_result, want_candidates) in zip(blocked, whole):
+        assert repr(result) == repr(want_result)
+        assert len(candidates) == len(want_candidates)
+        assert all(same_candidates(got, want) for got, want in zip(candidates, want_candidates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), count=st.integers(1, 9), rows=st.integers(1, 6),
+       magnitude=st.floats(0.0, 1.0), randomize=st.booleans(), seed=seeds)
+# randomized counts 1, 1, 0, 0, 1, 0: rows with no defect among them
+@example(world=PatchWorld.uniform((3, 3), 2, [(1.0, 0.0, 0.09)]), count=1, rows=6,
+         magnitude=0.5, randomize=True, seed=1)
+def test_batched_injection_equals_inject_defects_row_by_row(world, count, rows, magnitude,
+                                                            randomize, seed):
+    count = min(count, world.n_patches)
+    x = np.random.default_rng(seed).standard_normal((rows, world.dim))
+    before = x.copy()
+    batch_rngs, row_rngs, ref_rngs = (np.random.default_rng(seed).spawn(rows) for _ in range(3))
+    got_x, got_defects = defect_injecting_sampler(count, magnitude, randomize)(
+        world, x, batch_rngs)
+    assert same_bits(x, before)
+    m = world.n_patches
+    for i, (row_rng, ref_rng) in enumerate(zip(row_rngs, ref_rngs)):
+        state = LatentState(x=x[i], t=0.0)
+        k = int(row_rng.binomial(m, count / m)) if randomize else count
+        ref_state, ref_defects = row_sampler(count, magnitude, randomize)(world, state, ref_rng)
+        if k == 0:
+            want_state, want_defects = state, np.array([], dtype=int)
+        else:
+            want_state, want_defects = inject_defects(world, state, k, magnitude, row_rng)
+        assert got_defects[i].tolist() == want_defects.tolist() == ref_defects.tolist()
+        assert got_defects[i].dtype == ref_defects.dtype
+        assert same_bits(got_x[i], want_state.x) and same_bits(got_x[i], ref_state.x)
+        assert (batch_rngs[i].bit_generator.state == row_rng.bit_generator.state
+                == ref_rng.bit_generator.state)
+
+
+def one_extra_draw(noise):
+    drawn = []
+
+    def draw(shape):
+        if not drawn:
+            drawn.append(noise(shape))
+        return noise(shape)
+
+    return draw
+
+
+def first_draw_skipped(noise):
+    calls = []
+
+    def draw(shape):
+        calls.append(shape)
+        return np.zeros(shape) if len(calls) == 1 else noise(shape)
+
+    return draw
+
+
+@settings(max_examples=40, deadline=None)
+@given(kwargs=trial_kwargs(), base=st.booleans(),
+       alter=st.sampled_from([one_extra_draw, first_draw_skipped]), seed=seeds)
+def test_phase_off_its_declared_noise_raises(kwargs, base, alter, seed):
+    trial_settings = TrialSettings(**kwargs)
+    if base:
+        sample = search._sample
+        target, altered = "_sample", lambda pred, noise, shape: sample(pred, alter(noise), shape)
+    else:
+        resample = search._resample
+        target, altered = "_resample", lambda pred, anchor, mcoord, cfg, noise: resample(
+            pred, anchor, mcoord, cfg, alter(noise))
+    with mock.patch.object(search, target, altered), \
+            pytest.raises(RuntimeError, match="noise slices"):
+        harness.testbed_trials(trial_settings, [np.random.SeedSequence(seed)])
+
+
+@pytest.fixture
+def engine_blocks(monkeypatch):
+    """The blocks the engine runs, recorded."""
+    block, calls = search._lockstep_block, []
+    monkeypatch.setattr(search, "_lockstep_block", lambda *args: calls.append(args) or block(*args))
+    return calls
+
+
+def small_trial_kwargs():
+    return dict(world=PatchWorld.uniform((2, 2), 2, [(1.0, 0.0, 0.09)]),
+                schedule=CosineSchedule(horizon=1.0, n_steps=4),
+                resample=ResampleConfig(t0=0.4, t_g=0.04, n_refine=2, n_integrate=1),
+                defect_count=1, defect_magnitude=0.6, gain_pos=0.3, gain_neg=0.3,
+                noise_sd=0.2, mask_weight=0.5, mask_ratio=0.25)
+
+
+def test_empty_testbed_chunk_returns_no_rows(engine_blocks):
+    assert harness.testbed_trials(TrialSettings(**small_trial_kwargs()), []) == []
+    assert engine_blocks == []
+
+
+def test_empty_sweep_chunk_returns_no_results(engine_blocks):
+    assert sweep_trials(sweep_settings(small_trial_kwargs(), 1, 3), []) == []
+    assert engine_blocks == []
+
+
+def test_searches_that_refine_with_different_resample_configs_raise():
+    kwargs = small_trial_kwargs()
+    predictor = NoisePredictor(world=kwargs["world"], schedule=kwargs["schedule"])
+    other = ResampleConfig(t0=0.5, t_g=0.0, n_refine=1, n_integrate=0)
+    searches = [(SearchConfig(seeds=1, refinements=1, resample=resample), np.random.default_rng(0))
+                for resample in (kwargs["resample"], other)]
+    with pytest.raises(ValueError, match="share one resample config"):
+        list(search._lockstep(predictor, searches, TrialSettings(**kwargs).mask_source()))

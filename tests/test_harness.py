@@ -9,10 +9,11 @@ import pytest
 from scipy.stats import binom
 
 import localtts
-from localtts import harness
+from localtts import harness, search
 from localtts.cli import main as cli_main
 from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
 from localtts.harness import run_experiment, sign_test_p_greater
+from localtts.testbed import NoisePredictor
 
 
 def theory_raw(**over):
@@ -285,6 +286,32 @@ class TestScalingExperiment:
             blobs.append((out / "report.json").read_bytes()
                          + (out / "scaling.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    def test_oracle_batches_stay_within_one_block(self, tmp_path, monkeypatch):
+        # 12 trials of 1 + 1 localized seeds and 160 best-of-N draws: 1,944
+        # base rows of 8 + 1 noise draws at dim 32, more than one block holds
+        raw = self.scaling_raw()
+        raw["search"]["bon_grid"] = [1, 2, 160]
+        block_rows = search._BLOCK_NOISE // (9 * 32)
+        assert 12 * (2 + 160) > block_rows
+        evaluate, rows = NoisePredictor.evaluate, []
+
+        def counting(predictor, x, t):
+            rows.append(len(x))
+            return evaluate(predictor, x, t)
+
+        monkeypatch.setattr(NoisePredictor, "evaluate", counting)
+        run_experiment(validate_config(raw), tmp_path / "w1")
+        monkeypatch.undo()
+        # one block runs 8 base steps and 4 + 1 refinement steps: more ran
+        assert len(rows) > 8 + 5 and max(rows) <= block_rows
+        assert sum(rows) == 12 * (2 * 8 + 2 * 5 + 160 * 8)
+        run_experiment(validate_config({**raw, "workers": 2}), tmp_path / "w2")
+        names = sorted(path.name for path in (tmp_path / "w1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "w2").iterdir())
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
 class TestMaskgenExperiment:

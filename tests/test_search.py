@@ -21,6 +21,7 @@ from localtts.search import (
 )
 from localtts.testbed import (
     CosineSchedule,
+    LatentState,
     NoisePredictor,
     PatchWorld,
     sample_base,
@@ -212,7 +213,8 @@ class TestMaskSources:
         predictor = make_predictor()
         sampler = defect_injecting_sampler(4, 0.8)
         rng = np.random.default_rng(10)
-        state, true_set = sampler(predictor.world, sample_base(predictor, rng), rng)
+        x, [true_set] = sampler(predictor.world, sample_base(predictor, rng).x[None], [rng])
+        state = LatentState(x=x[0], t=0.0)
         source = attention_mask_source(predictor.world, gain_pos=0.3, gain_neg=0.3,
                                        noise_sd=0.0, weight=0.5, ratio=4 / 16)
         mask = source(state, true_set, rng)
@@ -222,12 +224,12 @@ class TestMaskSources:
         predictor = make_predictor()
         sampler = defect_injecting_sampler(3, 0.5, randomize=True)
         rng = np.random.default_rng(11)
-        counts = {sampler(predictor.world, sample_base(predictor, rng), rng)[1].size
+        counts = {sampler(predictor.world, sample_base(predictor, rng).x[None], [rng])[1][0].size
                   for _ in range(40)}
         assert len(counts) > 1
         fixed = defect_injecting_sampler(3, 0.5, randomize=False)
-        assert all(fixed(predictor.world, sample_base(predictor, rng), rng)[1].size == 3
-                   for _ in range(5))
+        assert all(fixed(predictor.world, sample_base(predictor, rng).x[None], [rng])[1][0].size
+                   == 3 for _ in range(5))
 
 
 def small_settings(**kwargs):
@@ -347,7 +349,7 @@ class TestPlainSampler:
     def test_returns_state_without_context(self):
         predictor = make_predictor(n_steps=8)
         rng = np.random.default_rng(0)
-        drawn = sample_base(predictor, rng)
-        state, context = plain_sampler(predictor.world, drawn, rng)
-        assert context is None
-        assert state is drawn and state.t == 0.0
+        batch = sample_base(predictor, rng, shape=(2,)).x
+        x, context = plain_sampler(predictor.world, batch, [rng, rng])
+        assert context == [None, None]
+        assert x is batch

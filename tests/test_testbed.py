@@ -10,7 +10,6 @@ from localtts.testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
-    flow_sde_step,
     forward_noise,
     gmm_score,
     grid_query_features,
@@ -303,66 +302,6 @@ class TestSampleBase:
         var = state.x.var(axis=0, ddof=1)
         se = 0.25 * math.sqrt(2.0 / (10_000 - 1))
         assert np.all(np.abs(var - 0.25) < 3 * se)
-
-
-class TestFlowSdeStep:
-    def setup_method(self):
-        self.world = PatchWorld.uniform((1, 1), 1, [(1.0, 0.8, 0.16)])
-        self.sched = CosineSchedule(horizon=1.0, n_steps=64)
-
-    def _hand_terms(self, x, t):
-        # independent derivation for the single-Gaussian world
-        a, s = self.sched.alpha(t), self.sched.sigma(t)
-        var_t = a * a * 0.16 + s * s
-        score = -(x - a * 0.8) / var_t
-        xhat0 = 0.8 + a * 0.16 * (x - a * 0.8) / var_t
-        da = -0.5 * math.pi * s
-        ds = 0.5 * math.pi * a
-        u = da * xhat0 - ds * s * score
-        return score, u
-
-    def test_zero_injection_is_euler_ode_step(self):
-        predictor = NoisePredictor(world=self.world, schedule=self.sched)
-        x, t, dt = np.array([0.3]), 0.5, 0.05
-        out = flow_sde_step(predictor, LatentState(x=x, t=t), dt, 0.0,
-                            np.random.default_rng(0))
-        _, u = self._hand_terms(x[0], t)
-        np.testing.assert_allclose(out.x, x - dt * u, rtol=1e-12)
-
-    def test_hand_euler_maruyama_update(self):
-        predictor = NoisePredictor(world=self.world, schedule=self.sched)
-        x, t, dt, g = np.array([0.3]), 0.5, 0.05, 0.7
-        z = np.random.default_rng(77).standard_normal(1)
-        out = flow_sde_step(predictor, LatentState(x=x, t=t), dt, g,
-                            np.random.default_rng(77))
-        score, u = self._hand_terms(x[0], t)
-        expected = x - dt * (u - 0.5 * g * g * score) + g * math.sqrt(dt) * z
-        np.testing.assert_allclose(out.x, expected, rtol=1e-12)
-
-    def test_flow_and_diffusion_integrators_agree_on_means(self):
-        mean = np.array([1.5, -0.7])
-        world = PatchWorld.uniform((1, 1), 2, [(1.0, mean, 0.25)])
-        sched = CosineSchedule(horizon=1.0, n_steps=512)
-        trials = 4000
-        d_pred = NoisePredictor(world=world, schedule=sched)
-        d_state = sample_base(d_pred, np.random.default_rng(21), shape=(trials,))
-        f_pred = NoisePredictor(world=world, schedule=sched)
-        rng = np.random.default_rng(22)
-        state = LatentState(x=rng.standard_normal((trials, 2)), t=1.0)
-        times = sched.step_times()
-        for t_cur, t_next in zip(times[:-1], times[1:]):
-            state = flow_sde_step(f_pred, state, float(t_cur - t_next),
-                                  sched.sigma, rng)
-        diff = state.x.mean(axis=0) - d_state.x.mean(axis=0)
-        se = np.sqrt(state.x.var(axis=0, ddof=1) / trials
-                     + d_state.x.var(axis=0, ddof=1) / trials)
-        assert np.all(np.abs(diff) < 3 * se)
-
-    def test_negative_injection_rejected(self):
-        predictor = NoisePredictor(world=self.world, schedule=self.sched)
-        with pytest.raises(ValueError, match="non-negative"):
-            flow_sde_step(predictor, LatentState(x=np.zeros(1), t=0.5), 0.1,
-                          -1.0, np.random.default_rng(0))
 
 
 class TestVerifier:
