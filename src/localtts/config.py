@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -131,6 +132,11 @@ _SHAPES = {
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
              "integers": "a list of integers"}
 
+# JSON type of each maskgen attention source that is set
+_SOURCES = {"bundle": (dict, "an object"), "bundle_path": (str, "a path"),
+            "raw": (dict, "an object"), "raw_paths": (dict, "an object"),
+            "queries": (list, "a list"), "queries_path": (str, "a path")}
+
 # trial-settings field -> its dotted path in the config document
 _SETTINGS_PATHS = {
     "defect_count": "defects.count", "defect_magnitude": "defects.magnitude",
@@ -176,8 +182,9 @@ def _merge_section(defaults: dict, user: Any, path: str, errors: list[str]) -> d
 
 def _typed(value: Any, shape: str):
     """value converted to its shape's Python type, or None if the JSON value
-    does not have that shape."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    does not have that shape. A number must be finite and fit a float."""
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
     if shape == "number":
         return float(value) if number else None
     if shape == "integer":
@@ -210,7 +217,7 @@ def _build(cls, kwargs: Optional[dict], path: str, errors: list[str]):
         return cls(**kwargs)
     except FieldErrors as exc:
         errors.extend(f"{path}.{error}" for error in exc.errors)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:  # OverflowError: an integer no float holds
         errors.append(f"{path}: {exc}")
     return None
 
@@ -326,7 +333,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             reference_n = doc["reference_n"]
             if reference_n is None:
                 reference_n = max(n_grid)
-            elif not isinstance(reference_n, int) or reference_n not in n_grid:
+            elif (isinstance(reference_n, bool) or not isinstance(reference_n, int)
+                  or reference_n not in n_grid):
                 errors.append(f"search.reference_n: must be a value from n_grid, got {reference_n!r}")
             doc["reference_n"] = reference_n
         if trials < 2:
@@ -360,6 +368,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         # weight and ratio ranges are checked by the mask pipeline (reweight,
         # threshold_mask); run_maskgen reports a broken one as a config error
         _read(doc, "maskgen", _SHAPES["maskgen"], errors)
+        errors.extend(f"maskgen.{key}: expected {expected}, got {doc[key]!r}"
+                      for key, (kind, expected) in _SOURCES.items()
+                      if doc.get(key) is not None and not isinstance(doc[key], kind))
         sources = [key for key in ("bundle", "bundle_path", "raw", "raw_paths")
                    if doc.get(key) is not None]
         if len(sources) != 1:

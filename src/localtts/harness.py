@@ -16,6 +16,7 @@ carry no timestamps; CSV files use '.' decimals and a fixed column order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -115,7 +116,6 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     gain_global, gain_local = per_trial_gains(econ, stats)
     bud_global, bud_local = budget_gains(econ, stats)
     holds, margin = dominance_check(econ, stats)
-    flags = classify_regime(econ, stats)
     closed = {
         "expected_true_positives": e_tp,
         "expected_selected": e_sel,
@@ -130,11 +130,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
             econ.repair_prob_local, econ.repair_gain,
             econ.harm_prob_local, econ.harm_loss),
         "sparse_regime_approx_holds": sparse_dominance_approx(econ, stats),
-        "regime_flags": {
-            "dense_defects": flags.dense_defects,
-            "low_precision": flags.low_precision,
-            "weak_local_repair": flags.weak_local_repair,
-        },
+        "regime_flags": dataclasses.asdict(classify_regime(econ, stats)),
     }
     try:
         req = required_recall(econ, stats.precision)
@@ -153,16 +149,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
             econ, stats, mc_trials, trial_seed(cfg.master_seed, 0, _SIM_STREAM),
             repair_dist=opts["repair_dist"], harm_dist=opts["harm_dist"],
             workers=cfg.workers)
-        results["monte_carlo"] = {
-            "trials": sim.trials,
-            "gain_global_mean": sim.gain_global_mean,
-            "gain_global_se": sim.gain_global_se,
-            "gain_local_mean": sim.gain_local_mean,
-            "gain_local_se": sim.gain_local_se,
-            "tp_mean": sim.tp_mean, "tp_se": sim.tp_se,
-            "selected_mean": sim.selected_mean, "selected_se": sim.selected_se,
-            "fp_mean": sim.fp_mean, "fp_se": sim.fp_se,
-        }
+        results["monte_carlo"] = dataclasses.asdict(sim)
         rows = [
             ("expected_true_positives", e_tp, sim.tp_mean, sim.tp_se),
             ("expected_selected", e_sel, sim.selected_mean, sim.selected_se),
@@ -286,9 +273,10 @@ def run_maskgen(cfg: ExperimentConfig, base_dir: Optional[Path] = None) -> tuple
             if raw_docs is None:
                 raw_docs = {key: _load_json(path, base_dir)
                             for key, path in doc["raw_paths"].items()}
-            missing = [key for key in ("orig", "pos", "neg") if key not in raw_docs]
+            missing = [key for key in ("orig", "pos", "neg")
+                       if not isinstance(raw_docs.get(key), dict)]
             if missing:
-                raise ConfigError([f"maskgen.raw: missing field(s) {missing}"])
+                raise ConfigError([f"maskgen.raw: missing or non-object field(s) {missing}"])
             fields = {key: attn.field_from_raw_document(raw_docs[key])
                       for key in ("orig", "pos", "neg")}
             bundle = attn.AttentionBundle(**fields)
@@ -303,7 +291,7 @@ def run_maskgen(cfg: ExperimentConfig, base_dir: Optional[Path] = None) -> tuple
             quality = attn.reweight(attn.contrastive_difference(bundle),
                                     bundle.orig, doc["weight"])
             mask = attn.threshold_mask(quality, doc["ratio"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a document field of the wrong type
         raise ConfigError([f"maskgen: {exc}"])
     mask_doc = attn.mask_to_document(mask)
     results = {

@@ -23,7 +23,6 @@ from .errors import check
 from .testbed import (
     _TIME_TOL,
     LatentState,
-    Noise,
     NoisePredictor,
     _ancestral_update,
     _resolve_target_time,
@@ -39,7 +38,7 @@ class ResampleConfig:
     t0 is the re-noise time, t_g the hand-off to the global sweep,
     n_refine the number of masked refinement steps between them, and
     n_integrate the number of plain reverse steps from t_g to 0 (zero iff
-    t_g is zero). The default tail is a brief sweep: t_g = 0.1 * t0.
+    t_g is zero).
     """
 
     t0: float
@@ -59,13 +58,6 @@ class ResampleConfig:
              f"must be at least 1 when t_g > 0, got {self.n_integrate}"),
         ])
 
-    @classmethod
-    def with_default_tail(cls, t0: float, n_refine: int, n_integrate: int = 1,
-                          tail_fraction: float = 0.1) -> "ResampleConfig":
-        t_g = tail_fraction * t0
-        return cls(t0=t0, t_g=t_g, n_refine=n_refine,
-                   n_integrate=n_integrate if t_g > 0 else 0)
-
     @property
     def refine_dt(self) -> float:
         return (self.t0 - self.t_g) / self.n_refine
@@ -82,9 +74,9 @@ def _check_mask(predictor: NoisePredictor, mask: DefectMask) -> np.ndarray:
 
 
 def _renoise(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
-             cfg: ResampleConfig, noise: Noise) -> LatentState:
-    z_bg = noise(anchor.x.shape)
-    z_mask = noise(anchor.x.shape)
+             cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
+    z_bg = rng.standard_normal(anchor.x.shape)
+    z_mask = rng.standard_normal(anchor.x.shape)
     return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
 
 
@@ -96,17 +88,18 @@ def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
     regions end up at the same noise level, only the masked region's noise
     is decoupled from the background's.
     """
-    return _renoise(predictor, anchor, _check_mask(predictor, mask), cfg, rng.standard_normal)
+    return _renoise(predictor, anchor, _check_mask(predictor, mask), cfg, rng)
 
 
 def _masked_refine(predictor: NoisePredictor, state: LatentState, mcoord: np.ndarray,
-                   anchor: LatentState, cfg: ResampleConfig, noise: Noise) -> LatentState:
+                   anchor: LatentState, cfg: ResampleConfig,
+                   rng: np.random.Generator) -> LatentState:
     sched = predictor.schedule
     t = sched.check_time(state.t)
     if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
         raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
     s = _resolve_target_time(t, cfg.refine_dt)
-    refined, z = _ancestral_update(predictor, state.x, t, s, noise)
+    refined, z = _ancestral_update(predictor, state.x, t, s, rng)
     anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
     return LatentState(x=np.where(mcoord, refined, anchored), t=s)
 
@@ -123,22 +116,21 @@ def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: Defe
     destination of 0 both branches are noiseless, making unmasked outputs
     equal the anchor exactly.
     """
-    return _masked_refine(predictor, state, _check_mask(predictor, mask), anchor, cfg,
-                          rng.standard_normal)
+    return _masked_refine(predictor, state, _check_mask(predictor, mask), anchor, cfg, rng)
 
 
 def _resample(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
-              cfg: ResampleConfig, noise: Noise) -> tuple[LatentState, int]:
+              cfg: ResampleConfig, rng: np.random.Generator) -> tuple[LatentState, int]:
     """Renoise, masked refinement and global sweep; returns the clean
     state and the number of steps run. mcoord broadcasts against the
     anchor, so a batch may carry one coordinate mask per row."""
-    state = _renoise(predictor, anchor, mcoord, cfg, noise)
+    state = _renoise(predictor, anchor, mcoord, cfg, rng)
     for _ in range(cfg.n_refine):
-        state = _masked_refine(predictor, state, mcoord, anchor, cfg, noise)
+        state = _masked_refine(predictor, state, mcoord, anchor, cfg, rng)
     if cfg.t_g == 0.0:
         return state, cfg.n_refine
     times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
-    return _reverse_sweep(predictor, state, times, noise), cfg.n_refine + len(times) - 1
+    return _reverse_sweep(predictor, state, times, rng), cfg.n_refine + len(times) - 1
 
 
 def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
@@ -149,6 +141,5 @@ def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: Def
     Returns the refined clean state and its verifier score. Consumes
     exactly cfg.n_refine + cfg.n_integrate oracle evaluations.
     """
-    state, _ = _resample(predictor, anchor, _check_mask(predictor, mask), cfg,
-                         rng.standard_normal)
+    state, _ = _resample(predictor, anchor, _check_mask(predictor, mask), cfg, rng)
     return state, verifier(state)

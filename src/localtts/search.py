@@ -34,8 +34,7 @@ from .testbed import (
     PatchWorld,
     _inject_rows,
     _RowNoise,
-    _sample,
-    sample_base,  # noqa: F401  (perfbench's tracer patches search.sample_base)
+    sample_base,
     synth_attention,
     verifier_score,
 )
@@ -163,7 +162,7 @@ def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, pha
     return delta // rows
 
 
-# Noise coordinates (rows x draws x dim) one phase of an engine block draws
+# The noise coordinates (rows x draws x dim) one phase of an engine block draws
 # at once: 4 MiB, 496 rows of 33 draws at dim 32. The noise is a block's
 # largest array, so memory stays bounded however many trials a chunk holds
 # and however long the schedule.
@@ -171,7 +170,7 @@ _BLOCK_NOISE = 1 << 19
 
 
 def _refine_draws(cfg: SearchConfig) -> int:
-    """Noise slices one refinement of cfg draws: two to renoise, one per step."""
+    """The noise slices one refinement of cfg draws: two to renoise, one per step."""
     return 2 + cfg.resample.nfe_cost if cfg.refinements > 0 else 0
 
 
@@ -230,13 +229,14 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     world = predictor.world
     rngs = [rng for _, _, rng, _ in block]
 
-    # base phase: one integration, one injection, one verifier call
+    # base phase: one integration (a step per draw after x_T), one injection,
+    # one verifier call
     noise = _RowNoise(rngs, base_draws, world.dim)
     before = predictor.nfe
-    base, steps = _sample(predictor, noise, (len(rngs), world.dim))
+    base = sample_base(predictor, noise, (len(rngs),))
     noise.check_spent("base")
     del noise  # freed before the refinement phase draws its own
-    base_nfe = _measured(predictor, before, len(rngs), steps, "base")
+    base_nfe = _measured(predictor, before, len(rngs), base_draws - 1, "base")
     x, defects = inject(world, base.x, rngs)
     drawn = LatentState(x=x, t=0.0)  # one finiteness scan for the batch
     base_scores = _scores(verify, drawn)

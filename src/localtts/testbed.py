@@ -1,10 +1,10 @@
 """Analytic patch-grid diffusion testbed.
 
 Each patch of an (Hs x Ws) grid carries its own isotropic Gaussian-mixture
-target. Because the forward process x_t = alpha(t) x_0 + sigma(t) eps keeps
+target. Because the forward process x_t = alpha(t) x_0 + sigma(t) z keeps
 Gaussian mixtures Gaussian, the time-t marginal, its score, and the
-posterior mean of the clean state are all available in closed form. On top
-of that oracle the module provides:
+posterior mean of the clean state are all available in closed form. The
+oracle returns the posterior mean; on top of it the module provides:
 
   * an ancestral stochastic reverse sampler (the testbed's "plain" step),
   * a patch-additive verifier (weighted per-patch log-density at t = 0),
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -27,10 +26,6 @@ from .errors import check
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TIME_TOL = 1e-12
-
-# Draws standard normals of a given shape: a generator's standard_normal, or
-# per-row generators for a batch (see _RowNoise).
-Noise = Callable[[tuple], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,6 @@ class CosineSchedule:
 
     def sigma(self, t: float) -> float:
         return math.sin(self._phase(t))
-
-    def dalpha(self, t: float) -> float:
-        return -0.5 * math.pi / self.horizon * math.sin(self._phase(t))
-
-    def dsigma(self, t: float) -> float:
-        return 0.5 * math.pi / self.horizon * math.cos(self._phase(t))
 
     def check_time(self, t: float) -> float:
         if not -_TIME_TOL <= t <= self.horizon + _TIME_TOL:
@@ -119,6 +108,9 @@ class PatchWorld:
             (not np.any(variances <= 0), "variances", "mixture variances must be positive"),
             (not (np.any(vweights < 0) or abs(vweights.sum() - 1.0) > 1e-9),
              "verifier_weights", "verifier weights must be non-negative and sum to 1"),
+            *((bool(np.isfinite(a).all()), name, "must be finite") for name, a in (
+                ("weights", weights), ("means", means), ("variances", variances),
+                ("verifier_weights", vweights))),
         ])
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "patch_dim", d)
@@ -205,16 +197,6 @@ class LatentState:
         return state
 
 
-@dataclass(frozen=True)
-class OracleEval:
-    """One oracle evaluation: score of the time-t marginal, posterior mean
-    of the clean state, and the equivalent noise prediction."""
-
-    score: np.ndarray
-    denoised: np.ndarray
-    eps: np.ndarray
-
-
 def logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, for rows with a finite maximum.
 
@@ -250,20 +232,17 @@ def _oracle_terms(world: PatchWorld, a: float, s2: float, x: np.ndarray):
     return var_t, centered, log_comp, logsumexp(log_comp)
 
 
-def _score_and_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float):
-    """Exact score of the time-t marginal and posterior mean E[x_0 | x_t].
+def _responsibilities(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float):
+    """alpha(t), the marginal's component variances, x centred on each
+    component, and the posterior responsibilities of the components.
 
     Responsibilities are formed in log space so small densities never
-    underflow before normalization; the posterior mean is formed per
-    component so it stays stable even where alpha(t) is at roundoff level.
+    underflow before normalization.
     """
+    t = schedule.check_time(t)
     a = schedule.alpha(t)
     var_t, centered, log_comp, log_norm = _oracle_terms(world, a, schedule.sigma(t) ** 2, x)
-    resp = np.exp(log_comp - log_norm[..., None])[..., None]    # (..., M, K, 1)
-    score = (resp * (-centered / var_t[..., None])).sum(axis=-2)
-    gain = (a * world.variances / var_t)[..., None]             # (M, K, 1)
-    mean = (resp * (world.means + gain * centered)).sum(axis=-2)
-    return score.reshape(np.shape(x)), mean.reshape(np.shape(x))
+    return a, var_t, centered, np.exp(log_comp - log_norm[..., None])[..., None]  # (..., M, K, 1)
 
 
 def log_density(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
@@ -275,21 +254,25 @@ def log_density(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: f
 
 def gmm_score(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact score of the time-t marginal, evaluated per patch independently."""
-    return _score_and_mean(world, schedule, x, schedule.check_time(t))[0]
+    _, var_t, centered, resp = _responsibilities(world, schedule, x, t)
+    return (resp * (-centered / var_t[..., None])).sum(axis=-2).reshape(np.shape(x))
 
 
 def posterior_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
-    """E[x_0 | x_t] of the time-t marginal."""
-    return _score_and_mean(world, schedule, x, schedule.check_time(t))[1]
+    """E[x_0 | x_t] of the time-t marginal, formed per component so it stays
+    stable even where alpha(t) is at roundoff level."""
+    a, var_t, centered, resp = _responsibilities(world, schedule, x, t)
+    gain = (a * world.variances / var_t)[..., None]             # (M, K, 1)
+    return (resp * (world.means + gain * centered)).sum(axis=-2).reshape(np.shape(x))
 
 
 @dataclass
 class NoisePredictor:
-    """Closed-form noise oracle bound to a world and schedule.
-
-    eps(x, t) = -sigma(t) * score(x, t). The ``nfe`` counter increases by
-    one per evaluated state (batched calls count the batch size), which is
-    the compute unit for budget matching.
+    """Closed-form denoiser oracle bound to a world and schedule: evaluate
+    returns the posterior mean E[x_0 | x_t], the one quantity the samplers
+    read. The ``nfe`` counter increases by one per evaluated state (batched
+    calls count the batch size), which is the compute unit for budget
+    matching.
     """
 
     world: PatchWorld
@@ -299,14 +282,10 @@ class NoisePredictor:
     def _count(self, x: np.ndarray):
         self.nfe += math.prod(np.shape(x)[:-1])
 
-    def evaluate(self, x: np.ndarray, t: float) -> OracleEval:
-        t = self.schedule.check_time(t)
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        mean = posterior_mean(self.world, self.schedule, x, t)
         self._count(x)
-        score, denoised = _score_and_mean(self.world, self.schedule, x, t)
-        return OracleEval(score=score, denoised=denoised, eps=-self.schedule.sigma(t) * score)
-
-    def reset_nfe(self):
-        self.nfe = 0
+        return mean
 
 
 def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.ndarray) -> LatentState:
@@ -321,13 +300,13 @@ def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.
 
 
 class _RowNoise:
-    """Noise for a (rows, dim) batch whose row i draws only from rngs[i], so
-    a batched run equals a one-at-a-time run over the same generators. Each
-    row draws the slices its phase declares in one call (the same bits and
-    generator state as one (dim,) call per slice); each step takes the next
-    (rows, dim) slice. Drawing past the declared count, or check_spent with
-    slices unused, raises: a change to a phase's steps cannot shift bits
-    unnoticed."""
+    """A generator's stand-in for a (rows, dim) batch whose row i draws only
+    from rngs[i], so a batched run equals a one-at-a-time run. Each row draws
+    the slices its phase declares in one call (the same bits and generator
+    state as one (dim,) call per slice); each standard_normal call takes the
+    next (rows, dim) slice. Drawing past the declared count, or check_spent
+    with slices unused, raises: a change to a phase's steps cannot shift
+    bits unnoticed."""
 
     def __init__(self, rngs, draws: int, dim: int):
         self._buf = np.empty((len(rngs), draws, dim))
@@ -335,7 +314,7 @@ class _RowNoise:
             rng.standard_normal(out=row)
         self._used = 0
 
-    def __call__(self, shape: tuple) -> np.ndarray:
+    def standard_normal(self, shape: tuple) -> np.ndarray:
         rows, draws, dim = self._buf.shape
         if tuple(shape) != (rows, dim) or self._used == draws:
             raise RuntimeError(f"noise of shape {tuple(shape)} drawn after {self._used} of the "
@@ -350,11 +329,11 @@ class _RowNoise:
 
 
 def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
-                      noise: Noise) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw x_s from the ancestral posterior q(x_s | x_t, x_0) with x_0 the
     oracle's posterior mean at t (one NFE per row); returns the draw and the
     standard-normal noise it used."""
-    ev = predictor.evaluate(x, t)
+    denoised = predictor.evaluate(x, t)
     sched = predictor.schedule
     a_t, s_t = sched.alpha(t), sched.sigma(t)
     a_s, s_s = sched.alpha(s), sched.sigma(s)
@@ -363,8 +342,8 @@ def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: flo
     coef_x = ratio * (s_s * s_s) / (s_t * s_t)
     coef_x0 = a_s * var_ts / (s_t * s_t)
     noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
-    z = noise(x.shape)
-    return coef_x * x + coef_x0 * ev.denoised + noise_std * z, z
+    z = rng.standard_normal(x.shape)
+    return coef_x * x + coef_x0 * denoised + noise_std * z, z
 
 
 def _resolve_target_time(t: float, dt: float) -> float:
@@ -376,21 +355,6 @@ def _resolve_target_time(t: float, dt: float) -> float:
     return 0.0 if abs(s) < _TIME_TOL else s
 
 
-def _reverse_step(predictor: NoisePredictor, state: LatentState, dt: float,
-                  noise: Noise) -> LatentState:
-    t = predictor.schedule.check_time(state.t)
-    s = _resolve_target_time(t, dt)
-    return LatentState(x=_ancestral_update(predictor, state.x, t, s, noise)[0], t=s)
-
-
-def _reverse_sweep(predictor: NoisePredictor, state: LatentState, times: np.ndarray,
-                   noise: Noise) -> LatentState:
-    """Ancestral reverse steps from times[0] (the state's time) along the grid."""
-    for t_cur, t_next in zip(times[:-1], times[1:]):
-        state = _reverse_step(predictor, state, float(t_cur - t_next), noise)
-    return state
-
-
 def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
                      rng: np.random.Generator) -> LatentState:
     """One ancestral stochastic reverse step t -> t - dt (one NFE).
@@ -399,15 +363,17 @@ def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
     target time of 0 the posterior noise vanishes, so the final step is
     deterministic given the oracle.
     """
-    return _reverse_step(predictor, state, dt, rng.standard_normal)
+    t = predictor.schedule.check_time(state.t)
+    s = _resolve_target_time(t, dt)
+    return LatentState(x=_ancestral_update(predictor, state.x, t, s, rng)[0], t=s)
 
 
-def _sample(predictor: NoisePredictor, noise: Noise, shape: tuple) -> tuple[LatentState, int]:
-    """Draw x_T ~ N(0, I) of the given (..., dim) shape and integrate it to
-    t = 0; returns the clean states and the number of steps run."""
-    times = predictor.schedule.step_times()
-    state = LatentState(x=noise(shape), t=float(times[0]))
-    return _reverse_sweep(predictor, state, times, noise), len(times) - 1
+def _reverse_sweep(predictor: NoisePredictor, state: LatentState, times: np.ndarray,
+                   rng: np.random.Generator) -> LatentState:
+    """Ancestral reverse steps from times[0] (the state's time) along the grid."""
+    for t_cur, t_next in zip(times[:-1], times[1:]):
+        state = reverse_sde_step(predictor, state, float(t_cur - t_next), rng)
+    return state
 
 
 def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
@@ -417,9 +383,9 @@ def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
     Consumes exactly n_steps evaluations per trajectory; ``shape`` adds
     leading batch axes.
     """
-    dim = predictor.world.dim
-    full_shape = (dim,) if shape is None else (*tuple(shape), dim)
-    return _sample(predictor, rng.standard_normal, full_shape)[0]
+    times = predictor.schedule.step_times()
+    x = rng.standard_normal((*(shape or ()), predictor.world.dim))
+    return _reverse_sweep(predictor, LatentState(x=x, t=float(times[0])), times, rng)
 
 
 def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:

@@ -13,6 +13,7 @@ defect injection must equal injection one state at a time, and a phase
 that draws other than the noise it declared must raise.
 """
 import functools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -371,10 +372,10 @@ def one_extra_draw(noise):
 
     def draw(shape):
         if not drawn:
-            drawn.append(noise(shape))
-        return noise(shape)
+            drawn.append(noise.standard_normal(shape))
+        return noise.standard_normal(shape)
 
-    return draw
+    return SimpleNamespace(standard_normal=draw)
 
 
 def first_draw_skipped(noise):
@@ -382,9 +383,9 @@ def first_draw_skipped(noise):
 
     def draw(shape):
         calls.append(shape)
-        return np.zeros(shape) if len(calls) == 1 else noise(shape)
+        return np.zeros(shape) if len(calls) == 1 else noise.standard_normal(shape)
 
-    return draw
+    return SimpleNamespace(standard_normal=draw)
 
 
 @settings(max_examples=40, deadline=None)
@@ -393,8 +394,9 @@ def first_draw_skipped(noise):
 def test_phase_off_its_declared_noise_raises(kwargs, base, alter, seed):
     trial_settings = TrialSettings(**kwargs)
     if base:
-        sample = search._sample
-        target, altered = "_sample", lambda pred, noise, shape: sample(pred, alter(noise), shape)
+        sample = search.sample_base
+        target, altered = "sample_base", lambda pred, noise, shape: sample(
+            pred, alter(noise), shape)
     else:
         resample = search._resample
         target, altered = "_resample", lambda pred, anchor, mcoord, cfg, noise: resample(
@@ -418,6 +420,21 @@ def small_trial_kwargs():
                 resample=ResampleConfig(t0=0.4, t_g=0.04, n_refine=2, n_integrate=1),
                 defect_count=1, defect_magnitude=0.6, gain_pos=0.3, gain_neg=0.3,
                 noise_sd=0.2, mask_weight=0.5, mask_ratio=0.25)
+
+
+def test_engine_calls_sample_base_once_per_block(engine_blocks, monkeypatch):
+    # the base phase integrates a whole block through search.sample_base,
+    # the name perfbench's tracer wraps
+    sample, calls = search.sample_base, []
+    monkeypatch.setattr(search, "sample_base",
+                        lambda pred, rng, shape: calls.append(shape) or sample(pred, rng, shape))
+    kwargs = small_trial_kwargs()
+    base_noise = len(kwargs["schedule"].step_times()) * kwargs["world"].dim
+    seqs = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(7)]
+    with mock.patch.object(search, "_BLOCK_NOISE", 3 * base_noise):
+        rows = harness.testbed_trials(TrialSettings(**kwargs), seqs)
+    assert len(rows) == 7 and len(engine_blocks) == 3
+    assert [(len(block),) for _, block, *_ in engine_blocks] == calls == [(3,), (3,), (1,)]
 
 
 def test_empty_testbed_chunk_returns_no_rows(engine_blocks):

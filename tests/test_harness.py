@@ -15,6 +15,8 @@ from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
 from localtts.harness import run_experiment, sign_test_p_greater
 from localtts.testbed import NoisePredictor
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def theory_raw(**over):
     raw = {
@@ -124,6 +126,15 @@ class TestValidateConfig:
             "bundle": {}, "bundle_path": "x.json"}}
         with pytest.raises(ConfigError, match="exactly one attention source"):
             validate_config(raw2)
+
+    @pytest.mark.parametrize("value", [True, 9.0, 4])
+    def test_reference_n_must_be_an_integer_from_n_grid(self, value):
+        # True == 1 and 9.0 == 9, but neither is a JSON integer
+        with pytest.raises(ConfigError) as err:
+            load_config(CONFIGS / "scaling_default.json",
+                        [f"search.reference_n={json.dumps(value)}"])
+        assert err.value.errors == [
+            f"search.reference_n: must be a value from n_grid, got {value!r}"]
 
 
 class TestLoadConfig:
@@ -352,6 +363,10 @@ class TestMaskgenExperiment:
         assert mask["bits"][1] == 1
 
 
+BUNDLE = {"bundle": {"grid": [2, 3], "orig": [1.0] * 6,
+                     "pos": [0.9, 0.2, 0.8, 0.9, 0.8, 0.9], "neg": [0.9, 1.6, 0.8, 0.9, 0.8, 0.9]}}
+
+
 class TestCli:
     def write(self, tmp_path, raw):
         path = tmp_path / "cfg.json"
@@ -412,6 +427,54 @@ class TestCli:
                              "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_runs(self, name, tmp_path, capsys):
+        kind = json.loads((CONFIGS / name).read_text())["kind"]
+        trials = ["--set", "trials=2"] if kind in ("testbed", "scaling") else []
+        assert cli_main([kind, "--config", str(CONFIGS / name), *trials,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["kind"] == kind
+
+    @pytest.mark.parametrize("setting, error", [
+        ("attention.noise_sd=Infinity", "attention.noise_sd: expected a number, got inf"),
+        ("schedule.horizon=1e400", "schedule.horizon: expected a number, got inf"),
+        ("schedule.n_steps=" + "9" * 400, "schedule.n_steps: expected an integer"),
+        ("resample.t0=NaN", "resample.t0: expected a number, got nan"),
+        ("world.verifier_weights=[NaN" + ", 0.0" * 15 + "]",
+         "world.verifier_weights: must be finite"),
+        ('world.components=[{"weight": 1, "mean": [0, Infinity], "variance": 1}]',
+         "world.means: must be finite"),
+        ('world.components=[{"weight": 1, "mean": ' + "9" * 400 + ', "variance": 1}]',
+         "world: int too large to convert to float"),
+    ])
+    def test_non_finite_or_oversized_number_exit_two(self, setting, error, tmp_path, capsys):
+        path = self.write(tmp_path, make_testbed_raw(trials=2))
+        assert cli_main(["testbed", "--config", path, "--set", setting,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source, error", [
+        ({"raw_paths": ["a"]}, "maskgen.raw_paths: expected an object, got ['a']"),
+        ({"bundle_path": 5}, "maskgen.bundle_path: expected a path, got 5"),
+        ({"bundle": 5}, "maskgen.bundle: expected an object, got 5"),
+        ({"raw": [1]}, "maskgen.raw: expected an object, got [1]"),
+        ({"raw": {"orig": 1, "pos": {}, "neg": "x"}},
+         "maskgen.raw: missing or non-object field(s) ['orig', 'neg']"),
+        ({"raw_paths": {"orig": "list.json", "pos": "list.json", "neg": "list.json"}},
+         "maskgen.raw: missing or non-object field(s) ['orig', 'pos', 'neg']"),
+        ({**BUNDLE, "queries_path": 7}, "maskgen.queries_path: expected a path, got 7"),
+        ({**BUNDLE, "queries": {"a": 1}}, "maskgen.queries: expected a list, got {'a': 1}"),
+        ({**BUNDLE, "queries_path": "dict.json"}, "maskgen: float() argument"),
+        ({"bundle": {**BUNDLE["bundle"], "grid": 6}}, "maskgen: 'int' object"),
+    ])
+    def test_maskgen_source_of_wrong_type_exit_two(self, source, error, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "dict.json").write_text('{"a": 1}')
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(localtts.__file__).resolve().parents[1])

@@ -48,9 +48,8 @@ class TestResampleConfig:
         with pytest.raises(ValueError, match="n_integrate"):
             ResampleConfig(t0=0.4, t_g=0.1, n_refine=4, n_integrate=0)
 
-    def test_default_tail_and_costs(self):
-        cfg = ResampleConfig.with_default_tail(0.5, 10, 2)
-        assert cfg.t_g == pytest.approx(0.05)
+    def test_costs(self):
+        cfg = ResampleConfig(t0=0.5, t_g=0.05, n_refine=10, n_integrate=2)
         assert cfg.refine_dt == pytest.approx(0.045)
         assert cfg.nfe_cost == 12
 
@@ -225,7 +224,7 @@ class TestLocalizedResample:
         anchor = LatentState(x=rng.normal(size=world.dim), t=0.0)
         for cfg in (ResampleConfig(t0=0.4, t_g=0.0, n_refine=5, n_integrate=0),
                     ResampleConfig(t0=0.4, t_g=0.08, n_refine=7, n_integrate=3)):
-            predictor.reset_nfe()
+            predictor.nfe = 0
             localized_resample(predictor, anchor, mask_from_indices(world.grid, [2]),
                                cfg, world_verifier(world), rng)
             assert predictor.nfe == cfg.n_refine + cfg.n_integrate == cfg.nfe_cost

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from localtts.attention import mask_gen
+from localtts.errors import FieldErrors
 from localtts.testbed import (
     CosineSchedule,
     LatentState,
@@ -50,15 +51,6 @@ class TestCosineSchedule:
         assert all(a >= b for a, b in zip(alphas, alphas[1:]))
         assert all(a <= b for a, b in zip(sigmas, sigmas[1:]))
 
-    def test_derivatives_match_finite_differences(self):
-        sched = CosineSchedule(horizon=1.3, n_steps=10)
-        h = 1e-6
-        for t in (0.2, 0.7, 1.1):
-            da = (sched.alpha(t + h) - sched.alpha(t - h)) / (2 * h)
-            ds = (sched.sigma(t + h) - sched.sigma(t - h)) / (2 * h)
-            assert abs(da - sched.dalpha(t)) < 1e-8
-            assert abs(ds - sched.dsigma(t)) < 1e-8
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             CosineSchedule(horizon=0.0, n_steps=5)
@@ -81,6 +73,17 @@ class TestPatchWorld:
         with pytest.raises(ValueError, match="verifier weights"):
             PatchWorld.uniform((1, 2), 1, [(1.0, 0.0, 1.0)],
                                verifier_weights=[0.9, 0.9])
+
+    @pytest.mark.parametrize("field", ["weights", "means", "variances", "verifier_weights"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        world = PatchWorld.uniform((1, 2), 1, [(0.5, 0.0, 1.0), (0.5, 1.0, 1.0)])
+        arrays = {name: getattr(world, name).copy() for name in
+                  ("weights", "means", "variances", "verifier_weights")}
+        arrays[field].flat[-1] = bad
+        with pytest.raises(FieldErrors) as err:
+            PatchWorld(grid=world.grid, patch_dim=1, **arrays)
+        assert f"{field}: must be finite" in err.value.errors
 
     def test_dimension_bookkeeping(self):
         world = single_gaussian_world(grid=(2, 3), dim=4)
@@ -219,17 +222,23 @@ class TestNfeCounter:
         assert predictor.nfe == 1
         predictor.evaluate(np.zeros((7, world.dim)), 0.5)
         assert predictor.nfe == 8
-        predictor.reset_nfe()
-        assert predictor.nfe == 0
 
-    def test_eps_convention(self):
-        world = single_gaussian_world()
+    def test_evaluate_is_the_posterior_mean(self):
+        # single and batched states, K = 1 and K = 3, t from 0 to the horizon
         sched = CosineSchedule(horizon=1.0, n_steps=8)
-        predictor = NoisePredictor(world=world, schedule=sched)
-        x = np.random.default_rng(0).normal(size=world.dim)
-        t = 0.4
-        ev = predictor.evaluate(x, t)
-        np.testing.assert_allclose(ev.eps, -sched.sigma(t) * ev.score)
+        k3 = PatchWorld.uniform((2, 3), 2, [(0.3, -0.8, 0.09), (0.5, 0.4, 0.25),
+                                            (0.2, 1.5, 0.04)])
+        rng = np.random.default_rng(0)
+        for world in (single_gaussian_world(), k3):
+            predictor = NoisePredictor(world=world, schedule=sched)
+            for shape, t in (((world.dim,), 0.4), ((5, world.dim), 0.0), ((3, world.dim), 1.0)):
+                x = rng.normal(size=shape)
+                got = predictor.evaluate(x, t)
+                want = posterior_mean(world, sched, x, t)
+                assert got.shape == shape and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            predictor.evaluate(x, 1.5)
+        assert predictor.nfe == 1 + 5 + 3  # the rejected call counted nothing
 
 
 class TestReverseSdeStep:
