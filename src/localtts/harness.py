@@ -322,6 +322,14 @@ def _csv_cell(cell):
     return cell
 
 
+def _non_finite(value, path: str) -> list[str]:
+    """'path: value' for every infinite or NaN float in a report value."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [hit for key, item in items for hit in _non_finite(item, f"{path}.{key}")]
+    return [f"{path}: {value}"] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
                    overrides: Optional[list[str]] = None,
                    base_dir: Optional[Path] = None) -> dict:
@@ -344,10 +352,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
         "warnings": list(cfg.warnings),
         "results": results,
     }
+    try:  # JSON has no Infinity or NaN
+        body = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConfigError([f"{hit} (overflow: a config number is too large)"
+                           for hit in _non_finite(results, "results")])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (out_dir / "report.json").write_text(body)
     for name, text in files.items():
         (out_dir / name).write_text(text)
     return report

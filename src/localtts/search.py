@@ -381,6 +381,9 @@ class TrialSettings:
         if self.world is not None:
             rules.append((self.defect_count <= self.world.n_patches, "defect_count",
                           f"exceeds patch count {self.world.n_patches}"))
+            m = float(self.defect_magnitude)  # the oracle divides m^2 d by a variance
+            rules.append((np.isfinite(m * m * self.world.patch_dim / self.world.variances.min()),
+                          "defect_magnitude", f"overflows the oracle, got {self.defect_magnitude}"))
         if self.schedule is not None and self.resample is not None:
             rules.append((self.resample.t0 <= self.schedule.horizon, "resample.t0",
                           f"exceeds schedule horizon {self.schedule.horizon}"))

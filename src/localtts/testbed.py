@@ -16,8 +16,9 @@ states of shape (..., dim) count one evaluation per leading element.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,10 +40,14 @@ class CosineSchedule:
     horizon: float
     n_steps: int
 
+    MAX_STEPS = 100_000  # a sweep's step grid and each row's noise are materialised
+
     def __post_init__(self):
         check([
             (self.horizon > 0, "horizon", f"must be positive, got {self.horizon}"),
             (self.n_steps >= 1, "n_steps", f"must be at least 1, got {self.n_steps}"),
+            (self.n_steps <= self.MAX_STEPS, "n_steps",
+             f"must be at most {self.MAX_STEPS}, got {self.n_steps:g}"),
         ])
 
     def _phase(self, t: float) -> float:
@@ -70,7 +75,8 @@ class PatchWorld:
 
     weights[j, k], means[j, k, :], variances[j, k] describe component k of
     patch j; variances are isotropic per component. verifier_weights are
-    non-negative and sum to 1 (uniform by default).
+    non-negative and sum to 1 (uniform by default). The arrays are read-only
+    copies, so the oracle's component-major copies of them cannot drift.
     """
 
     grid: Grid
@@ -84,10 +90,10 @@ class PatchWorld:
         grid = _as_grid(self.grid)
         m = grid[0] * grid[1]
         d = int(self.patch_dim)
-        weights = np.asarray(self.weights, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        variances = np.asarray(self.variances, dtype=float)
-        vweights = np.asarray(self.verifier_weights, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        means = np.array(self.means, dtype=float)
+        variances = np.array(self.variances, dtype=float)
+        vweights = np.array(self.verifier_weights, dtype=float)
         # the component count K and patch_dim fix every other shape
         check([
             (d >= 1, "patch_dim", f"must be at least 1, got {d}"),
@@ -114,10 +120,20 @@ class PatchWorld:
         ])
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "patch_dim", d)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "verifier_weights", vweights)
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(weights.T)[:, None]
+        # the oracle reads its constants component-major: means (K, d, 1, M), variances
+        # and log-weights (K, 1, M), kept as private attributes that == does not compare
+        for name, value in (("weights", weights), ("means", means), ("variances", variances),
+                            ("verifier_weights", vweights), ("_log_weights", log_weights),
+                            ("_means", means.transpose(1, 2, 0)[:, :, None]),
+                            ("_variances", variances.T[:, None])):
+            value = np.ascontiguousarray(value)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # unpickling runs __post_init__, so the copy is read-only too
+        return PatchWorld, tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def uniform(cls, grid, patch_dim: int, components, verifier_weights=None) -> "PatchWorld":
@@ -137,10 +153,7 @@ class PatchWorld:
             [np.broadcast_to(np.asarray(c[1], dtype=float), (max(d, 0),)) for c in comp]
         )
         variances = np.array([c[2] for c in comp], dtype=float)
-        if verifier_weights is None:
-            vw = np.full(m, 1.0 / m)
-        else:
-            vw = np.asarray(verifier_weights, dtype=float)
+        vw = np.full(m, 1.0 / m) if verifier_weights is None else verifier_weights
         return cls(
             grid=grid,
             patch_dim=d,
@@ -197,73 +210,96 @@ class LatentState:
         return state
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, for rows with a finite maximum.
+def _pairwise_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis`` (kept) in the order numpy's pairwise summation adds a
+    contiguous last axis, so a leading-axis sum has the bits of a last-axis
+    one: in sequence below 8 terms, else in 8 interleaved partial sums joined
+    by a fixed tree and the rest in sequence (by halves above 128 terms)."""
+    n = a.shape[axis]
+    if n < 8:
+        return a.sum(axis=axis, keepdims=True)
+    if n > 128:
+        lo, hi = np.split(a, [n // 2 - n // 2 % 8], axis=axis)
+        return _pairwise_sum(lo, axis) + _pairwise_sum(hi, axis)
+    terms = np.moveaxis(a, axis, 0)
+    r = terms[:n - n % 8].reshape(-1, 8, *terms.shape[1:]).sum(axis=0)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return np.expand_dims(functools.reduce(np.add, terms[n - n % 8:], total), axis)
 
-    Same algorithm, and so the same bits, as ``scipy.special.logsumexp``:
-    the maximal terms are split out of the sum, the rest is divided by their
-    count, and log(count) and the maximum are added back.
+
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis``, for rows with a finite maximum.
+
+    Same algorithm, and so the same bits, as ``scipy.special.logsumexp``
+    over the last axis: the maximal terms are split out of the sum, the rest
+    is divided by their count, and log(count) and the maximum are added back.
     """
-    a_max = a.max(axis=-1, keepdims=True)
+    a_max = a.max(axis=axis, keepdims=True)
     is_max = a == a_max
-    count = is_max.sum(axis=-1, keepdims=True, dtype=float)
-    rest = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
-    return (np.log1p(rest / count) + np.log(count) + a_max)[..., 0]
+    count = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    rest = _pairwise_sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis)
+    return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis)
 
 
 def _oracle_terms(world: PatchWorld, a: float, s2: float, x: np.ndarray):
     """Per-component log-densities of the marginal with x_t = a x_0 + noise
-    of variance s2, and their per-patch log-sum.
+    of variance s2, and their per-patch log-sum (rows, M).
 
     Component k of patch j is N(a mu_jk, (a^2 s_jk^2 + s2) I). At
-    (a, s2) = (1, 0) this is the clean target the verifier scores.
+    (a, s2) = (1, 0) this is the clean target the verifier scores. Terms are
+    component-major, (K, d, rows, M), so each reduction runs over a leading
+    axis with (rows, M) planes as its inner loop. Each adds in the order numpy
+    sums a (..., M, K, d) array's last axis, so the bits do not depend on the
+    layout.
     """
-    xp = world.patch_view(x)[..., None, :]          # (..., M, 1, d)
-    centered = xp - a * world.means                 # (..., M, K, d)
-    var_t = a * a * world.variances + s2            # (M, K)
-    sq = (centered * centered).sum(axis=-1)         # (..., M, K)
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(world.weights)
+    m, d = world.n_patches, world.patch_dim
+    xc = world.patch_view(x).reshape(-1, m, d).transpose(2, 0, 1)   # (d, rows, M)
+    centered = xc - a * world._means                                # (K, d, rows, M)
+    var_t = a * a * world._variances + s2                           # (K, 1, M)
+    sq = _pairwise_sum(centered * centered, 1)[:, 0]                # (K, rows, M)
     log_comp = (
-        log_weights
-        - 0.5 * world.patch_dim * (np.log(var_t) + _LOG_2PI)
+        world._log_weights
+        - 0.5 * d * (np.log(var_t) + _LOG_2PI)
         - 0.5 * sq / var_t
     )
-    return var_t, centered, log_comp, logsumexp(log_comp)
+    return var_t, centered, log_comp, logsumexp(log_comp, axis=0)
 
 
-def _responsibilities(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float):
-    """alpha(t), the marginal's component variances, x centred on each
-    component, and the posterior responsibilities of the components.
+def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float,
+                   term) -> np.ndarray:
+    """Sum term(alpha(t), var_t, centered) over components, weighted by the
+    posterior responsibilities, as rows shaped like x.
 
     Responsibilities are formed in log space so small densities never
-    underflow before normalization.
+    underflow before normalization. numpy sums a (..., M, K, d) array over K
+    in sequence, or pairwise when d = 1 leaves K innermost; the same order
+    keeps the bits.
     """
     t = schedule.check_time(t)
     a = schedule.alpha(t)
     var_t, centered, log_comp, log_norm = _oracle_terms(world, a, schedule.sigma(t) ** 2, x)
-    return a, var_t, centered, np.exp(log_comp - log_norm[..., None])[..., None]  # (..., M, K, 1)
+    terms = np.exp(log_comp - log_norm)[:, None] * term(a, var_t[:, None], centered)
+    total = _pairwise_sum(terms, 0)[0] if world.patch_dim == 1 else terms.sum(axis=0)
+    return total.transpose(1, 2, 0).reshape(np.shape(x))
 
 
 def log_density(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact log-density of the time-t marginal (summed over patches)."""
     t = schedule.check_time(t)
     log_norm = _oracle_terms(world, schedule.alpha(t), schedule.sigma(t) ** 2, x)[-1]
-    return log_norm.sum(axis=-1)
+    return log_norm.reshape(*np.shape(x)[:-1], world.n_patches).sum(axis=-1)
 
 
 def gmm_score(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact score of the time-t marginal, evaluated per patch independently."""
-    _, var_t, centered, resp = _responsibilities(world, schedule, x, t)
-    return (resp * (-centered / var_t[..., None])).sum(axis=-2).reshape(np.shape(x))
+    return _posterior_sum(world, schedule, x, t, lambda a, var_t, centered: -centered / var_t)
 
 
 def posterior_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """E[x_0 | x_t] of the time-t marginal, formed per component so it stays
     stable even where alpha(t) is at roundoff level."""
-    a, var_t, centered, resp = _responsibilities(world, schedule, x, t)
-    gain = (a * world.variances / var_t)[..., None]             # (M, K, 1)
-    return (resp * (world.means + gain * centered)).sum(axis=-2).reshape(np.shape(x))
+    return _posterior_sum(world, schedule, x, t, lambda a, var_t, centered:
+                          world._means + (a * world._variances[:, None] / var_t) * centered)
 
 
 @dataclass
@@ -393,6 +429,7 @@ def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:
     if abs(state.t) > _TIME_TOL:
         raise ValueError(f"verifier expects a state at t=0, got t={state.t}")
     per_patch = _oracle_terms(world, 1.0, 0.0, state.x)[-1]
+    per_patch = per_patch.reshape(*state.x.shape[:-1], world.n_patches)
     total = np.sum(world.verifier_weights * per_patch, axis=-1)
     return float(total) if np.ndim(total) == 0 else total
 
@@ -435,6 +472,7 @@ def inject_defects(world: PatchWorld, state: LatentState, count: int, magnitude:
 _QUERY_LOGIT_GAP = 2.0
 
 
+@functools.lru_cache(maxsize=32)
 def grid_query_features(grid) -> np.ndarray:
     """Constant-norm positional features whose inner products decay with
     grid distance.
@@ -445,6 +483,7 @@ def grid_query_features(grid) -> np.ndarray:
     self-to-nearest-neighbour logit gap is at least ``_QUERY_LOGIT_GAP``,
     which keeps every row's self-weight above 1/2 on any grid: smoothing is
     local and a noiseless planted contrast always survives thresholding.
+    Cached per (rows, cols) tuple, so the array is read-only.
     """
     hs, ws = _as_grid(grid)
     omega_r = math.pi / (hs - 1) if hs > 1 else 0.0
@@ -454,10 +493,10 @@ def grid_query_features(grid) -> np.ndarray:
     # logits are <q_i, q_j>/sqrt(4) = (g^2/2)(cos dr + cos dc): g^2/2 = gap_scale
     g = math.sqrt(2.0 * gap_scale)
     rows, cols = np.divmod(np.arange(hs * ws), ws)
-    return g * np.column_stack([
-        np.cos(omega_r * rows), np.sin(omega_r * rows),
-        np.cos(omega_c * cols), np.sin(omega_c * cols),
-    ])
+    features = g * np.column_stack([np.cos(omega_r * rows), np.sin(omega_r * rows),
+                                    np.cos(omega_c * cols), np.sin(omega_c * cols)])
+    features.setflags(write=False)
+    return features
 
 
 def synth_attention(world: PatchWorld, state: LatentState, true_set: np.ndarray,

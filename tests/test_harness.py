@@ -455,6 +455,29 @@ class TestCli:
         assert f"config error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("config, setting, errors", [
+        ("testbed_small.json", "schedule.n_steps=1e300",
+         ["schedule.n_steps: must be at most 100000, got 1e+300"]),
+        ("testbed_small.json", "defects.magnitude=1e200",
+         ["defects.magnitude: overflows the oracle, got 1e+200"]),
+        ("theory_worked.json", "economy.repair_gain=1e308",
+         [f"results.{field}: {value} (overflow: a config number is too large)"
+          for field, value in (("closed_form.per_trial_gain_global", "inf"),
+                               ("closed_form.budget_gain_local", "inf"),
+                               ("closed_form.dominance_margin", "nan"),
+                               ("monte_carlo.gain_global_mean", "nan"))]),
+    ])
+    def test_overflowing_number_exit_two(self, config, setting, errors, tmp_path, capsys):
+        # finite but huge numbers: a range rule in the owning type, or the report
+        # writer refusing a non-finite result, instead of a traceback or invalid JSON
+        kind = json.loads((CONFIGS / config).read_text())["kind"]
+        assert cli_main([kind, "--config", str(CONFIGS / config), "--set", setting,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert all(f"config error: {error}" in err for error in errors), err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source, error", [
         ({"raw_paths": ["a"]}, "maskgen.raw_paths: expected an object, got ['a']"),
         ({"bundle_path": 5}, "maskgen.bundle_path: expected a path, got 5"),

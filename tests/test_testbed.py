@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from localtts.attention import mask_gen
@@ -11,6 +15,7 @@ from localtts.testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
+    _pairwise_sum,
     forward_noise,
     gmm_score,
     grid_query_features,
@@ -27,6 +32,64 @@ from localtts.testbed import (
 
 def single_gaussian_world(grid=(2, 2), dim=2, mean=0.0, var=0.09):
     return PatchWorld.uniform(grid, dim, [(1.0, mean, var)])
+
+
+def k3_world(grid=(2, 3), dim=2):
+    return PatchWorld.uniform(grid, dim, [(0.3, -0.8, 0.09), (0.5, 0.4, 0.25), (0.2, 1.5, 0.04)])
+
+
+def reference_terms(world, a, s2, x):
+    """The oracle's former broadcast formula: (..., M, K, d) terms, each sum
+    over the last axis, and its log-sum over components as it was."""
+    xp = world.patch_view(x)[..., None, :]          # (..., M, 1, d)
+    centered = xp - a * world.means                 # (..., M, K, d)
+    var_t = a * a * world.variances + s2            # (M, K)
+    sq = (centered * centered).sum(axis=-1)         # (..., M, K)
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(world.weights)
+    log_comp = (
+        log_weights
+        - 0.5 * world.patch_dim * (np.log(var_t) + math.log(2.0 * math.pi))
+        - 0.5 * sq / var_t
+    )
+    a_max = log_comp.max(axis=-1, keepdims=True)
+    is_max = log_comp == a_max
+    count = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(is_max, -np.inf, log_comp) - a_max).sum(axis=-1, keepdims=True)
+    return var_t, centered, log_comp, (np.log1p(rest / count) + np.log(count) + a_max)[..., 0]
+
+
+def reference_oracle(world, sched, x, t):
+    """(posterior mean, score, log-density) by the former broadcast formula."""
+    t = sched.check_time(t)
+    a = sched.alpha(t)
+    var_t, centered, log_comp, log_norm = reference_terms(world, a, sched.sigma(t) ** 2, x)
+    resp = np.exp(log_comp - log_norm[..., None])[..., None]   # (..., M, K, 1)
+    gain = (a * world.variances / var_t)[..., None]             # (M, K, 1)
+    mean = (resp * (world.means + gain * centered)).sum(axis=-2).reshape(np.shape(x))
+    score = (resp * (-centered / var_t[..., None])).sum(axis=-2).reshape(np.shape(x))
+    return mean, score, log_norm.sum(axis=-1)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def random_worlds(draw):
+    """Per-patch random mixtures, K up to 12 and d up to 16, some weights 0."""
+    grid = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    k, d = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = grid[0] * grid[1]
+    weights = rng.random((m, k))
+    weights[:, 1:][rng.random((m, k - 1)) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    return PatchWorld(grid=grid, patch_dim=d, weights=weights,
+                      means=rng.normal(scale=draw(st.sampled_from([0.5, 2.0])), size=(m, k, d)),
+                      variances=rng.uniform(0.01, 1.5, size=(m, k)),
+                      verifier_weights=rng.dirichlet(np.ones(m)))
 
 
 class TestCosineSchedule:
@@ -59,6 +122,13 @@ class TestCosineSchedule:
         with pytest.raises(ValueError, match="outside"):
             CosineSchedule(horizon=1.0, n_steps=5).check_time(1.5)
 
+    def test_step_count_is_capped(self):
+        # the step grid and a sweep's noise are materialised, so a huge count is a
+        # field error, not a failed allocation
+        assert CosineSchedule(horizon=1.0, n_steps=CosineSchedule.MAX_STEPS).n_steps > 0
+        with pytest.raises(FieldErrors, match="n_steps: must be at most 100000, got 1e\\+300"):
+            CosineSchedule(horizon=1.0, n_steps=10**300)
+
 
 class TestPatchWorld:
     def test_weights_must_sum_to_one(self):
@@ -84,6 +154,36 @@ class TestPatchWorld:
         with pytest.raises(FieldErrors) as err:
             PatchWorld(grid=world.grid, patch_dim=1, **arrays)
         assert f"{field}: must be finite" in err.value.errors
+
+    def test_arrays_are_read_only_copies(self):
+        weights = np.array([[0.5, 0.5]])
+        world = PatchWorld(grid=(1, 1), patch_dim=1, weights=weights, means=np.zeros((1, 2, 1)),
+                           variances=np.ones((1, 2)), verifier_weights=np.ones(1))
+        weights[0, 0] = 0.9  # the caller's array stays its own
+        assert world.weights[0, 0] == 0.5
+        for name in ("weights", "means", "variances", "verifier_weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(world, name)[...] = 0.0
+
+    def test_pickled_world_gives_the_same_oracle_bits(self):
+        sched = CosineSchedule(horizon=1.0, n_steps=8)
+        x = np.random.default_rng(3).normal(size=(4, 6 * 2))
+        world = k3_world()
+        twin = pickle.loads(pickle.dumps(world))
+        assert not any(getattr(twin, f.name).flags.writeable
+                       for f in dataclasses.fields(twin) if f.name not in ("grid", "patch_dim"))
+        for t in (0.0, 0.45, 1.0):
+            assert same_bits(posterior_mean(twin, sched, x, t), posterior_mean(world, sched, x, t))
+        state = LatentState(x=x, t=0.0)
+        assert same_bits(verifier_score(twin, state), verifier_score(world, state))
+
+    def test_equality_compares_the_declared_fields_only(self):
+        world = k3_world()
+        assert [f.name for f in dataclasses.fields(world)] == [
+            "grid", "patch_dim", "weights", "means", "variances", "verifier_weights"]
+        twin = object.__new__(PatchWorld)
+        twin.__dict__.update(world.__dict__, _means=None, _variances=None, _log_weights=None)
+        assert twin == world
 
     def test_dimension_bookkeeping(self):
         world = single_gaussian_world(grid=(2, 3), dim=4)
@@ -199,10 +299,13 @@ class TestGmmScore:
 class TestLogsumexp:
     def test_equals_scipy_bit_for_bit(self):
         # reports stay byte-identical only if the oracle's log-normalizer
-        # reproduces scipy's bits, including tied maxima and zero weights
+        # reproduces scipy's bits, including tied maxima and zero weights; the
+        # oracle reduces over axis 0 of component-major terms, which must give
+        # the bits of the same terms laid out last (from 8 terms on, numpy sums
+        # a last axis pairwise, so scipy over axis 0 would differ)
         rng = np.random.default_rng(17)
         for _ in range(3000):
-            k = int(rng.integers(1, 6))
+            k = int(rng.integers(1, 13))
             shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), k)
             if rng.random() < 0.3:
                 a = rng.choice([-1.5, 0.0, 2.25], size=shape)
@@ -210,7 +313,47 @@ class TestLogsumexp:
                 a = rng.normal(scale=rng.choice([0.1, 10.0, 1e3]), size=shape)
             # -inf log-weights, keeping the first component finite
             a[..., 1:][rng.random((*shape[:-1], k - 1)) < 0.2] = -np.inf
-            assert np.array_equal(logsumexp(a), scipy_logsumexp(a, axis=-1))
+            want = scipy_logsumexp(a, axis=-1)
+            assert same_bits(logsumexp(a), want)
+            assert same_bits(logsumexp(np.moveaxis(a, -1, 0), axis=0), want)
+
+
+def test_pairwise_sum_adds_a_leading_axis_in_numpy_last_axis_order():
+    # numpy sums a contiguous last axis in sequence below 8 terms and pairwise
+    # from 8 on (by halves above 128); a leading or middle axis must match
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 40), 127, 128, 129, 136, 200, 257, 300]:
+        a = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-6, 7, size=(3, n))
+        want = a.sum(axis=-1)
+        assert same_bits(_pairwise_sum(np.ascontiguousarray(a.T), 0)[0], want)
+        assert same_bits(_pairwise_sum(a.T[None], 1)[0, 0], want)
+
+
+class TestComponentMajorOracle:
+    """The component-major oracle gives the former broadcast formula's bits."""
+
+    SCHEDULE = CosineSchedule(horizon=1.3, n_steps=6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(world=random_worlds(),
+           shape=st.one_of(st.just(()), st.just((1,)), st.tuples(st.integers(2, 40)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4))),
+           t=st.one_of(st.sampled_from([float(t) for t in SCHEDULE.step_times()]),
+                       st.floats(0.0, 1.3)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.3, 1.0, 5.0]))
+    @example(world=k3_world(grid=(8, 8), dim=4), shape=(25,), t=0.65, seed=0, scale=1.0)
+    @example(world=single_gaussian_world(grid=(4, 4)), shape=(24,), t=1.3, seed=1, scale=1.0)
+    def test_equals_broadcast_formula_bit_for_bit(self, world, shape, t, seed, scale):
+        sched = self.SCHEDULE
+        x = np.random.default_rng(seed).normal(scale=scale, size=(*shape, world.dim))
+        mean, score, log_dens = reference_oracle(world, sched, x, t)
+        assert same_bits(posterior_mean(world, sched, x, t), mean)
+        assert same_bits(gmm_score(world, sched, x, t), score)
+        assert same_bits(log_density(world, sched, x, t), log_dens)
+        per_patch = reference_terms(world, 1.0, 0.0, x)[-1]
+        verified = verifier_score(world, LatentState(x=x, t=0.0))
+        assert same_bits(verified, np.sum(world.verifier_weights * per_patch, axis=-1))
+        assert isinstance(verified, float) == (shape == ())
 
 
 class TestNfeCounter:
@@ -226,8 +369,7 @@ class TestNfeCounter:
     def test_evaluate_is_the_posterior_mean(self):
         # single and batched states, K = 1 and K = 3, t from 0 to the horizon
         sched = CosineSchedule(horizon=1.0, n_steps=8)
-        k3 = PatchWorld.uniform((2, 3), 2, [(0.3, -0.8, 0.09), (0.5, 0.4, 0.25),
-                                            (0.2, 1.5, 0.04)])
+        k3 = k3_world()
         rng = np.random.default_rng(0)
         for world in (single_gaussian_world(), k3):
             predictor = NoisePredictor(world=world, schedule=sched)
@@ -429,6 +571,12 @@ class TestSynthAttention:
         for i in range(len(means) - 1):
             slack = 3 * math.hypot(ses[i], ses[i + 1])
             assert means[i + 1] <= means[i] + slack
+
+    def test_query_features_are_cached_read_only(self):
+        queries = grid_query_features((4, 6))
+        assert grid_query_features((4, 6)) is queries
+        assert not queries.flags.writeable
+        assert same_bits(queries, grid_query_features.__wrapped__((4, 6)))
 
     def test_query_features_have_constant_norm(self):
         queries = grid_query_features((4, 6))
