@@ -40,11 +40,6 @@ def main(argv=None) -> int:
             raise ConfigError(
                 [f"kind: config declares {cfg.kind!r} but the {args.kind!r} "
                  f"subcommand was invoked"])
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         report = run_experiment(cfg, args.out, overrides=applied,
                                 base_dir=Path(args.config).resolve().parent)
     except ConfigError as exc:

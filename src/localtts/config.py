@@ -352,15 +352,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 (0.0 < p_one < 1.0, "bon_repair_prob_one", f"must lie in (0, 1), got {p_one}"),
                 (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
             ] if not passed)
-        for name, mean in (("repair_dist", "repair_gain"), ("harm_dist", "harm_loss")):
-            spec = doc.get(name)
-            if not isinstance(spec, dict):
-                errors.append(f"theory.{name}: expected an object with a 'kind' key")
-            elif cfg.economy is not None:
-                opts[name] = _build(ValueDistribution,
-                                    {"kind": spec.get("kind", "constant"),
-                                     "mean": getattr(cfg.economy, mean)},
-                                    f"theory.{name}", errors)
+        for name in ("repair_dist", "harm_dist"):  # the mean is the economy's
+            spec = _merge_section(DEFAULTS["theory"][name], doc.get(name), f"theory.{name}", errors)
+            opts[name] = _build(ValueDistribution, spec, f"theory.{name}", errors)
         cfg.theory_options = opts
 
     if kind == "maskgen":

@@ -69,12 +69,12 @@ def trial_seed(master_seed: int, index: int, stream: int = _TRIAL_STREAM) -> np.
 
 
 def _chunk_task(args):
-    fn, payload, master_seed, stream, start, stop = args
-    return fn(payload, [trial_seed(master_seed, idx, stream) for idx in range(start, stop)])
+    fn, payload, master_seed, start, stop = args
+    return fn(payload, [trial_seed(master_seed, idx) for idx in range(start, stop)])
 
 
 def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
-               workers: int = 1, stream: int = _TRIAL_STREAM) -> list:
+               workers: int = 1) -> list:
     """Run fn(payload, seed_sequences) once per chunk of trial indices;
     returns the per-trial results in trial order. One worker runs every
     trial as one chunk; more workers get chunks of ceil(trials / (4 *
@@ -83,7 +83,7 @@ def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
     Every trial gets its own counter-derived seed, so the result list does
     not depend on how the trials are sharded across workers."""
     chunk = max(1, trials if workers <= 1 else -(-trials // (workers * 4)))
-    tasks = [(fn, payload, master_seed, stream, start, min(start + chunk, trials))
+    tasks = [(fn, payload, master_seed, start, min(start + chunk, trials))
              for start in range(0, trials, chunk)]
     return [row for rows in map_in_order(_chunk_task, tasks, workers) for row in rows]
 
@@ -93,10 +93,10 @@ def _one_at_a_time(fn: Callable, payload, seed_seqs: list) -> list:
 
 
 def run_trials(fn: Callable, payload, trials: int, master_seed: int,
-               workers: int = 1, stream: int = _TRIAL_STREAM) -> list:
+               workers: int = 1) -> list:
     """Run fn(payload, seed_sequence) for each trial index, in order."""
     return run_chunks(functools.partial(_one_at_a_time, fn), payload, trials, master_seed,
-                      workers, stream)
+                      workers)
 
 
 def sign_test_p_greater(positives: int, n: int) -> float:
@@ -232,16 +232,11 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
     results = {
         "trials": cfg.trials,
         "crossover": summary,
-        "rows": [
-            {"method": r.method, "n": r.n, "nfe": r.nfe,
-             "mean_score": r.mean_score, "stderr": r.stderr,
-             "mask_recall": r.mask_recall, "mask_precision": r.mask_precision}
-            for r in rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in rows],
     }
     files = {"scaling.csv": render_csv(
         ["method", "n", "nfe", "mean_score", "stderr", "trials"],
-        [(r.method, r.n, r.nfe, r.mean_score, r.stderr, r.trials) for r in rows])}
+        [(r.method, r.n, r.nfe, r.mean_score, r.stderr, cfg.trials) for r in rows])}
     return results, files
 
 
@@ -311,15 +306,8 @@ def render_csv(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
+    writer.writerows(rows)
     return buffer.getvalue()
-
-
-def _csv_cell(cell):
-    if isinstance(cell, (np.floating, np.integer)):
-        cell = cell.item()
-    return cell
 
 
 def _non_finite(value, path: str) -> list[str]:

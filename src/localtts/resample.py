@@ -22,6 +22,7 @@ from .attention import DefectMask
 from .errors import check
 from .testbed import (
     _TIME_TOL,
+    CosineSchedule,
     LatentState,
     NoisePredictor,
     _ancestral_update,
@@ -52,6 +53,8 @@ class ResampleConfig:
             (0.0 <= self.t_g < self.t0, "t_g",
              f"must lie in [0, t0={self.t0}), got {self.t_g}"),
             (self.n_refine >= 1, "n_refine", f"must be at least 1, got {self.n_refine}"),
+            (self.nfe_cost <= CosineSchedule.MAX_STEPS, "n_refine",
+             f"plus n_integrate must be at most {CosineSchedule.MAX_STEPS}, got {self.nfe_cost:g}"),
             (self.t_g != 0.0 or self.n_integrate == 0, "n_integrate",
              f"must be 0 when t_g is 0, got {self.n_integrate}"),
             (not self.t_g > 0.0 or self.n_integrate >= 1, "n_integrate",
@@ -120,17 +123,17 @@ def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: Defe
 
 
 def _resample(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
-              cfg: ResampleConfig, rng: np.random.Generator) -> tuple[LatentState, int]:
-    """Renoise, masked refinement and global sweep; returns the clean
-    state and the number of steps run. mcoord broadcasts against the
-    anchor, so a batch may carry one coordinate mask per row."""
+              cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
+    """Renoise, masked refinement and global sweep (cfg.nfe_cost steps);
+    returns the clean state. mcoord broadcasts against the anchor, so a
+    batch may carry one coordinate mask per row."""
     state = _renoise(predictor, anchor, mcoord, cfg, rng)
     for _ in range(cfg.n_refine):
         state = _masked_refine(predictor, state, mcoord, anchor, cfg, rng)
     if cfg.t_g == 0.0:
-        return state, cfg.n_refine
+        return state
     times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
-    return _reverse_sweep(predictor, state, times, rng), cfg.n_refine + len(times) - 1
+    return _reverse_sweep(predictor, state, times, rng)
 
 
 def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
@@ -141,5 +144,5 @@ def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: Def
     Returns the refined clean state and its verifier score. Consumes
     exactly cfg.n_refine + cfg.n_integrate oracle evaluations.
     """
-    state, _ = _resample(predictor, anchor, _check_mask(predictor, mask), cfg, rng)
+    state = _resample(predictor, anchor, _check_mask(predictor, mask), cfg, rng)
     return state, verifier(state)

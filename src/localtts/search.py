@@ -66,10 +66,6 @@ class SearchConfig:
              f"may be None only when refinements is 0, got {self.refinements}"),
         ])
 
-    @property
-    def total_candidates(self) -> int:
-        return self.seeds * (self.refinements + 1)
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -255,10 +251,11 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     if refine_rows:
         noise = _RowNoise(refine_rngs, _refine_draws(refine_cfg), world.dim)
         before = predictor.nfe
-        refined, steps = _resample(predictor, LatentState(x=drawn.x[refine_rows], t=0.0),
-                                   np.stack(coords), refine_cfg.resample, noise)
+        refined = _resample(predictor, LatentState(x=drawn.x[refine_rows], t=0.0),
+                            np.stack(coords), refine_cfg.resample, noise)
         noise.check_spent("refinement")
-        refine_nfe = _measured(predictor, before, len(refine_rows), steps, "refinement")
+        refine_nfe = _measured(predictor, before, len(refine_rows), refine_cfg.resample.nfe_cost,
+                               "refinement")
         refined_scores = _scores(verify, refined)
 
     k = 0  # refinement rows are seed-major, like the candidates
@@ -335,7 +332,6 @@ class SweepRow:
     nfe: int
     mean_score: float
     stderr: float
-    trials: int
     mask_recall: Optional[float] = None
     mask_precision: Optional[float] = None
 
@@ -414,15 +410,16 @@ class SweepSettings(TrialSettings):
         rules = super()._rules()
         rules.append((self.refinements >= 0, "refinements",
                       f"must be non-negative, got {self.refinements}"))
-        rules.append((len(self.n_grid) > 0, "n_grid", "must not be empty"))
+        rules.append((0 < len(self.n_grid) == len(set(self.n_grid)), "n_grid",
+                      f"must be a non-empty list of distinct budgets, got {list(self.n_grid)}"))
         if self.refinements >= 0:
             for n in self.n_grid:
                 try:
                     split_budget(n, self.refinements)
                 except ValueError as exc:
                     rules.append((False, "n_grid", str(exc)))
-        rules.append((len(self.bon_grid) > 0 and min(self.bon_grid) >= 1, "bon_grid",
-                      "must be a non-empty list of positive integers"))
+        rules.append((0 < len(self.bon_grid) == len(set(self.bon_grid)) and min(self.bon_grid) >= 1,
+                      "bon_grid", "must be a non-empty list of distinct positive integers"))
         return rules
 
     def local_nfe(self, n: int) -> int:
@@ -501,8 +498,7 @@ def summarize_sweep(settings: SweepSettings, trial_results: list[dict]) -> list[
         masks = [pair for r in trial_results for pair in r["masks"][n]] if key == "local" else []
         recall, precision = np.mean(masks, axis=0).tolist() if masks else (None, None)
         rows.append(SweepRow(method=method, n=n, nfe=nfe, mean_score=mean, stderr=stderr,
-                             trials=len(trial_results), mask_recall=recall,
-                             mask_precision=precision))
+                             mask_recall=recall, mask_precision=precision))
     return rows
 
 

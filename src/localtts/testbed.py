@@ -132,6 +132,10 @@ class PatchWorld:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    def __eq__(self, other):  # the declared fields, arrays by value
+        return other.__class__ is self.__class__ and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
     def __reduce__(self):  # unpickling runs __post_init__, so the copy is read-only too
         return PatchWorld, tuple(getattr(self, f.name) for f in fields(self))
 
@@ -501,12 +505,11 @@ def grid_query_features(grid) -> np.ndarray:
 
 def synth_attention(world: PatchWorld, state: LatentState, true_set: np.ndarray,
                     gain_pos: float, gain_neg: float, noise_sd: float,
-                    rng: np.random.Generator,
-                    base_level: float = 1.0) -> tuple[AttentionBundle, np.ndarray]:
+                    rng: np.random.Generator) -> tuple[AttentionBundle, np.ndarray]:
     """Synthesize an attention bundle whose contrast marks the defect set.
 
     The positive field loses ``gain_pos`` on defective patches, the negative
-    field gains ``gain_neg`` there, and the origin field is flat; every field
+    field gains ``gain_neg`` there, and the origin field is flat at 1; every field
     receives iid Gaussian noise of scale ``noise_sd`` (clamped at zero) and
     the positional queries receive the same noise scale, so noise_sd tunes
     the achievable mask precision/recall monotonically.
@@ -516,9 +519,9 @@ def synth_attention(world: PatchWorld, state: LatentState, true_set: np.ndarray,
     m = world.n_patches
     indicator = np.zeros(m)
     indicator[np.asarray(true_set, dtype=int)] = 1.0
-    orig = base_level + noise_sd * rng.standard_normal(m)
-    pos = base_level - gain_pos * indicator + noise_sd * rng.standard_normal(m)
-    neg = base_level + gain_neg * indicator + noise_sd * rng.standard_normal(m)
+    orig = 1.0 + noise_sd * rng.standard_normal(m)
+    pos = 1.0 - gain_pos * indicator + noise_sd * rng.standard_normal(m)
+    neg = 1.0 + gain_neg * indicator + noise_sd * rng.standard_normal(m)
     bundle = AttentionBundle(
         orig=AttentionField(values=np.maximum(orig, 0.0), grid=world.grid),
         pos=AttentionField(values=np.maximum(pos, 0.0), grid=world.grid),

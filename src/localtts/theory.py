@@ -240,15 +240,14 @@ class RegimeFlags:
     weak_local_repair: bool
 
 
-def classify_regime(econ: PatchEconomy, stats: MaskStats,
-                    sparsity_cut: float = 0.5) -> RegimeFlags:
+def classify_regime(econ: PatchEconomy, stats: MaskStats) -> RegimeFlags:
     """Flag the three regimes in which localized resampling loses its edge:
-    dense defects, precision below the floor, and local repair strictly
-    weaker than global (recall-weighted)."""
+    dense defects (more than half the patches), precision below the floor,
+    and local repair strictly weaker than global (recall-weighted)."""
     floor = precision_floor(econ.repair_prob_local, econ.repair_gain,
                             econ.harm_prob_local, econ.harm_loss)
     return RegimeFlags(
-        dense_defects=econ.defects / econ.m_patches > sparsity_cut,
+        dense_defects=econ.defects / econ.m_patches > 0.5,
         low_precision=stats.precision < floor,
         weak_local_repair=stats.recall * econ.repair_prob_local < econ.repair_prob_global,
     )
@@ -294,7 +293,7 @@ def clean_selection_probability(econ: PatchEconomy, stats: MaskStats) -> float:
 
 @dataclass(frozen=True)
 class ValueDistribution:
-    """Per-patch gain/loss values with a fixed mean, redrawn every trial.
+    """Per-patch gain/loss values around the caller's mean, redrawn every trial.
 
     kind "constant" always yields the mean; "uniform" draws from
     [0, 2*mean]; "exponential" draws with the given mean. Means are
@@ -302,21 +301,17 @@ class ValueDistribution:
     """
 
     kind: str = "constant"
-    mean: float = 1.0
 
     def __post_init__(self):
-        check([
-            (self.kind in ("constant", "uniform", "exponential"), "kind",
-             f"unknown value distribution kind {self.kind!r}"),
-            (self.mean >= 0, "mean", f"must be non-negative, got {self.mean}"),
-        ])
+        check([(self.kind in ("constant", "uniform", "exponential"), "kind",
+                f"unknown value distribution kind {self.kind!r}")])
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, shape, mean: float) -> np.ndarray:
         if self.kind == "constant":
-            return np.full(shape, self.mean)
+            return np.full(shape, mean)
         if self.kind == "uniform":
-            return rng.uniform(0.0, 2.0 * self.mean, size=shape)
-        return rng.exponential(self.mean, size=shape)
+            return rng.uniform(0.0, 2.0 * mean, size=shape)
+        return rng.exponential(mean, size=shape)
 
 
 @dataclass(frozen=True)
@@ -374,27 +369,25 @@ def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
     clean = econ.m_patches - econ.defects
     if repair_dist.kind == "constant" and harm_dist.kind == "constant":
         tp = rng.binomial(s, stats.recall, size=n)
-        fp = rng.binomial(clean, p_clean, size=n) if clean else np.zeros(n, dtype=int)
+        fp = rng.binomial(clean, p_clean, size=n)
         repaired = rng.binomial(tp, econ.repair_prob_local)
         harmed = rng.binomial(fp, econ.harm_prob_local)
-        local = repair_dist.mean * repaired - harm_dist.mean * harmed
+        local = econ.repair_gain * repaired - econ.harm_loss * harmed
         rep_g = rng.binomial(s, econ.repair_prob_global, size=n)
-        harm_g = rng.binomial(clean, econ.harm_prob_global, size=n) if clean else np.zeros(n, dtype=int)
-        global_ = repair_dist.mean * rep_g - harm_dist.mean * harm_g
+        harm_g = rng.binomial(clean, econ.harm_prob_global, size=n)
+        global_ = econ.repair_gain * rep_g - econ.harm_loss * harm_g
         return tp, fp, local, global_
     sel_def = rng.random((n, s)) < stats.recall
-    sel_clean = rng.random((n, clean)) < p_clean if clean else np.zeros((n, 0), dtype=bool)
+    sel_clean = rng.random((n, clean)) < p_clean
     tp = sel_def.sum(axis=1)
     fp = sel_clean.sum(axis=1)
-    gains = repair_dist.sample(rng, (n, s))
-    losses = harm_dist.sample(rng, (n, clean)) if clean else np.zeros((n, 0))
+    gains = repair_dist.sample(rng, (n, s), econ.repair_gain)
+    losses = harm_dist.sample(rng, (n, clean), econ.harm_loss)
     rep_local = sel_def & (rng.random((n, s)) < econ.repair_prob_local)
-    harm_local = sel_clean & (rng.random((n, clean)) < econ.harm_prob_local) if clean \
-        else np.zeros((n, 0), dtype=bool)
+    harm_local = sel_clean & (rng.random((n, clean)) < econ.harm_prob_local)
     local = (gains * rep_local).sum(axis=1) - (losses * harm_local).sum(axis=1)
     rep_g = rng.random((n, s)) < econ.repair_prob_global
-    harm_g = rng.random((n, clean)) < econ.harm_prob_global if clean \
-        else np.zeros((n, 0), dtype=bool)
+    harm_g = rng.random((n, clean)) < econ.harm_prob_global
     global_ = (gains * rep_g).sum(axis=1) - (losses * harm_g).sum(axis=1)
     return tp, fp, local, global_
 
@@ -429,12 +422,8 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     p_clean = clean_selection_probability(econ, stats)
-    repair_dist = repair_dist or ValueDistribution(kind="constant", mean=econ.repair_gain)
-    harm_dist = harm_dist or ValueDistribution(kind="constant", mean=econ.harm_loss)
-    if not math.isclose(repair_dist.mean, econ.repair_gain, rel_tol=1e-12):
-        raise ValueError("repair distribution mean must match the economy's repair_gain")
-    if not math.isclose(harm_dist.mean, econ.harm_loss, rel_tol=1e-12):
-        raise ValueError("harm distribution mean must match the economy's harm_loss")
+    repair_dist = repair_dist or ValueDistribution()
+    harm_dist = harm_dist or ValueDistribution()
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     tasks = [

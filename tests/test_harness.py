@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -237,6 +238,17 @@ class TestTestbedExperiment:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+class TestRenderCsv:
+    def test_numpy_scalars_print_as_python_scalars(self):
+        floats = [0.1, 1 / 3, -7.0, 1e-30, 2.5e30, 5e-324, sys.float_info.max, math.pi]
+        ints, bools = [0, -3, 2 ** 62], [True, False]
+        header = ["c"] * (len(floats) + len(ints) + len(bools))
+        numpy_row = ([np.float64(v) for v in floats] + [np.int64(v) for v in ints]
+                     + [np.bool_(v) for v in bools])
+        assert harness.render_csv(header, [numpy_row]) == \
+            harness.render_csv(header, [floats + ints + bools])
+
+
 class TestSignTest:
     def test_matches_scipy_binomial_tail(self):
         # binomtest(k, n, 0.5, alternative="greater").pvalue is binom.sf(k - 1, n, 0.5);
@@ -271,6 +283,7 @@ class TestScalingExperiment:
         lines = (tmp_path / "scaling.csv").read_text().splitlines()
         assert lines[0] == "method,n,nfe,mean_score,stderr,trials"
         assert len(lines) == 1 + 2 + 3
+        assert all(line.split(",")[-1] == "12" for line in lines[1:])
         crossover = report["results"]["crossover"]
         assert crossover["reference_n"] == 3
         assert crossover["reference_nfe"] == 8 + 2 * 5
@@ -461,6 +474,8 @@ class TestCli:
          ["schedule.n_steps: must be at most 100000, got 1e+300"]),
         ("testbed_small.json", "defects.magnitude=1e200",
          ["defects.magnitude: overflows the oracle, got 1e+200"]),
+        ("testbed_small.json", "resample.n_refine=1000000000000",
+         ["resample.n_refine: plus n_integrate must be at most 100000, got 1e+12"]),
         ("theory_worked.json", "economy.repair_gain=1e308",
          [f"results.{field}: {value} (overflow: a config number is too large)"
           for field, value in (("closed_form.per_trial_gain_global", "inf"),
@@ -477,6 +492,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(f"config error: {error}" in err for error in errors), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, error", [
+        ('{"kind": "uniform", "mean": 3}', "theory.repair_dist.mean: unknown key"),
+        ('{"kind": "uniform", "bogus": 1}', "theory.repair_dist.bogus: unknown key"),
+        ('"uniform"', "theory.repair_dist: expected an object, got str"),
+    ])
+    def test_value_distribution_spec_exit_two(self, spec, error, tmp_path, capsys):
+        # a distribution is a kind only: its mean is the economy's
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"), "--set",
+                         f"theory.repair_dist={spec}", "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+
+    def test_repeated_budget_exit_two(self, tmp_path, capsys):
+        # a repeated budget would run twice and report two identical rows
+        assert cli_main(["scaling", "--config", str(CONFIGS / "scaling_default.json"),
+                         "--set", "search.n_grid=[3,3]", "--set", "search.bon_grid=[3,3]",
+                         "--set", "search.reference_n=3", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: search.n_grid: must be a non-empty list of distinct budgets, " \
+            "got [3, 3]" in err
+        assert "config error: search.bon_grid: must be a non-empty list of distinct positive " \
+            "integers" in err
 
     @pytest.mark.parametrize("source, error", [
         ({"raw_paths": ["a"]}, "maskgen.raw_paths: expected an object, got ['a']"),

@@ -53,6 +53,14 @@ class TestResampleConfig:
         assert cfg.refine_dt == pytest.approx(0.045)
         assert cfg.nfe_cost == 12
 
+    def test_step_count_is_capped_like_the_schedule(self):
+        cap = CosineSchedule.MAX_STEPS
+        assert ResampleConfig(t0=0.4, t_g=0.1, n_refine=cap - 1, n_integrate=1).nfe_cost == cap
+        with pytest.raises(ValueError) as err:
+            ResampleConfig(t0=0.4, t_g=0.1, n_refine=cap, n_integrate=1)
+        assert err.value.errors == [
+            f"n_refine: plus n_integrate must be at most {cap}, got {cap + 1}"]
+
 
 class TestRenoise:
     def test_empty_mask_is_plain_forward_noise(self):

@@ -42,12 +42,12 @@ class TestConfigs:
             SearchConfig(seeds=0, refinements=2, resample=RESAMPLE)
         with pytest.raises(ValueError, match="refinements"):
             SearchConfig(seeds=1, refinements=-1, resample=RESAMPLE)
-        assert SearchConfig(seeds=3, refinements=2, resample=RESAMPLE).total_candidates == 9
+        SearchConfig(seeds=3, refinements=2, resample=RESAMPLE)
 
     def test_resample_may_be_none_only_without_refinements(self):
         with pytest.raises(ValueError, match="resample: may be None only when refinements is 0"):
             SearchConfig(seeds=1, refinements=1, resample=None)
-        assert SearchConfig(seeds=2, refinements=0, resample=None).total_candidates == 2
+        SearchConfig(seeds=2, refinements=0, resample=None)
 
     def test_split_budget(self):
         assert split_budget(1, 2) == (1, 0)
@@ -255,6 +255,12 @@ class TestSweepSettingsValidation:
         fields = sorted(error.split(":")[0] for error in err.value.errors)
         assert fields == ["defect_count", "mask_ratio", "n_grid", "noise_sd", "resample.t0"]
 
+    def test_settings_from_equal_parts_are_equal(self):
+        # small_settings builds a new world each call
+        assert small_settings() == small_settings()
+        assert small_settings() != small_settings(world=PatchWorld.uniform(
+            (4, 4), 2, [(1.0, 0.0, 0.09)], verifier_weights=np.r_[0.1, np.full(15, 0.06)]))
+
 
 class TestScalingSweep:
     def test_trial_structure_and_nfe(self):
@@ -328,15 +334,14 @@ class TestScalingSweep:
         assert [(r.method, r.n) for r in rows] == [
             ("localized", 1), ("localized", 3),
             ("best_of_n", 1), ("best_of_n", 2), ("best_of_n", 4)]
-        assert all(r.trials == 4 for r in rows)
 
     def test_crossover_summary(self):
         settings = small_settings()
         rows = [
-            SweepRow("localized", 3, 18, 0.5, 0.01, 10),
-            SweepRow("best_of_n", 1, 8, -1.0, 0.01, 10),
-            SweepRow("best_of_n", 2, 16, 0.2, 0.01, 10),
-            SweepRow("best_of_n", 4, 32, 0.7, 0.01, 10),
+            SweepRow("localized", 3, 18, 0.5, 0.01),
+            SweepRow("best_of_n", 1, 8, -1.0, 0.01),
+            SweepRow("best_of_n", 2, 16, 0.2, 0.01),
+            SweepRow("best_of_n", 4, 32, 0.7, 0.01),
         ]
         summary = crossover_summary(settings, rows, 3)
         assert summary["parity_n"] == 4

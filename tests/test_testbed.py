@@ -185,6 +185,20 @@ class TestPatchWorld:
         twin.__dict__.update(world.__dict__, _means=None, _variances=None, _log_weights=None)
         assert twin == world
 
+    def test_separately_built_worlds_compare_by_value(self):
+        spec = [(1.0, 0.0, 0.1)]
+        assert PatchWorld.uniform((2, 2), 2, spec) == PatchWorld.uniform((2, 2), 2, spec)
+        world = k3_world()
+        arrays = {name: getattr(world, name).copy() for name in
+                  ("weights", "means", "variances", "verifier_weights")}
+        assert PatchWorld(grid=world.grid, patch_dim=2, **arrays) == world
+        means = arrays["means"].copy()
+        means[1, 2, 0] += 0.5
+        vweights = arrays["verifier_weights"].copy()
+        vweights[:2] += (0.01, -0.01)
+        for name, changed in (("means", means), ("verifier_weights", vweights)):
+            assert PatchWorld(grid=world.grid, patch_dim=2, **{**arrays, name: changed}) != world
+
     def test_dimension_bookkeeping(self):
         world = single_gaussian_world(grid=(2, 3), dim=4)
         assert world.n_patches == 6

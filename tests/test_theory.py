@@ -295,15 +295,26 @@ class TestSimulator:
     def test_heterogeneous_values_preserve_expectations(self, kind):
         sim = simulate_patch_economy(
             WORKED, WORKED_STATS, 60_000, seed=7,
-            repair_dist=ValueDistribution(kind=kind, mean=WORKED.repair_gain),
-            harm_dist=ValueDistribution(kind=kind, mean=WORKED.harm_loss))
+            repair_dist=ValueDistribution(kind=kind), harm_dist=ValueDistribution(kind=kind))
         assert abs(sim.gain_local_mean - 3.9) < 3 * sim.gain_local_se
         assert abs(sim.gain_global_mean - 0.5) < 3 * sim.gain_global_se
 
-    def test_distribution_means_must_match_economy(self):
-        with pytest.raises(ValueError, match="mean must match"):
-            simulate_patch_economy(WORKED, WORKED_STATS, 10, seed=0,
-                                   repair_dist=ValueDistribution(kind="uniform", mean=2.0))
+    @pytest.mark.parametrize("kind", ["constant", "uniform"])
+    def test_no_clean_patches_simulates_no_false_positives(self, kind):
+        # every patch is defective, so the clean-patch draws are empty
+        econ = PatchEconomy(m_patches=10, defects=10, repair_gain=1.5, harm_loss=0.5,
+                            repair_prob_global=0.5, repair_prob_local=0.7,
+                            harm_prob_global=0.1, harm_prob_local=0.1)
+        stats = MaskStats(recall=0.8, precision=1.0)
+        sim = simulate_patch_economy(econ, stats, 20_000, seed=3,
+                                     repair_dist=ValueDistribution(kind=kind),
+                                     harm_dist=ValueDistribution(kind=kind))
+        assert sim.fp_mean == sim.fp_se == 0.0
+        gain_global, gain_local = per_trial_gains(econ, stats)  # 7.5 and 8.4
+        for estimate, se, closed in ((sim.tp_mean, sim.tp_se, 8.0),
+                                     (sim.gain_local_mean, sim.gain_local_se, gain_local),
+                                     (sim.gain_global_mean, sim.gain_global_se, gain_global)):
+            assert se > 0 and abs(estimate - closed) < 3 * se
 
     def test_worker_count_does_not_change_results(self):
         a = simulate_patch_economy(WORKED, WORKED_STATS, 20_000, seed=5, workers=1)
