@@ -19,10 +19,12 @@ _ROW_SUM_TOL = 1e-9
 
 
 def _as_grid(grid) -> Grid:
-    hs, ws = int(grid[0]), int(grid[1])
-    if hs < 1 or ws < 1:
-        raise ValueError(f"grid dimensions must be positive, got ({hs}, {ws})")
-    return (hs, ws)
+    """grid as (rows, cols); ValueError unless it holds exactly two positive integers."""
+    dims = tuple(grid)
+    if len(dims) != 2 or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                                 and n >= 1 for n in dims):
+        raise ValueError(f"grid must be two positive integers, got {grid!r}")
+    return (int(dims[0]), int(dims[1]))
 
 
 def _check_vector(values: np.ndarray, grid: Grid, name: str) -> np.ndarray:

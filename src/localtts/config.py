@@ -180,11 +180,15 @@ def _merge_section(defaults: dict, user: Any, path: str, errors: list[str]) -> d
     return merged
 
 
+def _is_number(value: Any) -> bool:
+    """Whether value is a JSON number (a boolean is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _typed(value: Any, shape: str):
     """value converted to its shape's Python type, or None if the JSON value
     does not have that shape. A number must be finite and fit a float."""
-    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and abs(value) <= sys.float_info.max)
+    number = _is_number(value) and abs(value) <= sys.float_info.max
     if shape == "number":
         return float(value) if number else None
     if shape == "integer":
@@ -233,6 +237,11 @@ def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
     if values is not None and len(values["grid"]) != 2:
         errors.append(f"world.grid: expected two integers, got {doc['grid']!r}")
         values = None
+    weights = doc.get("verifier_weights")  # numbers pass as given: the world checks them
+    if weights is not None and not (isinstance(weights, list) and all(map(_is_number, weights))):
+        errors.append(f"world.verifier_weights: expected null or a list of numbers, "
+                      f"got {weights!r}")
+        values = None
     components = doc.get("components")
     if not isinstance(components, list):
         errors.append(f"world.components: expected a list of components, got {components!r}")
@@ -244,13 +253,15 @@ def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
             errors.append(f"{path}: expected an object")
             continue
         typed = _read(comp, path, {"weight": "number", "variance": "number"}, errors)
-        if typed is not None:
-            specs.append((typed["weight"], comp.get("mean", 0.0), typed["variance"]))
+        mean = comp.get("mean", 0.0)
+        if not (_is_number(mean) or isinstance(mean, list) and all(map(_is_number, mean))):
+            errors.append(f"{path}.mean: expected a number or a list of numbers, got {mean!r}")
+        elif typed is not None:
+            specs.append((typed["weight"], mean, typed["variance"]))
     if values is None or len(specs) != len(components):
         return None
     return _build(PatchWorld.uniform, {**values, "components": specs,
-                                       "verifier_weights": doc.get("verifier_weights")},
-                  "world", errors)
+                                       "verifier_weights": weights}, "world", errors)
 
 
 def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialSettings]:
@@ -353,8 +364,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
             ] if not passed)
         for name in ("repair_dist", "harm_dist"):  # the mean is the economy's
-            spec = _merge_section(DEFAULTS["theory"][name], doc.get(name), f"theory.{name}", errors)
-            opts[name] = _build(ValueDistribution, spec, f"theory.{name}", errors)
+            path = f"theory.{name}"
+            doc[name] = _merge_section(DEFAULTS["theory"][name], doc[name], path, errors)
+            opts[name] = _build(ValueDistribution, doc[name], path, errors)
         cfg.theory_options = opts
 
     if kind == "maskgen":

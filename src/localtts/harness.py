@@ -180,13 +180,13 @@ def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequen
     search on a defect-injected draw, scored against its ground-truth defects.
     A row's NFE is the measured cost of its own two candidates."""
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    cfg = SearchConfig(seeds=1, refinements=1, resample=settings.resample)
+    cfg = SearchConfig(seeds=1, refinements=1)
     searches = ((cfg, trial_rng(seed_seq)) for seed_seq in seed_seqs)
     return [(anchor.score, refined.score, refined.score - anchor.score,
              *mask_recall_precision(refined.mask, anchor.defects),
              anchor.nfe_cost + refined.nfe_cost)
-            for anchor, refined in _lockstep(predictor, searches, settings.mask_source(),
-                                             settings.sampler())]
+            for anchor, refined in _lockstep(predictor, searches, settings.resample,
+                                             settings.mask_source(), settings.sampler())]
 
 
 def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> tuple:
@@ -228,7 +228,7 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
                                cfg.master_seed, cfg.workers)
     rows = summarize_sweep(settings, trial_results)
     reference_n = cfg.resolved["search"]["reference_n"]
-    summary = crossover_summary(settings, rows, reference_n)
+    summary = crossover_summary(rows, reference_n)
     results = {
         "trials": cfg.trials,
         "crossover": summary,

@@ -55,15 +55,11 @@ class SearchConfig:
 
     seeds: int
     refinements: int
-    resample: Optional[ResampleConfig]
 
     def __post_init__(self):
         check([
             (self.seeds >= 1, "seeds", f"must be at least 1, got {self.seeds}"),
-            (self.refinements >= 0, "refinements",
-             f"must be non-negative, got {self.refinements}"),
-            (self.resample is not None or self.refinements <= 0, "resample",
-             f"may be None only when refinements is 0, got {self.refinements}"),
+            (self.refinements >= 0, "refinements", f"must be non-negative, got {self.refinements}"),
         ])
 
 
@@ -165,26 +161,16 @@ def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, pha
 _BLOCK_NOISE = 1 << 19
 
 
-def _refine_draws(cfg: SearchConfig) -> int:
-    """The noise slices one refinement of cfg draws: two to renoise, one per step."""
-    return 2 + cfg.resample.nfe_cost if cfg.refinements > 0 else 0
-
-
-def _blocks(searches, base_draws: int, dim: int):
+def _blocks(searches, base_draws: int, refine_draws: int, dim: int):
     """Seeds as (search index, seed index, generator, config), in order, in
-    blocks whose base and refinement noise each stay within _BLOCK_NOISE
-    coordinates (a block holds at least one seed); a search's seeds are
-    spawned when reached. Searches that refine share one resample config,
-    because a refinement batch runs one."""
-    block, refining, resamples = [], 0, set()
+    blocks whose base and refinement noise (base_draws, refine_draws slices
+    a row) each stay within _BLOCK_NOISE coordinates (a block holds at least
+    one seed); a search's seeds are spawned when reached."""
+    block, refining = [], 0
     for g, (cfg, search_rng) in enumerate(searches):
-        if cfg.refinements > 0:
-            resamples.add(cfg.resample)
-        if len(resamples) > 1:
-            raise ValueError("searches that refine must share one resample config")
         for idx, rng in enumerate(search_rng.spawn(cfg.seeds)):
             if block and ((len(block) + 1) * base_draws * dim > _BLOCK_NOISE or (
-                    refining + cfg.refinements) * _refine_draws(cfg) * dim > _BLOCK_NOISE):
+                    refining + cfg.refinements) * refine_draws * dim > _BLOCK_NOISE):
                 yield block
                 block, refining = [], 0
             block.append((g, idx, rng, cfg))
@@ -193,13 +179,13 @@ def _blocks(searches, base_draws: int, dim: int):
         yield block
 
 
-def _lockstep(predictor: NoisePredictor, searches, mask_source: Optional[MaskSource],
-              base_sampler: Optional[BaseSampler] = None,
+def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleConfig],
+              mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None,
               verifier: Optional[Verifier] = None) -> Iterator[list[Candidate]]:
     """Run depth-2 searches, (SearchConfig, generator) pairs read as needed,
     block by block in four batched phases: every base draw as one
     integration, one mask per refined seed, every refinement as one
-    integration, one verifier call per batch.
+    integration on resample (ValueError if None), one verifier call per batch.
 
     Seed i of a search draws its base sample, defects and mask from the i-th
     generator spawned from the search's generator; refinement j of that seed
@@ -212,16 +198,21 @@ def _lockstep(predictor: NoisePredictor, searches, mask_source: Optional[MaskSou
     inject = base_sampler or plain_sampler
     verify = verifier or functools.partial(verifier_score, world)
     draws = len(predictor.schedule.step_times())  # x_T, then one per step
-    per_seed = (item for block in _blocks(searches, draws, world.dim)
-                for item in _lockstep_block(predictor, block, draws, mask_source, inject, verify))
+    refine_draws = 0 if resample is None else 2 + resample.nfe_cost  # renoise twice, one per step
+    per_seed = (item for block in _blocks(searches, draws, refine_draws, world.dim)
+                for item in _lockstep_block(predictor, block, draws, resample, refine_draws,
+                                            mask_source, inject, verify))
     # every search has a seed, so the groups are the searches in order
     for _, group in itertools.groupby(per_seed, key=operator.itemgetter(0)):
         yield [cand for _, candidates in group for cand in candidates]
 
 
 def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
+                    resample: Optional[ResampleConfig], refine_draws: int,
                     mask_source: Optional[MaskSource], inject: BaseSampler, verify: Verifier):
     """The four phases over one block; yields (search index, candidates) per seed."""
+    if resample is None and any(cfg.refinements > 0 for *_, cfg in block):
+        raise ValueError("searches with refinements need a resample config")
     world = predictor.world
     rngs = [rng for _, _, rng, _ in block]
 
@@ -242,19 +233,18 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     for row, (_, _, rng, cfg) in enumerate(block):
         if cfg.refinements > 0:
             masks[row] = mask_source(drawn.row(row), defects[row], rng)
-            refine_cfg = cfg
             coords += [_check_mask(predictor, masks[row])] * cfg.refinements
             refine_rows += [row] * cfg.refinements
             refine_rngs += rng.spawn(cfg.refinements)
 
-    # refinement phase: one batch, on the resample config every refining search shares
+    # refinement phase: one batch
     if refine_rows:
-        noise = _RowNoise(refine_rngs, _refine_draws(refine_cfg), world.dim)
+        noise = _RowNoise(refine_rngs, refine_draws, world.dim)
         before = predictor.nfe
         refined = _resample(predictor, LatentState(x=drawn.x[refine_rows], t=0.0),
-                            np.stack(coords), refine_cfg.resample, noise)
+                            np.stack(coords), resample, noise)
         noise.check_spent("refinement")
-        refine_nfe = _measured(predictor, before, len(refine_rows), refine_cfg.resample.nfe_cost,
+        refine_nfe = _measured(predictor, before, len(refine_rows), resample.nfe_cost,
                                "refinement")
         refined_scores = _scores(verify, refined)
 
@@ -271,18 +261,18 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
 
 
 def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg: SearchConfig,
-               rng: np.random.Generator, base_sampler: Optional[BaseSampler] = None,
-               verifier: Optional[Verifier] = None,
+               resample: Optional[ResampleConfig], rng: np.random.Generator,
+               base_sampler: Optional[BaseSampler] = None, verifier: Optional[Verifier] = None,
                collect: Optional[list[Candidate]] = None) -> Candidate:
     """Depth-2 search: S base samples, K localized refinements per base.
 
-    One mask is generated per base candidate and shared by its refinements;
-    the verifier draws no randomness. Total cost is S * n_steps + S * K *
-    (n_refine + n_integrate) NFEs. The per-candidate streams are spawned
-    from rng. Pass ``collect`` to also receive every evaluated candidate in
-    order.
+    One mask is generated per base candidate and shared by its refinements,
+    which run resample (None only when K = 0); the verifier draws no
+    randomness. Total cost is S * n_steps + S * K * (n_refine + n_integrate)
+    NFEs. The per-candidate streams are spawned from rng. Pass ``collect``
+    to also receive every evaluated candidate in order.
     """
-    [candidates] = _lockstep(predictor, [(cfg, rng)], mask_source, base_sampler, verifier)
+    [candidates] = _lockstep(predictor, [(cfg, rng)], resample, mask_source, base_sampler, verifier)
     if collect is not None:
         collect.extend(candidates)
     # max keeps the first of equal scores: evaluation order breaks ties
@@ -295,8 +285,8 @@ def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
               collect: Optional[list[Candidate]] = None) -> Candidate:
     """Argmax over n independent base samples (n * n_steps NFEs): the
     depth-2 search with n seeds and no refinements."""
-    cfg = SearchConfig(seeds=n, refinements=0, resample=None)
-    return dfs_search(predictor, None, cfg, rng, base_sampler, verifier, collect)
+    cfg = SearchConfig(seeds=n, refinements=0)
+    return dfs_search(predictor, None, cfg, None, rng, base_sampler, verifier, collect)
 
 
 def mask_recall_precision(mask: DefectMask, truth) -> tuple[float, float]:
@@ -438,13 +428,13 @@ def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence
     each search's measured share; masks lists (recall, precision) of each
     mask a localized budget made.
     """
-    searches = [SearchConfig(*split_budget(n, settings.refinements), resample=settings.resample)
-                for n in settings.n_grid]
-    searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0, resample=None))
+    searches = [SearchConfig(*split_budget(n, settings.refinements)) for n in settings.n_grid]
+    searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     streams = ((cfg, rng) for seed_seq in seed_seqs
                for cfg, rng in zip(searches, trial_rng(seed_seq).spawn(len(searches))))
-    groups = _lockstep(predictor, streams, settings.mask_source(), settings.sampler())
+    groups = _lockstep(predictor, streams, settings.resample, settings.mask_source(),
+                       settings.sampler())
     results = []
     for _ in seed_seqs:  # reduce each trial as soon as its searches are done
         *local, draws = itertools.islice(groups, len(searches))
@@ -502,24 +492,19 @@ def summarize_sweep(settings: SweepSettings, trial_results: list[dict]) -> list[
     return rows
 
 
-def crossover_summary(settings: SweepSettings, rows: list[SweepRow],
-                      reference_n: int) -> dict:
+def crossover_summary(rows: list[SweepRow], reference_n: int) -> dict:
     """Find the smallest global budget whose mean matches the localized
     reference row, and the resulting NFE efficiency ratio."""
     local = {row.n: row for row in rows if row.method == "localized"}
     bon = sorted((row for row in rows if row.method == "best_of_n"), key=lambda r: r.n)
     ref = local[reference_n]
-    parity_n = None
-    for row in bon:
-        if row.mean_score >= ref.mean_score:
-            parity_n = row.n
-            break
+    parity = next((row for row in bon if row.mean_score >= ref.mean_score), None)
     summary = {
         "reference_n": reference_n,
         "reference_mean": ref.mean_score,
         "reference_nfe": ref.nfe,
-        "parity_n": parity_n,
+        "parity_n": None if parity is None else parity.n,
     }
-    if parity_n is not None:
-        summary["efficiency_ratio"] = (parity_n * settings.schedule.n_steps) / ref.nfe
+    if parity is not None:
+        summary["efficiency_ratio"] = parity.nfe / ref.nfe
     return summary

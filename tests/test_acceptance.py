@@ -411,7 +411,7 @@ def test_criterion_09_directional_scaling():
     p_value = float(ttest_1samp(paired, 0.0, alternative="greater").pvalue)
     if not (paired.mean() > 0 and p_value < 0.05):
         failures.append(f"paired test p={p_value:.3g}")
-    summary = crossover_summary(settings, rows, 9)
+    summary = crossover_summary(rows, 9)
     parity = summary["parity_n"]
     if parity is None or parity <= 9:
         failures.append(f"parity_n={parity}")

@@ -78,7 +78,8 @@ def settings_row_sampler(trial_settings):
                        trial_settings.randomize_defects)
 
 
-def reference_search(predictor, mask_source, cfg, rng, base_sampler=None, verifier=None):
+def reference_search(predictor, mask_source, cfg, resample, rng, base_sampler=None,
+                     verifier=None):
     """The depth-2 search one candidate at a time, base_sampler a row sampler
     (see row_sampler); returns (best, all)."""
     inject = base_sampler or (lambda world, state, rng: (state, None))
@@ -94,10 +95,10 @@ def reference_search(predictor, mask_source, cfg, rng, base_sampler=None, verifi
             continue
         mask = mask_source(state, defects, seed_rng)
         for ref_idx in range(cfg.refinements):
-            refined, score = localized_resample(predictor, state, mask, cfg.resample, verify,
+            refined, score = localized_resample(predictor, state, mask, resample, verify,
                                                 seed_rng.spawn(1)[0])
             candidates.append(Candidate(state=refined, score=float(score),
-                                        lineage=(idx, ref_idx), nfe_cost=cfg.resample.nfe_cost,
+                                        lineage=(idx, ref_idx), nfe_cost=resample.nfe_cost,
                                         defects=defects, mask=mask))
     best = candidates[0]
     for cand in candidates[1:]:
@@ -137,16 +138,16 @@ def reference_sweep_trial(settings: SweepSettings, seed: int) -> dict:
     for n in settings.n_grid:
         seeds, refinements = split_budget(n, settings.refinements)
         predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-        cfg = SearchConfig(seeds=seeds, refinements=refinements, resample=settings.resample)
-        best, candidates = reference_search(predictor, mask_source, cfg, trial.spawn(1)[0],
-                                            sampler)
+        cfg = SearchConfig(seeds=seeds, refinements=refinements)
+        best, candidates = reference_search(predictor, mask_source, cfg, settings.resample,
+                                            trial.spawn(1)[0], sampler)
         result["local"][n] = best.score
         result["local_nfe"][n] = predictor.nfe
         result["masks"][n] = [recall_precision(c.mask, c.defects)
                               for c in candidates if c.lineage[1] == 0]
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    cfg = SearchConfig(seeds=max(settings.bon_grid), refinements=0, resample=None)
-    _, draws = reference_search(predictor, None, cfg, trial.spawn(1)[0], sampler)
+    cfg = SearchConfig(seeds=max(settings.bon_grid), refinements=0)
+    _, draws = reference_search(predictor, None, cfg, None, trial.spawn(1)[0], sampler)
     prefix_best = np.maximum.accumulate([draw.score for draw in draws])
     result["bon"] = {n: float(prefix_best[n - 1]) for n in settings.bon_grid}
     result["bon_nfe"] = predictor.nfe
@@ -218,16 +219,17 @@ def sweep_settings(kwargs, refinements, bon_max):
 def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is_coarse):
     trial_settings = TrialSettings(**kwargs)
     world = trial_settings.world
-    cfg = SearchConfig(seeds=n_seeds, refinements=refinements, resample=trial_settings.resample)
+    cfg = SearchConfig(seeds=n_seeds, refinements=refinements)
     verifier = coarse(world) if is_coarse else None
     ref_pred, new_pred = (NoisePredictor(world=world, schedule=trial_settings.schedule)
                           for _ in range(2))
     ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref_best, ref_all = reference_search(ref_pred, trial_settings.mask_source(), cfg, ref_rng,
+    ref_best, ref_all = reference_search(ref_pred, trial_settings.mask_source(), cfg,
+                                         trial_settings.resample, ref_rng,
                                          settings_row_sampler(trial_settings), verifier)
     collected = []
-    best = dfs_search(new_pred, trial_settings.mask_source(), cfg, new_rng,
-                      base_sampler=trial_settings.sampler(), verifier=verifier,
+    best = dfs_search(new_pred, trial_settings.mask_source(), cfg, trial_settings.resample,
+                      new_rng, base_sampler=trial_settings.sampler(), verifier=verifier,
                       collect=collected)
     assert best.lineage == ref_best.lineage and best.score == ref_best.score
     assert same_bits(best.state.x, ref_best.state.x)
@@ -247,8 +249,8 @@ def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, is_co
     verifier = coarse(world) if is_coarse else None
     ref_pred, new_pred = (NoisePredictor(world=world, schedule=schedule) for _ in range(2))
     ref_best, ref_all = reference_search(
-        ref_pred, None, SearchConfig(seeds=n, refinements=0, resample=None),
-        np.random.default_rng(seed), row_sampler(1, 0.5, True) if defects else None, verifier)
+        ref_pred, None, SearchConfig(seeds=n, refinements=0), None, np.random.default_rng(seed),
+        row_sampler(1, 0.5, True) if defects else None, verifier)
     collected = []
     best = best_of_n(new_pred, n, np.random.default_rng(seed), sampler, verifier,
                      collect=collected)
@@ -446,12 +448,3 @@ def test_empty_sweep_chunk_returns_no_results(engine_blocks):
     assert sweep_trials(sweep_settings(small_trial_kwargs(), 1, 3), []) == []
     assert engine_blocks == []
 
-
-def test_searches_that_refine_with_different_resample_configs_raise():
-    kwargs = small_trial_kwargs()
-    predictor = NoisePredictor(world=kwargs["world"], schedule=kwargs["schedule"])
-    other = ResampleConfig(t0=0.5, t_g=0.0, n_refine=1, n_integrate=0)
-    searches = [(SearchConfig(seeds=1, refinements=1, resample=resample), np.random.default_rng(0))
-                for resample in (kwargs["resample"], other)]
-    with pytest.raises(ValueError, match="share one resample config"):
-        list(search._lockstep(predictor, searches, TrialSettings(**kwargs).mask_source()))

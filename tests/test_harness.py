@@ -431,6 +431,14 @@ class TestCli:
         assert report["overrides"] == ["mask_stats.recall=0.9"]
         assert report["config"]["mask_stats"]["recall"] == 0.9
 
+    def test_resolved_document_records_distribution_specs_as_run(self, tmp_path, capsys):
+        path = self.write(tmp_path, theory_raw(theory={"mc_trials": 500}))
+        out = tmp_path / "out"
+        assert cli_main(["theory", "--config", path, "--set", "theory.repair_dist={}",
+                         "--set", "theory.harm_dist=null", "--out", str(out)]) == 0
+        theory = json.loads((out / "report.json").read_text())["config"]["theory"]
+        assert theory["repair_dist"] == theory["harm_dist"] == {"kind": "constant"}
+
     def test_worker_count_leaves_every_output_file_unchanged(self, tmp_path, capsys):
         path = self.write(tmp_path, make_testbed_raw(trials=8))
         outputs = []
@@ -460,6 +468,12 @@ class TestCli:
          "world.means: must be finite"),
         ('world.components=[{"weight": 1, "mean": ' + "9" * 400 + ', "variance": 1}]',
          "world: int too large to convert to float"),
+        ('world.components=[{"weight": 1, "mean": {}, "variance": 1}]',
+         "world.components[0].mean: expected a number or a list of numbers, got {}"),
+        ('world.components=[{"weight": 1, "mean": true, "variance": 1}]',
+         "world.components[0].mean: expected a number or a list of numbers, got True"),
+        ("world.verifier_weights={}",
+         "world.verifier_weights: expected null or a list of numbers, got {}"),
     ])
     def test_non_finite_or_oversized_number_exit_two(self, setting, error, tmp_path, capsys):
         path = self.write(tmp_path, make_testbed_raw(trials=2))
@@ -528,6 +542,12 @@ class TestCli:
         ({**BUNDLE, "queries": {"a": 1}}, "maskgen.queries: expected a list, got {'a': 1}"),
         ({**BUNDLE, "queries_path": "dict.json"}, "maskgen: float() argument"),
         ({"bundle": {**BUNDLE["bundle"], "grid": 6}}, "maskgen: 'int' object"),
+        ({"bundle": {**BUNDLE["bundle"], "grid": {"a": 1}}},
+         "maskgen: grid must be two positive integers, got {'a': 1}"),
+        ({"bundle": {**BUNDLE["bundle"], "grid": [2]}},
+         "maskgen: grid must be two positive integers, got [2]"),
+        ({"bundle": {**BUNDLE["bundle"], "grid": [2, 3.7]}},
+         "maskgen: grid must be two positive integers, got [2, 3.7]"),
     ])
     def test_maskgen_source_of_wrong_type_exit_two(self, source, error, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1, 2]")

@@ -39,15 +39,10 @@ def make_predictor(n_steps=16, grid=(4, 4)):
 class TestConfigs:
     def test_search_config_validation(self):
         with pytest.raises(ValueError, match="seeds"):
-            SearchConfig(seeds=0, refinements=2, resample=RESAMPLE)
+            SearchConfig(seeds=0, refinements=2)
         with pytest.raises(ValueError, match="refinements"):
-            SearchConfig(seeds=1, refinements=-1, resample=RESAMPLE)
-        SearchConfig(seeds=3, refinements=2, resample=RESAMPLE)
-
-    def test_resample_may_be_none_only_without_refinements(self):
-        with pytest.raises(ValueError, match="resample: may be None only when refinements is 0"):
-            SearchConfig(seeds=1, refinements=1, resample=None)
-        SearchConfig(seeds=2, refinements=0, resample=None)
+            SearchConfig(seeds=1, refinements=-1)
+        SearchConfig(seeds=3, refinements=2)
 
     def test_split_budget(self):
         assert split_budget(1, 2) == (1, 0)
@@ -99,8 +94,8 @@ class TestBestOfN:
 
 class TestDfsSearch:
     def test_zero_refinements_reduces_to_best_of_s(self):
-        cfg = SearchConfig(seeds=4, refinements=0, resample=RESAMPLE)
-        a = dfs_search(make_predictor(), lambda s, c, r: None, cfg,
+        cfg = SearchConfig(seeds=4, refinements=0)
+        a = dfs_search(make_predictor(), lambda s, c, r: None, cfg, RESAMPLE,
                        np.random.default_rng(5))
         b = best_of_n(make_predictor(), 4, np.random.default_rng(5))
         np.testing.assert_array_equal(a.state.x, b.state.x)
@@ -108,9 +103,9 @@ class TestDfsSearch:
 
     def test_two_candidate_max(self):
         predictor = make_predictor()
-        cfg = SearchConfig(seeds=1, refinements=1, resample=RESAMPLE)
+        cfg = SearchConfig(seeds=1, refinements=1)
         collected = []
-        best = dfs_search(predictor, oracle_mask_source(predictor.world), cfg,
+        best = dfs_search(predictor, oracle_mask_source(predictor.world), cfg, RESAMPLE,
                           np.random.default_rng(6),
                           base_sampler=defect_injecting_sampler(3, 0.6),
                           collect=collected)
@@ -119,9 +114,9 @@ class TestDfsSearch:
 
     def test_argmax_over_every_candidate_and_tie_break(self):
         predictor = make_predictor()
-        cfg = SearchConfig(seeds=3, refinements=2, resample=RESAMPLE)
+        cfg = SearchConfig(seeds=3, refinements=2)
         collected = []
-        best = dfs_search(predictor, oracle_mask_source(predictor.world), cfg,
+        best = dfs_search(predictor, oracle_mask_source(predictor.world), cfg, RESAMPLE,
                           np.random.default_rng(7),
                           base_sampler=defect_injecting_sampler(2, 0.5),
                           collect=collected)
@@ -129,7 +124,7 @@ class TestDfsSearch:
         assert best.score == max(c.score for c in collected)
         # constant verifier: every candidate ties, the first evaluated wins
         predictor2 = make_predictor()
-        tied = dfs_search(predictor2, oracle_mask_source(predictor2.world), cfg,
+        tied = dfs_search(predictor2, oracle_mask_source(predictor2.world), cfg, RESAMPLE,
                           np.random.default_rng(7),
                           base_sampler=defect_injecting_sampler(2, 0.5),
                           verifier=lambda state: 1.0)
@@ -138,23 +133,34 @@ class TestDfsSearch:
     def test_refinements_only_add_candidates(self):
         # with a shared seed stream the base candidates coincide, so the
         # refined search can only match or beat every base score
-        cfg0 = SearchConfig(seeds=3, refinements=0, resample=RESAMPLE)
-        cfg2 = SearchConfig(seeds=3, refinements=2, resample=RESAMPLE)
+        cfg0 = SearchConfig(seeds=3, refinements=0)
+        cfg2 = SearchConfig(seeds=3, refinements=2)
         for seed in range(5):
             bases = []
             dfs_search(make_predictor(), oracle_mask_source(make_predictor().world),
-                       cfg0, np.random.default_rng(seed),
+                       cfg0, RESAMPLE, np.random.default_rng(seed),
                        base_sampler=defect_injecting_sampler(2, 0.6), collect=bases)
             best = dfs_search(make_predictor(),
                               oracle_mask_source(make_predictor().world),
-                              cfg2, np.random.default_rng(seed),
+                              cfg2, RESAMPLE, np.random.default_rng(seed),
                               base_sampler=defect_injecting_sampler(2, 0.6))
             assert best.score >= max(c.score for c in bases) - 1e-12
 
+    def test_resample_may_be_none_only_without_refinements(self):
+        predictor = make_predictor()
+        cfg = SearchConfig(seeds=1, refinements=1)
+        with pytest.raises(ValueError, match="refinements need a resample config"):
+            dfs_search(predictor, oracle_mask_source(predictor.world), cfg, None,
+                       np.random.default_rng(10), base_sampler=defect_injecting_sampler(2, 0.5))
+        assert predictor.nfe == 0  # raised before any oracle work
+        dfs_search(predictor, None, SearchConfig(seeds=2, refinements=0), None,
+                   np.random.default_rng(10))
+        assert predictor.nfe == 2 * predictor.schedule.n_steps
+
     def test_nfe_closed_form(self):
         predictor = make_predictor(n_steps=16)
-        cfg = SearchConfig(seeds=3, refinements=2, resample=RESAMPLE)
-        dfs_search(predictor, oracle_mask_source(predictor.world), cfg,
+        cfg = SearchConfig(seeds=3, refinements=2)
+        dfs_search(predictor, oracle_mask_source(predictor.world), cfg, RESAMPLE,
                    np.random.default_rng(8),
                    base_sampler=defect_injecting_sampler(2, 0.5))
         expected = 3 * 16 + 3 * 2 * (RESAMPLE.n_refine + RESAMPLE.n_integrate)
@@ -162,9 +168,9 @@ class TestDfsSearch:
 
     def test_candidate_costs_recorded(self):
         predictor = make_predictor(n_steps=16)
-        cfg = SearchConfig(seeds=1, refinements=1, resample=RESAMPLE)
+        cfg = SearchConfig(seeds=1, refinements=1)
         collected = []
-        dfs_search(predictor, oracle_mask_source(predictor.world), cfg,
+        dfs_search(predictor, oracle_mask_source(predictor.world), cfg, RESAMPLE,
                    np.random.default_rng(9),
                    base_sampler=defect_injecting_sampler(2, 0.5), collect=collected)
         assert collected[0].nfe_cost == 16
@@ -174,9 +180,8 @@ class TestDfsSearch:
         # directional acceptance: at a matched NFE budget the localized search
         # should score at least as well on defect-injected worlds
         predictor_proto = make_predictor(n_steps=16)
-        cfg = SearchConfig(seeds=2, refinements=2,
-                           resample=ResampleConfig(t0=0.4, t_g=0.0, n_refine=8,
-                                                   n_integrate=0))
+        cfg = SearchConfig(seeds=2, refinements=2)
+        resample = ResampleConfig(t0=0.4, t_g=0.0, n_refine=8, n_integrate=0)
         local_nfe = 2 * 16 + 2 * 2 * 8
         bon_n = local_nfe // 16  # 4 full samples
         sampler = defect_injecting_sampler(3, 0.6)
@@ -184,7 +189,7 @@ class TestDfsSearch:
         for seed in range(60):
             p1 = make_predictor(n_steps=16)
             local_scores.append(
-                dfs_search(p1, oracle_mask_source(p1.world), cfg,
+                dfs_search(p1, oracle_mask_source(p1.world), cfg, resample,
                            np.random.default_rng(1000 + seed),
                            base_sampler=sampler).score)
             assert p1.nfe == local_nfe
@@ -336,18 +341,17 @@ class TestScalingSweep:
             ("best_of_n", 1), ("best_of_n", 2), ("best_of_n", 4)]
 
     def test_crossover_summary(self):
-        settings = small_settings()
         rows = [
             SweepRow("localized", 3, 18, 0.5, 0.01),
             SweepRow("best_of_n", 1, 8, -1.0, 0.01),
             SweepRow("best_of_n", 2, 16, 0.2, 0.01),
             SweepRow("best_of_n", 4, 32, 0.7, 0.01),
         ]
-        summary = crossover_summary(settings, rows, 3)
+        summary = crossover_summary(rows, 3)
         assert summary["parity_n"] == 4
         assert summary["efficiency_ratio"] == pytest.approx(32 / 18)
         rows_no_parity = rows[:3]
-        assert crossover_summary(settings, rows_no_parity, 3)["parity_n"] is None
+        assert crossover_summary(rows_no_parity, 3)["parity_n"] is None
 
 
 class TestPlainSampler:
