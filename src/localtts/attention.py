@@ -184,13 +184,21 @@ class DefectMask:
 def mask_from_indices(grid, indices) -> DefectMask:
     """Build a mask selecting exactly the given patch indices."""
     grid = _as_grid(grid)
-    size = grid[0] * grid[1]
-    bits = np.zeros(size, dtype=np.uint8)
-    idx = np.asarray(indices, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
+    [bits] = _indicators([indices], grid[0] * grid[1])
+    return DefectMask(bits=bits, ratio=int(bits.sum()) / bits.size, grid=grid)
+
+
+def _indicators(index_sets, size: int) -> np.ndarray:
+    """(rows, size) uint8 bits, row i set at index_sets[i], in one scatter."""
+    if any(indices is None for indices in index_sets):
+        raise ValueError("a mask of a defect set needs the ground-truth defect set, got None")
+    sets = [np.asarray(indices, dtype=int).ravel() for indices in index_sets]
+    flat = np.concatenate([np.empty(0, dtype=int), *sets])
+    if flat.size and (flat.min() < 0 or flat.max() >= size):
         raise ValueError("mask indices out of range")
-    bits[idx] = 1
-    return DefectMask(bits=bits, ratio=int(bits.sum()) / size, grid=grid)
+    bits = np.zeros((len(sets), size), dtype=np.uint8)
+    bits[np.repeat(np.arange(len(sets)), [len(indices) for indices in sets]), flat] = 1
+    return bits
 
 
 def empty_mask(grid) -> DefectMask:
@@ -233,22 +241,27 @@ def contrastive_difference(bundle: AttentionBundle) -> QualityMap:
     return QualityMap(values=bundle.neg.values - bundle.pos.values, grid=bundle.grid)
 
 
+def _softmax_rows(queries: np.ndarray) -> np.ndarray:
+    """(..., S, S) row-softmax of the inner products of (..., S, d) queries over sqrt(d)."""
+    weights = queries @ np.swapaxes(queries, -1, -2)
+    weights /= math.sqrt(queries.shape[-1])
+    # max-subtraction so exp never overflows
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
 def build_propagation(queries: np.ndarray) -> PropagationMatrix:
     """Row-softmax of query inner products, scaled by 1/sqrt(d)."""
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2:
         raise ValueError(f"queries must be a 2-D matrix, got shape {queries.shape}")
-    d = queries.shape[1]
-    if d < 1:
+    if queries.shape[1] < 1:
         raise ValueError("query dimension must be at least 1")
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries contain non-finite values")
-    logits = queries @ queries.T / math.sqrt(d)
-    # max-subtraction so exp never overflows
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return PropagationMatrix(rows=weights)
+    return PropagationMatrix(rows=_softmax_rows(queries))
 
 
 def propagate(matrix: PropagationMatrix, field):
@@ -269,13 +282,28 @@ def propagate(matrix: PropagationMatrix, field):
     return QualityMap(values=smoothed, grid=field.grid)
 
 
-def reweight(diff: QualityMap, orig: AttentionField, weight: float) -> QualityMap:
-    """Add the foreground prior: diff + weight * orig."""
+def _reweighted(diff: np.ndarray, orig: np.ndarray, weight: float) -> np.ndarray:
     if weight < 0:
         raise ValueError(f"foreground weight must be non-negative, got {weight}")
+    return diff + weight * orig
+
+
+def reweight(diff: QualityMap, orig: AttentionField, weight: float) -> QualityMap:
+    """Add the foreground prior: diff + weight * orig."""
     if diff.grid != orig.grid:
         raise ValueError(f"grid mismatch: {diff.grid} vs {orig.grid}")
-    return QualityMap(values=diff.values + weight * orig.values, grid=diff.grid)
+    return QualityMap(values=_reweighted(diff.values, orig.values, weight), grid=diff.grid)
+
+
+def _top_bits(values: np.ndarray, ratio: float) -> np.ndarray:
+    """uint8 bits selecting the ceil(ratio * S) largest of S values along the last axis."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must lie strictly inside (0, 1), got {ratio}")
+    # stable sort on the negated values: descending by value, ascending index on ties
+    order = np.argsort(-values, axis=-1, kind="stable")
+    bits = np.zeros(values.shape, dtype=np.uint8)
+    np.put_along_axis(bits, order[..., :mask_cardinality(ratio, values.shape[-1])], 1, axis=-1)
+    return bits
 
 
 def threshold_mask(quality: QualityMap, ratio: float) -> DefectMask:
@@ -284,27 +312,33 @@ def threshold_mask(quality: QualityMap, ratio: float) -> DefectMask:
     Ties are broken by ascending index so the mask cardinality is
     deterministic even for constant maps.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie strictly inside (0, 1), got {ratio}")
-    values = quality.values
-    count = mask_cardinality(ratio, values.size)
-    # stable sort on the negated values: descending by value, ascending index on ties
-    order = np.argsort(-values, kind="stable")
-    bits = np.zeros(values.size, dtype=np.uint8)
-    bits[order[:count]] = 1
-    return DefectMask(bits=bits, ratio=ratio, grid=quality.grid)
+    return DefectMask(bits=_top_bits(quality.values, ratio), ratio=ratio, grid=quality.grid)
+
+
+def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.ndarray,
+               weight: float, ratio: float) -> np.ndarray:
+    """The mask pipeline over rows: fields (rows, S) and propagation weights
+    (rows, S, S) to (rows, S) bits, row by row those of mask_gen."""
+    propagated = [(weights @ field[..., None])[..., 0] for field in (neg - pos, orig)]
+    # the origin field clamped as propagate clamps it
+    quality = _reweighted(propagated[0], np.maximum(propagated[1], 0.0), weight)
+    if not np.all(np.isfinite(quality)):
+        raise ValueError("mask quality contains non-finite values")
+    return _top_bits(quality, ratio)
 
 
 def mask_gen(bundle: AttentionBundle, queries: np.ndarray, weight: float, ratio: float) -> DefectMask:
-    """Full mask pipeline: contrast, propagate, reweight, threshold.
+    """Full mask pipeline: contrast, propagate, reweight, threshold, as a batch of one.
 
     Deterministic given its inputs.
     """
     matrix = build_propagation(queries)
-    diff = propagate(matrix, contrastive_difference(bundle))
-    orig = propagate(matrix, bundle.orig)
-    quality = reweight(diff, orig, weight)
-    return threshold_mask(quality, ratio)
+    if matrix.size != bundle.orig.size:
+        raise ValueError(f"propagation matrix size {matrix.size} does not match "
+                         f"field size {bundle.orig.size}")
+    fields = (field.values[None] for field in (bundle.orig, bundle.pos, bundle.neg))
+    bits = _mask_bits(*fields, matrix.rows[None], weight, ratio)[0]
+    return DefectMask(bits=bits, ratio=ratio, grid=bundle.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -234,9 +234,6 @@ def _section(cls, section: str, docs: dict, errors: list[str]):
 
 def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
     values = _read(doc, "world", {"grid": "integers", "patch_dim": "integer"}, errors)
-    if values is not None and len(values["grid"]) != 2:
-        errors.append(f"world.grid: expected two integers, got {doc['grid']!r}")
-        values = None
     weights = doc.get("verifier_weights")  # numbers pass as given: the world checks them
     if weights is not None and not (isinstance(weights, list) and all(map(_is_number, weights))):
         errors.append(f"world.verifier_weights: expected null or a list of numbers, "

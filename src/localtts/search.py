@@ -24,14 +24,16 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .attention import DefectMask, mask_from_indices, mask_gen
+from .attention import (DefectMask, _indicators, _mask_bits, _softmax_rows, mask_from_indices,
+                        mask_gen)
 from .errors import check
-from .resample import ResampleConfig, _check_mask, _resample
+from .resample import ResampleConfig, _resample
 from .testbed import (
     CosineSchedule,
     LatentState,
     NoisePredictor,
     PatchWorld,
+    _attention_rows,
     _inject_rows,
     _RowNoise,
     sample_base,
@@ -42,7 +44,10 @@ from .testbed import (
 # A base sampler turns a (rows, dim) batch of clean base draws, row i drawing
 # from the i-th generator, into candidates plus context per row (the defect
 # set when defects are injected); a mask source turns one candidate into a
-# defect mask. A verifier scores a (rows, dim) batch, one score per row.
+# defect mask; the built-in ones also have rows(states, defect_sets, rngs),
+# the (rows, S) bits of a batch, row i drawn from rngs[i], which the engine
+# calls once per block (any other source once per row). A verifier scores a
+# (rows, dim) batch, one score per row.
 BaseSampler = Callable[[PatchWorld, np.ndarray, list[np.random.Generator]],
                        tuple[np.ndarray, list[Optional[np.ndarray]]]]
 MaskSource = Callable[[LatentState, Optional[np.ndarray], np.random.Generator], DefectMask]
@@ -109,10 +114,9 @@ def oracle_mask_source(world: PatchWorld) -> MaskSource:
     """Mask exactly the ground-truth defect set (for tests and upper bounds)."""
 
     def source(state: LatentState, true_set, rng: np.random.Generator) -> DefectMask:
-        if true_set is None:
-            raise ValueError("oracle mask source needs a ground-truth defect set")
         return mask_from_indices(world.grid, true_set)
 
+    source.rows = lambda states, defect_sets, rngs: _indicators(defect_sets, world.n_patches)
     return source
 
 
@@ -120,14 +124,19 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
                           noise_sd: float, weight: float, ratio: float) -> MaskSource:
     """Synthesize an attention bundle for the candidate and run the mask
     pipeline on it."""
+    synth_args = gain_pos, gain_neg, noise_sd
 
     def source(state: LatentState, true_set, rng: np.random.Generator) -> DefectMask:
-        if true_set is None:
-            raise ValueError("attention mask source needs a ground-truth defect set")
-        bundle, queries = synth_attention(world, state, true_set, gain_pos,
-                                          gain_neg, noise_sd, rng)
-        return mask_gen(bundle, queries, weight, ratio)
+        return mask_gen(*synth_attention(world, state, true_set, *synth_args, rng), weight, ratio)
 
+    def rows(states, defect_sets, rngs) -> np.ndarray:
+        *fields, queries = _attention_rows(world, defect_sets, *synth_args, rngs)
+        step = _mask_step(world.n_patches)
+        return np.concatenate([_mask_bits(*(a[i:i + step] for a in fields),
+                                          _softmax_rows(queries[i:i + step]), weight, ratio)
+                               for i in range(0, len(rngs), step)])
+
+    source.rows = rows
     return source
 
 
@@ -161,6 +170,11 @@ def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, pha
 _BLOCK_NOISE = 1 << 19
 
 
+def _mask_step(size: int) -> int:
+    """Rows per slice of the mask pipeline, whose (rows, size, size) weights stay within it."""
+    return max(1, _BLOCK_NOISE // size ** 2)
+
+
 def _blocks(searches, base_draws: int, refine_draws: int, dim: int):
     """Seeds as (search index, seed index, generator, config), in order, in
     blocks whose base and refinement noise (base_draws, refine_draws slices
@@ -184,8 +198,9 @@ def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleCo
               verifier: Optional[Verifier] = None) -> Iterator[list[Candidate]]:
     """Run depth-2 searches, (SearchConfig, generator) pairs read as needed,
     block by block in four batched phases: every base draw as one
-    integration, one mask per refined seed, every refinement as one
-    integration on resample (ValueError if None), one verifier call per batch.
+    integration, the masks of the refined seeds as one (rows, S) array,
+    every refinement as one integration on resample (ValueError if None),
+    one verifier call per batch.
 
     Seed i of a search draws its base sample, defects and mask from the i-th
     generator spawned from the search's generator; refinement j of that seed
@@ -228,24 +243,29 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     drawn = LatentState(x=x, t=0.0)  # one finiteness scan for the batch
     base_scores = _scores(verify, drawn)
 
-    # mask phase: one mask per seed that refines, drawn from the seed's stream
-    masks, coords, refine_rows, refine_rngs = {}, [], [], []
-    for row, (_, _, rng, cfg) in enumerate(block):
-        if cfg.refinements > 0:
-            masks[row] = mask_source(drawn.row(row), defects[row], rng)
-            coords += [_check_mask(predictor, masks[row])] * cfg.refinements
-            refine_rows += [row] * cfg.refinements
-            refine_rngs += rng.spawn(cfg.refinements)
+    # mask phase: the bits of the seeds that refine from one rows call (one
+    # call per row for a source without rows), each row from its seed's stream
+    refining = [row for row, (*_, cfg) in enumerate(block) if cfg.refinements > 0]
+    if refining:
+        args = ([drawn.row(row) for row in refining], [defects[row] for row in refining],
+                [rngs[row] for row in refining])
+        rows = getattr(mask_source, "rows", None)
+        bits = rows(*args) if rows else np.array([mask_source(*row).bits for row in zip(*args)])
+        ratios = (bits.sum(axis=1) / world.n_patches).tolist()
+        masks = {row: DefectMask(bits=b, ratio=ratio, grid=world.grid)
+                 for row, b, ratio in zip(refining, bits, ratios)}
+        counts = [block[row][3].refinements for row in refining]
+        refine_rngs = [child for row, k in zip(refining, counts) for child in rngs[row].spawn(k)]
 
-    # refinement phase: one batch
-    if refine_rows:
+        # refinement phase: one batch, each row on its seed's coordinate mask
+        seed_of = np.repeat(np.arange(len(refining)), counts)
+        coords = np.repeat(bits.astype(bool), world.patch_dim, axis=1)[seed_of]
         noise = _RowNoise(refine_rngs, refine_draws, world.dim)
         before = predictor.nfe
-        refined = _resample(predictor, LatentState(x=drawn.x[refine_rows], t=0.0),
-                            np.stack(coords), resample, noise)
+        refined = _resample(predictor, LatentState(x=drawn.x[np.take(refining, seed_of)], t=0.0),
+                            coords, resample, noise)
         noise.check_spent("refinement")
-        refine_nfe = _measured(predictor, before, len(refine_rows), resample.nfe_cost,
-                               "refinement")
+        refine_nfe = _measured(predictor, before, len(seed_of), resample.nfe_cost, "refinement")
         refined_scores = _scores(verify, refined)
 
     k = 0  # refinement rows are seed-major, like the candidates
@@ -290,11 +310,11 @@ def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
 
 
 def mask_recall_precision(mask: DefectMask, truth) -> tuple[float, float]:
-    """Recall and precision of a mask against a ground-truth defect set."""
-    selected = set(mask.selected.tolist())
-    truth = set(int(j) for j in truth)
-    tp = len(selected & truth)
-    return (tp / len(truth) if truth else 1.0, tp / len(selected) if selected else 0.0)
+    """Recall and precision of a mask against a ground-truth defect set
+    (distinct patch indices), counted from the mask's bits."""
+    truth = np.asarray(truth, dtype=int)
+    hits, selected = int(mask.bits[truth].sum()), int(mask.bits.sum())
+    return (hits / truth.size if truth.size else 1.0, hits / selected if selected else 0.0)
 
 
 def split_budget(n: int, refinements: int) -> tuple[int, int]:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import AttentionBundle, AttentionField, Grid, _as_grid
-from .errors import check
+from .attention import AttentionBundle, AttentionField, Grid, _as_grid, _indicators
+from .errors import FieldErrors, check
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TIME_TOL = 1e-12
@@ -69,6 +69,14 @@ class CosineSchedule:
         return np.linspace(self.horizon, 0.0, self.n_steps + 1)
 
 
+def _world_grid(grid) -> Grid:
+    """_as_grid, its rule reported at the world's grid field."""
+    try:
+        return _as_grid(grid)
+    except ValueError as exc:
+        raise FieldErrors([f"grid: {exc}"]) from None
+
+
 @dataclass(frozen=True)
 class PatchWorld:
     """Independent per-patch Gaussian-mixture targets with a weighted verifier.
@@ -87,7 +95,7 @@ class PatchWorld:
     verifier_weights: np.ndarray
 
     def __post_init__(self):
-        grid = _as_grid(self.grid)
+        grid = _world_grid(self.grid)
         m = grid[0] * grid[1]
         d = int(self.patch_dim)
         weights = np.array(self.weights, dtype=float)
@@ -146,7 +154,7 @@ class PatchWorld:
         components: iterable of (weight, mean, variance); the mean may be a
         scalar (broadcast over the patch dimension) or a d-vector.
         """
-        grid = _as_grid(grid)
+        grid = _world_grid(grid)
         m = grid[0] * grid[1]
         d = int(patch_dim)
         comp = list(components)
@@ -503,6 +511,25 @@ def grid_query_features(grid) -> np.ndarray:
     return features
 
 
+def _attention_rows(world: PatchWorld, true_sets, gain_pos: float, gain_neg: float,
+                    noise_sd: float, rngs) -> tuple[np.ndarray, ...]:
+    """synth_attention over rows: orig, pos, neg (rows, S) and queries (rows, S, 4).
+    Row i draws from rngs[i] its fields' noise and, when noise_sd > 0, its
+    queries' in one call, the same bits and generator state as one call each."""
+    if noise_sd < 0:
+        raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
+    m, features = world.n_patches, grid_query_features(world.grid)
+    draws = np.empty((len(rngs), 3 * m + (features.size if noise_sd > 0 else 0)))
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    indicator, noise = _indicators(true_sets, m), noise_sd * draws[:, :3 * m].reshape(-1, 3, m)
+    fields = (1.0 + noise[:, 0], 1.0 - gain_pos * indicator + noise[:, 1],
+              1.0 + gain_neg * indicator + noise[:, 2])
+    queries = (features + noise_sd * draws[:, 3 * m:].reshape(-1, *features.shape)
+               if noise_sd > 0 else np.broadcast_to(features, (len(rngs), *features.shape)))
+    return *(np.maximum(field, 0.0) for field in fields), queries
+
+
 def synth_attention(world: PatchWorld, state: LatentState, true_set: np.ndarray,
                     gain_pos: float, gain_neg: float, noise_sd: float,
                     rng: np.random.Generator) -> tuple[AttentionBundle, np.ndarray]:
@@ -512,22 +539,8 @@ def synth_attention(world: PatchWorld, state: LatentState, true_set: np.ndarray,
     field gains ``gain_neg`` there, and the origin field is flat at 1; every field
     receives iid Gaussian noise of scale ``noise_sd`` (clamped at zero) and
     the positional queries receive the same noise scale, so noise_sd tunes
-    the achievable mask precision/recall monotonically.
+    the achievable mask precision/recall monotonically. A batch of one.
     """
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
-    m = world.n_patches
-    indicator = np.zeros(m)
-    indicator[np.asarray(true_set, dtype=int)] = 1.0
-    orig = 1.0 + noise_sd * rng.standard_normal(m)
-    pos = 1.0 - gain_pos * indicator + noise_sd * rng.standard_normal(m)
-    neg = 1.0 + gain_neg * indicator + noise_sd * rng.standard_normal(m)
-    bundle = AttentionBundle(
-        orig=AttentionField(values=np.maximum(orig, 0.0), grid=world.grid),
-        pos=AttentionField(values=np.maximum(pos, 0.0), grid=world.grid),
-        neg=AttentionField(values=np.maximum(neg, 0.0), grid=world.grid),
-    )
-    queries = grid_query_features(world.grid)
-    if noise_sd > 0:
-        queries = queries + noise_sd * rng.standard_normal(queries.shape)
-    return bundle, queries
+    *fields, queries = _attention_rows(world, [true_set], gain_pos, gain_neg, noise_sd, [rng])
+    orig, pos, neg = (AttentionField(values=field[0], grid=world.grid) for field in fields)
+    return AttentionBundle(orig=orig, pos=pos, neg=neg), queries[0]

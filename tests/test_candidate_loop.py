@@ -9,8 +9,9 @@ engine to reproduce them bit for bit: states, scores, lineages, ties,
 defects, masks, mask recall and precision, and NFE. A worker chunk runs all
 its trials as one engine call; it must equal its trials run one at a time,
 and splitting it into blocks of any size must change no bit. The batched
-defect injection must equal injection one state at a time, and a phase
-that draws other than the noise it declared must raise.
+defect injection must equal injection one state at a time, the batched
+mask sources their masks one state at a time, and a phase that draws
+other than the noise it declared must raise.
 """
 import functools
 from types import SimpleNamespace
@@ -22,15 +23,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localtts import harness, search
+from localtts.attention import (
+    AttentionBundle,
+    AttentionField,
+    build_propagation,
+    contrastive_difference,
+    mask_from_indices,
+    mask_gen,
+    propagate,
+    reweight,
+    threshold_mask,
+)
 from localtts.resample import ResampleConfig, localized_resample
 from localtts.search import (
     Candidate,
     SearchConfig,
     SweepSettings,
     TrialSettings,
+    attention_mask_source,
     best_of_n,
     defect_injecting_sampler,
     dfs_search,
+    oracle_mask_source,
     split_budget,
     sweep_trial,
     sweep_trials,
@@ -40,8 +54,10 @@ from localtts.testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
+    grid_query_features,
     inject_defects,
     sample_base,
+    synth_attention,
     verifier_score,
 )
 
@@ -76,6 +92,21 @@ def row_sampler(count, magnitude, randomize):
 def settings_row_sampler(trial_settings):
     return row_sampler(trial_settings.defect_count, trial_settings.defect_magnitude,
                        trial_settings.randomize_defects)
+
+
+def settings_row_masks(trial_settings):
+    """The settings' mask source on one state through the public per-row
+    functions, independent of the engine's batched mask pipeline."""
+    s = trial_settings
+
+    def source(state, true_set, rng):
+        if s.oracle_masks:
+            return mask_from_indices(s.world.grid, true_set)
+        bundle, queries = synth_attention(s.world, state, true_set, s.gain_pos, s.gain_neg,
+                                          s.noise_sd, rng)
+        return mask_gen(bundle, queries, s.mask_weight, s.mask_ratio)
+
+    return source
 
 
 def reference_search(predictor, mask_source, cfg, resample, rng, base_sampler=None,
@@ -121,7 +152,7 @@ def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
     seed_rng = rng.spawn(1)[0]
     anchor, true_set = settings_row_sampler(settings)(
         settings.world, sample_base(predictor, seed_rng), seed_rng)
-    mask = settings.mask_source()(anchor, true_set, seed_rng)
+    mask = settings_row_masks(settings)(anchor, true_set, seed_rng)
     anchor_score = float(verifier_score(settings.world, anchor))
     refined, refined_score = localized_resample(
         predictor, anchor, mask, settings.resample,
@@ -133,7 +164,7 @@ def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
 def reference_sweep_trial(settings: SweepSettings, seed: int) -> dict:
     """The sweep trial as one search after another, each with its own predictor."""
     trial = np.random.default_rng(np.random.SeedSequence(seed))
-    sampler, mask_source = settings_row_sampler(settings), settings.mask_source()
+    sampler, mask_source = settings_row_sampler(settings), settings_row_masks(settings)
     result = {"local": {}, "local_nfe": {}, "masks": {}}
     for n in settings.n_grid:
         seeds, refinements = split_budget(n, settings.refinements)
@@ -224,7 +255,7 @@ def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is
     ref_pred, new_pred = (NoisePredictor(world=world, schedule=trial_settings.schedule)
                           for _ in range(2))
     ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref_best, ref_all = reference_search(ref_pred, trial_settings.mask_source(), cfg,
+    ref_best, ref_all = reference_search(ref_pred, settings_row_masks(trial_settings), cfg,
                                          trial_settings.resample, ref_rng,
                                          settings_row_sampler(trial_settings), verifier)
     collected = []
@@ -332,7 +363,10 @@ def test_blocks_equal_one_block(kwargs, chunk, refinements, bon_max, block_rows)
     base_noise = (trial_settings.schedule.n_steps + 1) * trial_settings.world.dim
     with mock.patch.object(search, "_BLOCK_NOISE", block_rows * base_noise):
         blocked = [engine_candidates(run) for run in runs]
-    for (result, candidates), (want_result, want_candidates) in zip(blocked, whole):
+    # the mask pipeline of a whole block in slices of one row
+    with mock.patch.object(search, "_mask_step", lambda size: 1):
+        sliced = [engine_candidates(run) for run in runs]
+    for (result, candidates), (want_result, want_candidates) in zip(blocked + sliced, whole * 2):
         assert repr(result) == repr(want_result)
         assert len(candidates) == len(want_candidates)
         assert all(same_candidates(got, want) for got, want in zip(candidates, want_candidates))
@@ -367,6 +401,89 @@ def test_batched_injection_equals_inject_defects_row_by_row(world, count, rows, 
         assert same_bits(got_x[i], want_state.x) and same_bits(got_x[i], ref_state.x)
         assert (batch_rngs[i].bit_generator.state == row_rng.bit_generator.state
                 == ref_rng.bit_generator.state)
+
+
+@st.composite
+def defect_sets(draw, size: int, rows: int):
+    """rows sorted sets of distinct patch indices, empty sets among them."""
+    return [np.array(sorted(draw(st.sets(st.integers(0, size - 1), max_size=size))), dtype=int)
+            for _ in range(rows)]
+
+
+def reference_attention_mask(world, truth, gain_pos, gain_neg, noise_sd, weight, ratio, rng):
+    """An attention mask one state at a time: the synthetic fields and queries
+    in four draws, then the pipeline's public steps."""
+    m = world.n_patches
+    indicator = np.zeros(m)
+    indicator[truth] = 1.0
+    orig = 1.0 + noise_sd * rng.standard_normal(m)
+    pos = 1.0 - gain_pos * indicator + noise_sd * rng.standard_normal(m)
+    neg = 1.0 + gain_neg * indicator + noise_sd * rng.standard_normal(m)
+    bundle = AttentionBundle(*(AttentionField(values=np.maximum(field, 0.0), grid=world.grid)
+                               for field in (orig, pos, neg)))
+    queries = grid_query_features(world.grid)
+    if noise_sd > 0:
+        queries = queries + noise_sd * rng.standard_normal(queries.shape)
+    matrix = build_propagation(queries)
+    quality = reweight(propagate(matrix, contrastive_difference(bundle)),
+                       propagate(matrix, bundle.orig), weight)
+    return threshold_mask(quality, ratio)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=st.tuples(st.integers(1, 16), st.integers(1, 16)), rows=st.integers(1, 40),
+       noised=st.booleans(), data=st.data(), seed=seeds)
+def test_attention_rows_equal_mask_gen_row_by_row(grid, rows, noised, data, seed):
+    world = PatchWorld.uniform(grid, 1, [(1.0, 0.0, 1.0)])
+    unit = st.floats(0.0, 1.0)
+    gain_pos, gain_neg, weight = data.draw(unit), data.draw(unit), data.draw(st.floats(0.0, 100.0))
+    noise_sd = data.draw(st.floats(0.01, 0.5)) if noised else 0.0
+    ratio = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    truths = data.draw(defect_sets(world.n_patches, rows))
+    states = [LatentState(x=np.zeros(world.dim), t=0.0)] * rows
+    batch_rngs, row_rngs, ref_rngs = (np.random.default_rng(seed).spawn(rows) for _ in range(3))
+    source = attention_mask_source(world, gain_pos=gain_pos, gain_neg=gain_neg,
+                                   noise_sd=noise_sd, weight=weight, ratio=ratio)
+    bits = source.rows(states, truths, batch_rngs)
+    assert bits.shape == (rows, world.n_patches) and bits.dtype == np.uint8
+    for i, (state, truth, rng, ref_rng) in enumerate(zip(states, truths, row_rngs, ref_rngs)):
+        bundle, queries = synth_attention(world, state, truth, gain_pos, gain_neg, noise_sd, rng)
+        assert same_bits(bits[i], mask_gen(bundle, queries, weight, ratio).bits)
+        want = reference_attention_mask(world, truth, gain_pos, gain_neg, noise_sd, weight,
+                                        ratio, ref_rng)
+        assert same_bits(bits[i], want.bits)
+        assert (batch_rngs[i].bit_generator.state == rng.bit_generator.state
+                == ref_rng.bit_generator.state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=st.tuples(st.integers(1, 16), st.integers(1, 16)), rows=st.integers(1, 40),
+       data=st.data())
+def test_oracle_rows_equal_mask_from_indices_row_by_row(grid, rows, data):
+    world = PatchWorld.uniform(grid, 1, [(1.0, 0.0, 1.0)])
+    truths = data.draw(defect_sets(world.n_patches, rows))
+    bits = oracle_mask_source(world).rows([None] * rows, truths, [None] * rows)
+    assert bits.shape == (rows, world.n_patches) and bits.dtype == np.uint8
+    for row, truth in zip(bits, truths):
+        assert same_bits(row, mask_from_indices(world.grid, truth).bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kwargs=trial_kwargs(), n_seeds=st.integers(1, 4), refinements=st.integers(1, 3),
+       seed=seeds)
+def test_per_row_mask_source_equals_built_in(kwargs, n_seeds, refinements, seed):
+    # a source without rows runs one call per seed: the path perfbench's tracer takes
+    trial_settings = TrialSettings(**kwargs)
+    built_in = trial_settings.mask_source()
+    per_row = lambda state, true_set, rng: built_in(state, true_set, rng)  # noqa: E731
+    cfg = SearchConfig(seeds=n_seeds, refinements=refinements)
+    collected = []
+    for source in (built_in, per_row):
+        collected.append([])
+        dfs_search(NoisePredictor(world=trial_settings.world, schedule=trial_settings.schedule),
+                   source, cfg, trial_settings.resample, np.random.default_rng(seed),
+                   base_sampler=trial_settings.sampler(), collect=collected[-1])
+    assert same_candidates(collected[1], collected[0])
 
 
 def one_extra_draw(noise):

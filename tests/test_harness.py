@@ -474,6 +474,10 @@ class TestCli:
          "world.components[0].mean: expected a number or a list of numbers, got True"),
         ("world.verifier_weights={}",
          "world.verifier_weights: expected null or a list of numbers, got {}"),
+        # PatchWorld owns the grid rule; the config layer reports it at world.grid
+        ("world.grid=[0,4]", "world.grid: grid must be two positive integers, got (0, 4)"),
+        ("world.grid=[4]", "world.grid: grid must be two positive integers, got (4,)"),
+        ("world.grid=[2,3.7]", "world.grid: expected a list of integers, got [2, 3.7]"),
     ])
     def test_non_finite_or_oversized_number_exit_two(self, setting, error, tmp_path, capsys):
         path = self.write(tmp_path, make_testbed_raw(trials=2))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -213,6 +214,14 @@ class TestMaskSources:
             source(None, None, np.random.default_rng(0))
         mask = source(None, np.array([1, 5]), np.random.default_rng(0))
         np.testing.assert_array_equal(mask.selected, [1, 5])
+        # a batch: one (rows, S) array of bits, a row per defect set
+        bits = source.rows([None] * 2, [np.array([1, 5]), np.array([0])],
+                           list(np.random.default_rng(0).spawn(2)))
+        assert bits.shape == (2, 16) and bits.dtype == np.uint8
+        np.testing.assert_array_equal(np.flatnonzero(bits[0]), [1, 5])
+        np.testing.assert_array_equal(np.flatnonzero(bits[1]), [0])
+        with pytest.raises(ValueError, match="ground-truth"):
+            source.rows([None] * 2, [np.array([1]), None], list(np.random.default_rng(0).spawn(2)))
 
     def test_attention_source_recovers_planted_set_noiselessly(self):
         predictor = make_predictor()
@@ -222,8 +231,12 @@ class TestMaskSources:
         state = LatentState(x=x[0], t=0.0)
         source = attention_mask_source(predictor.world, gain_pos=0.3, gain_neg=0.3,
                                        noise_sd=0.0, weight=0.5, ratio=4 / 16)
+        rows_rng = copy.deepcopy(rng)
         mask = source(state, true_set, rng)
         np.testing.assert_array_equal(mask.selected, true_set)
+        [bits] = source.rows([state], [true_set], [rows_rng])
+        np.testing.assert_array_equal(bits, mask.bits)
+        assert rows_rng.bit_generator.state == rng.bit_generator.state
 
     def test_randomized_sampler_varies_defect_count(self):
         predictor = make_predictor()
