@@ -318,7 +318,8 @@ def threshold_mask(quality: QualityMap, ratio: float) -> DefectMask:
 def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.ndarray,
                weight: float, ratio: float) -> np.ndarray:
     """The mask pipeline over rows: fields (rows, S) and propagation weights
-    (rows, S, S) to (rows, S) bits, row by row those of mask_gen."""
+    (rows, S, S), or (S, S) shared by every row, to (rows, S) bits, row by
+    row those of mask_gen."""
     propagated = [(weights @ field[..., None])[..., 0] for field in (neg - pos, orig)]
     # the origin field clamped as propagate clamps it
     quality = _reweighted(propagated[0], np.maximum(propagated[1], 0.0), weight)

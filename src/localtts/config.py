@@ -1,14 +1,17 @@
 """Experiment configuration: defaults, deep-merge, and JSON-shape checks.
 
-One JSON document configures a run. This module checks what only the JSON
-shows (value types and unknown keys), merges defaults, and builds the
-experiment objects. A range rule on a value that an object holds lives in
-that object's type; this module reports each broken rule at its dotted JSON
-path and itself checks only the values no type holds (the run-level keys,
-search.reference_n and the theory options). Validation is
-exhaustive rather than fail-fast, so a bad config can be fixed in one pass. Scalar keys may be overridden from the command line;
-the resolved document (defaults applied, overrides recorded) is embedded
-in every report so results are self-describing.
+One JSON document configures a run. This module merges defaults, checks what
+only the JSON shows, and builds the experiment objects. Every value it
+type-checks has a shape in ``_SHAPES`` and is read by ``_read``: an object
+rejects unknown keys, an integer key takes a JSON integer only (not 2.0 or
+true), and a key whose default is null may be null. A range rule on a value
+that an object holds lives in that object's type; this module reports each
+broken rule at its dotted JSON path and itself checks ranges only for the
+values no type holds (the run-level keys, search.reference_n and the theory
+options). Validation is exhaustive rather than fail-fast, so a bad config can
+be fixed in one pass. Keys may be overridden from the command line; the
+resolved document (defaults applied, overrides recorded) is embedded in
+every report so results are self-describing.
 """
 from __future__ import annotations
 
@@ -110,8 +113,12 @@ _SECTIONS_BY_KIND = {
     "maskgen": ("maskgen",),
 }
 
-# JSON shape of each section value that an object is built from
+# JSON shape of each value this module type-checks, by section (None: run level)
 _SHAPES = {
+    None: {"master_seed": "integer", "trials": "integer", "workers": "integer"},
+    "world": {"grid": "integers", "patch_dim": "integer", "components": "list",
+              "verifier_weights": "numbers"},
+    "world.components": {"weight": "number", "mean": "vector", "variance": "number"},
     "schedule": {"horizon": "number", "n_steps": "integer"},
     "resample": {"t0": "number", "t_g": "number", "n_refine": "integer",
                  "n_integrate": "integer"},
@@ -127,15 +134,18 @@ _SHAPES = {
     "mask_stats": {"recall": "number", "precision": "number"},
     "theory": {"mc_trials": "integer", "bon_repair_prob_one": "number",
                "bon_n_max": "integer"},
-    "maskgen": {"weight": "number", "ratio": "number"},
+    "maskgen": {"bundle": "object", "bundle_path": "path", "raw": "object",
+                "raw_paths": "object", "queries": "list", "queries_path": "path",
+                "weight": "number", "ratio": "number"},
 }
+# the one list of numbers, world.verifier_weights, defaults to null
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
-             "integers": "a list of integers"}
+             "integers": "a list of integers", "numbers": "null or a list of numbers",
+             "vector": "a number or a list of numbers", "object": "an object",
+             "path": "a path", "list": "a list"}
 
-# JSON type of each maskgen attention source that is set
-_SOURCES = {"bundle": (dict, "an object"), "bundle_path": (str, "a path"),
-            "raw": (dict, "an object"), "raw_paths": (dict, "an object"),
-            "queries": (list, "a list"), "queries_path": (str, "a path")}
+# a component's keys: weight and variance have no default, mean defaults to 0.0
+_COMPONENT = {"weight": None, "mean": 0.0, "variance": None}
 
 # trial-settings field -> its dotted path in the config document
 _SETTINGS_PATHS = {
@@ -187,29 +197,40 @@ def _is_number(value: Any) -> bool:
 
 def _typed(value: Any, shape: str):
     """value converted to its shape's Python type, or None if the JSON value
-    does not have that shape. A number must be finite and fit a float."""
-    number = _is_number(value) and abs(value) <= sys.float_info.max
+    does not have that shape. A number is finite and fits a float; an integer
+    is a JSON int that fits a float. The numbers of a list of numbers or a
+    vector pass as given: the world checks them."""
+    fits = _is_number(value) and abs(value) <= sys.float_info.max
     if shape == "number":
-        return float(value) if number else None
+        return float(value) if fits else None
     if shape == "integer":
-        return int(value) if number and float(value).is_integer() else None
+        return value if fits and isinstance(value, int) else None
     if shape == "boolean":
         return value if isinstance(value, bool) else None
-    if isinstance(value, list):
-        items = [_typed(item, "integer") for item in value]
+    if shape == "integers":
+        items = [_typed(item, "integer") for item in value] if isinstance(value, list) else [None]
         return None if None in items else tuple(items)
-    return None
+    if shape == "numbers":
+        return value if isinstance(value, list) and all(map(_is_number, value)) else None
+    if shape == "vector":
+        return value if _is_number(value) else _typed(value, "numbers")
+    return value if isinstance(value, {"object": dict, "path": str, "list": list}[shape]) else None
 
 
-def _read(doc: dict, path: str, shapes: dict, errors: list[str]) -> Optional[dict]:
-    """The typed value of every key in shapes, or None if any has the wrong shape."""
+def _read(doc: dict, path: Optional[str], shapes: dict, errors: list[str]) -> Optional[dict]:
+    """The typed value of every key in shapes, or None if any has the wrong
+    shape. A key whose default in DEFAULTS[path] is None may be null."""
+    nullable = {key for key, default in DEFAULTS.get(path, {}).items() if default is None}
     values = {}
     for key, shape in shapes.items():
-        value = _typed(doc.get(key), shape)
-        if value is None:
-            errors.append(f"{path}.{key}: expected {_EXPECTED[shape]}, got {doc.get(key)!r}")
+        value = doc.get(key)
+        if value is None and key in nullable:
+            values[key] = None
+        elif (typed := _typed(value, shape)) is not None:
+            values[key] = typed
         else:
-            values[key] = value
+            errors.append(f"{path + '.' if path else ''}{key}: expected {_EXPECTED[shape]}, "
+                          f"got {value!r}")
     return values if len(values) == len(shapes) else None
 
 
@@ -233,32 +254,17 @@ def _section(cls, section: str, docs: dict, errors: list[str]):
 
 
 def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
-    values = _read(doc, "world", {"grid": "integers", "patch_dim": "integer"}, errors)
-    weights = doc.get("verifier_weights")  # numbers pass as given: the world checks them
-    if weights is not None and not (isinstance(weights, list) and all(map(_is_number, weights))):
-        errors.append(f"world.verifier_weights: expected null or a list of numbers, "
-                      f"got {weights!r}")
-        values = None
-    components = doc.get("components")
-    if not isinstance(components, list):
-        errors.append(f"world.components: expected a list of components, got {components!r}")
-        return None
+    values = _read(doc, "world", _SHAPES["world"], errors)
     specs = []
-    for i, comp in enumerate(components):
+    for i, comp in enumerate(_typed(doc["components"], "list") or []):
         path = f"world.components[{i}]"
-        if not isinstance(comp, dict):
-            errors.append(f"{path}: expected an object")
-            continue
-        typed = _read(comp, path, {"weight": "number", "variance": "number"}, errors)
-        mean = comp.get("mean", 0.0)
-        if not (_is_number(mean) or isinstance(mean, list) and all(map(_is_number, mean))):
-            errors.append(f"{path}.mean: expected a number or a list of numbers, got {mean!r}")
-        elif typed is not None:
-            specs.append((typed["weight"], mean, typed["variance"]))
-    if values is None or len(specs) != len(components):
+        typed = _read(_merge_section(_COMPONENT, comp, path, errors), path,
+                      _SHAPES["world.components"], errors)
+        if typed is not None:
+            specs.append((typed["weight"], typed["mean"], typed["variance"]))
+    if values is None or len(specs) != len(values["components"]):
         return None
-    return _build(PatchWorld.uniform, {**values, "components": specs,
-                                       "verifier_weights": weights}, "world", errors)
+    return _build(PatchWorld.uniform, {**values, "components": specs}, "world", errors)
 
 
 def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialSettings]:
@@ -292,7 +298,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     complete list of violations (dotted JSON paths) on failure."""
     errors: list[str] = []
     warnings: list[str] = []
-    if not isinstance(raw, dict):
+    if _typed(raw, "object") is None:
         raise ConfigError(["config: expected a JSON object"])
     kind = raw.get("kind")
     if kind not in KINDS:
@@ -301,31 +307,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if key not in DEFAULTS:
             errors.append(f"{key}: unknown key")
 
-    resolved: dict[str, Any] = {"kind": kind}
     if "master_seed" not in raw and kind != "maskgen":
         warnings.append("master_seed missing; defaulted to 0")
-    master_seed = raw.get("master_seed", DEFAULTS["master_seed"])
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-        errors.append(f"master_seed: expected an integer, got {master_seed!r}")
-        master_seed = 0
-    elif not 0 <= master_seed < 2 ** 64:
-        errors.append(f"master_seed: must fit in 64 bits, got {master_seed}")
-        master_seed = 0
-    resolved["master_seed"] = master_seed
-
-    trials = raw.get("trials", DEFAULTS["trials"])
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        errors.append(f"trials: expected a positive integer, got {trials!r}")
-        trials = 1
-    resolved["trials"] = trials
-
-    workers = raw.get("workers", DEFAULTS["workers"])
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        errors.append(f"workers: expected a positive integer, got {workers!r}")
-        workers = 1
-
-    cfg = ExperimentConfig(kind=kind, master_seed=master_seed, trials=trials,
-                           workers=workers, resolved=resolved, warnings=warnings)
+    run = {key: raw.get(key, DEFAULTS[key]) for key in _SHAPES[None]}
+    if _read(run, None, _SHAPES[None], errors):
+        seed, trials, workers = run.values()
+        errors.extend(f"{key}: {message}" for passed, key, message in [
+            (0 <= seed < 2 ** 64, "master_seed", f"must fit in 64 bits, got {seed}"),
+            (trials >= 1, "trials", f"must be at least 1, got {trials}"),
+            (trials >= 2 or kind != "scaling", "trials",
+             "scaling needs at least 2 trials for standard errors"),
+            (workers >= 1, "workers", f"must be at least 1, got {workers}"),
+        ] if not passed)
+    resolved = {"kind": kind, "master_seed": run["master_seed"], "trials": run["trials"]}
+    cfg = ExperimentConfig(kind=kind, resolved=resolved, warnings=warnings, **run)
     docs = {}
     for section in _SECTIONS_BY_KIND[kind]:
         docs[section] = resolved[section] = _merge_section(
@@ -337,16 +332,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if kind == "scaling":
         doc = docs["search"]
         n_grid = _typed(doc["n_grid"], "integers")
-        if n_grid:
-            reference_n = doc["reference_n"]
-            if reference_n is None:
-                reference_n = max(n_grid)
-            elif (isinstance(reference_n, bool) or not isinstance(reference_n, int)
-                  or reference_n not in n_grid):
-                errors.append(f"search.reference_n: must be a value from n_grid, got {reference_n!r}")
-            doc["reference_n"] = reference_n
-        if trials < 2:
-            errors.append("trials: scaling needs at least 2 trials for standard errors")
+        if n_grid and doc["reference_n"] is None:
+            doc["reference_n"] = max(n_grid)
+        elif n_grid and _typed(doc["reference_n"], "integer") not in n_grid:
+            errors.append(f"search.reference_n: must be a value from n_grid, "
+                          f"got {doc['reference_n']!r}")
 
     if kind == "theory":
         cfg.economy = _section(PatchEconomy, "economy", docs, errors)
@@ -371,9 +361,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         # weight and ratio ranges are checked by the mask pipeline (reweight,
         # threshold_mask); run_maskgen reports a broken one as a config error
         _read(doc, "maskgen", _SHAPES["maskgen"], errors)
-        errors.extend(f"maskgen.{key}: expected {expected}, got {doc[key]!r}"
-                      for key, (kind, expected) in _SOURCES.items()
-                      if doc.get(key) is not None and not isinstance(doc[key], kind))
         sources = [key for key in ("bundle", "bundle_path", "raw", "raw_paths")
                    if doc.get(key) is not None]
         if len(sources) != 1:
@@ -404,6 +391,8 @@ def load_config(path: str | Path, overrides: Optional[list[str]] = None
         raise ConfigError([f"config: invalid JSON: {exc}"])
     applied = []
     for item in overrides or []:
+        if _typed(raw, "object") is None:
+            break  # validate_config rejects the document
         if "=" not in item:
             raise ConfigError([f"--set: expected key=value, got {item!r}"])
         key, _, text = item.partition("=")

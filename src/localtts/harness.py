@@ -189,11 +189,6 @@ def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequen
                                              settings.mask_source(), settings.sampler())]
 
 
-def testbed_trial(settings: TrialSettings, seed_seq: np.random.SeedSequence) -> tuple:
-    """One refinement trial: a batch of one."""
-    return testbed_trials(settings, [seed_seq])[0]
-
-
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rows = run_chunks(testbed_trials, cfg.settings, cfg.trials, cfg.master_seed, cfg.workers)
     nfe = cfg.settings.schedule.n_steps + cfg.settings.resample.nfe_cost

@@ -36,6 +36,7 @@ from .testbed import (
     _attention_rows,
     _inject_rows,
     _RowNoise,
+    grid_query_features,
     sample_base,
     synth_attention,
     verifier_score,
@@ -132,8 +133,11 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     def rows(states, defect_sets, rngs) -> np.ndarray:
         *fields, queries = _attention_rows(world, defect_sets, *synth_args, rngs)
         step = _mask_step(world.n_patches)
+        # noiseless queries are the grid's features in every row: one softmax serves all
+        shared = _softmax_rows(grid_query_features(world.grid)) if noise_sd == 0 else None
         return np.concatenate([_mask_bits(*(a[i:i + step] for a in fields),
-                                          _softmax_rows(queries[i:i + step]), weight, ratio)
+                                          _softmax_rows(queries[i:i + step]) if shared is None
+                                          else shared, weight, ratio)
                                for i in range(0, len(rngs), step)])
 
     source.rows = rows

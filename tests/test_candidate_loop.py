@@ -295,12 +295,12 @@ def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, is_co
 def test_testbed_trial_equals_reference_sequence(kwargs, seed):
     trial_settings = TrialSettings(**kwargs)
     seed_seq = np.random.SeedSequence(seed)
-    row = harness.testbed_trial(trial_settings, seed_seq)
+    row = harness.testbed_trials(trial_settings, [seed_seq])[0]
     ref_row = reference_testbed_trial(trial_settings, seed)
     assert row == ref_row
     assert [type(cell) for cell in row] == [type(cell) for cell in ref_row]
     # a trial reads its seed sequence without consuming it
-    assert harness.testbed_trial(trial_settings, seed_seq) == row
+    assert harness.testbed_trials(trial_settings, [seed_seq])[0] == row
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,7 +322,7 @@ def test_chunk_equals_its_trials_one_at_a_time(kwargs, chunk, refinements, bon_m
     results = sweep_trials(sweep, seed_seqs)
     # a chunk reads its seed sequences without consuming them
     assert all(seed_seq.n_children_spawned == 0 for seed_seq in seed_seqs)
-    one_at_a_time = [harness.testbed_trial(trial_settings, q) for q in seed_seqs]
+    one_at_a_time = [harness.testbed_trials(trial_settings, [q])[0] for q in seed_seqs]
     assert rows == one_at_a_time
     assert [[type(cell) for cell in row] for row in rows] == \
         [[type(cell) for cell in row] for row in one_at_a_time]

@@ -489,7 +489,7 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("config, setting, errors", [
         ("testbed_small.json", "schedule.n_steps=1e300",
-         ["schedule.n_steps: must be at most 100000, got 1e+300"]),
+         ["schedule.n_steps: expected an integer, got 1e+300"]),
         ("testbed_small.json", "defects.magnitude=1e200",
          ["defects.magnitude: overflows the oracle, got 1e+200"]),
         ("testbed_small.json", "resample.n_refine=1000000000000",
@@ -500,6 +500,8 @@ class TestCli:
                                ("closed_form.budget_gain_local", "inf"),
                                ("closed_form.dominance_margin", "nan"),
                                ("monte_carlo.gain_global_mean", "nan"))]),
+        ("testbed_small.json", "schedule.n_steps=1000000",
+         ["schedule.n_steps: must be at most 100000, got 1e+06"]),
     ])
     def test_overflowing_number_exit_two(self, config, setting, errors, tmp_path, capsys):
         # finite but huge numbers: a range rule in the owning type, or the report
@@ -510,6 +512,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(f"config error: {error}" in err for error in errors), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, setting, error", [
+        # 2.0 == 2 and true == 1, but neither is a JSON integer
+        *((config, f"{key}={value}", f"{key}: expected an integer, got {shown}")
+          for config, key in (("testbed_small.json", "trials"),
+                              ("testbed_small.json", "schedule.n_steps"),
+                              ("theory_worked.json", "economy.defects"),
+                              ("scaling_default.json", "search.refinements"))
+          for value, shown in (("2.0", "2.0"), ("true", "True"))),
+        *(("scaling_default.json", f"search.n_grid=[1,3,6,{value}]",
+           f"search.n_grid: expected a list of integers, got [1, 3, 6, {shown}]")
+          for value, shown in (("9.0", "9.0"), ("true", "True"))),
+        ("testbed_small.json", 'world.components=[{"weight": 1, "meen": 0.5, "variance": 0.09}]',
+         "world.components[0].meen: unknown key"),
+    ])
+    def test_wrong_json_shape_exit_two(self, config, setting, error, tmp_path, capsys):
+        kind = json.loads((CONFIGS / config).read_text())["kind"]
+        assert cli_main([kind, "--config", str(CONFIGS / config), "--set", setting,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {error}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_document_not_an_object_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert cli_main(["testbed", "--config", str(path), "--set", "x=1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "config error: config: expected a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, error", [
         ('{"kind": "uniform", "mean": 3}', "theory.repair_dist.mean: unknown key"),
