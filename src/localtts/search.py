@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence, _coerce_to_uint32_array
 
 from .attention import (DefectMask, _indicators, _mask_bits, _softmax_rows, mask_from_indices,
                         mask_gen)
@@ -144,12 +145,83 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     return source
 
 
+# numpy's SeedSequence hash constants, uint64 so that no NEP 50 casting applies
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _XSHIFT = (np.uint64(c) for c in (0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 16))
+
+
+def _hashmix(words: np.ndarray, init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """SeedSequence's hash of count words a row, start hashes into its constants."""
+    consts = np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
+                       for i in range(start, start + count + 1)], np.uint64)
+    mixed = (words ^ consts[:-1]) * consts[1:] & _M32
+    return mixed ^ mixed >> _XSHIFT
+
+
+class _Lineage(ISpawnableSeedSequence):
+    """numpy's SeedSequence bit for bit, whose spawns hash all children in
+    one array pass (_spawn_seqs). words counts the entropy words it hashed,
+    the run entropy zero-padded to the pool size. It keeps the words PCG64
+    asks of generate_state; numpy answers any other request."""
+
+    def __init__(self, entropy, spawn_key: tuple, pool_size: int, pool, words: int, state):
+        self.entropy, self.spawn_key, self.pool_size = entropy, spawn_key, pool_size
+        self.n_children_spawned, self._pool, self._words, self._state = 0, pool, words, state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self._state.copy()
+        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key,
+                                      pool_size=self.pool_size).generate_state(n_words, dtype)
+
+    def spawn(self, n_children: int) -> list:
+        return _spawn_seqs([self], [n_children])
+
+
+def _spawn_seqs(parents: list[_Lineage], counts: list[int]) -> list:
+    """parent.spawn(k) for each parent and count in turn, in one pass: a
+    child's pool is its parent's mixed with its index as the next entropy
+    word j, after numpy's j * pool_size hashes. Parents of differing shape, or
+    an index from 2**32 on, get numpy's own SeedSequence."""
+    owners = [parent for parent, k in zip(parents, counts) for _ in range(k)]
+    keys = []
+    for parent, k in zip(parents, counts):
+        keys += range(parent.n_children_spawned, parent.n_children_spawned + k)
+        parent.n_children_spawned += k
+    shapes = {(parent.pool_size, parent._words) for parent in parents}
+    if len(shapes) != 1 or max(keys, default=0) >> 32:
+        return [np.random.SeedSequence(p.entropy, spawn_key=p.spawn_key + (key,),
+                                       pool_size=p.pool_size) for p, key in zip(owners, keys)]
+    [(size, words)] = shapes
+    mixed = _hashmix(np.array(keys, np.uint64)[:, None], _INIT_A, _MULT_A, words * size, size)
+    pools = (_MIX_L * np.repeat(np.stack([p._pool for p in parents]), counts, axis=0)
+             - _MIX_R * mixed) & _M32
+    pools ^= pools >> _XSHIFT
+    states = _hashmix(pools[:, np.arange(8) % size], _INIT_B, _MULT_B, 0, 8)
+    states = states[:, ::2] | states[:, 1::2] << np.uint64(32)
+    return [_Lineage(p.entropy, p.spawn_key + (key,), size, pool, words + 1, state)
+            for p, key, pool, state in zip(owners, keys, pools, states)]
+
+
+def _spawn(rngs: list[np.random.Generator], counts: list[int]) -> list[np.random.Generator]:
+    """rng.spawn(k) for each generator and count in turn, flattened: one pass
+    for generators trial_rng seeded."""
+    seqs = [rng.bit_generator.seed_seq for rng in rngs]
+    if all(isinstance(seq, _Lineage) for seq in seqs):
+        return [np.random.Generator(np.random.PCG64(child)) for child in _spawn_seqs(seqs, counts)]
+    return [child for rng, k in zip(rngs, counts) for child in rng.spawn(k)]
+
+
 def trial_rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    """The generator of one trial. It spawns from a copy of seed_seq, so the
+    """The generator of one trial, seeded by a _Lineage copy of seed_seq:
+    numpy's SeedSequence bit for bit, as tests/test_seeding.py checks. The
     trial leaves seed_seq's spawn counter alone and depends on its entropy
     and spawn key only."""
-    return np.random.default_rng(np.random.SeedSequence(
-        seed_seq.entropy, spawn_key=seed_seq.spawn_key, pool_size=seed_seq.pool_size))
+    words = (max(len(_coerce_to_uint32_array(seed_seq.entropy)), seed_seq.pool_size)
+             + len(_coerce_to_uint32_array(seed_seq.spawn_key)))
+    return np.random.Generator(np.random.PCG64(_Lineage(
+        seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size, seed_seq.pool.astype(np.uint64),
+        words, seed_seq.generate_state(4, np.uint64))))
 
 
 def _scores(verify: Verifier, states: LatentState) -> list[float]:
@@ -175,23 +247,24 @@ _BLOCK_NOISE = 1 << 19
 
 
 def _mask_step(size: int) -> int:
-    """Rows per slice of the mask pipeline, whose (rows, size, size) weights stay within it."""
-    return max(1, _BLOCK_NOISE // size ** 2)
+    """Rows per slice of the mask pipeline, whose (rows, size, size) weights
+    stay within 1 MiB, in cache: at size 256, 2-row slices beat 8-row ones."""
+    return max(1, (1 << 17) // size ** 2)
 
 
 def _blocks(searches, base_draws: int, refine_draws: int, dim: int):
-    """Seeds as (search index, seed index, generator, config), in order, in
-    blocks whose base and refinement noise (base_draws, refine_draws slices
-    a row) each stay within _BLOCK_NOISE coordinates (a block holds at least
-    one seed); a search's seeds are spawned when reached."""
+    """Seeds as (search index, seed index, search generator, config), in
+    order, in blocks whose base and refinement noise (base_draws,
+    refine_draws slices a row) each stay within _BLOCK_NOISE coordinates (a
+    block holds at least one seed)."""
     block, refining = [], 0
     for g, (cfg, search_rng) in enumerate(searches):
-        for idx, rng in enumerate(search_rng.spawn(cfg.seeds)):
+        for idx in range(cfg.seeds):
             if block and ((len(block) + 1) * base_draws * dim > _BLOCK_NOISE or (
                     refining + cfg.refinements) * refine_draws * dim > _BLOCK_NOISE):
                 yield block
                 block, refining = [], 0
-            block.append((g, idx, rng, cfg))
+            block.append((g, idx, search_rng, cfg))
             refining += cfg.refinements
     if block:
         yield block
@@ -233,7 +306,9 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     if resample is None and any(cfg.refinements > 0 for *_, cfg in block):
         raise ValueError("searches with refinements need a resample config")
     world = predictor.world
-    rngs = [rng for _, _, rng, _ in block]
+    # each search's seeds in the block, spawned from its generator in one pass
+    runs = [list(run) for _, run in itertools.groupby(block, key=operator.itemgetter(0))]
+    rngs = _spawn([run[0][2] for run in runs], [len(run) for run in runs])
 
     # base phase: one integration (a step per draw after x_T), one injection,
     # one verifier call
@@ -259,7 +334,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
         masks = {row: DefectMask(bits=b, ratio=ratio, grid=world.grid)
                  for row, b, ratio in zip(refining, bits, ratios)}
         counts = [block[row][3].refinements for row in refining]
-        refine_rngs = [child for row, k in zip(refining, counts) for child in rngs[row].spawn(k)]
+        refine_rngs = _spawn([rngs[row] for row in refining], counts)
 
         # refinement phase: one batch, each row on its seed's coordinate mask
         seed_of = np.repeat(np.arange(len(refining)), counts)
@@ -374,6 +449,8 @@ class TrialSettings:
     oracle_masks: bool = False
     randomize_defects: bool = True
 
+    MAX_ROW_NOISE = 1 << 22  # the noise coordinates one row draws in one phase: 32 MiB
+
     def __post_init__(self):
         check(self._rules())
 
@@ -397,6 +474,15 @@ class TrialSettings:
         if self.schedule is not None and self.resample is not None:
             rules.append((self.resample.t0 <= self.schedule.horizon, "resample.t0",
                           f"exceeds schedule horizon {self.schedule.horizon}"))
+        # a row's noise slices per phase: x_T and one per base step; two renoises and
+        # one per refinement step
+        draws = {"schedule.n_steps": self.schedule and self.schedule.n_steps + 1,
+                 "resample.n_refine": self.resample and self.resample.nfe_cost + 2}
+        for path, n in draws.items():
+            if self.world is not None and n is not None:
+                rules.append((n * self.world.dim <= self.MAX_ROW_NOISE, path,
+                              f"draws {n * self.world.dim} noise coordinates a row at world dim "
+                              f"{self.world.dim}, more than {self.MAX_ROW_NOISE}"))
         return rules
 
     def mask_source(self) -> MaskSource:

@@ -94,10 +94,22 @@ class PatchWorld:
     variances: np.ndarray
     verifier_weights: np.ndarray
 
+    # one mask row's (S, S) weights stay within 8 MiB, one row's coordinates within 512 KiB
+    MAX_PATCHES, MAX_DIM = 1024, 1 << 16
+
+    @classmethod
+    def _check_size(cls, m: int, d: int) -> None:
+        """The caps on m patches of dim d, checked before any array of the world is built."""
+        check([(m <= cls.MAX_PATCHES, "grid",
+                f"must have at most {cls.MAX_PATCHES} patches, got {m}"),
+               (m * d <= cls.MAX_DIM, "patch_dim",
+                f"times {m} patches must be at most {cls.MAX_DIM}, got {m * d}")])
+
     def __post_init__(self):
         grid = _world_grid(self.grid)
         m = grid[0] * grid[1]
         d = int(self.patch_dim)
+        self._check_size(m, d)
         weights = np.array(self.weights, dtype=float)
         means = np.array(self.means, dtype=float)
         variances = np.array(self.variances, dtype=float)
@@ -157,6 +169,7 @@ class PatchWorld:
         grid = _world_grid(grid)
         m = grid[0] * grid[1]
         d = int(patch_dim)
+        cls._check_size(m, d)
         comp = list(components)
         check([(bool(comp), "components", "at least one mixture component is required")])
         weights = np.array([c[0] for c in comp], dtype=float)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from localtts import harness, search
 from localtts.cli import main as cli_main
 from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
 from localtts.harness import run_experiment, sign_test_p_greater
-from localtts.testbed import NoisePredictor
+from localtts.testbed import NoisePredictor, PatchWorld
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -512,6 +513,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(f"config error: {error}" in err for error in errors), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("settings, errors", [
+        # at d = 2 one row of 2e6 coordinates and an S x S mask of 1e12 entries
+        (["world.grid=[1000,1000]"],
+         ["world.grid: must have at most 1024 patches, got 1000000",
+          "world.patch_dim: times 1000000 patches must be at most 65536, got 2000000"]),
+        # PatchWorld.uniform would build a mean array of at least 8 GB
+        (["world.patch_dim=1000000000"],
+         ["world.patch_dim: times 16 patches must be at most 65536, got 16000000000"]),
+        # one row's noise in one phase
+        (["world.patch_dim=64", "schedule.n_steps=5000"],
+         ["schedule.n_steps: draws 5121024 noise coordinates a row at world dim 1024, "
+          "more than 4194304"]),
+        (["world.patch_dim=4096", "resample.n_refine=99000"],
+         ["resample.n_refine: draws 6488326144 noise coordinates a row at world dim 65536, "
+          "more than 4194304"]),
+    ])
+    def test_size_cap_exit_two_before_allocating(self, settings, errors, tmp_path, capsys):
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        tracemalloc.start()
+        try:
+            code = cli_main(["testbed", "--config", str(CONFIGS / "testbed_small.json"),
+                             *overrides, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(f"config error: {error}" in err for error in errors), err
+        assert peak < 1 << 22  # validation alone: no array of the world or a row was built
+        assert not (tmp_path / "out").exists()
+
+    def test_size_caps_admit_the_largest_worlds_in_use(self):
+        # the caps themselves, S = 256 at d = 4, and the testbed_k3 workload's 8 x 8 at d = 4
+        for grid, d in (((32, 32), 64), ((16, 16), 4), ((8, 8), 4)):
+            assert PatchWorld.uniform(grid, d, [(1.0, 0.0, 0.09)]).dim == grid[0] * grid[1] * d
 
     @pytest.mark.parametrize("config, setting, error", [
         # 2.0 == 2 and true == 1, but neither is a JSON integer
