@@ -1,17 +1,18 @@
-"""Experiment configuration: defaults, deep-merge, and JSON-shape checks.
+"""Experiment configuration: one schema, deep-merge, and JSON-shape checks.
 
-One JSON document configures a run. This module merges defaults, checks what
-only the JSON shows, and builds the experiment objects. Every value it
-type-checks has a shape in ``_SHAPES`` and is read by ``_read``: an object
-rejects unknown keys, an integer key takes a JSON integer only (not 2.0 or
-true), and a key whose default is null may be null. A range rule on a value
-that an object holds lives in that object's type; this module reports each
-broken rule at its dotted JSON path and itself checks ranges only for the
-values no type holds (the run-level keys, search.reference_n and the theory
-options). Validation is exhaustive rather than fail-fast, so a bad config can
-be fixed in one pass. Keys may be overridden from the command line; the
-resolved document (defaults applied, overrides recorded) is embedded in
-every report so results are self-describing.
+One JSON document configures a run. ``_SCHEMA`` gives every key of every
+object in it a default and a JSON shape; ``DEFAULTS`` is derived from it. This
+module merges the document over the defaults, checks what only the JSON
+shows, and builds the experiment objects. ``_read`` reads every key with a
+shape: an integer key takes a JSON integer only (not 2.0 or true), a key whose
+default is null may be null and a key with no default is required. An object
+rejects unknown keys and a run rejects a section its kind does not read. A
+range rule on a value that an object holds lives in that object's type; this
+module reports each broken rule at its dotted JSON path and itself checks
+ranges only for the values no type holds (the run-level keys,
+search.reference_n and the theory options). Validation is exhaustive, so a bad
+config can be fixed in one pass. The resolved document (defaults applied,
+command-line overrides recorded) is embedded in every report.
 """
 from __future__ import annotations
 
@@ -39,113 +40,71 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-DEFAULTS: dict[str, Any] = {
-    "kind": None,
-    "master_seed": 0,
-    "trials": 200,
-    "workers": 1,
-    "world": {
-        "grid": [4, 4],
-        "patch_dim": 2,
-        "components": [{"weight": 1.0, "mean": 0.0, "variance": 0.09}],
-        "verifier_weights": None,
-    },
-    "schedule": {"horizon": 1.0, "n_steps": 32},
-    "resample": {"t0": 0.4, "t_g": 0.04, "n_refine": 16, "n_integrate": 2},
-    "search": {
-        "seeds": 3,
-        "refinements": 2,
-        "n_grid": [1, 3, 6, 9],
-        "bon_grid": [1, 3, 6, 9, 12, 15, 18, 24, 30, 36, 45],
-        "reference_n": None,
-    },
-    "defects": {"count": 3, "magnitude": 0.6, "randomize": True},
-    "attention": {
-        "gain_pos": 0.3,
-        "gain_neg": 0.3,
-        "noise_sd": 0.2,
-        "weight": 0.5,
-        "ratio": 0.5,
-        "oracle_masks": False,
-    },
-    "economy": {
-        "m_patches": 100,
-        "defects": 10,
-        "repair_gain": 1.0,
-        "harm_loss": 0.5,
-        "repair_prob_global": 0.5,
-        "repair_prob_local": 0.5,
-        "harm_prob_global": 0.1,
-        "harm_prob_local": 0.1,
-        "cost_global": 1.0,
-        "cost_local": 1.0,
-        "budget": 1.0,
-    },
-    "mask_stats": {"recall": 0.8, "precision": 0.8},
-    "theory": {
-        "mc_trials": 100000,
-        "bon_repair_prob_one": 0.5,
-        "bon_n_max": 50,
-        "repair_dist": {"kind": "constant"},
-        "harm_dist": {"kind": "constant"},
-    },
-    "maskgen": {
-        "bundle": None,
-        "bundle_path": None,
-        "raw": None,
-        "raw_paths": None,
-        "queries": None,
-        "queries_path": None,
-        "weight": 0.5,
-        "ratio": 0.5,
-    },
+# Every key of every object in the config document, nested as the document
+# is: (JSON shape, default), or (shape,) for a required key; a null default
+# makes a key nullable. A nested table is an object merged key by key (a
+# section, a value distribution); a table as the shape is a list of such
+# objects. A key whose shape is None is read by its own rule.
+_SCHEMA: dict[str, Any] = {
+    "kind": (None, None), "master_seed": ("integer", 0), "trials": ("integer", 200),
+    "workers": ("integer", 1),
+    "world": {"grid": ("integers", [4, 4]), "patch_dim": ("integer", 2),
+              "components": ({"weight": ("number",), "mean": ("vector", 0.0),
+                              "variance": ("number",)},
+                             [{"weight": 1.0, "mean": 0.0, "variance": 0.09}]),
+              "verifier_weights": ("numbers", None)},
+    "schedule": {"horizon": ("number", 1.0), "n_steps": ("integer", 32)},
+    "resample": {"t0": ("number", 0.4), "t_g": ("number", 0.04), "n_refine": ("integer", 16),
+                 "n_integrate": ("integer", 2)},
+    "search": {"seeds": ("integer", 3), "refinements": ("integer", 2),
+               "n_grid": ("integers", [1, 3, 6, 9]),
+               "bon_grid": ("integers", [1, 3, 6, 9, 12, 15, 18, 24, 30, 36, 45]),
+               "reference_n": (None, None)},
+    "defects": {"count": ("integer", 3), "magnitude": ("number", 0.6),
+                "randomize": ("boolean", True)},
+    "attention": {"gain_pos": ("number", 0.3), "gain_neg": ("number", 0.3),
+                  "noise_sd": ("number", 0.2), "weight": ("number", 0.5),
+                  "ratio": ("number", 0.5), "oracle_masks": ("boolean", False)},
+    "economy": {"m_patches": ("integer", 100), "defects": ("integer", 10),
+                "repair_gain": ("number", 1.0), "harm_loss": ("number", 0.5),
+                "repair_prob_global": ("number", 0.5), "repair_prob_local": ("number", 0.5),
+                "harm_prob_global": ("number", 0.1), "harm_prob_local": ("number", 0.1),
+                "cost_global": ("number", 1.0), "cost_local": ("number", 1.0),
+                "budget": ("number", 1.0)},
+    "mask_stats": {"recall": ("number", 0.8), "precision": ("number", 0.8)},
+    # a distribution is a kind only (ValueDistribution checks it): its mean is the economy's
+    "theory": {"mc_trials": ("integer", 100000), "bon_repair_prob_one": ("number", 0.5),
+               "bon_n_max": ("integer", 50),
+               **dict.fromkeys(("repair_dist", "harm_dist"), {"kind": (None, "constant")})},
+    "maskgen": {"bundle": ("object", None), "bundle_path": ("path", None),
+                "raw": ("object", None), "raw_paths": ("object", None),
+                "queries": ("list", None), "queries_path": ("path", None),
+                "weight": ("number", 0.5), "ratio": ("number", 0.5)},
 }
+
+
+def _defaults(table: dict) -> dict:
+    """The default of every key of a schema table that has one."""
+    return {key: _defaults(spec) if isinstance(spec, dict) else spec[1]
+            for key, spec in table.items() if isinstance(spec, dict) or len(spec) == 2}
+
+
+DEFAULTS: dict[str, Any] = _defaults(_SCHEMA)
 
 # workers is a runtime knob, not an experiment parameter: results are
 # worker-count independent, so it stays out of the resolved document and the
 # recorded overrides, and report bodies are byte-identical across worker counts.
 RUNTIME_KEYS = ("workers",)
 
-_SECTIONS_BY_KIND = {
-    "theory": ("economy", "mask_stats", "theory"),
-    "testbed": ("world", "schedule", "resample", "defects", "attention"),
-    "scaling": ("world", "schedule", "resample", "search", "defects", "attention"),
-    "maskgen": ("maskgen",),
-}
+_SECTIONS_BY_KIND = {"theory": ("economy", "mask_stats", "theory"), "maskgen": ("maskgen",),
+                     "testbed": ("world", "schedule", "resample", "defects", "attention"),
+                     "scaling": ("world", "schedule", "resample", "search", "defects", "attention")}
 
-# JSON shape of each value this module type-checks, by section (None: run level)
-_SHAPES = {
-    None: {"master_seed": "integer", "trials": "integer", "workers": "integer"},
-    "world": {"grid": "integers", "patch_dim": "integer", "components": "list",
-              "verifier_weights": "numbers"},
-    "world.components": {"weight": "number", "mean": "vector", "variance": "number"},
-    "schedule": {"horizon": "number", "n_steps": "integer"},
-    "resample": {"t0": "number", "t_g": "number", "n_refine": "integer",
-                 "n_integrate": "integer"},
-    "defects": {"count": "integer", "magnitude": "number", "randomize": "boolean"},
-    "attention": {"gain_pos": "number", "gain_neg": "number", "noise_sd": "number",
-                  "weight": "number", "ratio": "number", "oracle_masks": "boolean"},
-    "search": {"refinements": "integer", "n_grid": "integers", "bon_grid": "integers"},
-    "economy": {"m_patches": "integer", "defects": "integer",
-                **dict.fromkeys(("repair_gain", "harm_loss", "repair_prob_global",
-                                 "repair_prob_local", "harm_prob_global",
-                                 "harm_prob_local", "cost_global", "cost_local",
-                                 "budget"), "number")},
-    "mask_stats": {"recall": "number", "precision": "number"},
-    "theory": {"mc_trials": "integer", "bon_repair_prob_one": "number",
-               "bon_n_max": "integer"},
-    "maskgen": {"bundle": "object", "bundle_path": "path", "raw": "object",
-                "raw_paths": "object", "queries": "list", "queries_path": "path",
-                "weight": "number", "ratio": "number"},
-}
 # the one list of numbers, world.verifier_weights, defaults to null
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
              "integers": "a list of integers", "numbers": "null or a list of numbers",
              "vector": "a number or a list of numbers", "object": "an object",
              "path": "a path", "list": "a list"}
-
-# a component's keys: weight and variance have no default, mean defaults to 0.0
-_COMPONENT = {"weight": None, "mean": 0.0, "variance": None}
 
 # trial-settings field -> its dotted path in the config document
 _SETTINGS_PATHS = {
@@ -156,6 +115,10 @@ _SETTINGS_PATHS = {
     "oracle_masks": "attention.oracle_masks", "refinements": "search.refinements",
     "n_grid": "search.n_grid", "bon_grid": "search.bon_grid",
 }
+
+# caps: a run builds each trial's seed (0.4 kB) before its first trial, the Monte
+# Carlo a task and a result (1 kB) per 4,096-trial chunk; a worker is a process
+MAX_TRIALS, MAX_MC_TRIALS, MAX_WORKERS = 1 << 16, 10 ** 8, 64
 
 
 @dataclass
@@ -175,18 +138,23 @@ class ExperimentConfig:
     maskgen: dict = field(default_factory=dict)
 
 
-def _merge_section(defaults: dict, user: Any, path: str, errors: list[str]) -> dict:
-    merged = copy.deepcopy(defaults)
+def _merge_section(table: dict, user: Any, path: Optional[str], errors: list[str]) -> dict:
+    """The defaults of a schema table with user's keys over them; a nested
+    table's object is merged in turn."""
+    merged = copy.deepcopy(_defaults(table))
     if user is None:
         return merged
     if not isinstance(user, dict):
         errors.append(f"{path}: expected an object, got {type(user).__name__}")
         return merged
     for key, value in user.items():
-        if key not in defaults:
-            errors.append(f"{path}.{key}: unknown key")
-            continue
-        merged[key] = copy.deepcopy(value)
+        where = f"{path}.{key}" if path else key
+        if key not in table:
+            errors.append(f"{where}: unknown key")
+        elif isinstance(table[key], dict):
+            merged[key] = _merge_section(table[key], value, where, errors)
+        else:
+            merged[key] = copy.deepcopy(value)
     return merged
 
 
@@ -198,8 +166,8 @@ def _is_number(value: Any) -> bool:
 def _typed(value: Any, shape: str):
     """value converted to its shape's Python type, or None if the JSON value
     does not have that shape. A number is finite and fits a float; an integer
-    is a JSON int that fits a float. The numbers of a list of numbers or a
-    vector pass as given: the world checks them."""
+    is a JSON int that fits a float. The numbers of a list of numbers and the
+    integer of a vector pass as given: the world checks them."""
     fits = _is_number(value) and abs(value) <= sys.float_info.max
     if shape == "number":
         return float(value) if fits else None
@@ -213,25 +181,32 @@ def _typed(value: Any, shape: str):
     if shape == "numbers":
         return value if isinstance(value, list) and all(map(_is_number, value)) else None
     if shape == "vector":
-        return value if _is_number(value) else _typed(value, "numbers")
+        return value if fits or type(value) is int else _typed(value, "numbers")
     return value if isinstance(value, {"object": dict, "path": str, "list": list}[shape]) else None
 
 
-def _read(doc: dict, path: Optional[str], shapes: dict, errors: list[str]) -> Optional[dict]:
-    """The typed value of every key in shapes, or None if any has the wrong
-    shape. A key whose default in DEFAULTS[path] is None may be null."""
-    nullable = {key for key, default in DEFAULTS.get(path, {}).items() if default is None}
+def _read(doc: dict, path: Optional[str], table: dict, errors: list[str]) -> Optional[dict]:
+    """The typed value of every key of a schema table that has a shape, or
+    None if any has the wrong shape. Each item of a list of objects is merged
+    and read with the list's own table."""
+    shaped = {key: spec for key, spec in table.items()
+              if isinstance(spec, tuple) and spec[0] is not None}
     values = {}
-    for key, shape in shapes.items():
-        value = doc.get(key)
-        if value is None and key in nullable:
+    for key, (shape, *default) in shaped.items():
+        where, value = f"{path}.{key}" if path else key, doc.get(key)
+        items, shape = (shape, "list") if isinstance(shape, dict) else (None, shape)
+        if value is None and default == [None]:
             values[key] = None
-        elif (typed := _typed(value, shape)) is not None:
+        elif (typed := _typed(value, shape)) is None:
+            errors.append(f"{where}: expected {_EXPECTED[shape]}, got {value!r}")
+        elif items is None:
             values[key] = typed
         else:
-            errors.append(f"{path + '.' if path else ''}{key}: expected {_EXPECTED[shape]}, "
-                          f"got {value!r}")
-    return values if len(values) == len(shapes) else None
+            typed = [_read(_merge_section(items, item, f"{where}[{i}]", errors), f"{where}[{i}]",
+                           items, errors) for i, item in enumerate(typed)]
+            if None not in typed:
+                values[key] = typed
+    return values if len(values) == len(shaped) else None
 
 
 def _build(cls, kwargs: Optional[dict], path: str, errors: list[str]):
@@ -249,21 +224,14 @@ def _build(cls, kwargs: Optional[dict], path: str, errors: list[str]):
 
 def _section(cls, section: str, docs: dict, errors: list[str]):
     """cls built from a section whose keys are its fields, or None."""
-    return _build(cls, _read(docs[section], section, _SHAPES[section], errors),
-                  section, errors)
+    return _build(cls, _read(docs[section], section, _SCHEMA[section], errors), section, errors)
 
 
 def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
-    values = _read(doc, "world", _SHAPES["world"], errors)
-    specs = []
-    for i, comp in enumerate(_typed(doc["components"], "list") or []):
-        path = f"world.components[{i}]"
-        typed = _read(_merge_section(_COMPONENT, comp, path, errors), path,
-                      _SHAPES["world.components"], errors)
-        if typed is not None:
-            specs.append((typed["weight"], typed["mean"], typed["variance"]))
-    if values is None or len(specs) != len(values["components"]):
+    values = _read(doc, "world", _SCHEMA["world"], errors)
+    if values is None:
         return None
+    specs = [(comp["weight"], comp["mean"], comp["variance"]) for comp in values["components"]]
     return _build(PatchWorld.uniform, {**values, "components": specs}, "world", errors)
 
 
@@ -277,7 +245,7 @@ def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialS
         "resample": _section(ResampleConfig, "resample", docs, errors),
     }
     sections = [s for s in ("defects", "attention", "search") if s in docs]
-    typed = {s: _read(docs[s], s, _SHAPES[s], errors) for s in sections}
+    typed = {s: _read(docs[s], s, _SCHEMA[s], errors) for s in sections}
     if None in typed.values():
         return None
     for name, path in _SETTINGS_PATHS.items():
@@ -303,34 +271,34 @@ def validate_config(raw: dict) -> ExperimentConfig:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"kind: expected one of {list(KINDS)}, got {kind!r}"])
-    for key in raw:
-        if key not in DEFAULTS:
-            errors.append(f"{key}: unknown key")
+    merged = _merge_section(_SCHEMA, raw, None, errors)
+    sections = _SECTIONS_BY_KIND[kind]
+    errors.extend(f"{key}: not read by a {kind} run" for key in raw
+                  if isinstance(_SCHEMA.get(key), dict) and key not in sections)
 
     if "master_seed" not in raw and kind != "maskgen":
         warnings.append("master_seed missing; defaulted to 0")
-    run = {key: raw.get(key, DEFAULTS[key]) for key in _SHAPES[None]}
-    if _read(run, None, _SHAPES[None], errors):
-        seed, trials, workers = run.values()
+    run = _read(merged, None, _SCHEMA, errors)
+    if run:
+        seed, trials, workers = run["master_seed"], run["trials"], run["workers"]
         errors.extend(f"{key}: {message}" for passed, key, message in [
             (0 <= seed < 2 ** 64, "master_seed", f"must fit in 64 bits, got {seed}"),
             (trials >= 1, "trials", f"must be at least 1, got {trials}"),
+            (trials <= MAX_TRIALS, "trials", f"must be at most {MAX_TRIALS}, got {trials}"),
             (trials >= 2 or kind != "scaling", "trials",
              "scaling needs at least 2 trials for standard errors"),
             (workers >= 1, "workers", f"must be at least 1, got {workers}"),
+            (workers <= MAX_WORKERS, "workers", f"must be at most {MAX_WORKERS}, got {workers}"),
         ] if not passed)
-    resolved = {"kind": kind, "master_seed": run["master_seed"], "trials": run["trials"]}
-    cfg = ExperimentConfig(kind=kind, resolved=resolved, warnings=warnings, **run)
-    docs = {}
-    for section in _SECTIONS_BY_KIND[kind]:
-        docs[section] = resolved[section] = _merge_section(
-            DEFAULTS[section], raw.get(section), section, errors)
+    resolved = {key: merged[key] for key in ("kind", "master_seed", "trials", *sections)}
+    cfg = ExperimentConfig(kind=kind, resolved=resolved, warnings=warnings,
+                           **{key: merged[key] for key in ("master_seed", "trials", "workers")})
 
     if kind in ("testbed", "scaling"):
-        cfg.settings = _build_settings(kind, docs, errors)
+        cfg.settings = _build_settings(kind, resolved, errors)
 
     if kind == "scaling":
-        doc = docs["search"]
+        doc = resolved["search"]
         n_grid = _typed(doc["n_grid"], "integers")
         if n_grid and doc["reference_n"] is None:
             doc["reference_n"] = max(n_grid)
@@ -339,35 +307,32 @@ def validate_config(raw: dict) -> ExperimentConfig:
                           f"got {doc['reference_n']!r}")
 
     if kind == "theory":
-        cfg.economy = _section(PatchEconomy, "economy", docs, errors)
-        cfg.mask_stats = _section(MaskStats, "mask_stats", docs, errors)
-        doc = docs["theory"]
-        opts = _read(doc, "theory", _SHAPES["theory"], errors) or {}
+        cfg.economy = _section(PatchEconomy, "economy", resolved, errors)
+        cfg.mask_stats = _section(MaskStats, "mask_stats", resolved, errors)
+        doc = resolved["theory"]
+        opts = _read(doc, "theory", _SCHEMA["theory"], errors) or {}
         if opts:
             mc, p_one, n_max = opts["mc_trials"], opts["bon_repair_prob_one"], opts["bon_n_max"]
             errors.extend(f"theory.{key}: {message}" for passed, key, message in [
                 (mc >= 0, "mc_trials", f"must be non-negative, got {mc}"),
+                (mc <= MAX_MC_TRIALS, "mc_trials", f"must be at most {MAX_MC_TRIALS}, got {mc}"),
                 (0.0 < p_one < 1.0, "bon_repair_prob_one", f"must lie in (0, 1), got {p_one}"),
                 (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
             ] if not passed)
-        for name in ("repair_dist", "harm_dist"):  # the mean is the economy's
-            path = f"theory.{name}"
-            doc[name] = _merge_section(DEFAULTS["theory"][name], doc[name], path, errors)
-            opts[name] = _build(ValueDistribution, doc[name], path, errors)
+        for name in ("repair_dist", "harm_dist"):
+            opts[name] = _build(ValueDistribution, doc[name], f"theory.{name}", errors)
         cfg.theory_options = opts
 
     if kind == "maskgen":
-        doc = docs["maskgen"]
+        doc = resolved["maskgen"]
         # weight and ratio ranges are checked by the mask pipeline (reweight,
         # threshold_mask); run_maskgen reports a broken one as a config error
-        _read(doc, "maskgen", _SHAPES["maskgen"], errors)
+        _read(doc, "maskgen", _SCHEMA["maskgen"], errors)
         sources = [key for key in ("bundle", "bundle_path", "raw", "raw_paths")
                    if doc.get(key) is not None]
         if len(sources) != 1:
-            errors.append(
-                "maskgen: exactly one attention source is required "
-                "(bundle, bundle_path, raw, or raw_paths)"
-            )
+            errors.append("maskgen: exactly one attention source is required "
+                          "(bundle, bundle_path, raw, or raw_paths)")
         cfg.maskgen = doc
 
     if errors:

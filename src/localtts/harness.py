@@ -337,9 +337,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     }
     try:  # JSON has no Infinity or NaN
         body = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise ConfigError([f"{hit} (overflow: a config number is too large)"
-                           for hit in _non_finite(results, "results")])
+    except ValueError:  # a value no shape reads, or a result a huge config number overflowed
+        raise ConfigError([f"{hit} (JSON has no NaN or Infinity)"
+                           for hit in _non_finite(cfg.resolved, "config")]
+                          + [f"{hit} (overflow: a config number is too large)"
+                             for hit in _non_finite(results, "results")])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(body)

@@ -506,6 +506,9 @@ class SweepSettings(TrialSettings):
     n_grid: tuple[int, ...]
     bon_grid: tuple[int, ...]
 
+    # a search's candidates live until it ends: a row each, plus about 0.6 kB of objects
+    MAX_SEARCH_BYTES, CANDIDATE_BYTES = 1 << 25, 1024
+
     def _rules(self) -> list:
         rules = super()._rules()
         rules.append((self.refinements >= 0, "refinements",
@@ -520,6 +523,16 @@ class SweepSettings(TrialSettings):
                     rules.append((False, "n_grid", str(exc)))
         rules.append((0 < len(self.bon_grid) == len(set(self.bon_grid)) and min(self.bon_grid) >= 1,
                       "bon_grid", "must be a non-empty list of distinct positive integers"))
+        if self.world is not None:
+            dim = self.world.dim
+            if self.resample is not None:  # a block holds a seed's every refinement
+                n = self.refinements * (self.resample.nfe_cost + 2) * dim
+                rules.append((n <= self.MAX_ROW_NOISE, "refinements", f"draw {n} noise coordinates "
+                              f"a seed at world dim {dim}, more than {self.MAX_ROW_NOISE}"))
+            cap = self.MAX_SEARCH_BYTES // (8 * dim + self.CANDIDATE_BYTES)
+            for name in ("n_grid", "bon_grid"):
+                n = max(vars(self)[name], default=0)
+                rules.append((n <= cap, name, f"{n} candidates exceed {cap} at world dim {dim}"))
         return rules
 
     def local_nfe(self, n: int) -> int:

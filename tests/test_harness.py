@@ -503,6 +503,9 @@ class TestCli:
                                ("monte_carlo.gain_global_mean", "nan"))]),
         ("testbed_small.json", "schedule.n_steps=1000000",
          ["schedule.n_steps: must be at most 100000, got 1e+06"]),
+        # search.seeds is ignored by the sweep, but still an integer
+        ("scaling_default.json", "search.seeds=1e400",
+         ["search.seeds: expected an integer, got inf"]),
     ])
     def test_overflowing_number_exit_two(self, config, setting, errors, tmp_path, capsys):
         # finite but huge numbers: a range rule in the owning type, or the report
@@ -545,6 +548,43 @@ class TestCli:
         assert peak < 1 << 22  # validation alone: no array of the world or a row was built
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, settings, errors", [
+        # each value is one above its cap, so a missing cap costs time, not gigabytes.
+        # The run-level caps hold for every kind; a maskgen run has no trials and no pool.
+        # At one worker every trial's seed is built before the first trial
+        ("maskgen_example.json", ["trials=65537"], ["trials: must be at most 65536, got 65537"]),
+        # one Monte Carlo task per 4,096 trials, built up front
+        ("theory_worked.json", ["theory.mc_trials=100000001"],
+         ["theory.mc_trials: must be at most 100000000, got 100000001"]),
+        # a search holds all its candidates until its last block (bon_grid=[10**7] at
+        # dim 32: 2.5 GB of rows)
+        ("scaling_default.json", ["trials=2", "search.bon_grid=[26215]"],
+         ["search.bon_grid: 26215 candidates exceed 26214 at world dim 32"]),
+        # one seed's refinements share a block, so their noise is one buffer
+        ("scaling_default.json", ["trials=2", "search.refinements=6554",
+                                  "search.n_grid=[1,6555]", "search.reference_n=1"],
+         ["search.refinements: draw 4194560 noise coordinates a seed at world dim 32, "
+          "more than 4194304"]),
+        # each worker is a process of its own
+        ("maskgen_example.json", ["workers=65"], ["workers: must be at most 64, got 65"]),
+    ])
+    def test_count_cap_exit_two_before_allocating(self, config, settings, errors, tmp_path,
+                                                  capsys):
+        kind = json.loads((CONFIGS / config).read_text())["kind"]
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        tracemalloc.start()
+        try:
+            code = cli_main([kind, "--config", str(CONFIGS / config), *overrides,
+                             "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(f"config error: {error}\n" in err for error in errors), err
+        assert peak < 1 << 22  # validation alone: no seed, task list or search was built
+        assert not (tmp_path / "out").exists()
+
     def test_size_caps_admit_the_largest_worlds_in_use(self):
         # the caps themselves, S = 256 at d = 4, and the testbed_k3 workload's 8 x 8 at d = 4
         for grid, d in (((32, 32), 64), ((16, 16), 4), ((8, 8), 4)):
@@ -563,6 +603,12 @@ class TestCli:
           for value, shown in (("9.0", "9.0"), ("true", "True"))),
         ("testbed_small.json", 'world.components=[{"weight": 1, "meen": 0.5, "variance": 0.09}]',
          "world.components[0].meen: unknown key"),
+        # a section the kind does not read is reported, not dropped
+        ("testbed_small.json", 'search.n_grid="junk"', "search: not read by a testbed run"),
+        ("testbed_small.json", "economy.bogus=1", "economy: not read by a testbed run"),
+        # a key inside an inline bundle is not read, but the report embeds it
+        ("maskgen_example.json", "maskgen.bundle.note=NaN",
+         "config.maskgen.bundle.note: nan (JSON has no NaN or Infinity)"),
     ])
     def test_wrong_json_shape_exit_two(self, config, setting, error, tmp_path, capsys):
         kind = json.loads((CONFIGS / config).read_text())["kind"]
