@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldErrors, check
+
 Grid = tuple[int, int]
 
 _ROW_SUM_TOL = 1e-9
+
+BUNDLE_FIELDS = ("orig", "pos", "neg")
 
 
 def _as_grid(grid) -> Grid:
@@ -27,39 +31,6 @@ def _as_grid(grid) -> Grid:
     return (int(dims[0]), int(dims[1]))
 
 
-def _check_vector(values: np.ndarray, grid: Grid, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    size = grid[0] * grid[1]
-    if values.ndim != 1 or values.size != size:
-        raise ValueError(
-            f"{name} must be a flat vector of length {size} for grid {grid}, "
-            f"got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite values")
-    return values
-
-
-@dataclass(frozen=True)
-class AttentionField:
-    """Non-negative spatial attention mass, one value per grid position."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        grid = _as_grid(self.grid)
-        values = _check_vector(self.values, grid, "attention field")
-        if np.any(values < 0):
-            raise ValueError("attention field values must be non-negative")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "grid", grid)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
 @dataclass(frozen=True)
 class QualityMap:
     """Signed per-position quality signal (differences are allowed)."""
@@ -67,15 +38,36 @@ class QualityMap:
     values: np.ndarray
     grid: Grid
 
+    _NAME = "quality map"
+
     def __post_init__(self):
         grid = _as_grid(self.grid)
-        values = _check_vector(self.values, grid, "quality map")
+        values = np.asarray(self.values, dtype=float)
+        size = grid[0] * grid[1]
+        if values.ndim != 1 or values.size != size:
+            raise ValueError(f"{self._NAME} must be a flat vector of length {size} for grid "
+                             f"{grid}, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{self._NAME} contains non-finite values")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "grid", grid)
 
     @property
     def size(self) -> int:
         return self.values.size
+
+
+@dataclass(frozen=True)
+class AttentionField(QualityMap):
+    """Non-negative spatial attention mass, one value per grid position: a
+    quality map with no negative value."""
+
+    _NAME = "attention field"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.any(self.values < 0):
+            raise ValueError("attention field values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -315,30 +307,31 @@ def threshold_mask(quality: QualityMap, ratio: float) -> DefectMask:
     return DefectMask(bits=_top_bits(quality.values, ratio), ratio=ratio, grid=quality.grid)
 
 
-def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.ndarray,
+def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.ndarray | None,
                weight: float, ratio: float) -> np.ndarray:
-    """The mask pipeline over rows: fields (rows, S) and propagation weights
-    (rows, S, S), or (S, S) shared by every row, to (rows, S) bits, row by
-    row those of mask_gen."""
-    propagated = [(weights @ field[..., None])[..., 0] for field in (neg - pos, orig)]
+    """The one mask kernel, run by the engine's batched rows and by mask_gen
+    with or without queries: fields (rows, S) and each row's propagation
+    weights (rows, S, S), or None for no propagation, to (rows, S) bits."""
+    diff = neg - pos
+    if weights is not None:
+        diff, orig = ((weights @ field[..., None])[..., 0] for field in (diff, orig))
     # the origin field clamped as propagate clamps it
-    quality = _reweighted(propagated[0], np.maximum(propagated[1], 0.0), weight)
+    quality = _reweighted(diff, np.maximum(orig, 0.0), weight)
     if not np.all(np.isfinite(quality)):
         raise ValueError("mask quality contains non-finite values")
     return _top_bits(quality, ratio)
 
 
-def mask_gen(bundle: AttentionBundle, queries: np.ndarray, weight: float, ratio: float) -> DefectMask:
-    """Full mask pipeline: contrast, propagate, reweight, threshold, as a batch of one.
-
-    Deterministic given its inputs.
-    """
-    matrix = build_propagation(queries)
-    if matrix.size != bundle.orig.size:
+def mask_gen(bundle: AttentionBundle, queries: np.ndarray | None, weight: float,
+             ratio: float) -> DefectMask:
+    """Full mask pipeline as a batch of one: contrast, propagate (none
+    without queries), reweight, threshold. Deterministic given its inputs."""
+    matrix = None if queries is None else build_propagation(queries)
+    if matrix is not None and matrix.size != bundle.orig.size:
         raise ValueError(f"propagation matrix size {matrix.size} does not match "
                          f"field size {bundle.orig.size}")
     fields = (field.values[None] for field in (bundle.orig, bundle.pos, bundle.neg))
-    bits = _mask_bits(*fields, matrix.rows[None], weight, ratio)[0]
+    bits = _mask_bits(*fields, None if matrix is None else matrix.rows[None], weight, ratio)[0]
     return DefectMask(bits=bits, ratio=ratio, grid=bundle.grid)
 
 
@@ -346,16 +339,30 @@ def mask_gen(bundle: AttentionBundle, queries: np.ndarray, weight: float, ratio:
 # JSON interchange documents
 # ---------------------------------------------------------------------------
 
-def field_from_raw_document(doc: dict) -> AttentionField:
-    """Parse {"grid", "layers", "heads", "tokens", "data"} into a field.
+def _check_document(doc, path: str, integers: tuple, numbers: tuple) -> None:
+    """FieldErrors at path.key for each unknown or missing key of an
+    interchange document (its grid, integers and numbers), each integer that
+    is not a JSON integer (true is not one) and each list not of JSON numbers."""
+    if not isinstance(doc, dict):
+        raise FieldErrors([f"{path}: expected an object, got {type(doc).__name__}"])
+    keys = ("grid", *integers, *numbers)
+    check([(key in keys, f"{path}.{key}", "unknown key") for key in doc]
+          + [(key in doc, path, f"missing key '{key}'") for key in keys]
+          + [(type(doc[key]) is int, f"{path}.{key}", f"expected an integer, got {doc[key]!r}")
+             for key in integers if key in doc]
+          + [(isinstance(doc[key], list) and all(type(v) in (int, float) for v in doc[key]),
+              f"{path}.{key}", f"expected a list of numbers, got {doc[key]!r}")
+             for key in numbers if key in doc])
+
+
+def field_from_raw_document(doc: dict, path: str = "raw") -> AttentionField:
+    """Parse {"grid", "layers", "heads", "tokens", "data"} at path into a field.
 
     "data" is the flat row-major [layers, heads, tokens, positions] tensor.
     """
-    for key in ("grid", "layers", "heads", "tokens", "data"):
-        if key not in doc:
-            raise ValueError(f"raw attention document missing key '{key}'")
+    _check_document(doc, path, ("layers", "heads", "tokens"), ("data",))
     grid = _as_grid(doc["grid"])
-    layers, heads, tokens = int(doc["layers"]), int(doc["heads"]), int(doc["tokens"])
+    layers, heads, tokens = doc["layers"], doc["heads"], doc["tokens"]
     if min(layers, heads, tokens) < 1:
         raise ValueError("layers, heads, and tokens must all be positive")
     size = grid[0] * grid[1]
@@ -368,17 +375,12 @@ def field_from_raw_document(doc: dict) -> AttentionField:
     return reduce_attention(data.reshape(layers, heads, tokens, size), grid)
 
 
-def bundle_from_document(doc: dict) -> AttentionBundle:
-    """Parse {"grid", "orig", "pos", "neg"} into a bundle of reduced fields."""
-    for key in ("grid", "orig", "pos", "neg"):
-        if key not in doc:
-            raise ValueError(f"attention bundle document missing key '{key}'")
+def bundle_from_document(doc: dict, path: str = "bundle") -> AttentionBundle:
+    """Parse {"grid", "orig", "pos", "neg"} at path into a bundle of reduced fields."""
+    _check_document(doc, path, (), BUNDLE_FIELDS)
     grid = _as_grid(doc["grid"])
-    return AttentionBundle(
-        orig=AttentionField(values=np.asarray(doc["orig"], dtype=float), grid=grid),
-        pos=AttentionField(values=np.asarray(doc["pos"], dtype=float), grid=grid),
-        neg=AttentionField(values=np.asarray(doc["neg"], dtype=float), grid=grid),
-    )
+    return AttentionBundle(**{key: AttentionField(values=np.asarray(doc[key], dtype=float),
+                                                  grid=grid) for key in BUNDLE_FIELDS})
 
 
 def mask_to_document(mask: DefectMask) -> dict:

@@ -25,7 +25,7 @@ from typing import Any, Optional
 
 from .errors import FieldErrors
 from .resample import ResampleConfig
-from .search import SweepSettings, TrialSettings
+from .search import SearchConfig, SweepSettings, TrialSettings
 from .testbed import CosineSchedule, PatchWorld
 from .theory import MaskStats, PatchEconomy, ValueDistribution
 
@@ -248,6 +248,9 @@ def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialS
     typed = {s: _read(docs[s], s, _SCHEMA[s], errors) for s in sections}
     if None in typed.values():
         return None
+    if kind == "scaling":  # the sweep ignores search.seeds, but it keeps SearchConfig's rules
+        _build(SearchConfig, {key: typed["search"][key] for key in ("seeds", "refinements")},
+               "search", errors)
     for name, path in _SETTINGS_PATHS.items():
         section, key = path.split(".")
         if section in typed:
@@ -325,8 +328,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     if kind == "maskgen":
         doc = resolved["maskgen"]
-        # weight and ratio ranges are checked by the mask pipeline (reweight,
-        # threshold_mask); run_maskgen reports a broken one as a config error
+        # weight and ratio ranges are checked by the mask pipeline (mask_gen);
+        # run_maskgen reports a broken one as a config error
         _read(doc, "maskgen", _SCHEMA["maskgen"], errors)
         sources = [key for key in ("bundle", "bundle_path", "raw", "raw_paths")
                    if doc.get(key) is not None]
@@ -335,8 +338,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
                           "(bundle, bundle_path, raw, or raw_paths)")
         cfg.maskgen = doc
 
-    if errors:
-        raise ConfigError(errors)
+    if errors:  # a rule two types share is reported once
+        raise ConfigError(dict.fromkeys(errors))
     return cfg
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import attention as attn
 from .config import ConfigError, ExperimentConfig
+from .errors import FieldErrors
 from .search import (
     SearchConfig,
     TrialSettings,
@@ -239,12 +240,14 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # maskgen
 # ---------------------------------------------------------------------------
 
-def _load_json(path_text: str, base_dir: Optional[Path]) -> dict:
+def _load_json(path_text: str, base_dir: Optional[Path], where: str = "") -> tuple:
+    """The JSON document at path_text (relative to base_dir), and where[file],
+    the path at which its keys are reported."""
     path = Path(path_text)
     if not path.is_absolute() and base_dir is not None:
         path = base_dir / path
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text()), f"{where}[{path}]"
     except FileNotFoundError:
         raise ConfigError([f"maskgen: file not found: {path}"])
     except json.JSONDecodeError as exc:
@@ -254,34 +257,34 @@ def _load_json(path_text: str, base_dir: Optional[Path]) -> dict:
 def run_maskgen(cfg: ExperimentConfig, base_dir: Optional[Path] = None) -> tuple[dict, dict]:
     doc = cfg.maskgen
     try:
-        if doc.get("bundle") is not None:
-            bundle = attn.bundle_from_document(doc["bundle"])
-        elif doc.get("bundle_path") is not None:
-            bundle = attn.bundle_from_document(_load_json(doc["bundle_path"], base_dir))
+        if doc["bundle"] is not None:
+            bundle = attn.bundle_from_document(doc["bundle"], "maskgen.bundle")
+        elif doc["bundle_path"] is not None:
+            bundle = attn.bundle_from_document(
+                *_load_json(doc["bundle_path"], base_dir, "maskgen.bundle_path"))
         else:
-            raw_docs = doc.get("raw")
-            if raw_docs is None:
-                raw_docs = {key: _load_json(path, base_dir)
-                            for key, path in doc["raw_paths"].items()}
-            missing = [key for key in ("orig", "pos", "neg")
-                       if not isinstance(raw_docs.get(key), dict)]
+            source = "raw" if doc["raw"] is not None else "raw_paths"
+            raw_docs = ({key: (value, f"maskgen.raw.{key}") for key, value in doc["raw"].items()}
+                        if source == "raw" else
+                        {key: _load_json(path, base_dir, f"maskgen.raw_paths.{key}")
+                         for key, path in doc["raw_paths"].items()})
+            errors = [f"maskgen.{source}.{key}: unknown key" for key in raw_docs
+                      if key not in attn.BUNDLE_FIELDS]
+            missing = [key for key in attn.BUNDLE_FIELDS
+                       if not isinstance(raw_docs.get(key, (None,))[0], dict)]
             if missing:
-                raise ConfigError([f"maskgen.raw: missing or non-object field(s) {missing}"])
-            fields = {key: attn.field_from_raw_document(raw_docs[key])
-                      for key in ("orig", "pos", "neg")}
-            bundle = attn.AttentionBundle(**fields)
-        queries = doc.get("queries")
-        if queries is None and doc.get("queries_path") is not None:
-            queries = _load_json(doc["queries_path"], base_dir)
-        if queries is not None:
-            mask = attn.mask_gen(bundle, np.asarray(queries, dtype=float),
-                                 doc["weight"], doc["ratio"])
-        else:
-            # no queries: skip propagation (identity smoothing)
-            quality = attn.reweight(attn.contrastive_difference(bundle),
-                                    bundle.orig, doc["weight"])
-            mask = attn.threshold_mask(quality, doc["ratio"])
-    except (TypeError, ValueError) as exc:  # TypeError: a document field of the wrong type
+                errors.append(f"maskgen.raw: missing or non-object field(s) {missing}")
+            if errors:
+                raise ConfigError(errors)
+            bundle = attn.AttentionBundle(**{key: attn.field_from_raw_document(*raw_docs[key])
+                                             for key in attn.BUNDLE_FIELDS})
+        queries = doc["queries"]
+        if queries is None and doc["queries_path"] is not None:
+            queries, _ = _load_json(doc["queries_path"], base_dir)
+        mask = attn.mask_gen(bundle, queries, doc["weight"], doc["ratio"])
+    except FieldErrors as exc:  # a key of an interchange document, named at its path
+        raise ConfigError(exc.errors)
+    except (OverflowError, TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
         raise ConfigError([f"maskgen: {exc}"])
     mask_doc = attn.mask_to_document(mask)
     results = {
@@ -321,13 +324,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     Writes report.json (resolved config, warnings, results) plus the
     kind-specific CSV/JSON artifacts into out_dir; returns the report dict.
     """
-    runners = {
-        "theory": lambda: run_theory(cfg),
-        "testbed": lambda: run_testbed(cfg),
-        "scaling": lambda: run_scaling(cfg),
-        "maskgen": lambda: run_maskgen(cfg, base_dir),
-    }
-    results, files = runners[cfg.kind]()
+    runners = {"theory": run_theory, "testbed": run_testbed, "scaling": run_scaling,
+               "maskgen": functools.partial(run_maskgen, base_dir=base_dir)}
+    results, files = runners[cfg.kind](cfg)
     report = {
         "kind": cfg.kind,
         "config": cfg.resolved,

@@ -130,8 +130,6 @@ def _resample(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray
     state = _renoise(predictor, anchor, mcoord, cfg, rng)
     for _ in range(cfg.n_refine):
         state = _masked_refine(predictor, state, mcoord, anchor, cfg, rng)
-    if cfg.t_g == 0.0:
-        return state
     times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
     return _reverse_sweep(predictor, state, times, rng)
 

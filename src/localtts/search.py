@@ -37,7 +37,6 @@ from .testbed import (
     _attention_rows,
     _inject_rows,
     _RowNoise,
-    grid_query_features,
     sample_base,
     synth_attention,
     verifier_score,
@@ -134,11 +133,8 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     def rows(states, defect_sets, rngs) -> np.ndarray:
         *fields, queries = _attention_rows(world, defect_sets, *synth_args, rngs)
         step = _mask_step(world.n_patches)
-        # noiseless queries are the grid's features in every row: one softmax serves all
-        shared = _softmax_rows(grid_query_features(world.grid)) if noise_sd == 0 else None
         return np.concatenate([_mask_bits(*(a[i:i + step] for a in fields),
-                                          _softmax_rows(queries[i:i + step]) if shared is None
-                                          else shared, weight, ratio)
+                                          _softmax_rows(queries[i:i + step]), weight, ratio)
                                for i in range(0, len(rngs), step)])
 
     source.rows = rows
@@ -338,7 +334,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
 
         # refinement phase: one batch, each row on its seed's coordinate mask
         seed_of = np.repeat(np.arange(len(refining)), counts)
-        coords = np.repeat(bits.astype(bool), world.patch_dim, axis=1)[seed_of]
+        coords = world.coordinate_mask(bits)[seed_of]
         noise = _RowNoise(refine_rngs, refine_draws, world.dim)
         before = predictor.nfe
         refined = _resample(predictor, LatentState(x=drawn.x[np.take(refining, seed_of)], t=0.0),

@@ -204,11 +204,11 @@ class PatchWorld:
         return x.reshape(*x.shape[:-1], self.n_patches, self.patch_dim)
 
     def coordinate_mask(self, bits: np.ndarray) -> np.ndarray:
-        """Broadcast per-patch bits over each patch's coordinates."""
+        """Broadcast (..., n_patches) per-patch bits over each patch's coordinates."""
         bits = np.asarray(bits)
-        if bits.shape != (self.n_patches,):
+        if bits.shape[-1:] != (self.n_patches,):
             raise ValueError(f"mask must have one bit per patch ({self.n_patches})")
-        return np.repeat(bits.astype(bool), self.patch_dim)
+        return np.repeat(bits.astype(bool), self.patch_dim, axis=-1)
 
 
 @dataclass(frozen=True)

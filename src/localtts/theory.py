@@ -83,13 +83,12 @@ class PatchEconomy:
             (self.m_patches >= 1, "m_patches", f"must be at least 1, got {self.m_patches}"),
             (1 <= self.defects <= self.m_patches, "defects",
              f"must lie in [1, {self.m_patches}], got {self.defects}"),
-            *((v[n] >= 0, n, f"must be non-negative, got {v[n]}")
-              for n in ("repair_gain", "harm_loss")),
+            (self.harm_loss >= 0, "harm_loss", f"must be non-negative, got {self.harm_loss}"),
             *((0.0 <= v[n] <= 1.0, n, f"must lie in [0, 1], got {v[n]}")
               for n in ("repair_prob_global", "repair_prob_local",
                         "harm_prob_global", "harm_prob_local")),
             *((v[n] > 0, n, f"must be positive, got {v[n]}")
-              for n in ("cost_global", "cost_local", "budget")),
+              for n in ("repair_gain", "cost_global", "cost_local", "budget")),
         ])
 
 

@@ -295,6 +295,29 @@ class TestMaskGen:
             assert set(mask.selected.tolist()) == set(int(i) for i in expected)
             assert set(mask.selected.tolist()) == set(int(i) for i in planted)
 
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+        st.sampled_from(["normal", "ties", "constant"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_queries_equals_the_step_pipeline(self, hs, ws, weight, ratio, kind, random):
+        # without queries the kernel propagates nothing: the step API is the reference
+        rng = np.random.default_rng(random.randrange(2 ** 32))
+        size = hs * ws
+        draw = {"normal": lambda: rng.uniform(0.0, 2.0, size),
+                "ties": lambda: rng.integers(0, 3, size).astype(float),
+                "constant": lambda: np.full(size, 0.5)}[kind]
+        bundle = AttentionBundle(*(afield(draw(), (hs, ws)) for _ in range(3)))
+        expected = threshold_mask(reweight(contrastive_difference(bundle), bundle.orig, weight),
+                                  ratio)
+        mask = mask_gen(bundle, None, weight, ratio)
+        np.testing.assert_array_equal(mask.bits, expected.bits)
+        assert (mask.ratio, mask.grid) == (expected.ratio, expected.grid)
+
     def test_degenerate_contrast_selects_leading_indices(self):
         size = 8
         bundle = self.planted_bundle(size, [], margin=0.0)

@@ -606,9 +606,8 @@ class TestCli:
         # a section the kind does not read is reported, not dropped
         ("testbed_small.json", 'search.n_grid="junk"', "search: not read by a testbed run"),
         ("testbed_small.json", "economy.bogus=1", "economy: not read by a testbed run"),
-        # a key inside an inline bundle is not read, but the report embeds it
-        ("maskgen_example.json", "maskgen.bundle.note=NaN",
-         "config.maskgen.bundle.note: nan (JSON has no NaN or Infinity)"),
+        # the interchange documents reject unknown keys, as the config document does
+        ("maskgen_example.json", "maskgen.bundle.note=NaN", "maskgen.bundle.note: unknown key"),
     ])
     def test_wrong_json_shape_exit_two(self, config, setting, error, tmp_path, capsys):
         kind = json.loads((CONFIGS / config).read_text())["kind"]
@@ -672,6 +671,75 @@ class TestCli:
         path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
         assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, error", [
+        ("maskgen.bundle.note=1", "maskgen.bundle.note: unknown key"),
+        ('maskgen.bundle.orig=["1","1","1","1","1","1"]',
+         "maskgen.bundle.orig: expected a list of numbers, got ['1', '1', '1', '1', '1', '1']"),
+        ("maskgen.bundle.orig=[true,true,true,true,true,true]",
+         "maskgen.bundle.orig: expected a list of numbers, got [True, True, True, True, True, True]"),
+    ])
+    def test_bundle_document_read_strictly_exit_two(self, setting, error, tmp_path, capsys):
+        assert cli_main(["maskgen", "--config", str(CONFIGS / "maskgen_example.json"),
+                         "--set", setting, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {error}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"layers": 2.7}, "layers: expected an integer, got 2.7"),
+        ({"layers": "2"}, "layers: expected an integer, got '2'"),
+        ({"layers": True}, "layers: expected an integer, got True"),
+        ({"note": 1}, "note: unknown key"),
+        ({"data": [0.0, 2.0, 4.0, None]},
+         "data: expected a list of numbers, got [0.0, 2.0, 4.0, None]"),
+    ])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_raw_document_read_strictly_exit_two(self, edit, error, from_file, tmp_path,
+                                                 capsys):
+        raw = {"grid": [1, 2], "layers": 2, "heads": 1, "tokens": 1,
+               "data": [0.0, 2.0, 4.0, 6.0]}
+        docs = {"orig": {**raw, **edit}, "pos": raw, "neg": raw}
+        if from_file:  # each document in its own file, which the error names
+            for key, doc in docs.items():
+                (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+            source = {"raw_paths": {key: f"{key}.json" for key in docs}}
+            error = f"maskgen.raw_paths.orig[{tmp_path / 'orig.json'}].{error}"
+        else:
+            source, error = {"raw": docs}, f"maskgen.raw.orig.{error}"
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {error}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document, error", [
+        ({**BUNDLE["bundle"], "note": 1}, ".note: unknown key"),
+        ({**BUNDLE["bundle"], "neg": [1] * 5 + [False]},
+         ".neg: expected a list of numbers, got [1, 1, 1, 1, 1, False]"),
+        ([1, 2], ": expected an object, got list"),
+    ])
+    def test_bundle_file_read_strictly_exit_two(self, document, error, tmp_path, capsys):
+        (tmp_path / "bundle.json").write_text(json.dumps(document))
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {"bundle_path": "bundle.json"}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert (f"config error: maskgen.bundle_path[{tmp_path / 'bundle.json'}]{error}\n"
+                in capsys.readouterr().err)
+
+    def test_raw_document_set_unknown_key_exit_two(self, tmp_path, capsys):
+        raw = {"grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [1.0, 2.0]}
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {
+            "raw": {"orig": raw, "pos": raw, "neg": raw, "extra": raw}}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: maskgen.raw.extra: unknown key\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", [-5, 0])
+    def test_search_seeds_range_exit_two(self, seeds, tmp_path, capsys):
+        # the sweep ignores search.seeds, but it holds SearchConfig's rule
+        assert cli_main(["scaling", "--config", str(CONFIGS / "scaling_default.json"),
+                         "--set", "trials=2", "--set", f"search.seeds={seeds}",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert (f"config error: search.seeds: must be at least 1, got {seeds}\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(localtts.__file__).resolve().parents[1])

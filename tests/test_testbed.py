@@ -211,6 +211,18 @@ class TestPatchWorld:
         assert mask[:4].all() and mask[-4:].all()
 
 
+    def test_coordinate_mask_of_rows_equals_row_by_row(self):
+        world = single_gaussian_world(grid=(2, 3), dim=4)
+        bits = np.random.default_rng(5).integers(0, 2, size=(5, 6))
+        masks = world.coordinate_mask(bits)
+        assert masks.shape == (5, 24) and masks.dtype == bool
+        for row, mask in zip(bits, masks):
+            np.testing.assert_array_equal(mask, world.coordinate_mask(row))
+        for wrong in (bits[:, :5], bits.T, np.int64(1)):
+            with pytest.raises(ValueError, match="one bit per patch"):
+                world.coordinate_mask(wrong)
+
+
 class TestForwardNoise:
     def test_time_zero_is_identity(self):
         sched = CosineSchedule(horizon=1.0, n_steps=8)
