@@ -6,9 +6,9 @@ One line per output file: workers, config label, file name and sha256. The
 runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``theory_mc`` benchmark workload configs (read from
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
-noiseless attention, a resample with ``t_g = 0``, and maskgen with queries.
-Each runs at workers 1 and 2. Outputs go to a temporary directory that is
-removed afterwards.
+noiseless attention, a resample with ``t_g = 0``, maskgen with queries, and
+best-of-N searches that each span two engine blocks. Each runs at workers 1
+and 2. Outputs go to a temporary directory that is removed afterwards.
 
 A change that must leave every report byte alone is checked by running this
 script on the parent and on the change (same script, ``PYTHONPATH`` pointing
@@ -43,6 +43,10 @@ RUNS = [
     *((f"{stem}+t_g=0", f"{stem}.json", ["resample.t_g=0", "resample.n_integrate=0"])
       for stem in ("testbed_small", "scaling_default")),
     ("maskgen_example+queries", "maskgen_example.json", [f"maskgen.queries={QUERIES}"]),
+    # 600 draws a search, and an engine block holds 496 rows at dim 32 and 32 steps: the
+    # running best-of-N maximum carries across blocks
+    ("scaling_default+bon_grid=1,600", "scaling_default.json",
+     ["trials=2", "search.bon_grid=[1,600]"]),
 ]
 
 

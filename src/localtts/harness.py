@@ -48,10 +48,10 @@ from .theory import (
     budget_gains,
     classify_regime,
     dominance_check,
+    economy_precision_floor,
     expected_selection_stats,
     map_in_order,
     per_trial_gains,
-    precision_floor,
     required_recall,
     simulate_patch_economy,
     sparse_dominance_approx,
@@ -127,9 +127,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "budget_gain_local": bud_local,
         "dominance_holds": holds,
         "dominance_margin": margin,
-        "precision_floor": precision_floor(
-            econ.repair_prob_local, econ.repair_gain,
-            econ.harm_prob_local, econ.harm_loss),
+        "precision_floor": economy_precision_floor(econ),
         "sparse_regime_approx_holds": sparse_dominance_approx(econ, stats),
         "regime_flags": dataclasses.asdict(classify_regime(econ, stats)),
     }
@@ -186,8 +184,8 @@ def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequen
     return [(anchor.score, refined.score, refined.score - anchor.score,
              *mask_recall_precision(refined.mask, anchor.defects),
              anchor.nfe_cost + refined.nfe_cost)
-            for anchor, refined in _lockstep(predictor, searches, settings.resample,
-                                             settings.mask_source(), settings.sampler())]
+            for _, (anchor, refined) in _lockstep(predictor, searches, settings.resample,
+                                                  settings.mask_source(), settings.sampler())]
 
 
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -274,10 +272,15 @@ def run_maskgen(cfg: ExperimentConfig, base_dir: Optional[Path] = None) -> tuple
                        if not isinstance(raw_docs.get(key, (None,))[0], dict)]
             if missing:
                 errors.append(f"maskgen.raw: missing or non-object field(s) {missing}")
+            fields = {}
+            for key in (key for key in attn.BUNDLE_FIELDS if key not in missing):
+                try:  # every document's key errors, reported with the others
+                    fields[key] = attn.field_from_raw_document(*raw_docs[key])
+                except FieldErrors as exc:
+                    errors += exc.errors
             if errors:
                 raise ConfigError(errors)
-            bundle = attn.AttentionBundle(**{key: attn.field_from_raw_document(*raw_docs[key])
-                                             for key in attn.BUNDLE_FIELDS})
+            bundle = attn.AttentionBundle(**fields)
         queries = doc["queries"]
         if queries is None and doc["queries_path"] is not None:
             queries, _ = _load_json(doc["queries_path"], base_dir)

@@ -237,8 +237,8 @@ def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, pha
 
 # The noise coordinates (rows x draws x dim) one phase of an engine block draws
 # at once: 4 MiB, 496 rows of 33 draws at dim 32. The noise is a block's
-# largest array, so memory stays bounded however many trials a chunk holds
-# and however long the schedule.
+# largest array, so memory stays bounded however many trials a chunk holds,
+# however large a search's budget and however long the schedule.
 _BLOCK_NOISE = 1 << 19
 
 
@@ -268,7 +268,7 @@ def _blocks(searches, base_draws: int, refine_draws: int, dim: int):
 
 def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleConfig],
               mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None,
-              verifier: Optional[Verifier] = None) -> Iterator[list[Candidate]]:
+              verifier: Optional[Verifier] = None) -> Iterator[tuple[int, list[Candidate]]]:
     """Run depth-2 searches, (SearchConfig, generator) pairs read as needed,
     block by block in four batched phases: every base draw as one
     integration, the masks of the refined seeds as one (rows, S) array,
@@ -279,20 +279,16 @@ def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleCo
     generator spawned from the search's generator; refinement j of that seed
     from the j-th spawned from the seed's. Batches and blocks only stack
     rows, so each candidate equals its one-at-a-time counterpart bit for
-    bit. Yields each search's candidates once its last block has run, in
+    bit. Yields (search index, the seed's candidates) as each block runs, in
     evaluation order (seed-major, base first); nfe_cost is measured per row.
     """
-    world = predictor.world
     inject = base_sampler or plain_sampler
-    verify = verifier or functools.partial(verifier_score, world)
+    verify = verifier or functools.partial(verifier_score, predictor.world)
     draws = len(predictor.schedule.step_times())  # x_T, then one per step
     refine_draws = 0 if resample is None else 2 + resample.nfe_cost  # renoise twice, one per step
-    per_seed = (item for block in _blocks(searches, draws, refine_draws, world.dim)
-                for item in _lockstep_block(predictor, block, draws, resample, refine_draws,
-                                            mask_source, inject, verify))
-    # every search has a seed, so the groups are the searches in order
-    for _, group in itertools.groupby(per_seed, key=operator.itemgetter(0)):
-        yield [cand for _, candidates in group for cand in candidates]
+    for block in _blocks(searches, draws, refine_draws, predictor.world.dim):
+        yield from _lockstep_block(predictor, block, draws, resample, refine_draws,
+                                   mask_source, inject, verify)
 
 
 def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
@@ -367,11 +363,14 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
     NFEs. The per-candidate streams are spawned from rng. Pass ``collect``
     to also receive every evaluated candidate in order.
     """
-    [candidates] = _lockstep(predictor, [(cfg, rng)], resample, mask_source, base_sampler, verifier)
-    if collect is not None:
-        collect.extend(candidates)
+    def evaluated():
+        for _, candidates in _lockstep(predictor, [(cfg, rng)], resample, mask_source,
+                                       base_sampler, verifier):
+            if collect is not None:
+                collect.extend(candidates)
+            yield from candidates
     # max keeps the first of equal scores: evaluation order breaks ties
-    return max(candidates, key=lambda cand: cand.score)
+    return max(evaluated(), key=lambda cand: cand.score)
 
 
 def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
@@ -404,9 +403,7 @@ def split_budget(n: int, refinements: int) -> tuple[int, int]:
         return 1, 0
     share = refinements + 1
     if n % share != 0:
-        raise ValueError(
-            f"candidate budget {n} is not a multiple of refinements+1 = {share}"
-        )
+        raise ValueError(f"candidate budget {n} is not a multiple of refinements+1 = {share}")
     return n // share, refinements
 
 
@@ -502,9 +499,6 @@ class SweepSettings(TrialSettings):
     n_grid: tuple[int, ...]
     bon_grid: tuple[int, ...]
 
-    # a search's candidates live until it ends: a row each, plus about 0.6 kB of objects
-    MAX_SEARCH_BYTES, CANDIDATE_BYTES = 1 << 25, 1024
-
     def _rules(self) -> list:
         rules = super()._rules()
         rules.append((self.refinements >= 0, "refinements",
@@ -519,16 +513,10 @@ class SweepSettings(TrialSettings):
                     rules.append((False, "n_grid", str(exc)))
         rules.append((0 < len(self.bon_grid) == len(set(self.bon_grid)) and min(self.bon_grid) >= 1,
                       "bon_grid", "must be a non-empty list of distinct positive integers"))
-        if self.world is not None:
-            dim = self.world.dim
-            if self.resample is not None:  # a block holds a seed's every refinement
-                n = self.refinements * (self.resample.nfe_cost + 2) * dim
-                rules.append((n <= self.MAX_ROW_NOISE, "refinements", f"draw {n} noise coordinates "
-                              f"a seed at world dim {dim}, more than {self.MAX_ROW_NOISE}"))
-            cap = self.MAX_SEARCH_BYTES // (8 * dim + self.CANDIDATE_BYTES)
-            for name in ("n_grid", "bon_grid"):
-                n = max(vars(self)[name], default=0)
-                rules.append((n <= cap, name, f"{n} candidates exceed {cap} at world dim {dim}"))
+        if self.world is not None and self.resample is not None:  # refinements share a block
+            n = self.refinements * (self.resample.nfe_cost + 2) * self.world.dim
+            rules.append((n <= self.MAX_ROW_NOISE, "refinements", f"draw {n} noise coordinates "
+                          f"a seed at world dim {self.world.dim}, more than {self.MAX_ROW_NOISE}"))
         return rules
 
     def local_nfe(self, n: int) -> int:
@@ -545,28 +533,33 @@ def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence
     baseline draw from their own streams, spawned from their trial's seed
     sequence (independent draws, not common random numbers). NFE counts are
     each search's measured share; masks lists (recall, precision) of each
-    mask a localized budget made.
+    mask a localized budget made. Seeds are reduced as the engine yields them.
     """
     searches = [SearchConfig(*split_budget(n, settings.refinements)) for n in settings.n_grid]
     searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0))
+    budgets = [*settings.n_grid, None]  # None: the best-of-N search
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     streams = ((cfg, rng) for seed_seq in seed_seqs
                for cfg, rng in zip(searches, trial_rng(seed_seq).spawn(len(searches))))
-    groups = _lockstep(predictor, streams, settings.resample, settings.mask_source(),
-                       settings.sampler())
-    results = []
-    for _ in seed_seqs:  # reduce each trial as soon as its searches are done
-        *local, draws = itertools.islice(groups, len(searches))
-        local = dict(zip(settings.n_grid, local))
-        prefix_best = np.maximum.accumulate([draw.score for draw in draws])
-        results.append({
-            "local": {n: max(c.score for c in group) for n, group in local.items()},
-            "local_nfe": {n: sum(c.nfe_cost for c in group) for n, group in local.items()},
-            "bon": {n: float(prefix_best[n - 1]) for n in settings.bon_grid},
-            "bon_nfe": sum(draw.nfe_cost for draw in draws),
-            "masks": {n: [mask_recall_precision(c.mask, c.defects)
-                          for c in group if c.lineage[1] == 0] for n, group in local.items()},
-        })
+    results = [{"local": {}, "local_nfe": {}, "bon": dict.fromkeys(settings.bon_grid),
+                "bon_nfe": 0, "masks": {}} for _ in seed_seqs]
+    for g, candidates in _lockstep(predictor, streams, settings.resample, settings.mask_source(),
+                                   settings.sampler()):
+        result, n = results[g // len(searches)], budgets[g % len(searches)]
+        if n is None:  # one draw a seed; np.maximum is the ufunc of np.maximum.accumulate
+            [draw] = candidates
+            seed = draw.lineage[0]  # seed 0 starts the trial's running best
+            best = np.maximum(best, draw.score) if seed else draw.score
+            if seed + 1 in result["bon"]:
+                result["bon"][seed + 1] = float(best)
+            result["bon_nfe"] += draw.nfe_cost
+            continue
+        # the running best first, so max keeps the first of equal scores
+        local, scores = result["local"], [c.score for c in candidates]
+        local[n] = max(local[n], *scores) if n in local else max(scores)
+        result["local_nfe"][n] = result["local_nfe"].get(n, 0) + sum(c.nfe_cost for c in candidates)
+        result["masks"].setdefault(n, []).extend(mask_recall_precision(c.mask, c.defects)
+                                                 for c in candidates if c.lineage[1] == 0)
     return results
 
 

@@ -178,8 +178,7 @@ def precision_floor(repair_prob_local: float, repair_gain: float,
 
     pi* = 1 / (1 + q*gain / (h_l*loss)); zero when local edits are harmless.
     """
-    harm = harm_prob_local * harm_loss
-    benefit = repair_prob_local * repair_gain
+    harm, benefit = harm_prob_local * harm_loss, repair_prob_local * repair_gain
     if harm < 0:
         raise ValueError("harm term must be non-negative")
     if harm == 0.0:
@@ -187,6 +186,12 @@ def precision_floor(repair_prob_local: float, repair_gain: float,
             raise ValueError("precision floor undefined when both repair and harm terms vanish")
         return 0.0
     return 1.0 / (1.0 + benefit / harm)
+
+
+def economy_precision_floor(econ: PatchEconomy) -> Optional[float]:
+    """precision_floor of econ, None where local edits neither repair nor harm."""
+    terms = econ.repair_prob_local, econ.repair_gain, econ.harm_prob_local, econ.harm_loss
+    return None if terms[0] * terms[1] == 0.0 == terms[2] * terms[3] else precision_floor(*terms)
 
 
 @dataclass(frozen=True)
@@ -243,11 +248,10 @@ def classify_regime(econ: PatchEconomy, stats: MaskStats) -> RegimeFlags:
     """Flag the three regimes in which localized resampling loses its edge:
     dense defects (more than half the patches), precision below the floor,
     and local repair strictly weaker than global (recall-weighted)."""
-    floor = precision_floor(econ.repair_prob_local, econ.repair_gain,
-                            econ.harm_prob_local, econ.harm_loss)
+    floor = economy_precision_floor(econ)  # None: no precision is too low
     return RegimeFlags(
         dense_defects=econ.defects / econ.m_patches > 0.5,
-        low_precision=stats.precision < floor,
+        low_precision=floor is not None and stats.precision < floor,
         weak_local_repair=stats.recall * econ.repair_prob_local < econ.repair_prob_global,
     )
 

@@ -14,6 +14,9 @@ mask sources their masks one state at a time, and a phase that draws
 other than the noise it declared must raise.
 """
 import functools
+import itertools
+import operator
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -332,18 +335,20 @@ def test_chunk_equals_its_trials_one_at_a_time(kwargs, chunk, refinements, bon_m
 
 
 def engine_candidates(run):
-    """Run run() with the engine's candidates recorded; returns (result,
-    each search's candidates in order)."""
-    engine, searches = search._lockstep, []
+    """Run run() with the engine's (search index, candidates) pair of each
+    seed recorded; returns (result, each search's candidates in order)."""
+    engine, pairs = search._lockstep, []
 
     def recording(*args, **kwargs):
-        for candidates in engine(*args, **kwargs):
-            searches.append(candidates)
-            yield candidates
+        for pair in engine(*args, **kwargs):
+            pairs.append(pair)
+            yield pair
 
     with mock.patch.object(search, "_lockstep", recording), \
             mock.patch.object(harness, "_lockstep", recording):
-        return run(), searches
+        result = run()
+    return result, [[cand for _, candidates in seeds for cand in candidates]
+                    for _, seeds in itertools.groupby(pairs, key=operator.itemgetter(0))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,3 +570,31 @@ def test_empty_sweep_chunk_returns_no_results(engine_blocks):
     assert sweep_trials(sweep_settings(small_trial_kwargs(), 1, 3), []) == []
     assert engine_blocks == []
 
+
+def test_search_memory_does_not_grow_with_its_budget():
+    # each seed is reduced as the engine yields it, so a search holds about one
+    # block however many seeds it runs: 64-row blocks, budgets of 500 and 5,000
+    kwargs = small_trial_kwargs()
+    trial_settings = TrialSettings(**kwargs)
+    predictor = NoisePredictor(world=trial_settings.world, schedule=trial_settings.schedule)
+    runs = {
+        "sweep_trials": lambda n: sweep_trials(sweep_settings(kwargs, 1, n),
+                                               [np.random.SeedSequence(3)]),
+        "best_of_n": lambda n: best_of_n(predictor, n, search.trial_rng(np.random.SeedSequence(3)),
+                                         trial_settings.sampler()),
+    }
+
+    def peak(run, n):
+        tracemalloc.start()
+        try:
+            run(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base_noise = len(kwargs["schedule"].step_times()) * kwargs["world"].dim
+    with mock.patch.object(search, "_BLOCK_NOISE", 64 * base_noise):
+        for name, run in runs.items():
+            run(500)  # one-off allocations out of the way
+            small, large = peak(run, 500), peak(run, 5000)
+            assert large <= 1.5 * small, (name, small, large)

@@ -556,10 +556,6 @@ class TestCli:
         # one Monte Carlo task per 4,096 trials, built up front
         ("theory_worked.json", ["theory.mc_trials=100000001"],
          ["theory.mc_trials: must be at most 100000000, got 100000001"]),
-        # a search holds all its candidates until its last block (bon_grid=[10**7] at
-        # dim 32: 2.5 GB of rows)
-        ("scaling_default.json", ["trials=2", "search.bon_grid=[26215]"],
-         ["search.bon_grid: 26215 candidates exceed 26214 at world dim 32"]),
         # one seed's refinements share a block, so their noise is one buffer
         ("scaling_default.json", ["trials=2", "search.refinements=6554",
                                   "search.n_grid=[1,6555]", "search.reference_n=1"],
@@ -584,6 +580,13 @@ class TestCli:
         assert all(f"config error: {error}\n" in err for error in errors), err
         assert peak < 1 << 22  # validation alone: no seed, task list or search was built
         assert not (tmp_path / "out").exists()
+
+    def test_search_budget_has_no_cap(self):
+        # the sweep reduces each seed as the engine yields it, so a budget's memory is
+        # one block's and no budget is too large to validate
+        raw = json.loads((CONFIGS / "scaling_default.json").read_text())
+        raw["search"]["bon_grid"] = [26215]
+        assert validate_config(raw).settings.bon_grid == (26215,)
 
     def test_size_caps_admit_the_largest_worlds_in_use(self):
         # the caps themselves, S = 256 at d = 4, and the testbed_k3 workload's 8 x 8 at d = 4
@@ -730,6 +733,35 @@ class TestCli:
             "raw": {"orig": raw, "pos": raw, "neg": raw, "extra": raw}}})
         assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error: maskgen.raw.extra: unknown key\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_every_bad_raw_document_reported_exit_two(self, from_file, tmp_path, capsys):
+        raw = {"grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [1.0, 2.0]}
+        docs = {"orig": {**raw, "note": 1}, "pos": raw, "neg": {**raw, "extra": 2}}
+        if from_file:
+            for key, doc in docs.items():
+                (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+            source = {"raw_paths": {key: f"{key}.json" for key in docs}}
+            where = {key: f"maskgen.raw_paths.{key}[{tmp_path / f'{key}.json'}]" for key in docs}
+        else:
+            source, where = {"raw": docs}, {key: f"maskgen.raw.{key}" for key in docs}
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {where['orig']}.note: unknown key\n" in err
+        assert f"config error: {where['neg']}.extra: unknown key\n" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_theory_with_inert_local_edits_runs(self, tmp_path):
+        # no local repair and no local harm: no precision floor, so no precision is low
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                         "--set", "economy.repair_prob_local=0",
+                         "--set", "economy.harm_prob_local=0",
+                         "--out", str(tmp_path / "out")]) == 0
+        closed = json.loads((tmp_path / "out" / "report.json").read_text())["results"][
+            "closed_form"]
+        assert closed["precision_floor"] is None
+        assert closed["regime_flags"]["low_precision"] is False
 
     @pytest.mark.parametrize("seeds", [-5, 0])
     def test_search_seeds_range_exit_two(self, seeds, tmp_path, capsys):
