@@ -556,6 +556,9 @@ class TestCli:
         # one Monte Carlo task per 4,096 trials, built up front
         ("theory_worked.json", ["theory.mc_trials=100000001"],
          ["theory.mc_trials: must be at most 100000000, got 100000001"]),
+        # a sweep's step grid and each row's base-step noise are materialised
+        ("scaling_default.json", ["trials=2", "schedule.n_steps=100001"],
+         ["schedule.n_steps: must be at most 100000, got 100001"]),
         # one seed's refinements share a block, so their noise is one buffer
         ("scaling_default.json", ["trials=2", "search.refinements=6554",
                                   "search.n_grid=[1,6555]", "search.reference_n=1"],
