@@ -6,9 +6,10 @@ One line per output file: workers, config label, file name and sha256. The
 runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``theory_mc`` benchmark workload configs (read from
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
-noiseless attention, a resample with ``t_g = 0``, maskgen with queries, and
-best-of-N searches that each span two engine blocks. Each runs at workers 1
-and 2. Outputs go to a temporary directory that is removed afterwards.
+noiseless attention, a resample with ``t_g = 0``, maskgen with queries, maskgen
+from inline raw attention documents, and best-of-N searches that each span two
+engine blocks. Each runs at workers 1 and 2. Outputs go to a temporary
+directory that is removed afterwards.
 
 A change that must leave every report byte alone is checked by running this
 script on the parent and on the change (same script, ``PYTHONPATH`` pointing
@@ -34,6 +35,13 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 # so the mask is [0, 1, 0, 0, 1, 0], not the unsmoothed [1, 1, 0, 0, 0, 0]
 QUERIES = json.dumps([[0.0, 1.0], [3.0, 0.0], [1.0, 0.5], [0.0, -1.0], [3.0, 0.0], [2.0, 1.0]])
 
+# inline raw attention documents for the same grid, each field with its own layers, heads and
+# tokens: (layers, heads, tokens, step of the data's pattern)
+RAW = json.dumps({key: {"grid": [2, 3], "layers": layers, "heads": heads, "tokens": tokens,
+                        "data": [step * i % 7 / 4 for i in range(layers * heads * tokens * 6)]}
+                  for key, (layers, heads, tokens, step) in {
+                      "orig": (1, 2, 1, 3), "pos": (2, 1, 3, 2), "neg": (1, 3, 2, 5)}.items()})
+
 # (label, config, overrides); a config is a shipped file name or a workload name
 RUNS = [
     *((path.stem, path.name, []) for path in sorted((ROOT / "configs").glob("*.json"))),
@@ -43,6 +51,7 @@ RUNS = [
     *((f"{stem}+t_g=0", f"{stem}.json", ["resample.t_g=0", "resample.n_integrate=0"])
       for stem in ("testbed_small", "scaling_default")),
     ("maskgen_example+queries", "maskgen_example.json", [f"maskgen.queries={QUERIES}"]),
+    ("maskgen_example+raw", "maskgen_example.json", ["maskgen.bundle=null", f"maskgen.raw={RAW}"]),
     # 600 draws a search, and an engine block holds 496 rows at dim 32 and 32 steps: the
     # running best-of-N maximum carries across blocks
     ("scaling_default+bon_grid=1,600", "scaling_default.json",

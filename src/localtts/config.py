@@ -8,10 +8,10 @@ shape: an integer key takes a JSON integer only (not 2.0 or true), a key whose
 default is null may be null and a key with no default is required. An object
 rejects unknown keys and a run rejects a section its kind does not read. A
 range rule on a value that an object holds lives in that object's type; this
-module reports each broken rule at its dotted JSON path and itself checks
-ranges only for the values no type holds (the run-level keys,
-search.reference_n and the theory options). Validation is exhaustive, so a bad
-config can be fixed in one pass. The resolved document (defaults applied,
+module reports each broken rule at its dotted JSON path and itself checks ranges
+only for the values no type holds (the run-level keys, search.reference_n, the
+theory options, maskgen.weight and maskgen.ratio). Validation is exhaustive, so
+a bad config can be fixed in one pass. The resolved document (defaults applied,
 command-line overrides recorded) is embedded in every report.
 """
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
+from .attention import BUNDLE_FIELDS
 from .errors import FieldErrors
 from .resample import ResampleConfig
 from .search import SearchConfig, SweepSettings, TrialSettings
@@ -76,11 +77,13 @@ _SCHEMA: dict[str, Any] = {
     "theory": {"mc_trials": ("integer", 100000), "bon_repair_prob_one": ("number", 0.5),
                "bon_n_max": ("integer", 50),
                **dict.fromkeys(("repair_dist", "harm_dist"), {"kind": (None, "constant")})},
-    "maskgen": {"bundle": ("object", None), "bundle_path": ("path", None),
-                "raw": ("object", None), "raw_paths": ("object", None),
-                "queries": ("list", None), "queries_path": ("path", None),
-                "weight": ("number", 0.5), "ratio": ("number", 0.5)},
+    # bundle, each entry of raw (_RAW) and queries: the JSON value, or a string naming the
+    # JSON file that holds it, relative to the config's directory (read by read_document)
+    "maskgen": {"bundle": ("object or file", None), "raw": ("object", None),
+                "queries": ("list or file", None), "weight": ("number", 0.5),
+                "ratio": ("number", 0.5)},
 }
+_RAW = {key: ("object or file",) for key in BUNDLE_FIELDS}
 
 
 def _defaults(table: dict) -> dict:
@@ -103,8 +106,8 @@ _SECTIONS_BY_KIND = {"theory": ("economy", "mask_stats", "theory"), "maskgen": (
 # the one list of numbers, world.verifier_weights, defaults to null
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
              "integers": "a list of integers", "numbers": "null or a list of numbers",
-             "vector": "a number or a list of numbers", "object": "an object",
-             "path": "a path", "list": "a list"}
+             "vector": "a number or a list of numbers", "object": "an object", "list": "a list",
+             "object or file": "an object or a file name", "list or file": "a list or a file name"}
 
 # trial-settings field -> its dotted path in the config document
 _SETTINGS_PATHS = {
@@ -182,7 +185,9 @@ def _typed(value: Any, shape: str):
         return value if isinstance(value, list) and all(map(_is_number, value)) else None
     if shape == "vector":
         return value if fits or type(value) is int else _typed(value, "numbers")
-    return value if isinstance(value, {"object": dict, "path": str, "list": list}[shape]) else None
+    if shape.endswith(" or file"):
+        return value if isinstance(value, str) else _typed(value, shape.split()[0])
+    return value if isinstance(value, {"object": dict, "list": list}[shape]) else None
 
 
 def _read(doc: dict, path: Optional[str], table: dict, errors: list[str]) -> Optional[dict]:
@@ -197,6 +202,8 @@ def _read(doc: dict, path: Optional[str], table: dict, errors: list[str]) -> Opt
         items, shape = (shape, "list") if isinstance(shape, dict) else (None, shape)
         if value is None and default == [None]:
             values[key] = None
+        elif key not in doc:  # a required key: every other key is merged over its default
+            errors.append(f"{path}: missing key '{key}'")
         elif (typed := _typed(value, shape)) is None:
             errors.append(f"{where}: expected {_EXPECTED[shape]}, got {value!r}")
         elif items is None:
@@ -328,19 +335,43 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     if kind == "maskgen":
         doc = resolved["maskgen"]
-        # weight and ratio ranges are checked by the mask pipeline (mask_gen);
-        # run_maskgen reports a broken one as a config error
-        _read(doc, "maskgen", _SCHEMA["maskgen"], errors)
-        sources = [key for key in ("bundle", "bundle_path", "raw", "raw_paths")
-                   if doc.get(key) is not None]
-        if len(sources) != 1:
-            errors.append("maskgen: exactly one attention source is required "
-                          "(bundle, bundle_path, raw, or raw_paths)")
+        values = _read(doc, "maskgen", _SCHEMA["maskgen"], errors)
+        if values:
+            weight, ratio = values["weight"], values["ratio"]
+            errors.extend(f"maskgen.{key}: {message}" for passed, key, message in [
+                (weight >= 0, "weight", f"must be non-negative, got {weight}"),
+                (0 < ratio < 1, "ratio", f"must lie strictly inside (0, 1), got {ratio}"),
+            ] if not passed)
+            if values["raw"] is not None:
+                _read(_merge_section(_RAW, values["raw"], "maskgen.raw", errors), "maskgen.raw",
+                      _RAW, errors)
+        if [doc["bundle"], doc["raw"]].count(None) != 1:
+            errors.append("maskgen: exactly one attention source is required (bundle or raw)")
         cfg.maskgen = doc
 
     if errors:  # a rule two types share is reported once
         raise ConfigError(dict.fromkeys(errors))
     return cfg
+
+
+def read_document(value: Any, where: str, base_dir: Optional[Path], shape: str = "object"
+                  ) -> tuple:
+    """(value, where), or for a string the JSON document in the file it names (relative
+    to base_dir) and where[file], the path its keys are reported at. ConfigError if the
+    file cannot be read as JSON or its document does not have the shape shape."""
+    if not isinstance(value, str):
+        return value, where
+    path = Path(base_dir or ".", value)
+    try:
+        value = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError([f"{where}: file not found: {path}"])
+    except (OSError, ValueError) as exc:  # a directory, a file that is not UTF-8 or not JSON
+        raise ConfigError([f"{where}: cannot read JSON from {path}: {exc}"])
+    where = f"{where}[{path}]"
+    if _typed(value, shape) is None:  # the rule the value written inline is held to
+        raise ConfigError([f"{where}: expected {_EXPECTED[shape]}, got {value!r}"])
+    return value, where
 
 
 def load_config(path: str | Path, overrides: Optional[list[str]] = None
@@ -350,17 +381,9 @@ def load_config(path: str | Path, overrides: Optional[list[str]] = None
     Override values are parsed as JSON where possible (so 0.25, true, and
     [1,2] work) and fall back to plain strings.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError([f"config: file not found: {path}"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config: invalid JSON: {exc}"])
+    raw, _ = read_document(str(path), "config", None)
     applied = []
     for item in overrides or []:
-        if _typed(raw, "object") is None:
-            break  # validate_config rejects the document
         if "=" not in item:
             raise ConfigError([f"--set: expected key=value, got {item!r}"])
         key, _, text = item.partition("=")

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import attention as attn
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_document
 from .errors import FieldErrors
 from .search import (
     SearchConfig,
@@ -238,52 +238,23 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # maskgen
 # ---------------------------------------------------------------------------
 
-def _load_json(path_text: str, base_dir: Optional[Path], where: str = "") -> tuple:
-    """The JSON document at path_text (relative to base_dir), and where[file],
-    the path at which its keys are reported."""
-    path = Path(path_text)
-    if not path.is_absolute() and base_dir is not None:
-        path = base_dir / path
-    try:
-        return json.loads(path.read_text()), f"{where}[{path}]"
-    except FileNotFoundError:
-        raise ConfigError([f"maskgen: file not found: {path}"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"maskgen: invalid JSON in {path}: {exc}"])
-
-
 def run_maskgen(cfg: ExperimentConfig, base_dir: Optional[Path] = None) -> tuple[dict, dict]:
     doc = cfg.maskgen
+    read = functools.partial(read_document, base_dir=base_dir)
     try:
         if doc["bundle"] is not None:
-            bundle = attn.bundle_from_document(doc["bundle"], "maskgen.bundle")
-        elif doc["bundle_path"] is not None:
-            bundle = attn.bundle_from_document(
-                *_load_json(doc["bundle_path"], base_dir, "maskgen.bundle_path"))
+            bundle = attn.bundle_from_document(*read(doc["bundle"], "maskgen.bundle"))
         else:
-            source = "raw" if doc["raw"] is not None else "raw_paths"
-            raw_docs = ({key: (value, f"maskgen.raw.{key}") for key, value in doc["raw"].items()}
-                        if source == "raw" else
-                        {key: _load_json(path, base_dir, f"maskgen.raw_paths.{key}")
-                         for key, path in doc["raw_paths"].items()})
-            errors = [f"maskgen.{source}.{key}: unknown key" for key in raw_docs
-                      if key not in attn.BUNDLE_FIELDS]
-            missing = [key for key in attn.BUNDLE_FIELDS
-                       if not isinstance(raw_docs.get(key, (None,))[0], dict)]
-            if missing:
-                errors.append(f"maskgen.raw: missing or non-object field(s) {missing}")
-            fields = {}
-            for key in (key for key in attn.BUNDLE_FIELDS if key not in missing):
+            fields, errors = {}, []
+            for key, value in doc["raw"].items():
                 try:  # every document's key errors, reported with the others
-                    fields[key] = attn.field_from_raw_document(*raw_docs[key])
-                except FieldErrors as exc:
+                    fields[key] = attn.field_from_raw_document(*read(value, f"maskgen.raw.{key}"))
+                except (ConfigError, FieldErrors) as exc:
                     errors += exc.errors
             if errors:
                 raise ConfigError(errors)
             bundle = attn.AttentionBundle(**fields)
-        queries = doc["queries"]
-        if queries is None and doc["queries_path"] is not None:
-            queries, _ = _load_json(doc["queries_path"], base_dir)
+        queries, _ = read(doc["queries"], "maskgen.queries", shape="list")
         mask = attn.mask_gen(bundle, queries, doc["weight"], doc["ratio"])
     except FieldErrors as exc:  # a key of an interchange document, named at its path
         raise ConfigError(exc.errors)

@@ -372,3 +372,33 @@ class TestInterchangeDocuments:
         mask = mask_from_indices((2, 2), [0, 3])
         doc = mask_to_document(mask)
         assert doc == {"grid": [2, 2], "ratio": 0.5, "bits": [1, 0, 0, 1]}
+
+
+def _bundle(size):
+    return AttentionBundle(*(afield(np.ones(size)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: PropagationMatrix(rows=np.full((2, 3), 1 / 3)), "must be square",
+                 id="propagation-not-square"),
+    pytest.param(lambda: PropagationMatrix(rows=[[np.nan, 1.0], [0.5, 0.5]]), "non-finite",
+                 id="propagation-non-finite"),
+    pytest.param(lambda: PropagationMatrix(rows=[[1.5, -0.5], [0.5, 0.5]]), "non-negative",
+                 id="propagation-negative"),
+    pytest.param(lambda: PropagationMatrix(rows=[[0.5, 0.4], [0.5, 0.5]]), "sum to 1",
+                 id="propagation-row-sum"),
+    pytest.param(lambda: DefectMask(bits=[1, 0, 0], ratio=0.5, grid=(1, 2)), "length 2",
+                 id="mask-bit-length"),
+    pytest.param(lambda: DefectMask(bits=[2, 0], ratio=0.5, grid=(1, 2)), "0/1",
+                 id="mask-bits-not-binary"),
+    pytest.param(lambda: reduce_attention(np.ones((1, 1, 2)), (1, 2)), "4 axes",
+                 id="raw-three-axes"),
+    pytest.param(lambda: reduce_attention(np.ones((1, 0, 1, 2)), (1, 2)), "empty axis",
+                 id="raw-empty-axis"),
+    pytest.param(lambda: build_propagation(np.ones(4)), "2-D matrix", id="queries-one-axis"),
+    pytest.param(lambda: mask_gen(_bundle(4), np.eye(3), 0.5, 0.5), "does not match field size",
+                 id="queries-size-mismatch"),
+])
+def test_input_checks_reject_their_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -11,7 +11,7 @@ from localtts.config import _SCHEMA, _SECTIONS_BY_KIND, ConfigError, validate_co
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {"theory": "theory_worked.json", "testbed": "testbed_small.json",
            "scaling": "scaling_default.json", "maskgen": "maskgen_example.json"}
-MASK_SOURCES = ("bundle", "bundle_path", "raw", "raw_paths")
+MASK_SOURCES = ("bundle", "raw")
 
 
 def keys(table, path=None, shaped=True):
@@ -50,7 +50,7 @@ def set_key(raw: dict, path: str, value) -> None:
 def wrong_values(shape, default: tuple) -> list:
     """A value of another JSON type, null unless the key is nullable, 2.0 for
     an integer, and NaN."""
-    values = [[] if shape == "object" else {}, math.nan]
+    values = [[] if shape in ("object", "object or file") else {}, math.nan]
     if default != (None,):
         values.append(None)
     if shape in ("integer", "integers"):

@@ -125,7 +125,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="exactly one attention source"):
             validate_config(raw)
         raw2 = {"kind": "maskgen", "maskgen": {
-            "bundle": {}, "bundle_path": "x.json"}}
+            "bundle": {}, "raw": {}}}
         with pytest.raises(ConfigError, match="exactly one attention source"):
             validate_config(raw2)
 
@@ -156,6 +156,27 @@ class TestLoadConfig:
         path.write_text(json.dumps(theory_raw()))
         with pytest.raises(ConfigError, match="key=value"):
             load_config(path, ["trials"])
+
+    @pytest.mark.parametrize("text, overrides, error", [
+        pytest.param('{"kind": ', [], "config: cannot read JSON from <cfg>: Expecting value",
+                     id="invalid-json"),
+        # a --set value that is not JSON is kept as a string: here the file the bundle is in
+        pytest.param(json.dumps({"kind": "maskgen"}), ["maskgen.bundle=bundle.json"], None,
+                     id="set-value-not-json"),
+        pytest.param(json.dumps(theory_raw()), ["economy.m_patches.x=1"],
+                     "--set economy.m_patches.x: path collides with a scalar",
+                     id="set-through-scalar"),
+    ])
+    def test_config_file_and_overrides(self, text, overrides, error, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        if error is None:
+            cfg, applied = load_config(path, overrides)
+            assert cfg.maskgen["bundle"] == "bundle.json" and applied == overrides
+            return
+        with pytest.raises(ConfigError) as info:
+            load_config(path, overrides)
+        assert info.value.errors[0].startswith(error.replace("<cfg>", str(path)))
 
 
 class TestTheoryExperiment:
@@ -248,6 +269,18 @@ class TestRenderCsv:
                      + [np.bool_(v) for v in bools])
         assert harness.render_csv(header, [numpy_row]) == \
             harness.render_csv(header, [floats + ints + bools])
+
+
+def _first_draw(payload, seed_seq):
+    """A trial's first draw from its own generator, times payload."""
+    return payload * np.random.default_rng(seed_seq).random()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_trials_equals_its_trials_one_by_one(workers):
+    # the entry point that perfbench's pool probe times: one call per trial seed, in order
+    want = [_first_draw(3.0, harness.trial_seed(7, i)) for i in range(5)]
+    assert harness.run_trials(_first_draw, 3.0, 5, 7, workers=workers) == want
 
 
 class TestSignTest:
@@ -365,8 +398,7 @@ class TestMaskgenExperiment:
         raw = {
             "kind": "maskgen",
             "maskgen": {
-                "raw_paths": {"orig": "orig.json", "pos": "pos.json",
-                              "neg": "neg.json"},
+                "raw": {"orig": "orig.json", "pos": "pos.json", "neg": "neg.json"},
                 "queries": queries, "weight": 0.5, "ratio": 0.25,
             },
         }
@@ -375,6 +407,36 @@ class TestMaskgenExperiment:
         mask = json.loads((tmp_path / "out" / "mask.json").read_text())
         assert sum(mask["bits"]) == 1
         assert mask["bits"][1] == 1
+
+
+    def test_file_form_writes_the_inline_form_mask(self, tmp_path):
+        # each input read from its file, relative to the config's directory, gives the
+        # mask.json of the same value written inline, byte for byte
+        raw = {key: {"grid": [2, 3], "layers": layers, "heads": 2, "tokens": 1,
+                     "data": [step * i % 5 / 3 for i in range(layers * 2 * 6)]}
+               for key, layers, step in (("orig", 1, 1), ("pos", 2, 2), ("neg", 3, 3))}
+        queries = [[0.0, 1.0], [3.0, 0.0], [1.0, 0.5], [0.0, -1.0], [3.0, 0.0], [2.0, 1.0]]
+        (tmp_path / "docs").mkdir()
+        for name, doc in (("bundle", BUNDLE["bundle"]), ("queries", queries), *raw.items()):
+            (tmp_path / "docs" / f"{name}.json").write_text(json.dumps(doc))
+        forms = {
+            "bundle": {"bundle": BUNDLE["bundle"], "queries": queries},
+            "bundle-file": {"bundle": "docs/bundle.json", "queries": "docs/queries.json"},
+            "raw": {"raw": raw, "queries": queries},
+            "raw-files": {"raw": {"orig": "docs/orig.json", "pos": raw["pos"],
+                                  "neg": str(tmp_path / "docs" / "neg.json")},
+                          "queries": "docs/queries.json"},
+        }
+        masks = {}
+        for name, source in forms.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"kind": "maskgen", "maskgen": source}))
+            assert cli_main(["maskgen", "--config", str(config),
+                             "--out", str(tmp_path / name)]) == 0
+            masks[name] = (tmp_path / name / "mask.json").read_bytes()
+        assert masks["bundle-file"] == masks["bundle"]
+        assert masks["raw-files"] == masks["raw"]
+        assert masks["bundle"] != masks["raw"]  # the two pairs do not pass by one constant mask
 
 
 BUNDLE = {"bundle": {"grid": [2, 3], "orig": [1.0] * 6,
@@ -406,7 +468,8 @@ class TestCli:
             "bundle": {"grid": [1, 2], "orig": [1, 1], "pos": [1, 0.2], "neg": [1, 1.4]},
             "weight": 0.5, "ratio": 1.5}})
         assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "ratio must lie strictly inside (0, 1)" in capsys.readouterr().err
+        assert "config error: maskgen.ratio: must lie strictly inside (0, 1), got 1.5\n" \
+            in capsys.readouterr().err
 
     def test_kind_mismatch_exit_two(self, tmp_path, capsys):
         path = self.write(tmp_path, theory_raw())
@@ -614,6 +677,8 @@ class TestCli:
         ("testbed_small.json", "economy.bogus=1", "economy: not read by a testbed run"),
         # the interchange documents reject unknown keys, as the config document does
         ("maskgen_example.json", "maskgen.bundle.note=NaN", "maskgen.bundle.note: unknown key"),
+        # a maskgen input names its file under its own key: there is no second key for it
+        ("maskgen_example.json", "maskgen.bundle_path=x", "maskgen.bundle_path: unknown key"),
     ])
     def test_wrong_json_shape_exit_two(self, config, setting, error, tmp_path, capsys):
         kind = json.loads((CONFIGS / config).read_text())["kind"]
@@ -627,7 +692,9 @@ class TestCli:
         path.write_text("[]")
         assert cli_main(["testbed", "--config", str(path), "--set", "x=1",
                          "--out", str(tmp_path / "out")]) == 2
-        assert "config error: config: expected a JSON object" in capsys.readouterr().err
+        # the config file is read by the reader of every JSON file a config names
+        assert f"config error: config[{path}]: expected an object, got []\n" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, error", [
         ('{"kind": "uniform", "mean": 3}', "theory.repair_dist.mean: unknown key"),
@@ -652,17 +719,20 @@ class TestCli:
             "integers" in err
 
     @pytest.mark.parametrize("source, error", [
-        ({"raw_paths": ["a"]}, "maskgen.raw_paths: expected an object, got ['a']"),
-        ({"bundle_path": 5}, "maskgen.bundle_path: expected a path, got 5"),
-        ({"bundle": 5}, "maskgen.bundle: expected an object, got 5"),
+        # <tmp> is the directory that holds the config and the files it names
+        ({"raw": "raw.json"}, "maskgen.raw: expected an object, got 'raw.json'"),
+        ({"bundle": "list.json"},
+         "maskgen.bundle[<tmp>/list.json]: expected an object, got [1, 2]"),
+        ({"bundle": 5}, "maskgen.bundle: expected an object or a file name, got 5"),
         ({"raw": [1]}, "maskgen.raw: expected an object, got [1]"),
-        ({"raw": {"orig": 1, "pos": {}, "neg": "x"}},
-         "maskgen.raw: missing or non-object field(s) ['orig', 'neg']"),
-        ({"raw_paths": {"orig": "list.json", "pos": "list.json", "neg": "list.json"}},
-         "maskgen.raw: missing or non-object field(s) ['orig', 'pos', 'neg']"),
-        ({**BUNDLE, "queries_path": 7}, "maskgen.queries_path: expected a path, got 7"),
-        ({**BUNDLE, "queries": {"a": 1}}, "maskgen.queries: expected a list, got {'a': 1}"),
-        ({**BUNDLE, "queries_path": "dict.json"}, "maskgen: float() argument"),
+        ({"raw": {"orig": 1, "pos": {}}}, "maskgen.raw: missing key 'neg'"),
+        ({"raw": {}}, "maskgen.raw: missing key 'pos'"),
+        ({**BUNDLE, "queries": 7}, "maskgen.queries: expected a list or a file name, got 7"),
+        ({**BUNDLE, "queries": {"a": 1}},
+         "maskgen.queries: expected a list or a file name, got {'a': 1}"),
+        # the same value read from a file breaks the same rule
+        ({**BUNDLE, "queries": "dict.json"},
+         "maskgen.queries[<tmp>/dict.json]: expected a list, got {'a': 1}"),
         ({"bundle": {**BUNDLE["bundle"], "grid": 6}}, "maskgen: 'int' object"),
         ({"bundle": {**BUNDLE["bundle"], "grid": {"a": 1}}},
          "maskgen: grid must be two positive integers, got {'a': 1}"),
@@ -670,13 +740,22 @@ class TestCli:
          "maskgen: grid must be two positive integers, got [2]"),
         ({"bundle": {**BUNDLE["bundle"], "grid": [2, 3.7]}},
          "maskgen: grid must be two positive integers, got [2, 3.7]"),
+        ({"raw": {"orig": 1, "pos": {}}},
+         "maskgen.raw.orig: expected an object or a file name, got 1"),
+        ({"raw": {"orig": "list.json", "pos": "list.json", "neg": "list.json"}},
+         "maskgen.raw.neg[<tmp>/list.json]: expected an object, got [1, 2]"),
+        ({**BUNDLE, "queries": "none.json"}, "maskgen.queries: file not found: <tmp>/none.json"),
+        ({**BUNDLE, "queries": "."}, "maskgen.queries: cannot read JSON from <tmp>: "),
+        ({**BUNDLE, "queries": "bad.json"},
+         "maskgen.queries: cannot read JSON from <tmp>/bad.json: "),
     ])
     def test_maskgen_source_of_wrong_type_exit_two(self, source, error, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "dict.json").write_text('{"a": 1}')
+        (tmp_path / "bad.json").write_text("[1,")
         path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
         assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: {error}" in capsys.readouterr().err
+        assert f"config error: {error.replace('<tmp>', str(tmp_path))}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, error", [
         ("maskgen.bundle.note=1", "maskgen.bundle.note: unknown key"),
@@ -708,8 +787,8 @@ class TestCli:
         if from_file:  # each document in its own file, which the error names
             for key, doc in docs.items():
                 (tmp_path / f"{key}.json").write_text(json.dumps(doc))
-            source = {"raw_paths": {key: f"{key}.json" for key in docs}}
-            error = f"maskgen.raw_paths.orig[{tmp_path / 'orig.json'}].{error}"
+            source = {"raw": {key: f"{key}.json" for key in docs}}
+            error = f"maskgen.raw.orig[{tmp_path / 'orig.json'}].{error}"
         else:
             source, error = {"raw": docs}, f"maskgen.raw.orig.{error}"
         path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
@@ -721,13 +800,13 @@ class TestCli:
         ({**BUNDLE["bundle"], "note": 1}, ".note: unknown key"),
         ({**BUNDLE["bundle"], "neg": [1] * 5 + [False]},
          ".neg: expected a list of numbers, got [1, 1, 1, 1, 1, False]"),
-        ([1, 2], ": expected an object, got list"),
+        ([1, 2], ": expected an object, got [1, 2]"),
     ])
     def test_bundle_file_read_strictly_exit_two(self, document, error, tmp_path, capsys):
         (tmp_path / "bundle.json").write_text(json.dumps(document))
-        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {"bundle_path": "bundle.json"}})
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {"bundle": "bundle.json"}})
         assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert (f"config error: maskgen.bundle_path[{tmp_path / 'bundle.json'}]{error}\n"
+        assert (f"config error: maskgen.bundle[{tmp_path / 'bundle.json'}]{error}\n"
                 in capsys.readouterr().err)
 
     def test_raw_document_set_unknown_key_exit_two(self, tmp_path, capsys):
@@ -744,8 +823,8 @@ class TestCli:
         if from_file:
             for key, doc in docs.items():
                 (tmp_path / f"{key}.json").write_text(json.dumps(doc))
-            source = {"raw_paths": {key: f"{key}.json" for key in docs}}
-            where = {key: f"maskgen.raw_paths.{key}[{tmp_path / f'{key}.json'}]" for key in docs}
+            source = {"raw": {key: f"{key}.json" for key in docs}}
+            where = {key: f"maskgen.raw.{key}[{tmp_path / f'{key}.json'}]" for key in docs}
         else:
             source, where = {"raw": docs}, {key: f"maskgen.raw.{key}" for key in docs}
         path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})

@@ -620,3 +620,27 @@ class TestForwardDenoiseIdentity:
             noised = forward_noise(sched, LatentState(x=x0, t=0.0), t, z)
             recovered = (noised.x - sched.sigma(t) * z) / sched.alpha(t)
             np.testing.assert_allclose(recovered, x0, rtol=1e-12, atol=1e-12)
+
+
+_WORLD = single_gaussian_world(grid=(2, 2))
+_PREDICTOR = NoisePredictor(world=_WORLD, schedule=CosineSchedule(horizon=1.0, n_steps=4))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: LatentState(x=[0.0, np.inf], t=0.0), "non-finite", id="state-non-finite"),
+    pytest.param(lambda: LatentState(x=[0.0], t=-0.5), "non-negative", id="state-negative-time"),
+    pytest.param(lambda: _WORLD.patch_view(np.zeros(_WORLD.dim + 1)), "world needs 8",
+                 id="patch-view-width"),
+    pytest.param(lambda: inject_defects(_WORLD, LatentState(x=np.zeros(_WORLD.dim), t=0.5), 1,
+                                        1.0, np.random.default_rng(0)), "at t=0",
+                 id="inject-at-t"),
+    pytest.param(lambda: inject_defects(_WORLD, LatentState(x=np.zeros((2, _WORLD.dim)), t=0.0),
+                                        1, 1.0, np.random.default_rng(0)), "unbatched",
+                 id="inject-batched"),
+    *(pytest.param(lambda dt=dt: reverse_sde_step(
+        _PREDICTOR, LatentState(x=np.zeros(_WORLD.dim), t=0.5), dt, np.random.default_rng(0)),
+        "step size must be positive", id=f"step-dt={dt}") for dt in (0.0, -0.25)),
+])
+def test_input_checks_reject_their_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

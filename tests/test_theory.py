@@ -407,3 +407,19 @@ class TestBonRepairFrequency:
             freq, se = simulate_bon_repair_frequency(0.3, n, 100_000, seed=n)
             expected = 1.0 - 0.7 ** n
             assert abs(freq - expected) < 3 * max(se, 1e-6)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: simulate_patch_economy(WORKED, WORKED_STATS, 0, 0),
+                 "trials must be at least 1", id="economy-trials"),
+    pytest.param(lambda: simulate_patch_economy(WORKED, WORKED_STATS, 10, 0, workers=0),
+                 "workers must be at least 1", id="economy-workers"),
+    *(pytest.param(lambda p=p: simulate_bon_repair_frequency(p, 3, 10, 0),
+                   r"must lie in \(0, 1\)", id=f"bon-p={p}") for p in (0.0, 1.0)),
+    *(pytest.param(lambda n=n, trials=trials: simulate_bon_repair_frequency(0.5, n, trials, 0),
+                   "n and trials must be at least 1", id=f"bon-n={n}-trials={trials}")
+      for n, trials in ((0, 10), (3, 0))),
+])
+def test_input_checks_reject_their_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
