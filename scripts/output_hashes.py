@@ -6,7 +6,8 @@ One line per output file: workers, config label, file name and sha256. The
 runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``theory_mc`` benchmark workload configs (read from
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
-noiseless attention, a resample with ``t_g = 0``, maskgen with queries, maskgen
+noiseless attention, a resample with ``t_g = 0``, oracle masks (some of them
+empty), a nine-component world of ``patch_dim`` 1, maskgen with queries, maskgen
 from inline raw attention documents, and best-of-N searches that each span two
 engine blocks. Each runs at workers 1 and 2. Outputs go to a temporary
 directory that is removed afterwards.
@@ -42,6 +43,11 @@ RAW = json.dumps({key: {"grid": [2, 3], "layers": layers, "heads": heads, "token
                   for key, (layers, heads, tokens, step) in {
                       "orig": (1, 2, 1, 3), "pos": (2, 1, 3, 2), "neg": (1, 3, 2, 5)}.items()})
 
+# nine components on one coordinate: the oracle's pairwise sums for d = 1 and K >= 8
+K9 = json.dumps([{"weight": w, "mean": mu, "variance": v} for w, mu, v in zip(
+    [0.2] + [0.1] * 8, [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0],
+    [0.05, 0.3, 0.1, 0.2, 0.09, 0.15, 0.25, 0.06, 0.12])])
+
 # (label, config, overrides); a config is a shipped file name or a workload name
 RUNS = [
     *((path.stem, path.name, []) for path in sorted((ROOT / "configs").glob("*.json"))),
@@ -50,6 +56,10 @@ RUNS = [
       for stem in ("testbed_small", "scaling_default")),
     *((f"{stem}+t_g=0", f"{stem}.json", ["resample.t_g=0", "resample.n_integrate=0"])
       for stem in ("testbed_small", "scaling_default")),
+    # the randomized defect counts leave some oracle masks empty
+    ("testbed_small+oracle_masks", "testbed_small.json", ["attention.oracle_masks=true"]),
+    ("testbed_small+K=9,d=1", "testbed_small.json",
+     ["world.patch_dim=1", f"world.components={K9}"]),
     ("maskgen_example+queries", "maskgen_example.json", [f"maskgen.queries={QUERIES}"]),
     ("maskgen_example+raw", "maskgen_example.json", ["maskgen.bundle=null", f"maskgen.raw={RAW}"]),
     # 600 draws a search, and an engine block holds 496 rows at dim 32 and 32 steps: the

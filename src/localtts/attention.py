@@ -359,20 +359,25 @@ def field_from_raw_document(doc: dict, path: str = "raw") -> AttentionField:
     """Parse {"grid", "layers", "heads", "tokens", "data"} at path into a field.
 
     "data" is the flat row-major [layers, heads, tokens, positions] tensor.
+    Every broken rule is reported at its key, as FieldErrors.
     """
-    _check_document(doc, path, ("layers", "heads", "tokens"), ("data",))
-    grid = _as_grid(doc["grid"])
-    layers, heads, tokens = doc["layers"], doc["heads"], doc["tokens"]
-    if min(layers, heads, tokens) < 1:
-        raise ValueError("layers, heads, and tokens must all be positive")
-    size = grid[0] * grid[1]
+    counts = ("layers", "heads", "tokens")
+    _check_document(doc, path, counts, ("data",))
+    try:
+        grid, grid_error = _as_grid(doc["grid"]), None
+    except (TypeError, ValueError) as exc:  # TypeError: a grid that is not a list
+        grid, grid_error = (0, 0), exc  # no positions, so no data length to check
+    shape = (*(doc[key] for key in counts), grid[0] * grid[1])
     data = np.asarray(doc["data"], dtype=float)
-    expected = layers * heads * tokens * size
-    if data.size != expected:
-        raise ValueError(
-            f"raw attention data has {data.size} entries, expected {expected}"
-        )
-    return reduce_attention(data.reshape(layers, heads, tokens, size), grid)
+    check([(grid_error is None, f"{path}.grid", str(grid_error)),
+           *((doc[key] >= 1, f"{path}.{key}", f"must be positive, got {doc[key]}")
+             for key in counts),
+           (min(shape) < 1 or data.size == math.prod(shape), f"{path}.data",
+            f"has {data.size} entries, expected {math.prod(shape)}")])
+    try:
+        return reduce_attention(data.reshape(shape), grid)
+    except ValueError as exc:  # the shape holds, so a value of the data
+        raise FieldErrors([f"{path}.data: {exc}"]) from None
 
 
 def bundle_from_document(doc: dict, path: str = "bundle") -> AttentionBundle:

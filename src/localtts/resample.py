@@ -7,10 +7,10 @@ unmasked coordinates pinned to freshly-noised copies of the anchor, and
 finally swept from t_g to 0 with plain stochastic reverse steps to restore
 full-state coherence.
 
-Each refinement or integration step consumes exactly one oracle evaluation,
-so a full call costs n_refine + n_integrate NFEs. With t_g = 0 the
-integration phase is empty and unmasked coordinates of the output equal the
-anchor bit-exactly.
+Each step consumes one oracle evaluation per row (a refinement step evaluates
+only the masked patches, which are independent of the others), so a full call
+costs n_refine + n_integrate NFEs. With t_g = 0 the integration phase is empty
+and unmasked coordinates of the output equal the anchor bit-exactly.
 """
 from __future__ import annotations
 
@@ -70,16 +70,17 @@ class ResampleConfig:
         return self.n_refine + self.n_integrate
 
 
-def _check_mask(predictor: NoisePredictor, mask: DefectMask) -> np.ndarray:
+def _check_mask(predictor: NoisePredictor, mask: DefectMask, state: LatentState) -> np.ndarray:
     if mask.grid != predictor.world.grid:
         raise ValueError(f"mask grid {mask.grid} does not match world grid {predictor.world.grid}")
-    return predictor.world.coordinate_mask(mask.bits)
+    return np.broadcast_to(mask.bits, (*state.x.shape[:-1], mask.bits.size))
 
 
-def _renoise(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
+def _renoise(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
              cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
     z_bg = rng.standard_normal(anchor.x.shape)
     z_mask = rng.standard_normal(anchor.x.shape)
+    mcoord = predictor.world.coordinate_mask(bits)
     return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
 
 
@@ -91,20 +92,22 @@ def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
     regions end up at the same noise level, only the masked region's noise
     is decoupled from the background's.
     """
-    return _renoise(predictor, anchor, _check_mask(predictor, mask), cfg, rng)
+    return _renoise(predictor, anchor, _check_mask(predictor, mask, anchor), cfg, rng)
 
 
-def _masked_refine(predictor: NoisePredictor, state: LatentState, mcoord: np.ndarray,
+def _masked_refine(predictor: NoisePredictor, state: LatentState, patches: tuple,
                    anchor: LatentState, cfg: ResampleConfig,
                    rng: np.random.Generator) -> LatentState:
+    """The ancestral update of the patches alone, scattered into the noised anchor."""
     sched = predictor.schedule
     t = sched.check_time(state.t)
     if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
         raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
     s = _resolve_target_time(t, cfg.refine_dt)
-    refined, z = _ancestral_update(predictor, state.x, t, s, rng)
-    anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
-    return LatentState(x=np.where(mcoord, refined, anchored), t=s)
+    refined, z = _ancestral_update(predictor, state.x, t, s, rng, patches)
+    x = sched.alpha(s) * anchor.x + sched.sigma(s) * z
+    predictor.world.patch_view(x)[patches[0]] = refined
+    return LatentState(x=x, t=s)
 
 
 def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: DefectMask,
@@ -119,17 +122,19 @@ def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: Defe
     destination of 0 both branches are noiseless, making unmasked outputs
     equal the anchor exactly.
     """
-    return _masked_refine(predictor, state, _check_mask(predictor, mask), anchor, cfg, rng)
+    bits = _check_mask(predictor, mask, state)
+    return _masked_refine(predictor, state, predictor.world.select(bits), anchor, cfg, rng)
 
 
-def _resample(predictor: NoisePredictor, anchor: LatentState, mcoord: np.ndarray,
+def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
               cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
     """Renoise, masked refinement and global sweep (cfg.nfe_cost steps);
-    returns the clean state. mcoord broadcasts against the anchor, so a
-    batch may carry one coordinate mask per row."""
-    state = _renoise(predictor, anchor, mcoord, cfg, rng)
+    returns the clean state. bits holds one (n_patches,) mask per anchor row;
+    the masked patches are selected once for every refinement step."""
+    state = _renoise(predictor, anchor, bits, cfg, rng)
+    patches = predictor.world.select(bits)
     for _ in range(cfg.n_refine):
-        state = _masked_refine(predictor, state, mcoord, anchor, cfg, rng)
+        state = _masked_refine(predictor, state, patches, anchor, cfg, rng)
     times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
     return _reverse_sweep(predictor, state, times, rng)
 
@@ -142,5 +147,5 @@ def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: Def
     Returns the refined clean state and its verifier score. Consumes
     exactly cfg.n_refine + cfg.n_integrate oracle evaluations.
     """
-    state = _resample(predictor, anchor, _check_mask(predictor, mask), cfg, rng)
+    state = _resample(predictor, anchor, _check_mask(predictor, mask, anchor), cfg, rng)
     return state, verifier(state)

@@ -146,10 +146,18 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _M32, _XSHIFT = (np.uint64(c) for c in (0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 16))
 
 
-def _hashmix(words: np.ndarray, init: int, mult: int, start: int, count: int) -> np.ndarray:
-    """SeedSequence's hash of count words a row, start hashes into its constants."""
+@functools.lru_cache(maxsize=64)
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i from start to start + count, read-only."""
     consts = np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
                        for i in range(start, start + count + 1)], np.uint64)
+    consts.setflags(write=False)
+    return consts
+
+
+def _hashmix(words: np.ndarray, init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """SeedSequence's hash of count words a row, start hashes into its constants."""
+    consts = _hash_constants(init, mult, start, count)
     mixed = (words ^ consts[:-1]) * consts[1:] & _M32
     return mixed ^ mixed >> _XSHIFT
 
@@ -330,11 +338,10 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
 
         # refinement phase: one batch, each row on its seed's coordinate mask
         seed_of = np.repeat(np.arange(len(refining)), counts)
-        coords = world.coordinate_mask(bits)[seed_of]
         noise = _RowNoise(refine_rngs, refine_draws, world.dim)
         before = predictor.nfe
         refined = _resample(predictor, LatentState(x=drawn.x[np.take(refining, seed_of)], t=0.0),
-                            coords, resample, noise)
+                            bits[seed_of], resample, noise)
         noise.check_spent("refinement")
         refine_nfe = _measured(predictor, before, len(seed_of), resample.nfe_cost, "refinement")
         refined_scores = _scores(verify, refined)

@@ -12,7 +12,7 @@ oracle returns the posterior mean; on top of it the module provides:
     pipeline can be exercised against known ground truth.
 
 Every oracle evaluation increments an NFE counter on the predictor; batched
-states of shape (..., dim) count one evaluation per leading element.
+states (..., dim) count one per leading element, whichever patches it evaluates.
 """
 from __future__ import annotations
 
@@ -203,6 +203,13 @@ class PatchWorld:
             raise ValueError(f"state has {x.shape[-1]} coordinates, world needs {self.dim}")
         return x.reshape(*x.shape[:-1], self.n_patches, self.patch_dim)
 
+    def select(self, bits: np.ndarray) -> tuple:
+        """The oracle's patches argument for (..., n_patches) bits: the set bits'
+        index into a patch_view, row-major, and the oracle's constants there."""
+        index = np.nonzero(bits)
+        return index, *(c[..., index[-1]] for c in (self._means, self._variances,
+                                                     self._log_weights))
+
     def coordinate_mask(self, bits: np.ndarray) -> np.ndarray:
         """Broadcast (..., n_patches) per-patch bits over each patch's coordinates."""
         bits = np.asarray(bits)
@@ -247,7 +254,7 @@ def _pairwise_sum(a: np.ndarray, axis: int) -> np.ndarray:
         lo, hi = np.split(a, [n // 2 - n // 2 % 8], axis=axis)
         return _pairwise_sum(lo, axis) + _pairwise_sum(hi, axis)
     terms = np.moveaxis(a, axis, 0)
-    r = terms[:n - n % 8].reshape(-1, 8, *terms.shape[1:]).sum(axis=0)
+    r = terms[:n - n % 8].reshape(n // 8, 8, *terms.shape[1:]).sum(axis=0)
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     return np.expand_dims(functools.reduce(np.add, terms[n - n % 8:], total), axis)
 
@@ -262,38 +269,45 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     a_max = a.max(axis=axis, keepdims=True)
     is_max = a == a_max
     count = is_max.sum(axis=axis, keepdims=True, dtype=float)
-    rest = _pairwise_sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis)
+    shifted = a - a_max
+    shifted[is_max] = -np.inf
+    rest = _pairwise_sum(np.exp(shifted, out=shifted), axis)
     return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis)
 
 
-def _oracle_terms(world: PatchWorld, a: float, s2: float, x: np.ndarray):
-    """Per-component log-densities of the marginal with x_t = a x_0 + noise
-    of variance s2, and their per-patch log-sum (rows, M).
+def _columns(world: PatchWorld, x: np.ndarray, patches=None) -> tuple:
+    """x's patches as contiguous (d, rows, P) columns and their constants
+    (K, d, 1, P), (K, 1, P), (K, 1, P): all (P = M), or one row of the
+    selected patches (PatchWorld.select)."""
+    view = world.patch_view(x)
+    if patches is None:
+        columns = view.reshape(-1, world.n_patches, world.patch_dim).transpose(2, 0, 1)
+        return np.ascontiguousarray(columns), world._means, world._variances, world._log_weights
+    index, *constants = patches
+    return np.ascontiguousarray(view[index].T)[:, None], *constants
 
-    Component k of patch j is N(a mu_jk, (a^2 s_jk^2 + s2) I). At
-    (a, s2) = (1, 0) this is the clean target the verifier scores. Terms are
-    component-major, (K, d, rows, M), so each reduction runs over a leading
-    axis with (rows, M) planes as its inner loop. Each adds in the order numpy
-    sums a (..., M, K, d) array's last axis, so the bits do not depend on the
-    layout.
+
+def _oracle_terms(a: float, s2: float, xc: np.ndarray, means, variances, log_weights):
+    """var_t, the one (K, d, rows, P) work array (left holding squares), and
+    the per-component and per-column log-densities of the marginal with
+    x_t = a x_0 + noise of variance s2 at the columns xc (_columns): component
+    k is N(a mu_k, (a^2 s_k^2 + s2) I), the verifier's target at (1, 0).
+
+    Each reduction runs over a leading axis with (rows, P) planes as its inner
+    loop, adds in the order numpy sums a (..., M, K, d) array's last axis and
+    reads one column, so the bits depend on neither the layout nor the other columns.
     """
-    m, d = world.n_patches, world.patch_dim
-    xc = world.patch_view(x).reshape(-1, m, d).transpose(2, 0, 1)   # (d, rows, M)
-    centered = xc - a * world._means                                # (K, d, rows, M)
-    var_t = a * a * world._variances + s2                           # (K, 1, M)
-    sq = _pairwise_sum(centered * centered, 1)[:, 0]                # (K, rows, M)
-    log_comp = (
-        world._log_weights
-        - 0.5 * d * (np.log(var_t) + _LOG_2PI)
-        - 0.5 * sq / var_t
-    )
-    return var_t, centered, log_comp, logsumexp(log_comp, axis=0)
+    work = np.subtract(xc, a * means)                               # centred, (K, d, rows, P)
+    var_t = a * a * variances + s2                                  # (K, 1, P)
+    sq = _pairwise_sum(np.square(work, out=work), 1)[:, 0]          # (K, rows, P)
+    log_comp = log_weights - 0.5 * len(xc) * (np.log(var_t) + _LOG_2PI) - 0.5 * sq / var_t
+    return var_t, work, log_comp, logsumexp(log_comp, axis=0)
 
 
 def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float,
-                   term) -> np.ndarray:
-    """Sum term(alpha(t), var_t, centered) over components, weighted by the
-    posterior responsibilities, as rows shaped like x.
+                   term, patches=None) -> np.ndarray:
+    """Sum term(a, var_t, centered, means, variances), written over centered,
+    by posterior responsibility: rows shaped like x, or (P, d) selected rows.
 
     Responsibilities are formed in log space so small densities never
     underflow before normalization. numpy sums a (..., M, K, d) array over K
@@ -302,29 +316,36 @@ def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t
     """
     t = schedule.check_time(t)
     a = schedule.alpha(t)
-    var_t, centered, log_comp, log_norm = _oracle_terms(world, a, schedule.sigma(t) ** 2, x)
-    terms = np.exp(log_comp - log_norm)[:, None] * term(a, var_t[:, None], centered)
-    total = _pairwise_sum(terms, 0)[0] if world.patch_dim == 1 else terms.sum(axis=0)
-    return total.transpose(1, 2, 0).reshape(np.shape(x))
+    xc, means, variances, log_weights = columns = _columns(world, x, patches)
+    var_t, work, log_comp, log_norm = _oracle_terms(a, schedule.sigma(t) ** 2, *columns)
+    np.subtract(xc, a * means, out=work)  # the centred terms again, over their squares
+    term(a, var_t[:, None], work, means, variances)
+    resp = np.exp(np.subtract(log_comp, log_norm, out=log_comp), out=log_comp)
+    np.multiply(resp[:, None], work, out=work)
+    total = _pairwise_sum(work, 0)[0] if world.patch_dim == 1 else work.sum(axis=0)
+    return total.transpose(1, 2, 0).reshape(np.shape(x)) if patches is None else total[:, 0].T
 
 
 def log_density(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact log-density of the time-t marginal (summed over patches)."""
     t = schedule.check_time(t)
-    log_norm = _oracle_terms(world, schedule.alpha(t), schedule.sigma(t) ** 2, x)[-1]
+    log_norm = _oracle_terms(schedule.alpha(t), schedule.sigma(t) ** 2, *_columns(world, x))[-1]
     return log_norm.reshape(*np.shape(x)[:-1], world.n_patches).sum(axis=-1)
 
 
 def gmm_score(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact score of the time-t marginal, evaluated per patch independently."""
-    return _posterior_sum(world, schedule, x, t, lambda a, var_t, centered: -centered / var_t)
+    return _posterior_sum(world, schedule, x, t, lambda a, var_t, centered, *_:
+                          np.divide(np.negative(centered, out=centered), var_t, out=centered))
 
 
-def posterior_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
+def posterior_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float,
+                   patches=None) -> np.ndarray:
     """E[x_0 | x_t] of the time-t marginal, formed per component so it stays
-    stable even where alpha(t) is at roundoff level."""
-    return _posterior_sum(world, schedule, x, t, lambda a, var_t, centered:
-                          world._means + (a * world._variances[:, None] / var_t) * centered)
+    stable even where alpha(t) is at roundoff level; with patches
+    (PatchWorld.select), only at the selected patches, as (P, d) rows."""
+    return _posterior_sum(world, schedule, x, t, lambda a, var_t, c, means, variances: np.add(
+        means, np.multiply(a * variances[:, None] / var_t, c, out=c), out=c), patches)
 
 
 @dataclass
@@ -332,8 +353,8 @@ class NoisePredictor:
     """Closed-form denoiser oracle bound to a world and schedule: evaluate
     returns the posterior mean E[x_0 | x_t], the one quantity the samplers
     read. The ``nfe`` counter increases by one per evaluated state (batched
-    calls count the batch size), which is the compute unit for budget
-    matching.
+    calls count the batch size, with or without patches), which is the
+    compute unit for budget matching.
     """
 
     world: PatchWorld
@@ -343,8 +364,8 @@ class NoisePredictor:
     def _count(self, x: np.ndarray):
         self.nfe += math.prod(np.shape(x)[:-1])
 
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        mean = posterior_mean(self.world, self.schedule, x, t)
+    def evaluate(self, x: np.ndarray, t: float, patches=None) -> np.ndarray:
+        mean = posterior_mean(self.world, self.schedule, x, t, patches)
         self._count(x)
         return mean
 
@@ -390,11 +411,11 @@ class _RowNoise:
 
 
 def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator, patches=None) -> tuple[np.ndarray, np.ndarray]:
     """Draw x_s from the ancestral posterior q(x_s | x_t, x_0) with x_0 the
     oracle's posterior mean at t (one NFE per row); returns the draw and the
-    standard-normal noise it used."""
-    denoised = predictor.evaluate(x, t)
+    standard-normal noise it used; with patches, the selected ones' (P, d) rows."""
+    denoised = predictor.evaluate(x, t, patches)
     sched = predictor.schedule
     a_t, s_t = sched.alpha(t), sched.sigma(t)
     a_s, s_s = sched.alpha(s), sched.sigma(s)
@@ -404,7 +425,9 @@ def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: flo
     coef_x0 = a_s * var_ts / (s_t * s_t)
     noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
     z = rng.standard_normal(x.shape)
-    return coef_x * x + coef_x0 * denoised + noise_std * z, z
+    xs, zs = (x, z) if patches is None else (
+        predictor.world.patch_view(v)[patches[0]] for v in (x, z))
+    return coef_x * xs + coef_x0 * denoised + noise_std * zs, z
 
 
 def _resolve_target_time(t: float, dt: float) -> float:
@@ -453,7 +476,7 @@ def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:
     """Weighted per-patch log-density of a clean state; higher is better."""
     if abs(state.t) > _TIME_TOL:
         raise ValueError(f"verifier expects a state at t=0, got t={state.t}")
-    per_patch = _oracle_terms(world, 1.0, 0.0, state.x)[-1]
+    per_patch = _oracle_terms(1.0, 0.0, *_columns(world, state.x))[-1]
     per_patch = per_patch.reshape(*state.x.shape[:-1], world.n_patches)
     total = np.sum(world.verifier_weights * per_patch, axis=-1)
     return float(total) if np.ndim(total) == 0 else total

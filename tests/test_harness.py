@@ -355,9 +355,9 @@ class TestScalingExperiment:
         assert 12 * (2 + 160) > block_rows
         evaluate, rows = NoisePredictor.evaluate, []
 
-        def counting(predictor, x, t):
+        def counting(predictor, x, t, patches=None):
             rows.append(len(x))
-            return evaluate(predictor, x, t)
+            return evaluate(predictor, x, t, patches)
 
         monkeypatch.setattr(NoisePredictor, "evaluate", counting)
         run_experiment(validate_config(raw), tmp_path / "w1")
@@ -794,6 +794,29 @@ class TestCli:
         path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
         assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {error}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_raw_document_value_errors_named_at_their_keys_exit_two(self, tmp_path, capsys):
+        # each document's grid, count and data-length rules, gathered over all documents
+        raw = {"grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [0.5, 1.0]}
+        docs = {"orig": {**raw, "data": [0.5, 1.0, 2.0]}, "pos": raw, "neg": {**raw, "layers": 0}}
+        assert cli_main(["maskgen", "--config", str(CONFIGS / "maskgen_example.json"),
+                         "--set", "maskgen.bundle=null", "--set", f"maskgen.raw={json.dumps(docs)}",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: maskgen.raw.orig.data: has 3 entries, expected 2\n"
+            "config error: maskgen.raw.neg.layers: must be positive, got 0\n")
+        docs = {"orig": {**raw, "grid": [0, 2]}, "pos": {**raw, "data": [-1.0, 1.0]},
+                "neg": {**raw, "heads": 0, "tokens": 0}}
+        assert cli_main(["maskgen", "--config", str(CONFIGS / "maskgen_example.json"),
+                         "--set", "maskgen.bundle=null", "--set", f"maskgen.raw={json.dumps(docs)}",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: maskgen.raw.orig.grid: grid must be two positive integers, "
+            "got [0, 2]\n"
+            "config error: maskgen.raw.pos.data: raw attention must be non-negative\n"
+            "config error: maskgen.raw.neg.heads: must be positive, got 0\n"
+            "config error: maskgen.raw.neg.tokens: must be positive, got 0\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document, error", [

@@ -7,6 +7,7 @@ from scipy.stats import binomtest
 from localtts.attention import empty_mask, full_mask, mask_from_indices
 from localtts.resample import (
     ResampleConfig,
+    _masked_refine,
     localized_resample,
     masked_refine_step,
     renoise,
@@ -170,6 +171,30 @@ class TestMaskedRefineStep:
         expected_masked = mean + std * z[1]
         expected_anchor = a_s * anchor.x[0] + s_s * z[0]
         np.testing.assert_allclose(out.x, [expected_anchor, expected_masked], rtol=1e-12)
+
+    @pytest.mark.parametrize("t_g, step", [(0.1, 0), (0.1, 2), (0.0, 2)])
+    def test_step_on_selected_patches_equals_the_full_update(self, t_g, step):
+        # one mask per row, one of them empty and one full: masked coordinates
+        # take the plain reverse step's bits, unmasked ones alpha(s) anchor + sigma(s) z
+        world = PatchWorld.uniform((3, 4), 2, [(0.3, -0.8, 0.09), (0.5, 0.4, 0.25),
+                                               (0.2, 1.5, 0.04)])
+        sched = CosineSchedule(horizon=1.0, n_steps=10)
+        predictor = NoisePredictor(world=world, schedule=sched)
+        rng = np.random.default_rng(21)
+        cfg = ResampleConfig(t0=0.4, t_g=t_g, n_refine=3, n_integrate=int(t_g > 0))
+        anchor = LatentState(x=rng.normal(size=(6, world.dim)), t=0.0)
+        state = LatentState(x=rng.normal(size=(6, world.dim)), t=0.4 - step * cfg.refine_dt)
+        bits = rng.random((6, world.n_patches)) < 0.3
+        bits[0], bits[1] = False, True
+        out = _masked_refine(predictor, state, world.select(bits), anchor, cfg,
+                             np.random.default_rng(5))
+        assert predictor.nfe == 6
+        plain = reverse_sde_step(predictor, state, cfg.refine_dt, np.random.default_rng(5))
+        s = plain.t
+        z = np.random.default_rng(5).standard_normal(state.x.shape)
+        anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
+        want = np.where(world.coordinate_mask(bits), plain.x, anchored)
+        assert out.t == s and out.x.tobytes() == want.tobytes()
 
     def test_time_window_enforced(self):
         world, sched, predictor = make_setup()

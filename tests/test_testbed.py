@@ -382,6 +382,43 @@ class TestComponentMajorOracle:
         assert isinstance(verified, float) == (shape == ())
 
 
+class TestSelectedPatchOracle:
+    """The oracle on selected patches gives the full oracle's rows bit for bit."""
+
+    SCHEDULE = CosineSchedule(horizon=1.0, n_steps=8)
+
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_selection_equals_the_full_oracle_rows(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        m, rows, sched = 12, 5, self.SCHEDULE
+        weights = rng.random((m, k)) + 0.1
+        weights /= weights.sum(axis=1, keepdims=True)
+        means = rng.normal(size=(m, k, d))
+        variances = rng.uniform(0.02, 1.0, size=(m, k))
+        # patches 0 and 1 repeat one component: every component ties exactly
+        weights[:2], means[:2], variances[:2] = 1.0 / k, means[:2, :1], variances[:2, :1]
+        world = PatchWorld(grid=(3, 4), patch_dim=d, weights=weights, means=means,
+                           variances=variances, verifier_weights=np.full(m, 1.0 / m))
+        x = rng.normal(size=(rows, world.dim))
+        bits = rng.random((rows, m)) < 0.4
+        bits[0], bits[1] = False, True  # a row with no masked patch, a row with all of them
+        predictor = NoisePredictor(world=world, schedule=sched)
+        for t in (sched.horizon, 0.5, 0.0):
+            full = world.patch_view(posterior_mean(world, sched, x, t))
+            assert same_bits(predictor.evaluate(x, t, world.select(bits)), full[bits])
+            none = predictor.evaluate(x, t, world.select(np.zeros_like(bits)))
+            assert none.shape == (0, d)
+        assert predictor.nfe == 3 * 2 * rows  # one evaluation per row, selection or not
+
+    def test_single_state_selection(self):
+        world, sched = k3_world(), self.SCHEDULE
+        x = np.random.default_rng(4).normal(size=world.dim)
+        bits = np.arange(world.n_patches) % 2 == 1
+        full = world.patch_view(posterior_mean(world, sched, x, 0.3))
+        assert same_bits(posterior_mean(world, sched, x, 0.3, world.select(bits)), full[bits])
+
+
 class TestNfeCounter:
     def test_single_and_batched_counting(self):
         world = single_gaussian_world()
