@@ -8,8 +8,10 @@ runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
 noiseless attention, a resample with ``t_g = 0``, oracle masks (some of them
 empty), a nine-component world of ``patch_dim`` 1, maskgen with queries, maskgen
-from inline raw attention documents, and best-of-N searches that each span two
-engine blocks. Each runs at workers 1 and 2. Outputs go to a temporary
+from inline raw attention documents, best-of-N searches that each span two
+engine blocks, and Monte Carlo runs with the value distributions no shipped
+config draws (a uniform repair, a mixed constant/uniform pair, an economy with
+no clean patches). Each runs at workers 1 and 2. Outputs go to a temporary
 directory that is removed afterwards.
 
 A change that must leave every report byte alone is checked by running this
@@ -48,6 +50,8 @@ K9 = json.dumps([{"weight": w, "mean": mu, "variance": v} for w, mu, v in zip(
     [0.2] + [0.1] * 8, [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0],
     [0.05, 0.3, 0.1, 0.2, 0.09, 0.15, 0.25, 0.06, 0.12])])
 
+UNIFORM, EXPONENTIAL = ('{"kind": "uniform"}', '{"kind": "exponential"}')
+
 # (label, config, overrides); a config is a shipped file name or a workload name
 RUNS = [
     *((path.stem, path.name, []) for path in sorted((ROOT / "configs").glob("*.json"))),
@@ -66,6 +70,14 @@ RUNS = [
     # running best-of-N maximum carries across blocks
     ("scaling_default+bon_grid=1,600", "scaling_default.json",
      ["trials=2", "search.bon_grid=[1,600]"]),
+    ("theory_worked+uniform,exponential", "theory_worked.json",
+     [f"theory.repair_dist={UNIFORM}", f"theory.harm_dist={EXPONENTIAL}"]),
+    # one distribution constant: the mixed pair takes the per-patch array path
+    ("theory_worked+constant,uniform", "theory_worked.json", [f"theory.harm_dist={UNIFORM}"]),
+    # every patch defective, so the clean-patch draws are empty
+    ("theory_worked+no_clean_patches", "theory_worked.json",
+     ["economy.m_patches=10", "economy.defects=10", "mask_stats.precision=1",
+      f"theory.repair_dist={UNIFORM}", f"theory.harm_dist={UNIFORM}"]),
 ]
 
 

@@ -381,11 +381,20 @@ def field_from_raw_document(doc: dict, path: str = "raw") -> AttentionField:
 
 
 def bundle_from_document(doc: dict, path: str = "bundle") -> AttentionBundle:
-    """Parse {"grid", "orig", "pos", "neg"} at path into a bundle of reduced fields."""
+    """Parse {"grid", "orig", "pos", "neg"} at path into a bundle; FieldErrors at each key."""
     _check_document(doc, path, (), BUNDLE_FIELDS)
-    grid = _as_grid(doc["grid"])
-    return AttentionBundle(**{key: AttentionField(values=np.asarray(doc[key], dtype=float),
-                                                  grid=grid) for key in BUNDLE_FIELDS})
+    try:
+        grid = _as_grid(doc["grid"])
+    except (TypeError, ValueError) as exc:  # TypeError: a grid that is not a list
+        raise FieldErrors([f"{path}.grid: {exc}"]) from None
+    fields, rules = {}, []
+    for key in BUNDLE_FIELDS:  # every field's error, reported with the others
+        try:
+            fields[key] = AttentionField(values=np.asarray(doc[key], dtype=float), grid=grid)
+        except (OverflowError, ValueError) as exc:  # OverflowError: an integer no float holds
+            rules.append((False, f"{path}.{key}", str(exc)))
+    check(rules)
+    return AttentionBundle(**fields)
 
 
 def mask_to_document(mask: DefectMask) -> dict:

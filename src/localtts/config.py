@@ -120,7 +120,7 @@ _SETTINGS_PATHS = {
 }
 
 # caps: a run builds each trial's seed (0.4 kB) before its first trial, the Monte
-# Carlo a task and a result (1 kB) per 4,096-trial chunk; a worker is a process
+# Carlo a result (1 kB) per 4,096-trial chunk, kept until the merge; a worker is a process
 MAX_TRIALS, MAX_MC_TRIALS, MAX_WORKERS = 1 << 16, 10 ** 8, 64
 
 
@@ -329,8 +329,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 (0.0 < p_one < 1.0, "bon_repair_prob_one", f"must lie in (0, 1), got {p_one}"),
                 (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
             ] if not passed)
-        for name in ("repair_dist", "harm_dist"):
+        for name, mean in (("repair_dist", "repair_gain"), ("harm_dist", "harm_loss")):
             opts[name] = _build(ValueDistribution, doc[name], f"theory.{name}", errors)
+            value = getattr(cfg.economy, mean, 0.0)  # no economy: it reports its own errors
+            if getattr(opts[name], "kind", "") == "uniform" and 2.0 * value > sys.float_info.max:
+                errors.append(f"theory.{name}: uniform on [0, 2 * {mean}] overflows at {value:g}")
         cfg.theory_options = opts
 
     if kind == "maskgen":

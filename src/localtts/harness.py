@@ -55,6 +55,7 @@ from .theory import (
     required_recall,
     simulate_patch_economy,
     sparse_dominance_approx,
+    task_ranges,
 )
 
 EXIT_OK = 0
@@ -83,9 +84,8 @@ def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
 
     Every trial gets its own counter-derived seed, so the result list does
     not depend on how the trials are sharded across workers."""
-    chunk = max(1, trials if workers <= 1 else -(-trials // (workers * 4)))
-    tasks = [(fn, payload, master_seed, start, min(start + chunk, trials))
-             for start in range(0, trials, chunk)]
+    tasks = [(fn, payload, master_seed, start, stop)
+             for start, stop in task_ranges(trials, workers)]
     return [row for rows in map_in_order(_chunk_task, tasks, workers) for row in rows]
 
 

@@ -309,12 +309,15 @@ class ValueDistribution:
         check([(self.kind in ("constant", "uniform", "exponential"), "kind",
                 f"unknown value distribution kind {self.kind!r}")])
 
-    def sample(self, rng: np.random.Generator, shape, mean: float) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, out: np.ndarray, mean: float) -> None:
+        """Fill out in place, with the bits of numpy's uniform(0, 2*mean), which is
+        0 + 2*mean*u, and exponential(mean), which is mean * standard_exponential."""
         if self.kind == "constant":
-            return np.full(shape, mean)
-        if self.kind == "uniform":
-            return rng.uniform(0.0, 2.0 * mean, size=shape)
-        return rng.exponential(mean, size=shape)
+            out.fill(mean)
+        elif self.kind == "uniform":
+            np.multiply(rng.random(out=out), 2.0 * mean, out=out)
+        else:
+            np.multiply(rng.standard_exponential(out=out), mean, out=out)
 
 
 @dataclass(frozen=True)
@@ -343,6 +346,12 @@ def map_in_order(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def task_ranges(count: int, workers: int) -> list[tuple[int, int]]:
+    """[start, stop) ranges of range(count): one at one worker, else of ceil(count/(4*workers))."""
+    size = max(1, count if workers <= 1 else -(-count // (workers * 4)))
+    return [(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _moments(values) -> tuple[int, float, float]:
     """Count, mean and M2, the sum of squared deviations from the mean."""
     values = np.asarray(values, dtype=float)
@@ -367,7 +376,8 @@ def _mean_se(n: int, mean: float, m2: float) -> tuple[float, float]:
 
 def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
                     n: int, rng: np.random.Generator,
-                    repair_dist: ValueDistribution, harm_dist: ValueDistribution):
+                    repair_dist: ValueDistribution, harm_dist: ValueDistribution,
+                    workspace: list):
     s = econ.defects
     clean = econ.m_patches - econ.defects
     if repair_dist.kind == "constant" and harm_dist.kind == "constant":
@@ -380,30 +390,43 @@ def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
         harm_g = rng.binomial(clean, econ.harm_prob_global, size=n)
         global_ = econ.repair_gain * rep_g - econ.harm_loss * harm_g
         return tp, fp, local, global_
-    sel_def = rng.random((n, s)) < stats.recall
-    sel_clean = rng.random((n, clean)) < p_clean
-    tp = sel_def.sum(axis=1)
-    fp = sel_clean.sum(axis=1)
-    gains = repair_dist.sample(rng, (n, s), econ.repair_gain)
-    losses = harm_dist.sample(rng, (n, clean), econ.harm_loss)
-    rep_local = sel_def & (rng.random((n, s)) < econ.repair_prob_local)
-    harm_local = sel_clean & (rng.random((n, clean)) < econ.harm_prob_local)
-    local = (gains * rep_local).sum(axis=1) - (losses * harm_local).sum(axis=1)
-    rep_g = rng.random((n, s)) < econ.repair_prob_global
-    harm_g = rng.random((n, clean)) < econ.harm_prob_global
-    global_ = (gains * rep_g).sum(axis=1) - (losses * harm_g).sum(axis=1)
-    return tp, fp, local, global_
+    # (draws, values, selected, hit) per side: the first n rows of the workspace
+    defective, clean_side = ([buf[:n] for buf in side] for side in workspace)
+
+    def hit_sums(side, prob, within=None):  # row sums of the values a Bernoulli(prob) hits
+        draws, values, _, hit = side
+        np.less(rng.random(out=draws), prob, out=hit)
+        if within is not None:
+            hit &= within
+        return np.multiply(values, hit, out=draws).sum(axis=1)
+
+    sel_def = np.less(rng.random(out=defective[0]), stats.recall, out=defective[2])
+    sel_clean = np.less(rng.random(out=clean_side[0]), p_clean, out=clean_side[2])
+    repair_dist.draw(rng, defective[1], econ.repair_gain)
+    harm_dist.draw(rng, clean_side[1], econ.harm_loss)
+    local = (hit_sums(defective, econ.repair_prob_local, sel_def)
+             - hit_sums(clean_side, econ.harm_prob_local, sel_clean))
+    global_ = (hit_sums(defective, econ.repair_prob_global)
+               - hit_sums(clean_side, econ.harm_prob_global))
+    return sel_def.sum(axis=1), sel_clean.sum(axis=1), local, global_
 
 
-def _chunk_task(args) -> tuple:
-    """Sufficient statistics (count, mean, M2 per stream) for one chunk of
-    trials; top-level so worker processes can receive it."""
-    econ, stats, p_clean, repair_dist, harm_dist, entropy, spawn_key, chunk_idx, n = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=entropy, spawn_key=(*spawn_key, chunk_idx)))
-    tp, fp, local, global_ = _simulate_chunk(econ, stats, p_clean, n, rng,
-                                             repair_dist, harm_dist)
-    return tuple(_moments(values) for values in (tp, tp + fp, fp, local, global_))
+def _chunk_task(args) -> list:
+    """Sufficient statistics (count, mean, M2 per stream) of each chunk in [start, stop), in
+    chunk order, all drawn into one workspace; top-level so worker processes can receive it."""
+    econ, stats, p_clean, repair_dist, harm_dist, entropy, spawn_key, trials, start, stop = args
+    rows = 0 if repair_dist.kind == harm_dist.kind == "constant" else _CHUNK  # binomial: no rows
+    workspace = [[np.empty((rows, width), dtype) for dtype in (float, float, bool, bool)]
+                 for width in (econ.defects, econ.m_patches - econ.defects)]
+    results = []
+    for idx in range(start, stop):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=entropy, spawn_key=(*spawn_key, idx)))
+        tp, fp, local, global_ = _simulate_chunk(
+            econ, stats, p_clean, min(_CHUNK, trials - idx * _CHUNK), rng, repair_dist, harm_dist,
+            workspace)
+        results.append(tuple(_moments(values) for values in (tp, tp + fp, fp, local, global_)))
+    return results
 
 
 def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
@@ -418,7 +441,9 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     repair/harm events, and the global strategy touches every patch with
     its own probabilities. Trials are processed in fixed-size chunks with
     seed streams derived per chunk and merged in chunk order, so results
-    are reproducible bit-for-bit regardless of the worker count.
+    are reproducible bit-for-bit regardless of the worker count. A pool
+    task runs consecutive chunks in one workspace: each chunk writes its
+    draws in place, with the bits of numpy's uniform and exponential.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -428,25 +453,13 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     repair_dist = repair_dist or ValueDistribution()
     harm_dist = harm_dist or ValueDistribution()
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    tasks = [
-        (econ, stats, p_clean, repair_dist, harm_dist, base.entropy, base.spawn_key,
-         idx, min(_CHUNK, trials - idx * _CHUNK))
-        for idx in range(n_chunks)
-    ]
-    streams, *rest = map_in_order(_chunk_task, tasks, workers)
+    tasks = [(econ, stats, p_clean, repair_dist, harm_dist, base.entropy, base.spawn_key, trials,
+              start, stop) for start, stop in task_ranges(-(-trials // _CHUNK), workers)]
+    streams, *rest = [chunk for task in map_in_order(_chunk_task, tasks, workers) for chunk in task]
     for parts in rest:  # in chunk order, so the bits do not depend on the workers
         streams = [_merge(*pair) for pair in zip(streams, parts)]
-    ((tp_mean, tp_se), (sel_mean, sel_se), (fp_mean, fp_se),
-     (local_mean, local_se), (global_mean, global_se)) = (_mean_se(*m) for m in streams)
-    return EconomySimResult(
-        trials=trials,
-        gain_global_mean=global_mean, gain_global_se=global_se,
-        gain_local_mean=local_mean, gain_local_se=local_se,
-        tp_mean=tp_mean, tp_se=tp_se,
-        selected_mean=sel_mean, selected_se=sel_se,
-        fp_mean=fp_mean, fp_se=fp_se,
-    )
+    tp, selected, fp, local, global_ = (_mean_se(*m) for m in streams)  # (mean, se) each
+    return EconomySimResult(trials, *global_, *local, *tp, *selected, *fp)
 
 
 def simulate_bon_repair_frequency(repair_prob_one: float, n: int, trials: int,

@@ -616,7 +616,7 @@ class TestCli:
         # The run-level caps hold for every kind; a maskgen run has no trials and no pool.
         # At one worker every trial's seed is built before the first trial
         ("maskgen_example.json", ["trials=65537"], ["trials: must be at most 65536, got 65537"]),
-        # one Monte Carlo task per 4,096 trials, built up front
+        # one Monte Carlo result per 4,096 trials, kept until the merge
         ("theory_worked.json", ["theory.mc_trials=100000001"],
          ["theory.mc_trials: must be at most 100000000, got 100000001"]),
         # a sweep's step grid and each row's base-step noise are materialised
@@ -707,6 +707,18 @@ class TestCli:
                          f"theory.repair_dist={spec}", "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {error}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mean, dist", [("repair_gain", "repair_dist"),
+                                            ("harm_loss", "harm_dist")])
+    def test_uniform_of_overflowing_range_exit_two(self, mean, dist, tmp_path, capsys):
+        # a uniform distribution draws from [0, 2 * mean]: 2e308 is no float
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                         "--set", f"economy.{mean}=1e308",
+                         "--set", f'theory.{dist}={{"kind": "uniform"}}',
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: theory.{dist}: uniform on [0, 2 * {mean}] overflows at 1e+308\n")
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_budget_exit_two(self, tmp_path, capsys):
         # a repeated budget would run twice and report two identical rows
         assert cli_main(["scaling", "--config", str(CONFIGS / "scaling_default.json"),
@@ -733,13 +745,13 @@ class TestCli:
         # the same value read from a file breaks the same rule
         ({**BUNDLE, "queries": "dict.json"},
          "maskgen.queries[<tmp>/dict.json]: expected a list, got {'a': 1}"),
-        ({"bundle": {**BUNDLE["bundle"], "grid": 6}}, "maskgen: 'int' object"),
+        ({"bundle": {**BUNDLE["bundle"], "grid": 6}}, "maskgen.bundle.grid: 'int' object"),
         ({"bundle": {**BUNDLE["bundle"], "grid": {"a": 1}}},
-         "maskgen: grid must be two positive integers, got {'a': 1}"),
+         "maskgen.bundle.grid: grid must be two positive integers, got {'a': 1}"),
         ({"bundle": {**BUNDLE["bundle"], "grid": [2]}},
-         "maskgen: grid must be two positive integers, got [2]"),
+         "maskgen.bundle.grid: grid must be two positive integers, got [2]"),
         ({"bundle": {**BUNDLE["bundle"], "grid": [2, 3.7]}},
-         "maskgen: grid must be two positive integers, got [2, 3.7]"),
+         "maskgen.bundle.grid: grid must be two positive integers, got [2, 3.7]"),
         ({"raw": {"orig": 1, "pos": {}}},
          "maskgen.raw.orig: expected an object or a file name, got 1"),
         ({"raw": {"orig": "list.json", "pos": "list.json", "neg": "list.json"}},
@@ -817,6 +829,18 @@ class TestCli:
             "config error: maskgen.raw.pos.data: raw attention must be non-negative\n"
             "config error: maskgen.raw.neg.heads: must be positive, got 0\n"
             "config error: maskgen.raw.neg.tokens: must be positive, got 0\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_bundle_value_errors_named_at_their_keys_exit_two(self, tmp_path, capsys):
+        # each field's length and sign rules, gathered over all fields
+        assert cli_main(["maskgen", "--config", str(CONFIGS / "maskgen_example.json"),
+                         "--set", "maskgen.bundle.orig=[1,1]",
+                         "--set", "maskgen.bundle.neg=[-1,1,1,1,1,1]",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: maskgen.bundle.orig: attention field must be a flat vector of "
+            "length 6 for grid (2, 3), got shape (2,)\n"
+            "config error: maskgen.bundle.neg: attention field values must be non-negative\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document, error", [

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from localtts.theory import (
     simulate_bon_repair_frequency,
     simulate_patch_economy,
     sparse_dominance_approx,
+    task_ranges,
 )
 
 # hand-worked reference economy: gains (0.5, 3.9), margin 3.4,
@@ -359,6 +362,90 @@ class TestSimulator:
             total_sq += float(np.square(chunk).sum())
         naive_var = max(total_sq / n - (total / n) ** 2, 0.0) * n / (n - 1)
         assert abs(naive_var - exact_var) > 0.5 * exact_var
+
+    @pytest.mark.parametrize("repair_kind, harm_kind", [
+        pair for pair in itertools.product(["constant", "uniform", "exponential"], repeat=2)
+        if pair != ("constant", "constant")])
+    def test_chunk_keeps_the_bits_of_fresh_arrays(self, repair_kind, harm_kind):
+        def reference(econ, stats, p_clean, n, rng):  # fresh arrays, numpy's samplers
+            s, clean = econ.defects, econ.m_patches - econ.defects
+            samplers = {"constant": lambda shape, mean: np.full(shape, mean),
+                        "uniform": lambda shape, mean: rng.uniform(0.0, 2.0 * mean, size=shape),
+                        "exponential": lambda shape, mean: rng.exponential(mean, size=shape)}
+            sel_def = rng.random((n, s)) < stats.recall
+            sel_clean = rng.random((n, clean)) < p_clean
+            gains = samplers[repair_kind]((n, s), econ.repair_gain)
+            losses = samplers[harm_kind]((n, clean), econ.harm_loss)
+            rep_local = sel_def & (rng.random((n, s)) < econ.repair_prob_local)
+            harm_local = sel_clean & (rng.random((n, clean)) < econ.harm_prob_local)
+            local = (gains * rep_local).sum(axis=1) - (losses * harm_local).sum(axis=1)
+            rep_g = rng.random((n, s)) < econ.repair_prob_global
+            harm_g = rng.random((n, clean)) < econ.harm_prob_global
+            global_ = (gains * rep_g).sum(axis=1) - (losses * harm_g).sum(axis=1)
+            return sel_def.sum(axis=1), sel_clean.sum(axis=1), local, global_
+
+        dists = ValueDistribution(repair_kind), ValueDistribution(harm_kind)
+        for m_patches, defects, precision in ((100, 10, 0.8), (7, 1, 0.5), (10, 10, 1.0)):
+            econ = PatchEconomy(**{**WORKED.__dict__, "m_patches": m_patches, "defects": defects,
+                                   "repair_gain": 1.7, "harm_loss": 0.3})
+            stats = MaskStats(recall=0.8, precision=precision)
+            p_clean = clean_selection_probability(econ, stats)
+            # the layout _chunk_task allocates; a partial chunk after a full one reuses it
+            workspace = [[np.empty((theory._CHUNK, width), dtype)
+                          for dtype in (float, float, bool, bool)]
+                         for width in (defects, m_patches - defects)]
+            for n in (theory._CHUNK, 1000):
+                got = theory._simulate_chunk(econ, stats, p_clean, n, np.random.default_rng(n),
+                                             *dists, workspace)
+                want = reference(econ, stats, p_clean, n, np.random.default_rng(n))
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_task_count_does_not_change_results(self):
+        # 11 chunks, the last one partial: at workers 1, 2 and 3 a task holds 11,
+        # 2 (the last task 1) and 1 of them
+        assert task_ranges(11, 2) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
+        dists = {"repair_dist": ValueDistribution("uniform"),
+                 "harm_dist": ValueDistribution("exponential")}
+        trials = 10 * theory._CHUNK + 5
+        a, b, c = (simulate_patch_economy(WORKED, WORKED_STATS, trials, seed=4, workers=workers,
+                                          **dists) for workers in (1, 2, 3))
+        assert a == b == c
+
+    def test_chunks_of_a_task_share_one_workspace(self, monkeypatch):
+        dists = {"repair_dist": ValueDistribution("exponential"),
+                 "harm_dist": ValueDistribution("uniform")}
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                simulate_patch_economy(WORKED, WORKED_STATS, trials, seed=6, **dists)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40 * theory._CHUNK) < 1.5 * peak(theory._CHUNK)
+        buffers = []
+
+        def recording(*args):
+            buffers.append(args[-1][0][0])  # the defective patches' draws buffer
+            return simulate(*args)
+
+        simulate = theory._simulate_chunk
+        monkeypatch.setattr(theory, "_simulate_chunk", recording)
+        simulate_patch_economy(WORKED, WORKED_STATS, 40 * theory._CHUNK, seed=6, **dists)
+        assert len(buffers) == 40 and all(buffer is buffers[0] for buffer in buffers)
+
+    def test_constant_values_allocate_no_workspace(self):
+        # the binomial path draws per trial, not per patch: 2,000 patches cost no
+        # 4,096 x 2,000 buffers
+        econ = PatchEconomy(**{**WORKED.__dict__, "m_patches": 2000})
+        tracemalloc.start()
+        try:
+            simulate_patch_economy(econ, WORKED_STATS, theory._CHUNK, seed=8)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
 
     def test_dominance_sign_agreement_when_margin_is_clear(self):
         holds, margin = dominance_check(WORKED, WORKED_STATS)
