@@ -6,13 +6,13 @@ One line per output file: workers, config label, file name and sha256. The
 runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``theory_mc`` benchmark workload configs (read from
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
-noiseless attention, a resample with ``t_g = 0``, oracle masks (some of them
-empty), a nine-component world of ``patch_dim`` 1, maskgen with queries, maskgen
-from inline raw attention documents, best-of-N searches that each span two
-engine blocks, and Monte Carlo runs with the value distributions no shipped
-config draws (a uniform repair, a mixed constant/uniform pair, an economy with
-no clean patches). Each runs at workers 1 and 2. Outputs go to a temporary
-directory that is removed afterwards.
+noiseless attention, a resample with ``t_g = 0``, a resample of one refinement
+step, oracle masks (some of them empty), a nine-component world of ``patch_dim``
+1, maskgen with queries, maskgen from inline raw attention documents, best-of-N
+searches that each span two engine blocks, and Monte Carlo runs with the value
+distributions no shipped config draws (a uniform repair, a mixed
+constant/uniform pair, an economy with no clean patches). Each runs at workers
+1 and 2. Outputs go to a temporary directory that is removed afterwards.
 
 A change that must leave every report byte alone is checked by running this
 script on the parent and on the change (same script, ``PYTHONPATH`` pointing
@@ -59,6 +59,9 @@ RUNS = [
     *((f"{stem}+noise_sd=0", f"{stem}.json", ["attention.noise_sd=0"])
       for stem in ("testbed_small", "scaling_default")),
     *((f"{stem}+t_g=0", f"{stem}.json", ["resample.t_g=0", "resample.n_integrate=0"])
+      for stem in ("testbed_small", "scaling_default")),
+    # one masked refinement step: the refinement loop's one-step case
+    *((f"{stem}+n_refine=1", f"{stem}.json", ["resample.n_refine=1"])
       for stem in ("testbed_small", "scaling_default")),
     # the randomized defect counts leave some oracle masks empty
     ("testbed_small+oracle_masks", "testbed_small.json", ["attention.oracle_masks=true"]),

@@ -164,6 +164,17 @@ class DefectMask:
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "grid", grid)
 
+    @classmethod
+    def rows(cls, bits: np.ndarray, grid) -> list["DefectMask"]:
+        """A mask per row of (rows, size) 0/1 bits at ratio count / size, checked as one array."""
+        grid, bits = _as_grid(grid), np.asarray(bits)
+        if bits.shape[1:] != (grid[0] * grid[1],) or not np.all((bits == 0) | (bits == 1)):
+            raise ValueError(f"mask rows must be 0/1 bits of length {grid[0] * grid[1]}")
+        masks = [object.__new__(cls) for _ in range(len(bits))]
+        for mask, row, count in zip(masks, bits.astype(np.uint8), bits.sum(axis=1).tolist()):
+            mask.__dict__.update(bits=row, ratio=count / bits.shape[1], grid=grid)
+        return masks
+
     @property
     def size(self) -> int:
         return self.bits.size

@@ -329,11 +329,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 (0.0 < p_one < 1.0, "bon_repair_prob_one", f"must lie in (0, 1), got {p_one}"),
                 (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
             ] if not passed)
+        # a Monte Carlo draw is below 45 means (numpy's standard exponential stays below 44.5),
+        # so a trial's value spans under 45 m_patches means; merging a 4,096-trial chunk
+        # multiplies that span squared by up to 4,096 mc_trials, which must stay finite
+        mc, m = opts.get("mc_trials") or 0, getattr(cfg.economy, "m_patches", 1)
+        cap = (sys.float_info.max / max(mc, 1)) ** 0.5 / (45 * 64) / m
         for name, mean in (("repair_dist", "repair_gain"), ("harm_dist", "harm_loss")):
             opts[name] = _build(ValueDistribution, doc[name], f"theory.{name}", errors)
             value = getattr(cfg.economy, mean, 0.0)  # no economy: it reports its own errors
-            if getattr(opts[name], "kind", "") == "uniform" and 2.0 * value > sys.float_info.max:
-                errors.append(f"theory.{name}: uniform on [0, 2 * {mean}] overflows at {value:g}")
+            if mc > 0 and value > cap:
+                errors.append(f"economy.{mean}: must be at most {cap!r} at {m} patches and {mc} "
+                              f"Monte Carlo trials, got {value:g}")
         cfg.theory_options = opts
 
     if kind == "maskgen":

@@ -32,6 +32,7 @@ from .errors import FieldErrors
 from .search import (
     SearchConfig,
     TrialSettings,
+    _lineage,
     _lockstep,
     _mean_stderr,
     check_nfe,
@@ -72,7 +73,9 @@ def trial_seed(master_seed: int, index: int, stream: int = _TRIAL_STREAM) -> np.
 
 def _chunk_task(args):
     fn, payload, master_seed, start, stop = args
-    return fn(payload, [trial_seed(master_seed, idx) for idx in range(start, stop)])
+    stream = _lineage(np.random.SeedSequence(master_seed, spawn_key=(_TRIAL_STREAM,)))
+    stream.n_children_spawned = start
+    return fn(payload, stream.spawn(stop - start))
 
 
 def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
@@ -82,8 +85,10 @@ def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
     trial as one chunk; more workers get chunks of ceil(trials / (4 *
     workers)) trials, which balances the pool.
 
-    Every trial gets its own counter-derived seed, so the result list does
-    not depend on how the trials are sharded across workers."""
+    Every trial gets its own counter-derived seed, trial_seed(master_seed,
+    index) bit for bit, so the result list does not depend on how the trials
+    are sharded across workers. A chunk's seeds come from one spawn: search's
+    _Lineage children of (master_seed, stream), hashed in one array pass."""
     tasks = [(fn, payload, master_seed, start, stop)
              for start, stop in task_ranges(trials, workers)]
     return [row for rows in map_in_order(_chunk_task, tasks, workers) for row in rows]

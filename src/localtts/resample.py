@@ -9,8 +9,10 @@ full-state coherence.
 
 Each step consumes one oracle evaluation per row (a refinement step evaluates
 only the masked patches, which are independent of the others), so a full call
-costs n_refine + n_integrate NFEs. With t_g = 0 the integration phase is empty
-and unmasked coordinates of the output equal the anchor bit-exactly.
+costs n_refine + n_integrate NFEs. The refinement phase builds the unmasked
+background once, after its last step, and each phase checks its state once.
+With t_g = 0 the integration phase is empty and unmasked coordinates of the
+output equal the anchor bit-exactly.
 """
 from __future__ import annotations
 
@@ -95,19 +97,25 @@ def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
     return _renoise(predictor, anchor, _check_mask(predictor, mask, anchor), cfg, rng)
 
 
-def _masked_refine(predictor: NoisePredictor, state: LatentState, patches: tuple,
-                   anchor: LatentState, cfg: ResampleConfig,
+def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: tuple,
+                   anchor: LatentState, cfg: ResampleConfig, steps: int,
                    rng: np.random.Generator) -> LatentState:
-    """The ancestral update of the patches alone, scattered into the noised anchor."""
-    sched = predictor.schedule
-    t = sched.check_time(state.t)
-    if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
-        raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
-    s = _resolve_target_time(t, cfg.refine_dt)
-    refined, z = _ancestral_update(predictor, state.x, t, s, rng, patches)
-    x = sched.alpha(s) * anchor.x + sched.sigma(s) * z
-    predictor.world.patch_view(x)[patches[0]] = refined
-    return LatentState(x=x, t=s)
+    """steps refinement steps from time t of the selected patches alone: their
+    (P, d) rows are carried and written into x, the state buffer each oracle call
+    reads, which is overwritten; the unmasked background is built once, after the last step."""
+    sched, view, index = predictor.schedule, predictor.world.patch_view(x), patches[0]
+    rows, t = view[index], sched.check_time(t)
+    for step in range(steps):
+        if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
+            raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
+        if step:
+            view[index] = rows
+        s = _resolve_target_time(t, cfg.refine_dt)
+        (rows, z), t = _ancestral_update(predictor, x, t, s, rng, patches, rows), s
+    np.multiply(sched.alpha(t), anchor.x, out=x)  # the anchor noised by the last step's noise
+    x += sched.sigma(t) * z
+    view[index] = rows
+    return LatentState(x=x, t=t)
 
 
 def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: DefectMask,
@@ -120,23 +128,24 @@ def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: Defe
     the whole state lands at time t - dt. One shared noise draw feeds both
     regions, keeping noise correlated across the mask boundary. At a
     destination of 0 both branches are noiseless, making unmasked outputs
-    equal the anchor exactly.
+    equal the anchor exactly. The one-step case of the refinement phase.
     """
     bits = _check_mask(predictor, mask, state)
-    return _masked_refine(predictor, state, predictor.world.select(bits), anchor, cfg, rng)
+    return _masked_refine(predictor, state.x.copy(), state.t, predictor.world.select(bits),
+                          anchor, cfg, 1, rng)
 
 
 def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
               cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
     """Renoise, masked refinement and global sweep (cfg.nfe_cost steps);
     returns the clean state. bits holds one (n_patches,) mask per anchor row;
-    the masked patches are selected once for every refinement step."""
-    state = _renoise(predictor, anchor, bits, cfg, rng)
-    patches = predictor.world.select(bits)
-    for _ in range(cfg.n_refine):
-        state = _masked_refine(predictor, state, patches, anchor, cfg, rng)
-    times = np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1)
-    return _reverse_sweep(predictor, state, times, rng)
+    the masked patches are selected once for every refinement step, which
+    write into the renoised state's buffer."""
+    noised = _renoise(predictor, anchor, bits, cfg, rng)
+    state = _masked_refine(predictor, noised.x, noised.t, predictor.world.select(bits), anchor,
+                           cfg, cfg.n_refine, rng)
+    steps = -np.diff(np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1))
+    return _reverse_sweep(predictor, state, steps, rng)
 
 
 def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,

@@ -216,16 +216,24 @@ def _spawn(rngs: list[np.random.Generator], counts: list[int]) -> list[np.random
     return [child for rng, k in zip(rngs, counts) for child in rng.spawn(k)]
 
 
-def trial_rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    """The generator of one trial, seeded by a _Lineage copy of seed_seq:
-    numpy's SeedSequence bit for bit, as tests/test_seeding.py checks. The
-    trial leaves seed_seq's spawn counter alone and depends on its entropy
-    and spawn key only."""
+def _lineage(seed_seq) -> _Lineage:
+    """A _Lineage copy of a seed sequence, its spawn counter at 0: a _Lineage's
+    words as they are, or a numpy SeedSequence's, hashed once."""
+    if isinstance(seed_seq, _Lineage):
+        return _Lineage(seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size, seed_seq._pool,
+                        seed_seq._words, seed_seq._state)
     words = (max(len(_coerce_to_uint32_array(seed_seq.entropy)), seed_seq.pool_size)
              + len(_coerce_to_uint32_array(seed_seq.spawn_key)))
-    return np.random.Generator(np.random.PCG64(_Lineage(
-        seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size, seed_seq.pool.astype(np.uint64),
-        words, seed_seq.generate_state(4, np.uint64))))
+    return _Lineage(seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size,
+                    seed_seq.pool.astype(np.uint64), words, seed_seq.generate_state(4, np.uint64))
+
+
+def trial_rng(seed_seq) -> np.random.Generator:
+    """The generator of one trial, seeded by a _Lineage copy of seed_seq (run_chunks
+    hands out _Lineage seeds, copied without hashing): numpy's SeedSequence bit for
+    bit, as tests/test_seeding.py checks. The trial leaves seed_seq's spawn counter
+    alone and depends on its entropy and spawn key only."""
+    return np.random.Generator(np.random.PCG64(_lineage(seed_seq)))
 
 
 def _scores(verify: Verifier, states: LatentState) -> list[float]:
@@ -281,7 +289,8 @@ def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleCo
     block by block in four batched phases: every base draw as one
     integration, the masks of the refined seeds as one (rows, S) array,
     every refinement as one integration on resample (ValueError if None),
-    one verifier call per batch.
+    one verifier call per batch. A block's mask bits are checked once, as one
+    array (DefectMask.rows).
 
     Seed i of a search draws its base sample, defects and mask from the i-th
     generator spawned from the search's generator; refinement j of that seed
@@ -330,9 +339,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
                 [rngs[row] for row in refining])
         rows = getattr(mask_source, "rows", None)
         bits = rows(*args) if rows else np.array([mask_source(*row).bits for row in zip(*args)])
-        ratios = (bits.sum(axis=1) / world.n_patches).tolist()
-        masks = {row: DefectMask(bits=b, ratio=ratio, grid=world.grid)
-                 for row, b, ratio in zip(refining, bits, ratios)}
+        masks = dict(zip(refining, DefectMask.rows(bits, world.grid)))
         counts = [block[row][3].refinements for row in refining]
         refine_rngs = _spawn([rngs[row] for row in refining], counts)
 

@@ -13,6 +13,7 @@ oracle returns the posterior mean; on top of it the module provides:
 
 Every oracle evaluation increments an NFE counter on the predictor; batched
 states (..., dim) count one per leading element, whichever patches it evaluates.
+A sweep of reverse steps checks its state once, after its last step.
 """
 from __future__ import annotations
 
@@ -288,8 +289,8 @@ def _columns(world: PatchWorld, x: np.ndarray, patches=None) -> tuple:
 
 
 def _oracle_terms(a: float, s2: float, xc: np.ndarray, means, variances, log_weights):
-    """var_t, the one (K, d, rows, P) work array (left holding squares), and
-    the per-component and per-column log-densities of the marginal with
+    """var_t, the centred (K, d, rows, P) terms (squared into a second array),
+    and the per-component and per-column log-densities of the marginal with
     x_t = a x_0 + noise of variance s2 at the columns xc (_columns): component
     k is N(a mu_k, (a^2 s_k^2 + s2) I), the verifier's target at (1, 0).
 
@@ -299,7 +300,7 @@ def _oracle_terms(a: float, s2: float, xc: np.ndarray, means, variances, log_wei
     """
     work = np.subtract(xc, a * means)                               # centred, (K, d, rows, P)
     var_t = a * a * variances + s2                                  # (K, 1, P)
-    sq = _pairwise_sum(np.square(work, out=work), 1)[:, 0]          # (K, rows, P)
+    sq = _pairwise_sum(np.square(work), 1)[:, 0]                    # (K, rows, P)
     log_comp = log_weights - 0.5 * len(xc) * (np.log(var_t) + _LOG_2PI) - 0.5 * sq / var_t
     return var_t, work, log_comp, logsumexp(log_comp, axis=0)
 
@@ -316,9 +317,8 @@ def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t
     """
     t = schedule.check_time(t)
     a = schedule.alpha(t)
-    xc, means, variances, log_weights = columns = _columns(world, x, patches)
+    _, means, variances, _ = columns = _columns(world, x, patches)
     var_t, work, log_comp, log_norm = _oracle_terms(a, schedule.sigma(t) ** 2, *columns)
-    np.subtract(xc, a * means, out=work)  # the centred terms again, over their squares
     term(a, var_t[:, None], work, means, variances)
     resp = np.exp(np.subtract(log_comp, log_norm, out=log_comp), out=log_comp)
     np.multiply(resp[:, None], work, out=work)
@@ -411,10 +411,11 @@ class _RowNoise:
 
 
 def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
-                      rng: np.random.Generator, patches=None) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator, patches=None, rows=None) -> tuple:
     """Draw x_s from the ancestral posterior q(x_s | x_t, x_0) with x_0 the
     oracle's posterior mean at t (one NFE per row); returns the draw and the
-    standard-normal noise it used; with patches, the selected ones' (P, d) rows."""
+    standard-normal noise it used. With patches, the draw moves rows, the
+    selected (P, d) rows, which x holds at those patches."""
     denoised = predictor.evaluate(x, t, patches)
     sched = predictor.schedule
     a_t, s_t = sched.alpha(t), sched.sigma(t)
@@ -425,9 +426,10 @@ def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: flo
     coef_x0 = a_s * var_ts / (s_t * s_t)
     noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
     z = rng.standard_normal(x.shape)
-    xs, zs = (x, z) if patches is None else (
-        predictor.world.patch_view(v)[patches[0]] for v in (x, z))
-    return coef_x * xs + coef_x0 * denoised + noise_std * zs, z
+    xs, zs = (x, z) if patches is None else (rows, predictor.world.patch_view(z)[patches[0]])
+    draw = np.add(np.multiply(denoised, coef_x0, out=denoised), coef_x * xs, out=denoised)
+    draw += noise_std * zs  # coef_x xs + coef_x0 denoised + noise_std zs, in that order
+    return draw, z
 
 
 def _resolve_target_time(t: float, dt: float) -> float:
@@ -447,17 +449,18 @@ def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
     target time of 0 the posterior noise vanishes, so the final step is
     deterministic given the oracle.
     """
-    t = predictor.schedule.check_time(state.t)
-    s = _resolve_target_time(t, dt)
-    return LatentState(x=_ancestral_update(predictor, state.x, t, s, rng)[0], t=s)
+    return _reverse_sweep(predictor, state, [dt], rng)
 
 
-def _reverse_sweep(predictor: NoisePredictor, state: LatentState, times: np.ndarray,
+def _reverse_sweep(predictor: NoisePredictor, state: LatentState, steps,
                    rng: np.random.Generator) -> LatentState:
-    """Ancestral reverse steps from times[0] (the state's time) along the grid."""
-    for t_cur, t_next in zip(times[:-1], times[1:]):
-        state = reverse_sde_step(predictor, state, float(t_cur - t_next), rng)
-    return state
+    """Ancestral reverse steps of the given sizes from the state's time, carrying
+    the (rows, dim) array; the state is checked once, after the last step."""
+    x, t = state.x, predictor.schedule.check_time(state.t)
+    for dt in steps:
+        s = _resolve_target_time(t, float(dt))
+        x, t = _ancestral_update(predictor, x, t, s, rng)[0], s
+    return LatentState(x=x, t=t)
 
 
 def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
@@ -469,7 +472,7 @@ def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
     """
     times = predictor.schedule.step_times()
     x = rng.standard_normal((*(shape or ()), predictor.world.dim))
-    return _reverse_sweep(predictor, LatentState(x=x, t=float(times[0])), times, rng)
+    return _reverse_sweep(predictor, LatentState(x=x, t=float(times[0])), -np.diff(times), rng)
 
 
 def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,10 @@ from localtts.harness import run_experiment, sign_test_p_greater
 from localtts.testbed import NoisePredictor, PatchWorld
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the largest repair_gain or harm_loss theory_worked.json's 100,000 Monte Carlo trials over 100
+# patches accept: the span of a trial's value, under 45 * 100 means, squared and times 4,096 *
+# 100,000 stays below the largest float
+MC_MEAN_CAP = (sys.float_info.max / 100_000) ** 0.5 / (45 * 64) / 100
 
 
 def theory_raw(**over):
@@ -558,12 +563,10 @@ class TestCli:
          ["defects.magnitude: overflows the oracle, got 1e+200"]),
         ("testbed_small.json", "resample.n_refine=1000000000000",
          ["resample.n_refine: plus n_integrate must be at most 100000, got 1e+12"]),
+        # the Monte Carlo's moments bound the mean first (see test_overflowing_closed_form_exit_two)
         ("theory_worked.json", "economy.repair_gain=1e308",
-         [f"results.{field}: {value} (overflow: a config number is too large)"
-          for field, value in (("closed_form.per_trial_gain_global", "inf"),
-                               ("closed_form.budget_gain_local", "inf"),
-                               ("closed_form.dominance_margin", "nan"),
-                               ("monte_carlo.gain_global_mean", "nan"))]),
+         [f"economy.repair_gain: must be at most {MC_MEAN_CAP!r} at 100 patches and 100000 "
+          "Monte Carlo trials, got 1e+308"]),
         ("testbed_small.json", "schedule.n_steps=1000000",
          ["schedule.n_steps: must be at most 100000, got 1e+06"]),
         # search.seeds is ignored by the sweep, but still an integer
@@ -578,6 +581,19 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert all(f"config error: {error}" in err for error in errors), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_closed_form_exit_two(self, tmp_path, capsys):
+        # no Monte Carlo: the report writer refuses the closed forms the mean overflowed
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                         "--set", "economy.repair_gain=1e308", "--set", "theory.mc_trials=0",
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert all(f"config error: results.closed_form.{field}: {value} (overflow: a config "
+                   "number is too large)" in err for field, value in (
+                       ("per_trial_gain_global", "inf"), ("budget_gain_local", "inf"),
+                       ("dominance_margin", "nan"))), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("settings, errors", [
@@ -710,14 +726,55 @@ class TestCli:
     @pytest.mark.parametrize("mean, dist", [("repair_gain", "repair_dist"),
                                             ("harm_loss", "harm_dist")])
     def test_uniform_of_overflowing_range_exit_two(self, mean, dist, tmp_path, capsys):
-        # a uniform distribution draws from [0, 2 * mean]: 2e308 is no float
+        # a uniform distribution draws from [0, 2 * mean]: 2e308 is no float, far above the
+        # largest mean whose Monte Carlo moments stay finite
         assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
                          "--set", f"economy.{mean}=1e308",
                          "--set", f'theory.{dist}={{"kind": "uniform"}}',
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"config error: theory.{dist}: uniform on [0, 2 * {mean}] overflows at 1e+308\n")
+            f"config error: economy.{mean}: must be at most {MC_MEAN_CAP!r} at 100 patches and "
+            "100000 Monte Carlo trials, got 1e+308\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, dist", [
+        ("repair_gain", "1e307", ("repair_dist", "exponential")),
+        ("harm_loss", "8.9e307", ("harm_dist", "uniform")),
+        ("repair_gain", "1e160", None),  # the shipped constant distribution
+    ])
+    def test_monte_carlo_overflowing_mean_exit_two(self, key, value, dist, tmp_path, capsys):
+        # each key is legal alone; the Monte Carlo's squared deviations would overflow
+        args = ["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                "--set", f"economy.{key}={value}", "--out", str(tmp_path / "out")]
+        if dist:
+            args += ["--set", f'theory.{dist[0]}={{"kind": "{dist[1]}"}}']
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(args) == 2
+        assert not caught
+        assert capsys.readouterr().err == (
+            f"config error: economy.{key}: must be at most {MC_MEAN_CAP!r} at 100 patches and "
+            f"100000 Monte Carlo trials, got {float(value):g}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["constant", "uniform", "exponential"])
+    def test_largest_monte_carlo_mean_runs_clean(self, kind, tmp_path, capsys):
+        cap = MC_MEAN_CAP
+        args = ["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                "--set", f"economy.repair_gain={cap!r}", "--set", f"economy.harm_loss={cap!r}",
+                "--set", f'theory.repair_dist={{"kind": "{kind}"}}',
+                "--set", f'theory.harm_dist={{"kind": "{kind}"}}']
+        above = [*args, "--set", f"economy.harm_loss={math.nextafter(cap, math.inf)!r}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([*args, "--out", str(tmp_path / "out")]) == 0
+            assert cli_main([*above, "--out", str(tmp_path / "above")]) == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("config error: economy.harm_loss: must be at most") and (
+            err.count("\n") == 1)
+        mc = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["monte_carlo"]
+        assert all(math.isfinite(v) for v in mc.values()) and mc["gain_global_se"] > 0
 
     def test_repeated_budget_exit_two(self, tmp_path, capsys):
         # a repeated budget would run twice and report two identical rows

@@ -186,8 +186,8 @@ class TestMaskedRefineStep:
         state = LatentState(x=rng.normal(size=(6, world.dim)), t=0.4 - step * cfg.refine_dt)
         bits = rng.random((6, world.n_patches)) < 0.3
         bits[0], bits[1] = False, True
-        out = _masked_refine(predictor, state, world.select(bits), anchor, cfg,
-                             np.random.default_rng(5))
+        out = _masked_refine(predictor, state.x.copy(), state.t, world.select(bits), anchor, cfg,
+                             1, np.random.default_rng(5))
         assert predictor.nfe == 6
         plain = reverse_sde_step(predictor, state, cfg.refine_dt, np.random.default_rng(5))
         s = plain.t

@@ -106,3 +106,24 @@ def test_engine_results_equal_numpy_seeded(monkeypatch):
     monkeypatch.setattr(search, "trial_rng", numpy_rng)
     monkeypatch.setattr(harness, "trial_rng", numpy_rng)
     assert [run() for run in runs] == ours
+
+
+def _seed_words(payload, seqs) -> list:
+    """What a trial can read of its seed: its key, the PCG64 seed words, the first draws
+    through trial_rng and numpy's default_rng, the states of two generators trial_rng
+    spawns (which leave the seed's own counter alone) and the seed words of two children."""
+    return [(tuple(seq.spawn_key), seq.generate_state(4, np.uint64).tolist(),
+             trial_rng(seq).random(3).tolist(), np.random.default_rng(seq).random(3).tolist(),
+             [rng.bit_generator.state["state"] for rng in trial_rng(seq).spawn(2)],
+             [child.generate_state(4, np.uint64).tolist() for child in seq.spawn(2)])
+            for seq in seqs]
+
+
+@pytest.mark.parametrize("workers, starts", [(1, [0]), (2, [0, 2, 4, 6, 8, 10]),
+                                             (3, list(range(11)))])
+def test_chunk_seeds_equal_trial_seeds(workers, starts):
+    # run_chunks makes a chunk's seeds in one spawn, from the chunk's first trial on
+    assert [start for start, _ in harness.task_ranges(11, workers)] == starts
+    for master_seed in (0, 7, 2**64 - 1):
+        want = _seed_words(None, [harness.trial_seed(master_seed, i) for i in range(11)])
+        assert harness.run_chunks(_seed_words, None, 11, master_seed, workers) == want
