@@ -8,11 +8,12 @@ runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
 noiseless attention, a resample with ``t_g = 0``, a resample of one refinement
 step, oracle masks (some of them empty), a nine-component world of ``patch_dim``
-1, maskgen with queries, maskgen from inline raw attention documents, best-of-N
-searches that each span two engine blocks, and Monte Carlo runs with the value
-distributions no shipped config draws (a uniform repair, a mixed
-constant/uniform pair, an economy with no clean patches). Each runs at workers
-1 and 2. Outputs go to a temporary directory that is removed afterwards.
+1, worlds of ``patch_dim`` 9, maskgen with queries, maskgen from inline raw
+attention documents, best-of-N searches that each span two engine blocks, and
+Monte Carlo runs with the value distributions no shipped config draws (a
+uniform repair, a mixed constant/uniform pair, an economy with no clean
+patches). Each runs at workers 1 and 2. Outputs go to a temporary directory
+that is removed afterwards.
 
 A change that must leave every report byte alone is checked by running this
 script on the parent and on the change (same script, ``PYTHONPATH`` pointing
@@ -67,6 +68,9 @@ RUNS = [
     ("testbed_small+oracle_masks", "testbed_small.json", ["attention.oracle_masks=true"]),
     ("testbed_small+K=9,d=1", "testbed_small.json",
      ["world.patch_dim=1", f"world.components={K9}"]),
+    # nine coordinates a patch: the oracle's pairwise sums over d
+    *((f"{stem}+patch_dim=9", f"{stem}.json", ["trials=2", "world.patch_dim=9"])
+      for stem in ("testbed_small", "scaling_default")),
     ("maskgen_example+queries", "maskgen_example.json", [f"maskgen.queries={QUERIES}"]),
     ("maskgen_example+raw", "maskgen_example.json", ["maskgen.bundle=null", f"maskgen.raw={RAW}"]),
     # 600 draws a search, and an engine block holds 496 rows at dim 32 and 32 steps: the

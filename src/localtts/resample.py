@@ -9,8 +9,10 @@ full-state coherence.
 
 Each step consumes one oracle evaluation per row (a refinement step evaluates
 only the masked patches, which are independent of the others), so a full call
-costs n_refine + n_integrate NFEs. The refinement phase builds the unmasked
-background once, after its last step, and each phase checks its state once.
+costs n_refine + n_integrate NFEs. Each phase carries its state in the
+oracle's column layout from step to step (testbed._Phase); the refinement phase
+builds the unmasked background once, after its last step, and each phase checks
+its state once.
 With t_g = 0 the integration phase is empty and unmasked coordinates of the
 output equal the anchor bit-exactly.
 """
@@ -27,7 +29,7 @@ from .testbed import (
     CosineSchedule,
     LatentState,
     NoisePredictor,
-    _ancestral_update,
+    _ancestral_phase,
     _resolve_target_time,
     _reverse_sweep,
     forward_noise,
@@ -100,22 +102,21 @@ def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
 def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: tuple,
                    anchor: LatentState, cfg: ResampleConfig, steps: int,
                    rng: np.random.Generator) -> LatentState:
-    """steps refinement steps from time t of the selected patches alone: their
-    (P, d) rows are carried and written into x, the state buffer each oracle call
-    reads, which is overwritten; the unmasked background is built once, after the last step."""
-    sched, view, index = predictor.schedule, predictor.world.patch_view(x), patches[0]
-    rows, t = view[index], sched.check_time(t)
-    for step in range(steps):
-        if not cfg.t_g < t <= cfg.t0 + _TIME_TOL:
-            raise ValueError(f"refinement time {t} outside window ({cfg.t_g}, {cfg.t0}]")
-        if step:
-            view[index] = rows
-        s = _resolve_target_time(t, cfg.refine_dt)
-        (rows, z), t = _ancestral_update(predictor, x, t, s, rng, patches, rows), s
-    np.multiply(sched.alpha(t), anchor.x, out=x)  # the anchor noised by the last step's noise
-    x += sched.sigma(t) * z
-    view[index] = rows
-    return LatentState(x=x, t=t)
+    """steps refinement steps from time t of the selected patches alone
+    (PatchWorld.select), one phase whose noise is drawn at once: the phase
+    gathers their columns from x, the renoised state, and carries them packed
+    at the front of x, whose buffer is overwritten; the unmasked background
+    (the anchor noised by the last step's noise) is built once, after the last step."""
+    sched, times = predictor.schedule, [predictor.schedule.check_time(t)]
+    for _ in range(steps):
+        if not cfg.t_g < times[-1] <= cfg.t0 + _TIME_TOL:
+            raise ValueError(f"refinement time {times[-1]} outside window ({cfg.t_g}, {cfg.t0}]")
+        times.append(_resolve_target_time(times[-1], cfg.refine_dt))
+    z = rng.standard_normal((steps, *x.shape))
+    out = sched.alpha(times[-1]) * anchor.x
+    out += sched.sigma(times[-1]) * z[-1]
+    _ancestral_phase(predictor, x, times, z, out, x, patches)
+    return LatentState(x=out, t=times[-1])
 
 
 def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: DefectMask,
@@ -139,8 +140,8 @@ def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
               cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
     """Renoise, masked refinement and global sweep (cfg.nfe_cost steps);
     returns the clean state. bits holds one (n_patches,) mask per anchor row;
-    the masked patches are selected once for every refinement step, which
-    write into the renoised state's buffer."""
+    the masked patches are selected once, and the refinement phase carries
+    their columns in the renoised state's buffer."""
     noised = _renoise(predictor, anchor, bits, cfg, rng)
     state = _masked_refine(predictor, noised.x, noised.t, predictor.world.select(bits), anchor,
                            cfg, cfg.n_refine, rng)

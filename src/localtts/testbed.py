@@ -13,7 +13,10 @@ oracle returns the posterior mean; on top of it the module provides:
 
 Every oracle evaluation increments an NFE counter on the predictor; batched
 states (..., dim) count one per leading element, whichever patches it evaluates.
-A sweep of reverse steps checks its state once, after its last step.
+A reverse phase (a sweep of reverse steps, or a masked refinement) converts
+its state into the oracle's column layout once, carries it in that layout from
+step to step, and converts it back and checks it once, after its last step; it
+computes its step constants once, in one vectorised pass over its step times.
 """
 from __future__ import annotations
 
@@ -142,13 +145,13 @@ class PatchWorld:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "patch_dim", d)
         with np.errstate(divide="ignore"):
-            log_weights = np.log(weights.T)[:, None]
+            log_weights = np.log(weights.T)[:, None, None]
         # the oracle reads its constants component-major: means (K, d, 1, M), variances
-        # and log-weights (K, 1, M), kept as private attributes that == does not compare
+        # and log-weights (K, 1, 1, M), kept as private attributes that == does not compare
         for name, value in (("weights", weights), ("means", means), ("variances", variances),
                             ("verifier_weights", vweights), ("_log_weights", log_weights),
                             ("_means", means.transpose(1, 2, 0)[:, :, None]),
-                            ("_variances", variances.T[:, None])):
+                            ("_variances", variances.T[:, None, None])):
             value = np.ascontiguousarray(value)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -250,7 +253,7 @@ def _pairwise_sum(a: np.ndarray, axis: int) -> np.ndarray:
     by a fixed tree and the rest in sequence (by halves above 128 terms)."""
     n = a.shape[axis]
     if n < 8:
-        return a.sum(axis=axis, keepdims=True)
+        return np.add.reduce(a, axis, keepdims=True)
     if n > 128:
         lo, hi = np.split(a, [n // 2 - n // 2 % 8], axis=axis)
         return _pairwise_sum(lo, axis) + _pairwise_sum(hi, axis)
@@ -267,85 +270,169 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     over the last axis: the maximal terms are split out of the sum, the rest
     is divided by their count, and log(count) and the maximum are added back.
     """
-    a_max = a.max(axis=axis, keepdims=True)
+    a_max = np.maximum.reduce(a, axis, keepdims=True)
     is_max = a == a_max
-    count = is_max.sum(axis=axis, keepdims=True, dtype=float)
-    shifted = a - a_max
-    shifted[is_max] = -np.inf
+    count = np.add.reduce(is_max, axis, float, keepdims=True)
+    shifted = np.subtract(a, a_max)
+    np.putmask(shifted, is_max, -np.inf)
     rest = _pairwise_sum(np.exp(shifted, out=shifted), axis)
-    return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis)
+    rest = np.log1p(np.divide(rest, count, out=rest), out=rest)
+    rest += np.log(count, out=count)
+    rest += a_max
+    return rest.squeeze(axis)
 
 
-def _columns(world: PatchWorld, x: np.ndarray, patches=None) -> tuple:
-    """x's patches as contiguous (d, rows, P) columns and their constants
-    (K, d, 1, P), (K, 1, P), (K, 1, P): all (P = M), or one row of the
-    selected patches (PatchWorld.select)."""
-    view = world.patch_view(x)
-    if patches is None:
-        columns = view.reshape(-1, world.n_patches, world.patch_dim).transpose(2, 0, 1)
-        return np.ascontiguousarray(columns), world._means, world._variances, world._log_weights
-    index, *constants = patches
-    return np.ascontiguousarray(view[index].T)[:, None], *constants
+class _Phase:
+    """The oracle's side of a run of evaluations on one set of patch columns at
+    a sequence of (alpha, sigma^2) pairs: a reverse phase's steps, or one time.
+
+    The columns are P patches of each row (all M patches), or one row of the
+    patches PatchWorld.select picked. A phase carries them in a (rows, dim)
+    array of its own, d-major within each row, which the oracle reads as a
+    strided (d, rows, P) view without a copy; a selection packs its (d, P)
+    columns at the front of the array. The posterior mean comes back in the
+    same layout. The constants of every time are computed once, in one
+    vectorised pass: var_t, the log-normaliser log w - d/2 (log var_t + log 2 pi)
+    and the posterior coefficient a s_k^2 / var_t, each a list of (K, 1, 1, P)
+    arrays whose entry ``step`` the oracle reads. A reverse phase allocates
+    the centred terms and their squares, (K, d, rows, P), and the posterior
+    mean once and reuses them at every step; a one-time phase leaves them to
+    the ufuncs.
+    """
+
+    work = squares = mean = _viewed = None  # a reverse phase's buffers (_ancestral_phase)
+
+    def __init__(self, world: PatchWorld, alphas, noise_vars, patches=None):
+        self.world, self.alphas, self.step = world, alphas, 0
+        self.index, self.means, variances, log_weights = (
+            (None, world._means, world._variances, world._log_weights)
+            if patches is None else patches)
+        one = len(alphas) == 1  # Python floats broadcast at a lower fixed cost than arrays
+        a, s2 = ((alphas[0], noise_vars[0]) if one else
+                 (np.array(v).reshape(-1, 1, 1, 1, 1) for v in (alphas, noise_vars)))
+        var_t = a * a * variances + s2
+        log_norm = log_weights - 0.5 * world.patch_dim * (np.log(var_t) + _LOG_2PI)
+        coef = a * variances / var_t
+        self.var_t, self.log_norm, self.coef = (
+            ([var_t], [log_norm], [coef]) if one else map(list, (var_t, log_norm, coef)))
+
+    def columns(self, carried: np.ndarray) -> np.ndarray:
+        """The (d, rows, P) columns of a (rows, dim) array in the phase's
+        layout, as a view (kept for the array viewed last)."""
+        if carried is not self._viewed:
+            rows, p = ((len(carried), self.world.n_patches) if self.index is None
+                       else (1, len(self.index[0])))
+            d = self.world.patch_dim
+            self._viewed, self._columns = carried, carried.reshape(-1)[:rows * d * p].reshape(
+                rows, d, p).transpose(1, 0, 2)
+        return self._columns
+
+    def gather(self, a: np.ndarray, lead: int = 0) -> np.ndarray:
+        """The (*lead, d, rows, P) columns of an array (*lead, ..., dim) in the
+        state's layout: a view of all patches, or a copy of the selected ones."""
+        view = self.world.patch_view(a)
+        if self.index is None:
+            cols = view.reshape(view.shape[:lead] + (-1,) + view.shape[-2:])
+            return cols.transpose((2, 0, 1) if lead == 0 else (0, 3, 1, 2))
+        return view[(slice(None),) * lead + self.index].swapaxes(-1, -2)[..., None, :]
+
+    def scatter(self, xc: np.ndarray, out: np.ndarray) -> None:
+        """Write the (d, rows, P) columns xc into out, (..., dim) in the state's layout."""
+        view = self.world.patch_view(out)
+        if self.index is None:
+            view.reshape(-1, *view.shape[-2:])[...] = xc.transpose(1, 2, 0)
+        else:
+            view[self.index] = xc[:, 0].T
 
 
-def _oracle_terms(a: float, s2: float, xc: np.ndarray, means, variances, log_weights):
-    """var_t, the centred (K, d, rows, P) terms (squared into a second array),
-    and the per-component and per-column log-densities of the marginal with
-    x_t = a x_0 + noise of variance s2 at the columns xc (_columns): component
-    k is N(a mu_k, (a^2 s_k^2 + s2) I), the verifier's target at (1, 0).
+def _at_time(world: PatchWorld, x: np.ndarray, a: float, s2: float, patches=None) -> tuple:
+    """A one-time phase for x (..., dim) in the state's layout, and x's
+    contiguous columns."""
+    phase = _Phase(world, [a], [s2], patches)
+    return phase, np.ascontiguousarray(phase.gather(x))
+
+
+def _oracle_terms(phase: _Phase, xc: np.ndarray) -> tuple:
+    """The per-component and per-column log-densities, (K, 1, rows, P) and
+    (1, rows, P), of the marginal with x_t = a x_0 + noise of variance s2 at
+    the phase's step, at the columns xc (d, rows, P), and the centred terms
+    (K, d, rows, P). Component k is N(a mu_k, (a^2 s_k^2 + s2) I), the
+    verifier's target at (1, 0). A reverse phase carries its columns in the
+    oracle's layout and computed the constants of all its steps at once
+    (_Phase), so a step reads its columns without a copy and its constants
+    without arithmetic, and writes into the phase's buffers.
 
     Each reduction runs over a leading axis with (rows, P) planes as its inner
     loop, adds in the order numpy sums a (..., M, K, d) array's last axis and
     reads one column, so the bits depend on neither the layout nor the other columns.
     """
-    work = np.subtract(xc, a * means)                               # centred, (K, d, rows, P)
-    var_t = a * a * variances + s2                                  # (K, 1, P)
-    sq = _pairwise_sum(np.square(work), 1)[:, 0]                    # (K, rows, P)
-    log_comp = log_weights - 0.5 * len(xc) * (np.log(var_t) + _LOG_2PI) - 0.5 * sq / var_t
-    return var_t, work, log_comp, logsumexp(log_comp, axis=0)
+    step = phase.step
+    work = np.subtract(xc, phase.alphas[step] * phase.means, out=phase.work)
+    log_comp = _pairwise_sum(np.square(work, out=phase.squares), 1)
+    log_comp *= 0.5
+    log_comp /= phase.var_t[step]
+    log_comp = np.subtract(phase.log_norm[step], log_comp, out=log_comp)
+    return log_comp, logsumexp(log_comp, axis=0), work
 
 
 def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float,
                    term, patches=None) -> np.ndarray:
-    """Sum term(a, var_t, centered, means, variances), written over centered,
-    by posterior responsibility: rows shaped like x, or (P, d) selected rows.
+    """Sum term(phase, centered), written over centered, by posterior
+    responsibility: rows shaped like x, (P, d) selected rows, or, when patches
+    is a phase, its step's (d, rows, P) columns, in its layout (_Phase.columns).
 
     Responsibilities are formed in log space so small densities never
     underflow before normalization. numpy sums a (..., M, K, d) array over K
     in sequence, or pairwise when d = 1 leaves K innermost; the same order
     keeps the bits.
     """
-    t = schedule.check_time(t)
-    a = schedule.alpha(t)
-    _, means, variances, _ = columns = _columns(world, x, patches)
-    var_t, work, log_comp, log_norm = _oracle_terms(a, schedule.sigma(t) ** 2, *columns)
-    term(a, var_t[:, None], work, means, variances)
+    if isinstance(patches, _Phase):
+        phase, xc = patches, patches.columns(x)
+    else:
+        t = schedule.check_time(t)
+        phase, xc = _at_time(world, x, schedule.alpha(t), schedule.sigma(t) ** 2, patches)
+    log_comp, log_norm, work = _oracle_terms(phase, xc)
+    term(phase, work)
     resp = np.exp(np.subtract(log_comp, log_norm, out=log_comp), out=log_comp)
-    np.multiply(resp[:, None], work, out=work)
-    total = _pairwise_sum(work, 0)[0] if world.patch_dim == 1 else work.sum(axis=0)
-    return total.transpose(1, 2, 0).reshape(np.shape(x)) if patches is None else total[:, 0].T
+    np.multiply(resp, work, out=work)
+    if world.patch_dim == 1 and len(work) >= 8:  # K innermost: numpy sums it pairwise
+        total = _pairwise_sum(work, 0)[0]
+    else:
+        total = np.add.reduce(work, 0, out=phase.mean)
+    if phase is not patches:
+        return total.transpose(1, 2, 0).reshape(np.shape(x)) if patches is None else total[:, 0].T
+    if total is not phase.mean:
+        phase.mean[...] = total
+    return phase.mean
 
 
 def log_density(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact log-density of the time-t marginal (summed over patches)."""
     t = schedule.check_time(t)
-    log_norm = _oracle_terms(schedule.alpha(t), schedule.sigma(t) ** 2, *_columns(world, x))[-1]
+    log_norm = _oracle_terms(*_at_time(world, x, schedule.alpha(t), schedule.sigma(t) ** 2))[1]
     return log_norm.reshape(*np.shape(x)[:-1], world.n_patches).sum(axis=-1)
+
+
+def _score_term(phase: _Phase, centered: np.ndarray) -> None:
+    np.divide(np.negative(centered, out=centered), phase.var_t[phase.step], out=centered)
+
+
+def _posterior_term(phase: _Phase, centered: np.ndarray) -> None:
+    np.add(phase.means, np.multiply(phase.coef[phase.step], centered, out=centered), out=centered)
 
 
 def gmm_score(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float) -> np.ndarray:
     """Exact score of the time-t marginal, evaluated per patch independently."""
-    return _posterior_sum(world, schedule, x, t, lambda a, var_t, centered, *_:
-                          np.divide(np.negative(centered, out=centered), var_t, out=centered))
+    return _posterior_sum(world, schedule, x, t, _score_term)
 
 
 def posterior_mean(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t: float,
                    patches=None) -> np.ndarray:
     """E[x_0 | x_t] of the time-t marginal, formed per component so it stays
     stable even where alpha(t) is at roundoff level; with patches
-    (PatchWorld.select), only at the selected patches, as (P, d) rows."""
-    return _posterior_sum(world, schedule, x, t, lambda a, var_t, c, means, variances: np.add(
-        means, np.multiply(a * variances[:, None] / var_t, c, out=c), out=c), patches)
+    (PatchWorld.select), only at the selected patches, as (P, d) rows; with
+    a reverse phase (_Phase), at its step, as (d, rows, P) columns of its array x."""
+    return _posterior_sum(world, schedule, x, t, _posterior_term, patches)
 
 
 @dataclass
@@ -386,9 +473,9 @@ class _RowNoise:
     from rngs[i], so a batched run equals a one-at-a-time run. Each row draws
     the slices its phase declares in one call (the same bits and generator
     state as one (dim,) call per slice); each standard_normal call takes the
-    next (rows, dim) slice. Drawing past the declared count, or check_spent
-    with slices unused, raises: a change to a phase's steps cannot shift
-    bits unnoticed."""
+    next (rows, dim) slice, or the next n as an (n, rows, dim) view. Drawing
+    past the declared count, or check_spent with slices unused, raises: a
+    change to a phase's steps cannot shift bits unnoticed."""
 
     def __init__(self, rngs, draws: int, dim: int):
         self._buf = np.empty((len(rngs), draws, dim))
@@ -398,11 +485,13 @@ class _RowNoise:
 
     def standard_normal(self, shape: tuple) -> np.ndarray:
         rows, draws, dim = self._buf.shape
-        if tuple(shape) != (rows, dim) or self._used == draws:
+        n = shape[0] if len(shape) == 3 else 1
+        if tuple(shape[-2:]) != (rows, dim) or not 2 <= len(shape) <= 3 or self._used + n > draws:
             raise RuntimeError(f"noise of shape {tuple(shape)} drawn after {self._used} of the "
                                f"{draws} ({rows}, {dim}) noise slices its phase declared")
-        self._used += 1
-        return self._buf[:, self._used - 1]
+        self._used += n
+        drawn = self._buf[:, self._used - n:self._used]
+        return drawn[:, 0] if len(shape) == 2 else drawn.swapaxes(0, 1)
 
     def check_spent(self, phase: str) -> None:
         if self._used != self._buf.shape[1]:
@@ -410,26 +499,49 @@ class _RowNoise:
                                f"noise slices it declared")
 
 
-def _ancestral_update(predictor: NoisePredictor, x: np.ndarray, t: float, s: float,
-                      rng: np.random.Generator, patches=None, rows=None) -> tuple:
-    """Draw x_s from the ancestral posterior q(x_s | x_t, x_0) with x_0 the
-    oracle's posterior mean at t (one NFE per row); returns the draw and the
-    standard-normal noise it used. With patches, the draw moves rows, the
-    selected (P, d) rows, which x holds at those patches."""
-    denoised = predictor.evaluate(x, t, patches)
-    sched = predictor.schedule
-    a_t, s_t = sched.alpha(t), sched.sigma(t)
-    a_s, s_s = sched.alpha(s), sched.sigma(s)
+def _ancestral_coefficients(alphas, sigmas) -> list:
+    """(coef_x, coef_x0, noise_std) of each step t -> s between consecutive
+    times, from their alpha and sigma, for every step in one vectorised pass:
+    the ancestral posterior q(x_s | x_t, x_0) has mean coef_x x_t + coef_x0 x_0
+    and standard deviation noise_std."""
+    a_t, a_s, s_t, s_s = (np.array(v) for v in (alphas[:-1], alphas[1:], sigmas[:-1], sigmas[1:]))
     ratio = a_t / a_s
-    var_ts = max(s_t * s_t - ratio * ratio * s_s * s_s, 0.0)
+    var_ts = np.maximum(s_t * s_t - ratio * ratio * s_s * s_s, 0.0)
     coef_x = ratio * (s_s * s_s) / (s_t * s_t)
     coef_x0 = a_s * var_ts / (s_t * s_t)
-    noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
-    z = rng.standard_normal(x.shape)
-    xs, zs = (x, z) if patches is None else (rows, predictor.world.patch_view(z)[patches[0]])
-    draw = np.add(np.multiply(denoised, coef_x0, out=denoised), coef_x * xs, out=denoised)
-    draw += noise_std * zs  # coef_x xs + coef_x0 denoised + noise_std zs, in that order
-    return draw, z
+    noise_std = np.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
+    return list(zip(coef_x.tolist(), coef_x0.tolist(), noise_std.tolist()))
+
+
+def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndarray,
+                     out: np.ndarray, carried: np.ndarray, patches=None) -> None:
+    """Ancestral reverse steps between consecutive times from x, (..., dim) at
+    times[0]: step i draws x_s from q(x_s | x_t, x_0) with x_0 the oracle's
+    posterior mean at t (one NFE per row) and z[i] (z is (steps, ..., dim)),
+    over all patches or the selected ones (PatchWorld.select).
+
+    The phase gathers x's columns into carried, a (rows, dim) array that may be
+    x, carries them there in the oracle's layout (_Phase) from step to step,
+    and writes them into out, x's shape, once, after its last step. Its step
+    constants are computed once, for all steps."""
+    sched = predictor.schedule
+    alphas, sigmas = [sched.alpha(t) for t in times], [sched.sigma(t) for t in times]
+    phase = _Phase(predictor.world, alphas[:-1], [s ** 2 for s in sigmas[:-1]], patches)
+    xc = phase.columns(carried)
+    xc[...] = phase.gather(x)
+    phase.work = np.empty((len(phase.means), *xc.shape))
+    phase.squares, phase.mean = np.empty_like(phase.work), np.empty_like(xc)  # xc's layout
+    # (rows, d, P) views: carried's and the posterior mean's are contiguous
+    x_rows, noise = xc.transpose(1, 0, 2), phase.gather(z, lead=1).transpose(0, 2, 1, 3)
+    for step, (t, (coef_x, coef_x0, noise_std)) in enumerate(
+            zip(times, _ancestral_coefficients(alphas, sigmas))):
+        phase.step = step
+        denoised = predictor.evaluate(carried, t, phase).transpose(1, 0, 2)
+        # coef_x x + coef_x0 denoised + noise_std z, in that order
+        np.multiply(x_rows, coef_x, out=x_rows)
+        np.add(x_rows, np.multiply(denoised, coef_x0, out=denoised), out=x_rows)
+        np.add(x_rows, np.multiply(noise[step], noise_std, out=denoised), out=x_rows)
+    phase.scatter(xc, out)
 
 
 def _resolve_target_time(t: float, dt: float) -> float:
@@ -454,13 +566,20 @@ def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
 
 def _reverse_sweep(predictor: NoisePredictor, state: LatentState, steps,
                    rng: np.random.Generator) -> LatentState:
-    """Ancestral reverse steps of the given sizes from the state's time, carrying
-    the (rows, dim) array; the state is checked once, after the last step."""
-    x, t = state.x, predictor.schedule.check_time(state.t)
+    """Ancestral reverse steps of the given sizes from the state's time, one
+    phase (_ancestral_phase) whose noise is drawn at once, (steps, ..., dim);
+    the state is checked once, after the last step."""
+    times = [predictor.schedule.check_time(state.t)]
     for dt in steps:
-        s = _resolve_target_time(t, float(dt))
-        x, t = _ancestral_update(predictor, x, t, s, rng)[0], s
-    return LatentState(x=x, t=t)
+        times.append(_resolve_target_time(times[-1], float(dt)))
+    if len(times) == 1:
+        return LatentState(x=state.x, t=times[0])
+    x = state.x
+    z = rng.standard_normal((len(times) - 1, *x.shape))
+    out = np.empty(x.shape)
+    _ancestral_phase(predictor, x, times, z, out,
+                     np.empty((math.prod(x.shape[:-1]), predictor.world.dim)))
+    return LatentState(x=out, t=times[-1])
 
 
 def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
@@ -479,7 +598,7 @@ def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:
     """Weighted per-patch log-density of a clean state; higher is better."""
     if abs(state.t) > _TIME_TOL:
         raise ValueError(f"verifier expects a state at t=0, got t={state.t}")
-    per_patch = _oracle_terms(1.0, 0.0, *_columns(world, state.x))[-1]
+    per_patch = _oracle_terms(*_at_time(world, state.x, 1.0, 0.0))[1]
     per_patch = per_patch.reshape(*state.x.shape[:-1], world.n_patches)
     total = np.sum(world.verifier_weights * per_patch, axis=-1)
     return float(total) if np.ndim(total) == 0 else total

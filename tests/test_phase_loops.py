@@ -1,8 +1,9 @@
-"""The reverse sweep and the masked refinement carry their arrays from step to
-step and check the state once, after the last step. These tests hold them to
-their one-step cases bit for bit, and check that a non-finite value is still
-caught by the end of its phase and that every phase still costs rows x steps
-oracle evaluations of full (rows, dim) states.
+"""The reverse sweep and the masked refinement carry their arrays in the
+oracle's column layout from step to step and check the state once, after the
+last step. These tests hold them to their one-step cases bit for bit, hold a
+phase's constant tables to the expressions once evaluated at every step, and
+check that a non-finite value is still caught by the end of its phase and that
+every phase still costs rows x steps oracle evaluations of full (rows, dim) states.
 """
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ from localtts.testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
-    _ancestral_update,
+    _ancestral_coefficients,
+    _ancestral_phase,
+    _Phase,
     _reverse_sweep,
     reverse_sde_step,
     sample_base,
@@ -48,7 +51,7 @@ def same(a: LatentState, b: LatentState) -> bool:
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("d", [1, 2, 4, 9])  # 9: the pairwise tree over coordinates
 @pytest.mark.parametrize("k", [1, 3, 9])
 def test_sweep_equals_its_steps_one_by_one(k, d, shape):
     predictor = make_predictor(k, d)
@@ -74,16 +77,48 @@ def test_step_keeps_the_bits_of_the_three_term_formula(k, masked):
     patches = world.select(bits) if masked else None
     t, s = 0.5, 0.3
     view = world.patch_view(x)
-    rows = view[patches[0]] if masked else None
-    got, z = _ancestral_update(predictor, x, t, s, np.random.default_rng(7), patches, rows)
+    z = np.random.default_rng(7).standard_normal((1, *x.shape))
+    out = np.zeros_like(x)  # a one-step phase writes only its columns
+    _ancestral_phase(predictor, x.copy(), [t, s], z, out, np.empty_like(x), patches)
+    got = world.patch_view(out)[patches[0]] if masked else out
     denoised = predictor.evaluate(x, t, patches)
     a_t, s_t, a_s, s_s = sched.alpha(t), sched.sigma(t), sched.alpha(s), sched.sigma(s)
     var_ts = max(s_t * s_t - (a_t / a_s) ** 2 * s_s * s_s, 0.0)
     coef_x, coef_x0 = (a_t / a_s) * (s_s * s_s) / (s_t * s_t), a_s * var_ts / (s_t * s_t)
     noise_std = math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t))
-    xs, zs = (view[patches[0]], world.patch_view(z)[patches[0]]) if masked else (x, z)
+    xs, zs = (view[patches[0]], world.patch_view(z[0])[patches[0]]) if masked else (x, z[0])
     want = coef_x * xs + coef_x0 * denoised + noise_std * zs
     assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not masked or np.count_nonzero(out) == want.size
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (3, 4), (9, 1), (3, 9)])
+def test_phase_constants_equal_their_per_step_expressions(k, d):
+    # one vectorised pass over the step times, np.log included, gives the bits
+    # of the expressions once evaluated at every oracle call and every step
+    predictor = make_predictor(k, d, n_steps=32)
+    world, sched = predictor.world, predictor.schedule
+    times = [float(t) for t in sched.step_times()]
+    alphas, sigmas = [sched.alpha(t) for t in times], [sched.sigma(t) for t in times]
+    phase = _Phase(world, alphas[:-1], [s ** 2 for s in sigmas[:-1]])
+    coefficients = _ancestral_coefficients(alphas, sigmas)
+    variances = world.variances.T[:, None, None]  # (K, 1, 1, M), as the oracle reads them
+    log_weights = np.log(world.weights.T)[:, None, None]
+    for step, (t, s) in enumerate(zip(times[:-1], times[1:])):
+        a, s2 = sched.alpha(t), sched.sigma(t) ** 2
+        var_t = a * a * variances + s2
+        log_norm = log_weights - 0.5 * d * (np.log(var_t) + math.log(2.0 * math.pi))
+        one_time = _Phase(world, [a], [s2])
+        for table, single, want in ((phase.var_t, one_time.var_t, var_t),
+                                    (phase.log_norm, one_time.log_norm, log_norm),
+                                    (phase.coef, one_time.coef, a * variances / var_t)):
+            assert table[step].tobytes() == single[0].tobytes() == want.tobytes()
+        a_t, s_t, a_s, s_s = sched.alpha(t), sched.sigma(t), sched.alpha(s), sched.sigma(s)
+        ratio = a_t / a_s
+        var_ts = max(s_t * s_t - ratio * ratio * s_s * s_s, 0.0)
+        want = (ratio * (s_s * s_s) / (s_t * s_t), a_s * var_ts / (s_t * s_t),
+                math.sqrt(var_ts * (s_s * s_s) / (s_t * s_t)))
+        assert np.array(coefficients[step]).tobytes() == np.array(want).tobytes()
 
 
 RESAMPLES = [(0.0, 3, 0), (0.15, 3, 2), (0.15, 1, 1), (0.0, 1, 0)]  # (t_g, n_refine, n_integrate)
@@ -91,7 +126,7 @@ RESAMPLES = [(0.0, 3, 0), (0.15, 3, 2), (0.15, 1, 1), (0.0, 1, 0)]  # (t_g, n_re
 
 @pytest.mark.parametrize("t_g, n_refine, n_integrate", RESAMPLES)
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("d", [1, 2, 4, 9])
 @pytest.mark.parametrize("k", [1, 3, 9])
 def test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_integrate):
     # renoise, n_refine masked_refine_step calls, then n_integrate reverse steps
