@@ -81,9 +81,9 @@ def _chunk_task(args):
 def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
                workers: int = 1) -> list:
     """Run fn(payload, seed_sequences) once per chunk of trial indices;
-    returns the per-trial results in trial order. One worker runs every
-    trial as one chunk; more workers get chunks of ceil(trials / (4 *
-    workers)) trials, which balances the pool.
+    returns the per-trial results in trial order. One worker runs every trial as
+    one chunk in this process; more workers get task_ranges' equal chunks, in a
+    process pool imported only when it starts (map_in_order).
 
     Every trial gets its own counter-derived seed, trial_seed(master_seed,
     index) bit for bit, so the result list does not depend on how the trials

@@ -274,8 +274,10 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     is_max = a == a_max
     count = np.add.reduce(is_max, axis, float, keepdims=True)
     shifted = np.subtract(a, a_max)
-    np.putmask(shifted, is_max, -np.inf)
-    rest = _pairwise_sum(np.exp(shifted, out=shifted), axis)
+    np.exp(shifted, out=shifted)
+    # maxima zeroed after exp, not -inf before: numpy's exp is slow on -inf (all cells at K=1)
+    np.putmask(shifted, is_max, 0.0)
+    rest = _pairwise_sum(shifted, axis)
     rest = np.log1p(np.divide(rest, count, out=rest), out=rest)
     rest += np.log(count, out=count)
     rest += a_max
@@ -547,6 +549,8 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
 def _resolve_target_time(t: float, dt: float) -> float:
     if not dt > 0:
         raise ValueError(f"step size must be positive, got {dt}")
+    if t < _TIME_TOL:  # the step's coefficients would divide 0 by 0
+        raise ValueError(f"reverse step of size {dt} starts at time {t}, the end of the schedule")
     if dt > t + _TIME_TOL:
         raise ValueError(f"step size {dt} exceeds current time {t}")
     s = t - dt

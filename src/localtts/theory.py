@@ -17,7 +17,6 @@ selection probability above 1 are rejected as infeasible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -338,18 +337,21 @@ class EconomySimResult:
 
 
 def map_in_order(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], in a process pool of min(workers,
-    len(tasks)) processes when both exceed one; results keep task order."""
+    """[fn(task) for task in tasks], in a process pool of min(workers, len(tasks)) processes
+    when both exceed one; results keep task order. The pool is imported only when one starts."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # imported here: loading the pool modules is start-up cost a one-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
 def task_ranges(count: int, workers: int) -> list[tuple[int, int]]:
-    """[start, stop) ranges of range(count): one at one worker, else of ceil(count/(4*workers))."""
-    size = max(1, count if workers <= 1 else -(-count // (workers * 4)))
-    return [(start, min(start + size, count)) for start in range(0, count, size)]
+    """[start, stop) ranges that cut range(count) in order: one at one worker, else
+    min(count, 4*workers) of sizes that differ by at most one, equal shares for a pool."""
+    tasks = min(count, 1 if workers <= 1 else 4 * workers)
+    return [(count * i // tasks, count * (i + 1) // tasks) for i in range(tasks)]
 
 
 def _moments(values) -> tuple[int, float, float]:

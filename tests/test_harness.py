@@ -959,15 +959,32 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_cli_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def fresh_interpreter(code: str) -> str:
+        """stdout of code run in a new interpreter that imports this localtts."""
         src = str(Path(localtts.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, localtts.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.fresh_interpreter(
+            "import sys, localtts.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+    def test_one_worker_run_leaves_the_pool_unloaded(self, tmp_path):
+        code = ("import sys, localtts.cli\n"
+                "from localtts.config import load_config\n"
+                "from localtts.harness import run_experiment\n"
+                f"cfg, _ = load_config({str(CONFIGS / 'testbed_small.json')!r}, "
+                "['trials=3', 'workers=1'])\n"
+                f"run_experiment(cfg, {str(tmp_path / 'out')!r})\n"
+                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+                "if m in sys.modules))")
+        assert self.fresh_interpreter(code) == "[]"
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestWorldConfig:

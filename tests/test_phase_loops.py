@@ -8,6 +8,7 @@ every phase still costs rows x steps oracle evaluations of full (rows, dim) stat
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,32 @@ def test_each_phase_costs_rows_times_steps_of_full_states(monkeypatch):
     sample_base(predictor, rng, shape=(5,))
     assert predictor.nfe == 5 * (4 + 3 + 6)
     assert calls == [(5, world.dim)] * (4 + 3 + 6)  # the counted shape, whatever the patches
+
+
+@pytest.mark.parametrize("phase, t", [("sweep", 0.0), ("sweep", 1e-300), ("refine", 1e-300)])
+def test_step_from_the_end_of_the_schedule_rejected_up_front(phase, t):
+    # a step from t = 0, or from within the time tolerance of it, would divide 0 by 0;
+    # a refinement from t = 0 is outside its window (t_g, t0], so it starts just above
+    predictor = make_predictor(3, 2)
+    x = np.random.default_rng(0).normal(size=(2, predictor.world.dim))
+    rng = np.random.default_rng(1)
+    if phase == "sweep":
+        def run():
+            return _reverse_sweep(predictor, LatentState(x=x, t=t), [max(t, 1e-13)], rng)
+
+        # a step from 0 after a step to 0, also rejected before the first evaluation
+        with pytest.raises(ValueError, match="reverse step of size 1e-13 starts at time 0.0"):
+            _reverse_sweep(predictor, LatentState(x=x, t=0.5), [0.5, 1e-13], rng)
+    else:
+        cfg = ResampleConfig(t0=t, t_g=0.0, n_refine=1, n_integrate=0)
+        anchor = LatentState(x=np.zeros_like(x), t=0.0)
+        bits = np.ones((2, predictor.world.n_patches), dtype=bool)
+
+        def run():
+            return _masked_refine(predictor, x.copy(), t, predictor.world.select(bits), anchor,
+                                  cfg, 1, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"reverse step of size .* starts at time"):
+            run()
+    assert predictor.nfe == 0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import itertools
 import math
@@ -340,11 +341,21 @@ class TestSimulator:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(theory, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert map_in_order(abs, [-3, 2, -1], 8) == [3, 2, 1]
         assert map_in_order(abs, [-3], 8) == [3]
         assert map_in_order(abs, [-3, -2], 1) == [3, 2]
         assert sizes == [3]
+
+    @pytest.mark.parametrize("workers", range(1, 9))
+    def test_task_ranges_are_equal_shares(self, workers):
+        for count in range(1, 61):
+            ranges = task_ranges(count, workers)
+            assert len(ranges) == (1 if workers == 1 else min(count, 4 * workers))
+            assert ranges[0][0] == 0 and ranges[-1][1] == count
+            assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+            sizes = [stop - start for start, stop in ranges]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_chunk_merge_keeps_variance_of_offset_stream(self):
         values = 1e9 + np.random.default_rng(0).standard_normal(5 * 4096)
@@ -403,8 +414,10 @@ class TestSimulator:
 
     def test_task_count_does_not_change_results(self):
         # 11 chunks, the last one partial: at workers 1, 2 and 3 a task holds 11,
-        # 2 (the last task 1) and 1 of them
-        assert task_ranges(11, 2) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11)]
+        # 1 or 2 (the last task 2) and 1 of them
+        assert task_ranges(11, 2) == [(0, 1), (1, 2), (2, 4), (4, 5), (5, 6), (6, 8), (8, 9),
+                                      (9, 11)]
+        assert task_ranges(11, 3) == [(i, i + 1) for i in range(11)]
         dists = {"repair_dist": ValueDistribution("uniform"),
                  "harm_dist": ValueDistribution("exponential")}
         trials = 10 * theory._CHUNK + 5
