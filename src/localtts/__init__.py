@@ -13,14 +13,11 @@ from .attention import (
     PropagationMatrix,
     QualityMap,
     build_propagation,
-    contrastive_difference,
     mask_gen,
-    propagate,
     reduce_attention,
-    reweight,
     threshold_mask,
 )
-from .resample import ResampleConfig, localized_resample, masked_refine_step, renoise
+from .resample import ResampleConfig, localized_resample
 from .search import Candidate, SearchConfig, best_of_n, dfs_search
 from .testbed import (
     CosineSchedule,
@@ -29,9 +26,7 @@ from .testbed import (
     PatchWorld,
     forward_noise,
     gmm_score,
-    inject_defects,
     posterior_mean,
-    reverse_sde_step,
     sample_base,
     synth_attention,
     verifier_score,
@@ -72,25 +67,18 @@ __all__ = [
     "budget_gains",
     "build_propagation",
     "classify_regime",
-    "contrastive_difference",
     "dfs_search",
     "dominance_check",
     "expected_selection_stats",
     "forward_noise",
     "gmm_score",
-    "inject_defects",
     "localized_resample",
     "mask_gen",
-    "masked_refine_step",
     "per_trial_gains",
     "posterior_mean",
     "precision_floor",
-    "propagate",
     "reduce_attention",
-    "renoise",
     "required_recall",
-    "reverse_sde_step",
-    "reweight",
     "sample_base",
     "simulate_patch_economy",
     "synth_attention",

@@ -132,9 +132,9 @@ def mask_cardinality(ratio: float, size: int) -> int:
 class DefectMask:
     """Binary selection over the grid with an exact target cardinality.
 
-    The ratio domain is [0, 1]: 0 encodes the empty mask and 1 the full
-    mask, both of which appear as boundary cases of the resampling
-    operations. ``threshold_mask`` itself only accepts ratios in (0, 1).
+    The ratio domain is [0, 1]: 0 encodes the empty mask and 1 the full mask
+    (``mask_from_indices`` of [] and of range(S)), both boundary cases of the
+    resampling operations. ``threshold_mask`` itself only accepts ratios in (0, 1).
     """
 
     bits: np.ndarray
@@ -185,8 +185,11 @@ class DefectMask:
 
 
 def mask_from_indices(grid, indices) -> DefectMask:
-    """Build a mask selecting exactly the given patch indices."""
+    """Build a mask selecting exactly the given integer patch indices ([] selects none)."""
     grid = _as_grid(grid)
+    given = np.asarray(indices)
+    if given.size and given.dtype.kind in "bfc":  # floats would truncate, booleans read as 0/1
+        raise ValueError(f"mask indices must be integers, got {given.dtype} values")
     [bits] = _indicators([indices], grid[0] * grid[1])
     return DefectMask(bits=bits, ratio=int(bits.sum()) / bits.size, grid=grid)
 
@@ -202,16 +205,6 @@ def _indicators(index_sets, size: int) -> np.ndarray:
     bits = np.zeros((len(sets), size), dtype=np.uint8)
     bits[np.repeat(np.arange(len(sets)), [len(indices) for indices in sets]), flat] = 1
     return bits
-
-
-def empty_mask(grid) -> DefectMask:
-    grid = _as_grid(grid)
-    return DefectMask(bits=np.zeros(grid[0] * grid[1], dtype=np.uint8), ratio=0.0, grid=grid)
-
-
-def full_mask(grid) -> DefectMask:
-    grid = _as_grid(grid)
-    return DefectMask(bits=np.ones(grid[0] * grid[1], dtype=np.uint8), ratio=1.0, grid=grid)
 
 
 def reduce_attention(raw: np.ndarray, grid) -> AttentionField:
@@ -238,12 +231,6 @@ def reduce_attention(raw: np.ndarray, grid) -> AttentionField:
     return AttentionField(values=raw.mean(axis=(0, 1, 2)), grid=grid)
 
 
-def contrastive_difference(bundle: AttentionBundle) -> QualityMap:
-    """Negative-prompt minus positive-prompt attention; high where the
-    low-quality prompt attends more strongly."""
-    return QualityMap(values=bundle.neg.values - bundle.pos.values, grid=bundle.grid)
-
-
 def _softmax_rows(queries: np.ndarray) -> np.ndarray:
     """(..., S, S) row-softmax of the inner products of (..., S, d) queries over sqrt(d)."""
     weights = queries @ np.swapaxes(queries, -1, -2)
@@ -265,37 +252,6 @@ def build_propagation(queries: np.ndarray) -> PropagationMatrix:
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries contain non-finite values")
     return PropagationMatrix(rows=_softmax_rows(queries))
-
-
-def propagate(matrix: PropagationMatrix, field):
-    """Diffuse a field or quality map across related positions: out = rows @ values.
-
-    The output has the same kind as the input; row-stochastic rows make each
-    output entry a convex combination of the input.
-    """
-    if matrix.size != field.size:
-        raise ValueError(
-            f"propagation matrix size {matrix.size} does not match field size {field.size}"
-        )
-    smoothed = matrix.rows @ field.values
-    if isinstance(field, AttentionField):
-        # convex combinations of non-negative values can dip below zero only
-        # through rounding; clamp those
-        return AttentionField(values=np.maximum(smoothed, 0.0), grid=field.grid)
-    return QualityMap(values=smoothed, grid=field.grid)
-
-
-def _reweighted(diff: np.ndarray, orig: np.ndarray, weight: float) -> np.ndarray:
-    if weight < 0:
-        raise ValueError(f"foreground weight must be non-negative, got {weight}")
-    return diff + weight * orig
-
-
-def reweight(diff: QualityMap, orig: AttentionField, weight: float) -> QualityMap:
-    """Add the foreground prior: diff + weight * orig."""
-    if diff.grid != orig.grid:
-        raise ValueError(f"grid mismatch: {diff.grid} vs {orig.grid}")
-    return QualityMap(values=_reweighted(diff.values, orig.values, weight), grid=diff.grid)
 
 
 def _top_bits(values: np.ndarray, ratio: float) -> np.ndarray:
@@ -322,12 +278,17 @@ def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.n
                weight: float, ratio: float) -> np.ndarray:
     """The one mask kernel, run by the engine's batched rows and by mask_gen
     with or without queries: fields (rows, S) and each row's propagation
-    weights (rows, S, S), or None for no propagation, to (rows, S) bits."""
+    weights (rows, S, S), or None for no propagation, to (rows, S) bits:
+    the contrast neg - pos, propagated, plus weight times the propagated origin
+    field, then the top ratio of each row."""
+    if weight < 0:
+        raise ValueError(f"foreground weight must be non-negative, got {weight}")
     diff = neg - pos
     if weights is not None:
         diff, orig = ((weights @ field[..., None])[..., 0] for field in (diff, orig))
-    # the origin field clamped as propagate clamps it
-    quality = _reweighted(diff, np.maximum(orig, 0.0), weight)
+    # convex combinations of the non-negative origin field dip below zero only through
+    # rounding; clamp those
+    quality = diff + weight * np.maximum(orig, 0.0)
     if not np.all(np.isfinite(quality)):
         raise ValueError("mask quality contains non-finite values")
     return _top_bits(quality, ratio)
@@ -335,8 +296,9 @@ def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.n
 
 def mask_gen(bundle: AttentionBundle, queries: np.ndarray | None, weight: float,
              ratio: float) -> DefectMask:
-    """Full mask pipeline as a batch of one: contrast, propagate (none
-    without queries), reweight, threshold. Deterministic given its inputs."""
+    """Full mask pipeline as a batch of one (_mask_bits): contrast, smooth with
+    the propagation matrix of the queries (none without queries), add the
+    weighted origin field, threshold. Deterministic given its inputs."""
     matrix = None if queries is None else build_propagation(queries)
     if matrix is not None and matrix.size != bundle.orig.size:
         raise ValueError(f"propagation matrix size {matrix.size} does not match "

@@ -74,29 +74,14 @@ class ResampleConfig:
         return self.n_refine + self.n_integrate
 
 
-def _check_mask(predictor: NoisePredictor, mask: DefectMask, state: LatentState) -> np.ndarray:
-    if mask.grid != predictor.world.grid:
-        raise ValueError(f"mask grid {mask.grid} does not match world grid {predictor.world.grid}")
-    return np.broadcast_to(mask.bits, (*state.x.shape[:-1], mask.bits.size))
-
-
 def _renoise(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
              cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
+    """The anchor noised to t0, alpha(t0) anchor + sigma(t0) ((1-M) z_bg + M z_mask): one
+    noise level in both regions, the masked noise drawn apart, after the background's."""
     z_bg = rng.standard_normal(anchor.x.shape)
     z_mask = rng.standard_normal(anchor.x.shape)
     mcoord = predictor.world.coordinate_mask(bits)
     return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
-
-
-def renoise(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
-            cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
-    """Forward-noise the anchor to t0 with region-blended noise.
-
-    x_t0 = alpha(t0) anchor + sigma(t0) ((1-M) z_bg + M z_mask); both
-    regions end up at the same noise level, only the masked region's noise
-    is decoupled from the background's.
-    """
-    return _renoise(predictor, anchor, _check_mask(predictor, mask, anchor), cfg, rng)
 
 
 def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: tuple,
@@ -117,23 +102,6 @@ def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: 
     out += sched.sigma(times[-1]) * z[-1]
     _ancestral_phase(predictor, x, times, z, out, x, patches)
     return LatentState(x=out, t=times[-1])
-
-
-def masked_refine_step(predictor: NoisePredictor, state: LatentState, mask: DefectMask,
-                       anchor: LatentState, cfg: ResampleConfig,
-                       rng: np.random.Generator) -> LatentState:
-    """One refinement step t -> t - dt inside the (t_g, t0] window (one NFE).
-
-    Masked coordinates take a stochastic reverse (ancestral) step; unmasked
-    coordinates are reset to the anchor noised to the destination level, so
-    the whole state lands at time t - dt. One shared noise draw feeds both
-    regions, keeping noise correlated across the mask boundary. At a
-    destination of 0 both branches are noiseless, making unmasked outputs
-    equal the anchor exactly. The one-step case of the refinement phase.
-    """
-    bits = _check_mask(predictor, mask, state)
-    return _masked_refine(predictor, state.x.copy(), state.t, predictor.world.select(bits),
-                          anchor, cfg, 1, rng)
 
 
 def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
@@ -157,5 +125,8 @@ def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: Def
     Returns the refined clean state and its verifier score. Consumes
     exactly cfg.n_refine + cfg.n_integrate oracle evaluations.
     """
-    state = _resample(predictor, anchor, _check_mask(predictor, mask, anchor), cfg, rng)
+    if mask.grid != predictor.world.grid:
+        raise ValueError(f"mask grid {mask.grid} does not match world grid {predictor.world.grid}")
+    bits = np.broadcast_to(mask.bits, (*anchor.x.shape[:-1], mask.bits.size))
+    state = _resample(predictor, anchor, bits, cfg, rng)
     return state, verifier(state)

@@ -471,6 +471,9 @@ class TrialSettings:
                         "mask_weight")),
             (0.0 < self.mask_ratio < 1.0, "mask_ratio",
              f"must lie strictly inside (0, 1), got {self.mask_ratio}"),
+            # a query inner product sums 4 products of entries below 8 noise_sd: 256 noise_sd^2
+            (np.isfinite(256 * float(self.noise_sd) * self.noise_sd), "noise_sd",
+             f"overflows the query logits, got {self.noise_sd}"),
         ]
         if self.world is not None:
             rules.append((self.defect_count <= self.world.n_patches, "defect_count",

@@ -100,6 +100,7 @@ class PatchWorld:
 
     # one mask row's (S, S) weights stay within 8 MiB, one row's coordinates within 512 KiB
     MAX_PATCHES, MAX_DIM = 1024, 1 << 16
+    MAX_SCORE = math.sqrt(np.finfo(float).max / (1 << 16))  # a run sums <= 2^16 squared scores
 
     @classmethod
     def _check_size(cls, m: int, d: int) -> None:
@@ -182,6 +183,18 @@ class PatchWorld:
             [np.broadcast_to(np.asarray(c[1], dtype=float), (max(d, 0),)) for c in comp]
         )
         variances = np.array([c[2] for c in comp], dtype=float)
+        # the oracle divides a squared distance of up to (|mean| + 1)^2 per coordinate by at
+        # least min(variance, 1), and the verifier's score is made of these terms; a value
+        # that is not finite or not positive is left to __post_init__
+        floor, rules = max(d, 1) / cls.MAX_SCORE, []
+        for i, (v, mu) in enumerate(zip(variances.tolist(), np.abs(means).max(axis=-1, initial=0))):
+            reach = math.sqrt(min(v, 1.0) / floor) - 1 if v >= floor else math.inf
+            rules += [(not 0 < v < floor, f"components[{i}].variance",
+                       f"must be at least {floor:.3g} at patch_dim {d}, got {v:g}"),
+                      (not math.inf > mu > reach, f"components[{i}].mean",
+                       f"must be at most {reach:.3g} in absolute value at variance {v:g}, "
+                       f"got {mu:g}")]
+        check(rules)
         vw = np.full(m, 1.0 / m) if verifier_weights is None else verifier_weights
         return cls(
             grid=grid,
@@ -557,17 +570,6 @@ def _resolve_target_time(t: float, dt: float) -> float:
     return 0.0 if abs(s) < _TIME_TOL else s
 
 
-def reverse_sde_step(predictor: NoisePredictor, state: LatentState, dt: float,
-                     rng: np.random.Generator) -> LatentState:
-    """One ancestral stochastic reverse step t -> t - dt (one NFE).
-
-    The clean-state estimate comes from the oracle's posterior mean; at a
-    target time of 0 the posterior noise vanishes, so the final step is
-    deterministic given the oracle.
-    """
-    return _reverse_sweep(predictor, state, [dt], rng)
-
-
 def _reverse_sweep(predictor: NoisePredictor, state: LatentState, steps,
                    rng: np.random.Generator) -> LatentState:
     """Ancestral reverse steps of the given sizes from the state's time, one
@@ -625,22 +627,6 @@ def _inject_rows(world: PatchWorld, x: np.ndarray, counts, magnitude: float,
     hit = np.repeat(np.arange(len(x)), counts), np.concatenate(defects)
     x.reshape(len(x), m, d)[hit] += magnitude * directions
     return x, defects
-
-
-def inject_defects(world: PatchWorld, state: LatentState, count: int, magnitude: float,
-                   rng: np.random.Generator) -> tuple[LatentState, np.ndarray]:
-    """Displace ``count`` distinct patches by ``magnitude`` in uniformly
-    random directions; returns the modified state and the sorted ground-truth
-    defect index set."""
-    if abs(state.t) > _TIME_TOL:
-        raise ValueError(f"inject_defects expects a state at t=0, got t={state.t}")
-    m = world.n_patches
-    if not 1 <= count <= m:
-        raise ValueError(f"defect count must lie in [1, {m}], got {count}")
-    if state.x.ndim != 1:
-        raise ValueError("inject_defects operates on a single (unbatched) state")
-    x, [chosen] = _inject_rows(world, state.x[None], [count], magnitude, [rng])
-    return LatentState(x=x[0], t=0.0), chosen
 
 
 _QUERY_LOGIT_GAP = 2.0

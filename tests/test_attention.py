@@ -1,29 +1,27 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localtts import attention
 from localtts.attention import (
     AttentionBundle,
     AttentionField,
     DefectMask,
     PropagationMatrix,
     QualityMap,
+    _mask_bits,
     build_propagation,
     bundle_from_document,
-    contrastive_difference,
-    empty_mask,
     field_from_raw_document,
-    full_mask,
     mask_cardinality,
     mask_from_indices,
     mask_gen,
     mask_to_document,
-    propagate,
     reduce_attention,
-    reweight,
     threshold_mask,
 )
 
@@ -36,6 +34,16 @@ def qmap(values, grid=None):
 def afield(values, grid=None):
     values = np.asarray(values, dtype=float)
     return AttentionField(values=values, grid=grid or (1, values.size))
+
+
+def kernel_quality(orig, pos, neg, weight=0.0, rows=None):
+    """The quality values the mask kernel thresholds for one row of fields:
+    neg - pos smoothed by the propagation rows (none when None), plus weight
+    times the smoothed origin field clamped at zero."""
+    fields = (np.asarray(field, dtype=float)[None] for field in (orig, pos, neg))
+    weights = None if rows is None else np.asarray(rows, dtype=float)[None]
+    with mock.patch.object(attention, "_top_bits", lambda quality, ratio: quality):
+        return _mask_bits(*fields, weights, weight, 0.5)[0]
 
 
 class TestReduceAttention:
@@ -77,20 +85,14 @@ class TestReduceAttention:
 
 class TestContrastiveDifference:
     def test_equal_fields_give_zero(self):
-        bundle = AttentionBundle(orig=afield([1, 1]), pos=afield([0.3, 0.4]),
-                                 neg=afield([0.3, 0.4]))
-        np.testing.assert_array_equal(contrastive_difference(bundle).values, [0, 0])
+        np.testing.assert_array_equal(kernel_quality([1, 1], [0.3, 0.4], [0.3, 0.4]), [0, 0])
 
     def test_elementwise_subtraction(self):
-        bundle = AttentionBundle(orig=afield([1, 1]), pos=afield([0.2, 0.3]),
-                                 neg=afield([0.6, 0.1]))
-        np.testing.assert_allclose(contrastive_difference(bundle).values, [0.4, -0.2])
+        np.testing.assert_allclose(kernel_quality([1, 1], [0.2, 0.3], [0.6, 0.1]), [0.4, -0.2])
 
     def test_constant_shift(self):
         pos = np.array([0.1, 0.5, 0.2])
-        bundle = AttentionBundle(orig=afield([1, 1, 1]), pos=afield(pos),
-                                 neg=afield(pos + 0.25))
-        np.testing.assert_allclose(contrastive_difference(bundle).values, 0.25)
+        np.testing.assert_allclose(kernel_quality([1, 1, 1], pos, pos + 0.25), 0.25)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="share one grid"):
@@ -127,30 +129,25 @@ class TestBuildPropagation:
 
 
 class TestPropagate:
+    # the contrast neg - pos is the propagated field: pos = 0 makes it neg
     def test_identity_leaves_field_unchanged(self):
-        matrix = PropagationMatrix(rows=np.eye(3))
-        field = qmap([0.5, -1.0, 2.0], (1, 3))
-        np.testing.assert_array_equal(propagate(matrix, field).values, field.values)
+        field = [0.5, -1.0, 2.0]
+        np.testing.assert_array_equal(kernel_quality([0] * 3, [0] * 3, field, rows=np.eye(3)),
+                                      field)
 
     def test_uniform_rows_average(self):
-        matrix = PropagationMatrix(rows=np.full((4, 4), 0.25))
-        out = propagate(matrix, qmap([1.0, 2.0, 3.0, 6.0], (2, 2)))
-        np.testing.assert_allclose(out.values, 3.0)
+        out = kernel_quality([0] * 4, [0] * 4, [1.0, 2.0, 3.0, 6.0], rows=np.full((4, 4), 0.25))
+        np.testing.assert_allclose(out, 3.0)
 
     def test_hand_matrix_vector_product(self):
-        matrix = PropagationMatrix(rows=np.array([[0.7, 0.3], [0.2, 0.8]]))
-        out = propagate(matrix, qmap([1.0, 0.0]))
-        np.testing.assert_allclose(out.values, [0.7, 0.2])
-
-    def test_dimension_mismatch_rejected(self):
-        matrix = PropagationMatrix(rows=np.eye(3))
-        with pytest.raises(ValueError, match="does not match"):
-            propagate(matrix, qmap([1.0, 2.0]))
+        out = kernel_quality([0, 0], [0, 0], [1.0, 0.0], rows=[[0.7, 0.3], [0.2, 0.8]])
+        np.testing.assert_allclose(out, [0.7, 0.2])
 
     def test_kind_is_preserved(self):
-        matrix = PropagationMatrix(rows=np.eye(2))
-        assert isinstance(propagate(matrix, afield([1.0, 2.0])), AttentionField)
-        assert isinstance(propagate(matrix, qmap([1.0, -2.0])), QualityMap)
+        # the propagated origin field stays an attention field (clamped at zero), the
+        # propagated contrast a signed quality map
+        out = kernel_quality([-1.0, 2.0], [2.0, 0.0], [0.0, 0.0], weight=1.0, rows=np.eye(2))
+        np.testing.assert_array_equal(out, [-2.0, 2.0])
 
     @given(st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -158,34 +155,31 @@ class TestPropagate:
         rng = np.random.default_rng(random.randrange(2 ** 32))
         queries = rng.normal(size=(size, 3))
         values = rng.normal(size=size) * 10
-        out = propagate(build_propagation(queries), qmap(values, (1, size)))
+        out = kernel_quality(np.zeros(size), np.zeros(size), values,
+                             rows=build_propagation(queries).rows)
         lo, hi = values.min(), values.max()
         slack = 1e-9 * (1 + abs(lo) + abs(hi))
-        assert np.all(out.values >= lo - slack)
-        assert np.all(out.values <= hi + slack)
+        assert np.all(out >= lo - slack)
+        assert np.all(out <= hi + slack)
 
 
 class TestReweight:
+    # the contrast neg - pos with pos = 0 is neg, the prior the origin field
     def test_zero_weight_returns_difference(self):
-        diff = qmap([0.4, -0.2])
-        out = reweight(diff, afield([0.9, 0.1]), 0.0)
-        np.testing.assert_array_equal(out.values, diff.values)
+        diff = [0.4, -0.2]
+        np.testing.assert_array_equal(kernel_quality([0.9, 0.1], [0, 0], diff, 0.0), diff)
 
     def test_hand_arithmetic_at_default_weight(self):
-        out = reweight(qmap([0.4, -0.2]), afield([0.2, 0.6]), 0.5)
-        np.testing.assert_allclose(out.values, [0.5, 0.1])
+        out = kernel_quality([0.2, 0.6], [0, 0], [0.4, -0.2], 0.5)
+        np.testing.assert_allclose(out, [0.5, 0.1])
 
     def test_zero_difference_gives_scaled_prior(self):
-        out = reweight(qmap([0.0, 0.0]), afield([0.2, 0.6]), 2.0)
-        np.testing.assert_allclose(out.values, [0.4, 1.2])
+        out = kernel_quality([0.2, 0.6], [0, 0], [0.0, 0.0], 2.0)
+        np.testing.assert_allclose(out, [0.4, 1.2])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            reweight(qmap([0.0]), afield([1.0]), -0.1)
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            reweight(qmap([0.0, 0.0], (1, 2)), afield([1.0, 1.0], (2, 1)), 0.5)
+            mask_gen(_bundle(2), None, -0.1, 0.5)
 
 
 class TestThresholdMask:
@@ -261,14 +255,20 @@ class TestDefectMask:
             DefectMask(bits=np.array([1, 0]), ratio=1.5, grid=(1, 2))
 
     def test_empty_and_full_helpers(self):
-        assert empty_mask((2, 3)).bits.sum() == 0
-        assert full_mask((2, 3)).bits.sum() == 6
+        empty, full = mask_from_indices((2, 3), []), mask_from_indices((2, 3), range(6))
+        assert (empty.bits.sum(), empty.ratio, full.bits.sum(), full.ratio) == (0, 0.0, 6, 1.0)
 
     def test_mask_from_indices(self):
         mask = mask_from_indices((2, 2), [3, 1])
         np.testing.assert_array_equal(mask.bits, [0, 1, 0, 1])
         with pytest.raises(ValueError, match="out of range"):
             mask_from_indices((2, 2), [4])
+
+    @pytest.mark.parametrize("indices", [[1.7], np.array([True, False, True, False])])
+    def test_mask_from_indices_rejects_non_integer_indices(self, indices):
+        # a float index would be truncated, a boolean array read as the indices 0 and 1
+        with pytest.raises(ValueError, match="must be integers"):
+            mask_from_indices((2, 2), indices)
 
 
 class TestMaskGen:
@@ -305,14 +305,15 @@ class TestMaskGen:
     )
     @settings(max_examples=200, deadline=None)
     def test_no_queries_equals_the_step_pipeline(self, hs, ws, weight, ratio, kind, random):
-        # without queries the kernel propagates nothing: the step API is the reference
+        # without queries the kernel smooths nothing: the plain formula is the reference
         rng = np.random.default_rng(random.randrange(2 ** 32))
         size = hs * ws
         draw = {"normal": lambda: rng.uniform(0.0, 2.0, size),
                 "ties": lambda: rng.integers(0, 3, size).astype(float),
                 "constant": lambda: np.full(size, 0.5)}[kind]
         bundle = AttentionBundle(*(afield(draw(), (hs, ws)) for _ in range(3)))
-        expected = threshold_mask(reweight(contrastive_difference(bundle), bundle.orig, weight),
+        orig, pos, neg = bundle.orig.values, bundle.pos.values, bundle.neg.values
+        expected = threshold_mask(qmap((neg - pos) + weight * np.maximum(orig, 0), (hs, ws)),
                                   ratio)
         mask = mask_gen(bundle, None, weight, ratio)
         np.testing.assert_array_equal(mask.bits, expected.bits)
@@ -366,7 +367,7 @@ class TestInterchangeDocuments:
     def test_bundle_document(self):
         doc = {"grid": [1, 2], "orig": [1, 1], "pos": [0.5, 1], "neg": [1, 0.5]}
         bundle = bundle_from_document(doc)
-        np.testing.assert_allclose(contrastive_difference(bundle).values, [0.5, -0.5])
+        np.testing.assert_allclose(bundle.neg.values - bundle.pos.values, [0.5, -0.5])
 
     def test_mask_document(self):
         mask = mask_from_indices((2, 2), [0, 3])

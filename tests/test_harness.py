@@ -444,6 +444,10 @@ class TestMaskgenExperiment:
         assert masks["bundle"] != masks["raw"]  # the two pairs do not pass by one constant mask
 
 
+def one_component(mean, variance) -> str:
+    return f'world.components=[{{"weight": 1, "mean": {mean}, "variance": {variance}}}]'
+
+
 BUNDLE = {"bundle": {"grid": [2, 3], "orig": [1.0] * 6,
                      "pos": [0.9, 0.2, 0.8, 0.9, 0.8, 0.9], "neg": [0.9, 1.6, 0.8, 0.9, 0.8, 0.9]}}
 
@@ -775,6 +779,41 @@ class TestCli:
             err.count("\n") == 1)
         mc = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["monte_carlo"]
         assert all(math.isfinite(v) for v in mc.values()) and mc["gain_global_se"] > 0
+
+    @pytest.mark.parametrize("kind, setting, error", [
+        ("testbed", "attention.noise_sd=1e200",
+         "attention.noise_sd: overflows the query logits, got 1e+200"),
+        ("scaling", "attention.noise_sd=1e200",
+         "attention.noise_sd: overflows the query logits, got 1e+200"),
+        *((kind, one_component(mean, 0.09), "world.components[0].mean: must be at most 1.54e+75 "
+           f"in absolute value at variance 0.09, got {mean}")
+          for kind, mean in (("testbed", "1e+200"), ("scaling", "1e+200"), ("testbed", "1e+150"))),
+        ("testbed", one_component(0.0, 1e-300),
+         "world.components[0].variance: must be at least 3.82e-152 at patch_dim 2, got 1e-300"),
+    ])
+    def test_oracle_overflow_exit_two(self, kind, setting, error, tmp_path, capsys):
+        # each value overflowed the query logits, the oracle or the scores' squares
+        config = {"testbed": "testbed_small.json", "scaling": "scaling_default.json"}[kind]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([kind, "--config", str(CONFIGS / config), "--set", "trials=3",
+                             "--set", setting, "--out", str(tmp_path / "out")]) == 2
+        assert not caught
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting", ["attention.noise_sd=1e150", one_component(1.5e75, 0.09),
+                                         one_component(0.0, 4e-152)])
+    def test_largest_oracle_inputs_run_clean(self, setting, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["testbed", "--config", str(CONFIGS / "testbed_small.json"),
+                             "--set", "trials=3", "--set", setting,
+                             "--out", str(tmp_path / "out")]) == 0
+        assert not caught
+        assert capsys.readouterr().err == ""
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert math.isfinite(results["stderr_improvement"])
 
     def test_repeated_budget_exit_two(self, tmp_path, capsys):
         # a repeated budget would run twice and report two identical rows

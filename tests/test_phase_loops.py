@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 from localtts.attention import mask_from_indices
-from localtts.resample import (
-    ResampleConfig,
-    _masked_refine,
-    _renoise,
-    _resample,
-    masked_refine_step,
-    renoise,
-)
+from localtts.resample import ResampleConfig, _masked_refine, _renoise, _resample
 from localtts.testbed import (
     CosineSchedule,
     LatentState,
@@ -31,7 +24,6 @@ from localtts.testbed import (
     _ancestral_phase,
     _Phase,
     _reverse_sweep,
-    reverse_sde_step,
     sample_base,
 )
 
@@ -62,7 +54,7 @@ def test_sweep_equals_its_steps_one_by_one(k, d, shape):
     swept = _reverse_sweep(predictor, state, steps, np.random.default_rng(2))
     rng = np.random.default_rng(2)
     for dt in steps:
-        state = reverse_sde_step(predictor, state, dt, rng)
+        state = _reverse_sweep(predictor, state, [dt], rng)
     assert same(swept, state) and swept.t == 0.0
     assert np.array_equal(x, np.random.default_rng(1).normal(size=x.shape))  # input untouched
 
@@ -125,39 +117,28 @@ def test_phase_constants_equal_their_per_step_expressions(k, d):
 RESAMPLES = [(0.0, 3, 0), (0.15, 3, 2), (0.15, 1, 1), (0.0, 1, 0)]  # (t_g, n_refine, n_integrate)
 
 
+def mask_rows(world: PatchWorld, shape: tuple, per_row: bool) -> np.ndarray:
+    """(*shape, n_patches) bits: patches 1 and 4 in every row, or, per_row, a
+    random mask per row with the first row empty and the second full."""
+    if not per_row:
+        return np.broadcast_to(mask_from_indices(world.grid, [1, 4]).bits,
+                               (*shape, world.n_patches))
+    bits = (np.random.default_rng(8).random((*shape, world.n_patches)) < 0.4).astype(np.uint8)
+    bits[0], bits[1] = 0, 1
+    return bits
+
+
 @pytest.mark.parametrize("t_g, n_refine, n_integrate", RESAMPLES)
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("d", [1, 2, 4, 9])
 @pytest.mark.parametrize("k", [1, 3, 9])
-def test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_integrate):
-    # renoise, n_refine masked_refine_step calls, then n_integrate reverse steps
+def test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_integrate,
+                                              per_row=False):
+    # the renoise, n_refine one-step refinements, then n_integrate one-step sweeps
     predictor = make_predictor(k, d)
     world = predictor.world
     anchor = LatentState(x=np.random.default_rng(4).normal(size=(*shape, world.dim)), t=0.0)
-    mask = mask_from_indices(world.grid, [1, 4])
-    cfg = ResampleConfig(t0=0.6, t_g=t_g, n_refine=n_refine, n_integrate=n_integrate)
-    bits = np.broadcast_to(mask.bits, (*shape, world.n_patches))
-    got = _resample(predictor, anchor, bits, cfg, np.random.default_rng(3))
-    rng = np.random.default_rng(3)
-    state = renoise(predictor, anchor, mask, cfg, rng)
-    for _ in range(n_refine):
-        state = masked_refine_step(predictor, state, mask, anchor, cfg, rng)
-    times = np.linspace(t_g, 0.0, n_integrate + 1)
-    for t_cur, t_next in zip(times[:-1], times[1:]):
-        state = reverse_sde_step(predictor, state, float(t_cur - t_next), rng)
-    assert same(got, state) and got.t == 0.0
-
-
-@pytest.mark.parametrize("t_g, n_refine, n_integrate", RESAMPLES)
-@pytest.mark.parametrize("k", [1, 3, 9])
-def test_resample_with_a_mask_per_row_equals_its_steps(k, t_g, n_refine, n_integrate):
-    # one mask per row, one of them empty and one full, each step a one-step refinement
-    predictor = make_predictor(k, 2)
-    world = predictor.world
-    rng = np.random.default_rng(8)
-    anchor = LatentState(x=rng.normal(size=(6, world.dim)), t=0.0)
-    bits = (rng.random((6, world.n_patches)) < 0.4).astype(np.uint8)
-    bits[0], bits[1] = 0, 1
+    bits = mask_rows(world, shape, per_row)
     cfg = ResampleConfig(t0=0.6, t_g=t_g, n_refine=n_refine, n_integrate=n_integrate)
     got = _resample(predictor, anchor, bits, cfg, np.random.default_rng(3))
     rng = np.random.default_rng(3)
@@ -166,8 +147,17 @@ def test_resample_with_a_mask_per_row_equals_its_steps(k, t_g, n_refine, n_integ
         state = _masked_refine(predictor, state.x.copy(), state.t, world.select(bits), anchor,
                                cfg, 1, rng)
     times = np.linspace(t_g, 0.0, n_integrate + 1)
-    state = _reverse_sweep(predictor, state, times[:-1] - times[1:], rng)
-    assert same(got, state)
+    for t_cur, t_next in zip(times[:-1], times[1:]):
+        state = _reverse_sweep(predictor, state, [float(t_cur - t_next)], rng)
+    assert same(got, state) and got.t == 0.0
+
+
+@pytest.mark.parametrize("t_g, n_refine, n_integrate", RESAMPLES)
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_resample_with_a_mask_per_row_equals_its_steps(k, t_g, n_refine, n_integrate):
+    # the test above with one mask per row, one of them empty and one full
+    test_resample_equals_its_steps_one_by_one(k, 2, (6,), t_g, n_refine, n_integrate,
+                                              per_row=True)
 
 
 def poisoned_evaluate(monkeypatch, bad_call: int) -> list:

@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from localtts.attention import empty_mask, full_mask, mask_from_indices
-from localtts.resample import (
-    ResampleConfig,
-    _masked_refine,
-    localized_resample,
-    masked_refine_step,
-    renoise,
-)
+from localtts.attention import mask_from_indices
+from localtts.resample import ResampleConfig, _masked_refine, _renoise, localized_resample
 from localtts.testbed import (
     CosineSchedule,
     LatentState,
     NoisePredictor,
     PatchWorld,
-    inject_defects,
-    reverse_sde_step,
+    _inject_rows,
+    _reverse_sweep,
     sample_base,
     verifier_score,
 )
@@ -71,8 +65,8 @@ class TestRenoise:
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
         twin = np.random.default_rng(5)
         expected_z = twin.standard_normal(world.dim)  # background draw comes first
-        out = renoise(predictor, anchor, empty_mask(world.grid), cfg,
-                      np.random.default_rng(5))
+        out = _renoise(predictor, anchor, np.zeros(world.n_patches), cfg,
+                       np.random.default_rng(5))
         np.testing.assert_allclose(
             out.x, sched.alpha(0.4) * anchor.x + sched.sigma(0.4) * expected_z)
 
@@ -83,8 +77,8 @@ class TestRenoise:
         twin = np.random.default_rng(6)
         twin.standard_normal(world.dim)
         expected_z = twin.standard_normal(world.dim)  # second draw is the masked one
-        out = renoise(predictor, anchor, full_mask(world.grid), cfg,
-                      np.random.default_rng(6))
+        out = _renoise(predictor, anchor, np.ones(world.n_patches), cfg,
+                       np.random.default_rng(6))
         np.testing.assert_allclose(out.x, sched.sigma(0.4) * expected_z)
 
     def test_noise_level_matches_in_both_regions(self):
@@ -94,7 +88,7 @@ class TestRenoise:
         anchor = LatentState(x=np.tile(rng.normal(size=world.dim), (trials, 1)), t=0.0)
         mask = mask_from_indices(world.grid, [0, 3])
         cfg = ResampleConfig(t0=0.55, t_g=0.0, n_refine=4, n_integrate=0)
-        out = renoise(predictor, anchor, mask, cfg, rng)
+        out = _renoise(predictor, anchor, mask.bits, cfg, rng)
         centered = out.x - sched.alpha(0.55) * anchor.x
         var = centered.var(axis=0, ddof=1)
         target = sched.sigma(0.55) ** 2
@@ -106,13 +100,15 @@ class TestRenoise:
         anchor = LatentState(x=np.zeros(world.dim), t=0.0)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
         with pytest.raises(ValueError, match="grid"):
-            renoise(predictor, anchor, empty_mask((1, 4)), cfg, np.random.default_rng(0))
+            localized_resample(predictor, anchor, mask_from_indices((1, 4), []), cfg,
+                               world_verifier(world), np.random.default_rng(0))
+        bits = np.zeros(world.n_patches)
         bad = ResampleConfig(t0=1.5, t_g=0.0, n_refine=4, n_integrate=0)
         with pytest.raises(ValueError, match="outside"):
-            renoise(predictor, anchor, empty_mask(world.grid), bad, np.random.default_rng(0))
+            _renoise(predictor, anchor, bits, bad, np.random.default_rng(0))
         with pytest.raises(ValueError, match="t=0"):
-            renoise(predictor, LatentState(x=np.zeros(world.dim), t=0.3),
-                    empty_mask(world.grid), cfg, np.random.default_rng(0))
+            _renoise(predictor, LatentState(x=np.zeros(world.dim), t=0.3), bits, cfg,
+                     np.random.default_rng(0))
 
 
 class TestMaskedRefineStep:
@@ -126,10 +122,11 @@ class TestMaskedRefineStep:
         twin = np.random.default_rng(9)
         z = twin.standard_normal(world.dim)
         s = 0.4 - cfg.refine_dt
-        out_a = masked_refine_step(predictor, state_a, empty_mask(world.grid),
-                                   anchor, cfg, np.random.default_rng(9))
-        out_b = masked_refine_step(predictor, state_b, empty_mask(world.grid),
-                                   anchor, cfg, np.random.default_rng(9))
+        patches = world.select(np.zeros(world.n_patches))
+        out_a = _masked_refine(predictor, state_a.x.copy(), state_a.t, patches, anchor, cfg, 1,
+                               np.random.default_rng(9))
+        out_b = _masked_refine(predictor, state_b.x.copy(), state_b.t, patches, anchor, cfg, 1,
+                               np.random.default_rng(9))
         expected = sched.alpha(s) * anchor.x + sched.sigma(s) * z
         np.testing.assert_allclose(out_a.x, expected)
         np.testing.assert_array_equal(out_a.x, out_b.x)  # independent of x_t
@@ -140,10 +137,10 @@ class TestMaskedRefineStep:
         anchor = LatentState(x=rng.normal(size=world.dim), t=0.0)
         state = LatentState(x=rng.normal(size=world.dim), t=0.4)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
-        out = masked_refine_step(predictor, state, full_mask(world.grid), anchor,
-                                 cfg, np.random.default_rng(11))
-        plain = reverse_sde_step(predictor, state, cfg.refine_dt,
-                                 np.random.default_rng(11))
+        out = _masked_refine(predictor, state.x.copy(), state.t,
+                             world.select(np.ones(world.n_patches)), anchor, cfg, 1,
+                             np.random.default_rng(11))
+        plain = _reverse_sweep(predictor, state, [cfg.refine_dt], np.random.default_rng(11))
         np.testing.assert_array_equal(out.x, plain.x)
 
     def test_hand_computed_two_patch_update(self):
@@ -156,8 +153,8 @@ class TestMaskedRefineStep:
         cfg = ResampleConfig(t0=0.5, t_g=0.1, n_refine=4, n_integrate=1)
         mask = mask_from_indices(world.grid, [1])
         z = np.random.default_rng(13).standard_normal(2)
-        out = masked_refine_step(predictor, state, mask, anchor, cfg,
-                                 np.random.default_rng(13))
+        out = _masked_refine(predictor, state.x.copy(), state.t, world.select(mask.bits), anchor,
+                             cfg, 1, np.random.default_rng(13))
         t, s = 0.5, 0.5 - cfg.refine_dt
         a_t, s_t = sched.alpha(t), sched.sigma(t)
         a_s, s_s = sched.alpha(s), sched.sigma(s)
@@ -189,7 +186,7 @@ class TestMaskedRefineStep:
         out = _masked_refine(predictor, state.x.copy(), state.t, world.select(bits), anchor, cfg,
                              1, np.random.default_rng(5))
         assert predictor.nfe == 6
-        plain = reverse_sde_step(predictor, state, cfg.refine_dt, np.random.default_rng(5))
+        plain = _reverse_sweep(predictor, state, [cfg.refine_dt], np.random.default_rng(5))
         s = plain.t
         z = np.random.default_rng(5).standard_normal(state.x.shape)
         anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
@@ -202,8 +199,9 @@ class TestMaskedRefineStep:
         cfg = ResampleConfig(t0=0.4, t_g=0.1, n_refine=4, n_integrate=1)
         state = LatentState(x=np.zeros(world.dim), t=0.05)
         with pytest.raises(ValueError, match="window"):
-            masked_refine_step(predictor, state, empty_mask(world.grid), anchor,
-                               cfg, np.random.default_rng(0))
+            _masked_refine(predictor, state.x.copy(), state.t,
+                           world.select(np.zeros(world.n_patches)), anchor, cfg, 1,
+                           np.random.default_rng(0))
 
 
 class TestLocalizedResample:
@@ -212,7 +210,7 @@ class TestLocalizedResample:
         rng = np.random.default_rng(4)
         anchor = LatentState(x=rng.normal(size=world.dim), t=0.0)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=6, n_integrate=0)
-        out, score = localized_resample(predictor, anchor, empty_mask(world.grid),
+        out, score = localized_resample(predictor, anchor, mask_from_indices(world.grid, []),
                                         cfg, world_verifier(world), rng)
         np.testing.assert_array_equal(out.x, anchor.x)
         assert score == pytest.approx(verifier_score(world, anchor))
@@ -270,7 +268,8 @@ class TestLocalizedResample:
         improvements = []
         for _ in range(400):
             anchor = sample_base(predictor, rng)
-            defective, true_set = inject_defects(world, anchor, 3, 0.6, rng)
+            x, [true_set] = _inject_rows(world, anchor.x[None], [3], 0.6, [rng])
+            defective = LatentState(x=x[0], t=0.0)
             mask = mask_from_indices(world.grid, true_set)
             _, refined_score = localized_resample(predictor, defective, mask, cfg,
                                                   verify, rng)
@@ -292,7 +291,8 @@ class TestLocalizedResample:
         deltas = []
         for _ in range(400):
             anchor = sample_base(predictor, rng)
-            defective, true_set = inject_defects(world, anchor, 3, 0.6, rng)
+            x, [true_set] = _inject_rows(world, anchor.x[None], [3], 0.6, [rng])
+            defective = LatentState(x=x[0], t=0.0)
             clean = np.setdiff1d(np.arange(world.n_patches), true_set)
             mask = mask_from_indices(world.grid, clean)
             _, refined_score = localized_resample(predictor, defective, mask, cfg,
@@ -309,8 +309,9 @@ class TestLocalizedResample:
         trials = 4000
         anchor = LatentState(x=np.tile(np.tile([0.8, -0.3], 4), (trials, 1)), t=0.0)
         cfg = ResampleConfig(t0=1.0, t_g=0.0, n_refine=32, n_integrate=0)
-        out, _ = localized_resample(predictor, anchor, full_mask(world.grid), cfg,
-                                    lambda s: 0.0, np.random.default_rng(9))
+        full = mask_from_indices(world.grid, range(world.n_patches))
+        out, _ = localized_resample(predictor, anchor, full, cfg, lambda s: 0.0,
+                                    np.random.default_rng(9))
         base = sample_base(predictor, np.random.default_rng(10), shape=(trials,))
         mean_diff = out.x.mean(axis=0) - base.x.mean(axis=0)
         mean_se = np.sqrt(out.x.var(axis=0, ddof=1) / trials

@@ -15,15 +15,15 @@ from localtts.testbed import (
     LatentState,
     NoisePredictor,
     PatchWorld,
+    _inject_rows,
     _pairwise_sum,
+    _reverse_sweep,
     forward_noise,
     gmm_score,
     grid_query_features,
-    inject_defects,
     log_density,
     logsumexp,
     posterior_mean,
-    reverse_sde_step,
     sample_base,
     synth_attention,
     verifier_score,
@@ -473,8 +473,8 @@ class TestReverseSdeStep:
         sched = CosineSchedule(horizon=1.0, n_steps=8)
         predictor = NoisePredictor(world=world, schedule=sched)
         x = LatentState(x=np.random.default_rng(1).normal(size=world.dim), t=0.25)
-        out_a = reverse_sde_step(predictor, x, 0.25, np.random.default_rng(2))
-        out_b = reverse_sde_step(predictor, x, 0.25, np.random.default_rng(999))
+        out_a = _reverse_sweep(predictor, x, [0.25], np.random.default_rng(2))
+        out_b = _reverse_sweep(predictor, x, [0.25], np.random.default_rng(999))
         assert out_a.t == 0.0
         np.testing.assert_array_equal(out_a.x, out_b.x)
 
@@ -484,7 +484,7 @@ class TestReverseSdeStep:
         predictor = NoisePredictor(world=world, schedule=sched)
         state = LatentState(x=np.zeros(world.dim), t=0.1)
         with pytest.raises(ValueError, match="exceeds"):
-            reverse_sde_step(predictor, state, 0.2, np.random.default_rng(0))
+            _reverse_sweep(predictor, state, [0.2], np.random.default_rng(0))
 
 
 class TestSampleBase:
@@ -549,35 +549,29 @@ class TestVerifier:
 
 
 class TestInjectDefects:
+    # the engine's kernel on one row
     def test_zero_magnitude_keeps_state(self):
         world = single_gaussian_world(grid=(2, 3))
-        state = LatentState(x=np.zeros(world.dim), t=0.0)
-        out, chosen = inject_defects(world, state, 4, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.x, state.x)
+        x = np.zeros((1, world.dim))
+        out, [chosen] = _inject_rows(world, x, [4], 0.0, [np.random.default_rng(0)])
+        np.testing.assert_array_equal(out, x)
         assert chosen.size == 4
         assert np.unique(chosen).size == 4
 
     def test_full_defect_set(self):
         world = single_gaussian_world(grid=(2, 2))
-        state = LatentState(x=np.zeros(world.dim), t=0.0)
-        out, chosen = inject_defects(world, state, 4, 1.0, np.random.default_rng(1))
+        out, [chosen] = _inject_rows(world, np.zeros((1, world.dim)), [4], 1.0,
+                                     [np.random.default_rng(1)])
         np.testing.assert_array_equal(chosen, [0, 1, 2, 3])
-        norms = np.linalg.norm(out.x.reshape(4, 2), axis=1)
+        norms = np.linalg.norm(out.reshape(4, 2), axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
     def test_displacement_decreases_verifier_at_mode(self):
         world = single_gaussian_world(grid=(2, 2))
         state = LatentState(x=np.zeros(world.dim), t=0.0)
         base = verifier_score(world, state)
-        out, _ = inject_defects(world, state, 2, 0.5, np.random.default_rng(2))
-        assert verifier_score(world, out) < base
-
-    def test_count_out_of_range(self):
-        world = single_gaussian_world(grid=(2, 2))
-        state = LatentState(x=np.zeros(world.dim), t=0.0)
-        for count in (0, 5):
-            with pytest.raises(ValueError, match="defect count"):
-                inject_defects(world, state, count, 1.0, np.random.default_rng(0))
+        out, _ = _inject_rows(world, state.x[None], [2], 0.5, [np.random.default_rng(2)])
+        assert verifier_score(world, LatentState(x=out[0], t=0.0)) < base
 
 
 class TestSynthAttention:
@@ -668,14 +662,8 @@ _PREDICTOR = NoisePredictor(world=_WORLD, schedule=CosineSchedule(horizon=1.0, n
     pytest.param(lambda: LatentState(x=[0.0], t=-0.5), "non-negative", id="state-negative-time"),
     pytest.param(lambda: _WORLD.patch_view(np.zeros(_WORLD.dim + 1)), "world needs 8",
                  id="patch-view-width"),
-    pytest.param(lambda: inject_defects(_WORLD, LatentState(x=np.zeros(_WORLD.dim), t=0.5), 1,
-                                        1.0, np.random.default_rng(0)), "at t=0",
-                 id="inject-at-t"),
-    pytest.param(lambda: inject_defects(_WORLD, LatentState(x=np.zeros((2, _WORLD.dim)), t=0.0),
-                                        1, 1.0, np.random.default_rng(0)), "unbatched",
-                 id="inject-batched"),
-    *(pytest.param(lambda dt=dt: reverse_sde_step(
-        _PREDICTOR, LatentState(x=np.zeros(_WORLD.dim), t=0.5), dt, np.random.default_rng(0)),
+    *(pytest.param(lambda dt=dt: _reverse_sweep(
+        _PREDICTOR, LatentState(x=np.zeros(_WORLD.dim), t=0.5), [dt], np.random.default_rng(0)),
         "step size must be positive", id=f"step-dt={dt}") for dt in (0.0, -0.25)),
 ])
 def test_input_checks_reject_their_input(build, message):
