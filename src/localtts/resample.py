@@ -64,10 +64,23 @@ class ResampleConfig:
             (not self.t_g > 0.0 or self.n_integrate >= 1, "n_integrate",
              f"must be at least 1 when t_g > 0, got {self.n_integrate}"),
         ])
+        # a reverse step that starts within _TIME_TOL of 0 would divide 0 by 0
+        field = "t_g" if self.n_integrate else "t0"
+        check([(self.last_start >= _TIME_TOL, field, f"leaves the last reverse step starting "
+                f"within {_TIME_TOL} of 0, got {getattr(self, field)}")])
 
     @property
     def refine_dt(self) -> float:
         return (self.t0 - self.t_g) / self.n_refine
+
+    @property
+    def last_start(self) -> float:
+        """A lower bound of the smallest time a step of the pass starts from: the
+        last integration step's, or with no integration (t_g = 0) the last
+        refinement step's, less the rounding of the nfe_cost time subtractions
+        that reach it (at most an ulp of t0 each, two to spare)."""
+        start = self.t_g / self.n_integrate if self.n_integrate else self.refine_dt
+        return start - (self.nfe_cost + 2) * np.finfo(float).eps * self.t0
 
     @property
     def nfe_cost(self) -> int:

@@ -474,6 +474,10 @@ class TrialSettings:
             # a query inner product sums 4 products of entries below 8 noise_sd: 256 noise_sd^2
             (np.isfinite(256 * float(self.noise_sd) * self.noise_sd), "noise_sd",
              f"overflows the query logits, got {self.noise_sd}"),
+            # |mask quality| <= |neg - pos| + weight orig, fields below 1 + gain_neg + 8 noise_sd
+            (np.isfinite(1 + self.gain_neg + 8 * float(self.noise_sd)
+                         + self.mask_weight * (1 + 8 * float(self.noise_sd))), "mask_weight",
+             f"overflows the mask quality, got {self.mask_weight}"),
         ]
         if self.world is not None:
             rules.append((self.defect_count <= self.world.n_patches, "defect_count",
@@ -484,6 +488,12 @@ class TrialSettings:
         if self.schedule is not None and self.resample is not None:
             rules.append((self.resample.t0 <= self.schedule.horizon, "resample.t0",
                           f"exceeds schedule horizon {self.schedule.horizon}"))
+            # a reverse step from t divides by sigma(t) sigma(t); a base step starts no lower
+            # than horizon / n_steps, where that is sin^2(pi / 2 n_steps) > 0
+            sigma = self.schedule.sigma(self.resample.last_start)
+            rules.append((sigma * sigma > 0, "schedule.horizon",
+                          "makes sigma(t)^2 underflow to 0 where the last reverse step starts, "
+                          f"got {self.schedule.horizon}"))
         # a row's noise slices per phase: x_T and one per base step; two renoises and
         # one per refinement step
         draws = {"schedule.n_steps": self.schedule and self.schedule.n_steps + 1,

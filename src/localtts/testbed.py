@@ -52,6 +52,9 @@ class CosineSchedule:
             (self.n_steps >= 1, "n_steps", f"must be at least 1, got {self.n_steps}"),
             (self.n_steps <= self.MAX_STEPS, "n_steps",
              f"must be at most {self.MAX_STEPS}, got {self.n_steps:g}"),
+            # 0.5 pi t overflows above about 1.144e308, and cos(inf) is a domain error
+            (not self.horizon > 0 or math.isfinite(self._phase(self.horizon)), "horizon",
+             f"overflows the phase 0.5 pi t, got {self.horizon}"),
         ])
 
     def _phase(self, t: float) -> float:

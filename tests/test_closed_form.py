@@ -1,0 +1,84 @@
+"""The exact law of a base sample on a one-component world.
+
+With one Gaussian component N(mu, v) per coordinate, the oracle's posterior
+mean is affine in x_t: E[x_0 | x_t] = g x_t + mu (1 - g alpha_t), where
+g = alpha_t v / (alpha_t^2 v + sigma_t^2). An ancestral step
+x_s = c_x x_t + c_0 E[x_0 | x_t] + n z is then affine plus Gaussian noise, so
+every coordinate of a base sample is Gaussian, with mean and variance
+
+    m_s = k m_t + c_0 mu (1 - g alpha_t),    V_s = k^2 V_t + n^2,    k = c_x + c_0 g,
+
+from m_T = 0 and V_T = 1. The coefficients are written here from the
+ancestral posterior q(x_s | x_t, x_0), apart from the engine's.
+
+The row counts, the seeds and the |z| bound were fixed before any result was
+read. A sample variance of n values has standard error V_0 sqrt(2 / n).
+"""
+import math
+
+import numpy as np
+import pytest
+
+from localtts.testbed import CosineSchedule, NoisePredictor, PatchWorld, sample_base
+
+Z_BOUND = 4.0
+
+
+def base_law(mu: float, v: float, horizon: float, n_steps: int, noise: bool = True):
+    """(m_0, V_0) of one coordinate of a base sample by the exact recursion;
+    noise=False drops the n^2 term, a wrong law that the checks must reject."""
+    times = np.linspace(horizon, 0.0, n_steps + 1).tolist()
+    mean, var = 0.0, 1.0
+    for t, s in zip(times[:-1], times[1:]):
+        a_t, s_t = math.cos(0.5 * math.pi * t / horizon), math.sin(0.5 * math.pi * t / horizon)
+        a_s, s_s = math.cos(0.5 * math.pi * s / horizon), math.sin(0.5 * math.pi * s / horizon)
+        var_ts = s_t ** 2 - (a_t / a_s) ** 2 * s_s ** 2  # the variance of x_t given x_s
+        c_x, c_0 = a_t / a_s * s_s ** 2 / s_t ** 2, a_s * var_ts / s_t ** 2
+        g = a_t * v / (a_t ** 2 * v + s_t ** 2)
+        k = c_x + c_0 * g
+        mean = k * mean + c_0 * mu * (1 - g * a_t)
+        var = k * k * var + (var_ts * s_s ** 2 / s_t ** 2 if noise else 0.0)
+    return mean, var
+
+
+def base_draws(grid, patch_dim: int, mu: float, v: float, horizon: float, n_steps: int,
+               rows: int, seed: int) -> np.ndarray:
+    """Every coordinate of rows base samples: iid draws of the one-coordinate law."""
+    predictor = NoisePredictor(PatchWorld.uniform(grid, patch_dim, [(1.0, mu, v)]),
+                               CosineSchedule(horizon, n_steps))
+    return sample_base(predictor, np.random.default_rng(seed), shape=(rows,)).x.ravel()
+
+
+def z_scores(x: np.ndarray, mean: float, var: float) -> tuple[float, float]:
+    """z of the sample mean and of the sample variance against the law N(mean, var)."""
+    n = x.size
+    return ((x.mean() - mean) / math.sqrt(var / n),
+            (x.var(ddof=1) - var) / (var * math.sqrt(2 / (n - 1))))
+
+
+# (grid, patch_dim, mu, v, horizon, n_steps, rows, seed): the scaling_default world,
+# then a world with a nonzero mean for the mean's recursion
+WORLDS = [((4, 4), 2, 0.0, 0.09, 1.0, 32, 1250, 26),
+          ((2, 2), 2, 1.5, 0.25, 2.0, 8, 5000, 27)]
+
+
+@pytest.mark.parametrize("world", WORLDS)
+def test_base_samples_follow_the_exact_law(world):
+    x = base_draws(*world)
+    z_mean, z_var = z_scores(x, *base_law(*world[2:6]))
+    assert abs(z_mean) < Z_BOUND and abs(z_var) < Z_BOUND, (z_mean, z_var)
+
+
+@pytest.mark.parametrize("world", WORLDS)
+def test_a_law_without_the_noise_term_is_rejected(world):
+    x = base_draws(*world)
+    z_mean, z_var = z_scores(x, *base_law(*world[2:6], noise=False))
+    assert max(abs(z_mean), abs(z_var)) > Z_BOUND, (z_mean, z_var)
+
+
+def test_base_variance_at_the_shipped_steps():
+    """Posterior-mean ancestral sampling under-disperses: V_0 / v is 0.756 at 32 steps."""
+    mean, var = base_law(0.0, 0.09, 1.0, 32)
+    assert mean == 0.0 and var == pytest.approx(0.0680370, abs=5e-8)
+    ratios = [base_law(0.0, 0.09, 1.0, n)[1] / 0.09 for n in (8, 32, 128, 1000)]
+    assert ratios == pytest.approx([0.459, 0.756, 0.918, 0.988], abs=5e-4)

@@ -1,10 +1,10 @@
 """Generated configs: every mutation of a shipped config runs or names its field.
 
 Each shipped config is mutated one key at a time: a wrong JSON type, null, 0,
--1, boundary values, large values below the caps, wrong list lengths, and an
-unknown key in every object. Each mutation goes through validate_config and
-run_experiment in-process (trials <= 3, mc_trials <= 4,096) and must succeed
-with a valid JSON report, or raise InfeasibleParameterError, or raise
+-1, boundary values, large values below the caps, the largest float, wrong list
+lengths, and an unknown key in every object. Each mutation goes through
+validate_config and run_experiment in-process (trials <= 3, mc_trials <= 4,096)
+and must succeed with a valid JSON report, or raise InfeasibleParameterError, or raise
 ConfigError whose every message starts with a dotted path of config.DEFAULTS
 (or the config./results. prefix of the report scan); an unknown key must be
 a ConfigError that names it. A fixed set of
@@ -28,15 +28,18 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL = {"testbed_small.json": {"trials": 3}, "scaling_default.json": {"trials": 2},
          "theory_worked.json": {"theory.mc_trials": 4096}, "maskgen_example.json": {}}
 
+MAX_FLOAT = 1.7976931348623157e308
+
 # boundary and large values by key name, each below its cap and cheap to run;
-# other integers get 1, 2 and 100, other numbers 1e-9, 0.5, 1.0 and 1e6
+# other integers get 1, 2 and 100, other numbers 1e-9, 0.5, 1.0, 1e6 and the largest float
 VALUES = {
     "master_seed": [2 ** 64 - 1, 2 ** 64], "trials": [1, 2, 3], "workers": [1, 2],
     "mc_trials": [1, 4096], "grid": [[1, 1], [32, 32], [33, 32], [4, 4, 4], [4]],
     "patch_dim": [1, 256], "n_steps": [1, 1000], "n_refine": [1, 1000],
     "bon_grid": [[1], [2000], [1, 1]], "n_grid": [[1], [3, 3], [30]],
-    "ratio": [1e-9, 0.999, 1.0], "t0": [1.0, 1e-9], "t_g": [0.0, 0.4, 0.39],
+    "ratio": [1e-9, 0.999, 1.0], "t0": [1.0, 1e-9], "t_g": [0.0, 0.4, 0.39, 1e-13],
     "m_patches": [1, 1000], "bon_n_max": [1, 1000], "kind": ["exponential", "uniform", "x"],
+    "horizon": [1e-9, 0.5, 1.0, 1e6, 1e200, MAX_FLOAT],
 }
 
 
@@ -100,7 +103,7 @@ def values_for(key, value) -> list:
     if isinstance(value, str):
         return common + VALUES.get(key, [])
     return common + VALUES.get(key, [1, 2, 100] if isinstance(value, int)
-                               else [1e-9, 0.5, 1.0, 1e6])
+                               else [1e-9, 0.5, 1.0, 1e6, MAX_FLOAT])
 
 
 def mutations(name: str):

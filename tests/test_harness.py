@@ -448,6 +448,32 @@ def one_component(mean, variance) -> str:
     return f'world.components=[{{"weight": 1, "mean": {mean}, "variance": {variance}}}]'
 
 
+def set_args(setting) -> list:
+    """The --set arguments of one setting, or of each of a tuple of settings."""
+    return [arg for one in ((setting,) if isinstance(setting, str) else setting)
+            for arg in ("--set", one)]
+
+
+# faults that ended in a traceback (a non-finite mask quality or state, cos(inf), or a
+# reverse step from time 0), each with its one-line config error
+MASK_AND_TIME_FAULTS = [
+    ("attention.weight=1.7e308", "attention.weight: overflows the mask quality, got 1.7e+308"),
+    # each key runs alone, the pair overflows
+    (("attention.weight=1e200", "attention.noise_sd=5e152"),
+     "attention.weight: overflows the mask quality, got 1e+200"),
+    (("attention.weight=1e308", "attention.gain_neg=1e308"),
+     "attention.weight: overflows the mask quality, got 1e+308"),
+    ("schedule.horizon=1.7976931348623157e308",
+     "schedule.horizon: overflows the phase 0.5 pi t, got 1.7976931348623157e+308"),
+    ("schedule.horizon=1e200", "schedule.horizon: makes sigma(t)^2 underflow to 0 where the "
+     "last reverse step starts, got 1e+200"),
+    ("resample.t_g=1e-13",
+     "resample.t_g: leaves the last reverse step starting within 1e-12 of 0, got 1e-13"),
+    (("resample.t0=1e-11", "resample.t_g=0", "resample.n_integrate=0"),
+     "resample.t0: leaves the last reverse step starting within 1e-12 of 0, got 1e-11"),
+]
+
+
 BUNDLE = {"bundle": {"grid": [2, 3], "orig": [1.0] * 6,
                      "pos": [0.9, 0.2, 0.8, 0.9, 0.8, 0.9], "neg": [0.9, 1.6, 0.8, 0.9, 0.8, 0.9]}}
 
@@ -790,25 +816,31 @@ class TestCli:
           for kind, mean in (("testbed", "1e+200"), ("scaling", "1e+200"), ("testbed", "1e+150"))),
         ("testbed", one_component(0.0, 1e-300),
          "world.components[0].variance: must be at least 3.82e-152 at patch_dim 2, got 1e-300"),
+        *((kind, setting, error) for kind in ("testbed", "scaling")
+          for setting, error in MASK_AND_TIME_FAULTS),
     ])
     def test_oracle_overflow_exit_two(self, kind, setting, error, tmp_path, capsys):
-        # each value overflowed the query logits, the oracle or the scores' squares
+        # each value overflowed the query logits, the oracle or the scores' squares, or is
+        # one of MASK_AND_TIME_FAULTS
         config = {"testbed": "testbed_small.json", "scaling": "scaling_default.json"}[kind]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli_main([kind, "--config", str(CONFIGS / config), "--set", "trials=3",
-                             "--set", setting, "--out", str(tmp_path / "out")]) == 2
+                             *set_args(setting), "--out", str(tmp_path / "out")]) == 2
         assert not caught
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("setting", ["attention.noise_sd=1e150", one_component(1.5e75, 0.09),
-                                         one_component(0.0, 4e-152)])
+    @pytest.mark.parametrize("setting", [
+        "attention.noise_sd=1e150", one_component(1.5e75, 0.09), one_component(0.0, 4e-152),
+        "attention.weight=1e300", "schedule.horizon=1e160",
+        ("resample.t0=1e-11", "resample.t_g=3e-12"),
+        ("resample.t0=1e-11", "resample.t_g=0", "resample.n_integrate=0", "resample.n_refine=5")])
     def test_largest_oracle_inputs_run_clean(self, setting, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli_main(["testbed", "--config", str(CONFIGS / "testbed_small.json"),
-                             "--set", "trials=3", "--set", setting,
+                             "--set", "trials=3", *set_args(setting),
                              "--out", str(tmp_path / "out")]) == 0
         assert not caught
         assert capsys.readouterr().err == ""
@@ -1012,6 +1044,15 @@ class TestCli:
         assert self.fresh_interpreter(
             "import sys, localtts.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+    def test_a_module_import_loads_only_what_it_needs(self):
+        # the package binds no names, so importing it or one module loads no other module
+        code = ("import sys, importlib\n"
+                "for name in ('localtts', 'localtts.theory'):\n"
+                "    importlib.import_module(name)\n"
+                "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'localtts'))")
+        assert self.fresh_interpreter(code).splitlines() == [
+            "['localtts']", "['localtts', 'localtts.errors', 'localtts.theory']"]
 
     def test_one_worker_run_leaves_the_pool_unloaded(self, tmp_path):
         code = ("import sys, localtts.cli\n"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from localtts.attention import mask_from_indices
+from localtts.errors import FieldErrors
 from localtts.resample import ResampleConfig, _masked_refine, _renoise, _resample
 from localtts.testbed import (
     CosineSchedule,
@@ -231,7 +232,10 @@ def test_step_from_the_end_of_the_schedule_rejected_up_front(phase, t):
         with pytest.raises(ValueError, match="reverse step of size 1e-13 starts at time 0.0"):
             _reverse_sweep(predictor, LatentState(x=x, t=0.5), [0.5, 1e-13], rng)
     else:
-        cfg = ResampleConfig(t0=t, t_g=0.0, n_refine=1, n_integrate=0)
+        # ResampleConfig rejects such a pass itself; the kernel guards a window of any start
+        with pytest.raises(FieldErrors, match="t0: leaves the last reverse step starting"):
+            ResampleConfig(t0=t, t_g=0.0, n_refine=1, n_integrate=0)
+        cfg = ResampleConfig(t0=0.5, t_g=0.0, n_refine=1, n_integrate=0)
         anchor = LatentState(x=np.zeros_like(x), t=0.0)
         bits = np.ones((2, predictor.world.n_patches), dtype=bool)
 

@@ -1,8 +1,9 @@
 """Every public module-level function and class of the package is reached from
-outside the tests: from a package module (its own included; the re-exports of
-``__init__`` do not count), from a perfbench or scripts module, or from the
-acceptance criteria. A name that only tests call is a second surface beside
-the kernels the runs use.
+outside the tests: from a package module other than ``__init__`` (its own
+included), from a perfbench or scripts module, or from the acceptance criteria.
+A name that only tests call is a second surface beside the kernels the runs
+use. Each name has one import path, its module's: ``__init__`` holds only the
+package docstring.
 """
 import ast
 from pathlib import Path
@@ -43,3 +44,8 @@ def test_every_public_name_is_reached_outside_the_tests():
     # an allowed name that is reached, or gone, leaves the list
     stale = [name for name in ALLOWED if name in used or name not in public]
     assert not stale, f"allowed names that are reached or gone: {', '.join(stale)}"
+
+
+def test_init_holds_only_its_docstring():
+    tree = ast.parse((ROOT / "src" / "localtts" / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1, [type(n).__name__ for n in tree.body]
