@@ -11,9 +11,9 @@ step, oracle masks (some of them empty), a nine-component world of ``patch_dim``
 1, worlds of ``patch_dim`` 9, maskgen with queries, maskgen from inline raw
 attention documents, best-of-N searches that each span two engine blocks, and
 Monte Carlo runs with the value distributions no shipped config draws (a
-uniform repair, a mixed constant/uniform pair, an economy with no clean
-patches). Each runs at workers 1 and 2. Outputs go to a temporary directory
-that is removed afterwards.
+uniform repair, an exponential pair whose last chunk ends one row past a slab,
+a mixed constant/uniform pair, an economy with no clean patches). Each runs at
+workers 1 and 2. Outputs go to a temporary directory that is removed afterwards.
 
 A change that must leave every report byte alone is checked by running this
 script on the parent and on the change (same script, ``PYTHONPATH`` pointing
@@ -79,6 +79,10 @@ RUNS = [
      ["trials=2", "search.bon_grid=[1,600]"]),
     ("theory_worked+uniform,exponential", "theory_worked.json",
      [f"theory.repair_dist={UNIFORM}", f"theory.harm_dist={EXPONENTIAL}"]),
+    # 4,096 + 512 + 1 trials: the second chunk ends one row past a 512-row slab
+    ("theory_worked+exponential,exponential", "theory_worked.json",
+     [f"theory.repair_dist={EXPONENTIAL}", f"theory.harm_dist={EXPONENTIAL}",
+      "theory.mc_trials=4609"]),
     # one distribution constant: the mixed pair takes the per-patch array path
     ("theory_worked+constant,uniform", "theory_worked.json", [f"theory.harm_dist={UNIFORM}"]),
     # every patch defective, so the clean-patch draws are empty

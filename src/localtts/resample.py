@@ -32,6 +32,7 @@ from .testbed import (
     _ancestral_phase,
     _resolve_target_time,
     _reverse_sweep,
+    _time_tol,
     forward_noise,
 )
 
@@ -83,6 +84,11 @@ class ResampleConfig:
         return start - (self.nfe_cost + 2) * np.finfo(float).eps * self.t0
 
     @property
+    def time_tol(self) -> float:
+        """The snap-to-0 tolerance of the pass's times, every one reached from t0."""
+        return _time_tol(self.t0, self.nfe_cost)
+
+    @property
     def nfe_cost(self) -> int:
         return self.n_refine + self.n_integrate
 
@@ -109,7 +115,7 @@ def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: 
     for _ in range(steps):
         if not cfg.t_g < times[-1] <= cfg.t0 + _TIME_TOL:
             raise ValueError(f"refinement time {times[-1]} outside window ({cfg.t_g}, {cfg.t0}]")
-        times.append(_resolve_target_time(times[-1], cfg.refine_dt))
+        times.append(_resolve_target_time(times[-1], cfg.refine_dt, cfg.time_tol))
     z = rng.standard_normal((steps, *x.shape))
     out = sched.alpha(times[-1]) * anchor.x
     out += sched.sigma(times[-1]) * z[-1]
@@ -127,7 +133,7 @@ def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
     state = _masked_refine(predictor, noised.x, noised.t, predictor.world.select(bits), anchor,
                            cfg, cfg.n_refine, rng)
     steps = -np.diff(np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1))
-    return _reverse_sweep(predictor, state, steps, rng)
+    return _reverse_sweep(predictor, state, steps, rng, cfg.time_tol)
 
 
 def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,

@@ -562,25 +562,34 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
     phase.scatter(xc, out)
 
 
-def _resolve_target_time(t: float, dt: float) -> float:
+def _time_tol(start: float, steps: int) -> float:
+    """How far rounding can move a time reached by `steps` step subtractions from
+    `start`: an ulp of start each, two to spare, and never less than _TIME_TOL."""
+    return max(_TIME_TOL, (steps + 2) * np.finfo(float).eps * start)
+
+
+def _resolve_target_time(t: float, dt: float, tol: float) -> float:
+    """t - dt, snapped to 0 within tol, the rounding its sweep can accumulate."""
     if not dt > 0:
         raise ValueError(f"step size must be positive, got {dt}")
     if t < _TIME_TOL:  # the step's coefficients would divide 0 by 0
         raise ValueError(f"reverse step of size {dt} starts at time {t}, the end of the schedule")
-    if dt > t + _TIME_TOL:
+    if dt > t + tol:
         raise ValueError(f"step size {dt} exceeds current time {t}")
     s = t - dt
-    return 0.0 if abs(s) < _TIME_TOL else s
+    return 0.0 if abs(s) < tol else s
 
 
 def _reverse_sweep(predictor: NoisePredictor, state: LatentState, steps,
-                   rng: np.random.Generator) -> LatentState:
+                   rng: np.random.Generator, tol: float | None = None) -> LatentState:
     """Ancestral reverse steps of the given sizes from the state's time, one
     phase (_ancestral_phase) whose noise is drawn at once, (steps, ..., dim);
+    times land on 0 within tol, by default the sweep's own rounding bound, and
     the state is checked once, after the last step."""
     times = [predictor.schedule.check_time(state.t)]
+    tol = _time_tol(times[0], len(steps)) if tol is None else tol
     for dt in steps:
-        times.append(_resolve_target_time(times[-1], float(dt)))
+        times.append(_resolve_target_time(times[-1], float(dt), tol))
     if len(times) == 1:
         return LatentState(x=state.x, t=times[0])
     x = state.x

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import check
 
 _CHUNK = 4096  # fixed simulation chunk so results never depend on worker count
+_SLAB = 512  # rows per slab of per-patch uniforms, drawn and reduced while in cache
 
 
 class InfeasibleParameterError(ValueError):
@@ -380,6 +381,15 @@ def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
                     n: int, rng: np.random.Generator,
                     repair_dist: ValueDistribution, harm_dist: ValueDistribution,
                     workspace: list):
+    """Per trial of the chunk's n: true and false positives, local and global gains.
+
+    With two constant value kinds every count is a binomial draw and the workspace
+    goes unused. Otherwise each side (defective patches, clean patches) keeps its
+    values and selections in the workspace's first n rows, and every other run of
+    per-patch uniforms goes through a slab of scratch rows, reduced before the next
+    slab is drawn. The runs keep their order (selections, values, local hits, global
+    hits; defective side first), so the slab size changes no bit.
+    """
     s = econ.defects
     clean = econ.m_patches - econ.defects
     if repair_dist.kind == "constant" and harm_dist.kind == "constant":
@@ -392,34 +402,59 @@ def _simulate_chunk(econ: PatchEconomy, stats: MaskStats, p_clean: float,
         harm_g = rng.binomial(clean, econ.harm_prob_global, size=n)
         global_ = econ.repair_gain * rep_g - econ.harm_loss * harm_g
         return tp, fp, local, global_
-    # (draws, values, selected, hit) per side: the first n rows of the workspace
-    defective, clean_side = ([buf[:n] for buf in side] for side in workspace)
+    defective, clean_side = workspace  # (values, selected, draws, hit) each
+    step = len(defective[2])  # rows of the slab scratch
+    slabs = [(slice(a, min(a + step, n)), min(step, n - a)) for a in range(0, n, step)]
 
-    def hit_sums(side, prob, within=None):  # row sums of the values a Bernoulli(prob) hits
-        draws, values, _, hit = side
-        np.less(rng.random(out=draws), prob, out=hit)
-        if within is not None:
-            hit &= within
-        return np.multiply(values, hit, out=draws).sum(axis=1)
+    def select(side, prob):  # selections, and their row counts
+        _, selected, draws, _ = side
+        counts = np.empty(n, int)
+        for rows, size in slabs:
+            np.less(rng.random(out=draws[:size]), prob, out=selected[rows])
+            selected[rows].sum(axis=1, out=counts[rows])
+        return counts
 
-    sel_def = np.less(rng.random(out=defective[0]), stats.recall, out=defective[2])
-    sel_clean = np.less(rng.random(out=clean_side[0]), p_clean, out=clean_side[2])
-    repair_dist.draw(rng, defective[1], econ.repair_gain)
-    harm_dist.draw(rng, clean_side[1], econ.harm_loss)
-    local = (hit_sums(defective, econ.repair_prob_local, sel_def)
-             - hit_sums(clean_side, econ.harm_prob_local, sel_clean))
-    global_ = (hit_sums(defective, econ.repair_prob_global)
-               - hit_sums(clean_side, econ.harm_prob_global))
-    return sel_def.sum(axis=1), sel_clean.sum(axis=1), local, global_
+    def hit_sums(side, prob, local):  # row sums of the values a Bernoulli(prob) hits
+        values, selected, draws, hit = side
+        sums = np.empty(n)
+        for rows, size in slabs:
+            u, h = draws[:size], hit[:size]
+            np.less(rng.random(out=u), prob, out=h)
+            if local:
+                h &= selected[rows]
+            np.multiply(values[rows], h, out=u).sum(axis=1, out=sums[rows])
+        return sums
+
+    tp = select(defective, stats.recall)
+    fp = select(clean_side, p_clean)
+    for side, dist, mean in ((defective, repair_dist, econ.repair_gain),
+                             (clean_side, harm_dist, econ.harm_loss)):
+        for rows, _ in slabs:
+            dist.draw(rng, side[0][rows], mean)
+    local = (hit_sums(defective, econ.repair_prob_local, True)
+             - hit_sums(clean_side, econ.harm_prob_local, True))
+    global_ = (hit_sums(defective, econ.repair_prob_global, False)
+               - hit_sums(clean_side, econ.harm_prob_global, False))
+    return tp, fp, local, global_
+
+
+def _workspace(econ: PatchEconomy, rows: int) -> list:
+    """Per side (defective, clean patches): [values, selected] of `rows` rows and
+    [draws, hit] scratch of min(rows, _SLAB) rows, the arrays a chunk draws into."""
+    slab = min(rows, _SLAB)
+    return [[np.empty((rows, width), float), np.empty((rows, width), bool),
+             np.empty((slab, width), float), np.empty((slab, width), bool)]
+            for width in (econ.defects, econ.m_patches - econ.defects)]
 
 
 def _chunk_task(args) -> list:
     """Sufficient statistics (count, mean, M2 per stream) of each chunk in [start, stop), in
-    chunk order, all drawn into one workspace; top-level so worker processes can receive it."""
+    chunk order, all drawn into one workspace (_workspace: chunk-sized values and selections,
+    slab-sized scratch, or no rows on the binomial path); top-level so worker processes can
+    receive it."""
     econ, stats, p_clean, repair_dist, harm_dist, entropy, spawn_key, trials, start, stop = args
     rows = 0 if repair_dist.kind == harm_dist.kind == "constant" else _CHUNK  # binomial: no rows
-    workspace = [[np.empty((rows, width), dtype) for dtype in (float, float, bool, bool)]
-                 for width in (econ.defects, econ.m_patches - econ.defects)]
+    workspace = _workspace(econ, rows)
     results = []
     for idx in range(start, stop):
         rng = np.random.default_rng(
@@ -445,7 +480,9 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     seed streams derived per chunk and merged in chunk order, so results
     are reproducible bit-for-bit regardless of the worker count. A pool
     task runs consecutive chunks in one workspace: each chunk writes its
-    draws in place, with the bits of numpy's uniform and exponential.
+    draws in place, with the bits of numpy's uniform and exponential, and
+    draws and reduces its per-patch uniforms in cache-sized slabs of rows
+    (``_SLAB``) whose size changes no result.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

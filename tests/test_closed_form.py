@@ -11,6 +11,11 @@ every coordinate of a base sample is Gaussian, with mean and variance
 from m_T = 0 and V_T = 1. The coefficients are written here from the
 ancestral posterior q(x_s | x_t, x_0), apart from the engine's.
 
+With uniform verifier weights, which sum to 1, a base sample's expected score
+is one patch's expected log-density under N(mu, v I):
+
+    E[score] = -(d / 2) log(2 pi v) - d (V_0 + (m_0 - mu)^2) / (2 v).
+
 The row counts, the seeds and the |z| bound were fixed before any result was
 read. A sample variance of n values has standard error V_0 sqrt(2 / n).
 """
@@ -19,7 +24,13 @@ import math
 import numpy as np
 import pytest
 
-from localtts.testbed import CosineSchedule, NoisePredictor, PatchWorld, sample_base
+from localtts.testbed import (
+    CosineSchedule,
+    NoisePredictor,
+    PatchWorld,
+    sample_base,
+    verifier_score,
+)
 
 Z_BOUND = 4.0
 
@@ -41,12 +52,25 @@ def base_law(mu: float, v: float, horizon: float, n_steps: int, noise: bool = Tr
     return mean, var
 
 
-def base_draws(grid, patch_dim: int, mu: float, v: float, horizon: float, n_steps: int,
-               rows: int, seed: int) -> np.ndarray:
-    """Every coordinate of rows base samples: iid draws of the one-coordinate law."""
+def expected_score(patch_dim: int, mu: float, v: float, horizon: float, n_steps: int,
+                   noise: bool = True) -> float:
+    """E[score] of a base sample by the closed form, from base_law's (m_0, V_0)."""
+    mean, var = base_law(mu, v, horizon, n_steps, noise)
+    return (-0.5 * patch_dim * math.log(2.0 * math.pi * v)
+            - patch_dim * (var + (mean - mu) ** 2) / (2.0 * v))
+
+
+def base_samples(grid, patch_dim: int, mu: float, v: float, horizon: float, n_steps: int,
+                 rows: int, seed: int):
+    """The world and rows base samples of it."""
     predictor = NoisePredictor(PatchWorld.uniform(grid, patch_dim, [(1.0, mu, v)]),
                                CosineSchedule(horizon, n_steps))
-    return sample_base(predictor, np.random.default_rng(seed), shape=(rows,)).x.ravel()
+    return predictor.world, sample_base(predictor, np.random.default_rng(seed), shape=(rows,))
+
+
+def base_draws(*world) -> np.ndarray:
+    """Every coordinate of rows base samples: iid draws of the one-coordinate law."""
+    return base_samples(*world)[1].x.ravel()
 
 
 def z_scores(x: np.ndarray, mean: float, var: float) -> tuple[float, float]:
@@ -82,3 +106,26 @@ def test_base_variance_at_the_shipped_steps():
     assert mean == 0.0 and var == pytest.approx(0.0680370, abs=5e-8)
     ratios = [base_law(0.0, 0.09, 1.0, n)[1] / 0.09 for n in (8, 32, 128, 1000)]
     assert ratios == pytest.approx([0.459, 0.756, 0.918, 0.988], abs=5e-4)
+
+
+# the scaling_default world, 2,000 rows: E[score] = -0.185898
+SCORE_WORLD = ((4, 4), 2, 0.0, 0.09, 1.0, 32, 2000, 28)
+
+
+def score_z(noise: bool = True) -> float:
+    """z of the mean verifier score of SCORE_WORLD's rows against the closed form."""
+    world, state = base_samples(*SCORE_WORLD)
+    scores = verifier_score(world, state)
+    expected = expected_score(*SCORE_WORLD[1:6], noise=noise)
+    return (scores.mean() - expected) / (scores.std(ddof=1) / math.sqrt(scores.size))
+
+
+def test_expected_base_score_matches_the_closed_form():
+    assert expected_score(*SCORE_WORLD[1:6]) == pytest.approx(-0.185898, abs=5e-7)
+    z = score_z()
+    assert abs(z) < Z_BOUND, z
+
+
+def test_a_score_law_without_the_noise_term_is_rejected():
+    z = score_z(noise=False)
+    assert abs(z) > Z_BOUND, z

@@ -847,6 +847,21 @@ class TestCli:
         results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
         assert math.isfinite(results["stderr_improvement"])
 
+    @pytest.mark.parametrize("horizon", [1e20, 1e50, 1e100])
+    def test_a_scaled_horizon_moves_results_by_rounding_alone(self, horizon, tmp_path, capsys):
+        # the schedule reads t / horizon. A resample pass lands within ulps of t0 off t_g,
+        # and its global sweep as far off 0, which the pass's time tolerance absorbs
+        def results(scale):
+            out = tmp_path / f"out{scale:g}"
+            assert cli_main(["testbed", "--config", str(CONFIGS / "testbed_small.json"),
+                             "--set", "trials=3", "--set", f"schedule.horizon={scale!r}",
+                             "--set", f"resample.t0={0.4 * scale!r}",
+                             "--set", f"resample.t_g={0.04 * scale!r}", "--out", str(out)]) == 0
+            return json.loads((out / "report.json").read_text())["results"]
+
+        assert results(horizon) == pytest.approx(results(1.0), rel=1e-9)
+        assert capsys.readouterr().err == ""
+
     def test_repeated_budget_exit_two(self, tmp_path, capsys):
         # a repeated budget would run twice and report two identical rows
         assert cli_main(["scaling", "--config", str(CONFIGS / "scaling_default.json"),

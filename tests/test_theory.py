@@ -401,16 +401,45 @@ class TestSimulator:
                                    "repair_gain": 1.7, "harm_loss": 0.3})
             stats = MaskStats(recall=0.8, precision=precision)
             p_clean = clean_selection_probability(econ, stats)
-            # the layout _chunk_task allocates; a partial chunk after a full one reuses it
-            workspace = [[np.empty((theory._CHUNK, width), dtype)
-                          for dtype in (float, float, bool, bool)]
-                         for width in (defects, m_patches - defects)]
-            for n in (theory._CHUNK, 1000):
+            # the workspace _chunk_task allocates; partial chunks after a full one reuse it,
+            # ending inside, at and one row past a slab
+            workspace = theory._workspace(econ, theory._CHUNK)
+            slab = theory._SLAB
+            for n in (theory._CHUNK, 1, slab - 1, slab, slab + 1, 1000):
                 got = theory._simulate_chunk(econ, stats, p_clean, n, np.random.default_rng(n),
                                              *dists, workspace)
                 want = reference(econ, stats, p_clean, n, np.random.default_rng(n))
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("repair_kind, harm_kind", [
+        ("exponential", "uniform"), ("constant", "exponential"), ("uniform", "constant")])
+    def test_slab_size_does_not_change_the_bits(self, monkeypatch, repair_kind, harm_kind):
+        dists = ValueDistribution(repair_kind), ValueDistribution(harm_kind)
+        p_clean = clean_selection_probability(WORKED, WORKED_STATS)
+
+        def chunk(n):
+            workspace = theory._workspace(WORKED, theory._CHUNK)
+            got = theory._simulate_chunk(WORKED, WORKED_STATS, p_clean, n,
+                                         np.random.default_rng(12), *dists, workspace)
+            return [a.tobytes() for a in got]
+
+        want = {n: chunk(n) for n in (theory._CHUNK, 1000)}
+        for slab in (1, 7, theory._CHUNK):
+            monkeypatch.setattr(theory, "_SLAB", slab)
+            assert {n: chunk(n) for n in want} == want, slab
+
+    def test_chunk_peak_memory_stays_below_the_four_array_layout(self):
+        # values and selections at chunk size and one slab of draws: 4.15 MB at 100 patches,
+        # where four chunk-sized arrays took 7.4 MB
+        dists = {"repair_dist": ValueDistribution("exponential"),
+                 "harm_dist": ValueDistribution("uniform")}
+        tracemalloc.start()
+        try:
+            simulate_patch_economy(WORKED, WORKED_STATS, theory._CHUNK, seed=6, **dists)
+            assert tracemalloc.get_traced_memory()[1] < 6e6
+        finally:
+            tracemalloc.stop()
 
     def test_task_count_does_not_change_results(self):
         # 11 chunks, the last one partial: at workers 1, 2 and 3 a task holds 11,
@@ -441,7 +470,7 @@ class TestSimulator:
         buffers = []
 
         def recording(*args):
-            buffers.append(args[-1][0][0])  # the defective patches' draws buffer
+            buffers.append(args[-1][0][0])  # the defective patches' values array
             return simulate(*args)
 
         simulate = theory._simulate_chunk
