@@ -8,8 +8,10 @@ runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
 noiseless attention, a resample with ``t_g = 0``, a resample of one refinement
 step, oracle masks (some of them empty), a nine-component world of ``patch_dim``
-1, worlds of ``patch_dim`` 9, maskgen with queries, maskgen from inline raw
-attention documents, best-of-N searches that each span two engine blocks, and
+1, worlds of ``patch_dim`` 9, a world of two identical components (every lane of
+the oracle's log-sum-exp ties, so it divides by its count of maxima), maskgen
+with queries, maskgen from inline raw attention documents, best-of-N searches
+that each span two engine blocks, and
 Monte Carlo runs with the value distributions no shipped config draws (a
 uniform repair, an exponential pair whose last chunk ends one row past a slab,
 a mixed constant/uniform pair, an economy with no clean patches). Each runs at
@@ -51,6 +53,9 @@ K9 = json.dumps([{"weight": w, "mean": mu, "variance": v} for w, mu, v in zip(
     [0.2] + [0.1] * 8, [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0],
     [0.05, 0.3, 0.1, 0.2, 0.09, 0.15, 0.25, 0.06, 0.12])])
 
+# two identical components: every lane of the oracle's log-sum-exp has a tied maximum
+TWINS = json.dumps([{"weight": 0.5, "mean": 0.0, "variance": 0.09}] * 2)
+
 UNIFORM, EXPONENTIAL = ('{"kind": "uniform"}', '{"kind": "exponential"}')
 
 # (label, config, overrides); a config is a shipped file name or a workload name
@@ -68,6 +73,7 @@ RUNS = [
     ("testbed_small+oracle_masks", "testbed_small.json", ["attention.oracle_masks=true"]),
     ("testbed_small+K=9,d=1", "testbed_small.json",
      ["world.patch_dim=1", f"world.components={K9}"]),
+    ("testbed_small+twin_components", "testbed_small.json", [f"world.components={TWINS}"]),
     # nine coordinates a patch: the oracle's pairwise sums over d
     *((f"{stem}+patch_dim=9", f"{stem}.json", ["trials=2", "world.patch_dim=9"])
       for stem in ("testbed_small", "scaling_default")),

@@ -14,9 +14,10 @@ oracle returns the posterior mean; on top of it the module provides:
 Every oracle evaluation increments an NFE counter on the predictor; batched
 states (..., dim) count one per leading element, whichever patches it evaluates.
 A reverse phase (a sweep of reverse steps, or a masked refinement) converts
-its state into the oracle's column layout once, carries it in that layout from
-step to step, and converts it back and checks it once, after its last step; it
-computes its step constants once, in one vectorised pass over its step times.
+its state into the oracle's contiguous (d, rows, P) columns once, updates them
+in place from step to step, and converts them back and checks them once, after
+its last step; it computes its step constants once, in one vectorised pass over
+its step times; the constants of a world whose patches share one mixture are one column.
 """
 from __future__ import annotations
 
@@ -91,7 +92,8 @@ class PatchWorld:
     weights[j, k], means[j, k, :], variances[j, k] describe component k of
     patch j; variances are isotropic per component. verifier_weights are
     non-negative and sum to 1 (uniform by default). The arrays are read-only
-    copies, so the oracle's component-major copies of them cannot drift.
+    copies, so the oracle's component-major copies of them cannot drift: one
+    column if every patch's mixture has the same bytes (any uniform world), else M.
     """
 
     grid: Grid
@@ -148,14 +150,17 @@ class PatchWorld:
         ])
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "patch_dim", d)
+        # bytes, not ==: a mean of -0.0 and one of 0.0 can give results of either sign
+        cols = m if any(a.tobytes() != np.repeat(a[:1], m, 0).tobytes()
+                        for a in (weights, means, variances)) else 1
         with np.errstate(divide="ignore"):
-            log_weights = np.log(weights.T)[:, None, None]
-        # the oracle reads its constants component-major: means (K, d, 1, M), variances
-        # and log-weights (K, 1, 1, M), kept as private attributes that == does not compare
+            log_weights = np.log(weights[:cols].T)[:, None, None]
+        # the oracle reads its constants component-major: means (K, d, 1, C), variances and
+        # log-weights (K, 1, 1, C), C = cols, kept as private attributes that == does not compare
         for name, value in (("weights", weights), ("means", means), ("variances", variances),
                             ("verifier_weights", vweights), ("_log_weights", log_weights),
-                            ("_means", means.transpose(1, 2, 0)[:, :, None]),
-                            ("_variances", variances.T[:, None, None])):
+                            ("_means", means[:cols].transpose(1, 2, 0)[:, :, None]),
+                            ("_variances", variances[:cols].T[:, None, None])):
             value = np.ascontiguousarray(value)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -225,10 +230,11 @@ class PatchWorld:
 
     def select(self, bits: np.ndarray) -> tuple:
         """The oracle's patches argument for (..., n_patches) bits: the set bits'
-        index into a patch_view, row-major, and the oracle's constants there."""
-        index = np.nonzero(bits)
-        return index, *(c[..., index[-1]] for c in (self._means, self._variances,
-                                                     self._log_weights))
+        index into a patch_view, row-major, and the oracle's constants there (the
+        one shared column as it is)."""
+        index, consts = np.nonzero(bits), (self._means, self._variances, self._log_weights)
+        return index, *(consts if self._means.shape[-1] == 1 else
+                        (c[..., index[-1]] for c in consts))
 
     def coordinate_mask(self, bits: np.ndarray) -> np.ndarray:
         """Broadcast (..., n_patches) per-patch bits over each patch's coordinates."""
@@ -285,15 +291,19 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     Same algorithm, and so the same bits, as ``scipy.special.logsumexp``
     over the last axis: the maximal terms are split out of the sum, the rest
     is divided by their count, and log(count) and the maximum are added back.
+    The count is taken only if some row ties: with one maximum a row, rest / 1 =
+    rest and log1p(rest) + log(1) = log1p(rest), as rest >= +0, so it adds no bits.
     """
     a_max = np.maximum.reduce(a, axis, keepdims=True)
     is_max = a == a_max
-    count = np.add.reduce(is_max, axis, float, keepdims=True)
     shifted = np.subtract(a, a_max)
     np.exp(shifted, out=shifted)
     # maxima zeroed after exp, not -inf before: numpy's exp is slow on -inf (all cells at K=1)
     np.putmask(shifted, is_max, 0.0)
     rest = _pairwise_sum(shifted, axis)
+    if np.count_nonzero(is_max) == a_max.size:  # no tie
+        return np.add(np.log1p(rest, out=rest), a_max, out=rest).squeeze(axis)
+    count = np.add.reduce(is_max, axis, float, keepdims=True)
     rest = np.log1p(np.divide(rest, count, out=rest), out=rest)
     rest += np.log(count, out=count)
     rest += a_max
@@ -306,43 +316,45 @@ class _Phase:
 
     The columns are P patches of each row (all M patches), or one row of the
     patches PatchWorld.select picked. A phase carries them in a (rows, dim)
-    array of its own, d-major within each row, which the oracle reads as a
-    strided (d, rows, P) view without a copy; a selection packs its (d, P)
-    columns at the front of the array. The posterior mean comes back in the
-    same layout. The constants of every time are computed once, in one
-    vectorised pass: var_t, the log-normaliser log w - d/2 (log var_t + log 2 pi)
-    and the posterior coefficient a s_k^2 / var_t, each a list of (K, 1, 1, P)
-    arrays whose entry ``step`` the oracle reads. A reverse phase allocates
-    the centred terms and their squares, (K, d, rows, P), and the posterior
-    mean once and reuses them at every step; a one-time phase leaves them to
-    the ufuncs.
+    array of its own as contiguous (d, rows, P) columns; a selection packs its
+    (d, 1, P) columns at the front of the array. The posterior mean comes back
+    in the same layout. The constants of every time are computed once, in one
+    vectorised pass: the centres a mu_k, var_t, the log-normaliser log w - d/2
+    (log var_t + log 2 pi) and the posterior coefficient a s_k^2 / var_t, each
+    a list of (K, d or 1, 1, C) arrays whose entry ``step`` the oracle reads, C
+    the world's 1 or P columns: one broadcasts over rows x P contiguous elements
+    at once. A reverse phase allocates the centred terms and their squares,
+    (K, d, rows, P), and the posterior mean once and reuses them at every step;
+    a one-time phase leaves them to the ufuncs.
     """
 
     work = squares = mean = _viewed = None  # a reverse phase's buffers (_ancestral_phase)
 
     def __init__(self, world: PatchWorld, alphas, noise_vars, patches=None):
-        self.world, self.alphas, self.step = world, alphas, 0
+        self.world, self.step = world, 0
         self.index, self.means, variances, log_weights = (
             (None, world._means, world._variances, world._log_weights)
             if patches is None else patches)
         one = len(alphas) == 1  # Python floats broadcast at a lower fixed cost than arrays
         a, s2 = ((alphas[0], noise_vars[0]) if one else
                  (np.array(v).reshape(-1, 1, 1, 1, 1) for v in (alphas, noise_vars)))
+        centre = a * self.means
         var_t = a * a * variances + s2
         log_norm = log_weights - 0.5 * world.patch_dim * (np.log(var_t) + _LOG_2PI)
         coef = a * variances / var_t
-        self.var_t, self.log_norm, self.coef = (
-            ([var_t], [log_norm], [coef]) if one else map(list, (var_t, log_norm, coef)))
+        self.centre, self.var_t, self.log_norm, self.coef = (
+            ([centre], [var_t], [log_norm], [coef]) if one else
+            map(list, (centre, var_t, log_norm, coef)))
 
     def columns(self, carried: np.ndarray) -> np.ndarray:
-        """The (d, rows, P) columns of a (rows, dim) array in the phase's
-        layout, as a view (kept for the array viewed last)."""
+        """The contiguous (d, rows, P) columns of a (rows, dim) array in the
+        phase's layout, as a view (kept for the array viewed last)."""
         if carried is not self._viewed:
             rows, p = ((len(carried), self.world.n_patches) if self.index is None
                        else (1, len(self.index[0])))
             d = self.world.patch_dim
             self._viewed, self._columns = carried, carried.reshape(-1)[:rows * d * p].reshape(
-                rows, d, p).transpose(1, 0, 2)
+                d, rows, p)
         return self._columns
 
     def gather(self, a: np.ndarray, lead: int = 0) -> np.ndarray:
@@ -385,7 +397,7 @@ def _oracle_terms(phase: _Phase, xc: np.ndarray) -> tuple:
     reads one column, so the bits depend on neither the layout nor the other columns.
     """
     step = phase.step
-    work = np.subtract(xc, phase.alphas[step] * phase.means, out=phase.work)
+    work = np.subtract(xc, phase.centre[step], out=phase.work)
     log_comp = _pairwise_sum(np.square(work, out=phase.squares), 1)
     log_comp *= 0.5
     log_comp /= phase.var_t[step]
@@ -539,9 +551,9 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
     over all patches or the selected ones (PatchWorld.select).
 
     The phase gathers x's columns into carried, a (rows, dim) array that may be
-    x, carries them there in the oracle's layout (_Phase) from step to step,
-    and writes them into out, x's shape, once, after its last step. Its step
-    constants are computed once, for all steps."""
+    x, updates them there in place, as the oracle's contiguous (d, rows, P)
+    columns (_Phase), from step to step, and writes them into out, x's shape,
+    once, after its last step. Its step constants are computed once, for all steps."""
     sched = predictor.schedule
     alphas, sigmas = [sched.alpha(t) for t in times], [sched.sigma(t) for t in times]
     phase = _Phase(predictor.world, alphas[:-1], [s ** 2 for s in sigmas[:-1]], patches)
@@ -549,16 +561,15 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
     xc[...] = phase.gather(x)
     phase.work = np.empty((len(phase.means), *xc.shape))
     phase.squares, phase.mean = np.empty_like(phase.work), np.empty_like(xc)  # xc's layout
-    # (rows, d, P) views: carried's and the posterior mean's are contiguous
-    x_rows, noise = xc.transpose(1, 0, 2), phase.gather(z, lead=1).transpose(0, 2, 1, 3)
+    noise = phase.gather(z, lead=1)
     for step, (t, (coef_x, coef_x0, noise_std)) in enumerate(
             zip(times, _ancestral_coefficients(alphas, sigmas))):
         phase.step = step
-        denoised = predictor.evaluate(carried, t, phase).transpose(1, 0, 2)
+        denoised = predictor.evaluate(carried, t, phase)
         # coef_x x + coef_x0 denoised + noise_std z, in that order
-        np.multiply(x_rows, coef_x, out=x_rows)
-        np.add(x_rows, np.multiply(denoised, coef_x0, out=denoised), out=x_rows)
-        np.add(x_rows, np.multiply(noise[step], noise_std, out=denoised), out=x_rows)
+        np.multiply(xc, coef_x, out=xc)
+        np.add(xc, np.multiply(denoised, coef_x0, out=denoised), out=xc)
+        np.add(xc, np.multiply(noise[step], noise_std, out=denoised), out=xc)
     phase.scatter(xc, out)
 
 

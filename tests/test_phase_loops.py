@@ -1,7 +1,8 @@
 """The reverse sweep and the masked refinement carry their arrays in the
 oracle's column layout from step to step and check the state once, after the
 last step. These tests hold them to their one-step cases bit for bit, hold a
-phase's constant tables to the expressions once evaluated at every step, and
+phase's constant tables to the expressions once evaluated at every step, run
+them on worlds whose constants have one shared column and one column a patch, and
 check that a non-finite value is still caught by the end of its phase and that
 every phase still costs rows x steps oracle evaluations of full (rows, dim) states.
 """
@@ -23,6 +24,8 @@ from localtts.testbed import (
     PatchWorld,
     _ancestral_coefficients,
     _ancestral_phase,
+    _at_time,
+    _oracle_terms,
     _Phase,
     _reverse_sweep,
     sample_base,
@@ -31,12 +34,21 @@ from localtts.testbed import (
 SHAPES = [(), (5,)]
 
 
-def make_predictor(k: int, d: int, n_steps: int = 6) -> NoisePredictor:
-    """A 2 x 3 world whose k components differ in weight, mean and variance."""
+def make_predictor(k: int, d: int, n_steps: int = 6, nudged: bool = False) -> NoisePredictor:
+    """A 2 x 3 world whose k components differ in weight, mean and variance; the
+    oracle keeps one column of constants for it, or, nudged (the last patch's
+    first variance raised), one column a patch."""
     weights = np.arange(1.0, k + 1) / (k * (k + 1) / 2)
     components = [(w, np.linspace(-1.0, 1.0, d) * (j - k / 2), 0.05 + 0.1 * j)
                   for j, w in enumerate(weights)]
     world = PatchWorld.uniform((2, 3), d, components)
+    if nudged:
+        variances = world.variances.copy()
+        variances[-1, 0] += 0.01
+        world = PatchWorld(grid=world.grid, patch_dim=d, weights=world.weights,
+                           means=world.means, variances=variances,
+                           verifier_weights=world.verifier_weights)
+    assert world._variances.shape[-1] == (world.n_patches if nudged else 1)
     return NoisePredictor(world=world, schedule=CosineSchedule(horizon=1.0, n_steps=n_steps))
 
 
@@ -47,8 +59,8 @@ def same(a: LatentState, b: LatentState) -> bool:
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("d", [1, 2, 4, 9])  # 9: the pairwise tree over coordinates
 @pytest.mark.parametrize("k", [1, 3, 9])
-def test_sweep_equals_its_steps_one_by_one(k, d, shape):
-    predictor = make_predictor(k, d)
+def test_sweep_equals_its_steps_one_by_one(k, d, shape, nudged=False):
+    predictor = make_predictor(k, d, nudged=nudged)
     x = np.random.default_rng(1).normal(size=(*shape, predictor.world.dim))
     state = LatentState(x=x, t=0.9)
     steps = [0.2, 0.15, 0.3, 0.25]  # down to 0, where the last step adds no noise
@@ -60,11 +72,19 @@ def test_sweep_equals_its_steps_one_by_one(k, d, shape):
     assert np.array_equal(x, np.random.default_rng(1).normal(size=x.shape))  # input untouched
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("d", [1, 2, 4, 9])
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_sweep_with_a_column_a_patch_equals_its_steps(k, d, shape):
+    # the test above on the nudged world, whose constants keep one column a patch
+    test_sweep_equals_its_steps_one_by_one(k, d, shape, nudged=True)
+
+
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("k", [1, 3])
-def test_step_keeps_the_bits_of_the_three_term_formula(k, masked):
+def test_step_keeps_the_bits_of_the_three_term_formula(k, masked, nudged=False):
     # x_s = coef_x x + coef_x0 denoised + noise_std z, evaluated as one expression
-    predictor = make_predictor(k, 2)
+    predictor = make_predictor(k, 2, nudged=nudged)
     world, sched = predictor.world, predictor.schedule
     x = np.random.default_rng(6).normal(size=(4, world.dim))
     bits = np.broadcast_to(mask_from_indices(world.grid, [1, 3]).bits, (4, world.n_patches))
@@ -86,6 +106,12 @@ def test_step_keeps_the_bits_of_the_three_term_formula(k, masked):
     assert not masked or np.count_nonzero(out) == want.size
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_step_with_a_column_a_patch_keeps_the_bits_of_the_formula(k, masked):
+    test_step_keeps_the_bits_of_the_three_term_formula(k, masked, nudged=True)
+
+
 @pytest.mark.parametrize("k, d", [(1, 2), (3, 4), (9, 1), (3, 9)])
 def test_phase_constants_equal_their_per_step_expressions(k, d):
     # one vectorised pass over the step times, np.log included, gives the bits
@@ -96,17 +122,22 @@ def test_phase_constants_equal_their_per_step_expressions(k, d):
     alphas, sigmas = [sched.alpha(t) for t in times], [sched.sigma(t) for t in times]
     phase = _Phase(world, alphas[:-1], [s ** 2 for s in sigmas[:-1]])
     coefficients = _ancestral_coefficients(alphas, sigmas)
-    variances = world.variances.T[:, None, None]  # (K, 1, 1, M), as the oracle reads them
+    # (K, 1, 1, M) and (K, d, 1, M), as the oracle reads them; the tables hold one
+    # column, which broadcasts over the M patches
+    variances = world.variances.T[:, None, None]
     log_weights = np.log(world.weights.T)[:, None, None]
+    means = world.means.transpose(1, 2, 0)[:, :, None]
     for step, (t, s) in enumerate(zip(times[:-1], times[1:])):
         a, s2 = sched.alpha(t), sched.sigma(t) ** 2
         var_t = a * a * variances + s2
         log_norm = log_weights - 0.5 * d * (np.log(var_t) + math.log(2.0 * math.pi))
         one_time = _Phase(world, [a], [s2])
-        for table, single, want in ((phase.var_t, one_time.var_t, var_t),
+        for table, single, want in ((phase.centre, one_time.centre, a * means),
+                                    (phase.var_t, one_time.var_t, var_t),
                                     (phase.log_norm, one_time.log_norm, log_norm),
                                     (phase.coef, one_time.coef, a * variances / var_t)):
-            assert table[step].tobytes() == single[0].tobytes() == want.tobytes()
+            got = [np.broadcast_to(c, want.shape).tobytes() for c in (table[step], single[0])]
+            assert got[0] == got[1] == want.tobytes()
         a_t, s_t, a_s, s_s = sched.alpha(t), sched.sigma(t), sched.alpha(s), sched.sigma(s)
         ratio = a_t / a_s
         var_ts = max(s_t * s_t - ratio * ratio * s_s * s_s, 0.0)
@@ -134,9 +165,9 @@ def mask_rows(world: PatchWorld, shape: tuple, per_row: bool) -> np.ndarray:
 @pytest.mark.parametrize("d", [1, 2, 4, 9])
 @pytest.mark.parametrize("k", [1, 3, 9])
 def test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_integrate,
-                                              per_row=False):
+                                              per_row=False, nudged=False):
     # the renoise, n_refine one-step refinements, then n_integrate one-step sweeps
-    predictor = make_predictor(k, d)
+    predictor = make_predictor(k, d, nudged=nudged)
     world = predictor.world
     anchor = LatentState(x=np.random.default_rng(4).normal(size=(*shape, world.dim)), t=0.0)
     bits = mask_rows(world, shape, per_row)
@@ -159,6 +190,46 @@ def test_resample_with_a_mask_per_row_equals_its_steps(k, t_g, n_refine, n_integ
     # the test above with one mask per row, one of them empty and one full
     test_resample_equals_its_steps_one_by_one(k, 2, (6,), t_g, n_refine, n_integrate,
                                               per_row=True)
+
+
+@pytest.mark.parametrize("t_g, n_refine, n_integrate", RESAMPLES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("d", [1, 2, 4, 9])
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_resample_with_a_column_a_patch_equals_its_steps(k, d, shape, t_g, n_refine,
+                                                         n_integrate):
+    # the refinement's selection gathers the nudged world's constants at its patches
+    test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_integrate,
+                                              nudged=True)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("k", [1, 3])
+def test_both_constant_forms_give_the_unchanged_patches_the_same_bits(k, d):
+    # the nudged world differs from the shared-column one in the last patch alone
+    shared, nudged = (make_predictor(k, d, nudged=n) for n in (False, True))
+    world, m = shared.world, shared.world.n_patches
+
+    def kept(x):  # the first m - 1 patches of (..., dim) or (..., m) values, as bytes
+        x = np.asarray(x)
+        x = x.reshape(*x.shape[:-1], m, -1) if x.shape[-1] == world.dim else x[..., None]
+        return np.ascontiguousarray(x[..., :m - 1, :]).tobytes()
+
+    outs = [sample_base(p, np.random.default_rng(5), shape=(7,)).x for p in (shared, nudged)]
+    assert kept(outs[0]) == kept(outs[1])
+    anchor = LatentState(x=outs[0], t=0.0)
+    cfg = ResampleConfig(t0=0.6, t_g=0.15, n_refine=3, n_integrate=2)
+    bits = mask_rows(world, (7,), per_row=True)
+    outs = [_resample(p, anchor, bits, cfg, np.random.default_rng(6)).x for p in (shared, nudged)]
+    assert kept(outs[0]) == kept(outs[1])
+    x = np.random.default_rng(7).normal(size=(7, world.dim))
+    for t in (1.0, 0.4, 0.0):
+        a, s2 = shared.schedule.alpha(t), shared.schedule.sigma(t) ** 2
+        terms = [_oracle_terms(*_at_time(p.world, x, a, s2)) for p in (shared, nudged)]
+        for got, want in zip(*terms):  # (K, 1 or d, rows, M) and (1, rows, M) terms
+            assert kept(got) == kept(want)
+        means = [p.evaluate(x, t) for p in (shared, nudged)]
+        assert kept(means[0]) == kept(means[1])
 
 
 def poisoned_evaluate(monkeypatch, bad_call: int) -> list:

@@ -343,6 +343,30 @@ class TestLogsumexp:
             assert same_bits(logsumexp(a), want)
             assert same_bits(logsumexp(np.moveaxis(a, -1, 0), axis=0), want)
 
+    @pytest.mark.parametrize("case", ["untied K=1", "untied K=3", "one tie in 1001 lanes",
+                                      "all lanes tied", "-inf beside ties"])
+    def test_each_count_path_equals_scipy_bit_for_bit(self, case):
+        # the count of maxima is taken only when some lane ties; both paths keep scipy's bits
+        rng = np.random.default_rng(23)
+        if case.startswith("untied"):
+            a, ties = rng.normal(scale=3.0, size=(200, int(case[-1]))), 0
+        elif case == "one tie in 1001 lanes":
+            a, ties = rng.normal(size=(1001, 3)), 1
+            a[517, 2] = a[517, 0] = a[517].max()
+        elif case == "all lanes tied":
+            a = rng.normal(size=(300, 4))
+            a[:, 3] = a[:, 1] = a.max(axis=-1)
+            ties = len(a)
+        else:
+            a = np.repeat(rng.normal(size=(100, 1)), 5, axis=-1)
+            a[::2, 0] += 0.5  # even lanes untied, odd lanes tie three to five ways
+            a[::3, 1] = a[1::4, 3] = -np.inf
+            ties = 50
+        assert np.count_nonzero((a == a.max(axis=-1, keepdims=True)).sum(axis=-1) > 1) == ties
+        want = scipy_logsumexp(a, axis=-1)
+        assert same_bits(logsumexp(a), want)
+        assert same_bits(logsumexp(np.ascontiguousarray(a.T), axis=0), want)
+
 
 def test_pairwise_sum_adds_a_leading_axis_in_numpy_last_axis_order():
     # numpy sums a contiguous last axis in sequence below 8 terms and pairwise
