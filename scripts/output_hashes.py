@@ -7,7 +7,8 @@ runs are the shipped configs in ``configs/``, the ``testbed_k3`` and
 ``theory_mc`` benchmark workload configs (read from
 ``perfbench/workloads.py``), and probes of paths no shipped config takes:
 noiseless attention, a resample with ``t_g = 0``, a resample of one refinement
-step, oracle masks (some of them empty), a nine-component world of ``patch_dim``
+step, oracle masks (some of them empty, in the testbed and in the sweep), a sweep
+in which no seed refines, a nine-component world of ``patch_dim``
 1, worlds of ``patch_dim`` 9, a world of two identical components (every lane of
 the oracle's log-sum-exp ties, so it divides by its count of maxima), maskgen
 with queries, maskgen from inline raw attention documents, best-of-N searches
@@ -70,7 +71,10 @@ RUNS = [
     *((f"{stem}+n_refine=1", f"{stem}.json", ["resample.n_refine=1"])
       for stem in ("testbed_small", "scaling_default")),
     # the randomized defect counts leave some oracle masks empty
-    ("testbed_small+oracle_masks", "testbed_small.json", ["attention.oracle_masks=true"]),
+    *((f"{stem}+oracle_masks", f"{stem}.json", ["attention.oracle_masks=true"])
+      for stem in ("testbed_small", "scaling_default")),
+    # no seed refines, so no engine block has a mask or a refinement row
+    ("scaling_default+refinements=0", "scaling_default.json", ["search.refinements=0"]),
     ("testbed_small+K=9,d=1", "testbed_small.json",
      ["world.patch_dim=1", f"world.components={K9}"]),
     ("testbed_small+twin_components", "testbed_small.json", [f"world.components={TWINS}"]),

@@ -167,11 +167,9 @@ class DefectMask:
     @classmethod
     def rows(cls, bits: np.ndarray, grid) -> list["DefectMask"]:
         """A mask per row of (rows, size) 0/1 bits at ratio count / size, checked as one array."""
-        grid, bits = _as_grid(grid), np.asarray(bits)
-        if bits.shape[1:] != (grid[0] * grid[1],) or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError(f"mask rows must be 0/1 bits of length {grid[0] * grid[1]}")
+        grid, bits = _as_grid(grid), _mask_rows(bits, grid)
         masks = [object.__new__(cls) for _ in range(len(bits))]
-        for mask, row, count in zip(masks, bits.astype(np.uint8), bits.sum(axis=1).tolist()):
+        for mask, row, count in zip(masks, bits, bits.sum(axis=1).tolist()):
             mask.__dict__.update(bits=row, ratio=count / bits.shape[1], grid=grid)
         return masks
 
@@ -182,6 +180,14 @@ class DefectMask:
     @property
     def selected(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
+
+
+def _mask_rows(bits, grid) -> np.ndarray:
+    """(rows, size) 0/1 mask bits as a uint8 copy, checked as one array."""
+    size, bits = math.prod(_as_grid(grid)), np.asarray(bits)
+    if bits.shape[1:] != (size,) or not np.all((bits == 0) | (bits == 1)):
+        raise ValueError(f"mask rows must be 0/1 bits of length {size}")
+    return bits.astype(np.uint8)
 
 
 def mask_from_indices(grid, indices) -> DefectMask:

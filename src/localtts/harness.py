@@ -186,11 +186,15 @@ def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequen
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     cfg = SearchConfig(seeds=1, refinements=1)
     searches = ((cfg, trial_rng(seed_seq)) for seed_seq in seed_seqs)
-    return [(anchor.score, refined.score, refined.score - anchor.score,
-             *mask_recall_precision(refined.mask, anchor.defects),
-             anchor.nfe_cost + refined.nfe_cost)
-            for _, (anchor, refined) in _lockstep(predictor, searches, settings.resample,
-                                                  settings.mask_source(), settings.sampler())]
+    rows = []
+    for rec in _lockstep(predictor, searches, settings.resample, settings.mask_source(),
+                         settings.sampler()):
+        # every seed refines once: a block's refinements are its rows, in order
+        anchor, refined, nfe = rec.scores, rec.refined_scores, rec.base_nfe + rec.refine_nfe
+        rows += [(a, r, d, *pair, nfe) for a, r, d, pair in zip(
+            anchor.tolist(), refined.tolist(), (refined - anchor).tolist(),
+            mask_recall_precision(rec.bits, rec.defects))]
+    return rows
 
 
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -231,7 +235,7 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
     results = {
         "trials": cfg.trials,
         "crossover": summary,
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [dict(vars(r)) for r in rows],  # flat fields: no deep copy
     }
     files = {"scaling.csv": render_csv(
         ["method", "n", "nfe", "mean_score", "stderr", "trials"],

@@ -12,7 +12,8 @@ Every search runs on one lockstep engine: the base draws of all its seeds
 integrate as one batch, and so do all refinements, in blocks of bounded
 size. Each candidate draws its randomness from its own generator, spawned
 by lineage (search, seed, refinement), so batching does not change any
-candidate's bits.
+candidate's bits. A block yields one record of arrays; dfs_search turns
+records into Candidates, and the sweep and testbed runners reduce the arrays.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence, _coerce_to_uint32_array
 
-from .attention import (DefectMask, _indicators, _mask_bits, _softmax_rows, mask_from_indices,
-                        mask_gen)
+from .attention import (DefectMask, _indicators, _mask_bits, _mask_rows, _softmax_rows,
+                        mask_from_indices, mask_gen)
 from .errors import check
 from .resample import ResampleConfig, _resample
 from .testbed import (
@@ -236,9 +237,9 @@ def trial_rng(seed_seq) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_lineage(seed_seq)))
 
 
-def _scores(verify: Verifier, states: LatentState) -> list[float]:
-    """One verifier call for a batch; a constant verifier scores every row alike."""
-    return np.broadcast_to(np.asarray(verify(states), dtype=float), states.x.shape[:1]).tolist()
+def _scores(verify: Verifier, states: LatentState) -> np.ndarray:
+    """One verifier call for a batch, (rows,); a constant verifier scores every row alike."""
+    return np.broadcast_to(np.asarray(verify(states), dtype=float), states.x.shape[:1])
 
 
 def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, phase: str) -> int:
@@ -282,36 +283,61 @@ def _blocks(searches, base_draws: int, refine_draws: int, dim: int):
         yield block
 
 
+@dataclass(frozen=True)
+class _Record:
+    """One engine block as arrays, its rows the block's seeds in order: each
+    seed's search index and its index in that search (search, seed), its
+    refinement count (refinements), its defect set (defects, None without
+    injection) and its base draw's score (scores). bits holds the (refining,
+    S) masks of the rows that refine, refined_scores their refinements'
+    scores, seed-major; base_nfe and refine_nfe are each phase's per-row NFE
+    (0 when no row refines). drawn and refined are the two phases' states."""
+
+    search: np.ndarray
+    seed: np.ndarray
+    refinements: np.ndarray
+    defects: list
+    scores: np.ndarray
+    bits: np.ndarray
+    refined_scores: np.ndarray
+    base_nfe: int
+    refine_nfe: int
+    drawn: LatentState
+    refined: Optional[LatentState]
+
+
 def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleConfig],
               mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None,
-              verifier: Optional[Verifier] = None) -> Iterator[tuple[int, list[Candidate]]]:
+              verifier: Optional[Verifier] = None) -> Iterator[_Record]:
     """Run depth-2 searches, (SearchConfig, generator) pairs read as needed,
     block by block in four batched phases: every base draw as one
     integration, the masks of the refined seeds as one (rows, S) array,
     every refinement as one integration on resample (ValueError if None),
     one verifier call per batch. A block's mask bits are checked once, as one
-    array (DefectMask.rows).
+    array (attention._mask_rows).
 
     Seed i of a search draws its base sample, defects and mask from the i-th
     generator spawned from the search's generator; refinement j of that seed
     from the j-th spawned from the seed's. Batches and blocks only stack
     rows, so each candidate equals its one-at-a-time counterpart bit for
-    bit. Yields (search index, the seed's candidates) as each block runs, in
-    evaluation order (seed-major, base first); nfe_cost is measured per row.
+    bit. Yields one record of arrays (_Record) per block as it runs; the
+    candidates' evaluation order is seed-major, base first, and NFE is
+    measured per row. _candidates turns a record into Candidates.
     """
     inject = base_sampler or plain_sampler
     verify = verifier or functools.partial(verifier_score, predictor.world)
     draws = len(predictor.schedule.step_times())  # x_T, then one per step
     refine_draws = 0 if resample is None else 2 + resample.nfe_cost  # renoise twice, one per step
     for block in _blocks(searches, draws, refine_draws, predictor.world.dim):
-        yield from _lockstep_block(predictor, block, draws, resample, refine_draws,
-                                   mask_source, inject, verify)
+        yield _lockstep_block(predictor, block, draws, resample, refine_draws,
+                              mask_source, inject, verify)
 
 
 def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
                     resample: Optional[ResampleConfig], refine_draws: int,
-                    mask_source: Optional[MaskSource], inject: BaseSampler, verify: Verifier):
-    """The four phases over one block; yields (search index, candidates) per seed."""
+                    mask_source: Optional[MaskSource], inject: BaseSampler,
+                    verify: Verifier) -> _Record:
+    """The four phases over one block, as one record."""
     if resample is None and any(cfg.refinements > 0 for *_, cfg in block):
         raise ValueError("searches with refinements need a resample config")
     world = predictor.world
@@ -333,17 +359,21 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
 
     # mask phase: the bits of the seeds that refine from one rows call (one
     # call per row for a source without rows), each row from its seed's stream
-    refining = [row for row, (*_, cfg) in enumerate(block) if cfg.refinements > 0]
+    search, seed, refinements = np.array([(g, idx, cfg.refinements)
+                                          for g, idx, _, cfg in block]).T
+    refining = np.flatnonzero(refinements).tolist()
+    bits, refined_scores = np.zeros((0, world.n_patches), np.uint8), np.zeros(0)
+    refined, refine_nfe = None, 0
     if refining:
         args = ([drawn.row(row) for row in refining], [defects[row] for row in refining],
                 [rngs[row] for row in refining])
         rows = getattr(mask_source, "rows", None)
-        bits = rows(*args) if rows else np.array([mask_source(*row).bits for row in zip(*args)])
-        masks = dict(zip(refining, DefectMask.rows(bits, world.grid)))
-        counts = [block[row][3].refinements for row in refining]
-        refine_rngs = _spawn([rngs[row] for row in refining], counts)
+        bits = _mask_rows(rows(*args) if rows else
+                          np.array([mask_source(*row).bits for row in zip(*args)]), world.grid)
+        counts = refinements[refining]
+        refine_rngs = _spawn([rngs[row] for row in refining], counts.tolist())
 
-        # refinement phase: one batch, each row on its seed's coordinate mask
+        # refinement phase: one batch, each row on its seed's mask
         seed_of = np.repeat(np.arange(len(refining)), counts)
         noise = _RowNoise(refine_rngs, refine_draws, world.dim)
         before = predictor.nfe
@@ -352,17 +382,24 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
         noise.check_spent("refinement")
         refine_nfe = _measured(predictor, before, len(seed_of), resample.nfe_cost, "refinement")
         refined_scores = _scores(verify, refined)
+    return _Record(search, seed, refinements, defects, base_scores, bits, refined_scores,
+                   base_nfe, refine_nfe, drawn, refined)
 
-    k = 0  # refinement rows are seed-major, like the candidates
-    for row, (g, idx, _, cfg) in enumerate(block):
-        candidates = [Candidate(state=drawn.row(row), score=base_scores[row],
-                                lineage=(idx, None), nfe_cost=base_nfe, defects=defects[row])]
-        for ref_idx in range(cfg.refinements):
-            candidates.append(Candidate(state=refined.row(k), score=refined_scores[k],
-                                        lineage=(idx, ref_idx), nfe_cost=refine_nfe,
-                                        defects=defects[row], mask=masks[row]))
+
+def _candidates(record: _Record, grid) -> Iterator[tuple[int, Candidate]]:
+    """A record's candidates with their search indices, in evaluation order
+    (seed-major, base first); a seed's refinements share its mask."""
+    masks, refined, k = iter(DefectMask.rows(record.bits, grid)), record.refined_scores.tolist(), 0
+    for row, (g, idx, count, score) in enumerate(zip(*(a.tolist() for a in (
+            record.search, record.seed, record.refinements, record.scores)))):
+        defects, mask = record.defects[row], next(masks) if count else None
+        yield g, Candidate(state=record.drawn.row(row), score=score, lineage=(idx, None),
+                           nfe_cost=record.base_nfe, defects=defects)
+        for ref_idx in range(count):
+            yield g, Candidate(state=record.refined.row(k), score=refined[k],
+                               lineage=(idx, ref_idx), nfe_cost=record.refine_nfe,
+                               defects=defects, mask=mask)
             k += 1
-        yield g, candidates
 
 
 def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg: SearchConfig,
@@ -378,11 +415,12 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
     to also receive every evaluated candidate in order.
     """
     def evaluated():
-        for _, candidates in _lockstep(predictor, [(cfg, rng)], resample, mask_source,
-                                       base_sampler, verifier):
-            if collect is not None:
-                collect.extend(candidates)
-            yield from candidates
+        for record in _lockstep(predictor, [(cfg, rng)], resample, mask_source,
+                                base_sampler, verifier):
+            for _, cand in _candidates(record, predictor.world.grid):
+                if collect is not None:
+                    collect.append(cand)
+                yield cand
     # max keeps the first of equal scores: evaluation order breaks ties
     return max(evaluated(), key=lambda cand: cand.score)
 
@@ -397,12 +435,13 @@ def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
     return dfs_search(predictor, None, cfg, None, rng, base_sampler, verifier, collect)
 
 
-def mask_recall_precision(mask: DefectMask, truth) -> tuple[float, float]:
-    """Recall and precision of a mask against a ground-truth defect set
-    (distinct patch indices), counted from the mask's bits."""
-    truth = np.asarray(truth, dtype=int)
-    hits, selected = int(mask.bits[truth].sum()), int(mask.bits.sum())
-    return (hits / truth.size if truth.size else 1.0, hits / selected if selected else 0.0)
+def mask_recall_precision(bits: np.ndarray, truths) -> list[tuple[float, float]]:
+    """Recall and precision of each row of (rows, S) mask bits against its
+    ground-truth defect set (distinct patch indices), counted from the bits:
+    recall 1 for an empty set, precision 0 for an empty mask."""
+    hits = (bits & _indicators(truths, bits.shape[1])).sum(axis=1).tolist()
+    return [(hit / len(truth) if len(truth) else 1.0, hit / selected if selected else 0.0)
+            for hit, selected, truth in zip(hits, bits.sum(axis=1).tolist(), truths)]
 
 
 def split_budget(n: int, refinements: int) -> tuple[int, int]:
@@ -560,7 +599,10 @@ def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence
     baseline draw from their own streams, spawned from their trial's seed
     sequence (independent draws, not common random numbers). NFE counts are
     each search's measured share; masks lists (recall, precision) of each
-    mask a localized budget made. Seeds are reduced as the engine yields them.
+    mask a localized budget made. Each record is reduced from its arrays as
+    the engine yields it, search by search: a localized budget keeps the first
+    of its equal best scores in evaluation order, and the baseline's prefix
+    maxima run on, np.maximum.accumulate, from one block to the next.
     """
     searches = [SearchConfig(*split_budget(n, settings.refinements)) for n in settings.n_grid]
     searches.append(SearchConfig(seeds=max(settings.bon_grid), refinements=0))
@@ -570,23 +612,34 @@ def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence
                for cfg, rng in zip(searches, trial_rng(seed_seq).spawn(len(searches))))
     results = [{"local": {}, "local_nfe": {}, "bon": dict.fromkeys(settings.bon_grid),
                 "bon_nfe": 0, "masks": {}} for _ in seed_seqs]
-    for g, candidates in _lockstep(predictor, streams, settings.resample, settings.mask_source(),
-                                   settings.sampler()):
-        result, n = results[g // len(searches)], budgets[g % len(searches)]
-        if n is None:  # one draw a seed; np.maximum is the ufunc of np.maximum.accumulate
-            [draw] = candidates
-            seed = draw.lineage[0]  # seed 0 starts the trial's running best
-            best = np.maximum(best, draw.score) if seed else draw.score
-            if seed + 1 in result["bon"]:
-                result["bon"][seed + 1] = float(best)
-            result["bon_nfe"] += draw.nfe_cost
-            continue
-        # the running best first, so max keeps the first of equal scores
-        local, scores = result["local"], [c.score for c in candidates]
-        local[n] = max(local[n], *scores) if n in local else max(scores)
-        result["local_nfe"][n] = result["local_nfe"].get(n, 0) + sum(c.nfe_cost for c in candidates)
-        result["masks"].setdefault(n, []).extend(mask_recall_precision(c.mask, c.defects)
-                                                 for c in candidates if c.lineage[1] == 0)
+    best = None  # the running best-of-N maximum
+    for rec in _lockstep(predictor, streams, settings.resample, settings.mask_source(),
+                         settings.sampler()):
+        # each row's first candidate in evaluation order, then the end; the masks made before it
+        first = np.concatenate([[0], np.cumsum(rec.refinements + 1)])
+        masked = np.concatenate([[0], np.cumsum(rec.refinements > 0)])
+        order = np.insert(rec.refined_scores, first[:-1] - np.arange(len(rec.seed)), rec.scores)
+        order, first, masked = order.tolist(), first.tolist(), masked.tolist()
+        pairs = mask_recall_precision(rec.bits, [rec.defects[row] for row in
+                                                 np.flatnonzero(rec.refinements).tolist()])
+        cuts = [0, *(np.flatnonzero(np.diff(rec.search)) + 1).tolist(), len(rec.seed)]
+        for r0, r1 in zip(cuts, cuts[1:]):  # one search's rows
+            g, seed = int(rec.search[r0]), int(rec.seed[r0])
+            result, n = results[g // len(searches)], budgets[g % len(searches)]
+            if n is None:  # seed 0 starts the trial's running best; a later block carries it
+                prefix = np.maximum.accumulate(np.concatenate([[best] if seed else [],
+                                                               rec.scores[r0:r1]]))[r0 - r1:]
+                best = prefix[-1]
+                result["bon"].update([(k, float(prefix[k - 1 - seed])) for k in result["bon"]
+                                      if seed < k <= seed + r1 - r0])
+                result["bon_nfe"] += (r1 - r0) * rec.base_nfe
+                continue
+            # the running best first, so max keeps the first of equal scores
+            local, scores = result["local"], order[first[r0]:first[r1]]
+            local[n] = max(local[n], *scores) if n in local else max(scores)
+            result["local_nfe"][n] = (result["local_nfe"].get(n, 0) + (r1 - r0) * rec.base_nfe
+                                      + (len(scores) - (r1 - r0)) * rec.refine_nfe)
+            result["masks"].setdefault(n, []).extend(pairs[masked[r0]:masked[r1]])
     return results
 
 
@@ -595,12 +648,15 @@ def sweep_trial(settings: SweepSettings, seed_seq: np.random.SeedSequence) -> di
     return sweep_trials(settings, [seed_seq])[0]
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+def _mean_stderr(table) -> tuple:
+    """Mean and standard error along the last axis: floats for one row of values,
+    lists for a (cells, values) table. numpy sums a contiguous last axis pairwise,
+    row by row, so each cell has the bits of its own 1-D call."""
+    table = np.asarray(table, dtype=float)
+    n = table.shape[-1]
+    mean = table.mean(axis=-1)
+    stderr = table.std(axis=-1, ddof=1) / np.sqrt(n) if n >= 2 else np.zeros_like(mean)
+    return mean.tolist(), stderr.tolist()
 
 
 def check_nfe(what: str, measured: list[int], analytic: int) -> None:
@@ -621,9 +677,9 @@ def summarize_sweep(settings: SweepSettings, trial_results: list[dict]) -> list[
                   settings.local_nfe(n))
     cells = ([("localized", "local", n, settings.local_nfe(n)) for n in settings.n_grid]
              + [("best_of_n", "bon", n, n * settings.schedule.n_steps) for n in settings.bon_grid])
+    means, stderrs = _mean_stderr([[r[key][n] for r in trial_results] for _, key, n, _ in cells])
     rows = []
-    for method, key, n, nfe in cells:
-        mean, stderr = _mean_stderr(np.array([r[key][n] for r in trial_results]))
+    for (method, key, n, nfe), mean, stderr in zip(cells, means, stderrs):
         masks = [pair for r in trial_results for pair in r["masks"][n]] if key == "local" else []
         recall, precision = np.mean(masks, axis=0).tolist() if masks else (None, None)
         rows.append(SweepRow(method=method, n=n, nfe=nfe, mean_score=mean, stderr=stderr,

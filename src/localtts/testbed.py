@@ -323,9 +323,10 @@ class _Phase:
     (log var_t + log 2 pi) and the posterior coefficient a s_k^2 / var_t, each
     a list of (K, d or 1, 1, C) arrays whose entry ``step`` the oracle reads, C
     the world's 1 or P columns: one broadcasts over rows x P contiguous elements
-    at once. A reverse phase allocates the centred terms and their squares,
-    (K, d, rows, P), and the posterior mean once and reuses them at every step;
-    a one-time phase leaves them to the ufuncs.
+    at once; with P columns the oracle scales the centres at each step. A
+    reverse phase allocates the centred terms and their squares, (K, d, rows,
+    P), and the posterior mean once and reuses them at every step; a one-time
+    phase leaves them to the ufuncs.
     """
 
     work = squares = mean = _viewed = None  # a reverse phase's buffers (_ancestral_phase)
@@ -338,13 +339,15 @@ class _Phase:
         one = len(alphas) == 1  # Python floats broadcast at a lower fixed cost than arrays
         a, s2 = ((alphas[0], noise_vars[0]) if one else
                  (np.array(v).reshape(-1, 1, 1, 1, 1) for v in (alphas, noise_vars)))
-        centre = a * self.means
         var_t = a * a * variances + s2
         log_norm = log_weights - 0.5 * world.patch_dim * (np.log(var_t) + _LOG_2PI)
         coef = a * variances / var_t
-        self.centre, self.var_t, self.log_norm, self.coef = (
-            ([centre], [var_t], [log_norm], [coef]) if one else
-            map(list, (centre, var_t, log_norm, coef)))
+        self.var_t, self.log_norm, self.coef = (([var_t], [log_norm], [coef]) if one else
+                                                map(list, (var_t, log_norm, coef)))
+        # tabulated, the centres are (steps, K, d, 1, C): K times a row's noise when C > 1,
+        # so then the oracle scales them at each step (None), with the same bits
+        self.alphas, self.centre = a, ([a * self.means] if one else list(a * self.means)
+                                       if self.means.shape[-1] == 1 else None)
 
     def columns(self, carried: np.ndarray) -> np.ndarray:
         """The contiguous (d, rows, P) columns of a (rows, dim) array in the
@@ -397,7 +400,8 @@ def _oracle_terms(phase: _Phase, xc: np.ndarray) -> tuple:
     reads one column, so the bits depend on neither the layout nor the other columns.
     """
     step = phase.step
-    work = np.subtract(xc, phase.centre[step], out=phase.work)
+    centre = phase.centre[step] if phase.centre else phase.alphas[step] * phase.means
+    work = np.subtract(xc, centre, out=phase.work)
     log_comp = _pairwise_sum(np.square(work, out=phase.squares), 1)
     log_comp *= 0.5
     log_comp /= phase.var_t[step]

@@ -145,7 +145,7 @@ def recall_precision(mask, truth) -> tuple:
     return (tp / len(truth) if truth else 1.0, tp / len(selected) if selected else 0.0)
 
 
-def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
+def reference_testbed_trial(settings: TrialSettings, seed: int, score=verifier_score) -> tuple:
     """Sample, inject, mask, score, refine, score: the trial as its own sequence."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
@@ -153,32 +153,33 @@ def reference_testbed_trial(settings: TrialSettings, seed: int) -> tuple:
     anchor, true_set = settings_row_sampler(settings)(
         settings.world, sample_base(predictor, seed_rng), seed_rng)
     mask = settings_row_masks(settings)(anchor, true_set, seed_rng)
-    anchor_score = float(verifier_score(settings.world, anchor))
+    anchor_score = float(score(settings.world, anchor))
     refined, refined_score = localized_resample(
         predictor, anchor, mask, settings.resample,
-        lambda s: verifier_score(settings.world, s), seed_rng.spawn(1)[0])
+        lambda s: score(settings.world, s), seed_rng.spawn(1)[0])
     return (anchor_score, float(refined_score), float(refined_score) - anchor_score,
             *recall_precision(mask, true_set), predictor.nfe)
 
 
-def reference_sweep_trial(settings: SweepSettings, seed: int) -> dict:
+def reference_sweep_trial(settings: SweepSettings, seed: int, score=verifier_score) -> dict:
     """The sweep trial as one search after another, each with its own predictor."""
     trial = np.random.default_rng(np.random.SeedSequence(seed))
     sampler, mask_source = settings_row_sampler(settings), settings_row_masks(settings)
+    verify = functools.partial(score, settings.world)
     result = {"local": {}, "local_nfe": {}, "masks": {}}
     for n in settings.n_grid:
         seeds, refinements = split_budget(n, settings.refinements)
         predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
         cfg = SearchConfig(seeds=seeds, refinements=refinements)
         best, candidates = reference_search(predictor, mask_source, cfg, settings.resample,
-                                            trial.spawn(1)[0], sampler)
+                                            trial.spawn(1)[0], sampler, verify)
         result["local"][n] = best.score
         result["local_nfe"][n] = predictor.nfe
         result["masks"][n] = [recall_precision(c.mask, c.defects)
                               for c in candidates if c.lineage[1] == 0]
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     cfg = SearchConfig(seeds=max(settings.bon_grid), refinements=0)
-    _, draws = reference_search(predictor, None, cfg, None, trial.spawn(1)[0], sampler)
+    _, draws = reference_search(predictor, None, cfg, None, trial.spawn(1)[0], sampler, verify)
     prefix_best = np.maximum.accumulate([draw.score for draw in draws])
     result["bon"] = {n: float(prefix_best[n - 1]) for n in settings.bon_grid}
     result["bon_nfe"] = predictor.nfe
@@ -229,9 +230,14 @@ def same_candidates(got: list, want: list) -> bool:
             and all(same_bits(c.state.x, r.state.x) for c, r in zip(got, want)))
 
 
+def rounded_score(world, state):
+    """verifier_score rounded to whole numbers: ties, -0.0 against 0.0 among them,
+    become common, so the first-wins rule is exercised."""
+    return np.round(verifier_score(world, state))
+
+
 def coarse(world):
-    """A rounded verifier: ties become common, so the first-wins rule is exercised."""
-    return lambda state: np.round(verifier_score(world, state))
+    return functools.partial(rounded_score, world)
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -331,20 +337,40 @@ def test_chunk_equals_its_trials_one_at_a_time(kwargs, chunk, refinements, bon_m
     assert results == one_at_a_time and repr(results) == repr(one_at_a_time)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kwargs=trial_kwargs(), refinements=st.integers(0, 2), bon_max=st.integers(1, 4),
+       seed=seeds)
+def test_trials_under_a_rounded_verifier_equal_the_references(kwargs, refinements, bon_max,
+                                                              seed):
+    # the engine's runners reduce a block's arrays: a localized budget keeps the first
+    # of equal scores in evaluation order, best-of-N the np.maximum.accumulate prefix
+    # maxima; repr tells -0.0 from 0.0, which a rounded score often is
+    trial_settings = TrialSettings(**kwargs)
+    sweep = sweep_settings(kwargs, refinements, bon_max)
+    seed_seq = np.random.SeedSequence(seed)
+    with mock.patch.object(search, "verifier_score", rounded_score):
+        row = harness.testbed_trials(trial_settings, [seed_seq])[0]
+        result = sweep_trials(sweep, [seed_seq])[0]
+    assert repr(row) == repr(reference_testbed_trial(trial_settings, seed, rounded_score))
+    want = reference_sweep_trial(sweep, seed, rounded_score)
+    assert repr(sorted(result.items())) == repr(sorted(want.items()))
+
+
 def engine_candidates(run):
-    """Run run() with the engine's (search index, candidates) pair of each
-    seed recorded; returns (result, each search's candidates in order)."""
+    """Run run() with the engine's record of each block recorded; returns
+    (result, each search's candidates in order), the records expanded into
+    (search index, candidate) pairs as dfs_search expands them."""
     engine, pairs = search._lockstep, []
 
-    def recording(*args, **kwargs):
-        for pair in engine(*args, **kwargs):
-            pairs.append(pair)
-            yield pair
+    def recording(predictor, *args, **kwargs):
+        for record in engine(predictor, *args, **kwargs):
+            pairs.extend(search._candidates(record, predictor.world.grid))
+            yield record
 
     with mock.patch.object(search, "_lockstep", recording), \
             mock.patch.object(harness, "_lockstep", recording):
         result = run()
-    return result, [[cand for _, candidates in seeds for cand in candidates]
+    return result, [[cand for _, cand in seeds]
                     for _, seeds in itertools.groupby(pairs, key=operator.itemgetter(0))]
 
 

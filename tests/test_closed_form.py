@@ -16,14 +16,30 @@ is one patch's expected log-density under N(mu, v I):
 
     E[score] = -(d / 2) log(2 pi v) - d (V_0 + (m_0 - mu)^2) / (2 v).
 
-The row counts, the seeds and the |z| bound were fixed before any result was
-read. A sample variance of n values has standard error V_0 sqrt(2 / n).
+With the mean mu = 0, a patch's squared norm over V_0 is chi^2_d, and
+noncentral chi^2_d(delta^2 / V_0) once a defect of magnitude delta displaces
+it in a direction drawn apart from it. So with m patches, k of them defective,
+a base score is A - B V_0 X, A = -(d / 2) log(2 pi v), B = 1 / (2 v m), X of
+law chi^2_{dm}(k delta^2 / V_0) with k ~ Binomial(m, count / m) when the
+count is randomized. The best of N scores takes the least of N draws of X, and
+for X >= 0
+
+    E[best of N] = A - B V_0 E[min of N X],    E[min of N X] = int_0^inf (1 - F(x))^N dx.
+
+The row counts, the trial counts, the seeds and the |z| bound were fixed
+before any result was read. A sample variance of n values has standard error
+V_0 sqrt(2 / n).
 """
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from localtts import harness
+from localtts.config import load_config
 from localtts.testbed import (
     CosineSchedule,
     NoisePredictor,
@@ -129,3 +145,58 @@ def test_expected_base_score_matches_the_closed_form():
 def test_a_score_law_without_the_noise_term_is_rejected():
     z = score_z(noise=False)
     assert abs(z) > Z_BOUND, z
+
+
+SCALING_DEFAULT = Path(__file__).resolve().parents[1] / "configs" / "scaling_default.json"
+
+
+@functools.lru_cache(maxsize=1)
+def shipped_bon_rows() -> tuple:
+    """(n, mean score, stderr) of each best-of-N row of the shipped scaling
+    report: its 200 trials at its master seed."""
+    cfg, _ = load_config(SCALING_DEFAULT)
+    results, _ = harness.run_scaling(cfg)
+    return tuple((row["n"], row["mean_score"], row["stderr"])
+                 for row in results["rows"] if row["method"] == "best_of_n")
+
+
+def expected_best_of_n(settings, budgets, noise: bool = True, points: int = 20_001
+                       ) -> list[float]:
+    """E[best of N] of the scaling sweep's base draws, at each budget N, by the
+    closed form (mu = 0, uniform verifier weights, randomized defect counts),
+    the integral by the trapezoid rule on points x values."""
+    world, sched = settings.world, settings.schedule
+    [[mu]], [[v]] = world.means[:1, :, :1], world.variances[:1]
+    assert mu == 0.0 and settings.randomize_defects
+    m, d, shift = world.n_patches, world.patch_dim, settings.defect_magnitude ** 2
+    var = base_law(mu, v, sched.horizon, sched.n_steps, noise)[1]
+    k = np.arange(m + 1)
+    p_k = stats.binom.pmf(k, m, settings.defect_count / m)
+    a, b = -0.5 * d * math.log(2.0 * math.pi * v), 1.0 / (2.0 * v * m)
+    if var < 1e-9:  # V_0 X is k delta^2 within 1e-4: the V_0 -> 0 limit, where scipy's
+        # ncx2 fails (noncentrality 1e15 and more); E[min of N K] = sum_k P(K >= k)^N
+        at_least = p_k[::-1].cumsum()[::-1]
+        return [a - b * shift * np.sum(at_least[1:] ** n) for n in budgets]
+    # the law of X given k on a grid to 20 times the largest mean, far past its tail
+    x = np.linspace(0.0, 20.0 * (d * m + m * shift / var), points)
+    cdf = p_k @ stats.ncx2.cdf(x, d * m, k[:, None] * shift / var)
+    return [a - b * var * np.trapezoid((1.0 - cdf) ** n, x) for n in budgets]
+
+
+def bon_z(noise: bool = True) -> list[float]:
+    """z of each shipped best-of-N row's mean against the closed form."""
+    rows = shipped_bon_rows()
+    settings = load_config(SCALING_DEFAULT)[0].settings
+    expected = expected_best_of_n(settings, [n for n, _, _ in rows], noise)
+    return [(mean - want) / stderr for (_, mean, stderr), want in zip(rows, expected)]
+
+
+def test_best_of_n_rows_match_the_closed_form():
+    # the 11 budgets share their trials, so they are not 11 independent checks
+    z = bon_z()
+    assert len(z) == 11 and max(map(abs, z)) < Z_BOUND, z
+
+
+def test_a_best_of_n_law_without_the_noise_term_is_rejected():
+    z = bon_z(noise=False)
+    assert max(map(abs, z)) > Z_BOUND, z

@@ -9,6 +9,7 @@ every phase still costs rows x steps oracle evaluations of full (rows, dim) stat
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,36 @@ def test_both_constant_forms_give_the_unchanged_patches_the_same_bits(k, d):
             assert kept(got) == kept(want)
         means = [p.evaluate(x, t) for p in (shared, nudged)]
         assert kept(means[0]) == kept(means[1])
+
+
+def test_a_column_a_patch_phase_holds_no_table_of_centres():
+    # 200 steps on a 32 x 32 world, d = 8, K = 3, one variance nudged: tabulated,
+    # the centres a mu_k would be 37.5 MB, three times the 12.56 MB of one row's
+    # noise; the shared-column world's are 0.04 MB. What a phase holds beyond its
+    # other tables, each step's views included, stays below 0.5 MB on both
+    components = [(0.3, -0.8, 0.09), (0.5, 0.4, 0.25), (0.2, 1.5, 0.04)]
+    shared = PatchWorld.uniform((32, 32), 8, components)
+    variances = shared.variances.copy()
+    variances[-1, 0] += 0.01
+    nudged = PatchWorld(grid=shared.grid, patch_dim=8, weights=shared.weights,
+                        means=shared.means, variances=variances,
+                        verifier_weights=shared.verifier_weights)
+    sched = CosineSchedule(horizon=1.0, n_steps=200)
+    times = sched.step_times()[:-1]
+    alphas, noise_vars = [sched.alpha(t) for t in times], [sched.sigma(t) ** 2 for t in times]
+    held = {}
+    for name, world in (("shared", shared), ("nudged", nudged)):
+        tracemalloc.start()
+        try:
+            phase = _Phase(world, alphas, noise_vars)
+            held[name] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # less the (steps, K, 1, 1, C) tables of var_t, the log-normaliser and the coefficient
+        held[name] -= sum(table[0].base.nbytes for table in (phase.var_t, phase.log_norm,
+                                                              phase.coef))
+    assert max(held.values()) < 0.5e6, held
+    assert len(phase.var_t) == 200 and phase.var_t[0].shape == (3, 1, 1, 1024)
 
 
 def poisoned_evaluate(monkeypatch, bad_call: int) -> list:
