@@ -18,6 +18,14 @@ uniform repair, an exponential pair whose last chunk ends one row past a slab,
 a mixed constant/uniform pair, an economy with no clean patches). Each runs at
 workers 1 and 2. Outputs go to a temporary directory that is removed afterwards.
 
+Then one line per search API probe: its label, the number of candidates
+``collect`` gathered and the sha256 of each candidate's state bytes, score
+``repr``, lineage, NFE, defect set and mask bits, dtype and ratio. The probes
+run ``dfs_search`` with attention masks, with oracle masks (some of them
+empty) and with a per-row source that has no ``rows`` (the form perfbench's
+tracer wraps), each over two refinement blocks, and ``best_of_n`` over two
+base blocks.
+
 A change that must leave every report byte alone is checked by running this
 script on the parent and on the change (same script, ``PYTHONPATH`` pointing
 at each ``src``) and diffing the two outputs.
@@ -35,7 +43,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))  # perfbench.workloads
 
+import numpy as np  # noqa: E402
+
 from localtts.cli import main as cli_main  # noqa: E402
+from localtts.config import load_config  # noqa: E402
+from localtts.search import SearchConfig, best_of_n, dfs_search  # noqa: E402
+from localtts.testbed import NoisePredictor  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 # one query per position of maskgen_example's 2 x 3 grid; positions 1 and 4 alike,
@@ -102,6 +115,52 @@ RUNS = [
 ]
 
 
+def per_row(source):
+    """source without its rows method: the engine calls it once per refining seed."""
+    return lambda state, true_set, rng: source(state, true_set, rng)
+
+
+# (label, config, overrides, mask source of the settings or None for best_of_n, seed);
+# 300 seeds of 3 refinements are two refinement blocks at dim 32 and 18 refinement steps,
+# and 600 best-of-N draws two base blocks at 32 steps
+API_PROBES = [
+    ("dfs_search+attention", "testbed_small.json", [], lambda source: source, 1),
+    ("dfs_search+oracle_masks", "testbed_small.json", ["attention.oracle_masks=true"],
+     lambda source: source, 2),
+    ("dfs_search+per_row_source", "testbed_small.json", [], per_row, 3),
+    ("best_of_n=600", "scaling_default.json", [], None, 4),
+]
+
+
+def candidate_bytes(cand) -> bytes:
+    """A candidate's time, score repr, lineage, NFE and mask ratio and grid, then the
+    dtype, shape and bytes of its state, defect set and mask bits."""
+    fields, arrays = [cand.state.t, cand.score, cand.lineage, cand.nfe_cost], [cand.state.x]
+    if cand.defects is not None:
+        arrays.append(cand.defects)
+    if cand.mask is not None:
+        fields += [cand.mask.ratio, cand.mask.grid]
+        arrays.append(cand.mask.bits)
+    return (repr(fields + [(a.dtype.str, a.shape) for a in arrays]).encode()
+            + b"".join(a.tobytes() for a in arrays))
+
+
+def api_probe(config: str, overrides: list, wrap, seed: int) -> tuple[int, str]:
+    """The candidate count and digest of one search probe."""
+    settings = load_config(ROOT / "configs" / config, overrides)[0].settings
+    predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
+    rng, collected = np.random.default_rng(seed), []
+    if wrap is None:
+        best_of_n(predictor, 600, rng, settings.sampler(), collect=collected)
+    else:
+        dfs_search(predictor, wrap(settings.mask_source()), SearchConfig(seeds=300, refinements=3),
+                   settings.resample, rng, settings.sampler(), collect=collected)
+    digest = hashlib.sha256()
+    for cand in collected:
+        digest.update(candidate_bytes(cand))
+    return len(collected), digest.hexdigest()
+
+
 def config_path(config: str, tmp: Path) -> Path:
     """A shipped config's path, or a workload's config written under tmp."""
     if config.endswith(".json"):
@@ -130,6 +189,9 @@ def main() -> int:
                 for file in sorted(out.iterdir()):
                     digest = hashlib.sha256(file.read_bytes()).hexdigest()
                     print(f"{workers} {label} {file.name} {digest}")
+    for label, config, overrides, wrap, seed in API_PROBES:
+        count, digest = api_probe(config, overrides, wrap, seed)
+        print(f"api {label} {count} {digest}")
     return 0
 
 

@@ -164,15 +164,6 @@ class DefectMask:
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "grid", grid)
 
-    @classmethod
-    def rows(cls, bits: np.ndarray, grid) -> list["DefectMask"]:
-        """A mask per row of (rows, size) 0/1 bits at ratio count / size, checked as one array."""
-        grid, bits = _as_grid(grid), _mask_rows(bits, grid)
-        masks = [object.__new__(cls) for _ in range(len(bits))]
-        for mask, row, count in zip(masks, bits, bits.sum(axis=1).tolist()):
-            mask.__dict__.update(bits=row, ratio=count / bits.shape[1], grid=grid)
-        return masks
-
     @property
     def size(self) -> int:
         return self.bits.size

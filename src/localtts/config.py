@@ -143,13 +143,14 @@ class ExperimentConfig:
 
 def _merge_section(table: dict, user: Any, path: Optional[str], errors: list[str]) -> dict:
     """The defaults of a schema table with user's keys over them; a nested
-    table's object is merged in turn."""
-    merged = copy.deepcopy(_defaults(table))
-    if user is None:
-        return merged
-    if not isinstance(user, dict):
+    table's object is merged in turn. Each value is copied once: the user's,
+    or the default of a key the user leaves out."""
+    if user is not None and not isinstance(user, dict):
         errors.append(f"{path}: expected an object, got {type(user).__name__}")
-        return merged
+    user = user if isinstance(user, dict) else {}
+    # the defaults' keys in their order, then the keys only the user gives
+    merged = dict.fromkeys(key for key, spec in table.items()
+                           if isinstance(spec, dict) or len(spec) == 2)
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
         if key not in table:
@@ -158,6 +159,10 @@ def _merge_section(table: dict, user: Any, path: Optional[str], errors: list[str
             merged[key] = _merge_section(table[key], value, where, errors)
         else:
             merged[key] = copy.deepcopy(value)
+    for key in merged.keys() - user.keys():
+        spec = table[key]
+        merged[key] = (_merge_section(spec, None, None, errors) if isinstance(spec, dict)
+                       else copy.deepcopy(spec[1]))
     return merged
 
 

@@ -46,10 +46,10 @@ from .testbed import (
 # A base sampler turns a (rows, dim) batch of clean base draws, row i drawing
 # from the i-th generator, into candidates plus context per row (the defect
 # set when defects are injected); a mask source turns one candidate into a
-# defect mask; the built-in ones also have rows(states, defect_sets, rngs),
-# the (rows, S) bits of a batch, row i drawn from rngs[i], which the engine
-# calls once per block (any other source once per row). A verifier scores a
-# (rows, dim) batch, one score per row.
+# defect mask; the built-in ones also have rows(defect_sets, rngs), the (rows,
+# S) bits of a batch, row i drawn from rngs[i], which the engine calls once per
+# block (any other source once per refining seed, on that seed's base draw).
+# A verifier scores a (rows, dim) batch, one score per row.
 BaseSampler = Callable[[PatchWorld, np.ndarray, list[np.random.Generator]],
                        tuple[np.ndarray, list[Optional[np.ndarray]]]]
 MaskSource = Callable[[LatentState, Optional[np.ndarray], np.random.Generator], DefectMask]
@@ -118,7 +118,7 @@ def oracle_mask_source(world: PatchWorld) -> MaskSource:
     def source(state: LatentState, true_set, rng: np.random.Generator) -> DefectMask:
         return mask_from_indices(world.grid, true_set)
 
-    source.rows = lambda states, defect_sets, rngs: _indicators(defect_sets, world.n_patches)
+    source.rows = lambda defect_sets, rngs: _indicators(defect_sets, world.n_patches)
     return source
 
 
@@ -131,7 +131,7 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     def source(state: LatentState, true_set, rng: np.random.Generator) -> DefectMask:
         return mask_gen(*synth_attention(world, state, true_set, *synth_args, rng), weight, ratio)
 
-    def rows(states, defect_sets, rngs) -> np.ndarray:
+    def rows(defect_sets, rngs) -> np.ndarray:
         *fields, queries = _attention_rows(world, defect_sets, *synth_args, rngs)
         step = _mask_step(world.n_patches)
         return np.concatenate([_mask_bits(*(a[i:i + step] for a in fields),
@@ -358,20 +358,21 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     base_scores = _scores(verify, drawn)
 
     # mask phase: the bits of the seeds that refine from one rows call (one
-    # call per row for a source without rows), each row from its seed's stream
+    # call per seed, on its base draw, for a source without rows), each row
+    # from its seed's stream
     search, seed, refinements = np.array([(g, idx, cfg.refinements)
                                           for g, idx, _, cfg in block]).T
     refining = np.flatnonzero(refinements).tolist()
     bits, refined_scores = np.zeros((0, world.n_patches), np.uint8), np.zeros(0)
     refined, refine_nfe = None, 0
     if refining:
-        args = ([drawn.row(row) for row in refining], [defects[row] for row in refining],
-                [rngs[row] for row in refining])
+        truths, seed_rngs = [defects[row] for row in refining], [rngs[row] for row in refining]
         rows = getattr(mask_source, "rows", None)
-        bits = _mask_rows(rows(*args) if rows else
-                          np.array([mask_source(*row).bits for row in zip(*args)]), world.grid)
+        bits = _mask_rows(rows(truths, seed_rngs) if rows else np.array([
+            mask_source(LatentState(x=drawn.x[row], t=0.0), truth, rng).bits
+            for row, truth, rng in zip(refining, truths, seed_rngs)]), world.grid)
         counts = refinements[refining]
-        refine_rngs = _spawn([rngs[row] for row in refining], counts.tolist())
+        refine_rngs = _spawn(seed_rngs, counts.tolist())
 
         # refinement phase: one batch, each row on its seed's mask
         seed_of = np.repeat(np.arange(len(refining)), counts)
@@ -389,14 +390,16 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
 def _candidates(record: _Record, grid) -> Iterator[tuple[int, Candidate]]:
     """A record's candidates with their search indices, in evaluation order
     (seed-major, base first); a seed's refinements share its mask."""
-    masks, refined, k = iter(DefectMask.rows(record.bits, grid)), record.refined_scores.tolist(), 0
+    masks = iter([DefectMask(bits=bits, ratio=selected / bits.size, grid=grid)
+                  for bits, selected in zip(record.bits, record.bits.sum(axis=1).tolist())])
+    refined, k = record.refined_scores.tolist(), 0
     for row, (g, idx, count, score) in enumerate(zip(*(a.tolist() for a in (
             record.search, record.seed, record.refinements, record.scores)))):
         defects, mask = record.defects[row], next(masks) if count else None
-        yield g, Candidate(state=record.drawn.row(row), score=score, lineage=(idx, None),
-                           nfe_cost=record.base_nfe, defects=defects)
+        yield g, Candidate(state=LatentState(x=record.drawn.x[row], t=0.0), score=score,
+                           lineage=(idx, None), nfe_cost=record.base_nfe, defects=defects)
         for ref_idx in range(count):
-            yield g, Candidate(state=record.refined.row(k), score=refined[k],
+            yield g, Candidate(state=LatentState(x=record.refined.x[k], t=0.0), score=refined[k],
                                lineage=(idx, ref_idx), nfe_cost=record.refine_nfe,
                                defects=defects, mask=mask)
             k += 1

@@ -260,13 +260,6 @@ class LatentState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", max(float(self.t), 0.0))
 
-    def row(self, i: int) -> "LatentState":
-        """Row i of a batch that passed the finiteness check, as a view that
-        is not scanned again."""
-        state = object.__new__(LatentState)
-        state.__dict__.update(x=self.x[i], t=self.t)
-        return state
-
 
 def _pairwise_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """Sum over ``axis`` (kept) in the order numpy's pairwise summation adds a

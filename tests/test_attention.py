@@ -14,6 +14,7 @@ from localtts.attention import (
     PropagationMatrix,
     QualityMap,
     _mask_bits,
+    _mask_rows,
     build_propagation,
     bundle_from_document,
     field_from_raw_document,
@@ -392,9 +393,9 @@ def _bundle(size):
                  id="mask-bit-length"),
     pytest.param(lambda: DefectMask(bits=[2, 0], ratio=0.5, grid=(1, 2)), "0/1",
                  id="mask-bits-not-binary"),
-    pytest.param(lambda: DefectMask.rows([[1, 0, 0]], (1, 2)), "length 2", id="mask-rows-length"),
-    pytest.param(lambda: DefectMask.rows([1, 0], (1, 2)), "length 2", id="mask-rows-one-axis"),
-    pytest.param(lambda: DefectMask.rows([[1, 0], [0, 2]], (1, 2)), "0/1",
+    pytest.param(lambda: _mask_rows([[1, 0, 0]], (1, 2)), "length 2", id="mask-rows-length"),
+    pytest.param(lambda: _mask_rows([1, 0], (1, 2)), "length 2", id="mask-rows-one-axis"),
+    pytest.param(lambda: _mask_rows([[1, 0], [0, 2]], (1, 2)), "0/1",
                  id="mask-rows-not-binary"),
     pytest.param(lambda: reduce_attention(np.ones((1, 1, 2)), (1, 2)), "4 axes",
                  id="raw-three-axes"),
@@ -407,12 +408,3 @@ def _bundle(size):
 def test_input_checks_reject_their_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_mask_rows_equal_masks_built_one_by_one():
-    # the engine's masks: one array check for the block, the fields of per-row DefectMasks
-    bits = np.array([[0, 0, 0, 0, 0, 0], [1, 0, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]], dtype=bool)
-    for mask, row in zip(DefectMask.rows(bits, [2, 3]), bits):
-        want = DefectMask(bits=row, ratio=row.sum() / row.size, grid=(2, 3))
-        assert (mask.bits.dtype, mask.bits.tolist(), type(mask.ratio), mask.ratio, mask.grid) == (
-            want.bits.dtype, want.bits.tolist(), type(want.ratio), want.ratio, want.grid)

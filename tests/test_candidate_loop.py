@@ -465,7 +465,7 @@ def test_attention_rows_equal_mask_gen_row_by_row(grid, rows, noised, data, seed
     batch_rngs, row_rngs, ref_rngs = (np.random.default_rng(seed).spawn(rows) for _ in range(3))
     source = attention_mask_source(world, gain_pos=gain_pos, gain_neg=gain_neg,
                                    noise_sd=noise_sd, weight=weight, ratio=ratio)
-    bits = source.rows(states, truths, batch_rngs)
+    bits = source.rows(truths, batch_rngs)
     assert bits.shape == (rows, world.n_patches) and bits.dtype == np.uint8
     for i, (state, truth, rng, ref_rng) in enumerate(zip(states, truths, row_rngs, ref_rngs)):
         bundle, queries = synth_attention(world, state, truth, gain_pos, gain_neg, noise_sd, rng)
@@ -483,7 +483,7 @@ def test_attention_rows_equal_mask_gen_row_by_row(grid, rows, noised, data, seed
 def test_oracle_rows_equal_mask_from_indices_row_by_row(grid, rows, data):
     world = PatchWorld.uniform(grid, 1, [(1.0, 0.0, 1.0)])
     truths = data.draw(defect_sets(world.n_patches, rows))
-    bits = oracle_mask_source(world).rows([None] * rows, truths, [None] * rows)
+    bits = oracle_mask_source(world).rows(truths, [None] * rows)
     assert bits.shape == (rows, world.n_patches) and bits.dtype == np.uint8
     for row, truth in zip(bits, truths):
         assert same_bits(row, mask_from_indices(world.grid, truth).bits)
@@ -614,3 +614,54 @@ def test_search_memory_does_not_grow_with_its_budget():
             run(500)  # one-off allocations out of the way
             small, large = peak(run, 500), peak(run, 5000)
             assert large <= 1.5 * small, (name, small, large)
+
+
+def mask_source_search(source, refinements: int) -> list:
+    """The candidates of a 5-seed dfs_search on the small world with source's
+    masks, in blocks of 2, 2 and 1 seeds."""
+    kwargs = small_trial_kwargs()
+    trial_settings = TrialSettings(**kwargs)
+    base_noise = len(kwargs["schedule"].step_times()) * kwargs["world"].dim
+    refine_noise = (kwargs["resample"].nfe_cost + 2) * kwargs["world"].dim
+    collected = []
+    with mock.patch.object(search, "_BLOCK_NOISE",
+                           2 * max(base_noise, refinements * refine_noise)):
+        dfs_search(NoisePredictor(world=trial_settings.world, schedule=trial_settings.schedule),
+                   source, SearchConfig(seeds=5, refinements=refinements),
+                   trial_settings.resample, np.random.default_rng(6),
+                   base_sampler=trial_settings.sampler(), collect=collected)
+    return collected
+
+
+@pytest.mark.parametrize("refinements", [0, 2])
+def test_source_without_rows_gets_each_refining_seeds_base_draw(engine_blocks, refinements):
+    built_in, states = TrialSettings(**small_trial_kwargs()).mask_source(), []
+
+    def per_row(state, true_set, rng):
+        states.append(state)
+        return built_in(state, true_set, rng)
+
+    collected = mask_source_search(per_row, refinements)
+    assert len(engine_blocks) == 3
+    bases = [cand.state for cand in collected if cand.lineage[1] is None]
+    assert len(states) == (len(bases) if refinements else 0)
+    for state, base in zip(states, bases):
+        assert type(state) is LatentState and state.t == 0.0 and np.isfinite(state.x).all()
+        assert same_bits(state.x, base.x)
+
+
+@pytest.mark.parametrize("oracle_masks", [False, True])
+def test_built_in_rows_runs_once_per_block_on_defect_sets_and_generators(engine_blocks,
+                                                                         oracle_masks):
+    source = TrialSettings(**small_trial_kwargs(), oracle_masks=oracle_masks).mask_source()
+    rows, calls = source.rows, []
+    source.rows = lambda *args: calls.append(args) or rows(*args)
+    collected = mask_source_search(source, 2)
+    # (defect_sets, rngs) of the block's refining seeds, one call per block
+    assert len(engine_blocks) == 3
+    assert [tuple(map(len, args)) for args in calls] == [(2, 2), (2, 2), (1, 1)]
+    assert all(isinstance(rng, np.random.Generator) for _, rngs in calls for rng in rngs)
+    defect_sets = [truth for truths, _ in calls for truth in truths]
+    bases = [cand for cand in collected if cand.lineage[1] is None]
+    assert len(defect_sets) == len(bases)
+    assert all(same_bits(truth, base.defects) for truth, base in zip(defect_sets, bases))

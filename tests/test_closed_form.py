@@ -26,6 +26,19 @@ for X >= 0
 
     E[best of N] = A - B V_0 E[min of N X],    E[min of N X] = int_0^inf (1 - F(x))^N dx.
 
+A localized refinement of an anchor a, a base sample, composes affine maps
+too. Its renoise gives x_t0 = alpha(t0) a + sigma(t0) z, its masked refinement
+runs ancestral steps from t0 to t_g on the masked patches, the unmasked ones
+wait at alpha(t_g) a + sigma(t_g) z, and the global sweep runs ancestral steps
+from t_g to 0 on all patches. So every output coordinate is
+x' = L a + c + N(0, Q), with one (L, c, Q) for the masked patches and another
+for the unmasked ones. With mu = 0, c = 0 and a patch's expected score changes
+by -(d / 2v) ((L^2 - 1) E|a|^2 / d + Q), where E|a|^2 = d V_0 on a clean patch
+and d V_0 + delta^2 on a defective one. Oracle masks select exactly the
+defective patches, so the expected refinement gain splits into a cell of
+masked defective patches (true positives) and one of unmasked clean patches
+(true negatives), each weighted by its patch count over m.
+
 The row counts, the trial counts, the seeds and the |z| bound were fixed
 before any result was read. A sample variance of n values has standard error
 V_0 sqrt(2 / n).
@@ -40,6 +53,8 @@ from scipy import stats
 
 from localtts import harness
 from localtts.config import load_config
+from localtts.resample import ResampleConfig
+from localtts.search import SearchConfig, defect_injecting_sampler, dfs_search, oracle_mask_source
 from localtts.testbed import (
     CosineSchedule,
     NoisePredictor,
@@ -51,11 +66,10 @@ from localtts.testbed import (
 Z_BOUND = 4.0
 
 
-def base_law(mu: float, v: float, horizon: float, n_steps: int, noise: bool = True):
-    """(m_0, V_0) of one coordinate of a base sample by the exact recursion;
-    noise=False drops the n^2 term, a wrong law that the checks must reject."""
-    times = np.linspace(horizon, 0.0, n_steps + 1).tolist()
-    mean, var = 0.0, 1.0
+def step_law(times, mu: float, v: float, horizon: float, law: tuple, noise: bool = True):
+    """(L, c, Q) of x_s = L a + c + N(0, Q) after ancestral steps along times,
+    from the law (L, c, Q) of x at times[0]; noise=False drops the n^2 term."""
+    lin, shift, var = law
     for t, s in zip(times[:-1], times[1:]):
         a_t, s_t = math.cos(0.5 * math.pi * t / horizon), math.sin(0.5 * math.pi * t / horizon)
         a_s, s_s = math.cos(0.5 * math.pi * s / horizon), math.sin(0.5 * math.pi * s / horizon)
@@ -63,8 +77,17 @@ def base_law(mu: float, v: float, horizon: float, n_steps: int, noise: bool = Tr
         c_x, c_0 = a_t / a_s * s_s ** 2 / s_t ** 2, a_s * var_ts / s_t ** 2
         g = a_t * v / (a_t ** 2 * v + s_t ** 2)
         k = c_x + c_0 * g
-        mean = k * mean + c_0 * mu * (1 - g * a_t)
+        lin, shift = k * lin, k * shift + c_0 * mu * (1 - g * a_t)
         var = k * k * var + (var_ts * s_s ** 2 / s_t ** 2 if noise else 0.0)
+    return lin, shift, var
+
+
+def base_law(mu: float, v: float, horizon: float, n_steps: int, noise: bool = True):
+    """(m_0, V_0) of one coordinate of a base sample by the exact recursion,
+    from x_T ~ N(0, 1); noise=False drops the n^2 term, a wrong law that the
+    checks must reject."""
+    times = np.linspace(horizon, 0.0, n_steps + 1).tolist()
+    _, mean, var = step_law(times, mu, v, horizon, (0.0, 0.0, 1.0), noise)
     return mean, var
 
 
@@ -200,3 +223,79 @@ def test_best_of_n_rows_match_the_closed_form():
 def test_a_best_of_n_law_without_the_noise_term_is_rejected():
     z = bon_z(noise=False)
     assert max(map(abs, z)) > Z_BOUND, z
+
+
+# the scaling_default world with oracle masks and 3 defects a draw (defects.randomize=false),
+# refined once per draw: 4,000 draws at each timing, seeds 30 and 31
+REFINE_WORLD = dict(grid=(4, 4), patch_dim=2, v=0.09, horizon=1.0, n_steps=32, defects=3,
+                    magnitude=0.6, rows=4000)
+SHIPPED_TIMING, NO_SWEEP = (0.4, 0.04, 16, 2), (0.4, 0.0, 16, 0)
+
+
+def expected_cells(t0: float, t_g: float, n_refine: int, n_integrate: int) -> tuple:
+    """The expected refinement gain of REFINE_WORLD's masked defective (TP) and
+    unmasked clean (TN) patches, by the composed law (mu = 0)."""
+    w = REFINE_WORLD
+    v, h, d, m = w["v"], w["horizon"], w["patch_dim"], math.prod(w["grid"])
+    var = base_law(0.0, v, h, w["n_steps"])[1]
+    sweep = np.linspace(t_g, 0.0, n_integrate + 1).tolist()
+
+    def noised(t):  # the anchor noised to t: L = alpha(t), Q = sigma(t)^2
+        return math.cos(0.5 * math.pi * t / h), 0.0, math.sin(0.5 * math.pi * t / h) ** 2
+
+    refined = step_law(np.linspace(t0, t_g, n_refine + 1).tolist(), 0.0, v, h, noised(t0))
+    masked, unmasked = (step_law(sweep, 0.0, v, h, law) for law in (refined, noised(t_g)))
+
+    def gain(law, norm2):  # one patch's expected score change, weight 1 / m
+        lin, _, q = law
+        return -((lin * lin - 1.0) * norm2 + d * q) / (2.0 * v * m)
+
+    k = w["defects"]
+    return (k * gain(masked, d * var + w["magnitude"] ** 2),
+            (m - k) * gain(unmasked, d * var))
+
+
+def engine_cells(timing: tuple, seed: int) -> tuple:
+    """Per draw, the refinement's score gain on the masked patches (TP) and on
+    the unmasked ones (TN), from the states dfs_search evaluates; they add up
+    to the verifier's gain."""
+    w = REFINE_WORLD
+    world = PatchWorld.uniform(w["grid"], w["patch_dim"], [(1.0, 0.0, w["v"])])
+    predictor = NoisePredictor(world, CosineSchedule(w["horizon"], w["n_steps"]))
+    collected = []
+    dfs_search(predictor, oracle_mask_source(world), SearchConfig(w["rows"], 1),
+               ResampleConfig(*timing), np.random.default_rng(seed),
+               defect_injecting_sampler(w["defects"], w["magnitude"]), collect=collected)
+    base, refined = collected[0::2], collected[1::2]
+
+    def norms(cands):  # each patch's squared norm, (rows, m)
+        x = np.stack([cand.state.x for cand in cands])
+        return (x.reshape(len(cands), world.n_patches, -1) ** 2).sum(axis=-1)
+
+    gain = (norms(base) - norms(refined)) / (2.0 * w["v"] * world.n_patches)
+    masked = np.stack([cand.mask.bits for cand in refined]).astype(bool)
+    np.testing.assert_allclose(gain.sum(axis=1), [r.score - b.score for b, r in
+                                                  zip(base, refined)], rtol=0, atol=1e-12)
+    return (gain * masked).sum(axis=1), (gain * ~masked).sum(axis=1)
+
+
+def mean_z(values: np.ndarray, want: float) -> float:
+    """z of the sample mean of values against want."""
+    return (values.mean() - want) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+def test_refinement_gain_per_cell_matches_the_composed_law():
+    expected = expected_cells(*SHIPPED_TIMING)
+    assert expected == pytest.approx((0.357797, 0.011328), abs=5e-7)
+    z = list(map(mean_z, engine_cells(SHIPPED_TIMING, 30), expected))
+    assert max(map(abs, z)) < Z_BOUND, z
+
+
+def test_without_a_sweep_unmasked_patches_gain_exactly_nothing():
+    # at t_g = 0 the unmasked patches are the anchor's, bit for bit
+    tp, tn = expected_cells(*NO_SWEEP)
+    assert tn == 0.0
+    masked, unmasked = engine_cells(NO_SWEEP, 31)
+    assert not unmasked.any()
+    z = mean_z(masked, tp)
+    assert abs(z) < Z_BOUND, z

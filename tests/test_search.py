@@ -215,13 +215,13 @@ class TestMaskSources:
         mask = source(None, np.array([1, 5]), np.random.default_rng(0))
         np.testing.assert_array_equal(mask.selected, [1, 5])
         # a batch: one (rows, S) array of bits, a row per defect set
-        bits = source.rows([None] * 2, [np.array([1, 5]), np.array([0])],
+        bits = source.rows([np.array([1, 5]), np.array([0])],
                            list(np.random.default_rng(0).spawn(2)))
         assert bits.shape == (2, 16) and bits.dtype == np.uint8
         np.testing.assert_array_equal(np.flatnonzero(bits[0]), [1, 5])
         np.testing.assert_array_equal(np.flatnonzero(bits[1]), [0])
         with pytest.raises(ValueError, match="ground-truth"):
-            source.rows([None] * 2, [np.array([1]), None], list(np.random.default_rng(0).spawn(2)))
+            source.rows([np.array([1]), None], list(np.random.default_rng(0).spawn(2)))
 
     def test_attention_source_recovers_planted_set_noiselessly(self):
         predictor = make_predictor()
@@ -234,7 +234,7 @@ class TestMaskSources:
         rows_rng = copy.deepcopy(rng)
         mask = source(state, true_set, rng)
         np.testing.assert_array_equal(mask.selected, true_set)
-        [bits] = source.rows([state], [true_set], [rows_rng])
+        [bits] = source.rows([true_set], [rows_rng])
         np.testing.assert_array_equal(bits, mask.bits)
         assert rows_rng.bit_generator.state == rng.bit_generator.state
 

@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # public names that no such module references, each with its reason
 ALLOWED = {
-    "best_of_n": "public API: the best-of-N baseline, a search with no refinement",
     "sweep_trial": "perfbench/spans.py wraps it by its dotted name, a string",
 }
 
