@@ -325,6 +325,33 @@ class TestSimulator:
         b = simulate_patch_economy(WORKED, WORKED_STATS, 20_000, seed=5, workers=3)
         assert a == b
 
+    @pytest.mark.parametrize("kinds, trials", [
+        (("constant", "constant"), 2 * theory._CHUNK),
+        (("exponential", "uniform"), 3 * theory._CHUNK + 5)])  # the last chunk partial
+    @pytest.mark.parametrize("seed", [11, np.random.SeedSequence(11, spawn_key=(1, 0))])
+    def test_chunk_i_draws_from_child_i_of_the_seed(self, kinds, trials, seed):
+        # the reference loop: chunk i draws from SeedSequence(entropy, spawn_key=(*key, i))
+        # and the chunks' moments merge in chunk order
+        dists = [ValueDistribution(kind) for kind in kinds]
+        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        p_clean = clean_selection_probability(WORKED, WORKED_STATS)
+        workspace = theory._workspace(WORKED, theory._CHUNK)
+        streams = None
+        for i in range(-(-trials // theory._CHUNK)):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                base.entropy, spawn_key=(*base.spawn_key, i)))
+            tp, fp, local, global_ = theory._simulate_chunk(
+                WORKED, WORKED_STATS, p_clean, min(theory._CHUNK, trials - i * theory._CHUNK),
+                rng, *dists, workspace)
+            parts = [theory._moments(v) for v in (tp, tp + fp, fp, local, global_)]
+            streams = parts if streams is None else list(map(theory._merge, streams, parts))
+        tp, selected, fp, local, global_ = (theory._mean_se(*m) for m in streams)
+        want = theory.EconomySimResult(trials, *global_, *local, *tp, *selected, *fp)
+        for workers in (1, 3):
+            assert simulate_patch_economy(WORKED, WORKED_STATS, trials, seed, *dists,
+                                          workers=workers) == want
+        assert base.n_children_spawned == 0  # the caller's seed is left unspawned
+
     def test_pool_only_for_several_tasks_and_workers(self, monkeypatch):
         sizes = []
 
