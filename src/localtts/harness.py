@@ -8,10 +8,11 @@ Four experiment kinds share one entry point:
   scaling  localized search versus best-of-N over a candidate-count grid
   maskgen  standalone mask generation from an attention interchange file
 
-Per-trial randomness is derived from the master seed by spawn keys, trials
-are sharded across workers in fixed chunks, and results are merged in trial
-order, so report bodies are byte-identical for any worker count. Reports
-carry no timestamps; CSV files use '.' decimals and a fixed column order.
+Trial i's seed is child i of the master seed's trial stream. Trials and Monte
+Carlo chunks run through one runner (seeding.run_chunks), which shards them
+across workers and joins results in index order, so report bodies are
+byte-identical for any worker count. Reports carry no timestamps; CSV files
+use '.' decimals and a fixed column order.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .errors import FieldErrors
 from .search import (
     SearchConfig,
     TrialSettings,
-    _lineage,
     _lockstep,
     _mean_stderr,
     check_nfe,
@@ -40,8 +40,8 @@ from .search import (
     mask_recall_precision,
     summarize_sweep,
     sweep_trials,
-    trial_rng,
 )
+from .seeding import run_chunks, trial_rng
 from .testbed import NoisePredictor
 from .theory import (
     InfeasibleParameterError,
@@ -51,12 +51,10 @@ from .theory import (
     dominance_check,
     economy_precision_floor,
     expected_selection_stats,
-    map_in_order,
     per_trial_gains,
     required_recall,
     simulate_patch_economy,
     sparse_dominance_approx,
-    task_ranges,
 )
 
 EXIT_OK = 0
@@ -71,27 +69,9 @@ def trial_seed(master_seed: int, index: int, stream: int = _TRIAL_STREAM) -> np.
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, index))
 
 
-def _chunk_task(args):
-    fn, payload, master_seed, start, stop = args
-    stream = _lineage(np.random.SeedSequence(master_seed, spawn_key=(_TRIAL_STREAM,)))
-    stream.n_children_spawned = start
-    return fn(payload, stream.spawn(stop - start))
-
-
-def run_chunks(fn: Callable, payload, trials: int, master_seed: int,
-               workers: int = 1) -> list:
-    """Run fn(payload, seed_sequences) once per chunk of trial indices;
-    returns the per-trial results in trial order. One worker runs every trial as
-    one chunk in this process; more workers get task_ranges' equal chunks, in a
-    process pool imported only when it starts (map_in_order).
-
-    Every trial gets its own counter-derived seed, trial_seed(master_seed,
-    index) bit for bit, so the result list does not depend on how the trials
-    are sharded across workers. A chunk's seeds come from one spawn: search's
-    _Lineage children of (master_seed, stream), hashed in one array pass."""
-    tasks = [(fn, payload, master_seed, start, stop)
-             for start, stop in task_ranges(trials, workers)]
-    return [row for rows in map_in_order(_chunk_task, tasks, workers) for row in rows]
+def _trial_stream(master_seed: int) -> np.random.SeedSequence:
+    """The parent of the trial seeds: trial i's is its child i, trial_seed(master_seed, i)."""
+    return np.random.SeedSequence(master_seed, spawn_key=(_TRIAL_STREAM,))
 
 
 def _one_at_a_time(fn: Callable, payload, seed_seqs: list) -> list:
@@ -100,9 +80,11 @@ def _one_at_a_time(fn: Callable, payload, seed_seqs: list) -> list:
 
 def run_trials(fn: Callable, payload, trials: int, master_seed: int,
                workers: int = 1) -> list:
-    """Run fn(payload, seed_sequence) for each trial index, in order."""
-    return run_chunks(functools.partial(_one_at_a_time, fn), payload, trials, master_seed,
-                      workers)
+    """Run fn(payload, seed_sequence) for each trial index, in order (run_chunks on the trial
+    stream). It stays because perfbench's pool probe calls it and perfbench/spans.py wraps it
+    by name; ROADMAP item 2, step 3 deletes it."""
+    return run_chunks(functools.partial(_one_at_a_time, fn), payload, trials,
+                      _trial_stream(master_seed), workers)
 
 
 def sign_test_p_greater(positives: int, n: int) -> float:
@@ -198,7 +180,8 @@ def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequen
 
 
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    rows = run_chunks(testbed_trials, cfg.settings, cfg.trials, cfg.master_seed, cfg.workers)
+    rows = run_chunks(testbed_trials, cfg.settings, cfg.trials, _trial_stream(cfg.master_seed),
+                      cfg.workers)
     nfe = cfg.settings.schedule.n_steps + cfg.settings.resample.nfe_cost
     check_nfe("testbed trial", [row[5] for row in rows], nfe)
     improvements = np.array([row[2] for row in rows])
@@ -228,7 +211,7 @@ def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
     settings = cfg.settings
     trial_results = run_chunks(sweep_trials, settings, cfg.trials,
-                               cfg.master_seed, cfg.workers)
+                               _trial_stream(cfg.master_seed), cfg.workers)
     rows = summarize_sweep(settings, trial_results)
     reference_n = cfg.resolved["search"]["reference_n"]
     summary = crossover_summary(rows, reference_n)

@@ -1,11 +1,11 @@
 """Mask-aware localized resampling.
 
-A clean anchor state is re-noised to an intermediate time t0 (with
-independent noise inside and outside the mask so noise levels match across
-the boundary), refined from t0 down to a hand-off time t_g with the
-unmasked coordinates pinned to freshly-noised copies of the anchor, and
-finally swept from t_g to 0 with plain stochastic reverse steps to restore
-full-state coherence.
+A clean anchor state is re-noised to an intermediate time t0 (the masked
+coordinates get their own draw), refined from t0 down to a hand-off time t_g
+with the unmasked coordinates pinned to freshly-noised copies of the anchor
+(the background is rebuilt from the last refinement step's noise, so both
+regions leave the phase at one noise level), and finally swept from t_g to 0
+with plain stochastic reverse steps to restore full-state coherence.
 
 Each step consumes one oracle evaluation per row (a refinement step evaluates
 only the masked patches, which are independent of the others), so a full call
@@ -93,14 +93,13 @@ class ResampleConfig:
         return self.n_refine + self.n_integrate
 
 
-def _renoise(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
-             cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
-    """The anchor noised to t0, alpha(t0) anchor + sigma(t0) ((1-M) z_bg + M z_mask): one
-    noise level in both regions, the masked noise drawn apart, after the background's."""
-    z_bg = rng.standard_normal(anchor.x.shape)
-    z_mask = rng.standard_normal(anchor.x.shape)
-    mcoord = predictor.world.coordinate_mask(bits)
-    return forward_noise(predictor.schedule, anchor, cfg.t0, np.where(mcoord, z_mask, z_bg))
+def _renoise(predictor: NoisePredictor, anchor: LatentState, cfg: ResampleConfig,
+             rng: np.random.Generator) -> LatentState:
+    """The anchor noised to t0, alpha(t0) anchor + sigma(t0) z_mask. Only its masked
+    coordinates are read: _masked_refine rebuilds the background from its last step's
+    noise. The background draw z_bg before z_mask is unread; it positions the stream."""
+    rng.standard_normal(anchor.x.shape)  # z_bg
+    return forward_noise(predictor.schedule, anchor, cfg.t0, rng.standard_normal(anchor.x.shape))
 
 
 def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: tuple,
@@ -125,11 +124,11 @@ def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: 
 
 def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
               cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
-    """Renoise, masked refinement and global sweep (cfg.nfe_cost steps);
-    returns the clean state. bits holds one (n_patches,) mask per anchor row;
-    the masked patches are selected once, and the refinement phase carries
-    their columns in the renoised state's buffer."""
-    noised = _renoise(predictor, anchor, bits, cfg, rng)
+    """Renoise, masked refinement and global sweep (cfg.nfe_cost steps); returns the clean
+    state. bits holds one (n_patches,) mask per anchor row; the masked patches are selected
+    once, the refinement phase carries their columns in the renoised state's buffer and
+    rebuilds the background from the last refinement step's noise."""
+    noised = _renoise(predictor, anchor, cfg, rng)
     state = _masked_refine(predictor, noised.x, noised.t, predictor.world.select(bits), anchor,
                            cfg, cfg.n_refine, rng)
     steps = -np.diff(np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1))

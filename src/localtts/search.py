@@ -11,8 +11,8 @@ of candidate counts and reports mean score and standard error per
 Every search runs on one lockstep engine: the base draws of all its seeds
 integrate as one batch, and so do all refinements, in blocks of bounded
 size. Each candidate draws its randomness from its own generator, spawned
-by lineage (search, seed, refinement), so batching does not change any
-candidate's bits. A block yields one record of arrays; dfs_search turns
+by lineage (search, seed, refinement) from its trial's seed (seeding.trial_rng
+and seeding._spawn), so batching does not change any candidate's bits. A block yields one record of arrays; dfs_search turns
 records into Candidates, and the sweep and testbed runners reduce the arrays.
 """
 from __future__ import annotations
@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence, _coerce_to_uint32_array
 
 from .attention import (DefectMask, _indicators, _mask_bits, _mask_rows, _softmax_rows,
                         mask_from_indices, mask_gen)
 from .errors import check
 from .resample import ResampleConfig, _resample
+from .seeding import _spawn, trial_rng
 from .testbed import (
     CosineSchedule,
     LatentState,
@@ -140,101 +140,6 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
 
     source.rows = rows
     return source
-
-
-# numpy's SeedSequence hash constants, uint64 so that no NEP 50 casting applies
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _M32, _XSHIFT = (np.uint64(c) for c in (0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 16))
-
-
-@functools.lru_cache(maxsize=64)
-def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i from start to start + count, read-only."""
-    consts = np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
-                       for i in range(start, start + count + 1)], np.uint64)
-    consts.setflags(write=False)
-    return consts
-
-
-def _hashmix(words: np.ndarray, init: int, mult: int, start: int, count: int) -> np.ndarray:
-    """SeedSequence's hash of count words a row, start hashes into its constants."""
-    consts = _hash_constants(init, mult, start, count)
-    mixed = (words ^ consts[:-1]) * consts[1:] & _M32
-    return mixed ^ mixed >> _XSHIFT
-
-
-class _Lineage(ISpawnableSeedSequence):
-    """numpy's SeedSequence bit for bit, whose spawns hash all children in
-    one array pass (_spawn_seqs). words counts the entropy words it hashed,
-    the run entropy zero-padded to the pool size. It keeps the words PCG64
-    asks of generate_state; numpy answers any other request."""
-
-    def __init__(self, entropy, spawn_key: tuple, pool_size: int, pool, words: int, state):
-        self.entropy, self.spawn_key, self.pool_size = entropy, spawn_key, pool_size
-        self.n_children_spawned, self._pool, self._words, self._state = 0, pool, words, state
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
-            return self._state.copy()
-        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key,
-                                      pool_size=self.pool_size).generate_state(n_words, dtype)
-
-    def spawn(self, n_children: int) -> list:
-        return _spawn_seqs([self], [n_children])
-
-
-def _spawn_seqs(parents: list[_Lineage], counts: list[int]) -> list:
-    """parent.spawn(k) for each parent and count in turn, in one pass: a
-    child's pool is its parent's mixed with its index as the next entropy
-    word j, after numpy's j * pool_size hashes. Parents of differing shape, or
-    an index from 2**32 on, get numpy's own SeedSequence."""
-    owners = [parent for parent, k in zip(parents, counts) for _ in range(k)]
-    keys = []
-    for parent, k in zip(parents, counts):
-        keys += range(parent.n_children_spawned, parent.n_children_spawned + k)
-        parent.n_children_spawned += k
-    shapes = {(parent.pool_size, parent._words) for parent in parents}
-    if len(shapes) != 1 or max(keys, default=0) >> 32:
-        return [np.random.SeedSequence(p.entropy, spawn_key=p.spawn_key + (key,),
-                                       pool_size=p.pool_size) for p, key in zip(owners, keys)]
-    [(size, words)] = shapes
-    mixed = _hashmix(np.array(keys, np.uint64)[:, None], _INIT_A, _MULT_A, words * size, size)
-    pools = (_MIX_L * np.repeat(np.stack([p._pool for p in parents]), counts, axis=0)
-             - _MIX_R * mixed) & _M32
-    pools ^= pools >> _XSHIFT
-    states = _hashmix(pools[:, np.arange(8) % size], _INIT_B, _MULT_B, 0, 8)
-    states = states[:, ::2] | states[:, 1::2] << np.uint64(32)
-    return [_Lineage(p.entropy, p.spawn_key + (key,), size, pool, words + 1, state)
-            for p, key, pool, state in zip(owners, keys, pools, states)]
-
-
-def _spawn(rngs: list[np.random.Generator], counts: list[int]) -> list[np.random.Generator]:
-    """rng.spawn(k) for each generator and count in turn, flattened: one pass
-    for generators trial_rng seeded."""
-    seqs = [rng.bit_generator.seed_seq for rng in rngs]
-    if all(isinstance(seq, _Lineage) for seq in seqs):
-        return [np.random.Generator(np.random.PCG64(child)) for child in _spawn_seqs(seqs, counts)]
-    return [child for rng, k in zip(rngs, counts) for child in rng.spawn(k)]
-
-
-def _lineage(seed_seq) -> _Lineage:
-    """A _Lineage copy of a seed sequence, its spawn counter at 0: a _Lineage's
-    words as they are, or a numpy SeedSequence's, hashed once."""
-    if isinstance(seed_seq, _Lineage):
-        return _Lineage(seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size, seed_seq._pool,
-                        seed_seq._words, seed_seq._state)
-    words = (max(len(_coerce_to_uint32_array(seed_seq.entropy)), seed_seq.pool_size)
-             + len(_coerce_to_uint32_array(seed_seq.spawn_key)))
-    return _Lineage(seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size,
-                    seed_seq.pool.astype(np.uint64), words, seed_seq.generate_state(4, np.uint64))
-
-
-def trial_rng(seed_seq) -> np.random.Generator:
-    """The generator of one trial, seeded by a _Lineage copy of seed_seq (run_chunks
-    hands out _Lineage seeds, copied without hashing): numpy's SeedSequence bit for
-    bit, as tests/test_seeding.py checks. The trial leaves seed_seq's spawn counter
-    alone and depends on its entropy and spawn key only."""
-    return np.random.Generator(np.random.PCG64(_lineage(seed_seq)))
 
 
 def _scores(verify: Verifier, states: LatentState) -> np.ndarray:

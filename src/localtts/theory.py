@@ -7,7 +7,8 @@ saturation curve of global best-of-N, and a failure-regime classifier.
 ``simulate_patch_economy`` is the brute-force oracle: it samples masks
 achieving the requested recall/precision in expectation, applies Bernoulli
 repair/harm events, and reports empirical means with standard errors so
-every formula can be checked to Monte Carlo accuracy.
+every formula can be checked to Monte Carlo accuracy; seeding.run_chunks, the
+runner of the experiments' trials, seeds its chunks and runs them on the workers.
 
 Precision is the ratio-of-expectations E[TP]/E[|selected|]; the simulator's
 clean-patch selection probability is derived to match it exactly, and
@@ -23,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import check
+from .seeding import run_chunks
 
 _CHUNK = 4096  # fixed simulation chunk so results never depend on worker count
 _SLAB = 512  # rows per slab of per-patch uniforms, drawn and reduced while in cache
@@ -337,24 +339,6 @@ class EconomySimResult:
     fp_se: float
 
 
-def map_in_order(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], in a process pool of min(workers, len(tasks)) processes
-    when both exceed one; results keep task order. The pool is imported only when one starts."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    # imported here: loading the pool modules is start-up cost a one-worker run never needs
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def task_ranges(count: int, workers: int) -> list[tuple[int, int]]:
-    """[start, stop) ranges that cut range(count) in order: one at one worker, else
-    min(count, 4*workers) of sizes that differ by at most one, equal shares for a pool."""
-    tasks = min(count, 1 if workers <= 1 else 4 * workers)
-    return [(count * i // tasks, count * (i + 1) // tasks) for i in range(tasks)]
-
-
 def _moments(values) -> tuple[int, float, float]:
     """Count, mean and M2, the sum of squared deviations from the mean."""
     values = np.asarray(values, dtype=float)
@@ -447,23 +431,18 @@ def _workspace(econ: PatchEconomy, rows: int) -> list:
             for width in (econ.defects, econ.m_patches - econ.defects)]
 
 
-def _chunk_task(args) -> list:
-    """Sufficient statistics (count, mean, M2 per stream) of each chunk in [start, stop), in
-    chunk order, all drawn into one workspace (_workspace: chunk-sized values and selections,
-    slab-sized scratch, or no rows on the binomial path); top-level so worker processes can
-    receive it."""
-    econ, stats, p_clean, repair_dist, harm_dist, entropy, spawn_key, trials, start, stop = args
+def _simulate_chunks(payload: tuple, seeds: list) -> list:
+    """Sufficient statistics (count, mean, M2 per stream) of the chunk each seed indexes (its
+    last spawn key), in seed order, all drawn into one workspace (_workspace: chunk-sized values
+    and selections, slab-sized scratch, or no rows on the binomial path); run_chunks's fn."""
+    econ, stats, p_clean, repair_dist, harm_dist, trials = payload
     rows = 0 if repair_dist.kind == harm_dist.kind == "constant" else _CHUNK  # binomial: no rows
     workspace = _workspace(econ, rows)
-    results = []
-    for idx in range(start, stop):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=entropy, spawn_key=(*spawn_key, idx)))
-        tp, fp, local, global_ = _simulate_chunk(
-            econ, stats, p_clean, min(_CHUNK, trials - idx * _CHUNK), rng, repair_dist, harm_dist,
-            workspace)
-        results.append(tuple(_moments(values) for values in (tp, tp + fp, fp, local, global_)))
-    return results
+    chunks = (_simulate_chunk(econ, stats, p_clean, min(_CHUNK, trials - seed.spawn_key[-1] * _CHUNK),
+                              np.random.default_rng(seed), repair_dist, harm_dist, workspace)
+              for seed in seeds)
+    return [tuple(map(_moments, (tp, tp + fp, fp, local, global_)))
+            for tp, fp, local, global_ in chunks]
 
 
 def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
@@ -476,10 +455,10 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     and each clean patch with the probability that matches the target
     precision in expectation; selected patches then receive Bernoulli
     repair/harm events, and the global strategy touches every patch with
-    its own probabilities. Trials are processed in fixed-size chunks with
-    seed streams derived per chunk and merged in chunk order, so results
-    are reproducible bit-for-bit regardless of the worker count. A pool
-    task runs consecutive chunks in one workspace: each chunk writes its
+    its own probabilities. Chunk i of ``_CHUNK`` trials draws from child i
+    of the seed (left unspawned) and the chunks merge in chunk order, so
+    results are reproducible bit-for-bit regardless of the worker count.
+    The chunks one process runs share one workspace: each chunk writes its
     draws in place, with the bits of numpy's uniform and exponential, and
     draws and reduces its per-patch uniforms in cache-sized slabs of rows
     (``_SLAB``) whose size changes no result.
@@ -492,9 +471,8 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     repair_dist = repair_dist or ValueDistribution()
     harm_dist = harm_dist or ValueDistribution()
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    tasks = [(econ, stats, p_clean, repair_dist, harm_dist, base.entropy, base.spawn_key, trials,
-              start, stop) for start, stop in task_ranges(-(-trials // _CHUNK), workers)]
-    streams, *rest = [chunk for task in map_in_order(_chunk_task, tasks, workers) for chunk in task]
+    payload = econ, stats, p_clean, repair_dist, harm_dist, trials
+    streams, *rest = run_chunks(_simulate_chunks, payload, -(-trials // _CHUNK), base, workers)
     for parts in rest:  # in chunk order, so the bits do not depend on the workers
         streams = [_merge(*pair) for pair in zip(streams, parts)]
     tp, selected, fp, local, global_ = (_mean_se(*m) for m in streams)  # (mean, se) each

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localtts import harness, search
+from localtts import harness, search, seeding
 from localtts.attention import (
     AttentionBundle,
     AttentionField,
@@ -596,7 +596,7 @@ def test_search_memory_does_not_grow_with_its_budget():
     runs = {
         "sweep_trials": lambda n: sweep_trials(sweep_settings(kwargs, 1, n),
                                                [np.random.SeedSequence(3)]),
-        "best_of_n": lambda n: best_of_n(predictor, n, search.trial_rng(np.random.SeedSequence(3)),
+        "best_of_n": lambda n: best_of_n(predictor, n, seeding.trial_rng(np.random.SeedSequence(3)),
                                          trial_settings.sampler()),
     }
 

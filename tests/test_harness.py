@@ -1067,19 +1067,23 @@ class TestCli:
                 "    importlib.import_module(name)\n"
                 "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'localtts'))")
         assert self.fresh_interpreter(code).splitlines() == [
-            "['localtts']", "['localtts', 'localtts.errors', 'localtts.theory']"]
+            "['localtts']",
+            "['localtts', 'localtts.errors', 'localtts.seeding', 'localtts.theory']"]
 
     def test_one_worker_run_leaves_the_pool_unloaded(self, tmp_path):
+        # trials and the theory's Monte Carlo chunks go through one runner
+        runs = [("testbed_small.json", ["trials=3", "workers=1"]),
+                ("theory_worked.json", ["workers=1"])]
         code = ("import sys, localtts.cli\n"
                 "from localtts.config import load_config\n"
                 "from localtts.harness import run_experiment\n"
-                f"cfg, _ = load_config({str(CONFIGS / 'testbed_small.json')!r}, "
-                "['trials=3', 'workers=1'])\n"
-                f"run_experiment(cfg, {str(tmp_path / 'out')!r})\n"
-                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+                + "".join(f"cfg, _ = load_config({str(CONFIGS / name)!r}, {overrides!r})\n"
+                          f"run_experiment(cfg, {str(tmp_path / name)!r})\n"
+                          for name, overrides in runs)
+                + "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
                 "if m in sys.modules))")
         assert self.fresh_interpreter(code) == "[]"
-        assert (tmp_path / "out" / "report.json").exists()
+        assert all((tmp_path / name / "report.json").exists() for name, _ in runs)
 
 
 class TestWorldConfig:

@@ -175,7 +175,7 @@ def test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_inte
     cfg = ResampleConfig(t0=0.6, t_g=t_g, n_refine=n_refine, n_integrate=n_integrate)
     got = _resample(predictor, anchor, bits, cfg, np.random.default_rng(3))
     rng = np.random.default_rng(3)
-    state = _renoise(predictor, anchor, bits, cfg, rng)
+    state = _renoise(predictor, anchor, cfg, rng)
     for _ in range(n_refine):
         state = _masked_refine(predictor, state.x.copy(), state.t, world.select(bits), anchor,
                                cfg, 1, rng)
@@ -308,7 +308,7 @@ def test_each_phase_costs_rows_times_steps_of_full_states(monkeypatch):
     anchor = LatentState(x=np.random.default_rng(4).normal(size=(5, world.dim)), t=0.0)
     bits = np.broadcast_to(mask_from_indices(world.grid, [2]).bits, (5, world.n_patches))
     cfg = ResampleConfig(t0=0.6, t_g=0.15, n_refine=4, n_integrate=3)
-    state = _renoise(predictor, anchor, bits, cfg, np.random.default_rng(0))
+    state = _renoise(predictor, anchor, cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     state = _masked_refine(predictor, state.x, state.t, world.select(bits), anchor, cfg, 4, rng)
     assert predictor.nfe == 5 * 4

@@ -58,17 +58,23 @@ class TestResampleConfig:
 
 
 class TestRenoise:
+    # the renoise draws the background's noise z_bg, then the masked noise z_mask, and
+    # noises with z_mask alone: _masked_refine reads only the masked coordinates and
+    # rebuilds the background from its last step's noise, so z_bg only positions the stream
+
     def test_empty_mask_is_plain_forward_noise(self):
         world, sched, predictor = make_setup()
         rng = np.random.default_rng(0)
         anchor = LatentState(x=rng.normal(size=world.dim), t=0.0)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
         twin = np.random.default_rng(5)
-        expected_z = twin.standard_normal(world.dim)  # background draw comes first
-        out = _renoise(predictor, anchor, np.zeros(world.n_patches), cfg,
-                       np.random.default_rng(5))
+        twin.standard_normal(world.dim)  # background draw comes first
+        expected_z = twin.standard_normal(world.dim)
+        rng = np.random.default_rng(5)
+        out = _renoise(predictor, anchor, cfg, rng)
         np.testing.assert_allclose(
             out.x, sched.alpha(0.4) * anchor.x + sched.sigma(0.4) * expected_z)
+        assert rng.bit_generator.state == twin.bit_generator.state  # two draws, no more
 
     def test_full_mask_uses_the_decoupled_draw(self):
         world, sched, predictor = make_setup()
@@ -77,8 +83,7 @@ class TestRenoise:
         twin = np.random.default_rng(6)
         twin.standard_normal(world.dim)
         expected_z = twin.standard_normal(world.dim)  # second draw is the masked one
-        out = _renoise(predictor, anchor, np.ones(world.n_patches), cfg,
-                       np.random.default_rng(6))
+        out = _renoise(predictor, anchor, cfg, np.random.default_rng(6))
         np.testing.assert_allclose(out.x, sched.sigma(0.4) * expected_z)
 
     def test_noise_level_matches_in_both_regions(self):
@@ -86,10 +91,10 @@ class TestRenoise:
         rng = np.random.default_rng(1)
         trials = 10_000
         anchor = LatentState(x=np.tile(rng.normal(size=world.dim), (trials, 1)), t=0.0)
-        mask = mask_from_indices(world.grid, [0, 3])
+        mcoord = world.coordinate_mask(mask_from_indices(world.grid, [0, 3]).bits)
         cfg = ResampleConfig(t0=0.55, t_g=0.0, n_refine=4, n_integrate=0)
-        out = _renoise(predictor, anchor, mask.bits, cfg, rng)
-        centered = out.x - sched.alpha(0.55) * anchor.x
+        out = _renoise(predictor, anchor, cfg, rng)
+        centered = (out.x - sched.alpha(0.55) * anchor.x)[:, mcoord]  # what the refinement reads
         var = centered.var(axis=0, ddof=1)
         target = sched.sigma(0.55) ** 2
         se = target * math.sqrt(2.0 / (trials - 1))
@@ -102,12 +107,11 @@ class TestRenoise:
         with pytest.raises(ValueError, match="grid"):
             localized_resample(predictor, anchor, mask_from_indices((1, 4), []), cfg,
                                world_verifier(world), np.random.default_rng(0))
-        bits = np.zeros(world.n_patches)
         bad = ResampleConfig(t0=1.5, t_g=0.0, n_refine=4, n_integrate=0)
         with pytest.raises(ValueError, match="outside"):
-            _renoise(predictor, anchor, bits, bad, np.random.default_rng(0))
+            _renoise(predictor, anchor, bad, np.random.default_rng(0))
         with pytest.raises(ValueError, match="t=0"):
-            _renoise(predictor, LatentState(x=np.zeros(world.dim), t=0.3), bits, cfg,
+            _renoise(predictor, LatentState(x=np.zeros(world.dim), t=0.3), cfg,
                      np.random.default_rng(0))
 
 

@@ -1,4 +1,4 @@
-"""search._Lineage, the seed sequence of the engine's generators, against
+"""seeding._Lineage, the seed sequence of the engine's generators, against
 numpy's own SeedSequence.
 
 trial_rng seeds every trial from a _Lineage, whose spawns hash all children
@@ -7,7 +7,7 @@ and from numpy, and require the same PCG64 state at every node and the same
 draw at every leaf: for any entropy (0, multi-word integers, sequences),
 spawn keys with words of 2**32 and above, pool sizes 4 and 8, depth up to
 3, and repeated spawns of one node, through Generator.spawn and through the
-engine's many-parent search._spawn. Only the installed numpy is checked.
+engine's many-parent seeding._spawn. Only the installed numpy is checked.
 """
 from __future__ import annotations
 
@@ -16,16 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localtts import harness, search
+from localtts import harness, search, seeding
 from localtts.resample import ResampleConfig
-from localtts.search import SweepSettings, TrialSettings, trial_rng
+from localtts.search import SweepSettings, TrialSettings
+from localtts.seeding import trial_rng
 from localtts.testbed import CosineSchedule, PatchWorld
 
 entropies = st.one_of(st.just(0), st.integers(0, 2**130),
                       st.lists(st.integers(0, 2**70), max_size=6))
 spawn_keys = st.lists(st.integers(0, 2**70), max_size=4).map(tuple)
 # per level: the spawns of every node (repeated spawns of one node), and
-# whether the level goes through search._spawn or Generator.spawn
+# whether the level goes through seeding._spawn or Generator.spawn
 levels = st.lists(st.tuples(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3),
                                      min_size=1, max_size=2), st.booleans()),
                   min_size=1, max_size=3)
@@ -53,7 +54,7 @@ def test_trees_equal_numpy(entropy, spawn_key, pool_size, plan):
         next_ours, next_theirs = [], []
         for counts in spawns:  # one spawn of every node per entry: repeated spawns
             counts = [counts[i % len(counts)] for i in range(len(ours))]
-            next_ours += (search._spawn(ours, counts) if batched else
+            next_ours += (seeding._spawn(ours, counts) if batched else
                           [child for rng, k in zip(ours, counts) for child in rng.spawn(k)])
             next_theirs += [child for rng, k in zip(theirs, counts) for child in rng.spawn(k)]
         assert_same(next_ours, next_theirs)
@@ -73,8 +74,8 @@ def test_child_index_from_two_to_the_32_goes_to_numpy():
                 for i in range(2**32 - 2, 2**32 + 2)]
     assert_same(children, expected)
     assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 + 2
-    assert_same(search._spawn(children, [2] * 4), [child for rng in expected
-                                                   for child in rng.spawn(2)])
+    assert_same(seeding._spawn(children, [2] * 4), [child for rng in expected
+                                                    for child in rng.spawn(2)])
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
@@ -119,11 +120,19 @@ def _seed_words(payload, seqs) -> list:
             for seq in seqs]
 
 
+def _chunk_starts(payload, seqs) -> list:
+    """Per seed, whether it is the first of its chunk."""
+    return [seq is seqs[0] for seq in seqs]
+
+
 @pytest.mark.parametrize("workers, starts", [(1, [0]), (2, [0, 1, 2, 4, 5, 6, 8, 9]),
                                              (3, list(range(11)))])
 def test_chunk_seeds_equal_trial_seeds(workers, starts):
     # run_chunks makes a chunk's seeds in one spawn, from the chunk's first trial on
-    assert [start for start, _ in harness.task_ranges(11, workers)] == starts
+    firsts = seeding.run_chunks(_chunk_starts, None, 11, np.random.SeedSequence(0), workers)
+    assert [i for i, first in enumerate(firsts) if first] == starts
     for master_seed in (0, 7, 2**64 - 1):
         want = _seed_words(None, [harness.trial_seed(master_seed, i) for i in range(11)])
-        assert harness.run_chunks(_seed_words, None, 11, master_seed, workers) == want
+        trial_stream = np.random.SeedSequence(master_seed, spawn_key=(0,))
+        assert seeding.run_chunks(_seed_words, None, 11, trial_stream, workers) == want
+        assert trial_stream.n_children_spawned == 0

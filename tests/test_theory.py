@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localtts import theory
+from localtts import seeding, theory
 from localtts.theory import (
     InfeasibleParameterError,
     MaskStats,
@@ -19,14 +19,12 @@ from localtts.theory import (
     clean_selection_probability,
     dominance_check,
     expected_selection_stats,
-    map_in_order,
     per_trial_gains,
     precision_floor,
     required_recall,
     simulate_bon_repair_frequency,
     simulate_patch_economy,
     sparse_dominance_approx,
-    task_ranges,
 )
 
 # hand-worked reference economy: gains (0.5, 3.9), margin 3.4,
@@ -37,6 +35,34 @@ WORKED = PatchEconomy(
     harm_prob_global=0.1, harm_prob_local=0.1,
 )
 WORKED_STATS = MaskStats(recall=0.8, precision=0.8)
+
+
+def chunk_ranges(monkeypatch, count: int, workers: int) -> tuple[list, list]:
+    """The [start, stop) index ranges of seeding.run_chunks' chunks, in order, and the sizes
+    of the pools it starts, each run in this process."""
+    sizes = []
+
+    class RecordingPool:  # runs in-process and records the pool size
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def indices(payload, seeds):  # one row per chunk: its seeds' indices
+        return [[seed.spawn_key[-1] for seed in seeds]]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        chunks = seeding.run_chunks(indices, None, count, np.random.SeedSequence(0), workers)
+    assert [i for chunk in chunks for i in chunk] == list(range(count))  # index order
+    return [(chunk[0], chunk[-1] + 1) for chunk in chunks], sizes
 
 
 class TestMaskStats:
@@ -353,31 +379,14 @@ class TestSimulator:
         assert base.n_children_spawned == 0  # the caller's seed is left unspawned
 
     def test_pool_only_for_several_tasks_and_workers(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:  # runs in-process and records the pool size
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert map_in_order(abs, [-3, 2, -1], 8) == [3, 2, 1]
-        assert map_in_order(abs, [-3], 8) == [3]
-        assert map_in_order(abs, [-3, -2], 1) == [3, 2]
-        assert sizes == [3]
+        assert chunk_ranges(monkeypatch, 3, 8) == ([(0, 1), (1, 2), (2, 3)], [3])
+        assert chunk_ranges(monkeypatch, 1, 8) == ([(0, 1)], [])
+        assert chunk_ranges(monkeypatch, 2, 1) == ([(0, 2)], [])
 
     @pytest.mark.parametrize("workers", range(1, 9))
-    def test_task_ranges_are_equal_shares(self, workers):
+    def test_task_ranges_are_equal_shares(self, monkeypatch, workers):
         for count in range(1, 61):
-            ranges = task_ranges(count, workers)
+            ranges, _ = chunk_ranges(monkeypatch, count, workers)
             assert len(ranges) == (1 if workers == 1 else min(count, 4 * workers))
             assert ranges[0][0] == 0 and ranges[-1][1] == count
             assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
@@ -428,7 +437,7 @@ class TestSimulator:
                                    "repair_gain": 1.7, "harm_loss": 0.3})
             stats = MaskStats(recall=0.8, precision=precision)
             p_clean = clean_selection_probability(econ, stats)
-            # the workspace _chunk_task allocates; partial chunks after a full one reuse it,
+            # the workspace _simulate_chunks allocates; partial chunks after a full one reuse it,
             # ending inside, at and one row past a slab
             workspace = theory._workspace(econ, theory._CHUNK)
             slab = theory._SLAB
@@ -468,12 +477,12 @@ class TestSimulator:
         finally:
             tracemalloc.stop()
 
-    def test_task_count_does_not_change_results(self):
+    def test_task_count_does_not_change_results(self, monkeypatch):
         # 11 chunks, the last one partial: at workers 1, 2 and 3 a task holds 11,
         # 1 or 2 (the last task 2) and 1 of them
-        assert task_ranges(11, 2) == [(0, 1), (1, 2), (2, 4), (4, 5), (5, 6), (6, 8), (8, 9),
-                                      (9, 11)]
-        assert task_ranges(11, 3) == [(i, i + 1) for i in range(11)]
+        assert chunk_ranges(monkeypatch, 11, 2)[0] == [(0, 1), (1, 2), (2, 4), (4, 5), (5, 6),
+                                                       (6, 8), (8, 9), (9, 11)]
+        assert chunk_ranges(monkeypatch, 11, 3)[0] == [(i, i + 1) for i in range(11)]
         dists = {"repair_dist": ValueDistribution("uniform"),
                  "harm_dist": ValueDistribution("exponential")}
         trials = 10 * theory._CHUNK + 5
