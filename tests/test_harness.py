@@ -986,6 +986,23 @@ class TestCli:
             "config error: maskgen.bundle.neg: attention field values must be non-negative\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source, error", [
+        pytest.param({"raw": {key: {"grid": [1, cols], "layers": 1, "heads": 1, "tokens": 1,
+                                    "data": [1.0] * cols}
+                              for key, cols in (("orig", 2), ("pos", 3), ("neg", 2))}},
+                     "maskgen: bundle fields must share one grid, got (1, 2), (1, 3), (1, 2)",
+                     id="raw-grids-differ"),
+        pytest.param({**BUNDLE, "queries": [[1.0, 0.0]] * 4},
+                     "maskgen: propagation matrix size 4 does not match field size 6",
+                     id="queries-size"),
+    ])
+    def test_inputs_that_disagree_exit_two(self, source, error, tmp_path, capsys):
+        # each document is valid on its own: only the documents together break a rule
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("document, error", [
         ({**BUNDLE["bundle"], "note": 1}, ".note: unknown key"),
         ({**BUNDLE["bundle"], "neg": [1] * 5 + [False]},
