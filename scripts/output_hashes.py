@@ -11,8 +11,10 @@ step, oracle masks (some of them empty, in the testbed and in the sweep), a swee
 in which no seed refines, a nine-component world of ``patch_dim``
 1, worlds of ``patch_dim`` 9, a world of two identical components (every lane of
 the oracle's log-sum-exp ties, so it divides by its count of maxima), maskgen
-with queries, maskgen from inline raw attention documents, best-of-N searches
-that each span two engine blocks, and
+with queries, maskgen from inline raw attention documents, maskgen reading its
+bundle and queries from files and its raw documents from files (each written
+beside its config in the temporary directory), best-of-N searches that each
+span two engine blocks, and
 Monte Carlo runs with the value distributions no shipped config draws (a
 uniform repair, an exponential pair whose last chunk ends one row past a slab,
 a mixed constant/uniform pair, an economy with no clean patches). Each runs at
@@ -53,14 +55,31 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 
 # one query per position of maskgen_example's 2 x 3 grid; positions 1 and 4 alike,
 # so the mask is [0, 1, 0, 0, 1, 0], not the unsmoothed [1, 1, 0, 0, 0, 0]
-QUERIES = json.dumps([[0.0, 1.0], [3.0, 0.0], [1.0, 0.5], [0.0, -1.0], [3.0, 0.0], [2.0, 1.0]])
+QUERY_ROWS = [[0.0, 1.0], [3.0, 0.0], [1.0, 0.5], [0.0, -1.0], [3.0, 0.0], [2.0, 1.0]]
+QUERIES = json.dumps(QUERY_ROWS)
 
-# inline raw attention documents for the same grid, each field with its own layers, heads and
+# raw attention documents for the same grid, each field with its own layers, heads and
 # tokens: (layers, heads, tokens, step of the data's pattern)
-RAW = json.dumps({key: {"grid": [2, 3], "layers": layers, "heads": heads, "tokens": tokens,
-                        "data": [step * i % 7 / 4 for i in range(layers * heads * tokens * 6)]}
-                  for key, (layers, heads, tokens, step) in {
-                      "orig": (1, 2, 1, 3), "pos": (2, 1, 3, 2), "neg": (1, 3, 2, 5)}.items()})
+RAW_DOCS = {key: {"grid": [2, 3], "layers": layers, "heads": heads, "tokens": tokens,
+                  "data": [step * i % 7 / 4 for i in range(layers * heads * tokens * 6)]}
+            for key, (layers, heads, tokens, step) in {
+                "orig": (1, 2, 1, 3), "pos": (2, 1, 3, 2), "neg": (1, 3, 2, 5)}.items()}
+RAW = json.dumps(RAW_DOCS)
+
+# maskgen configs whose documents are files beside them, each named relative to the
+# config's directory: config name -> {file name: JSON document}, the config included
+FILE_CONFIGS = {
+    "maskgen_bundle_files": {
+        "bundle.json": json.loads((ROOT / "configs" / "maskgen_example.json").read_text())[
+            "maskgen"]["bundle"],
+        "queries.json": QUERY_ROWS,
+        "maskgen_bundle_files.json": {"kind": "maskgen", "maskgen": {
+            "bundle": "bundle.json", "queries": "queries.json", "ratio": 0.3}}},
+    "maskgen_raw_files": {
+        **{f"{key}.json": doc for key, doc in RAW_DOCS.items()},
+        "maskgen_raw_files.json": {"kind": "maskgen", "maskgen": {
+            "raw": {key: f"{key}.json" for key in RAW_DOCS}, "ratio": 0.4}}},
+}
 
 # nine components on one coordinate: the oracle's pairwise sums for d = 1 and K >= 8
 K9 = json.dumps([{"weight": w, "mean": mu, "variance": v} for w, mu, v in zip(
@@ -72,7 +91,8 @@ TWINS = json.dumps([{"weight": 0.5, "mean": 0.0, "variance": 0.09}] * 2)
 
 UNIFORM, EXPONENTIAL = ('{"kind": "uniform"}', '{"kind": "exponential"}')
 
-# (label, config, overrides); a config is a shipped file name or a workload name
+# (label, config, overrides); a config is a shipped file name, a workload name or a
+# FILE_CONFIGS name
 RUNS = [
     *((path.stem, path.name, []) for path in sorted((ROOT / "configs").glob("*.json"))),
     *((f"workload_{name}", name, []) for name in ("testbed_k3", "theory_mc")),
@@ -96,6 +116,7 @@ RUNS = [
       for stem in ("testbed_small", "scaling_default")),
     ("maskgen_example+queries", "maskgen_example.json", [f"maskgen.queries={QUERIES}"]),
     ("maskgen_example+raw", "maskgen_example.json", ["maskgen.bundle=null", f"maskgen.raw={RAW}"]),
+    *((name, name, []) for name in FILE_CONFIGS),
     # 600 draws a search, and an engine block holds 496 rows at dim 32 and 32 steps: the
     # running best-of-N maximum carries across blocks
     ("scaling_default+bon_grid=1,600", "scaling_default.json",
@@ -162,11 +183,15 @@ def api_probe(config: str, overrides: list, wrap, seed: int) -> tuple[int, str]:
 
 
 def config_path(config: str, tmp: Path) -> Path:
-    """A shipped config's path, or a workload's config written under tmp."""
+    """A shipped config's path, or a workload's config or a FILE_CONFIGS config and its
+    documents written under tmp."""
     if config.endswith(".json"):
         return ROOT / "configs" / config
+    for name, doc in FILE_CONFIGS.get(config, {}).items():
+        (tmp / name).write_text(json.dumps(doc))
     path = tmp / f"{config}.json"
-    path.write_text(json.dumps(WORKLOADS[config].base_config(ROOT)))
+    if config in WORKLOADS:
+        path.write_text(json.dumps(WORKLOADS[config].base_config(ROOT)))
     return path
 
 

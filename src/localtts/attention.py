@@ -17,8 +17,6 @@ from .errors import FieldErrors, check
 
 Grid = tuple[int, int]
 
-_ROW_SUM_TOL = 1e-9
-
 BUNDLE_FIELDS = ("orig", "pos", "neg")
 
 
@@ -88,31 +86,6 @@ class AttentionBundle:
     @property
     def grid(self) -> Grid:
         return self.orig.grid
-
-
-@dataclass(frozen=True)
-class PropagationMatrix:
-    """Row-stochastic similarity matrix used to smooth spatial signals."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-            raise ValueError(f"propagation matrix must be square, got {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("propagation matrix contains non-finite values")
-        if np.any(rows < 0):
-            raise ValueError("propagation matrix entries must be non-negative")
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise ValueError(f"propagation rows must sum to 1 (max deviation {worst:g})")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
 
 
 def mask_cardinality(ratio: float, size: int) -> int:
@@ -239,8 +212,9 @@ def _softmax_rows(queries: np.ndarray) -> np.ndarray:
     return weights
 
 
-def build_propagation(queries: np.ndarray) -> PropagationMatrix:
-    """Row-softmax of query inner products, scaled by 1/sqrt(d)."""
+def build_propagation(queries: np.ndarray) -> np.ndarray:
+    """(S, S) propagation weights of S queries: _softmax_rows, as the engine's masks
+    build them (inner products that overflow give a non-finite quality in _mask_bits)."""
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2:
         raise ValueError(f"queries must be a 2-D matrix, got shape {queries.shape}")
@@ -248,7 +222,7 @@ def build_propagation(queries: np.ndarray) -> PropagationMatrix:
         raise ValueError("query dimension must be at least 1")
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries contain non-finite values")
-    return PropagationMatrix(rows=_softmax_rows(queries))
+    return _softmax_rows(queries)
 
 
 def _top_bits(values: np.ndarray, ratio: float) -> np.ndarray:
@@ -294,14 +268,14 @@ def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.n
 def mask_gen(bundle: AttentionBundle, queries: np.ndarray | None, weight: float,
              ratio: float) -> DefectMask:
     """Full mask pipeline as a batch of one (_mask_bits): contrast, smooth with
-    the propagation matrix of the queries (none without queries), add the
+    the propagation weights of the queries (none without queries), add the
     weighted origin field, threshold. Deterministic given its inputs."""
-    matrix = None if queries is None else build_propagation(queries)
-    if matrix is not None and matrix.size != bundle.orig.size:
-        raise ValueError(f"propagation matrix size {matrix.size} does not match "
+    weights = None if queries is None else build_propagation(queries)[None]
+    if weights is not None and weights.shape[-1] != bundle.orig.size:
+        raise ValueError(f"propagation matrix size {weights.shape[-1]} does not match "
                          f"field size {bundle.orig.size}")
     fields = (field.values[None] for field in (bundle.orig, bundle.pos, bundle.neg))
-    bits = _mask_bits(*fields, None if matrix is None else matrix.rows[None], weight, ratio)[0]
+    bits = _mask_bits(*fields, weights, weight, ratio)[0]
     return DefectMask(bits=bits, ratio=ratio, grid=bundle.grid)
 
 

@@ -40,8 +40,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 [f"kind: config declares {cfg.kind!r} but the {args.kind!r} "
                  f"subcommand was invoked"])
-        report = run_experiment(cfg, args.out, overrides=applied,
-                                base_dir=Path(args.config).resolve().parent)
+        report = run_experiment(cfg, args.out, overrides=applied)
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)

@@ -10,9 +10,10 @@ rejects unknown keys and a run rejects a section its kind does not read. A
 range rule on a value that an object holds lives in that object's type; this
 module reports each broken rule at its dotted JSON path and itself checks ranges
 only for the values no type holds (the run-level keys, search.reference_n, the
-theory options, maskgen.weight and maskgen.ratio). Validation is exhaustive, so
-a bad config can be fixed in one pass. The resolved document (defaults applied,
-command-line overrides recorded) is embedded in every report.
+theory options, maskgen.weight and maskgen.ratio). It reads and parses the maskgen
+documents too, inline or from the file each names relative to base_dir, so
+validation is exhaustive and a bad config can be fixed in one pass. The resolved
+document (defaults applied, command-line overrides recorded) is embedded in every report.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .attention import BUNDLE_FIELDS
+from .attention import (BUNDLE_FIELDS, AttentionBundle, bundle_from_document,
+                        field_from_raw_document)
 from .errors import FieldErrors
 from .resample import ResampleConfig
 from .search import SearchConfig, SweepSettings, TrialSettings
@@ -78,7 +80,7 @@ _SCHEMA: dict[str, Any] = {
                "bon_n_max": ("integer", 50),
                **dict.fromkeys(("repair_dist", "harm_dist"), {"kind": (None, "constant")})},
     # bundle, each entry of raw (_RAW) and queries: the JSON value, or a string naming the
-    # JSON file that holds it, relative to the config's directory (read by read_document)
+    # JSON file that holds it, relative to the config's directory (read by _mask_inputs)
     "maskgen": {"bundle": ("object or file", None), "raw": ("object", None),
                 "queries": ("list or file", None), "weight": ("number", 0.5),
                 "ratio": ("number", 0.5)},
@@ -276,9 +278,39 @@ def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialS
     return None
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
+def _mask_inputs(doc: dict, base_dir: Optional[Path], errors: list[str]) -> dict:
+    """mask_gen's keyword arguments from a one-source maskgen section; a broken document is None."""
+    def parse(build, value, where: str, shape: str = "object"):
+        try:  # each broken rule recorded; a value of the wrong JSON shape is _read's
+            if _typed(value, f"{shape} or file") is not None:
+                return build(*read_document(value, where, base_dir, shape))
+        except (ConfigError, FieldErrors) as exc:
+            errors.extend(exc.errors)
+        except OverflowError as exc:  # raw data holding an integer no float holds
+            errors.append(f"maskgen: {exc}")
+
+    def rows(value: list, where: str) -> list:  # each entry read the way a number key is
+        if any(not isinstance(row, list) or None in [_typed(x, "number") for x in row]
+               for row in value):
+            raise ConfigError([f"{where}: expected a list of lists of numbers, got {value!r}"])
+        return value
+
+    bundle = None
+    if doc["bundle"] is not None:
+        bundle = parse(bundle_from_document, doc["bundle"], "maskgen.bundle")
+    elif isinstance(doc["raw"], dict):  # _build reports fields on two grids at maskgen
+        fields = {key: parse(field_from_raw_document, doc["raw"].get(key), f"maskgen.raw.{key}")
+                  for key in BUNDLE_FIELDS}
+        bundle = _build(AttentionBundle, None if None in fields.values() else fields, "maskgen",
+                        errors)
+    return {"bundle": bundle, "queries": parse(rows, doc["queries"], "maskgen.queries", "list"),
+            "weight": doc["weight"], "ratio": doc["ratio"]}
+
+
+def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
     """Resolve defaults and validate every field; raises ConfigError with the
-    complete list of violations (dotted JSON paths) on failure."""
+    complete list of violations (dotted JSON paths) on failure. A maskgen file
+    name is read relative to base_dir (None: the working directory)."""
     errors: list[str] = []
     warnings: list[str] = []
     if _typed(raw, "object") is None:
@@ -356,12 +388,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 (weight >= 0, "weight", f"must be non-negative, got {weight}"),
                 (0 < ratio < 1, "ratio", f"must lie strictly inside (0, 1), got {ratio}"),
             ] if not passed)
-            if values["raw"] is not None:
-                _read(_merge_section(_RAW, values["raw"], "maskgen.raw", errors), "maskgen.raw",
-                      _RAW, errors)
+        if isinstance(doc["raw"], dict):
+            _read(_merge_section(_RAW, doc["raw"], "maskgen.raw", errors), "maskgen.raw", _RAW,
+                  errors)
         if [doc["bundle"], doc["raw"]].count(None) != 1:
             errors.append("maskgen: exactly one attention source is required (bundle or raw)")
-        cfg.maskgen = doc
+        else:
+            cfg.maskgen = _mask_inputs(doc, base_dir, errors)
 
     if errors:  # a rule two types share is reported once
         raise ConfigError(dict.fromkeys(errors))
@@ -414,5 +447,4 @@ def load_config(path: str | Path, overrides: Optional[list[str]] = None
         target[parts[-1]] = value
         if key not in RUNTIME_KEYS:
             applied.append(f"{key}={text}")
-    cfg = validate_config(raw)
-    return cfg, applied
+    return validate_config(raw, Path(path).resolve().parent), applied

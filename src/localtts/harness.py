@@ -28,8 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import attention as attn
-from .config import ConfigError, ExperimentConfig, read_document
-from .errors import FieldErrors
+from .config import ConfigError, ExperimentConfig
 from .search import (
     SearchConfig,
     TrialSettings,
@@ -230,36 +229,15 @@ def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # maskgen
 # ---------------------------------------------------------------------------
 
-def run_maskgen(cfg: ExperimentConfig, base_dir: Optional[Path] = None) -> tuple[dict, dict]:
-    doc = cfg.maskgen
-    read = functools.partial(read_document, base_dir=base_dir)
-    try:
-        if doc["bundle"] is not None:
-            bundle = attn.bundle_from_document(*read(doc["bundle"], "maskgen.bundle"))
-        else:
-            fields, errors = {}, []
-            for key, value in doc["raw"].items():
-                try:  # every document's key errors, reported with the others
-                    fields[key] = attn.field_from_raw_document(*read(value, f"maskgen.raw.{key}"))
-                except (ConfigError, FieldErrors) as exc:
-                    errors += exc.errors
-            if errors:
-                raise ConfigError(errors)
-            bundle = attn.AttentionBundle(**fields)
-        queries, _ = read(doc["queries"], "maskgen.queries", shape="list")
-        mask = attn.mask_gen(bundle, queries, doc["weight"], doc["ratio"])
-    except FieldErrors as exc:  # a key of an interchange document, named at its path
-        raise ConfigError(exc.errors)
-    except (OverflowError, TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
+def run_maskgen(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    try:  # a finite but huge input overflows to a non-finite quality, which the kernel reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            mask = attn.mask_gen(**cfg.maskgen)
+    except ValueError as exc:  # queries of the wrong shape or size, a non-finite quality
         raise ConfigError([f"maskgen: {exc}"])
-    mask_doc = attn.mask_to_document(mask)
-    results = {
-        "grid": mask_doc["grid"],
-        "ratio": mask_doc["ratio"],
-        "selected": int(np.sum(mask.bits)),
-    }
-    files = {"mask.json": json.dumps(mask_doc, sort_keys=True, indent=2) + "\n"}
-    return results, files
+    doc = attn.mask_to_document(mask)
+    results = {"grid": doc["grid"], "ratio": doc["ratio"], "selected": int(np.sum(mask.bits))}
+    return results, {"mask.json": json.dumps(doc, sort_keys=True, indent=2) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +261,15 @@ def _non_finite(value, path: str) -> list[str]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
-                   overrides: Optional[list[str]] = None,
-                   base_dir: Optional[Path] = None) -> dict:
+                   overrides: Optional[list[str]] = None) -> dict:
     """Run the configured experiment and write its report files.
 
-    Writes report.json (resolved config, warnings, results) plus the
+    validate_config has read every input, maskgen's documents included. Once the run
+    succeeds, writes report.json (resolved config, warnings, results) plus the
     kind-specific CSV/JSON artifacts into out_dir; returns the report dict.
     """
     runners = {"theory": run_theory, "testbed": run_testbed, "scaling": run_scaling,
-               "maskgen": functools.partial(run_maskgen, base_dir=base_dir)}
+               "maskgen": run_maskgen}
     results, files = runners[cfg.kind](cfg)
     report = {
         "kind": cfg.kind,

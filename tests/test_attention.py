@@ -11,7 +11,6 @@ from localtts.attention import (
     AttentionBundle,
     AttentionField,
     DefectMask,
-    PropagationMatrix,
     QualityMap,
     _mask_bits,
     _mask_rows,
@@ -104,16 +103,16 @@ class TestContrastiveDifference:
 class TestBuildPropagation:
     def test_identical_queries_give_uniform_rows(self):
         matrix = build_propagation(np.ones((4, 3)))
-        np.testing.assert_allclose(matrix.rows, 0.25)
+        np.testing.assert_allclose(matrix, 0.25)
 
     def test_large_scale_approaches_one_hot(self):
         matrix = build_propagation(np.array([[0.0], [50.0]]))
-        assert matrix.rows[1, 1] > 0.999999
+        assert matrix[1, 1] > 0.999999
 
     def test_hand_softmax_with_sqrt_d_scaling(self):
         matrix = build_propagation(np.array([[1.0], [-1.0]]))
         expected = np.array([math.e ** 2 / (math.e ** 2 + 1), 1 / (math.e ** 2 + 1)])
-        np.testing.assert_allclose(matrix.rows[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(matrix[0], expected, rtol=1e-12)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -125,8 +124,8 @@ class TestBuildPropagation:
 
     def test_overflow_prevented_by_max_subtraction(self):
         matrix = build_propagation(np.array([[1e4], [1e4 - 1.0]]))
-        assert np.all(np.isfinite(matrix.rows))
-        np.testing.assert_allclose(matrix.rows.sum(axis=1), 1.0)
+        assert np.all(np.isfinite(matrix))
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0)
 
 
 class TestPropagate:
@@ -157,7 +156,7 @@ class TestPropagate:
         queries = rng.normal(size=(size, 3))
         values = rng.normal(size=size) * 10
         out = kernel_quality(np.zeros(size), np.zeros(size), values,
-                             rows=build_propagation(queries).rows)
+                             rows=build_propagation(queries))
         lo, hi = values.min(), values.max()
         slack = 1e-9 * (1 + abs(lo) + abs(hi))
         assert np.all(out >= lo - slack)
@@ -381,14 +380,6 @@ def _bundle(size):
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: PropagationMatrix(rows=np.full((2, 3), 1 / 3)), "must be square",
-                 id="propagation-not-square"),
-    pytest.param(lambda: PropagationMatrix(rows=[[np.nan, 1.0], [0.5, 0.5]]), "non-finite",
-                 id="propagation-non-finite"),
-    pytest.param(lambda: PropagationMatrix(rows=[[1.5, -0.5], [0.5, 0.5]]), "non-negative",
-                 id="propagation-negative"),
-    pytest.param(lambda: PropagationMatrix(rows=[[0.5, 0.4], [0.5, 0.5]]), "sum to 1",
-                 id="propagation-row-sum"),
     pytest.param(lambda: DefectMask(bits=[1, 0, 0], ratio=0.5, grid=(1, 2)), "length 2",
                  id="mask-bit-length"),
     pytest.param(lambda: DefectMask(bits=[2, 0], ratio=0.5, grid=(1, 2)), "0/1",

@@ -445,7 +445,7 @@ def reference_attention_mask(world, truth, gain_pos, gain_neg, noise_sd, weight,
     queries = grid_query_features(world.grid)
     if noise_sd > 0:
         queries = queries + noise_sd * rng.standard_normal(queries.shape)
-    rows = build_propagation(queries).rows
+    rows = build_propagation(queries)
     quality = rows @ (bundle.neg.values - bundle.pos.values) + weight * np.maximum(
         rows @ bundle.orig.values, 0)
     return threshold_mask(QualityMap(values=quality, grid=world.grid), ratio)

@@ -156,6 +156,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
 
+    def test_missing_maskgen_document_fails_at_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "maskgen", "maskgen": {"bundle": "absent.json"}}))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert info.value.errors == [f"maskgen.bundle: file not found: {tmp_path / 'absent.json'}"]
+
     def test_bad_override_syntax(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(theory_raw()))
@@ -175,9 +182,10 @@ class TestLoadConfig:
     def test_config_file_and_overrides(self, text, overrides, error, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        if error is None:
+        if error is None:  # the file is read beside the config
+            (tmp_path / "bundle.json").write_text(json.dumps(BUNDLE["bundle"]))
             cfg, applied = load_config(path, overrides)
-            assert cfg.maskgen["bundle"] == "bundle.json" and applied == overrides
+            assert cfg.resolved["maskgen"]["bundle"] == "bundle.json" and applied == overrides
             return
         with pytest.raises(ConfigError) as info:
             load_config(path, overrides)
@@ -407,8 +415,8 @@ class TestMaskgenExperiment:
                 "queries": queries, "weight": 0.5, "ratio": 0.25,
             },
         }
-        cfg = validate_config(raw)
-        report = run_experiment(cfg, tmp_path / "out", base_dir=tmp_path)
+        cfg = validate_config(raw, base_dir=tmp_path)
+        report = run_experiment(cfg, tmp_path / "out")
         mask = json.loads((tmp_path / "out" / "mask.json").read_text())
         assert sum(mask["bits"]) == 1
         assert mask["bits"][1] == 1
@@ -984,6 +992,57 @@ class TestCli:
             "config error: maskgen.bundle.orig: attention field must be a flat vector of "
             "length 6 for grid (2, 3), got shape (2,)\n"
             "config error: maskgen.bundle.neg: attention field values must be non-negative\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_bundle_errors_reported_with_the_other_errors_exit_two(self, from_file, tmp_path,
+                                                                  capsys):
+        # the documents are read with the rest of the config: one pass shows every error
+        bundle, where = {**BUNDLE["bundle"], "extra": 1}, "maskgen.bundle"
+        if from_file:
+            (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+            bundle, where = "bundle.json", f"{where}[{tmp_path / 'bundle.json'}]"
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {"bundle": bundle, "ratio": 2}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: maskgen.ratio: must lie strictly inside (0, 1), got 2.0\n"
+            f"config error: {where}.extra: unknown key\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("queries, shown", [
+        pytest.param([[True, False], [False, True]], "[[True, False], [False, True]]",
+                     id="booleans"),
+        pytest.param([["1", "0"], ["0", "1"]], "[['1', '0'], ['0', '1']]", id="strings"),
+        pytest.param([[None, 1], [1, 0]], "[[None, 1], [1, 0]]", id="null"),
+        pytest.param("queries.json", "[[1.0, 0.0], 1]", id="file-row-not-a-list"),
+    ])
+    def test_queries_read_strictly_exit_two(self, queries, shown, tmp_path, capsys):
+        # every row a list, every entry a finite JSON number, inline or in a file
+        (tmp_path / "queries.json").write_text("[[1.0, 0.0], 1]")
+        where = "maskgen.queries" + (f"[{tmp_path / queries}]" if queries == "queries.json"
+                                     else "")
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {
+            "bundle": {"grid": [1, 2], "orig": [1, 1], "pos": [1, 0.2], "neg": [1, 1.4]},
+            "queries": queries}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {where}: expected a list of lists of numbers, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", [
+        pytest.param({**BUNDLE, "queries": [[1e200, 0.0]] * 6}, id="queries-overflow"),
+        pytest.param({"bundle": {**BUNDLE["bundle"], "orig": [1e308] * 6}, "weight": 10},
+                     id="weighted-origin-overflow"),
+    ])
+    def test_huge_maskgen_input_is_one_error_line_exit_two(self, source, tmp_path, capsys):
+        # each input is finite: only the kernel's arithmetic overflows, and numpy stays quiet
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert not caught
+        assert capsys.readouterr().err == (
+            "config error: maskgen: mask quality contains non-finite values\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source, error", [
