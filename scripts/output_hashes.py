@@ -28,9 +28,17 @@ empty) and with a per-row source that has no ``rows`` (the form perfbench's
 tracer wraps), each over two refinement blocks, and ``best_of_n`` over two
 base blocks.
 
-A change that must leave every report byte alone is checked by running this
-script on the parent and on the change (same script, ``PYTHONPATH`` pointing
-at each ``src``) and diffing the two outputs.
+Then one line per error probe: its label, the CLI's exit code and the sha256 of its
+stderr, the probe's temporary directory written as ``<tmp>``. Each probe is a maskgen
+config with broken inputs, written with the files it names into a temporary directory
+of its own: the documents of the maskgen error tests in ``tests/test_harness.py``,
+documents with several broken keys of different kinds (so a change in the order of
+the errors shows), and configs whose errors the config reader once missed or left
+unlocated (labels ``found-*``).
+
+A change that must leave every report byte and error text alone is checked by
+running this script on the parent and on the change (same script, ``PYTHONPATH``
+pointing at each ``src``) and diffing the two outputs.
 """
 from __future__ import annotations
 
@@ -136,6 +144,89 @@ RUNS = [
 ]
 
 
+# maskgen_example's bundle, and raw attention documents of a 1 x 2 grid
+BUNDLE = json.loads((ROOT / "configs" / "maskgen_example.json").read_text())["maskgen"]["bundle"]
+RAW_2 = {"grid": [1, 2], "layers": 2, "heads": 1, "tokens": 1, "data": [0.0, 2.0, 4.0, 6.0]}
+RAW_1 = {"grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [0.5, 1.0]}
+# the files an error probe's config may name: a JSON value, or a string written as is
+PROBE_FILES = {"list.json": [1, 2], "dict.json": {"a": 1}, "bad.json": "[1,",
+               "queries.json": "[[1.0, 0.0], 1]"}
+
+
+def raw_probes(label: str, docs: dict, **section) -> list:
+    """A raw-document error probe with its documents inline, and one with each in a file."""
+    return [(label, {"raw": docs, **section}, {}),
+            (f"{label}+files", {"raw": {key: f"{key}.json" for key in docs}, **section},
+             {f"{key}.json": doc for key, doc in docs.items()})]
+
+
+# (label, maskgen section, {file name: document}); PROBE_FILES are written for each
+ERROR_PROBES = [
+    *((f"source:{json.dumps(source)}", source, {}) for source in [
+        {"raw": "raw.json"}, {"bundle": "list.json"}, {"bundle": 5}, {"raw": [1]},
+        {"raw": {"orig": 1, "pos": {}}}, {"raw": {}}, {"bundle": BUNDLE, "queries": 7},
+        {"bundle": BUNDLE, "queries": {"a": 1}}, {"bundle": BUNDLE, "queries": "dict.json"},
+        *({"bundle": {**BUNDLE, "grid": grid}} for grid in (6, {"a": 1}, [2], [2, 3.7])),
+        {"raw": dict.fromkeys(("orig", "pos", "neg"), "list.json")},
+        *({"bundle": BUNDLE, "queries": name} for name in ("none.json", ".", "bad.json")),
+        {"bundle": "absent.json"}, {"weight": 0.5, "ratio": 0.5}, {"bundle": {}, "raw": {}},
+        {"raw": {**dict.fromkeys(("orig", "pos", "neg"), RAW_1), "extra": RAW_1}}]),
+    *((f"bundle:{json.dumps(edit)}", {"bundle": {**BUNDLE, **edit}, "ratio": 0.2}, {})
+      for edit in [{"note": 1}, {"orig": ["1"] * 6}, {"orig": [True] * 6},
+                   {"orig": [1, 1], "neg": [-1, 1, 1, 1, 1, 1]}, {"neg": [1] * 5 + [False]}]),
+    *(probe for edit in [{"layers": 2.7}, {"layers": "2"}, {"layers": True}, {"note": 1},
+                         {"data": [0.0, 2.0, 4.0, None]}]
+      for probe in raw_probes(f"raw:{json.dumps(edit)}", {"orig": {**RAW_2, **edit}, "pos": RAW_2,
+                                                          "neg": RAW_2})),
+    *raw_probes("raw:length,layers", {"orig": {**RAW_1, "data": [0.5, 1.0, 2.0]}, "pos": RAW_1,
+                                      "neg": {**RAW_1, "layers": 0}}),
+    *raw_probes("raw:grid,sign,counts", {"orig": {**RAW_1, "grid": [0, 2]},
+                                         "pos": {**RAW_1, "data": [-1.0, 1.0]},
+                                         "neg": {**RAW_1, "heads": 0, "tokens": 0}}),
+    *raw_probes("raw:unknown_keys", {"orig": {**RAW_1, "note": 1}, "pos": RAW_1,
+                                     "neg": {**RAW_1, "extra": 2}}),
+    *raw_probes("raw:grids_differ", {key: {"grid": [1, cols], "layers": 1, "heads": 1, "tokens": 1,
+                                           "data": [1.0] * cols}
+                                     for key, cols in (("orig", 2), ("pos", 3), ("neg", 2))}),
+    ("bundle:extra,ratio", {"bundle": {**BUNDLE, "extra": 1}, "ratio": 2}, {}),
+    ("bundle:extra,ratio+file", {"bundle": "bundle.json", "ratio": 2},
+     {"bundle.json": {**BUNDLE, "extra": 1}}),
+    *((f"bundle_file:{json.dumps(doc)[:40]}", {"bundle": "bundle.json"}, {"bundle.json": doc})
+      for doc in [{**BUNDLE, "note": 1}, {**BUNDLE, "neg": [1] * 5 + [False]}, [1, 2]]),
+    *((f"queries:{json.dumps(queries)}", {"bundle": BUNDLE, "queries": queries}, {})
+      for queries in [[[True, False], [False, True]], [["1", "0"], ["0", "1"]],
+                      [[None, 1], [1, 0]], "queries.json", [[1.0, 0.0]] * 4]),
+    ("overflow:queries", {"bundle": BUNDLE, "queries": [[1e200, 0.0]] * 6}, {}),
+    ("overflow:weighted_origin", {"bundle": {**BUNDLE, "orig": [1e308] * 6}, "weight": 10}, {}),
+    # several broken keys of different kinds in one document each
+    *raw_probes("several:raw", {"orig": {"grid": [1, 2], "layers": 2.5, "heads": True,
+                                         "tokens": 1, "note": 1}, "pos": RAW_1, "neg": RAW_1}),
+    ("several:bundle", {"bundle": {"grid": [2, 3], "orig": "x", "neg": [True], "extra": 1}}, {}),
+    # every document read whatever the source count, the queries' shape, a located overflow
+    ("found-both_sources", {"bundle": {**BUNDLE, "note": 1}, "raw": dict.fromkeys(
+        ("orig", "pos", "neg"), RAW_1)}, {}),
+    ("found-no_source,queries", {"queries": [[True]]}, {}),
+    ("found-ragged_queries", {"bundle": BUNDLE, "queries": [[1, 0], [0]] * 3}, {}),
+    ("found-ragged_queries+file", {"bundle": BUNDLE, "queries": "ragged.json"},
+     {"ragged.json": [[1, 0], [0]] * 3}),
+    ("found-empty_queries", {"bundle": BUNDLE, "queries": [[]] * 6}, {}),
+    ("found-queries_size,ratio", {"bundle": BUNDLE, "queries": [[1.0, 0.0]] * 4, "ratio": 2}, {}),
+    *raw_probes("found-huge_integer", {"orig": {**RAW_1, "data": [10 ** 320, 1]}, "pos": RAW_1,
+                                       "neg": RAW_1}),
+]
+
+
+def error_probe(section: dict, files: dict, tmp: Path) -> tuple[int, str]:
+    """The exit code and stderr digest of the maskgen CLI on one broken config."""
+    for name, doc in {**PROBE_FILES, **files}.items():
+        (tmp / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    (tmp / "cfg.json").write_text(json.dumps({"kind": "maskgen", "maskgen": section}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["maskgen", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")])
+    return code, hashlib.sha256(err.getvalue().replace(str(tmp), "<tmp>").encode()).hexdigest()
+
+
 def per_row(source):
     """source without its rows method: the engine calls it once per refining seed."""
     return lambda state, true_set, rng: source(state, true_set, rng)
@@ -217,6 +308,10 @@ def main() -> int:
     for label, config, overrides, wrap, seed in API_PROBES:
         count, digest = api_probe(config, overrides, wrap, seed)
         print(f"api {label} {count} {digest}")
+    for label, section, files in ERROR_PROBES:
+        with tempfile.TemporaryDirectory() as tmp_text:
+            code, digest = error_probe(section, files, Path(tmp_text))
+        print(f"error {label.replace(' ', '')} {code} {digest}")
     return 0
 
 

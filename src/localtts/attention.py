@@ -4,7 +4,8 @@ Reduces raw spatial attention tensors to per-position fields, contrasts the
 low-quality-prompt field against the high-quality one, smooths the signals
 with a row-stochastic similarity matrix, reweights with the original-prompt
 foreground prior, and thresholds the result into a binary defect mask with
-an exact target cardinality.
+an exact target cardinality. The attention documents are read by the config
+module; this one writes only a mask's document (mask_to_document).
 """
 from __future__ import annotations
 
@@ -13,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldErrors, check
-
 Grid = tuple[int, int]
-
-BUNDLE_FIELDS = ("orig", "pos", "neg")
 
 
 def _as_grid(grid) -> Grid:
@@ -279,69 +276,8 @@ def mask_gen(bundle: AttentionBundle, queries: np.ndarray | None, weight: float,
     return DefectMask(bits=bits, ratio=ratio, grid=bundle.grid)
 
 
-# ---------------------------------------------------------------------------
-# JSON interchange documents
-# ---------------------------------------------------------------------------
-
-def _check_document(doc, path: str, integers: tuple, numbers: tuple) -> None:
-    """FieldErrors at path.key for each unknown or missing key of an
-    interchange document (its grid, integers and numbers), each integer that
-    is not a JSON integer (true is not one) and each list not of JSON numbers."""
-    if not isinstance(doc, dict):
-        raise FieldErrors([f"{path}: expected an object, got {type(doc).__name__}"])
-    keys = ("grid", *integers, *numbers)
-    check([(key in keys, f"{path}.{key}", "unknown key") for key in doc]
-          + [(key in doc, path, f"missing key '{key}'") for key in keys]
-          + [(type(doc[key]) is int, f"{path}.{key}", f"expected an integer, got {doc[key]!r}")
-             for key in integers if key in doc]
-          + [(isinstance(doc[key], list) and all(type(v) in (int, float) for v in doc[key]),
-              f"{path}.{key}", f"expected a list of numbers, got {doc[key]!r}")
-             for key in numbers if key in doc])
-
-
-def field_from_raw_document(doc: dict, path: str = "raw") -> AttentionField:
-    """Parse {"grid", "layers", "heads", "tokens", "data"} at path into a field.
-
-    "data" is the flat row-major [layers, heads, tokens, positions] tensor.
-    Every broken rule is reported at its key, as FieldErrors.
-    """
-    counts = ("layers", "heads", "tokens")
-    _check_document(doc, path, counts, ("data",))
-    try:
-        grid, grid_error = _as_grid(doc["grid"]), None
-    except (TypeError, ValueError) as exc:  # TypeError: a grid that is not a list
-        grid, grid_error = (0, 0), exc  # no positions, so no data length to check
-    shape = (*(doc[key] for key in counts), grid[0] * grid[1])
-    data = np.asarray(doc["data"], dtype=float)
-    check([(grid_error is None, f"{path}.grid", str(grid_error)),
-           *((doc[key] >= 1, f"{path}.{key}", f"must be positive, got {doc[key]}")
-             for key in counts),
-           (min(shape) < 1 or data.size == math.prod(shape), f"{path}.data",
-            f"has {data.size} entries, expected {math.prod(shape)}")])
-    try:
-        return reduce_attention(data.reshape(shape), grid)
-    except ValueError as exc:  # the shape holds, so a value of the data
-        raise FieldErrors([f"{path}.data: {exc}"]) from None
-
-
-def bundle_from_document(doc: dict, path: str = "bundle") -> AttentionBundle:
-    """Parse {"grid", "orig", "pos", "neg"} at path into a bundle; FieldErrors at each key."""
-    _check_document(doc, path, (), BUNDLE_FIELDS)
-    try:
-        grid = _as_grid(doc["grid"])
-    except (TypeError, ValueError) as exc:  # TypeError: a grid that is not a list
-        raise FieldErrors([f"{path}.grid: {exc}"]) from None
-    fields, rules = {}, []
-    for key in BUNDLE_FIELDS:  # every field's error, reported with the others
-        try:
-            fields[key] = AttentionField(values=np.asarray(doc[key], dtype=float), grid=grid)
-        except (OverflowError, ValueError) as exc:  # OverflowError: an integer no float holds
-            rules.append((False, f"{path}.{key}", str(exc)))
-    check(rules)
-    return AttentionBundle(**fields)
-
-
 def mask_to_document(mask: DefectMask) -> dict:
+    """The JSON document of a mask: its grid, ratio and 0/1 bits."""
     return {
         "grid": [mask.grid[0], mask.grid[1]],
         "ratio": mask.ratio,

@@ -10,8 +10,10 @@ rejects unknown keys and a run rejects a section its kind does not read. A
 range rule on a value that an object holds lives in that object's type; this
 module reports each broken rule at its dotted JSON path and itself checks ranges
 only for the values no type holds (the run-level keys, search.reference_n, the
-theory options, maskgen.weight and maskgen.ratio). It reads and parses the maskgen
-documents too, inline or from the file each names relative to base_dir, so
+theory options, maskgen.weight and maskgen.ratio). The maskgen documents (a bundle,
+raw attention tensors, queries), inline or in the file each names relative to
+base_dir, are read by the same reader against their own tables (_BUNDLE, _TENSOR)
+whatever the number of sources given, and built into mask_gen's inputs here, so
 validation is exhaustive and a bad config can be fixed in one pass. The resolved
 document (defaults applied, command-line overrides recorded) is embedded in every report.
 """
@@ -19,13 +21,15 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .attention import (BUNDLE_FIELDS, AttentionBundle, bundle_from_document,
-                        field_from_raw_document)
+import numpy as np
+
+from .attention import AttentionBundle, AttentionField, _as_grid, reduce_attention
 from .errors import FieldErrors
 from .resample import ResampleConfig
 from .search import SearchConfig, SweepSettings, TrialSettings
@@ -55,7 +59,7 @@ _SCHEMA: dict[str, Any] = {
               "components": ({"weight": ("number",), "mean": ("vector", 0.0),
                               "variance": ("number",)},
                              [{"weight": 1.0, "mean": 0.0, "variance": 0.09}]),
-              "verifier_weights": ("numbers", None)},
+              "verifier_weights": ("null or numbers", None)},
     "schedule": {"horizon": ("number", 1.0), "n_steps": ("integer", 32)},
     "resample": {"t0": ("number", 0.4), "t_g": ("number", 0.04), "n_refine": ("integer", 16),
                  "n_integrate": ("integer", 2)},
@@ -85,7 +89,12 @@ _SCHEMA: dict[str, Any] = {
                 "queries": ("list or file", None), "weight": ("number", 0.5),
                 "ratio": ("number", 0.5)},
 }
+BUNDLE_FIELDS, _COUNTS = ("orig", "pos", "neg"), ("layers", "heads", "tokens")
 _RAW = {key: ("object or file",) for key in BUNDLE_FIELDS}
+# the maskgen documents, each grid read by attention._as_grid: a bundle of three fields,
+# and a raw attention tensor, its data the flat row-major [layers, heads, tokens, positions]
+_BUNDLE = {"grid": (None,), **{key: ("numbers",) for key in BUNDLE_FIELDS}}
+_TENSOR = {"grid": (None,), **{key: ("integer",) for key in _COUNTS}, "data": ("numbers",)}
 
 
 def _defaults(table: dict) -> dict:
@@ -105,9 +114,9 @@ _SECTIONS_BY_KIND = {"theory": ("economy", "mask_stats", "theory"), "maskgen": (
                      "testbed": ("world", "schedule", "resample", "defects", "attention"),
                      "scaling": ("world", "schedule", "resample", "search", "defects", "attention")}
 
-# the one list of numbers, world.verifier_weights, defaults to null
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
-             "integers": "a list of integers", "numbers": "null or a list of numbers",
+             "integers": "a list of integers", "numbers": "a list of numbers",
+             "null or numbers": "null or a list of numbers",
              "vector": "a number or a list of numbers", "object": "an object", "list": "a list",
              "object or file": "an object or a file name", "list or file": "a list or a file name"}
 
@@ -145,8 +154,9 @@ class ExperimentConfig:
 
 def _merge_section(table: dict, user: Any, path: Optional[str], errors: list[str]) -> dict:
     """The defaults of a schema table with user's keys over them; a nested
-    table's object is merged in turn. Each value is copied once: the user's,
-    or the default of a key the user leaves out."""
+    table's object is merged in turn. Each unknown key is reported, then each
+    required key the user leaves out. The default of a key the user leaves out
+    is copied; the user's values are not (validate_config copies the document)."""
     if user is not None and not isinstance(user, dict):
         errors.append(f"{path}: expected an object, got {type(user).__name__}")
     user = user if isinstance(user, dict) else {}
@@ -160,7 +170,8 @@ def _merge_section(table: dict, user: Any, path: Optional[str], errors: list[str
         elif isinstance(table[key], dict):
             merged[key] = _merge_section(table[key], value, where, errors)
         else:
-            merged[key] = copy.deepcopy(value)
+            merged[key] = value
+    errors.extend(f"{path}: missing key '{key}'" for key in table if key not in merged)
     for key in merged.keys() - user.keys():
         spec = table[key]
         merged[key] = (_merge_section(spec, None, None, errors) if isinstance(spec, dict)
@@ -188,7 +199,7 @@ def _typed(value: Any, shape: str):
     if shape == "integers":
         items = [_typed(item, "integer") for item in value] if isinstance(value, list) else [None]
         return None if None in items else tuple(items)
-    if shape == "numbers":
+    if shape.endswith("numbers"):  # "null or numbers" too: _read takes a null first
         return value if isinstance(value, list) and all(map(_is_number, value)) else None
     if shape == "vector":
         return value if fits or type(value) is int else _typed(value, "numbers")
@@ -209,8 +220,8 @@ def _read(doc: dict, path: Optional[str], table: dict, errors: list[str]) -> Opt
         items, shape = (shape, "list") if isinstance(shape, dict) else (None, shape)
         if value is None and default == [None]:
             values[key] = None
-        elif key not in doc:  # a required key: every other key is merged over its default
-            errors.append(f"{path}: missing key '{key}'")
+        elif key not in doc:  # a required key, reported missing by _merge_section
+            pass
         elif (typed := _typed(value, shape)) is None:
             errors.append(f"{where}: expected {_EXPECTED[shape]}, got {value!r}")
         elif items is None:
@@ -279,32 +290,77 @@ def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialS
 
 
 def _mask_inputs(doc: dict, base_dir: Optional[Path], errors: list[str]) -> dict:
-    """mask_gen's keyword arguments from a one-source maskgen section; a broken document is None."""
-    def parse(build, value, where: str, shape: str = "object"):
-        try:  # each broken rule recorded; a value of the wrong JSON shape is _read's
-            if _typed(value, f"{shape} or file") is not None:
-                return build(*read_document(value, where, base_dir, shape))
-        except (ConfigError, FieldErrors) as exc:
+    """mask_gen's keyword arguments from the maskgen section. Every document given is
+    read as a section is, whatever the number of sources: merged and read against its
+    table, its grid by attention._as_grid, then built with the attention types. The
+    queries are rows of numbers of one positive length, one row per field position.
+    Every broken rule is recorded at its key; a broken input is None."""
+    def parse(build, value, where: str, table: Optional[dict] = None):
+        shape = "object" if table else "list"
+        try:  # a value of the wrong JSON shape is _read's
+            if _typed(value, f"{shape} or file") is None:
+                return None
+            value, where = read_document(value, where, base_dir, shape)
+        except ConfigError as exc:
             errors.extend(exc.errors)
-        except OverflowError as exc:  # raw data holding an integer no float holds
-            errors.append(f"maskgen: {exc}")
+            return None
+        count = len(errors)  # a document with a key of the wrong name or shape is not built
+        if table:
+            _read(_merge_section(table, value, where, errors), where, table, errors)
+        return build(value, where) if len(errors) == count else None
 
-    def rows(value: list, where: str) -> list:  # each entry read the way a number key is
+    def grid(value: dict, where: str):
+        try:
+            return _as_grid(value["grid"])
+        except (TypeError, ValueError) as exc:  # TypeError: a grid that is not a list
+            errors.append(f"{where}.grid: {exc}")
+
+    def assemble(fields: dict):  # _build reports fields on two grids at maskgen
+        return _build(AttentionBundle, None if None in fields.values() else fields, "maskgen",
+                      errors)
+
+    def bundle(value: dict, where: str):
+        dims = grid(value, where)
+        return assemble({key: dims and _build(AttentionField, {"values": value[key], "grid": dims},
+                                              f"{where}.{key}", errors) for key in BUNDLE_FIELDS})
+
+    def tensor(value: dict, where: str):
+        count = len(errors)
+        dims = grid(value, where) or (0, 0)  # no positions, so no data length to check
+        shape = (*(value[key] for key in _COUNTS), math.prod(dims))
+        errors.extend(f"{where}.{key}: must be positive, got {value[key]}" for key in _COUNTS
+                      if value[key] < 1)
+        if min(shape) >= 1 and len(value["data"]) != math.prod(shape):
+            errors.append(f"{where}.data: has {len(value['data'])} entries, "
+                          f"expected {math.prod(shape)}")
+        if len(errors) == count:
+            return _build(reduce_attention, {"raw": np.reshape(value["data"], shape), "grid": dims},
+                          f"{where}.data", errors)
+
+    def rows(value: list, where: str):  # each entry read the way a number key is
         if any(not isinstance(row, list) or None in [_typed(x, "number") for x in row]
                for row in value):
-            raise ConfigError([f"{where}: expected a list of lists of numbers, got {value!r}"])
-        return value
+            errors.append(f"{where}: expected a list of lists of numbers, got {value!r}")
+        elif len(lengths := {len(row) for row in value}) > 1 or 0 in lengths:
+            errors.append(f"{where}: expected rows of one positive length, got row lengths "
+                          f"{sorted(lengths)}")
+        else:
+            return value
 
-    bundle = None
-    if doc["bundle"] is not None:
-        bundle = parse(bundle_from_document, doc["bundle"], "maskgen.bundle")
-    elif isinstance(doc["raw"], dict):  # _build reports fields on two grids at maskgen
-        fields = {key: parse(field_from_raw_document, doc["raw"].get(key), f"maskgen.raw.{key}")
-                  for key in BUNDLE_FIELDS}
-        bundle = _build(AttentionBundle, None if None in fields.values() else fields, "maskgen",
-                        errors)
-    return {"bundle": bundle, "queries": parse(rows, doc["queries"], "maskgen.queries", "list"),
-            "weight": doc["weight"], "ratio": doc["ratio"]}
+    if isinstance(doc["raw"], dict):
+        _read(_merge_section(_RAW, doc["raw"], "maskgen.raw", errors), "maskgen.raw", _RAW, errors)
+    one_source = [doc["bundle"], doc["raw"]].count(None) == 1
+    if not one_source:  # each document given is read all the same
+        errors.append("maskgen: exactly one attention source is required (bundle or raw)")
+    attention = parse(bundle, doc["bundle"], "maskgen.bundle", _BUNDLE)
+    if isinstance(doc["raw"], dict):
+        attention = assemble({key: parse(tensor, doc["raw"].get(key), f"maskgen.raw.{key}",
+                                         _TENSOR) for key in BUNDLE_FIELDS})
+    queries = parse(rows, doc["queries"], "maskgen.queries")
+    if one_source and None not in (attention, queries) and len(queries) != attention.orig.size:
+        errors.append(f"maskgen: propagation matrix size {len(queries)} does not match field "
+                      f"size {attention.orig.size}")
+    return {"bundle": attention, "queries": queries, "weight": doc["weight"], "ratio": doc["ratio"]}
 
 
 def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
@@ -318,7 +374,7 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"kind: expected one of {list(KINDS)}, got {kind!r}"])
-    merged = _merge_section(_SCHEMA, raw, None, errors)
+    merged = _merge_section(_SCHEMA, copy.deepcopy(raw), None, errors)
     sections = _SECTIONS_BY_KIND[kind]
     errors.extend(f"{key}: not read by a {kind} run" for key in raw
                   if isinstance(_SCHEMA.get(key), dict) and key not in sections)
@@ -388,13 +444,7 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
                 (weight >= 0, "weight", f"must be non-negative, got {weight}"),
                 (0 < ratio < 1, "ratio", f"must lie strictly inside (0, 1), got {ratio}"),
             ] if not passed)
-        if isinstance(doc["raw"], dict):
-            _read(_merge_section(_RAW, doc["raw"], "maskgen.raw", errors), "maskgen.raw", _RAW,
-                  errors)
-        if [doc["bundle"], doc["raw"]].count(None) != 1:
-            errors.append("maskgen: exactly one attention source is required (bundle or raw)")
-        else:
-            cfg.maskgen = _mask_inputs(doc, base_dir, errors)
+        cfg.maskgen = _mask_inputs(doc, base_dir, errors)
 
     if errors:  # a rule two types share is reported once
         raise ConfigError(dict.fromkeys(errors))

@@ -233,7 +233,7 @@ def run_maskgen(cfg: ExperimentConfig) -> tuple[dict, dict]:
     try:  # a finite but huge input overflows to a non-finite quality, which the kernel reports
         with np.errstate(over="ignore", invalid="ignore"):
             mask = attn.mask_gen(**cfg.maskgen)
-    except ValueError as exc:  # queries of the wrong shape or size, a non-finite quality
+    except ValueError as exc:  # a non-finite quality: validate_config has read every input
         raise ConfigError([f"maskgen: {exc}"])
     doc = attn.mask_to_document(mask)
     results = {"grid": doc["grid"], "ratio": doc["ratio"], "selected": int(np.sum(mask.bits))}

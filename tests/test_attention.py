@@ -15,8 +15,6 @@ from localtts.attention import (
     _mask_bits,
     _mask_rows,
     build_propagation,
-    bundle_from_document,
-    field_from_raw_document,
     mask_cardinality,
     mask_from_indices,
     mask_gen,
@@ -24,6 +22,7 @@ from localtts.attention import (
     reduce_attention,
     threshold_mask,
 )
+from localtts.config import ConfigError, validate_config
 
 
 def qmap(values, grid=None):
@@ -346,27 +345,35 @@ class TestMaskGen:
         np.testing.assert_array_equal(a.bits, b.bits)
 
 
+def mask_inputs(source: dict) -> dict:
+    """mask_gen's inputs as validate_config reads them from a maskgen section."""
+    return validate_config({"kind": "maskgen", "maskgen": source}).maskgen
+
+
 class TestInterchangeDocuments:
+    # the attention documents are read by validate_config: each raw document stands for
+    # all three fields
     def test_raw_document_roundtrip(self):
         doc = {
             "grid": [1, 2], "layers": 2, "heads": 1, "tokens": 1,
             "data": [0.0, 2.0, 4.0, 6.0],
         }
-        field = field_from_raw_document(doc)
+        field = mask_inputs({"raw": dict.fromkeys(("orig", "pos", "neg"), doc)})["bundle"].orig
         np.testing.assert_allclose(field.values, [2.0, 4.0])
 
     def test_raw_document_missing_key(self):
-        with pytest.raises(ValueError, match="missing key 'data'"):
-            field_from_raw_document({"grid": [1, 1], "layers": 1, "heads": 1, "tokens": 1})
+        doc = {"grid": [1, 1], "layers": 1, "heads": 1, "tokens": 1}
+        with pytest.raises(ConfigError, match="missing key 'data'"):
+            mask_inputs({"raw": dict.fromkeys(("orig", "pos", "neg"), doc)})
 
     def test_raw_document_wrong_length(self):
         doc = {"grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [1.0]}
-        with pytest.raises(ValueError, match="entries"):
-            field_from_raw_document(doc)
+        with pytest.raises(ConfigError, match="has 1 entries, expected 2"):
+            mask_inputs({"raw": dict.fromkeys(("orig", "pos", "neg"), doc)})
 
     def test_bundle_document(self):
         doc = {"grid": [1, 2], "orig": [1, 1], "pos": [0.5, 1], "neg": [1, 0.5]}
-        bundle = bundle_from_document(doc)
+        bundle = mask_inputs({"bundle": doc})["bundle"]
         np.testing.assert_allclose(bundle.neg.values - bundle.pos.values, [0.5, -0.5])
 
     def test_mask_document(self):

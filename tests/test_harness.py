@@ -1100,6 +1100,66 @@ class TestCli:
         assert f"config error: {where['neg']}.extra: unknown key\n" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source, error", [
+        pytest.param({"bundle": {**BUNDLE["bundle"], "note": 1},
+                      "raw": dict.fromkeys(("orig", "pos", "neg"), {
+                          "grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [1.0, 2.0]})},
+                     "maskgen.bundle.note: unknown key", id="both-sources"),
+        pytest.param({"queries": [[True]]},
+                     "maskgen.queries: expected a list of lists of numbers, got [[True]]",
+                     id="no-source"),
+    ])
+    def test_documents_read_whatever_the_source_count_exit_two(self, source, error, tmp_path,
+                                                               capsys):
+        # the source error and each document's own errors, in one pass
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": source})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: maskgen: exactly one attention source is required (bundle or raw)\n"
+            f"config error: {error}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("queries, error", [
+        pytest.param([[1, 0], [0]] * 3,
+                     "<where>: expected rows of one positive length, got row lengths [1, 2]",
+                     id="ragged-rows"),
+        pytest.param([[]] * 6, "<where>: expected rows of one positive length, got row lengths [0]",
+                     id="empty-rows"),
+        pytest.param([[1.0, 0.0]] * 4,
+                     "maskgen: propagation matrix size 4 does not match field size 6",
+                     id="size-mismatch"),
+    ])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_queries_shape_checked_with_the_other_errors_exit_two(self, queries, error, from_file,
+                                                                  tmp_path, capsys):
+        # a ratio out of range too: the queries' shape and size are read in the same pass
+        where = "maskgen.queries"
+        if from_file:
+            (tmp_path / "queries.json").write_text(json.dumps(queries))
+            queries, where = "queries.json", f"{where}[{tmp_path / 'queries.json'}]"
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {
+            **BUNDLE, "queries": queries, "ratio": 2}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: maskgen.ratio: must lie strictly inside (0, 1), got 2.0\n"
+            f"config error: {error.replace('<where>', where)}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_raw_integer_no_float_holds_named_at_its_key_exit_two(self, from_file, tmp_path,
+                                                                  capsys):
+        raw = {"grid": [1, 2], "layers": 1, "heads": 1, "tokens": 1, "data": [1.0, 2.0]}
+        docs = {"orig": {**raw, "data": [10 ** 320, 1]}, "pos": raw, "neg": raw}
+        where = "maskgen.raw.orig"
+        if from_file:
+            (tmp_path / "orig.json").write_text(json.dumps(docs["orig"]))
+            docs["orig"], where = "orig.json", f"{where}[{tmp_path / 'orig.json'}]"
+        path = self.write(tmp_path, {"kind": "maskgen", "maskgen": {"raw": docs}})
+        assert cli_main(["maskgen", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {where}.data: int too large to convert to float\n")
+        assert not (tmp_path / "out").exists()
+
     def test_theory_with_inert_local_edits_runs(self, tmp_path):
         # no local repair and no local harm: no precision floor, so no precision is low
         assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
