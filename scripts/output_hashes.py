@@ -29,12 +29,16 @@ tracer wraps), each over two refinement blocks, and ``best_of_n`` over two
 base blocks.
 
 Then one line per error probe: its label, the CLI's exit code and the sha256 of its
-stderr, the probe's temporary directory written as ``<tmp>``. Each probe is a maskgen
-config with broken inputs, written with the files it names into a temporary directory
-of its own: the documents of the maskgen error tests in ``tests/test_harness.py``,
-documents with several broken keys of different kinds (so a change in the order of
-the errors shows), and configs whose errors the config reader once missed or left
-unlocated (labels ``found-*``).
+stderr, the probe's temporary directory written as ``<tmp>``. Each maskgen probe is a
+maskgen config with broken inputs, written with the files it names into a temporary
+directory of its own: the documents of the maskgen error tests in
+``tests/test_harness.py``, documents with several broken keys of different kinds (so a
+change in the order of the errors shows), and configs whose errors the config reader
+once missed or left unlocated (labels ``found-*``). The rule probes that follow set
+one broken value on a shipped config: the mask weight and ratio of a testbed and a
+scaling run, the best-of-N repair probability and point count, and the two caps
+(labels ``cap-*``), each one past its bound: ``theory.bon_n_max`` and, with per-patch
+values, ``economy.m_patches``.
 
 A change that must leave every report byte and error text alone is checked by
 running this script on the parent and on the change (same script, ``PYTHONPATH``
@@ -216,15 +220,44 @@ ERROR_PROBES = [
 ]
 
 
+# (label, shipped config, overrides): one broken value each, outside maskgen
+RULE_PROBES = [
+    *((f"{stem}:attention.{key}={value}", f"{stem}.json", [f"attention.{key}={value}"])
+      for stem in ("testbed_small", "scaling_default")
+      for key, value in (("weight", -1), ("ratio", 1.5))),
+    *((f"theory_worked:theory.{key}={value}", "theory_worked.json", [f"theory.{key}={value}"])
+      for key, value in (("bon_repair_prob_one", 1), ("bon_n_max", 0))),
+    # one past each cap: at most 100,000 best-of-N points, and 25,000 patches when the
+    # Monte Carlo draws per-patch values (one trial, so the run is short where no cap holds)
+    ("cap-bon_n_max", "theory_worked.json", ["theory.mc_trials=0", "theory.bon_n_max=100001"]),
+    ("cap-m_patches", "theory_worked.json", ["theory.mc_trials=1", "economy.m_patches=25001",
+                                             f"theory.repair_dist={EXPONENTIAL}"]),
+]
+
+
+def cli_probe(args: list, tmp: Path) -> tuple[int, str]:
+    """The exit code and stderr digest of the CLI on args, writing its output under tmp."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main([*args, "--out", str(tmp / "out")])
+    return code, hashlib.sha256(err.getvalue().replace(str(tmp), "<tmp>").encode()).hexdigest()
+
+
 def error_probe(section: dict, files: dict, tmp: Path) -> tuple[int, str]:
     """The exit code and stderr digest of the maskgen CLI on one broken config."""
     for name, doc in {**PROBE_FILES, **files}.items():
         (tmp / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     (tmp / "cfg.json").write_text(json.dumps({"kind": "maskgen", "maskgen": section}))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli_main(["maskgen", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")])
-    return code, hashlib.sha256(err.getvalue().replace(str(tmp), "<tmp>").encode()).hexdigest()
+    return cli_probe(["maskgen", "--config", str(tmp / "cfg.json")], tmp)
+
+
+def rule_probe(config: str, overrides: list, tmp: Path) -> tuple[int, str]:
+    """The exit code and stderr digest of the CLI on a shipped config with overrides."""
+    path = ROOT / "configs" / config
+    args = [json.loads(path.read_text())["kind"], "--config", str(path)]
+    for setting in overrides:
+        args += ["--set", setting]
+    return cli_probe(args, tmp)
 
 
 def per_row(source):
@@ -312,6 +345,10 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp_text:
             code, digest = error_probe(section, files, Path(tmp_text))
         print(f"error {label.replace(' ', '')} {code} {digest}")
+    for label, config, overrides in RULE_PROBES:
+        with tempfile.TemporaryDirectory() as tmp_text:
+            code, digest = rule_probe(config, overrides, Path(tmp_text))
+        print(f"error {label} {code} {digest}")
     return 0
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check
+
 Grid = tuple[int, int]
 
 
@@ -209,6 +211,20 @@ def _softmax_rows(queries: np.ndarray) -> np.ndarray:
     return weights
 
 
+def mask_rules(weight: float, ratio: float) -> list:
+    """The (passed, name, message) rules of the mask kernel's foreground weight and area
+    ratio, raised through check; TrialSettings and validate_config report them too."""
+    return [(weight >= 0, "weight", f"must be non-negative, got {weight}"),
+            (0.0 < ratio < 1.0, "ratio", f"must lie strictly inside (0, 1), got {ratio}")]
+
+
+def queries_rules(count: int, size: int) -> list:
+    """The rule that count queries, one per field position, fit a field of size
+    positions (validate_config reports it at maskgen)."""
+    return [(count == size, "queries",
+             f"propagation matrix size {count} does not match field size {size}")]
+
+
 def build_propagation(queries: np.ndarray) -> np.ndarray:
     """(S, S) propagation weights of S queries: _softmax_rows, as the engine's masks
     build them (inner products that overflow give a non-finite quality in _mask_bits)."""
@@ -223,9 +239,8 @@ def build_propagation(queries: np.ndarray) -> np.ndarray:
 
 
 def _top_bits(values: np.ndarray, ratio: float) -> np.ndarray:
-    """uint8 bits selecting the ceil(ratio * S) largest of S values along the last axis."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie strictly inside (0, 1), got {ratio}")
+    """uint8 bits selecting the ceil(ratio * S) largest of S values along the last axis,
+    ratio checked by its caller."""
     # stable sort on the negated values: descending by value, ascending index on ties
     order = np.argsort(-values, axis=-1, kind="stable")
     bits = np.zeros(values.shape, dtype=np.uint8)
@@ -239,6 +254,7 @@ def threshold_mask(quality: QualityMap, ratio: float) -> DefectMask:
     Ties are broken by ascending index so the mask cardinality is
     deterministic even for constant maps.
     """
+    check(mask_rules(0.0, ratio))  # no foreground prior: only the ratio's rule can fail
     return DefectMask(bits=_top_bits(quality.values, ratio), ratio=ratio, grid=quality.grid)
 
 
@@ -249,8 +265,7 @@ def _mask_bits(orig: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.n
     weights (rows, S, S), or None for no propagation, to (rows, S) bits:
     the contrast neg - pos, propagated, plus weight times the propagated origin
     field, then the top ratio of each row."""
-    if weight < 0:
-        raise ValueError(f"foreground weight must be non-negative, got {weight}")
+    check(mask_rules(weight, ratio))
     diff = neg - pos
     if weights is not None:
         diff, orig = ((weights @ field[..., None])[..., 0] for field in (diff, orig))
@@ -268,9 +283,8 @@ def mask_gen(bundle: AttentionBundle, queries: np.ndarray | None, weight: float,
     the propagation weights of the queries (none without queries), add the
     weighted origin field, threshold. Deterministic given its inputs."""
     weights = None if queries is None else build_propagation(queries)[None]
-    if weights is not None and weights.shape[-1] != bundle.orig.size:
-        raise ValueError(f"propagation matrix size {weights.shape[-1]} does not match "
-                         f"field size {bundle.orig.size}")
+    if weights is not None:
+        check(queries_rules(weights.shape[-1], bundle.orig.size))
     fields = (field.values[None] for field in (bundle.orig, bundle.pos, bundle.neg))
     bits = _mask_bits(*fields, weights, weight, ratio)[0]
     return DefectMask(bits=bits, ratio=ratio, grid=bundle.grid)

@@ -7,10 +7,13 @@ shows, and builds the experiment objects. ``_read`` reads every key with a
 shape: an integer key takes a JSON integer only (not 2.0 or true), a key whose
 default is null may be null and a key with no default is required. An object
 rejects unknown keys and a run rejects a section its kind does not read. A
-range rule on a value that an object holds lives in that object's type; this
-module reports each broken rule at its dotted JSON path and itself checks ranges
-only for the values no type holds (the run-level keys, search.reference_n, the
-theory options, maskgen.weight and maskgen.ratio). The maskgen documents (a bundle,
+range rule on a value that an object holds lives in that object's type, and one on
+a kernel's argument beside the kernel (attention.mask_rules and queries_rules,
+theory.bon_rules, which caps theory.bon_n_max). This module reports each broken rule
+at its dotted JSON path and itself implements only the rules of the run-level keys,
+theory.mc_trials, search.reference_n and the Monte Carlo's caps (the value means that
+keep its sums finite; economy.m_patches when it draws per-patch values, MAX_MC_PATCHES,
+which bounds its workspace). The maskgen documents (a bundle,
 raw attention tensors, queries), inline or in the file each names relative to
 base_dir, are read by the same reader against their own tables (_BUNDLE, _TENSOR)
 whatever the number of sources given, and built into mask_gen's inputs here, so
@@ -29,12 +32,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .attention import AttentionBundle, AttentionField, _as_grid, reduce_attention
+from .attention import (AttentionBundle, AttentionField, _as_grid, mask_rules, queries_rules,
+                        reduce_attention)
 from .errors import FieldErrors
 from .resample import ResampleConfig
 from .search import SearchConfig, SweepSettings, TrialSettings
 from .testbed import CosineSchedule, PatchWorld
-from .theory import MaskStats, PatchEconomy, ValueDistribution
+from .theory import MaskStats, PatchEconomy, ValueDistribution, bon_rules
 
 KINDS = ("theory", "testbed", "scaling", "maskgen")
 
@@ -133,6 +137,10 @@ _SETTINGS_PATHS = {
 # caps: a run builds each trial's seed (0.4 kB) before its first trial, the Monte
 # Carlo a result (1 kB) per 4,096-trial chunk, kept until the merge; a worker is a process
 MAX_TRIALS, MAX_MC_TRIALS, MAX_WORKERS = 1 << 16, 10 ** 8, 64
+# a Monte Carlo that draws per-patch values (a value kind that is not constant) keeps, in
+# each process, a float value and a boolean selection a patch on the 4,096 rows of a chunk
+# and the 512 rows of a slab of scratch: 9 * 4,608 = 41,472 B a patch, under 1 GiB at the cap
+MAX_MC_PATCHES = 25_000
 
 
 @dataclass
@@ -232,6 +240,13 @@ def _read(doc: dict, path: Optional[str], table: dict, errors: list[str]) -> Opt
             if None not in typed:
                 values[key] = typed
     return values if len(values) == len(shaped) else None
+
+
+def _report(rules: list, where: str, errors: list[str]) -> None:
+    """Record each broken (passed, name, message) rule as 'where: message', the {} of
+    where filled with the rule's name (a where with no {} is the path of every rule)."""
+    errors.extend(f"{where.format(name)}: {message}" for passed, name, message in rules
+                  if not passed)
 
 
 def _build(cls, kwargs: Optional[dict], path: str, errors: list[str]):
@@ -357,9 +372,8 @@ def _mask_inputs(doc: dict, base_dir: Optional[Path], errors: list[str]) -> dict
         attention = assemble({key: parse(tensor, doc["raw"].get(key), f"maskgen.raw.{key}",
                                          _TENSOR) for key in BUNDLE_FIELDS})
     queries = parse(rows, doc["queries"], "maskgen.queries")
-    if one_source and None not in (attention, queries) and len(queries) != attention.orig.size:
-        errors.append(f"maskgen: propagation matrix size {len(queries)} does not match field "
-                      f"size {attention.orig.size}")
+    if one_source and None not in (attention, queries):
+        _report(queries_rules(len(queries), attention.orig.size), "maskgen", errors)
     return {"bundle": attention, "queries": queries, "weight": doc["weight"], "ratio": doc["ratio"]}
 
 
@@ -384,7 +398,7 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
     run = _read(merged, None, _SCHEMA, errors)
     if run:
         seed, trials, workers = run["master_seed"], run["trials"], run["workers"]
-        errors.extend(f"{key}: {message}" for passed, key, message in [
+        _report([
             (0 <= seed < 2 ** 64, "master_seed", f"must fit in 64 bits, got {seed}"),
             (trials >= 1, "trials", f"must be at least 1, got {trials}"),
             (trials <= MAX_TRIALS, "trials", f"must be at most {MAX_TRIALS}, got {trials}"),
@@ -392,7 +406,7 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
              "scaling needs at least 2 trials for standard errors"),
             (workers >= 1, "workers", f"must be at least 1, got {workers}"),
             (workers <= MAX_WORKERS, "workers", f"must be at most {MAX_WORKERS}, got {workers}"),
-        ] if not passed)
+        ], "{}", errors)
     resolved = {key: merged[key] for key in ("kind", "master_seed", "trials", *sections)}
     cfg = ExperimentConfig(kind=kind, resolved=resolved, warnings=warnings,
                            **{key: merged[key] for key in ("master_seed", "trials", "workers")})
@@ -414,18 +428,16 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
         cfg.mask_stats = _section(MaskStats, "mask_stats", resolved, errors)
         doc = resolved["theory"]
         opts = _read(doc, "theory", _SCHEMA["theory"], errors) or {}
+        mc, m = opts.get("mc_trials") or 0, getattr(cfg.economy, "m_patches", 1)
         if opts:
-            mc, p_one, n_max = opts["mc_trials"], opts["bon_repair_prob_one"], opts["bon_n_max"]
-            errors.extend(f"theory.{key}: {message}" for passed, key, message in [
-                (mc >= 0, "mc_trials", f"must be non-negative, got {mc}"),
-                (mc <= MAX_MC_TRIALS, "mc_trials", f"must be at most {MAX_MC_TRIALS}, got {mc}"),
-                (0.0 < p_one < 1.0, "bon_repair_prob_one", f"must lie in (0, 1), got {p_one}"),
-                (n_max >= 1, "bon_n_max", f"must be at least 1, got {n_max}"),
-            ] if not passed)
+            _report([(mc >= 0, "mc_trials", f"must be non-negative, got {mc}"),
+                     (mc <= MAX_MC_TRIALS, "mc_trials",
+                      f"must be at most {MAX_MC_TRIALS}, got {mc}")], "theory.{}", errors)
+            _report(bon_rules(opts["bon_repair_prob_one"], opts["bon_n_max"]), "theory.bon_{}",
+                    errors)
         # a Monte Carlo draw is below 45 means (numpy's standard exponential stays below 44.5),
         # so a trial's value spans under 45 m_patches means; merging a 4,096-trial chunk
         # multiplies that span squared by up to 4,096 mc_trials, which must stay finite
-        mc, m = opts.get("mc_trials") or 0, getattr(cfg.economy, "m_patches", 1)
         cap = (sys.float_info.max / max(mc, 1)) ** 0.5 / (45 * 64) / m
         for name, mean in (("repair_dist", "repair_gain"), ("harm_dist", "harm_loss")):
             opts[name] = _build(ValueDistribution, doc[name], f"theory.{name}", errors)
@@ -433,17 +445,18 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
             if mc > 0 and value > cap:
                 errors.append(f"economy.{mean}: must be at most {cap!r} at {m} patches and {mc} "
                               f"Monte Carlo trials, got {value:g}")
+        per_patch = any(opts[name] and opts[name].kind != "constant"
+                        for name in ("repair_dist", "harm_dist"))
+        if mc > 0 and per_patch and m > MAX_MC_PATCHES:
+            errors.append(f"economy.m_patches: must be at most {MAX_MC_PATCHES} when the Monte "
+                          f"Carlo draws per-patch values, got {m}")
         cfg.theory_options = opts
 
     if kind == "maskgen":
         doc = resolved["maskgen"]
         values = _read(doc, "maskgen", _SCHEMA["maskgen"], errors)
         if values:
-            weight, ratio = values["weight"], values["ratio"]
-            errors.extend(f"maskgen.{key}: {message}" for passed, key, message in [
-                (weight >= 0, "weight", f"must be non-negative, got {weight}"),
-                (0 < ratio < 1, "ratio", f"must lie strictly inside (0, 1), got {ratio}"),
-            ] if not passed)
+            _report(mask_rules(values["weight"], values["ratio"]), "maskgen.{}", errors)
         cfg.maskgen = _mask_inputs(doc, base_dir, errors)
 
     if errors:  # a rule two types share is reported once

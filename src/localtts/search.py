@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .attention import (DefectMask, _indicators, _mask_bits, _mask_rows, _softmax_rows,
-                        mask_from_indices, mask_gen)
+                        mask_from_indices, mask_gen, mask_rules)
 from .errors import check
 from .resample import ResampleConfig, _resample
 from .seeding import _spawn, trial_rng
@@ -385,7 +385,8 @@ class TrialSettings:
     mask source (picklable for workers).
 
     world, schedule and resample check their own fields; this type checks
-    the defect and attention ranges and the rules that tie its parts
+    the defect and attention ranges (the mask weight and ratio by the mask
+    kernel's attention.mask_rules) and the rules that tie its parts
     together. While a configuration is being validated, a part that failed
     its own checks is passed as None and the rules that need it are skipped.
     """
@@ -414,10 +415,9 @@ class TrialSettings:
             (self.defect_count >= 1, "defect_count",
              f"must be at least 1, got {self.defect_count}"),
             *((v[n] >= 0, n, f"must be non-negative, got {v[n]}")
-              for n in ("defect_magnitude", "gain_pos", "gain_neg", "noise_sd",
-                        "mask_weight")),
-            (0.0 < self.mask_ratio < 1.0, "mask_ratio",
-             f"must lie strictly inside (0, 1), got {self.mask_ratio}"),
+              for n in ("defect_magnitude", "gain_pos", "gain_neg", "noise_sd")),
+            *((passed, f"mask_{name}", message)
+              for passed, name, message in mask_rules(self.mask_weight, self.mask_ratio)),
             # a query inner product sums 4 products of entries below 8 noise_sd: 256 noise_sd^2
             (np.isfinite(256 * float(self.noise_sd) * self.noise_sd), "noise_sd",
              f"overflows the query logits, got {self.noise_sd}"),

@@ -216,12 +216,23 @@ class BonCurve:
     first_decline: Optional[int]
 
 
+# bon_curve keeps every point and a report writes a CSV row of each: about 320 B a point
+MAX_BON_N = 10 ** 5
+
+
+def bon_rules(repair_prob_one: float, n_max: int) -> list:
+    """The (passed, name, message) rules of bon_curve's arguments: bon_curve raises
+    through check, validate_config reports them at theory.bon_repair_prob_one and
+    theory.bon_n_max."""
+    return [(0.0 < repair_prob_one < 1.0, "repair_prob_one",
+             f"must lie in (0, 1), got {repair_prob_one}"),
+            (n_max >= 1, "n_max", f"must be at least 1, got {n_max}"),
+            (n_max <= MAX_BON_N, "n_max", f"must be at most {MAX_BON_N}, got {n_max}")]
+
+
 def bon_curve(repair_prob_one: float, econ: PatchEconomy, n_max: int) -> BonCurve:
     """Compute-normalized gain of global best-of-N for N = 1..n_max."""
-    if not 0.0 < repair_prob_one < 1.0:
-        raise ValueError(f"single-trial repair probability must lie in (0, 1), got {repair_prob_one}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    check(bon_rules(repair_prob_one, n_max))
     clean = econ.m_patches - econ.defects
     harm_term = clean * econ.harm_prob_global * econ.harm_loss
     points = []
@@ -484,8 +495,7 @@ def simulate_bon_repair_frequency(repair_prob_one: float, n: int, trials: int,
     """Monte Carlo frequency with which best-of-N repairs one defect: a
     defect counts as repaired when any of the N independent global draws
     repairs it. Returns (frequency, standard error)."""
-    if not 0.0 < repair_prob_one < 1.0:
-        raise ValueError(f"single-trial repair probability must lie in (0, 1), got {repair_prob_one}")
+    check(bon_rules(repair_prob_one, 1))  # one point: only the probability's rule can fail
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
     rng = np.random.default_rng(seed)

@@ -683,6 +683,15 @@ class TestCli:
           "more than 4194304"]),
         # each worker is a process of its own
         ("maskgen_example.json", ["workers=65"], ["workers: must be at most 64, got 65"]),
+        # bon_curve keeps every point, and the report writes a CSV row of each
+        ("theory_worked.json", ["theory.mc_trials=0", "theory.bon_n_max=100001"],
+         ["theory.bon_n_max: must be at most 100000, got 100001"]),
+        # per-patch values: each process holds 4,608 rows of the patches. One trial, so a
+        # missing cap reserves that workspace but writes one row of it
+        ("theory_worked.json", ["theory.mc_trials=1", "economy.m_patches=25001",
+                                'theory.repair_dist={"kind": "exponential"}'],
+         ["economy.m_patches: must be at most 25000 when the Monte Carlo draws per-patch "
+          "values, got 25001"]),
     ])
     def test_count_cap_exit_two_before_allocating(self, config, settings, errors, tmp_path,
                                                   capsys):

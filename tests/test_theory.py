@@ -257,7 +257,7 @@ class TestBonCurve:
         assert curve.first_decline == first
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="repair probability"):
+        with pytest.raises(ValueError, match=r"repair_prob_one: must lie in \(0, 1\)"):
             bon_curve(0.0, WORKED, 5)
         with pytest.raises(ValueError, match="n_max"):
             bon_curve(0.5, WORKED, 0)
