@@ -36,9 +36,11 @@ directory of its own: the documents of the maskgen error tests in
 change in the order of the errors shows), and configs whose errors the config reader
 once missed or left unlocated (labels ``found-*``). The rule probes that follow set
 one broken value on a shipped config: the mask weight and ratio of a testbed and a
-scaling run, the best-of-N repair probability and point count, and the two caps
-(labels ``cap-*``), each one past its bound: ``theory.bon_n_max`` and, with per-patch
-values, ``economy.m_patches``.
+scaling run, the best-of-N repair probability and point count, the caps (labels
+``cap-*``), each past its bound: ``theory.bon_n_max``, ``economy.m_patches`` with
+per-patch values, ``theory.mc_trials``, ``workers`` (0 and 65) and the value means
+``economy.repair_gain`` and ``economy.harm_loss`` (1e300), and a defect magnitude of 1e80
+on a testbed and a scaling run.
 
 A change that must leave every report byte and error text alone is checked by
 running this script on the parent and on the change (same script, ``PYTHONPATH``
@@ -232,6 +234,15 @@ RULE_PROBES = [
     ("cap-bon_n_max", "theory_worked.json", ["theory.mc_trials=0", "theory.bon_n_max=100001"]),
     ("cap-m_patches", "theory_worked.json", ["theory.mc_trials=1", "economy.m_patches=25001",
                                              f"theory.repair_dist={EXPONENTIAL}"]),
+    # the Monte Carlo's trial cap and value-mean caps, and the worker cap at both ends
+    ("cap-mc_trials", "theory_worked.json", ["theory.mc_trials=100000001"]),
+    *((f"cap-workers={workers}", "testbed_small.json", [f"workers={workers}"])
+      for workers in (0, 65)),
+    *((f"cap-{key}", "theory_worked.json", [f"economy.{key}=1e300"])
+      for key in ("repair_gain", "harm_loss")),
+    # a defect whose verifier term is finite but above the world's score cap
+    *((f"{stem}:defects.magnitude=1e80", f"{stem}.json", ["defects.magnitude=1e80"])
+      for stem in ("testbed_small", "scaling_default")),
 ]
 
 

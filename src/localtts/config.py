@@ -8,12 +8,13 @@ shape: an integer key takes a JSON integer only (not 2.0 or true), a key whose
 default is null may be null and a key with no default is required. An object
 rejects unknown keys and a run rejects a section its kind does not read. A
 range rule on a value that an object holds lives in that object's type, and one on
-a kernel's argument beside the kernel (attention.mask_rules and queries_rules,
-theory.bon_rules, which caps theory.bon_n_max). This module reports each broken rule
-at its dotted JSON path and itself implements only the rules of the run-level keys,
-theory.mc_trials, search.reference_n and the Monte Carlo's caps (the value means that
-keep its sums finite; economy.m_patches when it draws per-patch values, MAX_MC_PATCHES,
-which bounds its workspace). The maskgen documents (a bundle,
+a kernel's argument beside the kernel: attention.mask_rules and queries_rules,
+theory.bon_rules (which caps theory.bon_n_max), theory.mc_rules (the Monte Carlo's caps
+on its trials, on the value means that keep its sums finite and on the patches of its
+per-patch workspace) and seeding.worker_rules (the worker cap). This module reports each
+broken rule at its dotted JSON path and itself implements only the rules of master_seed
+and trials, theory.mc_trials >= 0 (0 skips the Monte Carlo) and search.reference_n. The
+maskgen documents (a bundle,
 raw attention tensors, queries), inline or in the file each names relative to
 base_dir, are read by the same reader against their own tables (_BUNDLE, _TENSOR)
 whatever the number of sources given, and built into mask_gen's inputs here, so
@@ -37,8 +38,9 @@ from .attention import (AttentionBundle, AttentionField, _as_grid, mask_rules, q
 from .errors import FieldErrors
 from .resample import ResampleConfig
 from .search import SearchConfig, SweepSettings, TrialSettings
+from .seeding import worker_rules
 from .testbed import CosineSchedule, PatchWorld
-from .theory import MaskStats, PatchEconomy, ValueDistribution, bon_rules
+from .theory import MaskStats, PatchEconomy, ValueDistribution, bon_rules, mc_rules
 
 KINDS = ("theory", "testbed", "scaling", "maskgen")
 
@@ -134,13 +136,9 @@ _SETTINGS_PATHS = {
     "n_grid": "search.n_grid", "bon_grid": "search.bon_grid",
 }
 
-# caps: a run builds each trial's seed (0.4 kB) before its first trial, the Monte
-# Carlo a result (1 kB) per 4,096-trial chunk, kept until the merge; a worker is a process
-MAX_TRIALS, MAX_MC_TRIALS, MAX_WORKERS = 1 << 16, 10 ** 8, 64
-# a Monte Carlo that draws per-patch values (a value kind that is not constant) keeps, in
-# each process, a float value and a boolean selection a patch on the 4,096 rows of a chunk
-# and the 512 rows of a slab of scratch: 9 * 4,608 = 41,472 B a patch, under 1 GiB at the cap
-MAX_MC_PATCHES = 25_000
+MAX_TRIALS = 1 << 16  # a run builds each trial's seed (0.4 kB) before its first trial
+_MC_PATHS = {"trials": "theory.mc_trials", "repair_gain": "economy.repair_gain",  # mc_rules'
+             "harm_loss": "economy.harm_loss", "m_patches": "economy.m_patches"}
 
 
 @dataclass
@@ -242,11 +240,11 @@ def _read(doc: dict, path: Optional[str], table: dict, errors: list[str]) -> Opt
     return values if len(values) == len(shaped) else None
 
 
-def _report(rules: list, where: str, errors: list[str]) -> None:
-    """Record each broken (passed, name, message) rule as 'where: message', the {} of
-    where filled with the rule's name (a where with no {} is the path of every rule)."""
-    errors.extend(f"{where.format(name)}: {message}" for passed, name, message in rules
-                  if not passed)
+def _report(rules: list, where, errors: list[str]) -> None:
+    """Record each broken (passed, name, message) rule as 'where: message', the {} of where
+    filled with the rule's name (a where with no {} is the path of every rule; a dict maps it)."""
+    errors.extend(f"{where.format(name) if isinstance(where, str) else where[name]}: {message}"
+                  for passed, name, message in rules if not passed)
 
 
 def _build(cls, kwargs: Optional[dict], path: str, errors: list[str]):
@@ -404,8 +402,7 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
             (trials <= MAX_TRIALS, "trials", f"must be at most {MAX_TRIALS}, got {trials}"),
             (trials >= 2 or kind != "scaling", "trials",
              "scaling needs at least 2 trials for standard errors"),
-            (workers >= 1, "workers", f"must be at least 1, got {workers}"),
-            (workers <= MAX_WORKERS, "workers", f"must be at most {MAX_WORKERS}, got {workers}"),
+            *worker_rules(workers),
         ], "{}", errors)
     resolved = {key: merged[key] for key in ("kind", "master_seed", "trials", *sections)}
     cfg = ExperimentConfig(kind=kind, resolved=resolved, warnings=warnings,
@@ -428,28 +425,15 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
         cfg.mask_stats = _section(MaskStats, "mask_stats", resolved, errors)
         doc = resolved["theory"]
         opts = _read(doc, "theory", _SCHEMA["theory"], errors) or {}
-        mc, m = opts.get("mc_trials") or 0, getattr(cfg.economy, "m_patches", 1)
         if opts:
-            _report([(mc >= 0, "mc_trials", f"must be non-negative, got {mc}"),
-                     (mc <= MAX_MC_TRIALS, "mc_trials",
-                      f"must be at most {MAX_MC_TRIALS}, got {mc}")], "theory.{}", errors)
             _report(bon_rules(opts["bon_repair_prob_one"], opts["bon_n_max"]), "theory.bon_{}",
                     errors)
-        # a Monte Carlo draw is below 45 means (numpy's standard exponential stays below 44.5),
-        # so a trial's value spans under 45 m_patches means; merging a 4,096-trial chunk
-        # multiplies that span squared by up to 4,096 mc_trials, which must stay finite
-        cap = (sys.float_info.max / max(mc, 1)) ** 0.5 / (45 * 64) / m
-        for name, mean in (("repair_dist", "repair_gain"), ("harm_dist", "harm_loss")):
+        for name in ("repair_dist", "harm_dist"):
             opts[name] = _build(ValueDistribution, doc[name], f"theory.{name}", errors)
-            value = getattr(cfg.economy, mean, 0.0)  # no economy: it reports its own errors
-            if mc > 0 and value > cap:
-                errors.append(f"economy.{mean}: must be at most {cap!r} at {m} patches and {mc} "
-                              f"Monte Carlo trials, got {value:g}")
-        per_patch = any(opts[name] and opts[name].kind != "constant"
-                        for name in ("repair_dist", "harm_dist"))
-        if mc > 0 and per_patch and m > MAX_MC_PATCHES:
-            errors.append(f"economy.m_patches: must be at most {MAX_MC_PATCHES} when the Monte "
-                          f"Carlo draws per-patch values, got {m}")
+        # 0 trials skip the Monte Carlo; a broken economy is None: mc_rules checks the trials only
+        mc = opts.get("mc_trials") or 0
+        _report(mc_rules(mc, cfg.economy, opts["repair_dist"], opts["harm_dist"]) if mc > 0
+                else [(mc == 0, "trials", f"must be non-negative, got {mc}")], _MC_PATHS, errors)
         cfg.theory_options = opts
 
     if kind == "maskgen":

@@ -17,7 +17,6 @@ records into Candidates, and the sweep and testbed runners reduce the arrays.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -49,11 +48,9 @@ from .testbed import (
 # defect mask; the built-in ones also have rows(defect_sets, rngs), the (rows,
 # S) bits of a batch, row i drawn from rngs[i], which the engine calls once per
 # block (any other source once per refining seed, on that seed's base draw).
-# A verifier scores a (rows, dim) batch, one score per row.
 BaseSampler = Callable[[PatchWorld, np.ndarray, list[np.random.Generator]],
                        tuple[np.ndarray, list[Optional[np.ndarray]]]]
 MaskSource = Callable[[LatentState, Optional[np.ndarray], np.random.Generator], DefectMask]
-Verifier = Callable[[LatentState], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,6 @@ def attention_mask_source(world: PatchWorld, *, gain_pos: float, gain_neg: float
     return source
 
 
-def _scores(verify: Verifier, states: LatentState) -> np.ndarray:
-    """One verifier call for a batch, (rows,); a constant verifier scores every row alike."""
-    return np.broadcast_to(np.asarray(verify(states), dtype=float), states.x.shape[:1])
-
-
 def _measured(predictor: NoisePredictor, before: int, rows: int, steps: int, phase: str) -> int:
     """Per-row NFE of a phase, from the predictor's counter; raises when the
     counter moved by other than rows x steps run."""
@@ -212,8 +204,8 @@ class _Record:
 
 
 def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleConfig],
-              mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None,
-              verifier: Optional[Verifier] = None) -> Iterator[_Record]:
+              mask_source: Optional[MaskSource], base_sampler: Optional[BaseSampler] = None
+              ) -> Iterator[_Record]:
     """Run depth-2 searches, (SearchConfig, generator) pairs read as needed,
     block by block in four batched phases: every base draw as one
     integration, the masks of the refined seeds as one (rows, S) array,
@@ -230,18 +222,16 @@ def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleCo
     measured per row. _candidates turns a record into Candidates.
     """
     inject = base_sampler or plain_sampler
-    verify = verifier or functools.partial(verifier_score, predictor.world)
     draws = len(predictor.schedule.step_times())  # x_T, then one per step
     refine_draws = 0 if resample is None else 2 + resample.nfe_cost  # renoise twice, one per step
     for block in _blocks(searches, draws, refine_draws, predictor.world.dim):
         yield _lockstep_block(predictor, block, draws, resample, refine_draws,
-                              mask_source, inject, verify)
+                              mask_source, inject)
 
 
 def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
                     resample: Optional[ResampleConfig], refine_draws: int,
-                    mask_source: Optional[MaskSource], inject: BaseSampler,
-                    verify: Verifier) -> _Record:
+                    mask_source: Optional[MaskSource], inject: BaseSampler) -> _Record:
     """The four phases over one block, as one record."""
     if resample is None and any(cfg.refinements > 0 for *_, cfg in block):
         raise ValueError("searches with refinements need a resample config")
@@ -260,7 +250,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     base_nfe = _measured(predictor, before, len(rngs), base_draws - 1, "base")
     x, defects = inject(world, base.x, rngs)
     drawn = LatentState(x=x, t=0.0)  # one finiteness scan for the batch
-    base_scores = _scores(verify, drawn)
+    base_scores = verifier_score(world, drawn)
 
     # mask phase: the bits of the seeds that refine from one rows call (one
     # call per seed, on its base draw, for a source without rows), each row
@@ -287,7 +277,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
                             bits[seed_of], resample, noise)
         noise.check_spent("refinement")
         refine_nfe = _measured(predictor, before, len(seed_of), resample.nfe_cost, "refinement")
-        refined_scores = _scores(verify, refined)
+        refined_scores = verifier_score(world, refined)
     return _Record(search, seed, refinements, defects, base_scores, bits, refined_scores,
                    base_nfe, refine_nfe, drawn, refined)
 
@@ -312,7 +302,7 @@ def _candidates(record: _Record, grid) -> Iterator[tuple[int, Candidate]]:
 
 def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg: SearchConfig,
                resample: Optional[ResampleConfig], rng: np.random.Generator,
-               base_sampler: Optional[BaseSampler] = None, verifier: Optional[Verifier] = None,
+               base_sampler: Optional[BaseSampler] = None,
                collect: Optional[list[Candidate]] = None) -> Candidate:
     """Depth-2 search: S base samples, K localized refinements per base.
 
@@ -323,8 +313,7 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
     to also receive every evaluated candidate in order.
     """
     def evaluated():
-        for record in _lockstep(predictor, [(cfg, rng)], resample, mask_source,
-                                base_sampler, verifier):
+        for record in _lockstep(predictor, [(cfg, rng)], resample, mask_source, base_sampler):
             for _, cand in _candidates(record, predictor.world.grid):
                 if collect is not None:
                     collect.append(cand)
@@ -335,12 +324,11 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
 
 def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
               base_sampler: Optional[BaseSampler] = None,
-              verifier: Optional[Verifier] = None,
               collect: Optional[list[Candidate]] = None) -> Candidate:
     """Argmax over n independent base samples (n * n_steps NFEs): the
     depth-2 search with n seeds and no refinements."""
     cfg = SearchConfig(seeds=n, refinements=0)
-    return dfs_search(predictor, None, cfg, None, rng, base_sampler, verifier, collect)
+    return dfs_search(predictor, None, cfg, None, rng, base_sampler, collect)
 
 
 def mask_recall_precision(bits: np.ndarray, truths) -> list[tuple[float, float]]:
@@ -429,9 +417,10 @@ class TrialSettings:
         if self.world is not None:
             rules.append((self.defect_count <= self.world.n_patches, "defect_count",
                           f"exceeds patch count {self.world.n_patches}"))
-            m = float(self.defect_magnitude)  # the oracle divides m^2 d by a variance
-            rules.append((np.isfinite(m * m * self.world.patch_dim / self.world.variances.min()),
-                          "defect_magnitude", f"overflows the oracle, got {self.defect_magnitude}"))
+            m = float(self.defect_magnitude)  # a defect's verifier term, capped as the means are
+            rules.append((m * m * self.world.patch_dim / self.world.variances.min()
+                          <= self.world.MAX_SCORE, "defect_magnitude",
+                          f"overflows the oracle, got {self.defect_magnitude}"))
         if self.schedule is not None and self.resample is not None:
             rules.append((self.resample.t0 <= self.schedule.horizon, "resample.t0",
                           f"exceeds schedule horizon {self.schedule.horizon}"))

@@ -5,7 +5,8 @@ run_chunks gives index i child i of a parent seed sequence, numpy's
 SeedSequence(entropy, spawn_key=(*key, i)) bit for bit, made by one spawn per
 chunk, and joins the results in index order, so they do not depend on the
 worker count. _Lineage, the seeds' type, hashes all children of a spawn in one
-array pass. The module imports only numpy, so theory loads no engine module.
+array pass. The module imports only numpy and errors, so theory loads no engine module;
+run_chunks raises the worker cap, worker_rules, which validate_config reports at workers.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence, _coerce_to_uint32_array
+
+from .errors import check
 
 # numpy's SeedSequence hash constants, uint64 so that no NEP 50 casting applies
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -119,11 +122,22 @@ def _chunk_task(task) -> list:
     return fn(payload, parent.spawn(stop - start))
 
 
+MAX_WORKERS = 64  # a worker is a process
+
+
+def worker_rules(workers: int) -> list:
+    """The (passed, name, message) rules of run_chunks' worker count."""
+    return [(workers >= 1, "workers", f"must be at least 1, got {workers}"),
+            (workers <= MAX_WORKERS, "workers", f"must be at most {MAX_WORKERS}, got {workers}")]
+
+
 def run_chunks(fn: Callable, payload, count: int, seed_seq, workers: int = 1) -> list:
     """fn(payload, seeds) once per chunk of range(count), index i's seed child i of seed_seq
     (left unspawned); returns fn's per-seed results in index order. One worker runs one chunk
     in this process; more get min(count, 4 * workers) chunks of sizes that differ by at most
-    one, in a pool of min(workers, chunks) processes, imported only when one starts."""
+    one, in a pool of min(workers, chunks) processes, imported only when one starts. A worker
+    count that breaks worker_rules raises before any chunk is cut."""
+    check(worker_rules(workers))
     chunks = min(count, 1 if workers <= 1 else 4 * workers)
     tasks = [(fn, payload, seed_seq, count * i // chunks, count * (i + 1) // chunks)
              for i in range(chunks)]

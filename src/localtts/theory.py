@@ -7,8 +7,9 @@ saturation curve of global best-of-N, and a failure-regime classifier.
 ``simulate_patch_economy`` is the brute-force oracle: it samples masks
 achieving the requested recall/precision in expectation, applies Bernoulli
 repair/harm events, and reports empirical means with standard errors so
-every formula can be checked to Monte Carlo accuracy; seeding.run_chunks, the
-runner of the experiments' trials, seeds its chunks and runs them on the workers.
+every formula can be checked to Monte Carlo accuracy. Its caps on the trials, the
+value means and the per-patch workspace are mc_rules; seeding.run_chunks, the runner of
+the experiments' trials, checks the worker count, seeds its chunks and runs them.
 
 Precision is the ratio-of-expectations E[TP]/E[|selected|]; the simulator's
 clean-patch selection probability is derived to match it exactly, and
@@ -18,6 +19,7 @@ selection probability above 1 are rejected as infeasible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +30,9 @@ from .seeding import run_chunks
 
 _CHUNK = 4096  # fixed simulation chunk so results never depend on worker count
 _SLAB = 512  # rows per slab of per-patch uniforms, drawn and reduced while in cache
+# a run keeps a result (1 kB) a chunk until the merge, 25 MB at MAX_MC_TRIALS; drawing per-patch
+# values, a process keeps 9 B a patch on _CHUNK + _SLAB rows (_workspace), 1 GiB at MAX_MC_PATCHES
+MAX_MC_TRIALS, MAX_MC_PATCHES = 10 ** 8, 25_000
 
 
 class InfeasibleParameterError(ValueError):
@@ -456,6 +461,26 @@ def _simulate_chunks(payload: tuple, seeds: list) -> list:
             for tp, fp, local, global_ in chunks]
 
 
+def mc_rules(trials: int, econ: Optional[PatchEconomy], repair_dist: Optional[ValueDistribution],
+             harm_dist: Optional[ValueDistribution]) -> list:
+    """simulate_patch_economy's (passed, name, message) rules, a None distribution constant
+    and a None econ leaving the trials' rules only; validate_config reports them at keys."""
+    rules = [(trials >= 1, "trials", f"must be at least 1, got {trials}"),
+             (trials <= MAX_MC_TRIALS, "trials", f"must be at most {MAX_MC_TRIALS}, got {trials}")]
+    if econ is None:
+        return rules
+    m, per_patch = econ.m_patches, any(d and d.kind != "constant" for d in (repair_dist, harm_dist))
+    # a draw is below 45 means (numpy's standard exponential stays below 44.5), so a trial's value
+    # spans under 45 m means, and a chunk's merge multiplies it squared by _CHUNK * trials
+    cap = (sys.float_info.max / max(trials, 1)) ** 0.5 / (45 * math.sqrt(_CHUNK)) / m
+    return rules + [*((value <= cap, name, f"must be at most {cap!r} at {m} patches and {trials} "
+                       f"Monte Carlo trials, got {value:g}")
+                      for name, value in (("repair_gain", econ.repair_gain),
+                                          ("harm_loss", econ.harm_loss))),
+                    (m <= MAX_MC_PATCHES or not per_patch, "m_patches", f"must be at most "
+                     f"{MAX_MC_PATCHES} when the Monte Carlo draws per-patch values, got {m}")]
+
+
 def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
                            seed, repair_dist: Optional[ValueDistribution] = None,
                            harm_dist: Optional[ValueDistribution] = None,
@@ -472,12 +497,10 @@ def simulate_patch_economy(econ: PatchEconomy, stats: MaskStats, trials: int,
     The chunks one process runs share one workspace: each chunk writes its
     draws in place, with the bits of numpy's uniform and exponential, and
     draws and reduces its per-patch uniforms in cache-sized slabs of rows
-    (``_SLAB``) whose size changes no result.
+    (``_SLAB``) whose size changes no result. Its arguments' caps (mc_rules) and
+    run_chunks' worker count are checked before anything is allocated or forked.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check(mc_rules(trials, econ, repair_dist, harm_dist))
     p_clean = clean_selection_probability(econ, stats)
     repair_dist = repair_dist or ValueDistribution()
     harm_dist = harm_dist or ValueDistribution()

@@ -257,7 +257,7 @@ def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is
     trial_settings = TrialSettings(**kwargs)
     world = trial_settings.world
     cfg = SearchConfig(seeds=n_seeds, refinements=refinements)
-    verifier = coarse(world) if is_coarse else None
+    verifier, score = (coarse(world), rounded_score) if is_coarse else (None, verifier_score)
     ref_pred, new_pred = (NoisePredictor(world=world, schedule=trial_settings.schedule)
                           for _ in range(2))
     ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -265,9 +265,9 @@ def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is
                                          trial_settings.resample, ref_rng,
                                          settings_row_sampler(trial_settings), verifier)
     collected = []
-    best = dfs_search(new_pred, trial_settings.mask_source(), cfg, trial_settings.resample,
-                      new_rng, base_sampler=trial_settings.sampler(), verifier=verifier,
-                      collect=collected)
+    with mock.patch.object(search, "verifier_score", score):
+        best = dfs_search(new_pred, trial_settings.mask_source(), cfg, trial_settings.resample,
+                          new_rng, base_sampler=trial_settings.sampler(), collect=collected)
     assert best.lineage == ref_best.lineage and best.score == ref_best.score
     assert same_bits(best.state.x, ref_best.state.x)
     assert same_candidates(collected, ref_all)
@@ -283,14 +283,14 @@ def test_dfs_search_equals_reference_loop(kwargs, n_seeds, refinements, seed, is
 def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, is_coarse):
     schedule = CosineSchedule(horizon=1.0, n_steps=n_steps)
     sampler = defect_injecting_sampler(1, 0.5, randomize=True) if defects else None
-    verifier = coarse(world) if is_coarse else None
+    verifier, score = (coarse(world), rounded_score) if is_coarse else (None, verifier_score)
     ref_pred, new_pred = (NoisePredictor(world=world, schedule=schedule) for _ in range(2))
     ref_best, ref_all = reference_search(
         ref_pred, None, SearchConfig(seeds=n, refinements=0), None, np.random.default_rng(seed),
         row_sampler(1, 0.5, True) if defects else None, verifier)
     collected = []
-    best = best_of_n(new_pred, n, np.random.default_rng(seed), sampler, verifier,
-                     collect=collected)
+    with mock.patch.object(search, "verifier_score", score):
+        best = best_of_n(new_pred, n, np.random.default_rng(seed), sampler, collect=collected)
     assert best.lineage == ref_best.lineage and best.score == ref_best.score
     assert same_candidates(collected, ref_all)
     assert new_pred.nfe == ref_pred.nfe == n * n_steps

@@ -621,6 +621,19 @@ class TestCli:
         assert all(f"config error: {error}" in err for error in errors), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config", ["testbed_small.json", "scaling_default.json"])
+    def test_defect_magnitude_past_the_score_cap_exit_two(self, config, tmp_path, capsys):
+        # m^2 d / variance is finite at 1e80, but above PatchWorld.MAX_SCORE: the scores'
+        # squared sums would overflow after every trial had run
+        kind = json.loads((CONFIGS / config).read_text())["kind"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([kind, "--config", str(CONFIGS / config), "--set",
+                             "defects.magnitude=1e80", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: defects.magnitude: overflows the oracle, got 1e+80\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_closed_form_exit_two(self, tmp_path, capsys):
         # no Monte Carlo: the report writer refuses the closed forms the mean overflowed

@@ -1,9 +1,11 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from localtts import search
 from localtts.resample import ResampleConfig
 from localtts.search import (
     SearchConfig,
@@ -125,10 +127,11 @@ class TestDfsSearch:
         assert best.score == max(c.score for c in collected)
         # constant verifier: every candidate ties, the first evaluated wins
         predictor2 = make_predictor()
-        tied = dfs_search(predictor2, oracle_mask_source(predictor2.world), cfg, RESAMPLE,
-                          np.random.default_rng(7),
-                          base_sampler=defect_injecting_sampler(2, 0.5),
-                          verifier=lambda state: 1.0)
+        with mock.patch.object(search, "verifier_score",
+                               lambda world, state: np.ones(len(state.x))):
+            tied = dfs_search(predictor2, oracle_mask_source(predictor2.world), cfg, RESAMPLE,
+                              np.random.default_rng(7),
+                              base_sampler=defect_injecting_sampler(2, 0.5))
         assert tied.lineage == (0, None)
 
     def test_refinements_only_add_candidates(self):

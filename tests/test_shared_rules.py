@@ -1,18 +1,23 @@
 """Every rule on a kernel's argument that the config also reports is written once,
 beside the kernel: the kernel's ValueError and the config error line carry the same
-message, the config's at the key that sets the argument. Each best-of-N and
-Monte Carlo cap holds at its key and, for bon_curve, for API callers too."""
+message, the config's at the key that sets the argument. Each best-of-N, Monte Carlo
+and worker cap holds at its key and for API callers too, who are stopped before the
+Monte Carlo allocates its workspace or the runner starts a pool."""
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from localtts import theory
 from localtts.attention import QualityMap, mask_gen, threshold_mask
 from localtts.cli import main as cli_main
-from localtts.config import MAX_MC_PATCHES, ConfigError, load_config, validate_config
+from localtts.config import ConfigError, load_config, validate_config
 from localtts.search import attention_mask_source
-from localtts.theory import MAX_BON_N, bon_curve, simulate_bon_repair_frequency
+from localtts.seeding import run_chunks
+from localtts.theory import (MAX_BON_N, MAX_MC_PATCHES, MAX_MC_TRIALS, ValueDistribution,
+                             bon_curve, simulate_bon_repair_frequency, simulate_patch_economy)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -40,7 +45,23 @@ def bon_with(repair_prob_one=0.5, n_max=10):
     return bon_curve(repair_prob_one, loaded("theory_worked.json").economy, n_max)
 
 
-# (shipped config, setting, the key the config reports, a kernel call that breaks the rule)
+def monte_carlo_with(trials=100_000, repair_dist=None, **economy):
+    """The Monte Carlo of theory_worked.json (100,000 trials), its economy's keys replaced."""
+    cfg = loaded("theory_worked.json")
+    return simulate_patch_economy(dataclasses.replace(cfg.economy, **economy), cfg.mask_stats,
+                                  trials, 0, repair_dist)
+
+
+def chunk_ran(payload, seeds):
+    raise AssertionError("a chunk ran")
+
+
+def reached(*args, **kwargs):
+    raise AssertionError("allocated a workspace or started a pool")
+
+
+# (shipped config, setting or settings, the key the config reports, a kernel call that
+# breaks the rule)
 SHARED_RULES = [
     ("maskgen_example.json", "maskgen.weight=-1", "maskgen.weight",
      lambda: maskgen_with(weight=-1.0)),
@@ -61,19 +82,36 @@ SHARED_RULES = [
     ("theory_worked.json", "theory.bon_n_max=0", "theory.bon_n_max", lambda: bon_with(n_max=0)),
     ("theory_worked.json", f"theory.bon_n_max={MAX_BON_N + 1}", "theory.bon_n_max",
      lambda: bon_with(n_max=MAX_BON_N + 1)),
+    ("theory_worked.json", f"theory.mc_trials={MAX_MC_TRIALS + 1}", "theory.mc_trials",
+     lambda: monte_carlo_with(trials=MAX_MC_TRIALS + 1)),
+    *(("theory_worked.json", f"economy.{key}=1e300", f"economy.{key}",
+       lambda key=key: monte_carlo_with(**{key: 1e300})) for key in ("repair_gain", "harm_loss")),
+    ("theory_worked.json", (f"economy.m_patches={MAX_MC_PATCHES + 1}",
+                            'theory.repair_dist={"kind": "exponential"}'), "economy.m_patches",
+     lambda: monte_carlo_with(m_patches=MAX_MC_PATCHES + 1,
+                              repair_dist=ValueDistribution("exponential"))),
+    # two indices: without the rule, 65 workers would start a pool of two processes
+    *(("testbed_small.json", f"workers={workers}", "workers",
+       lambda workers=workers: run_chunks(chunk_ran, None, 2, np.random.SeedSequence(0), workers))
+      for workers in (0, 65)),
 ]
 
 
 @pytest.mark.parametrize("config, setting, key, kernel", [
-    pytest.param(*rule, id=rule[1]) for rule in SHARED_RULES])
+    pytest.param(*rule, id=rule[1] if isinstance(rule[1], str) else "+".join(rule[1]))
+    for rule in SHARED_RULES])
 def test_config_line_and_kernel_error_share_the_message(config, setting, key, kernel, tmp_path,
-                                                        capsys):
+                                                        capsys, monkeypatch):
+    monkeypatch.setattr(theory, "_workspace", reached)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", reached)
     with pytest.raises(ValueError) as raised:
         kernel()
     name, colon, message = str(raised.value).partition(": ")
     assert colon and name.isidentifier(), str(raised.value)  # "argument: message"
     kind = json.loads((CONFIGS / config).read_text())["kind"]
-    assert cli_main([kind, "--config", str(CONFIGS / config), "--set", setting,
+    settings = [setting] if isinstance(setting, str) else setting
+    assert cli_main([kind, "--config", str(CONFIGS / config),
+                     *(arg for item in settings for arg in ("--set", item)),
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {key}: {message}\n"
 

@@ -576,9 +576,9 @@ class TestBonRepairFrequency:
 
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: simulate_patch_economy(WORKED, WORKED_STATS, 0, 0),
-                 "trials must be at least 1", id="economy-trials"),
+                 "trials: must be at least 1", id="economy-trials"),
     pytest.param(lambda: simulate_patch_economy(WORKED, WORKED_STATS, 10, 0, workers=0),
-                 "workers must be at least 1", id="economy-workers"),
+                 "workers: must be at least 1", id="economy-workers"),
     *(pytest.param(lambda p=p: simulate_bon_repair_frequency(p, 3, 10, 0),
                    r"must lie in \(0, 1\)", id=f"bon-p={p}") for p in (0.0, 1.0)),
     *(pytest.param(lambda n=n, trials=trials: simulate_bon_repair_frequency(0.5, n, trials, 0),
