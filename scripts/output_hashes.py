@@ -39,8 +39,10 @@ one broken value on a shipped config: the mask weight and ratio of a testbed and
 scaling run, the best-of-N repair probability and point count, the caps (labels
 ``cap-*``), each past its bound: ``theory.bon_n_max``, ``economy.m_patches`` with
 per-patch values, ``theory.mc_trials``, ``workers`` (0 and 65) and the value means
-``economy.repair_gain`` and ``economy.harm_loss`` (1e300), and a defect magnitude of 1e80
-on a testbed and a scaling run.
+``economy.repair_gain`` and ``economy.harm_loss`` (1e300), a defect magnitude of 1e80
+on a testbed and a scaling run, the economies whose closed forms overflow (a cost of
+1e-320 and a budget of 1e308; labels ``overflow-*``), a zero budget and an unknown value
+distribution kind.
 
 A change that must leave every report byte and error text alone is checked by
 running this script on the parent and on the change (same script, ``PYTHONPATH``
@@ -243,6 +245,12 @@ RULE_PROBES = [
     # a defect whose verifier term is finite but above the world's score cap
     *((f"{stem}:defects.magnitude=1e80", f"{stem}.json", ["defects.magnitude=1e80"])
       for stem in ("testbed_small", "scaling_default")),
+    # economies whose closed forms overflow, reported before the Monte Carlo runs
+    *((f"overflow-{key}", "theory_worked.json", [f"economy.{key}={value}"])
+      for key, value in (("cost_local", 1e-320), ("cost_global", 1e-320), ("budget", 1e308))),
+    ("theory_worked:economy.budget=0", "theory_worked.json", ["economy.budget=0"]),
+    ("theory_worked:theory.repair_dist.kind=gamma", "theory_worked.json",
+     ["theory.repair_dist.kind=gamma"]),
 ]
 
 

@@ -124,6 +124,8 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     except InfeasibleParameterError as exc:
         closed["required_recall"] = None
         closed["required_recall_error"] = str(exc)
+    if hits := _non_finite(closed, "results.closed_form"):  # stop before the Monte Carlo
+        raise ConfigError([f"{hit} (overflow: a config number is too large)" for hit in hits])
 
     results = {"closed_form": closed}
     files: dict[str, str] = {}

@@ -18,6 +18,7 @@ its state into the oracle's contiguous (d, rows, P) columns once, updates them
 in place from step to step, and converts them back and checks them once, after
 its last step; it computes its step constants once, in one vectorised pass over
 its step times; the constants of a world whose patches share one mixture are one column.
+Its steps run with numpy's buffer scoped to one row of those columns, so no broadcast copies.
 """
 from __future__ import annotations
 
@@ -559,14 +560,18 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
     phase.work = np.empty((len(phase.means), *xc.shape))
     phase.squares, phase.mean = np.empty_like(phase.work), np.empty_like(xc)  # xc's layout
     noise = phase.gather(z, lead=1)
-    for step, (t, (coef_x, coef_x0, noise_std)) in enumerate(
-            zip(times, _ancestral_coefficients(alphas, sigmas))):
-        phase.step = step
-        denoised = predictor.evaluate(carried, t, phase)
-        # coef_x x + coef_x0 denoised + noise_std z, in that order
-        np.multiply(xc, coef_x, out=xc)
-        np.add(xc, np.multiply(denoised, coef_x0, out=denoised), out=xc)
-        np.add(xc, np.multiply(noise[step], noise_std, out=denoised), out=xc)
+    # numpy's buffered iterator copies broadcasts whose rows are shorter than its buffer;
+    # a buffer of one row (rows x P, floored to 16) lets them run in place, the same bits
+    with np.errstate():
+        np.setbufsize(min(max(xc[0].size // 16 * 16, 16), np.getbufsize()))
+        for step, (t, (coef_x, coef_x0, noise_std)) in enumerate(
+                zip(times, _ancestral_coefficients(alphas, sigmas))):
+            phase.step = step
+            denoised = predictor.evaluate(carried, t, phase)
+            # coef_x x + coef_x0 denoised + noise_std z, in that order
+            np.multiply(xc, coef_x, out=xc)
+            np.add(xc, np.multiply(denoised, coef_x0, out=denoised), out=xc)
+            np.add(xc, np.multiply(noise[step], noise_std, out=denoised), out=xc)
     phase.scatter(xc, out)
 
 

@@ -296,6 +296,32 @@ def test_run_trials_equals_its_trials_one_by_one(workers):
     assert harness.run_trials(_first_draw, 3.0, 5, 7, workers=workers) == want
 
 
+K3 = json.dumps([{"weight": 0.3, "mean": -0.8, "variance": 0.09},
+                 {"weight": 0.5, "mean": 0.4, "variance": 0.25},
+                 {"weight": 0.2, "mean": 1.5, "variance": 0.04}])
+
+
+@pytest.mark.parametrize("config, overrides", [
+    # the testbed_k3 benchmark's world: 8 x 8 patches of dim 4, three components
+    ("testbed_small.json", ["trials=4", "world.grid=[8,8]", "world.patch_dim=4",
+                            f"world.components={K3}", "defects.count=6"]),
+    ("scaling_default.json", ["trials=2"]),
+    ("theory_worked.json", ['theory.repair_dist={"kind": "exponential"}',
+                            'theory.harm_dist={"kind": "uniform"}', "theory.mc_trials=4609"]),
+])
+def test_report_bytes_do_not_depend_on_numpys_buffer(config, overrides, tmp_path):
+    # each reverse phase sizes numpy's buffer to its rows; the ambient size, smaller or
+    # larger, moves no byte of any output file
+    cfg = load_config(CONFIGS / config, [*overrides, "workers=1"])[0]
+    outputs = []
+    for size in (16, 8192, 65536):
+        with np.errstate():
+            np.setbufsize(size)
+            run_experiment(cfg, tmp_path / str(size))
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / str(size)).iterdir()})
+    assert "report.json" in outputs[0] and outputs[1] == outputs[0] == outputs[2]
+
+
 class TestSignTest:
     def test_matches_scipy_binomial_tail(self):
         # binomtest(k, n, 0.5, alternative="greater").pvalue is binom.sf(k - 1, n, 0.5);
@@ -645,6 +671,27 @@ class TestCli:
                    "number is too large)" in err for field, value in (
                        ("per_trial_gain_global", "inf"), ("budget_gain_local", "inf"),
                        ("dominance_margin", "nan"))), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting, hits", [
+        ("economy.cost_local=1e-320", [("budget_gain_local", "inf"), ("dominance_margin", "inf")]),
+        ("economy.cost_global=1e-320", [("budget_gain_global", "inf"),
+                                        ("dominance_margin", "-inf"), ("required_recall", "inf")]),
+        ("economy.budget=1e308", [("budget_gain_local", "inf")]),
+    ])
+    def test_overflowing_closed_form_stops_before_the_monte_carlo(self, setting, hits, tmp_path,
+                                                                  capsys, monkeypatch):
+        # each setting is valid, but a quotient of the closed forms overflows: the run stops
+        # with the report writer's lines before a Monte Carlo trial runs
+        def reached(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr(harness, "simulate_patch_economy", reached)
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                         "--set", setting, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "".join(
+            f"config error: results.closed_form.{field}: {value} (overflow: a config number is "
+            "too large)\n" for field, value in hits)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("settings, errors", [

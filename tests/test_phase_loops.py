@@ -349,3 +349,35 @@ def test_step_from_the_end_of_the_schedule_rejected_up_front(phase, t):
         with pytest.raises(ValueError, match=r"reverse step of size .* starts at time"):
             run()
     assert predictor.nfe == 0
+
+
+@pytest.mark.parametrize("ambient", [16, 8192, 65536])
+@pytest.mark.parametrize("rows, masked", [(1, False), (50, False), (2000, False), (50, True)])
+def test_phase_buffer_is_one_row_and_scoped_to_the_phase(rows, masked, ambient, monkeypatch):
+    # a phase's steps run with numpy's buffer at one row of its (d, rows, P) columns,
+    # floored to a multiple of 16 and capped at the ambient size, which is back after the
+    # phase returns or raises
+    predictor = make_predictor(3, 2)
+    world = predictor.world
+    x = np.random.default_rng(0).normal(size=(rows, world.dim))
+    bits = np.broadcast_to(mask_from_indices(world.grid, [1, 3, 4]).bits, (rows, 6))
+    patches, p = (world.select(bits), 3 * rows) if masked else (None, 6 * rows)
+    z = np.random.default_rng(1).standard_normal((2, *x.shape))
+    seen, evaluate = [], NoisePredictor.evaluate
+
+    def recording(self, *args):
+        seen.append(np.getbufsize())
+        if len(seen) == 3:
+            raise RuntimeError("raised mid-phase")
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(NoisePredictor, "evaluate", recording)
+    with np.errstate():
+        np.setbufsize(ambient)
+        _ancestral_phase(predictor, x, [0.5, 0.4, 0.3], z, np.empty_like(x), x.copy(), patches)
+        assert np.getbufsize() == ambient
+        with pytest.raises(RuntimeError, match="mid-phase"):
+            _ancestral_phase(predictor, x, [0.5, 0.4, 0.3], z, np.empty_like(x), x.copy(),
+                             patches)
+        assert np.getbufsize() == ambient
+    assert seen == [min(max(p // 16 * 16, 16), ambient)] * 3

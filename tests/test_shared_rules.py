@@ -14,6 +14,7 @@ from localtts import theory
 from localtts.attention import QualityMap, mask_gen, threshold_mask
 from localtts.cli import main as cli_main
 from localtts.config import ConfigError, load_config, validate_config
+from localtts.errors import FieldErrors
 from localtts.search import attention_mask_source
 from localtts.seeding import run_chunks
 from localtts.theory import (MAX_BON_N, MAX_MC_PATCHES, MAX_MC_TRIALS, ValueDistribution,
@@ -86,6 +87,10 @@ SHARED_RULES = [
      lambda: monte_carlo_with(trials=MAX_MC_TRIALS + 1)),
     *(("theory_worked.json", f"economy.{key}=1e300", f"economy.{key}",
        lambda key=key: monte_carlo_with(**{key: 1e300})) for key in ("repair_gain", "harm_loss")),
+    ("theory_worked.json", "economy.budget=0", "economy.budget",
+     lambda: dataclasses.replace(loaded("theory_worked.json").economy, budget=0.0)),
+    ("theory_worked.json", "theory.repair_dist.kind=gamma", "theory.repair_dist.kind",
+     lambda: ValueDistribution("gamma")),
     ("theory_worked.json", (f"economy.m_patches={MAX_MC_PATCHES + 1}",
                             'theory.repair_dist={"kind": "exponential"}'), "economy.m_patches",
      lambda: monte_carlo_with(m_patches=MAX_MC_PATCHES + 1,
@@ -114,6 +119,17 @@ def test_config_line_and_kernel_error_share_the_message(config, setting, key, ke
                      *(arg for item in settings for arg in ("--set", item)),
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {key}: {message}\n"
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: dataclasses.replace(loaded("theory_worked.json").economy, budget=0.0),
+     "budget: must be positive, got 0.0"),
+    (lambda: ValueDistribution("gamma"), "kind: unknown value distribution kind 'gamma'"),
+])
+def test_economy_and_value_rules_name_their_field(build, error):
+    with pytest.raises(FieldErrors) as raised:
+        build()
+    assert raised.value.errors == [error]
 
 
 def test_bon_curve_takes_points_up_to_its_cap():
