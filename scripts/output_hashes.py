@@ -28,6 +28,12 @@ empty) and with a per-row source that has no ``rows`` (the form perfbench's
 tracer wraps), each over two refinement blocks, and ``best_of_n`` over two
 base blocks.
 
+Then one line per kernel probe: its label and the sha256 of its arrays. The probes
+call, each on a generator of its own, the kernels no CLI run reaches that way:
+``sample_base`` on a batch, ``localized_resample`` at ``t_g = 0`` and ``t_g > 0`` on
+one row and on a batch, and ``gmm_score``, ``posterior_mean`` and ``log_density`` at
+one interior time (see ``kernel_probes``).
+
 Then one line per error probe: its label, the CLI's exit code and the sha256 of its
 stderr, the probe's temporary directory written as ``<tmp>``. Each maskgen probe is a
 maskgen config with broken inputs, written with the files it names into a temporary
@@ -41,8 +47,8 @@ scaling run, the best-of-N repair probability and point count, the caps (labels
 per-patch values, ``theory.mc_trials``, ``workers`` (0 and 65) and the value means
 ``economy.repair_gain`` and ``economy.harm_loss`` (1e300), a defect magnitude of 1e80
 on a testbed and a scaling run, the economies whose closed forms overflow (a cost of
-1e-320 and a budget of 1e308; labels ``overflow-*``), a zero budget and an unknown value
-distribution kind.
+1e-320 and a budget of 1e308; labels ``overflow-*``) and one whose best-of-N curve
+overflows (``overflow-bon-curve``), a zero budget and an unknown value distribution kind.
 
 A change that must leave every report byte and error text alone is checked by
 running this script on the parent and on the change (same script, ``PYTHONPATH``
@@ -64,9 +70,20 @@ sys.path.insert(0, str(ROOT))  # perfbench.workloads
 import numpy as np  # noqa: E402
 
 from localtts.cli import main as cli_main  # noqa: E402
-from localtts.config import load_config  # noqa: E402
+from localtts.attention import mask_from_indices  # noqa: E402
+from localtts.config import load_config, validate_config  # noqa: E402
+from localtts.resample import ResampleConfig, localized_resample  # noqa: E402
 from localtts.search import SearchConfig, best_of_n, dfs_search  # noqa: E402
-from localtts.testbed import NoisePredictor  # noqa: E402
+from localtts.testbed import (  # noqa: E402
+    LatentState,
+    NoisePredictor,
+    PatchWorld,
+    gmm_score,
+    log_density,
+    posterior_mean,
+    sample_base,
+    verifier_score,
+)
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 # one query per position of maskgen_example's 2 x 3 grid; positions 1 and 4 alike,
@@ -248,6 +265,11 @@ RULE_PROBES = [
     # economies whose closed forms overflow, reported before the Monte Carlo runs
     *((f"overflow-{key}", "theory_worked.json", [f"economy.{key}={value}"])
       for key, value in (("cost_local", 1e-320), ("cost_global", 1e-320), ("budget", 1e308))),
+    # finite closed forms, but a best-of-N curve that divides by n * cost_global overflows
+    ("overflow-bon-curve", "theory_worked.json", [f"economy.{key}={value}" for key, value in (
+        ("cost_global", 1e-310), ("cost_local", 1e-310), ("budget", 1e-10),
+        ("repair_prob_global", 1e-10), ("harm_prob_global", 0), ("repair_prob_local", 1e-10),
+        ("harm_prob_local", 0))]),
     ("theory_worked:economy.budget=0", "theory_worked.json", ["economy.budget=0"]),
     ("theory_worked:theory.repair_dist.kind=gamma", "theory_worked.json",
      ["theory.repair_dist.kind=gamma"]),
@@ -325,6 +347,39 @@ def api_probe(config: str, overrides: list, wrap, seed: int) -> tuple[int, str]:
     return len(collected), digest.hexdigest()
 
 
+def kernel_probes() -> list:
+    """(label, arrays) of the kernels no CLI run calls on a generator of its own:
+    sample_base on a batch, localized_resample at t_g = 0 and t_g > 0 on one row and on
+    a batch (its state, score and the generator's next draw), and the oracle's score,
+    posterior mean and log-density at one interior time. They run on the testbed_k3
+    world and on a copy whose last patch has its own first variance (label
+    ``+per_patch``), so the oracle keeps one column of constants, then one a patch."""
+    settings = validate_config(WORKLOADS["testbed_k3"].base_config(ROOT)).settings
+    shared, schedule = settings.world, settings.schedule
+    variances = shared.variances.copy()
+    variances[-1, 0] += 0.01
+    per_patch = PatchWorld(grid=shared.grid, patch_dim=shared.patch_dim, weights=shared.weights,
+                           means=shared.means, variances=variances,
+                           verifier_weights=shared.verifier_weights)
+    mask, probes = mask_from_indices(shared.grid, [1, 9, 10, 40]), []
+    for suffix, world in (("", shared), ("+per_patch", per_patch)):
+        predictor = NoisePredictor(world=world, schedule=schedule)
+        drawn = sample_base(predictor, np.random.default_rng(5), shape=(6,)).x
+        probes.append((f"sample_base{suffix}", [drawn]))
+        for cfg in (ResampleConfig(t0=0.5, t_g=0.0, n_refine=5, n_integrate=0),
+                    settings.resample):
+            for rows, anchor in (("row", drawn[0]), ("batch", drawn)):
+                rng = np.random.default_rng(7)
+                state, score = localized_resample(
+                    predictor, LatentState(x=anchor, t=0.0), mask, cfg,
+                    lambda state: verifier_score(world, state), rng)
+                probes.append((f"localized_resample+t_g={cfg.t_g:g}+{rows}{suffix}",
+                               [state.x, np.asarray(score), rng.standard_normal(1)]))
+        probes += [(f"{fn.__name__}{suffix}", [fn(world, schedule, drawn, 0.37)])
+                   for fn in (gmm_score, posterior_mean, log_density)]
+    return probes
+
+
 def config_path(config: str, tmp: Path) -> Path:
     """A shipped config's path, or a workload's config or a FILE_CONFIGS config and its
     documents written under tmp."""
@@ -360,6 +415,8 @@ def main() -> int:
     for label, config, overrides, wrap, seed in API_PROBES:
         count, digest = api_probe(config, overrides, wrap, seed)
         print(f"api {label} {count} {digest}")
+    for label, arrays in kernel_probes():
+        print(f"kernel {label} {hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest()}")
     for label, section, files in ERROR_PROBES:
         with tempfile.TemporaryDirectory() as tmp_text:
             code, digest = error_probe(section, files, Path(tmp_text))

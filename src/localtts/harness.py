@@ -124,7 +124,11 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     except InfeasibleParameterError as exc:
         closed["required_recall"] = None
         closed["required_recall_error"] = str(exc)
-    if hits := _non_finite(closed, "results.closed_form"):  # stop before the Monte Carlo
+    # stop before the Monte Carlo: on the closed forms, then on the best-of-N curve's first
+    # non-finite point, which stands for the rest of the curve
+    curve = bon_curve(opts["bon_repair_prob_one"], econ, opts["bon_n_max"])
+    if hits := _non_finite(closed, "results.closed_form") or _non_finite(
+            {p.n: vars(p) for p in curve.points}, "results.bon.curve")[:1]:
         raise ConfigError([f"{hit} (overflow: a config number is too large)" for hit in hits])
 
     results = {"closed_form": closed}
@@ -147,7 +151,6 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
         files["economy_mc.csv"] = render_csv(
             ["quantity", "closed_form", "estimate", "stderr"], rows)
 
-    curve = bon_curve(opts["bon_repair_prob_one"], econ, opts["bon_n_max"])
     results["bon"] = {
         "repair_prob_one": opts["bon_repair_prob_one"],
         "first_decline": curve.first_decline,

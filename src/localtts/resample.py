@@ -13,6 +13,9 @@ costs n_refine + n_integrate NFEs. Each phase carries its state in the
 oracle's column layout from step to step (testbed._Phase); the refinement phase
 builds the unmasked background once, after its last step, and each phase checks
 its state once.
+A pass draws its noise at once, cfg.draws slices of the anchor's shape: slice 0
+the background renoise, which nothing reads (it keeps the slices after it in
+place), slice 1 the masked renoise, then one slice a step.
 With t_g = 0 the integration phase is empty and unmasked coordinates of the
 output equal the anchor bit-exactly.
 """
@@ -81,7 +84,7 @@ class ResampleConfig:
         refinement step's, less the rounding of the nfe_cost time subtractions
         that reach it (at most an ulp of t0 each, two to spare)."""
         start = self.t_g / self.n_integrate if self.n_integrate else self.refine_dt
-        return start - (self.nfe_cost + 2) * np.finfo(float).eps * self.t0
+        return start - _time_tol(self.t0, self.nfe_cost, floor=0.0)
 
     @property
     def time_tol(self) -> float:
@@ -92,30 +95,23 @@ class ResampleConfig:
     def nfe_cost(self) -> int:
         return self.n_refine + self.n_integrate
 
-
-def _renoise(predictor: NoisePredictor, anchor: LatentState, cfg: ResampleConfig,
-             rng: np.random.Generator) -> LatentState:
-    """The anchor noised to t0, alpha(t0) anchor + sigma(t0) z_mask. Only its masked
-    coordinates are read: _masked_refine rebuilds the background from its last step's
-    noise. The background draw z_bg before z_mask is unread; it positions the stream."""
-    rng.standard_normal(anchor.x.shape)  # z_bg
-    return forward_noise(predictor.schedule, anchor, cfg.t0, rng.standard_normal(anchor.x.shape))
+    @property
+    def draws(self) -> int:  # the noise slices of a pass: two renoises, then one a step
+        return 2 + self.nfe_cost
 
 
 def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: tuple,
-                   anchor: LatentState, cfg: ResampleConfig, steps: int,
-                   rng: np.random.Generator) -> LatentState:
-    """steps refinement steps from time t of the selected patches alone
-    (PatchWorld.select), one phase whose noise is drawn at once: the phase
+                   anchor: LatentState, cfg: ResampleConfig, z: np.ndarray) -> LatentState:
+    """Refinement steps from time t of the selected patches alone
+    (PatchWorld.select), one a slice of the noise z, (steps, ..., dim): the phase
     gathers their columns from x, the renoised state, and carries them packed
     at the front of x, whose buffer is overwritten; the unmasked background
     (the anchor noised by the last step's noise) is built once, after the last step."""
     sched, times = predictor.schedule, [predictor.schedule.check_time(t)]
-    for _ in range(steps):
+    for _ in range(len(z)):
         if not cfg.t_g < times[-1] <= cfg.t0 + _TIME_TOL:
             raise ValueError(f"refinement time {times[-1]} outside window ({cfg.t_g}, {cfg.t0}]")
         times.append(_resolve_target_time(times[-1], cfg.refine_dt, cfg.time_tol))
-    z = rng.standard_normal((steps, *x.shape))
     out = sched.alpha(times[-1]) * anchor.x
     out += sched.sigma(times[-1]) * z[-1]
     _ancestral_phase(predictor, x, times, z, out, x, patches)
@@ -123,16 +119,20 @@ def _masked_refine(predictor: NoisePredictor, x: np.ndarray, t: float, patches: 
 
 
 def _resample(predictor: NoisePredictor, anchor: LatentState, bits: np.ndarray,
-              cfg: ResampleConfig, rng: np.random.Generator) -> LatentState:
+              cfg: ResampleConfig, noise: np.ndarray) -> LatentState:
     """Renoise, masked refinement and global sweep (cfg.nfe_cost steps); returns the clean
     state. bits holds one (n_patches,) mask per anchor row; the masked patches are selected
     once, the refinement phase carries their columns in the renoised state's buffer and
-    rebuilds the background from the last refinement step's noise."""
-    noised = _renoise(predictor, anchor, cfg, rng)
+    rebuilds the background from the last refinement step's noise. noise is the pass's
+    (cfg.draws, ..., dim) draw; another shape is rejected before the first evaluation."""
+    if np.shape(noise) != (cfg.draws, *anchor.x.shape):
+        raise ValueError(f"noise of shape {np.shape(noise)} for a pass of {cfg.draws} "
+                         f"{anchor.x.shape} noise slices")
+    noised = forward_noise(predictor.schedule, anchor, cfg.t0, noise[1])
     state = _masked_refine(predictor, noised.x, noised.t, predictor.world.select(bits), anchor,
-                           cfg, cfg.n_refine, rng)
+                           cfg, noise[2:2 + cfg.n_refine])
     steps = -np.diff(np.linspace(cfg.t_g, 0.0, cfg.n_integrate + 1))
-    return _reverse_sweep(predictor, state, steps, rng, cfg.time_tol)
+    return _reverse_sweep(predictor, state, steps, noise[2 + cfg.n_refine:], cfg.time_tol)
 
 
 def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: DefectMask,
@@ -146,5 +146,6 @@ def localized_resample(predictor: NoisePredictor, anchor: LatentState, mask: Def
     if mask.grid != predictor.world.grid:
         raise ValueError(f"mask grid {mask.grid} does not match world grid {predictor.world.grid}")
     bits = np.broadcast_to(mask.bits, (*anchor.x.shape[:-1], mask.bits.size))
-    state = _resample(predictor, anchor, bits, cfg, rng)
+    state = _resample(predictor, anchor, bits, cfg,
+                      rng.standard_normal((cfg.draws, *anchor.x.shape)))
     return state, verifier(state)

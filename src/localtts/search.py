@@ -36,6 +36,7 @@ from .testbed import (
     PatchWorld,
     _attention_rows,
     _inject_rows,
+    _row_noise,
     _RowNoise,
     sample_base,
     synth_attention,
@@ -223,15 +224,14 @@ def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleCo
     """
     inject = base_sampler or plain_sampler
     draws = len(predictor.schedule.step_times())  # x_T, then one per step
-    refine_draws = 0 if resample is None else 2 + resample.nfe_cost  # renoise twice, one per step
+    refine_draws = 0 if resample is None else resample.draws
     for block in _blocks(searches, draws, refine_draws, predictor.world.dim):
-        yield _lockstep_block(predictor, block, draws, resample, refine_draws,
-                              mask_source, inject)
+        yield _lockstep_block(predictor, block, draws, resample, mask_source, inject)
 
 
 def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
-                    resample: Optional[ResampleConfig], refine_draws: int,
-                    mask_source: Optional[MaskSource], inject: BaseSampler) -> _Record:
+                    resample: Optional[ResampleConfig], mask_source: Optional[MaskSource],
+                    inject: BaseSampler) -> _Record:
     """The four phases over one block, as one record."""
     if resample is None and any(cfg.refinements > 0 for *_, cfg in block):
         raise ValueError("searches with refinements need a resample config")
@@ -245,7 +245,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     noise = _RowNoise(rngs, base_draws, world.dim)
     before = predictor.nfe
     base = sample_base(predictor, noise, (len(rngs),))
-    noise.check_spent("base")
+    noise.check_spent()
     del noise  # freed before the refinement phase draws its own
     base_nfe = _measured(predictor, before, len(rngs), base_draws - 1, "base")
     x, defects = inject(world, base.x, rngs)
@@ -271,11 +271,10 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
 
         # refinement phase: one batch, each row on its seed's mask
         seed_of = np.repeat(np.arange(len(refining)), counts)
-        noise = _RowNoise(refine_rngs, refine_draws, world.dim)
+        noise = _row_noise(refine_rngs, resample.draws, world.dim)
         before = predictor.nfe
         refined = _resample(predictor, LatentState(x=drawn.x[np.take(refining, seed_of)], t=0.0),
                             bits[seed_of], resample, noise)
-        noise.check_spent("refinement")
         refine_nfe = _measured(predictor, before, len(seed_of), resample.nfe_cost, "refinement")
         refined_scores = verifier_score(world, refined)
     return _Record(search, seed, refinements, defects, base_scores, bits, refined_scores,
@@ -430,10 +429,9 @@ class TrialSettings:
             rules.append((sigma * sigma > 0, "schedule.horizon",
                           "makes sigma(t)^2 underflow to 0 where the last reverse step starts, "
                           f"got {self.schedule.horizon}"))
-        # a row's noise slices per phase: x_T and one per base step; two renoises and
-        # one per refinement step
+        # a row's noise slices per phase: x_T and one per base step; a pass's draws
         draws = {"schedule.n_steps": self.schedule and self.schedule.n_steps + 1,
-                 "resample.n_refine": self.resample and self.resample.nfe_cost + 2}
+                 "resample.n_refine": self.resample and self.resample.draws}
         for path, n in draws.items():
             if self.world is not None and n is not None:
                 rules.append((n * self.world.dim <= self.MAX_ROW_NOISE, path,
@@ -477,7 +475,7 @@ class SweepSettings(TrialSettings):
         rules.append((0 < len(self.bon_grid) == len(set(self.bon_grid)) and min(self.bon_grid) >= 1,
                       "bon_grid", "must be a non-empty list of distinct positive integers"))
         if self.world is not None and self.resample is not None:  # refinements share a block
-            n = self.refinements * (self.resample.nfe_cost + 2) * self.world.dim
+            n = self.refinements * self.resample.draws * self.world.dim
             rules.append((n <= self.MAX_ROW_NOISE, "refinements", f"draw {n} noise coordinates "
                           f"a seed at world dim {self.world.dim}, more than {self.MAX_ROW_NOISE}"))
         return rules

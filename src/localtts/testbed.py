@@ -16,8 +16,9 @@ states (..., dim) count one per leading element, whichever patches it evaluates.
 A reverse phase (a sweep of reverse steps, or a masked refinement) converts
 its state into the oracle's contiguous (d, rows, P) columns once, updates them
 in place from step to step, and converts them back and checks them once, after
-its last step; it computes its step constants once, in one vectorised pass over
-its step times; the constants of a world whose patches share one mixture are one column.
+its last step; it takes its noise as one (steps, ..., dim) array and computes its
+step constants once, in one vectorised pass over its step times; the constants of a
+world whose patches share one mixture are one column.
 Its steps run with numpy's buffer scoped to one row of those columns, so no broadcast copies.
 """
 from __future__ import annotations
@@ -313,46 +314,27 @@ class _Phase:
     array of its own as contiguous (d, rows, P) columns; a selection packs its
     (d, 1, P) columns at the front of the array. The posterior mean comes back
     in the same layout. The constants of every time are computed once, in one
-    vectorised pass: the centres a mu_k, var_t, the log-normaliser log w - d/2
-    (log var_t + log 2 pi) and the posterior coefficient a s_k^2 / var_t, each
-    a list of (K, d or 1, 1, C) arrays whose entry ``step`` the oracle reads, C
-    the world's 1 or P columns: one broadcasts over rows x P contiguous elements
-    at once; with P columns the oracle scales the centres at each step. A
-    reverse phase allocates the centred terms and their squares, (K, d, rows,
-    P), and the posterior mean once and reuses them at every step; a one-time
-    phase leaves them to the ufuncs.
+    vectorised pass: var_t, the log-normaliser log w - d/2 (log var_t + log 2 pi)
+    and the posterior coefficient a s_k^2 / var_t, each a list of (K, 1, 1, C)
+    arrays whose entry ``step`` the oracle reads, C the world's 1 or P columns,
+    so one broadcasts over rows x P contiguous elements at once; the oracle
+    scales the means to their centres a mu_k at each step. A reverse phase
+    allocates the centred terms and their squares, (K, d, rows, P), and the
+    posterior mean once and reuses them at every step; a one-time phase leaves
+    them to the ufuncs.
     """
 
-    work = squares = mean = _viewed = None  # a reverse phase's buffers (_ancestral_phase)
+    xc = work = squares = mean = None  # a reverse phase's columns and buffers (_ancestral_phase)
 
     def __init__(self, world: PatchWorld, alphas, noise_vars, patches=None):
-        self.world, self.step = world, 0
+        self.world, self.step, self.alphas = world, 0, alphas
         self.index, self.means, variances, log_weights = (
             (None, world._means, world._variances, world._log_weights)
             if patches is None else patches)
-        one = len(alphas) == 1  # Python floats broadcast at a lower fixed cost than arrays
-        a, s2 = ((alphas[0], noise_vars[0]) if one else
-                 (np.array(v).reshape(-1, 1, 1, 1, 1) for v in (alphas, noise_vars)))
+        a, s2 = (np.array(v).reshape(-1, 1, 1, 1, 1) for v in (alphas, noise_vars))
         var_t = a * a * variances + s2
         log_norm = log_weights - 0.5 * world.patch_dim * (np.log(var_t) + _LOG_2PI)
-        coef = a * variances / var_t
-        self.var_t, self.log_norm, self.coef = (([var_t], [log_norm], [coef]) if one else
-                                                map(list, (var_t, log_norm, coef)))
-        # tabulated, the centres are (steps, K, d, 1, C): K times a row's noise when C > 1,
-        # so then the oracle scales them at each step (None), with the same bits
-        self.alphas, self.centre = a, ([a * self.means] if one else list(a * self.means)
-                                       if self.means.shape[-1] == 1 else None)
-
-    def columns(self, carried: np.ndarray) -> np.ndarray:
-        """The contiguous (d, rows, P) columns of a (rows, dim) array in the
-        phase's layout, as a view (kept for the array viewed last)."""
-        if carried is not self._viewed:
-            rows, p = ((len(carried), self.world.n_patches) if self.index is None
-                       else (1, len(self.index[0])))
-            d = self.world.patch_dim
-            self._viewed, self._columns = carried, carried.reshape(-1)[:rows * d * p].reshape(
-                d, rows, p)
-        return self._columns
+        self.var_t, self.log_norm, self.coef = map(list, (var_t, log_norm, a * variances / var_t))
 
     def gather(self, a: np.ndarray, lead: int = 0) -> np.ndarray:
         """The (*lead, d, rows, P) columns of an array (*lead, ..., dim) in the
@@ -387,15 +369,15 @@ def _oracle_terms(phase: _Phase, xc: np.ndarray) -> tuple:
     verifier's target at (1, 0). A reverse phase carries its columns in the
     oracle's layout and computed the constants of all its steps at once
     (_Phase), so a step reads its columns without a copy and its constants
-    without arithmetic, and writes into the phase's buffers.
+    from tables, scaling only the means to their centres, and writes into the
+    phase's buffers.
 
     Each reduction runs over a leading axis with (rows, P) planes as its inner
     loop, adds in the order numpy sums a (..., M, K, d) array's last axis and
     reads one column, so the bits depend on neither the layout nor the other columns.
     """
     step = phase.step
-    centre = phase.centre[step] if phase.centre else phase.alphas[step] * phase.means
-    work = np.subtract(xc, centre, out=phase.work)
+    work = np.subtract(xc, phase.alphas[step] * phase.means, out=phase.work)
     log_comp = _pairwise_sum(np.square(work, out=phase.squares), 1)
     log_comp *= 0.5
     log_comp /= phase.var_t[step]
@@ -407,7 +389,7 @@ def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t
                    term, patches=None) -> np.ndarray:
     """Sum term(phase, centered), written over centered, by posterior
     responsibility: rows shaped like x, (P, d) selected rows, or, when patches
-    is a phase, its step's (d, rows, P) columns, in its layout (_Phase.columns).
+    is a phase, its step's (d, rows, P) columns, in its layout (_Phase.xc).
 
     Responsibilities are formed in log space so small densities never
     underflow before normalization. numpy sums a (..., M, K, d) array over K
@@ -415,7 +397,7 @@ def _posterior_sum(world: PatchWorld, schedule: CosineSchedule, x: np.ndarray, t
     keeps the bits.
     """
     if isinstance(patches, _Phase):
-        phase, xc = patches, patches.columns(x)
+        phase, xc = patches, patches.xc
     else:
         t = schedule.check_time(t)
         phase, xc = _at_time(world, x, schedule.alpha(t), schedule.sigma(t) ** 2, patches)
@@ -496,34 +478,36 @@ def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.
     return LatentState(x=schedule.alpha(t) * state.x + schedule.sigma(t) * z, t=t)
 
 
+def _row_noise(rngs, draws: int, dim: int) -> np.ndarray:
+    """(draws, rows, dim) noise whose row i draws from rngs[i] alone, in one
+    call: the bits and generator state of one (draws, dim) call a row, so a
+    batched run equals a one-at-a-time run."""
+    noise = np.empty((len(rngs), draws, dim))
+    for rng, row in zip(rngs, noise):
+        rng.standard_normal(out=row)
+    return noise.swapaxes(0, 1)
+
+
 class _RowNoise:
-    """A generator's stand-in for a (rows, dim) batch whose row i draws only
-    from rngs[i], so a batched run equals a one-at-a-time run. Each row draws
-    the slices its phase declares in one call (the same bits and generator
-    state as one (dim,) call per slice); each standard_normal call takes the
-    next (rows, dim) slice, or the next n as an (n, rows, dim) view. Drawing
-    past the declared count, or check_spent with slices unused, raises: a
-    change to a phase's steps cannot shift bits unnoticed."""
+    """A generator's stand-in for sample_base on a (rows, dim) batch: its one
+    standard_normal call of shape (draws, rows, dim) takes _row_noise(rngs,
+    draws, dim). Another shape, a second call, or check_spent before the call
+    raises: a change to the base phase's steps cannot shift bits unnoticed."""
 
     def __init__(self, rngs, draws: int, dim: int):
-        self._buf = np.empty((len(rngs), draws, dim))
-        for rng, row in zip(rngs, self._buf):
-            rng.standard_normal(out=row)
-        self._used = 0
+        self._noise, self._spent = _row_noise(rngs, draws, dim), False
 
     def standard_normal(self, shape: tuple) -> np.ndarray:
-        rows, draws, dim = self._buf.shape
-        n = shape[0] if len(shape) == 3 else 1
-        if tuple(shape[-2:]) != (rows, dim) or not 2 <= len(shape) <= 3 or self._used + n > draws:
-            raise RuntimeError(f"noise of shape {tuple(shape)} drawn after {self._used} of the "
-                               f"{draws} ({rows}, {dim}) noise slices its phase declared")
-        self._used += n
-        drawn = self._buf[:, self._used - n:self._used]
-        return drawn[:, 0] if len(shape) == 2 else drawn.swapaxes(0, 1)
+        if self._spent or tuple(shape) != self._noise.shape:
+            raise RuntimeError(f"noise of shape {tuple(shape)} drawn {'again ' * self._spent}"
+                               f"where its phase declared one draw of {self._noise.shape} "
+                               f"noise slices")
+        self._spent = True
+        return self._noise
 
-    def check_spent(self, phase: str) -> None:
-        if self._used != self._buf.shape[1]:
-            raise RuntimeError(f"{phase} phase drew {self._used} of the {self._buf.shape[1]} "
+    def check_spent(self) -> None:
+        if not self._spent:
+            raise RuntimeError(f"the base phase drew none of the {len(self._noise)} "
                                f"noise slices it declared")
 
 
@@ -555,8 +539,9 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
     sched = predictor.schedule
     alphas, sigmas = [sched.alpha(t) for t in times], [sched.sigma(t) for t in times]
     phase = _Phase(predictor.world, alphas[:-1], [s ** 2 for s in sigmas[:-1]], patches)
-    xc = phase.columns(carried)
-    xc[...] = phase.gather(x)
+    columns = phase.gather(x)  # (d, rows, P); the phase carries them at carried's front
+    phase.xc = xc = carried.reshape(-1)[:columns.size].reshape(columns.shape)
+    xc[...] = columns
     phase.work = np.empty((len(phase.means), *xc.shape))
     phase.squares, phase.mean = np.empty_like(phase.work), np.empty_like(xc)  # xc's layout
     noise = phase.gather(z, lead=1)
@@ -575,10 +560,10 @@ def _ancestral_phase(predictor: NoisePredictor, x: np.ndarray, times, z: np.ndar
     phase.scatter(xc, out)
 
 
-def _time_tol(start: float, steps: int) -> float:
+def _time_tol(start: float, steps: int, floor: float = _TIME_TOL) -> float:
     """How far rounding can move a time reached by `steps` step subtractions from
-    `start`: an ulp of start each, two to spare, and never less than _TIME_TOL."""
-    return max(_TIME_TOL, (steps + 2) * np.finfo(float).eps * start)
+    `start`: an ulp of start each, two to spare, and never less than floor."""
+    return max(floor, (steps + 2) * np.finfo(float).eps * start)
 
 
 def _resolve_target_time(t: float, dt: float, tol: float) -> float:
@@ -594,11 +579,11 @@ def _resolve_target_time(t: float, dt: float, tol: float) -> float:
 
 
 def _reverse_sweep(predictor: NoisePredictor, state: LatentState, steps,
-                   rng: np.random.Generator, tol: float | None = None) -> LatentState:
+                   z: np.ndarray, tol: float | None = None) -> LatentState:
     """Ancestral reverse steps of the given sizes from the state's time, one
-    phase (_ancestral_phase) whose noise is drawn at once, (steps, ..., dim);
-    times land on 0 within tol, by default the sweep's own rounding bound, and
-    the state is checked once, after the last step."""
+    phase (_ancestral_phase) whose noise z is (steps, ..., dim); times land on
+    0 within tol, by default the sweep's own rounding bound, and the state is
+    checked once, after the last step."""
     times = [predictor.schedule.check_time(state.t)]
     tol = _time_tol(times[0], len(steps)) if tol is None else tol
     for dt in steps:
@@ -606,7 +591,6 @@ def _reverse_sweep(predictor: NoisePredictor, state: LatentState, steps,
     if len(times) == 1:
         return LatentState(x=state.x, t=times[0])
     x = state.x
-    z = rng.standard_normal((len(times) - 1, *x.shape))
     out = np.empty(x.shape)
     _ancestral_phase(predictor, x, times, z, out,
                      np.empty((math.prod(x.shape[:-1]), predictor.world.dim)))
@@ -618,11 +602,11 @@ def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
     """Draw x_T ~ N(0, I) and integrate to t = 0 with ancestral reverse steps.
 
     Consumes exactly n_steps evaluations per trajectory; ``shape`` adds
-    leading batch axes.
+    leading batch axes. x_T and the steps' noise are one draw, x_T its first slice.
     """
     times = predictor.schedule.step_times()
-    x = rng.standard_normal((*(shape or ()), predictor.world.dim))
-    return _reverse_sweep(predictor, LatentState(x=x, t=float(times[0])), -np.diff(times), rng)
+    z = rng.standard_normal((len(times), *(shape or ()), predictor.world.dim))
+    return _reverse_sweep(predictor, LatentState(x=z[0], t=float(times[0])), -np.diff(times), z[1:])
 
 
 def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:

@@ -537,12 +537,14 @@ def test_phase_off_its_declared_noise_raises(kwargs, base, alter, seed):
         sample = search.sample_base
         target, altered = "sample_base", lambda pred, noise, shape: sample(
             pred, alter(noise), shape)
-    else:
+    else:  # the refinement's noise is an array: one slice long, or one short
         resample = search._resample
-        target, altered = "_resample", lambda pred, anchor, mcoord, cfg, noise: resample(
-            pred, anchor, mcoord, cfg, alter(noise))
+        resized = {one_extra_draw: lambda noise: np.concatenate([noise, noise[:1]]),
+                   first_draw_skipped: lambda noise: noise[1:]}[alter]
+        target, altered = "_resample", lambda pred, anchor, bits, cfg, noise: resample(
+            pred, anchor, bits, cfg, resized(noise))
     with mock.patch.object(search, target, altered), \
-            pytest.raises(RuntimeError, match="noise slices"):
+            pytest.raises(RuntimeError if base else ValueError, match="noise slices"):
         harness.testbed_trials(trial_settings, [np.random.SeedSequence(seed)])
 
 
@@ -622,7 +624,7 @@ def mask_source_search(source, refinements: int) -> list:
     kwargs = small_trial_kwargs()
     trial_settings = TrialSettings(**kwargs)
     base_noise = len(kwargs["schedule"].step_times()) * kwargs["world"].dim
-    refine_noise = (kwargs["resample"].nfe_cost + 2) * kwargs["world"].dim
+    refine_noise = kwargs["resample"].draws * kwargs["world"].dim
     collected = []
     with mock.patch.object(search, "_BLOCK_NOISE",
                            2 * max(base_noise, refinements * refine_noise)):

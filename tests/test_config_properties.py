@@ -7,7 +7,8 @@ validate_config and run_experiment in-process (trials <= 3, mc_trials <= 4,096)
 and must succeed with a valid JSON report, or raise InfeasibleParameterError, or raise
 ConfigError whose every message starts with a dotted path of config.DEFAULTS
 (or the config./results. prefix of the report scan); an unknown key must be
-a ConfigError that names it. A fixed set of
+a ConfigError that names it. A config error costs no trial: none is raised
+once the run has entered a runner (harness.run_chunks or theory.run_chunks). A fixed set of
 mutations also runs at workers 1 and 2 and must write the same bytes.
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from localtts import harness, theory
 from localtts.config import DEFAULTS, ConfigError, validate_config
 from localtts.harness import run_experiment
 from localtts.theory import InfeasibleParameterError
@@ -138,9 +140,17 @@ def run(raw: dict, out: Path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_every_mutation_runs_or_names_its_field(name, tmp_path):
-    unnamed, counts = [], {"ok": 0, "error": 0, "infeasible": 0}
+def test_every_mutation_runs_or_names_its_field(name, tmp_path, monkeypatch):
+    unnamed, late, counts = [], [], {"ok": 0, "error": 0, "infeasible": 0}
+    entered = []  # the runners the current mutation entered
+    for module in (harness, theory):
+        def counted(*args, run=module.run_chunks, **kwargs):
+            entered.append(run)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(module, "run_chunks", counted)
     for i, (label, raw) in enumerate(mutations(name)):
+        entered.clear()
         try:
             outcome = run(raw, tmp_path / str(i))
         except Exception as exc:  # noqa: BLE001 - any other exception is the finding
@@ -153,9 +163,11 @@ def test_every_mutation_runs_or_names_its_field(name, tmp_path):
             assert outcome, f"{name} {label}: a config error with no message"
             unnamed += [f"{label}: {message}" for message in outcome
                         if not names_a_field(message)]
+            late += [f"{label}: {outcome}"] if entered else []
         else:
             counts[outcome] += 1
     assert not unnamed, f"{name}: messages naming no field: {unnamed}"
+    assert not late, f"{name}: config errors raised after a runner started: {late}"
     assert counts["ok"] and counts["error"], counts  # the mutations reach both outcomes
 
 

@@ -694,6 +694,24 @@ class TestCli:
             "too large)\n" for field, value in hits)
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_bon_curve_stops_before_the_monte_carlo(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the closed forms are finite, but the best-of-N curve divides by n * cost_global:
+        # its first non-finite point stops the run before a Monte Carlo trial runs
+        def reached(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr(harness, "simulate_patch_economy", reached)
+        settings = ["cost_global=1e-310", "cost_local=1e-310", "budget=1e-10",
+                    "repair_prob_global=1e-10", "harm_prob_global=0", "repair_prob_local=1e-10",
+                    "harm_prob_local=0"]
+        overrides = [arg for setting in settings for arg in ("--set", f"economy.{setting}")]
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"), *overrides,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: results.bon.curve.1.normalized_gain: "
+                                           "inf (overflow: a config number is too large)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("settings, errors", [
         # at d = 2 one row of 2e6 coordinates and an S x S mask of 1e12 entries
         (["world.grid=[1000,1000]"],

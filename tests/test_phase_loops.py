@@ -17,7 +17,7 @@ import pytest
 
 from localtts.attention import mask_from_indices
 from localtts.errors import FieldErrors
-from localtts.resample import ResampleConfig, _masked_refine, _renoise, _resample
+from localtts.resample import ResampleConfig, _masked_refine, _resample
 from localtts.testbed import (
     CosineSchedule,
     LatentState,
@@ -29,6 +29,7 @@ from localtts.testbed import (
     _oracle_terms,
     _Phase,
     _reverse_sweep,
+    forward_noise,
     sample_base,
 )
 
@@ -65,10 +66,10 @@ def test_sweep_equals_its_steps_one_by_one(k, d, shape, nudged=False):
     x = np.random.default_rng(1).normal(size=(*shape, predictor.world.dim))
     state = LatentState(x=x, t=0.9)
     steps = [0.2, 0.15, 0.3, 0.25]  # down to 0, where the last step adds no noise
-    swept = _reverse_sweep(predictor, state, steps, np.random.default_rng(2))
-    rng = np.random.default_rng(2)
-    for dt in steps:
-        state = _reverse_sweep(predictor, state, [dt], rng)
+    z = np.random.default_rng(2).standard_normal((len(steps), *x.shape))
+    swept = _reverse_sweep(predictor, state, steps, z)
+    for i, dt in enumerate(steps):
+        state = _reverse_sweep(predictor, state, [dt], z[i:i + 1])
     assert same(swept, state) and swept.t == 0.0
     assert np.array_equal(x, np.random.default_rng(1).normal(size=x.shape))  # input untouched
 
@@ -133,7 +134,9 @@ def test_phase_constants_equal_their_per_step_expressions(k, d):
         var_t = a * a * variances + s2
         log_norm = log_weights - 0.5 * d * (np.log(var_t) + math.log(2.0 * math.pi))
         one_time = _Phase(world, [a], [s2])
-        for table, single, want in ((phase.centre, one_time.centre, a * means),
+        # the centres the oracle scales at each step, then the tables
+        centres = ([alpha * phase.means for alpha in p.alphas] for p in (phase, one_time))
+        for table, single, want in ((*centres, a * means),
                                     (phase.var_t, one_time.var_t, var_t),
                                     (phase.log_norm, one_time.log_norm, log_norm),
                                     (phase.coef, one_time.coef, a * variances / var_t)):
@@ -173,15 +176,16 @@ def test_resample_equals_its_steps_one_by_one(k, d, shape, t_g, n_refine, n_inte
     anchor = LatentState(x=np.random.default_rng(4).normal(size=(*shape, world.dim)), t=0.0)
     bits = mask_rows(world, shape, per_row)
     cfg = ResampleConfig(t0=0.6, t_g=t_g, n_refine=n_refine, n_integrate=n_integrate)
-    got = _resample(predictor, anchor, bits, cfg, np.random.default_rng(3))
-    rng = np.random.default_rng(3)
-    state = _renoise(predictor, anchor, cfg, rng)
+    noise = np.random.default_rng(3).standard_normal((cfg.draws, *anchor.x.shape))
+    got = _resample(predictor, anchor, bits, cfg, noise)
+    state = forward_noise(predictor.schedule, anchor, cfg.t0, noise[1])
+    steps = iter(noise[2:, None])
     for _ in range(n_refine):
         state = _masked_refine(predictor, state.x.copy(), state.t, world.select(bits), anchor,
-                               cfg, 1, rng)
+                               cfg, next(steps))
     times = np.linspace(t_g, 0.0, n_integrate + 1)
     for t_cur, t_next in zip(times[:-1], times[1:]):
-        state = _reverse_sweep(predictor, state, [float(t_cur - t_next)], rng)
+        state = _reverse_sweep(predictor, state, [float(t_cur - t_next)], next(steps))
     assert same(got, state) and got.t == 0.0
 
 
@@ -221,7 +225,8 @@ def test_both_constant_forms_give_the_unchanged_patches_the_same_bits(k, d):
     anchor = LatentState(x=outs[0], t=0.0)
     cfg = ResampleConfig(t0=0.6, t_g=0.15, n_refine=3, n_integrate=2)
     bits = mask_rows(world, (7,), per_row=True)
-    outs = [_resample(p, anchor, bits, cfg, np.random.default_rng(6)).x for p in (shared, nudged)]
+    noise = np.random.default_rng(6).standard_normal((cfg.draws, *anchor.x.shape))
+    outs = [_resample(p, anchor, bits, cfg, noise).x for p in (shared, nudged)]
     assert kept(outs[0]) == kept(outs[1])
     x = np.random.default_rng(7).normal(size=(7, world.dim))
     for t in (1.0, 0.4, 0.0):
@@ -297,7 +302,8 @@ def test_non_finite_mid_refinement_raises_by_its_end(monkeypatch, bad_call):
     cfg = ResampleConfig(t0=0.6, t_g=0.15, n_refine=4, n_integrate=2)
     calls = poisoned_evaluate(monkeypatch, bad_call)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-        _resample(predictor, anchor, bits, cfg, np.random.default_rng(0))
+        _resample(predictor, anchor, bits, cfg,
+                  np.random.default_rng(0).standard_normal((cfg.draws, *anchor.x.shape)))
     assert len(calls) == 4  # the refinement ran and was checked before the global sweep
 
 
@@ -308,11 +314,12 @@ def test_each_phase_costs_rows_times_steps_of_full_states(monkeypatch):
     anchor = LatentState(x=np.random.default_rng(4).normal(size=(5, world.dim)), t=0.0)
     bits = np.broadcast_to(mask_from_indices(world.grid, [2]).bits, (5, world.n_patches))
     cfg = ResampleConfig(t0=0.6, t_g=0.15, n_refine=4, n_integrate=3)
-    state = _renoise(predictor, anchor, cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    state = _masked_refine(predictor, state.x, state.t, world.select(bits), anchor, cfg, 4, rng)
+    state = forward_noise(predictor.schedule, anchor, cfg.t0, rng.standard_normal(anchor.x.shape))
+    state = _masked_refine(predictor, state.x, state.t, world.select(bits), anchor, cfg,
+                           rng.standard_normal((4, *anchor.x.shape)))
     assert predictor.nfe == 5 * 4
-    _reverse_sweep(predictor, state, [0.05] * 3, rng)
+    _reverse_sweep(predictor, state, [0.05] * 3, rng.standard_normal((3, *anchor.x.shape)))
     assert predictor.nfe == 5 * (4 + 3)
     sample_base(predictor, rng, shape=(5,))
     assert predictor.nfe == 5 * (4 + 3 + 6)
@@ -325,14 +332,14 @@ def test_step_from_the_end_of_the_schedule_rejected_up_front(phase, t):
     # a refinement from t = 0 is outside its window (t_g, t0], so it starts just above
     predictor = make_predictor(3, 2)
     x = np.random.default_rng(0).normal(size=(2, predictor.world.dim))
-    rng = np.random.default_rng(1)
+    z = np.random.default_rng(1).standard_normal((1, *x.shape))
     if phase == "sweep":
         def run():
-            return _reverse_sweep(predictor, LatentState(x=x, t=t), [max(t, 1e-13)], rng)
+            return _reverse_sweep(predictor, LatentState(x=x, t=t), [max(t, 1e-13)], z)
 
         # a step from 0 after a step to 0, also rejected before the first evaluation
         with pytest.raises(ValueError, match="reverse step of size 1e-13 starts at time 0.0"):
-            _reverse_sweep(predictor, LatentState(x=x, t=0.5), [0.5, 1e-13], rng)
+            _reverse_sweep(predictor, LatentState(x=x, t=0.5), [0.5, 1e-13], z[[0, 0]])
     else:
         # ResampleConfig rejects such a pass itself; the kernel guards a window of any start
         with pytest.raises(FieldErrors, match="t0: leaves the last reverse step starting"):
@@ -343,7 +350,7 @@ def test_step_from_the_end_of_the_schedule_rejected_up_front(phase, t):
 
         def run():
             return _masked_refine(predictor, x.copy(), t, predictor.world.select(bits), anchor,
-                                  cfg, 1, rng)
+                                  cfg, z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"reverse step of size .* starts at time"):

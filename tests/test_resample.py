@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import binomtest
 
 from localtts.attention import mask_from_indices
-from localtts.resample import ResampleConfig, _masked_refine, _renoise, localized_resample
+from localtts import resample
+from localtts.resample import ResampleConfig, _masked_refine, _resample, localized_resample
 from localtts.testbed import (
     CosineSchedule,
     LatentState,
@@ -57,44 +58,65 @@ class TestResampleConfig:
             f"n_refine: plus n_integrate must be at most {cap}, got {cap + 1}"]
 
 
-class TestRenoise:
-    # the renoise draws the background's noise z_bg, then the masked noise z_mask, and
-    # noises with z_mask alone: _masked_refine reads only the masked coordinates and
-    # rebuilds the background from its last step's noise, so z_bg only positions the stream
+def renoised(monkeypatch) -> list:
+    """The renoised states _resample hands its refinement, recorded as copies (the
+    refinement overwrites its input)."""
+    seen, refine = [], resample._masked_refine
 
-    def test_empty_mask_is_plain_forward_noise(self):
+    def recording(predictor, x, *args):
+        seen.append(x.copy())
+        return refine(predictor, x, *args)
+
+    monkeypatch.setattr(resample, "_masked_refine", recording)
+    return seen
+
+
+def noise(seed: int, shape: tuple, steps: int = 1) -> np.ndarray:
+    """A phase's (steps, *shape) noise, drawn from default_rng(seed)."""
+    return np.random.default_rng(seed).standard_normal((steps, *shape))
+
+
+class TestRenoise:
+    # a pass's draw holds the background's noise z_bg, then the masked noise z_mask, and
+    # the pass renoises with z_mask alone: _masked_refine reads only the masked coordinates
+    # and rebuilds the background from its last step's noise, so z_bg only keeps the later
+    # slices in place
+
+    def test_empty_mask_is_plain_forward_noise(self, monkeypatch):
         world, sched, predictor = make_setup()
         rng = np.random.default_rng(0)
         anchor = LatentState(x=rng.normal(size=world.dim), t=0.0)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
         twin = np.random.default_rng(5)
-        twin.standard_normal(world.dim)  # background draw comes first
-        expected_z = twin.standard_normal(world.dim)
-        rng = np.random.default_rng(5)
-        out = _renoise(predictor, anchor, cfg, rng)
+        expected_z = twin.standard_normal((cfg.draws, world.dim))[1]  # background slice first
+        rng, seen = np.random.default_rng(5), renoised(monkeypatch)
+        localized_resample(predictor, anchor, mask_from_indices(world.grid, []), cfg,
+                           world_verifier(world), rng)
         np.testing.assert_allclose(
-            out.x, sched.alpha(0.4) * anchor.x + sched.sigma(0.4) * expected_z)
-        assert rng.bit_generator.state == twin.bit_generator.state  # two draws, no more
+            seen[0], sched.alpha(0.4) * anchor.x + sched.sigma(0.4) * expected_z)
+        assert rng.bit_generator.state == twin.bit_generator.state  # one draw, no more
 
-    def test_full_mask_uses_the_decoupled_draw(self):
+    def test_full_mask_uses_the_decoupled_draw(self, monkeypatch):
         world, sched, predictor = make_setup()
         anchor = LatentState(x=np.zeros(world.dim), t=0.0)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
-        twin = np.random.default_rng(6)
-        twin.standard_normal(world.dim)
-        expected_z = twin.standard_normal(world.dim)  # second draw is the masked one
-        out = _renoise(predictor, anchor, cfg, np.random.default_rng(6))
-        np.testing.assert_allclose(out.x, sched.sigma(0.4) * expected_z)
+        expected_z = noise(6, (world.dim,), cfg.draws)[1]  # the second slice is the masked one
+        seen = renoised(monkeypatch)
+        localized_resample(predictor, anchor, mask_from_indices(world.grid, range(16)), cfg,
+                           world_verifier(world), np.random.default_rng(6))
+        np.testing.assert_allclose(seen[0], sched.sigma(0.4) * expected_z)
 
-    def test_noise_level_matches_in_both_regions(self):
+    def test_noise_level_matches_in_both_regions(self, monkeypatch):
         world, sched, predictor = make_setup(grid=(2, 2))
         rng = np.random.default_rng(1)
         trials = 10_000
         anchor = LatentState(x=np.tile(rng.normal(size=world.dim), (trials, 1)), t=0.0)
-        mcoord = world.coordinate_mask(mask_from_indices(world.grid, [0, 3]).bits)
+        mask = mask_from_indices(world.grid, [0, 3])
+        mcoord = world.coordinate_mask(mask.bits)
         cfg = ResampleConfig(t0=0.55, t_g=0.0, n_refine=4, n_integrate=0)
-        out = _renoise(predictor, anchor, cfg, rng)
-        centered = (out.x - sched.alpha(0.55) * anchor.x)[:, mcoord]  # what the refinement reads
+        seen = renoised(monkeypatch)
+        localized_resample(predictor, anchor, mask, cfg, lambda state: 0.0, rng)
+        centered = (seen[0] - sched.alpha(0.55) * anchor.x)[:, mcoord]  # what the refinement reads
         var = centered.var(axis=0, ddof=1)
         target = sched.sigma(0.55) ** 2
         se = target * math.sqrt(2.0 / (trials - 1))
@@ -104,15 +126,42 @@ class TestRenoise:
         world, sched, predictor = make_setup(grid=(2, 2))
         anchor = LatentState(x=np.zeros(world.dim), t=0.0)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
+        empty = mask_from_indices(world.grid, [])
+
+        def run(state, cfg, mask=empty):
+            return localized_resample(predictor, state, mask, cfg, world_verifier(world),
+                                      np.random.default_rng(0))
+
         with pytest.raises(ValueError, match="grid"):
-            localized_resample(predictor, anchor, mask_from_indices((1, 4), []), cfg,
-                               world_verifier(world), np.random.default_rng(0))
-        bad = ResampleConfig(t0=1.5, t_g=0.0, n_refine=4, n_integrate=0)
+            run(anchor, cfg, mask_from_indices((1, 4), []))
         with pytest.raises(ValueError, match="outside"):
-            _renoise(predictor, anchor, bad, np.random.default_rng(0))
+            run(anchor, ResampleConfig(t0=1.5, t_g=0.0, n_refine=4, n_integrate=0))
         with pytest.raises(ValueError, match="t=0"):
-            _renoise(predictor, LatentState(x=np.zeros(world.dim), t=0.3), cfg,
-                     np.random.default_rng(0))
+            run(LatentState(x=np.zeros(world.dim), t=0.3), cfg)
+
+
+@pytest.mark.parametrize("rows", [(), (5,)])
+@pytest.mark.parametrize("t_g, n_integrate", [(0.0, 0), (0.1, 2)])
+def test_one_draw_of_a_pass_is_its_four_draws(rows, t_g, n_integrate):
+    # a pass's one (cfg.draws, ..., dim) draw has the bits and the generator state of the
+    # four draws it replaced: z_bg, z_mask, the refinement block and the integration block;
+    # a draw one slice short or one long is rejected before the first oracle evaluation
+    world, sched, predictor = make_setup()
+    cfg = ResampleConfig(t0=0.4, t_g=t_g, n_refine=3, n_integrate=n_integrate)
+    shape = (*rows, world.dim)
+    one, four = np.random.default_rng(8), np.random.default_rng(8)
+    drawn = one.standard_normal((cfg.draws, *shape))
+    blocks = [four.standard_normal(shape)[None], four.standard_normal(shape)[None],
+              four.standard_normal((cfg.n_refine, *shape)),
+              four.standard_normal((cfg.n_integrate, *shape))]
+    assert drawn.tobytes() == np.concatenate(blocks).tobytes()
+    assert one.bit_generator.state == four.bit_generator.state
+    anchor = LatentState(x=np.zeros(shape), t=0.0)
+    bits = np.ones((*rows, world.n_patches), dtype=np.uint8)
+    for wrong in (drawn[1:], np.concatenate([drawn, drawn[:1]])):
+        with pytest.raises(ValueError, match=f"for a pass of {cfg.draws} .* noise slices"):
+            _resample(predictor, anchor, bits, cfg, wrong)
+    assert predictor.nfe == 0
 
 
 class TestMaskedRefineStep:
@@ -123,15 +172,12 @@ class TestMaskedRefineStep:
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
         state_a = LatentState(x=rng.normal(size=world.dim), t=0.4)
         state_b = LatentState(x=state_a.x + 50.0, t=0.4)
-        twin = np.random.default_rng(9)
-        z = twin.standard_normal(world.dim)
+        z = noise(9, (world.dim,))
         s = 0.4 - cfg.refine_dt
         patches = world.select(np.zeros(world.n_patches))
-        out_a = _masked_refine(predictor, state_a.x.copy(), state_a.t, patches, anchor, cfg, 1,
-                               np.random.default_rng(9))
-        out_b = _masked_refine(predictor, state_b.x.copy(), state_b.t, patches, anchor, cfg, 1,
-                               np.random.default_rng(9))
-        expected = sched.alpha(s) * anchor.x + sched.sigma(s) * z
+        out_a = _masked_refine(predictor, state_a.x.copy(), state_a.t, patches, anchor, cfg, z)
+        out_b = _masked_refine(predictor, state_b.x.copy(), state_b.t, patches, anchor, cfg, z)
+        expected = sched.alpha(s) * anchor.x + sched.sigma(s) * z[0]
         np.testing.assert_allclose(out_a.x, expected)
         np.testing.assert_array_equal(out_a.x, out_b.x)  # independent of x_t
 
@@ -141,10 +187,10 @@ class TestMaskedRefineStep:
         anchor = LatentState(x=rng.normal(size=world.dim), t=0.0)
         state = LatentState(x=rng.normal(size=world.dim), t=0.4)
         cfg = ResampleConfig(t0=0.4, t_g=0.0, n_refine=4, n_integrate=0)
+        z = noise(11, (world.dim,))
         out = _masked_refine(predictor, state.x.copy(), state.t,
-                             world.select(np.ones(world.n_patches)), anchor, cfg, 1,
-                             np.random.default_rng(11))
-        plain = _reverse_sweep(predictor, state, [cfg.refine_dt], np.random.default_rng(11))
+                             world.select(np.ones(world.n_patches)), anchor, cfg, z)
+        plain = _reverse_sweep(predictor, state, [cfg.refine_dt], z)
         np.testing.assert_array_equal(out.x, plain.x)
 
     def test_hand_computed_two_patch_update(self):
@@ -156,9 +202,9 @@ class TestMaskedRefineStep:
         state = LatentState(x=np.array([1.0, 0.8]), t=0.5)
         cfg = ResampleConfig(t0=0.5, t_g=0.1, n_refine=4, n_integrate=1)
         mask = mask_from_indices(world.grid, [1])
-        z = np.random.default_rng(13).standard_normal(2)
+        z = noise(13, (2,))[0]
         out = _masked_refine(predictor, state.x.copy(), state.t, world.select(mask.bits), anchor,
-                             cfg, 1, np.random.default_rng(13))
+                             cfg, z[None])
         t, s = 0.5, 0.5 - cfg.refine_dt
         a_t, s_t = sched.alpha(t), sched.sigma(t)
         a_s, s_s = sched.alpha(s), sched.sigma(s)
@@ -187,13 +233,13 @@ class TestMaskedRefineStep:
         state = LatentState(x=rng.normal(size=(6, world.dim)), t=0.4 - step * cfg.refine_dt)
         bits = rng.random((6, world.n_patches)) < 0.3
         bits[0], bits[1] = False, True
+        z = noise(5, state.x.shape)
         out = _masked_refine(predictor, state.x.copy(), state.t, world.select(bits), anchor, cfg,
-                             1, np.random.default_rng(5))
+                             z)
         assert predictor.nfe == 6
-        plain = _reverse_sweep(predictor, state, [cfg.refine_dt], np.random.default_rng(5))
+        plain = _reverse_sweep(predictor, state, [cfg.refine_dt], z)
         s = plain.t
-        z = np.random.default_rng(5).standard_normal(state.x.shape)
-        anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z
+        anchored = sched.alpha(s) * anchor.x + sched.sigma(s) * z[0]
         want = np.where(world.coordinate_mask(bits), plain.x, anchored)
         assert out.t == s and out.x.tobytes() == want.tobytes()
 
@@ -204,8 +250,8 @@ class TestMaskedRefineStep:
         state = LatentState(x=np.zeros(world.dim), t=0.05)
         with pytest.raises(ValueError, match="window"):
             _masked_refine(predictor, state.x.copy(), state.t,
-                           world.select(np.zeros(world.n_patches)), anchor, cfg, 1,
-                           np.random.default_rng(0))
+                           world.select(np.zeros(world.n_patches)), anchor, cfg,
+                           noise(0, (world.dim,)))
 
 
 class TestLocalizedResample:
