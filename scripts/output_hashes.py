@@ -49,6 +49,8 @@ per-patch values, ``theory.mc_trials``, ``workers`` (0 and 65) and the value mea
 on a testbed and a scaling run, the economies whose closed forms overflow (a cost of
 1e-320 and a budget of 1e308; labels ``overflow-*``) and one whose best-of-N curve
 overflows (``overflow-bon-curve``), a zero budget and an unknown value distribution kind.
+The ``out-*`` probes run ``theory_worked.json`` with an ``--out`` where no directory can be
+made: an existing file, and a path under that file.
 
 A change that must leave every report byte and error text alone is checked by
 running this script on the parent and on the change (same script, ``PYTHONPATH``
@@ -276,11 +278,15 @@ RULE_PROBES = [
 ]
 
 
-def cli_probe(args: list, tmp: Path) -> tuple[int, str]:
+# (label, --out under the probe's directory, which holds a file named taken)
+OUT_PROBES = [("out-existing-file", "taken"), ("out-under-file", "taken/run")]
+
+
+def cli_probe(args: list, tmp: Path, out: str = "out") -> tuple[int, str]:
     """The exit code and stderr digest of the CLI on args, writing its output under tmp."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli_main([*args, "--out", str(tmp / "out")])
+        code = cli_main([*args, "--out", str(tmp / out)])
     return code, hashlib.sha256(err.getvalue().replace(str(tmp), "<tmp>").encode()).hexdigest()
 
 
@@ -424,6 +430,12 @@ def main() -> int:
     for label, config, overrides in RULE_PROBES:
         with tempfile.TemporaryDirectory() as tmp_text:
             code, digest = rule_probe(config, overrides, Path(tmp_text))
+        print(f"error {label} {code} {digest}")
+    theory_args = ["theory", "--config", str(ROOT / "configs" / "theory_worked.json")]
+    for label, out in OUT_PROBES:
+        with tempfile.TemporaryDirectory() as tmp_text:
+            (Path(tmp_text) / "taken").write_text("")
+            code, digest = cli_probe(theory_args, Path(tmp_text), out)
         print(f"error {label} {code} {digest}")
     return 0
 

@@ -3,7 +3,10 @@
     localtts theory|testbed|scaling|maskgen --config cfg.json \
         [--set key=value]... [--out DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible parameters.
+Exit codes: 0 success, 2 configuration error (an --out where no directory can be
+made included, found before the run), 3 infeasible parameters. Importing this module
+registers every localtts module in sys.modules but executes no kind module's body
+(config.lazy_module): a run executes those its kind reads.
 """
 from __future__ import annotations
 
@@ -11,9 +14,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import KINDS, ConfigError, load_config
+from .config import KINDS, ConfigError, lazy_module, load_config
 from .harness import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, run_experiment
-from .theory import InfeasibleParameterError
+
+theory = lazy_module("theory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,6 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _not_a_directory(out: Path) -> Path | None:
+    """The first of out and its parents that exists, if it is not a directory (then
+    run_experiment could not make out), else None."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    return None if existing.is_dir() else existing
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -40,12 +51,14 @@ def main(argv=None) -> int:
             raise ConfigError(
                 [f"kind: config declares {cfg.kind!r} but the {args.kind!r} "
                  f"subcommand was invoked"])
+        if blocker := _not_a_directory(Path(args.out)):
+            raise ConfigError([f"--out {args.out}: {blocker} is not a directory"])
         report = run_experiment(cfg, args.out, overrides=applied)
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleParameterError as exc:
+    except theory.InfeasibleParameterError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     for warning in report["warnings"]:

@@ -20,27 +20,52 @@ base_dir, are read by the same reader against their own tables (_BUNDLE, _TENSOR
 whatever the number of sources given, and built into mask_gen's inputs here, so
 validation is exhaustive and a bad config can be fixed in one pass. The resolved
 document (defaults applied, command-line overrides recorded) is embedded in every report.
+
+The kind modules (attention, resample, search, testbed, theory) are registered with
+lazy_module, here and in harness and cli, and their names are read as attributes at call
+time: a theory run never executes the diffusion engine, and a testbed, scaling or maskgen
+run never executes theory.
 """
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import ModuleType
 from typing import Any, Optional
 
 import numpy as np
 
-from .attention import (AttentionBundle, AttentionField, _as_grid, mask_rules, queries_rules,
-                        reduce_attention)
 from .errors import FieldErrors
-from .resample import ResampleConfig
-from .search import SearchConfig, SweepSettings, TrialSettings
 from .seeding import worker_rules
-from .testbed import CosineSchedule, PatchWorld
-from .theory import MaskStats, PatchEconomy, ValueDistribution, bon_rules, mc_rules
+
+
+def lazy_module(name: str) -> ModuleType:
+    """Module localtts.<name>, registered in sys.modules and on the package, whose body
+    importlib.util.LazyLoader runs when a name is first read from it (an import statement
+    naming the module reads its __spec__, so it runs the body too). Every module is in
+    sys.modules once the CLI is imported: perfbench/spans.py looks its span modules up there."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:  # find_spec would read its __spec__, which runs its body
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+attn = lazy_module("attention")
+resample = lazy_module("resample")
+search = lazy_module("search")
+testbed = lazy_module("testbed")
+theory = lazy_module("theory")
 
 KINDS = ("theory", "testbed", "scaling", "maskgen")
 
@@ -151,9 +176,9 @@ class ExperimentConfig:
     workers: int
     resolved: dict
     warnings: list[str] = field(default_factory=list)
-    settings: Optional[TrialSettings] = None
-    economy: Optional[PatchEconomy] = None
-    mask_stats: Optional[MaskStats] = None
+    settings: Optional[search.TrialSettings] = None
+    economy: Optional[theory.PatchEconomy] = None
+    mask_stats: Optional[theory.MaskStats] = None
     theory_options: dict = field(default_factory=dict)
     maskgen: dict = field(default_factory=dict)
 
@@ -265,36 +290,36 @@ def _section(cls, section: str, docs: dict, errors: list[str]):
     return _build(cls, _read(docs[section], section, _SCHEMA[section], errors), section, errors)
 
 
-def _build_world(doc: dict, errors: list[str]) -> Optional[PatchWorld]:
+def _build_world(doc: dict, errors: list[str]) -> Optional[testbed.PatchWorld]:
     values = _read(doc, "world", _SCHEMA["world"], errors)
     if values is None:
         return None
     specs = [(comp["weight"], comp["mean"], comp["variance"]) for comp in values["components"]]
-    return _build(PatchWorld.uniform, {**values, "components": specs}, "world", errors)
+    return _build(testbed.PatchWorld.uniform, {**values, "components": specs}, "world", errors)
 
 
-def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[TrialSettings]:
+def _build_settings(kind: str, docs: dict, errors: list[str]) -> Optional[search.TrialSettings]:
     """The trial settings of a testbed or scaling run. A world, schedule or
     resample section that fails its own checks is passed as None, so the
     remaining rules are still reported."""
     kwargs = {
         "world": _build_world(docs["world"], errors),
-        "schedule": _section(CosineSchedule, "schedule", docs, errors),
-        "resample": _section(ResampleConfig, "resample", docs, errors),
+        "schedule": _section(testbed.CosineSchedule, "schedule", docs, errors),
+        "resample": _section(resample.ResampleConfig, "resample", docs, errors),
     }
     sections = [s for s in ("defects", "attention", "search") if s in docs]
     typed = {s: _read(docs[s], s, _SCHEMA[s], errors) for s in sections}
     if None in typed.values():
         return None
     if kind == "scaling":  # the sweep ignores search.seeds, but it keeps SearchConfig's rules
-        _build(SearchConfig, {key: typed["search"][key] for key in ("seeds", "refinements")},
+        _build(search.SearchConfig, {key: typed["search"][key] for key in ("seeds", "refinements")},
                "search", errors)
     for name, path in _SETTINGS_PATHS.items():
         section, key = path.split(".")
         if section in typed:
             kwargs[name] = typed[section][key]
     try:
-        return (SweepSettings if kind == "scaling" else TrialSettings)(**kwargs)
+        return (search.SweepSettings if kind == "scaling" else search.TrialSettings)(**kwargs)
     except FieldErrors as exc:
         for error in exc.errors:
             name, _, message = error.partition(": ")
@@ -324,17 +349,18 @@ def _mask_inputs(doc: dict, base_dir: Optional[Path], errors: list[str]) -> dict
 
     def grid(value: dict, where: str):
         try:
-            return _as_grid(value["grid"])
+            return attn._as_grid(value["grid"])
         except (TypeError, ValueError) as exc:  # TypeError: a grid that is not a list
             errors.append(f"{where}.grid: {exc}")
 
     def assemble(fields: dict):  # _build reports fields on two grids at maskgen
-        return _build(AttentionBundle, None if None in fields.values() else fields, "maskgen",
+        return _build(attn.AttentionBundle, None if None in fields.values() else fields, "maskgen",
                       errors)
 
     def bundle(value: dict, where: str):
         dims = grid(value, where)
-        return assemble({key: dims and _build(AttentionField, {"values": value[key], "grid": dims},
+        return assemble({key: dims and _build(attn.AttentionField,
+                                              {"values": value[key], "grid": dims},
                                               f"{where}.{key}", errors) for key in BUNDLE_FIELDS})
 
     def tensor(value: dict, where: str):
@@ -347,7 +373,8 @@ def _mask_inputs(doc: dict, base_dir: Optional[Path], errors: list[str]) -> dict
             errors.append(f"{where}.data: has {len(value['data'])} entries, "
                           f"expected {math.prod(shape)}")
         if len(errors) == count:
-            return _build(reduce_attention, {"raw": np.reshape(value["data"], shape), "grid": dims},
+            return _build(attn.reduce_attention,
+                          {"raw": np.reshape(value["data"], shape), "grid": dims},
                           f"{where}.data", errors)
 
     def rows(value: list, where: str):  # each entry read the way a number key is
@@ -371,7 +398,7 @@ def _mask_inputs(doc: dict, base_dir: Optional[Path], errors: list[str]) -> dict
                                          _TENSOR) for key in BUNDLE_FIELDS})
     queries = parse(rows, doc["queries"], "maskgen.queries")
     if one_source and None not in (attention, queries):
-        _report(queries_rules(len(queries), attention.orig.size), "maskgen", errors)
+        _report(attn.queries_rules(len(queries), attention.orig.size), "maskgen", errors)
     return {"bundle": attention, "queries": queries, "weight": doc["weight"], "ratio": doc["ratio"]}
 
 
@@ -421,18 +448,18 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
                           f"got {doc['reference_n']!r}")
 
     if kind == "theory":
-        cfg.economy = _section(PatchEconomy, "economy", resolved, errors)
-        cfg.mask_stats = _section(MaskStats, "mask_stats", resolved, errors)
+        cfg.economy = _section(theory.PatchEconomy, "economy", resolved, errors)
+        cfg.mask_stats = _section(theory.MaskStats, "mask_stats", resolved, errors)
         doc = resolved["theory"]
         opts = _read(doc, "theory", _SCHEMA["theory"], errors) or {}
         if opts:
-            _report(bon_rules(opts["bon_repair_prob_one"], opts["bon_n_max"]), "theory.bon_{}",
-                    errors)
+            _report(theory.bon_rules(opts["bon_repair_prob_one"], opts["bon_n_max"]),
+                    "theory.bon_{}", errors)
         for name in ("repair_dist", "harm_dist"):
-            opts[name] = _build(ValueDistribution, doc[name], f"theory.{name}", errors)
+            opts[name] = _build(theory.ValueDistribution, doc[name], f"theory.{name}", errors)
         # 0 trials skip the Monte Carlo; a broken economy is None: mc_rules checks the trials only
         mc = opts.get("mc_trials") or 0
-        _report(mc_rules(mc, cfg.economy, opts["repair_dist"], opts["harm_dist"]) if mc > 0
+        _report(theory.mc_rules(mc, cfg.economy, opts["repair_dist"], opts["harm_dist"]) if mc > 0
                 else [(mc == 0, "trials", f"must be non-negative, got {mc}")], _MC_PATHS, errors)
         cfg.theory_options = opts
 
@@ -440,7 +467,7 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
         doc = resolved["maskgen"]
         values = _read(doc, "maskgen", _SCHEMA["maskgen"], errors)
         if values:
-            _report(mask_rules(values["weight"], values["ratio"]), "maskgen.{}", errors)
+            _report(attn.mask_rules(values["weight"], values["ratio"]), "maskgen.{}", errors)
         cfg.maskgen = _mask_inputs(doc, base_dir, errors)
 
     if errors:  # a rule two types share is reported once

@@ -13,6 +13,11 @@ Carlo chunks run through one runner (seeding.run_chunks), which shards them
 across workers and joins results in index order, so report bodies are
 byte-identical for any worker count. Reports carry no timestamps; CSV files
 use '.' decimals and a fixed column order.
+
+The kind modules are registered with config.lazy_module and read as attributes at
+call time, so a runner executes only the modules its kind uses: run_theory theory,
+run_maskgen attention, and run_testbed and run_scaling the engine (attention,
+resample, search, testbed).
 """
 from __future__ import annotations
 
@@ -27,34 +32,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import attention as attn
-from .config import ConfigError, ExperimentConfig
-from .search import (
-    SearchConfig,
-    TrialSettings,
-    _lockstep,
-    _mean_stderr,
-    check_nfe,
-    crossover_summary,
-    mask_recall_precision,
-    summarize_sweep,
-    sweep_trials,
-)
+from .config import ConfigError, ExperimentConfig, lazy_module
 from .seeding import run_chunks, trial_rng
-from .testbed import NoisePredictor
-from .theory import (
-    InfeasibleParameterError,
-    bon_curve,
-    budget_gains,
-    classify_regime,
-    dominance_check,
-    economy_precision_floor,
-    expected_selection_stats,
-    per_trial_gains,
-    required_recall,
-    simulate_patch_economy,
-    sparse_dominance_approx,
-)
+
+attn = lazy_module("attention")
+search = lazy_module("search")
+testbed = lazy_module("testbed")
+theory = lazy_module("theory")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,10 +83,10 @@ def sign_test_p_greater(positives: int, n: int) -> float:
 def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     econ, stats = cfg.economy, cfg.mask_stats
     opts = cfg.theory_options
-    e_tp, e_sel, e_fp = expected_selection_stats(stats, econ.defects)
-    gain_global, gain_local = per_trial_gains(econ, stats)
-    bud_global, bud_local = budget_gains(econ, stats)
-    holds, margin = dominance_check(econ, stats)
+    e_tp, e_sel, e_fp = theory.expected_selection_stats(stats, econ.defects)
+    gain_global, gain_local = theory.per_trial_gains(econ, stats)
+    bud_global, bud_local = theory.budget_gains(econ, stats)
+    holds, margin = theory.dominance_check(econ, stats)
     closed = {
         "expected_true_positives": e_tp,
         "expected_selected": e_sel,
@@ -113,20 +97,20 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "budget_gain_local": bud_local,
         "dominance_holds": holds,
         "dominance_margin": margin,
-        "precision_floor": economy_precision_floor(econ),
-        "sparse_regime_approx_holds": sparse_dominance_approx(econ, stats),
-        "regime_flags": dataclasses.asdict(classify_regime(econ, stats)),
+        "precision_floor": theory.economy_precision_floor(econ),
+        "sparse_regime_approx_holds": theory.sparse_dominance_approx(econ, stats),
+        "regime_flags": dataclasses.asdict(theory.classify_regime(econ, stats)),
     }
     try:
-        req = required_recall(econ, stats.precision)
+        req = theory.required_recall(econ, stats.precision)
         closed["required_recall"] = req.raw
         closed["required_recall_clamped"] = req.clamped
-    except InfeasibleParameterError as exc:
+    except theory.InfeasibleParameterError as exc:
         closed["required_recall"] = None
         closed["required_recall_error"] = str(exc)
     # stop before the Monte Carlo: on the closed forms, then on the best-of-N curve's first
     # non-finite point, which stands for the rest of the curve
-    curve = bon_curve(opts["bon_repair_prob_one"], econ, opts["bon_n_max"])
+    curve = theory.bon_curve(opts["bon_repair_prob_one"], econ, opts["bon_n_max"])
     if hits := _non_finite(closed, "results.closed_form") or _non_finite(
             {p.n: vars(p) for p in curve.points}, "results.bon.curve")[:1]:
         raise ConfigError([f"{hit} (overflow: a config number is too large)" for hit in hits])
@@ -136,7 +120,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     mc_trials = opts["mc_trials"]
     if mc_trials > 0:
-        sim = simulate_patch_economy(
+        sim = theory.simulate_patch_economy(
             econ, stats, mc_trials, trial_seed(cfg.master_seed, 0, _SIM_STREAM),
             repair_dist=opts["repair_dist"], harm_dist=opts["harm_dist"],
             workers=cfg.workers)
@@ -165,21 +149,22 @@ def run_theory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 # testbed
 # ---------------------------------------------------------------------------
 
-def testbed_trials(settings: TrialSettings, seed_seqs: list[np.random.SeedSequence]) -> list[tuple]:
+def testbed_trials(settings: search.TrialSettings,
+                   seed_seqs: list[np.random.SeedSequence]) -> list[tuple]:
     """Refinement trials as one engine call: each is a one-seed, one-refinement
     search on a defect-injected draw, scored against its ground-truth defects.
     A row's NFE is the measured cost of its own two candidates."""
-    predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
-    cfg = SearchConfig(seeds=1, refinements=1)
+    predictor = testbed.NoisePredictor(world=settings.world, schedule=settings.schedule)
+    cfg = search.SearchConfig(seeds=1, refinements=1)
     searches = ((cfg, trial_rng(seed_seq)) for seed_seq in seed_seqs)
     rows = []
-    for rec in _lockstep(predictor, searches, settings.resample, settings.mask_source(),
-                         settings.sampler()):
+    for rec in search._lockstep(predictor, searches, settings.resample,
+                                settings.mask_source(), settings.sampler()):
         # every seed refines once: a block's refinements are its rows, in order
         anchor, refined, nfe = rec.scores, rec.refined_scores, rec.base_nfe + rec.refine_nfe
         rows += [(a, r, d, *pair, nfe) for a, r, d, pair in zip(
             anchor.tolist(), refined.tolist(), (refined - anchor).tolist(),
-            mask_recall_precision(rec.bits, rec.defects))]
+            search.mask_recall_precision(rec.bits, rec.defects))]
     return rows
 
 
@@ -187,9 +172,9 @@ def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rows = run_chunks(testbed_trials, cfg.settings, cfg.trials, _trial_stream(cfg.master_seed),
                       cfg.workers)
     nfe = cfg.settings.schedule.n_steps + cfg.settings.resample.nfe_cost
-    check_nfe("testbed trial", [row[5] for row in rows], nfe)
+    search.check_nfe("testbed trial", [row[5] for row in rows], nfe)
     improvements = np.array([row[2] for row in rows])
-    mean, stderr = _mean_stderr(improvements)
+    mean, stderr = search._mean_stderr(improvements)
     positives = int(np.sum(improvements > 0))
     results = {
         "trials": cfg.trials,
@@ -214,11 +199,11 @@ def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def run_scaling(cfg: ExperimentConfig) -> tuple[dict, dict]:
     settings = cfg.settings
-    trial_results = run_chunks(sweep_trials, settings, cfg.trials,
+    trial_results = run_chunks(search.sweep_trials, settings, cfg.trials,
                                _trial_stream(cfg.master_seed), cfg.workers)
-    rows = summarize_sweep(settings, trial_results)
+    rows = search.summarize_sweep(settings, trial_results)
     reference_n = cfg.resolved["search"]["reference_n"]
-    summary = crossover_summary(rows, reference_n)
+    summary = search.crossover_summary(rows, reference_n)
     results = {
         "trials": cfg.trials,
         "crossover": summary,

@@ -5,8 +5,9 @@ run_chunks gives index i child i of a parent seed sequence, numpy's
 SeedSequence(entropy, spawn_key=(*key, i)) bit for bit, made by one spawn per
 chunk, and joins the results in index order, so they do not depend on the
 worker count. _Lineage, the seeds' type, hashes all children of a spawn in one
-array pass. The module imports only numpy and errors, so theory loads no engine module;
-run_chunks raises the worker cap, worker_rules, which validate_config reports at workers.
+array pass. The module imports only numpy and errors, so a theory run, which reads theory
+and this runner, executes no engine module; run_chunks raises the worker cap,
+worker_rules, which validate_config reports at workers.
 """
 from __future__ import annotations
 

@@ -367,8 +367,7 @@ def engine_candidates(run):
             pairs.extend(search._candidates(record, predictor.world.grid))
             yield record
 
-    with mock.patch.object(search, "_lockstep", recording), \
-            mock.patch.object(harness, "_lockstep", recording):
+    with mock.patch.object(search, "_lockstep", recording):
         result = run()
     return result, [[cand for _, cand in seeds]
                     for _, seeds in itertools.groupby(pairs, key=operator.itemgetter(0))]

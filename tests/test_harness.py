@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import binom
 
 import localtts
-from localtts import harness, search
+from localtts import harness, search, theory
 from localtts.cli import main as cli_main
 from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
 from localtts.harness import run_experiment, sign_test_p_greater
@@ -512,6 +512,15 @@ BUNDLE = {"bundle": {"grid": [2, 3], "orig": [1.0] * 6,
                      "pos": [0.9, 0.2, 0.8, 0.9, 0.8, 0.9], "neg": [0.9, 1.6, 0.8, 0.9, 0.8, 0.9]}}
 
 
+# a small run of each shipped config: its overrides and the kind modules whose bodies it runs
+RUN_MODULES = {
+    "theory_worked.json": (["theory.mc_trials=1000"], ["theory"]),
+    "maskgen_example.json": ([], ["attention"]),
+    "testbed_small.json": (["trials=2"], ["attention", "resample", "search", "testbed"]),
+    "scaling_default.json": (["trials=2"], ["attention", "resample", "search", "testbed"]),
+}
+
+
 class TestCli:
     def write(self, tmp_path, raw):
         path = tmp_path / "cfg.json"
@@ -543,6 +552,22 @@ class TestCli:
     def test_kind_mismatch_exit_two(self, tmp_path, capsys):
         path = self.write(tmp_path, theory_raw())
         assert cli_main(["testbed", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"])
+    def test_unusable_out_exits_two_before_the_run(self, out, tmp_path, capsys, monkeypatch):
+        # --out an existing file, or a path under one, where no directory can be made: the
+        # run stops before its runner starts and writes nothing
+        def reached(*args, **kwargs):
+            raise AssertionError("the runner ran")
+
+        monkeypatch.setattr(harness, "run_theory", reached)
+        (tmp_path / "taken").write_text("kept")
+        assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
+                         "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err == (f"config error: --out {tmp_path / out}: "
+                                           f"{tmp_path / 'taken'} is not a directory\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_text() == "kept"
 
     def test_infeasible_exit_three(self, tmp_path, capsys):
         raw = theory_raw()
@@ -686,7 +711,7 @@ class TestCli:
         def reached(*args, **kwargs):
             raise AssertionError("the Monte Carlo ran")
 
-        monkeypatch.setattr(harness, "simulate_patch_economy", reached)
+        monkeypatch.setattr(theory, "simulate_patch_economy", reached)
         assert cli_main(["theory", "--config", str(CONFIGS / "theory_worked.json"),
                          "--set", setting, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "".join(
@@ -701,7 +726,7 @@ class TestCli:
         def reached(*args, **kwargs):
             raise AssertionError("the Monte Carlo ran")
 
-        monkeypatch.setattr(harness, "simulate_patch_economy", reached)
+        monkeypatch.setattr(theory, "simulate_patch_economy", reached)
         settings = ["cost_global=1e-310", "cost_local=1e-310", "budget=1e-10",
                     "repair_prob_global=1e-10", "harm_prob_global=0", "repair_prob_local=1e-10",
                     "harm_prob_local=0"]
@@ -1292,6 +1317,37 @@ class TestCli:
         assert self.fresh_interpreter(code).splitlines() == [
             "['localtts']",
             "['localtts', 'localtts.errors', 'localtts.seeding', 'localtts.theory']"]
+
+    def test_cli_import_registers_every_module(self):
+        # perfbench/spans.py finds the modules it wraps in sys.modules after this import
+        package = Path(localtts.__file__).parent
+        code = ("import sys, localtts.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'localtts'))")
+        assert self.fresh_interpreter(code) == str(sorted(
+            ["localtts"] + [f"localtts.{path.stem}" for path in package.glob("*.py")
+                            if path.stem != "__init__"]))
+
+    @pytest.mark.parametrize("name", sorted(RUN_MODULES))
+    def test_a_run_executes_only_its_kinds_modules(self, name, tmp_path):
+        # the audit hook sees each module body's exec: the CLI registers the kind modules
+        # at import and runs a body when a run first reads a name from it
+        overrides, kind_modules = RUN_MODULES[name]
+        path = CONFIGS / name
+        args = [json.loads(path.read_text())["kind"], "--config", str(path),
+                "--out", str(tmp_path / "out"),
+                *(arg for setting in [*overrides, "workers=1"] for arg in ("--set", setting))]
+        code = ("import sys\n"
+                "from pathlib import Path\n"
+                "bodies = []\n"
+                "sys.addaudithook(lambda event, args: event == 'exec' and "
+                "bodies.append(getattr(args[0], 'co_filename', '')))\n"
+                "from localtts.cli import main\n"
+                f"code = main({args!r})\n"
+                "print(code, sorted(Path(f).stem for f in bodies "
+                "if Path(f).parent.name == 'localtts'))")
+        core = ["__init__", "cli", "config", "errors", "harness", "seeding"]
+        assert self.fresh_interpreter(code).splitlines()[-1] == \
+            f"0 {sorted(core + kind_modules)}"
 
     def test_one_worker_run_leaves_the_pool_unloaded(self, tmp_path):
         # trials and the theory's Monte Carlo chunks go through one runner
