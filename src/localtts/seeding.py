@@ -1,17 +1,22 @@
-"""Seeds and worker processes of every sharded job: the testbed and scaling
-trials and theory's Monte Carlo chunks.
+"""Seeds, row fills and worker processes of every sharded job: the testbed and
+scaling trials and theory's Monte Carlo chunks.
 
 run_chunks gives index i child i of a parent seed sequence, numpy's
 SeedSequence(entropy, spawn_key=(*key, i)) bit for bit, made by one spawn per
 chunk, and joins the results in index order, so they do not depend on the
 worker count. _Lineage, the seeds' type, hashes all children of a spawn in one
-array pass. The module imports only numpy and errors, so a theory run, which reads theory
-and this runner, executes no engine module; run_chunks raises the worker cap,
-worker_rules, which validate_config reports at workers.
+array pass. fill_rows, the engine's one per-row noise fill, draws row i from
+generator i alone and splits a large fill between the caller and one helper
+thread, a fork-join that keeps every bit. The module imports only numpy, errors
+and the standard library, so a theory run, which reads theory and this runner,
+executes no engine module and starts no thread; run_chunks raises the worker
+cap, worker_rules, which validate_config reports at workers.
 """
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -112,6 +117,61 @@ def trial_rng(seed_seq) -> np.random.Generator:
     bit, as tests/test_seeding.py checks. The trial leaves seed_seq's spawn counter
     alone and depends on its entropy and spawn key only."""
     return np.random.Generator(np.random.PCG64(_lineage(seed_seq)))
+
+
+_SPLIT_FILL = 1 << 15  # coordinates from which fill_rows splits its rows over two threads
+_PID = os.getpid()  # a forked pool worker inherits _helper but not its thread
+_SPLITTING = threading.Lock()  # held while a fill is split: the helper serves one caller
+_helper = None  # the helper thread's (tasks, results) queues, made by the first split fill
+
+
+def _fill(rngs, out: np.ndarray) -> None:
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+
+
+def _filled(rngs, out: np.ndarray) -> BaseException | None:
+    """The error of _fill(rngs, out), or None."""
+    try:
+        _fill(rngs, out)
+    except BaseException as error:
+        return error
+
+
+def _serve(tasks, results) -> None:
+    """The helper thread's loop. It holds no task once it has answered, as a view of
+    the rows it filled would keep their whole array alive."""
+    while True:
+        results.put(_filled(*tasks.get()))
+
+
+def fill_rows(rngs, out: np.ndarray) -> None:
+    """Fill row i of out with rngs[i].standard_normal(out=out[i]), the bits and generator
+    states of one call a row. From _SPLIT_FILL coordinates on, the caller fills the first
+    half of the rows while a daemon helper thread, started by the first such fill, fills the
+    rest (numpy draws without the GIL); it returns or raises once both halves have stopped.
+    One row, a repeated generator (drawn in row order), a forked pool worker (which inherits
+    _helper but not its thread) and a second caller while a fill is split stay on one thread."""
+    global _helper
+    if (out.size < _SPLIT_FILL or len(rngs) < 2 or os.getpid() != _PID
+            or len(set(map(id, rngs))) < len(rngs) or not _SPLITTING.acquire(blocking=False)):
+        return _fill(rngs, out)
+    try:
+        if _helper is None:
+            from queue import SimpleQueue
+            queues = SimpleQueue(), SimpleQueue()
+            threading.Thread(target=_serve, args=queues, name="fill_rows", daemon=True).start()
+            _helper = queues
+        half = (len(rngs) + 1) // 2
+        _helper[0].put((rngs[half:], out[half:]))
+        try:
+            _fill(rngs[:half], out[:half])
+        finally:
+            error = _helper[1].get()
+    finally:
+        _SPLITTING.release()
+    if error is not None:
+        raise error
 
 
 def _chunk_task(task) -> list:

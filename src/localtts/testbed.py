@@ -20,6 +20,7 @@ its last step; it takes its noise as one (steps, ..., dim) array and computes it
 step constants once, in one vectorised pass over its step times; the constants of a
 world whose patches share one mixture are one column.
 Its steps run with numpy's buffer scoped to one row of those columns, so no broadcast copies.
+Its noise and a batch's attention noise come from seeding.fill_rows, one generator a row.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .attention import AttentionBundle, AttentionField, Grid, _as_grid, _indicators
 from .errors import FieldErrors, check
+from .seeding import fill_rows
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TIME_TOL = 1e-12
@@ -479,12 +481,11 @@ def forward_noise(schedule: CosineSchedule, state: LatentState, t: float, z: np.
 
 
 def _row_noise(rngs, draws: int, dim: int) -> np.ndarray:
-    """(draws, rows, dim) noise whose row i draws from rngs[i] alone, in one
-    call: the bits and generator state of one (draws, dim) call a row, so a
-    batched run equals a one-at-a-time run."""
+    """(draws, rows, dim) noise whose row i draws from rngs[i] alone, by
+    seeding.fill_rows: the bits and generator state of one (draws, dim) call a
+    row, so a batched run equals a one-at-a-time run."""
     noise = np.empty((len(rngs), draws, dim))
-    for rng, row in zip(rngs, noise):
-        rng.standard_normal(out=row)
+    fill_rows(rngs, noise)
     return noise.swapaxes(0, 1)
 
 
@@ -672,13 +673,12 @@ def _attention_rows(world: PatchWorld, true_sets, gain_pos: float, gain_neg: flo
                     noise_sd: float, rngs) -> tuple[np.ndarray, ...]:
     """synth_attention over rows: orig, pos, neg (rows, S) and queries (rows, S, 4).
     Row i draws from rngs[i] its fields' noise and, when noise_sd > 0, its
-    queries' in one call, the same bits and generator state as one call each."""
+    queries' in one fill_rows row, the same bits and generator state as one call each."""
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
     m, features = world.n_patches, grid_query_features(world.grid)
     draws = np.empty((len(rngs), 3 * m + (features.size if noise_sd > 0 else 0)))
-    for rng, row in zip(rngs, draws):
-        rng.standard_normal(out=row)
+    fill_rows(rngs, draws)
     indicator, noise = _indicators(true_sets, m), noise_sd * draws[:, :3 * m].reshape(-1, 3, m)
     fields = (1.0 + noise[:, 0], 1.0 - gain_pos * indicator + noise[:, 1],
               1.0 + gain_neg * indicator + noise[:, 2])

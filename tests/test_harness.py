@@ -1364,6 +1364,19 @@ class TestCli:
         assert self.fresh_interpreter(code) == "[]"
         assert all((tmp_path / name / "report.json").exists() for name, _ in runs)
 
+    def test_only_a_split_fill_starts_a_thread(self, tmp_path):
+        # a theory run fills no rows; a testbed run's first split fill starts fill_rows'
+        # helper, a plain thread, so concurrent.futures stays unloaded
+        runs = [("theory_worked.json", ["workers=1"]), ("testbed_small.json", ["workers=1"])]
+        code = ("import sys, threading, localtts.cli\n"
+                "from localtts.config import load_config\n"
+                "from localtts.harness import run_experiment\n"
+                + "".join(f"cfg, _ = load_config({str(CONFIGS / name)!r}, {overrides!r})\n"
+                          f"run_experiment(cfg, {str(tmp_path / name)!r})\n"
+                          "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+                          for name, overrides in runs))
+        assert self.fresh_interpreter(code).splitlines() == ["1 False", "2 False"]
+
 
 class TestWorldConfig:
     def test_verifier_weights_flow_through(self):
