@@ -52,6 +52,12 @@ overflows (``overflow-bon-curve``), a zero budget and an unknown value distribut
 The ``out-*`` probes run ``theory_worked.json`` with an ``--out`` where no directory can be
 made: an existing file, and a path under that file.
 
+Last, one line per output file of the pool probe: ``pool<step>-w<workers>``, the label, file
+name and sha256. It runs ``theory_worked+uniform,exponential`` and ``testbed_small`` at
+workers 2, 3 and 2 again in this interpreter, so the runs reuse the worker pool the runs above
+left, then one of another size, then a new one of the first size; each digest equals the
+run's line at workers 1.
+
 A change that must leave every report byte and error text alone is checked by
 running this script on the parent and on the change (same script, ``PYTHONPATH``
 pointing at each ``src``) and diffing the two outputs.
@@ -281,6 +287,13 @@ RULE_PROBES = [
 # (label, --out under the probe's directory, which holds a file named taken)
 OUT_PROBES = [("out-existing-file", "taken"), ("out-under-file", "taken/run")]
 
+# runs that share this interpreter's worker pools: the pool of 2 from the runs above, then one
+# of 3 in its place, then a new one of 2, each used by a theory run that draws per-patch values
+# (so a worker fills a workspace) and by a testbed run; each file equals its RUNS line at 1 worker
+POOL_WORKERS = (2, 3, 2)
+POOL_RUNS = [run for run in RUNS if run[0] in ("theory_worked+uniform,exponential",
+                                               "testbed_small")]
+
 
 def cli_probe(args: list, tmp: Path, out: str = "out") -> tuple[int, str]:
     """The exit code and stderr digest of the CLI on args, writing its output under tmp."""
@@ -399,25 +412,31 @@ def config_path(config: str, tmp: Path) -> Path:
     return path
 
 
+def run_lines(prefix: str, label: str, config: str, overrides: list, workers: int,
+              tmp: Path) -> list | None:
+    """'prefix label file sha256' for each output file of one CLI run, or None if it failed."""
+    path = config_path(config, tmp)
+    out = tmp / f"{prefix}-{label}"
+    args = [json.loads(path.read_text())["kind"], "--config", str(path), "--out", str(out)]
+    for setting in [*overrides, f"workers={workers}"]:
+        args += ["--set", setting]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(args)
+    if code != 0:
+        print(f"{label} at workers={workers} exited {code}", file=sys.stderr)
+        return None
+    return [f"{prefix} {label} {file.name} {hashlib.sha256(file.read_bytes()).hexdigest()}"
+            for file in sorted(out.iterdir())]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp_text:
-        tmp = Path(tmp_text)
         for label, config, overrides in RUNS:
-            path = config_path(config, tmp)
-            kind = json.loads(path.read_text())["kind"]
             for workers in (1, 2):
-                out = tmp / f"{label}-w{workers}"
-                args = [kind, "--config", str(path), "--out", str(out)]
-                for setting in [*overrides, f"workers={workers}"]:
-                    args += ["--set", setting]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli_main(args)
-                if code != 0:
-                    print(f"{label} at workers={workers} exited {code}", file=sys.stderr)
+                lines = run_lines(str(workers), label, config, overrides, workers, Path(tmp_text))
+                if lines is None:
                     return 1
-                for file in sorted(out.iterdir()):
-                    digest = hashlib.sha256(file.read_bytes()).hexdigest()
-                    print(f"{workers} {label} {file.name} {digest}")
+                print(*lines, sep="\n")
     for label, config, overrides, wrap, seed in API_PROBES:
         count, digest = api_probe(config, overrides, wrap, seed)
         print(f"api {label} {count} {digest}")
@@ -437,6 +456,14 @@ def main() -> int:
             (Path(tmp_text) / "taken").write_text("")
             code, digest = cli_probe(theory_args, Path(tmp_text), out)
         print(f"error {label} {code} {digest}")
+    with tempfile.TemporaryDirectory() as tmp_text:
+        for step, workers in enumerate(POOL_WORKERS):
+            for label, config, overrides in POOL_RUNS:
+                lines = run_lines(f"pool{step}-w{workers}", label, config, overrides, workers,
+                                  Path(tmp_text))
+                if lines is None:
+                    return 1
+                print(*lines, sep="\n")
     return 0
 
 

@@ -4,16 +4,21 @@ scaling trials and theory's Monte Carlo chunks.
 run_chunks gives index i child i of a parent seed sequence, numpy's
 SeedSequence(entropy, spawn_key=(*key, i)) bit for bit, made by one spawn per
 chunk, and joins the results in index order, so they do not depend on the
-worker count. _Lineage, the seeds' type, hashes all children of a spawn in one
-array pass. fill_rows, the engine's one per-row noise fill, draws row i from
-generator i alone and splits a large fill between the caller and one helper
-thread, a fork-join that keeps every bit. The module imports only numpy, errors
-and the standard library, so a theory run, which reads theory and this runner,
-executes no engine module and starts no thread; run_chunks raises the worker
-cap, worker_rules, which validate_config reports at workers.
+worker count. It keeps the process pool it starts for later calls of the same
+size, in the process that started it, until a call needs another size or the
+interpreter exits (an atexit hook joins its workers before module teardown); a
+task's error leaves the pool usable, a dead worker or an interrupt discards it.
+_Lineage, the seeds' type, hashes all children of a spawn in one array pass.
+fill_rows, the engine's one per-row noise fill, draws row i from generator i
+alone and splits a large fill between the caller and one helper thread, a
+fork-join that keeps every bit. The module imports only numpy, errors and the
+standard library, so a theory run, which reads theory and this runner, executes
+no engine module and starts no fill thread; run_chunks raises the worker cap,
+worker_rules, which validate_config reports at workers.
 """
 from __future__ import annotations
 
+import atexit
 import functools
 import os
 import threading
@@ -184,6 +189,19 @@ def _chunk_task(task) -> list:
 
 
 MAX_WORKERS = 64  # a worker is a process
+_pool = None  # (pid, processes, executor) of the pool run_chunks reuses in that process
+
+
+def _close_pool() -> None:
+    """Forget the reused pool, first reaping its workers if this process started it: a forked
+    worker inherits _pool, and its copy of the executor's lock may be held."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[2].shutdown(cancel_futures=True)
+
+
+atexit.register(_close_pool)  # reaps the workers while the modules the executor reads still exist
 
 
 def worker_rules(workers: int) -> list:
@@ -196,14 +214,25 @@ def run_chunks(fn: Callable, payload, count: int, seed_seq, workers: int = 1) ->
     """fn(payload, seeds) once per chunk of range(count), index i's seed child i of seed_seq
     (left unspawned); returns fn's per-seed results in index order. One worker runs one chunk
     in this process; more get min(count, 4 * workers) chunks of sizes that differ by at most
-    one, in a pool of min(workers, chunks) processes, imported only when one starts. A worker
-    count that breaks worker_rules raises before any chunk is cut."""
+    one, in a pool of min(workers, chunks) processes, kept for later calls of that size in this
+    process (_pool) and imported only when one starts. A worker count that breaks worker_rules
+    raises before any chunk is cut."""
+    global _pool
     check(worker_rules(workers))
     chunks = min(count, 1 if workers <= 1 else 4 * workers)
     tasks = [(fn, payload, seed_seq, count * i // chunks, count * (i + 1) // chunks)
              for i in range(chunks)]
     if len(tasks) <= 1:
         return [row for task in tasks for row in _chunk_task(task)]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return [row for rows in pool.map(_chunk_task, tasks) for row in rows]
+    processes = min(workers, len(tasks))
+    if _pool is None or _pool[:2] != (os.getpid(), processes):
+        _close_pool()  # a pool of another size, or the parent's
+        from concurrent.futures import ProcessPoolExecutor
+        _pool = os.getpid(), processes, ProcessPoolExecutor(max_workers=processes)
+    try:
+        return [row for rows in _pool[2].map(_chunk_task, tasks) for row in rows]
+    except BaseException as error:  # a task's own error leaves the pool usable
+        from concurrent.futures import BrokenExecutor
+        if isinstance(error, BrokenExecutor) or not isinstance(error, Exception):
+            _close_pool()
+        raise

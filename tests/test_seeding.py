@@ -15,9 +15,16 @@ call a row on every path, the one-thread path wherever bits could depend on the
 threads or another fill holds the helper, an error raised only after both halves
 stopped, no reference left to the rows a fill wrote, and a forked pool worker
 that never waits on the thread it did not inherit.
+
+seeding.run_chunks keeps one worker pool per process and size. The tests require
+every output byte of runs at 2, 3 and 2 workers in one interpreter to equal the
+one-worker run's, a pool that a task's error leaves usable and a dead worker
+replaces, and an interpreter that exits cleanly with no worker left.
 """
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -25,6 +32,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +43,7 @@ from hypothesis import strategies as st
 import localtts
 from localtts import harness, search, seeding
 from localtts.config import load_config
+from localtts.harness import run_experiment
 from localtts.resample import ResampleConfig
 from localtts.search import SweepSettings, TrialSettings
 from localtts.seeding import trial_rng
@@ -316,3 +325,102 @@ def test_a_forked_worker_fills_on_one_thread(tmp_path):
     assert files == sorted(path.name for path in (tmp_path / "w2").iterdir())
     for name in files:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def pool_pids() -> set:
+    """The pids of this process's live worker processes: the reused pool's."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def test_a_reused_pool_leaves_every_output_byte(tmp_path):
+    # per-patch values, so the workers' tasks allocate Monte Carlo workspaces in heaps that
+    # outlive the run; 5 Monte Carlo chunks and 24 trials fill a pool of 3
+    runs = {"theory_worked.json": ['theory.repair_dist={"kind": "exponential"}',
+                                   'theory.harm_dist={"kind": "uniform"}', "theory.mc_trials=20000"],
+            "testbed_small.json": ["trials=24"]}
+    outputs, pools = {}, []
+    for step, workers in enumerate((1, 2, 3, 2)):
+        for name, overrides in runs.items():
+            cfg, _ = load_config(CONFIGS / name, [*overrides, f"workers={workers}"])
+            out = tmp_path / f"{step}-{name}"
+            run_experiment(cfg, str(out))
+            outputs[step, name] = {path.name: path.read_bytes() for path in out.iterdir()}
+            pools.append(pool_pids())
+    for (step, name), files in outputs.items():
+        assert files == outputs[0, name], (step, name)
+    theory2, testbed2, theory3, testbed3, theory2_again, testbed2_again = pools[2:]
+    assert theory2 == testbed2 and theory3 == testbed3 and theory2_again == testbed2_again
+    assert [len(pids) for pids in (theory2, theory3, theory2_again)] == [2, 3, 2]
+    assert not theory3 & theory2 and not theory2_again & (theory2 | theory3)  # closed, not kept
+
+
+def _indices(payload, seeds) -> list:
+    return [seed.spawn_key[-1] for seed in seeds]
+
+
+def _raise_at_one(payload, seeds) -> list:
+    if 1 in _indices(payload, seeds):
+        raise ValueError("chunk of index 1 failed")
+    return _indices(payload, seeds)
+
+
+def _exit_at_one(payload, seeds) -> list:
+    if 1 in _indices(payload, seeds):
+        os._exit(3)  # the worker dies without an answer
+    return _indices(payload, seeds)
+
+
+def test_a_task_error_leaves_the_pool_usable():
+    seed = np.random.SeedSequence(0)
+    with pytest.raises(ValueError, match="chunk of index 1 failed"):
+        seeding.run_chunks(_raise_at_one, None, 4, seed, 2)
+    pids = pool_pids()
+    assert len(pids) == 2
+    assert seeding.run_chunks(_indices, None, 4, seed, 2) == [0, 1, 2, 3]
+    assert pool_pids() == pids
+
+
+def test_a_dead_worker_discards_the_pool():
+    seed = np.random.SeedSequence(0)
+    assert seeding.run_chunks(_indices, None, 4, seed, 2) == [0, 1, 2, 3]
+    pids = pool_pids()
+    with pytest.raises(BrokenProcessPool):
+        seeding.run_chunks(_exit_at_one, None, 4, seed, 2)
+    assert seeding._pool is None and not pool_pids()  # the broken pool's workers are reaped
+    assert seeding.run_chunks(_indices, None, 4, seed, 2) == [0, 1, 2, 3]
+    assert len(pool_pids()) == 2 and not pool_pids() & pids
+
+
+def test_an_interpreter_with_a_pool_exits_cleanly(tmp_path):
+    # two theory runs share one pool, which the interpreter must reap at exit, so stderr
+    # stays empty and no worker outlives it. A daemon thread holds the runner's modules to
+    # the end, as a host such as pytest does, so the interpreter wipes their globals at exit:
+    # a pool still held then would be freed after concurrent.futures.process lost its names
+    config = str(CONFIGS / "theory_worked.json")
+    code = ("import multiprocessing, sys, threading\n"
+            "from localtts.config import load_config\n"
+            "from localtts.harness import run_experiment\n"
+            "for run in (1, 2):\n"
+            f"    cfg, _ = load_config({config!r}, ['workers=2'])\n"
+            f"    run_experiment(cfg, {str(tmp_path)!r} + f'/run{{run}}')\n"
+            "    print(sorted(child.pid for child in multiprocessing.active_children()))\n"
+            "modules = [sys.modules[name] for name in ('localtts.seeding', "
+            "'concurrent.futures.process')]\n"
+            "threading.Thread(target=lambda held: threading.Event().wait(), args=(modules,),\n"
+            "                 daemon=True).start()\n")
+    src = str(Path(localtts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the run and its pool workers
+        proc.communicate()
+        pytest.fail("two theory runs at workers=2 did not exit in 60 s")
+    assert (proc.returncode, err) == (0, "")
+    first, second = out.splitlines()
+    assert first == second and len(json.loads(first)) == 2  # the second run reused the pool
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process is left in the run's session

@@ -39,18 +39,13 @@ WORKED_STATS = MaskStats(recall=0.8, precision=0.8)
 
 def chunk_ranges(monkeypatch, count: int, workers: int) -> tuple[list, list]:
     """The [start, stop) index ranges of seeding.run_chunks' chunks, in order, and the sizes
-    of the pools it starts, each run in this process."""
+    of the pools it starts, each run in this process. The reused pool is set aside meanwhile
+    and put back after."""
     sizes = []
 
     class RecordingPool:  # runs in-process and records the pool size
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, tasks):
             return map(fn, tasks)
@@ -60,6 +55,7 @@ def chunk_ranges(monkeypatch, count: int, workers: int) -> tuple[list, list]:
 
     with monkeypatch.context() as patch:
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        patch.setattr(seeding, "_pool", None)  # so the call starts, and records, its own pool
         chunks = seeding.run_chunks(indices, None, count, np.random.SeedSequence(0), workers)
     assert [i for chunk in chunks for i in chunk] == list(range(count))  # index order
     return [(chunk[0], chunk[-1] + 1) for chunk in chunks], sizes
