@@ -48,7 +48,8 @@ per-patch values, ``theory.mc_trials``, ``workers`` (0 and 65) and the value mea
 ``economy.repair_gain`` and ``economy.harm_loss`` (1e300), a defect magnitude of 1e80
 on a testbed and a scaling run, the economies whose closed forms overflow (a cost of
 1e-320 and a budget of 1e308; labels ``overflow-*``) and one whose best-of-N curve
-overflows (``overflow-bon-curve``), a zero budget and an unknown value distribution kind.
+overflows (``overflow-bon-curve``), a zero budget, an unknown value distribution kind, and
+a key the run's kind does not read (``trials`` on a theory run, ``master_seed`` on maskgen).
 The ``out-*`` probes run ``theory_worked.json`` with an ``--out`` where no directory can be
 made: an existing file, and a path under that file.
 
@@ -281,6 +282,9 @@ RULE_PROBES = [
     ("theory_worked:economy.budget=0", "theory_worked.json", ["economy.budget=0"]),
     ("theory_worked:theory.repair_dist.kind=gamma", "theory_worked.json",
      ["theory.repair_dist.kind=gamma"]),
+    # a key the run's kind does not read, at a value its range rule would reject
+    ("theory_worked:trials=70000", "theory_worked.json", ["trials=70000"]),
+    ("maskgen_example:master_seed=-1", "maskgen_example.json", ["master_seed=-1"]),
 ]
 
 

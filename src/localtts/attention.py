@@ -137,10 +137,6 @@ class DefectMask:
         object.__setattr__(self, "grid", grid)
 
     @property
-    def size(self) -> int:
-        return self.bits.size
-
-    @property
     def selected(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
 

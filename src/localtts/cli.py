@@ -14,10 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import KINDS, ConfigError, lazy_module, load_config
+from .config import KINDS, ConfigError, load_config, theory
 from .harness import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, run_experiment
-
-theory = lazy_module("theory")
 
 
 def build_parser() -> argparse.ArgumentParser:

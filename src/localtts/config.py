@@ -6,7 +6,7 @@ module merges the document over the defaults, checks what only the JSON
 shows, and builds the experiment objects. ``_read`` reads every key with a
 shape: an integer key takes a JSON integer only (not 2.0 or true), a key whose
 default is null may be null and a key with no default is required. An object
-rejects unknown keys and a run rejects a section its kind does not read. A
+rejects unknown keys and a run rejects a key its kind does not read (_READS). A
 range rule on a value that an object holds lives in that object's type, and one on
 a kernel's argument beside the kernel: attention.mask_rules and queries_rules,
 theory.bon_rules (which caps theory.bon_n_max), theory.mc_rules (the Monte Carlo's caps
@@ -22,9 +22,9 @@ validation is exhaustive and a bad config can be fixed in one pass. The resolved
 document (defaults applied, command-line overrides recorded) is embedded in every report.
 
 The kind modules (attention, resample, search, testbed, theory) are registered with
-lazy_module, here and in harness and cli, and their names are read as attributes at call
-time: a theory run never executes the diffusion engine, and a testbed, scaling or maskgen
-run never executes theory.
+lazy_module here, once: harness and cli import them from here. Their names are read as
+attributes at call time, so a theory run never executes the diffusion engine, and a
+testbed, scaling or maskgen run never executes theory.
 """
 from __future__ import annotations
 
@@ -66,8 +66,6 @@ resample = lazy_module("resample")
 search = lazy_module("search")
 testbed = lazy_module("testbed")
 theory = lazy_module("theory")
-
-KINDS = ("theory", "testbed", "scaling", "maskgen")
 
 
 class ConfigError(Exception):
@@ -141,9 +139,15 @@ DEFAULTS: dict[str, Any] = _defaults(_SCHEMA)
 # recorded overrides, and report bodies are byte-identical across worker counts.
 RUNTIME_KEYS = ("workers",)
 
-_SECTIONS_BY_KIND = {"theory": ("economy", "mask_stats", "theory"), "maskgen": ("maskgen",),
-                     "testbed": ("world", "schedule", "resample", "defects", "attention"),
-                     "scaling": ("world", "schedule", "resample", "search", "defects", "attention")}
+# the top-level keys and sections each kind reads, beside kind and workers, which every kind
+# reads; a run rejects any other key of the schema
+_READS = {"theory": ("master_seed", "economy", "mask_stats", "theory"),
+          "testbed": ("master_seed", "trials", "world", "schedule", "resample", "defects",
+                      "attention"),
+          "scaling": ("master_seed", "trials", "world", "schedule", "resample", "search", "defects",
+                      "attention"),
+          "maskgen": ("maskgen",)}
+KINDS = tuple(_READS)
 
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
              "integers": "a list of integers", "numbers": "a list of numbers",
@@ -171,8 +175,8 @@ class ExperimentConfig:
     """A validated experiment: resolved document plus constructed objects."""
 
     kind: str
-    master_seed: int
-    trials: int
+    master_seed: Optional[int]  # these two are None in a run whose kind does not read them
+    trials: Optional[int]
     workers: int
     resolved: dict
     warnings: list[str] = field(default_factory=list)
@@ -413,27 +417,29 @@ def validate_config(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCon
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"kind: expected one of {list(KINDS)}, got {kind!r}"])
-    merged = _merge_section(_SCHEMA, copy.deepcopy(raw), None, errors)
-    sections = _SECTIONS_BY_KIND[kind]
-    errors.extend(f"{key}: not read by a {kind} run" for key in raw
-                  if isinstance(_SCHEMA.get(key), dict) and key not in sections)
+    reads = ("kind", *_READS[kind], *RUNTIME_KEYS)
+    unread = [key for key in raw if key in _SCHEMA and key not in reads]
+    table = {key: spec for key, spec in _SCHEMA.items() if key in reads}
+    user = {key: value for key, value in raw.items() if key not in unread}
+    merged = _merge_section(table, copy.deepcopy(user), None, errors)
+    errors.extend(f"{key}: not read by a {kind} run" for key in unread)
 
-    if "master_seed" not in raw and kind != "maskgen":
+    if "master_seed" in reads and "master_seed" not in raw:
         warnings.append("master_seed missing; defaulted to 0")
-    run = _read(merged, None, _SCHEMA, errors)
-    if run:
-        seed, trials, workers = run["master_seed"], run["trials"], run["workers"]
-        _report([
+    run = _read(merged, None, table, errors)
+    if run:  # the rules of the run-level keys the kind reads: an unread key's are dropped
+        seed, trials = (run.get(key, DEFAULTS[key]) for key in ("master_seed", "trials"))
+        _report([rule for rule in [
             (0 <= seed < 2 ** 64, "master_seed", f"must fit in 64 bits, got {seed}"),
             (trials >= 1, "trials", f"must be at least 1, got {trials}"),
             (trials <= MAX_TRIALS, "trials", f"must be at most {MAX_TRIALS}, got {trials}"),
             (trials >= 2 or kind != "scaling", "trials",
              "scaling needs at least 2 trials for standard errors"),
-            *worker_rules(workers),
-        ], "{}", errors)
-    resolved = {key: merged[key] for key in ("kind", "master_seed", "trials", *sections)}
+            *worker_rules(run["workers"]),
+        ] if rule[1] in run], "{}", errors)
+    resolved = {key: merged[key] for key in ("kind", *_READS[kind])}
     cfg = ExperimentConfig(kind=kind, resolved=resolved, warnings=warnings,
-                           **{key: merged[key] for key in ("master_seed", "trials", "workers")})
+                           **{key: merged.get(key) for key in ("master_seed", "trials", "workers")})
 
     if kind in ("testbed", "scaling"):
         cfg.settings = _build_settings(kind, resolved, errors)

@@ -14,10 +14,10 @@ across workers and joins results in index order, so report bodies are
 byte-identical for any worker count. Reports carry no timestamps; CSV files
 use '.' decimals and a fixed column order.
 
-The kind modules are registered with config.lazy_module and read as attributes at
-call time, so a runner executes only the modules its kind uses: run_theory theory,
-run_maskgen attention, and run_testbed and run_scaling the engine (attention,
-resample, search, testbed).
+The kind modules are registered in config (config.lazy_module), imported from there and
+read as attributes at call time, so a runner executes only the modules its kind uses:
+run_theory theory, run_maskgen attention, and run_testbed and run_scaling the engine
+(attention, resample, search, testbed).
 """
 from __future__ import annotations
 
@@ -32,13 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, lazy_module
+from .config import ConfigError, ExperimentConfig, attn, search, testbed, theory
 from .seeding import run_chunks, trial_rng
-
-attn = lazy_module("attention")
-search = lazy_module("search")
-testbed = lazy_module("testbed")
-theory = lazy_module("theory")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,7 +166,7 @@ def testbed_trials(settings: search.TrialSettings,
 def run_testbed(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rows = run_chunks(testbed_trials, cfg.settings, cfg.trials, _trial_stream(cfg.master_seed),
                       cfg.workers)
-    nfe = cfg.settings.schedule.n_steps + cfg.settings.resample.nfe_cost
+    nfe = cfg.settings.nfe(seeds=1, refinements=1)
     search.check_nfe("testbed trial", [row[5] for row in rows], nfe)
     improvements = np.array([row[2] for row in rows])
     mean, stderr = search._mean_stderr(improvements)

@@ -450,6 +450,10 @@ class TrialSettings:
         return defect_injecting_sampler(self.defect_count, self.defect_magnitude,
                                         randomize=self.randomize_defects)
 
+    def nfe(self, seeds: int, refinements: int) -> int:
+        """The analytic NFE of a search: each seed's base sample and its refinements."""
+        return seeds * self.schedule.n_steps + seeds * refinements * self.resample.nfe_cost
+
 
 @dataclass(frozen=True, kw_only=True)
 class SweepSettings(TrialSettings):
@@ -479,10 +483,6 @@ class SweepSettings(TrialSettings):
             rules.append((n <= self.MAX_ROW_NOISE, "refinements", f"draw {n} noise coordinates "
                           f"a seed at world dim {self.world.dim}, more than {self.MAX_ROW_NOISE}"))
         return rules
-
-    def local_nfe(self, n: int) -> int:
-        seeds, refinements = split_budget(n, self.refinements)
-        return seeds * self.schedule.n_steps + seeds * refinements * self.resample.nfe_cost
 
 
 def sweep_trials(settings: SweepSettings, seed_seqs: list[np.random.SeedSequence]) -> list[dict]:
@@ -565,13 +565,13 @@ def check_nfe(what: str, measured: list[int], analytic: int) -> None:
 def summarize_sweep(settings: SweepSettings, trial_results: list[dict]) -> list[SweepRow]:
     """Aggregate per-trial sweep results into fixed-order table rows after
     checking every measured NFE against the analytic cost."""
+    local_nfe = {n: settings.nfe(*split_budget(n, settings.refinements)) for n in settings.n_grid}
     check_nfe("best_of_n", [r["bon_nfe"] for r in trial_results],
-              max(settings.bon_grid) * settings.schedule.n_steps)
+              settings.nfe(max(settings.bon_grid), 0))
     for n in settings.n_grid:
-        check_nfe(f"localized n={n}", [r["local_nfe"][n] for r in trial_results],
-                  settings.local_nfe(n))
-    cells = ([("localized", "local", n, settings.local_nfe(n)) for n in settings.n_grid]
-             + [("best_of_n", "bon", n, n * settings.schedule.n_steps) for n in settings.bon_grid])
+        check_nfe(f"localized n={n}", [r["local_nfe"][n] for r in trial_results], local_nfe[n])
+    cells = ([("localized", "local", n, local_nfe[n]) for n in settings.n_grid]
+             + [("best_of_n", "bon", n, settings.nfe(n, 0)) for n in settings.bon_grid])
     means, stderrs = _mean_stderr([[r[key][n] for r in trial_results] for _, key, n, _ in cells])
     rows = []
     for (method, key, n, nfe), mean, stderr in zip(cells, means, stderrs):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from localtts.config import _SCHEMA, _SECTIONS_BY_KIND, ConfigError, validate_config
+from localtts.config import _READS, _SCHEMA, RUNTIME_KEYS, ConfigError, validate_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {"theory": "theory_worked.json", "testbed": "testbed_small.json",
@@ -29,11 +29,11 @@ def keys(table, path=None, shaped=True):
 
 
 def base_config(path: str) -> dict:
-    """A shipped config of a kind that reads the key at path; a maskgen source
-    under test replaces the shipped bundle, so the run keeps one source."""
-    section = path.split(".")[0] if "." in path else None
-    kind = next(kind for kind, sections in _SECTIONS_BY_KIND.items()
-                if section is None or section in sections)
+    """A shipped config of a kind that reads the key at path, a top-level key or a
+    section's; a maskgen source under test replaces the shipped bundle, so the run
+    keeps one source."""
+    section = path.split(".")[0]
+    kind = next(kind for kind, reads in _READS.items() if section in (*RUNTIME_KEYS, *reads))
     raw = json.loads((CONFIGS / SHIPPED[kind]).read_text())
     if section == "maskgen" and path.split(".")[1] in MASK_SOURCES:
         del raw["maskgen"]["bundle"]

@@ -14,11 +14,14 @@ from scipy.stats import binom
 import localtts
 from localtts import harness, search, theory
 from localtts.cli import main as cli_main
-from localtts.config import DEFAULTS, ConfigError, load_config, validate_config
+from localtts.config import (_READS, _SCHEMA, DEFAULTS, RUNTIME_KEYS, ConfigError, load_config,
+                              validate_config)
 from localtts.harness import run_experiment, sign_test_p_greater
 from localtts.testbed import NoisePredictor, PatchWorld
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {"theory": "theory_worked.json", "testbed": "testbed_small.json",
+           "scaling": "scaling_default.json", "maskgen": "maskgen_example.json"}
 # the largest repair_gain or harm_loss theory_worked.json's 100,000 Monte Carlo trials over 100
 # patches accept: the span of a trial's value, under 45 * 100 means, squared and times 4,096 *
 # 100,000 stays below the largest float
@@ -82,6 +85,13 @@ class TestValidateConfig:
             validate_config(raw)
         messages = [m for m in err.value.errors if m.startswith("mask_stats.precision")]
         assert messages and "degenerate" in messages[0]
+
+    @pytest.mark.parametrize("kind", sorted(SHIPPED))
+    def test_resolved_holds_only_the_keys_its_kind_reads(self, kind):
+        cfg = validate_config(json.loads((CONFIGS / SHIPPED[kind]).read_text()))
+        assert sorted(cfg.resolved) == sorted(["kind", *_READS[kind]])
+        assert (cfg.trials is None) == ("trials" not in _READS[kind])
+        assert (cfg.master_seed is None) == ("master_seed" not in _READS[kind])
 
     def test_missing_master_seed_defaults_with_warning(self):
         raw = theory_raw()
@@ -148,9 +158,9 @@ class TestLoadConfig:
     def test_overrides_apply_and_are_recorded(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(theory_raw()))
-        cfg, applied = load_config(path, ["mask_stats.recall=0.9", "trials=5"])
+        cfg, applied = load_config(path, ["mask_stats.recall=0.9", "master_seed=5"])
         assert cfg.mask_stats.recall == 0.9
-        assert applied == ["mask_stats.recall=0.9", "trials=5"]
+        assert applied == ["mask_stats.recall=0.9", "master_seed=5"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -227,6 +237,19 @@ class TestTheoryExperiment:
         closed = report["results"]["closed_form"]
         assert closed["required_recall"] is None
         assert "net benefit" in closed["required_recall_error"]
+
+
+    def test_non_finite_report_value_exit_two_before_writing(self, tmp_path, monkeypatch):
+        # JSON has no Infinity: the report names the config and results values that hold one
+        monkeypatch.setattr(harness, "run_theory", lambda cfg: ({"gain": math.inf}, {}))
+        cfg = validate_config(theory_raw())
+        cfg.resolved["economy"]["budget"] = math.nan
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg, tmp_path / "out")
+        assert info.value.errors == [
+            "config.economy.budget: nan (JSON has no NaN or Infinity)",
+            "results.gain: inf (overflow: a config number is too large)"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestTestbedExperiment:
@@ -770,9 +793,8 @@ class TestCli:
 
     @pytest.mark.parametrize("config, settings, errors", [
         # each value is one above its cap, so a missing cap costs time, not gigabytes.
-        # The run-level caps hold for every kind; a maskgen run has no trials and no pool.
-        # At one worker every trial's seed is built before the first trial
-        ("maskgen_example.json", ["trials=65537"], ["trials: must be at most 65536, got 65537"]),
+        # A maskgen run reads no trials, so it rejects the key before any cap
+        ("maskgen_example.json", ["trials=65537"], ["trials: not read by a maskgen run"]),
         # one Monte Carlo result per 4,096 trials, kept until the merge
         ("theory_worked.json", ["theory.mc_trials=100000001"],
          ["theory.mc_trials: must be at most 100000000, got 100000001"]),
@@ -795,6 +817,8 @@ class TestCli:
                                 'theory.repair_dist={"kind": "exponential"}'],
          ["economy.m_patches: must be at most 25000 when the Monte Carlo draws per-patch "
           "values, got 25001"]),
+        # at one worker every trial's seed is built before the first trial
+        ("testbed_small.json", ["trials=65537"], ["trials: must be at most 65536, got 65537"]),
     ])
     def test_count_cap_exit_two_before_allocating(self, config, settings, errors, tmp_path,
                                                   capsys):
@@ -852,6 +876,30 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {error}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in ("theory", "maskgen") for key in _SCHEMA
+        if key not in ("kind", *RUNTIME_KEYS, *_READS[kind])])
+    def test_unread_key_exit_two_with_one_line(self, kind, key, tmp_path, capsys):
+        # an unread key is neither range-checked nor merged: a value out of its range or an
+        # unknown key in an unread section adds no line of its own
+        value = {"trials": "70000", "master_seed": "-1"}.get(key, '{"bogus": 1}')
+        assert cli_main([kind, "--config", str(CONFIGS / SHIPPED[kind]), "--set",
+                         f"{key}={value}", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: not read by a {kind} run\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["testbed", "scaling"])
+    def test_testbed_and_scaling_read_trials_and_master_seed(self, kind, tmp_path, capsys):
+        path = CONFIGS / SHIPPED[kind]
+        cfg, _ = load_config(path, ["trials=3", "master_seed=5"])
+        assert (cfg.trials, cfg.master_seed) == (3, 5)
+        assert (cfg.resolved["trials"], cfg.resolved["master_seed"]) == (3, 5)
+        assert cli_main([kind, "--config", str(path), "--set", "trials=70000", "--set",
+                         "master_seed=-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: master_seed: must fit in 64 bits, got -1\n"
+            "config error: trials: must be at most 65536, got 70000\n")
 
     def test_document_not_an_object_exit_two(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -289,8 +289,9 @@ class TestScalingSweep:
         result = sweep_trial(settings, np.random.SeedSequence(0))
         assert set(result["local"]) == {1, 3}
         assert set(result["bon"]) == {1, 2, 4}
-        assert result["local_nfe"][3] == settings.local_nfe(3) == 8 + 2 * 5
-        assert settings.local_nfe(1) == 8
+        assert result["local_nfe"][3] == settings.nfe(*split_budget(3, settings.refinements)) \
+            == 8 + 2 * 5
+        assert settings.nfe(*split_budget(1, settings.refinements)) == 8
         assert result["bon_nfe"] == 4 * 8
 
     @pytest.mark.parametrize("key", ["local_nfe", "bon_nfe"])

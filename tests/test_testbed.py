@@ -599,6 +599,13 @@ class TestInjectDefects:
 
 
 class TestSynthAttention:
+    def test_negative_noise_rejected(self):
+        world = single_gaussian_world(grid=(2, 2))
+        state = LatentState(x=np.zeros(world.dim), t=0.0)
+        with pytest.raises(ValueError, match="noise_sd must be non-negative, got -0.1"):
+            synth_attention(world, state, np.array([0]), 0.3, 0.3, -0.1,
+                            np.random.default_rng(0))
+
     def test_noiseless_recovery_up_to_64_patches(self):
         rng = np.random.default_rng(3)
         for grid in [(1, 2), (2, 2), (1, 8), (3, 5), (4, 4), (2, 32), (8, 8), (1, 64)]:

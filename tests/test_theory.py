@@ -106,6 +106,10 @@ class TestSelectionStats:
         assert expected_selection_stats(MaskStats(recall=0.0, precision=0.7), 3) == \
             (0.0, 0.0, 0.0)
 
+    def test_no_defects_rejected(self):
+        with pytest.raises(ValueError, match="defect count must be at least 1, got 0"):
+            expected_selection_stats(MaskStats(recall=0.8, precision=0.8), 0)
+
 
 class TestGains:
     def test_hand_per_trial_gains(self):
@@ -219,6 +223,10 @@ class TestPrecisionFloor:
     def test_fully_degenerate_is_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
             precision_floor(0.0, 0.0, 0.0, 1.0)
+
+    def test_negative_harm_term_rejected(self):
+        with pytest.raises(ValueError, match="harm term must be non-negative"):
+            precision_floor(0.5, 1.0, 0.1, -0.5)
 
 
 class TestBonCurve:
