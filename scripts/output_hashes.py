@@ -25,8 +25,8 @@ Then one line per search API probe: its label, the number of candidates
 ``repr``, lineage, NFE, defect set and mask bits, dtype and ratio. The probes
 run ``dfs_search`` with attention masks, with oracle masks (some of them
 empty) and with a per-row source that has no ``rows`` (the form perfbench's
-tracer wraps), each over two refinement blocks, and ``best_of_n`` over two
-base blocks.
+tracer wraps), each over two refinement blocks, and best-of-N (``dfs_search``
+with 600 seeds and no refinements) over two base blocks.
 
 Then one line per kernel probe: its label and the sha256 of its arrays. The probes
 call, each on a generator of its own, the kernels no CLI run reaches that way:
@@ -49,7 +49,8 @@ per-patch values, ``theory.mc_trials``, ``workers`` (0 and 65) and the value mea
 on a testbed and a scaling run, the economies whose closed forms overflow (a cost of
 1e-320 and a budget of 1e308; labels ``overflow-*``) and one whose best-of-N curve
 overflows (``overflow-bon-curve``), a zero budget, an unknown value distribution kind, and
-a key the run's kind does not read (``trials`` on a theory run, ``master_seed`` on maskgen).
+a key the run's kind does not read (``trials`` on a theory run, ``master_seed`` on maskgen),
+and per-patch verifier weights on a testbed run, an unknown key (the verifier is the mean).
 The ``out-*`` probes run ``theory_worked.json`` with an ``--out`` where no directory can be
 made: an existing file, and a path under that file.
 
@@ -82,7 +83,7 @@ from localtts.cli import main as cli_main  # noqa: E402
 from localtts.attention import mask_from_indices  # noqa: E402
 from localtts.config import load_config, validate_config  # noqa: E402
 from localtts.resample import ResampleConfig, localized_resample  # noqa: E402
-from localtts.search import SearchConfig, best_of_n, dfs_search  # noqa: E402
+from localtts.search import SearchConfig, dfs_search  # noqa: E402
 from localtts.testbed import (  # noqa: E402
     LatentState,
     NoisePredictor,
@@ -285,6 +286,9 @@ RULE_PROBES = [
     # a key the run's kind does not read, at a value its range rule would reject
     ("theory_worked:trials=70000", "theory_worked.json", ["trials=70000"]),
     ("maskgen_example:master_seed=-1", "maskgen_example.json", ["master_seed=-1"]),
+    # the verifier is the patches' mean: per-patch weights are an unknown key
+    ("testbed_small:world.verifier_weights", "testbed_small.json",
+     [f"world.verifier_weights={[1 / 16] * 16}"]),
 ]
 
 
@@ -329,7 +333,7 @@ def per_row(source):
     return lambda state, true_set, rng: source(state, true_set, rng)
 
 
-# (label, config, overrides, mask source of the settings or None for best_of_n, seed);
+# (label, config, overrides, mask source of the settings or None for best-of-N, seed);
 # 300 seeds of 3 refinements are two refinement blocks at dim 32 and 18 refinement steps,
 # and 600 best-of-N draws two base blocks at 32 steps
 API_PROBES = [
@@ -359,8 +363,9 @@ def api_probe(config: str, overrides: list, wrap, seed: int) -> tuple[int, str]:
     settings = load_config(ROOT / "configs" / config, overrides)[0].settings
     predictor = NoisePredictor(world=settings.world, schedule=settings.schedule)
     rng, collected = np.random.default_rng(seed), []
-    if wrap is None:
-        best_of_n(predictor, 600, rng, settings.sampler(), collect=collected)
+    if wrap is None:  # best-of-N: 600 seeds, no refinements
+        dfs_search(predictor, None, SearchConfig(seeds=600, refinements=0), None, rng,
+                   settings.sampler(), collect=collected)
     else:
         dfs_search(predictor, wrap(settings.mask_source()), SearchConfig(seeds=300, refinements=3),
                    settings.resample, rng, settings.sampler(), collect=collected)
@@ -382,8 +387,7 @@ def kernel_probes() -> list:
     variances = shared.variances.copy()
     variances[-1, 0] += 0.01
     per_patch = PatchWorld(grid=shared.grid, patch_dim=shared.patch_dim, weights=shared.weights,
-                           means=shared.means, variances=variances,
-                           verifier_weights=shared.verifier_weights)
+                           means=shared.means, variances=variances)
     mask, probes = mask_from_indices(shared.grid, [1, 9, 10, 40]), []
     for suffix, world in (("", shared), ("+per_patch", per_patch)):
         predictor = NoisePredictor(world=world, schedule=schedule)

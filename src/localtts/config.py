@@ -87,8 +87,7 @@ _SCHEMA: dict[str, Any] = {
     "world": {"grid": ("integers", [4, 4]), "patch_dim": ("integer", 2),
               "components": ({"weight": ("number",), "mean": ("vector", 0.0),
                               "variance": ("number",)},
-                             [{"weight": 1.0, "mean": 0.0, "variance": 0.09}]),
-              "verifier_weights": ("null or numbers", None)},
+                             [{"weight": 1.0, "mean": 0.0, "variance": 0.09}])},
     "schedule": {"horizon": ("number", 1.0), "n_steps": ("integer", 32)},
     "resample": {"t0": ("number", 0.4), "t_g": ("number", 0.04), "n_refine": ("integer", 16),
                  "n_integrate": ("integer", 2)},
@@ -151,7 +150,6 @@ KINDS = tuple(_READS)
 
 _EXPECTED = {"number": "a number", "integer": "an integer", "boolean": "a boolean",
              "integers": "a list of integers", "numbers": "a list of numbers",
-             "null or numbers": "null or a list of numbers",
              "vector": "a number or a list of numbers", "object": "an object", "list": "a list",
              "object or file": "an object or a file name", "list or file": "a list or a file name"}
 
@@ -234,7 +232,7 @@ def _typed(value: Any, shape: str):
     if shape == "integers":
         items = [_typed(item, "integer") for item in value] if isinstance(value, list) else [None]
         return None if None in items else tuple(items)
-    if shape.endswith("numbers"):  # "null or numbers" too: _read takes a null first
+    if shape == "numbers":
         return value if isinstance(value, list) and all(map(_is_number, value)) else None
     if shape == "vector":
         return value if fits or type(value) is int else _typed(value, "numbers")

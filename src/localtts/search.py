@@ -3,10 +3,10 @@
 The depth-2 search draws S global seeds, generates K localized refinements
 per seed, scores every candidate exactly once with the verifier, and
 returns the argmax (ties broken by evaluation order: seed-major, base
-before its refinements). Best-of-N, the matching global baseline, is the
-same search with no refinements. The scaling sweep runs both over a grid
-of candidate counts and reports mean score and standard error per
-(method, N, NFE) row.
+before its refinements). Best-of-N, the matching global baseline, is
+dfs_search with N seeds and no refinements. The scaling sweep runs both
+over a grid of candidate counts and reports mean score and standard
+error per (method, N, NFE) row.
 
 Every search runs on one lockstep engine: the base draws of all its seeds
 integrate as one batch, and so do all refinements, in blocks of bounded
@@ -83,10 +83,6 @@ class Candidate:
     nfe_cost: int
     defects: Optional[np.ndarray] = None
     mask: Optional[DefectMask] = None
-
-
-def plain_sampler(world: PatchWorld, x: np.ndarray, rngs: list[np.random.Generator]):
-    return x, [None] * len(rngs)
 
 
 def defect_injecting_sampler(count: int, magnitude: float,
@@ -220,18 +216,18 @@ def _lockstep(predictor: NoisePredictor, searches, resample: Optional[ResampleCo
     rows, so each candidate equals its one-at-a-time counterpart bit for
     bit. Yields one record of arrays (_Record) per block as it runs; the
     candidates' evaluation order is seed-major, base first, and NFE is
-    measured per row. _candidates turns a record into Candidates.
+    measured per row. Without a base sampler the base draws are the
+    candidates, with no defects. _candidates turns a record into Candidates.
     """
-    inject = base_sampler or plain_sampler
     draws = len(predictor.schedule.step_times())  # x_T, then one per step
     refine_draws = 0 if resample is None else resample.draws
     for block in _blocks(searches, draws, refine_draws, predictor.world.dim):
-        yield _lockstep_block(predictor, block, draws, resample, mask_source, inject)
+        yield _lockstep_block(predictor, block, draws, resample, mask_source, base_sampler)
 
 
 def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
                     resample: Optional[ResampleConfig], mask_source: Optional[MaskSource],
-                    inject: BaseSampler) -> _Record:
+                    base_sampler: Optional[BaseSampler]) -> _Record:
     """The four phases over one block, as one record."""
     if resample is None and any(cfg.refinements > 0 for *_, cfg in block):
         raise ValueError("searches with refinements need a resample config")
@@ -248,7 +244,7 @@ def _lockstep_block(predictor: NoisePredictor, block: list, base_draws: int,
     noise.check_spent()
     del noise  # freed before the refinement phase draws its own
     base_nfe = _measured(predictor, before, len(rngs), base_draws - 1, "base")
-    x, defects = inject(world, base.x, rngs)
+    x, defects = base_sampler(world, base.x, rngs) if base_sampler else (base.x, [None] * len(rngs))
     drawn = LatentState(x=x, t=0.0)  # one finiteness scan for the batch
     base_scores = verifier_score(world, drawn)
 
@@ -308,8 +304,8 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
     One mask is generated per base candidate and shared by its refinements,
     which run resample (None only when K = 0); the verifier draws no
     randomness. Total cost is S * n_steps + S * K * (n_refine + n_integrate)
-    NFEs. The per-candidate streams are spawned from rng. Pass ``collect``
-    to also receive every evaluated candidate in order.
+    NFEs; with K = 0 it is best-of-S. The per-candidate streams are spawned
+    from rng. Pass ``collect`` to also receive every evaluated candidate in order.
     """
     def evaluated():
         for record in _lockstep(predictor, [(cfg, rng)], resample, mask_source, base_sampler):
@@ -319,15 +315,6 @@ def dfs_search(predictor: NoisePredictor, mask_source: Optional[MaskSource], cfg
                 yield cand
     # max keeps the first of equal scores: evaluation order breaks ties
     return max(evaluated(), key=lambda cand: cand.score)
-
-
-def best_of_n(predictor: NoisePredictor, n: int, rng: np.random.Generator,
-              base_sampler: Optional[BaseSampler] = None,
-              collect: Optional[list[Candidate]] = None) -> Candidate:
-    """Argmax over n independent base samples (n * n_steps NFEs): the
-    depth-2 search with n seeds and no refinements."""
-    cfg = SearchConfig(seeds=n, refinements=0)
-    return dfs_search(predictor, None, cfg, None, rng, base_sampler, collect)
 
 
 def mask_recall_precision(bits: np.ndarray, truths) -> list[tuple[float, float]]:

@@ -7,7 +7,7 @@ posterior mean of the clean state are all available in closed form. The
 oracle returns the posterior mean; on top of it the module provides:
 
   * an ancestral stochastic reverse sampler (the testbed's "plain" step),
-  * a patch-additive verifier (weighted per-patch log-density at t = 0),
+  * a patch-additive verifier (mean per-patch log-density at t = 0),
   * defect injection and synthetic attention generation so the mask
     pipeline can be exercised against known ground truth.
 
@@ -91,11 +91,10 @@ def _world_grid(grid) -> Grid:
 
 @dataclass(frozen=True)
 class PatchWorld:
-    """Independent per-patch Gaussian-mixture targets with a weighted verifier.
+    """Independent per-patch Gaussian-mixture targets with a mean verifier.
 
     weights[j, k], means[j, k, :], variances[j, k] describe component k of
-    patch j; variances are isotropic per component. verifier_weights are
-    non-negative and sum to 1 (uniform by default). The arrays are read-only
+    patch j; variances are isotropic per component. The arrays are read-only
     copies, so the oracle's component-major copies of them cannot drift: one
     column if every patch's mixture has the same bytes (any uniform world), else M.
     """
@@ -105,7 +104,6 @@ class PatchWorld:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    verifier_weights: np.ndarray
 
     # one mask row's (S, S) weights stay within 8 MiB, one row's coordinates within 512 KiB
     MAX_PATCHES, MAX_DIM = 1024, 1 << 16
@@ -127,7 +125,6 @@ class PatchWorld:
         weights = np.array(self.weights, dtype=float)
         means = np.array(self.means, dtype=float)
         variances = np.array(self.variances, dtype=float)
-        vweights = np.array(self.verifier_weights, dtype=float)
         # the component count K and patch_dim fix every other shape
         check([
             (d >= 1, "patch_dim", f"must be at least 1, got {d}"),
@@ -140,18 +137,26 @@ class PatchWorld:
              f"must have shape ({m}, {k}, {d}), got {means.shape}"),
             (variances.shape == (m, k), "variances",
              f"must have shape ({m}, {k}), got {variances.shape}"),
-            (vweights.shape == (m,), "verifier_weights",
-             f"must have shape ({m},), got {vweights.shape}"),
             (not np.any(weights < 0), "weights", "mixture weights must be non-negative"),
             (not np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-12), "weights",
              "mixture weights must sum to 1 within 1e-12 per patch"),
             (not np.any(variances <= 0), "variances", "mixture variances must be positive"),
-            (not (np.any(vweights < 0) or abs(vweights.sum() - 1.0) > 1e-9),
-             "verifier_weights", "verifier weights must be non-negative and sum to 1"),
             *((bool(np.isfinite(a).all()), name, "must be finite") for name, a in (
-                ("weights", weights), ("means", means), ("variances", variances),
-                ("verifier_weights", vweights))),
+                ("weights", weights), ("means", means), ("variances", variances))),
         ])
+        # the oracle divides a squared distance of up to (|mean| + 1)^2 per coordinate by at
+        # least min(variance, 1), and the verifier's score is made of these terms; component
+        # i's rules are reported at the first patch that breaks one
+        floor, mu, rules = d / self.MAX_SCORE, np.abs(means).max(axis=-1), []
+        reach = np.sqrt(np.minimum(variances, 1.0) / floor) - 1
+        reach[variances < floor] = math.inf
+        for i, j in enumerate(((variances < floor) | (mu > reach)).argmax(axis=0).tolist()):
+            v, r, u = variances[j, i].item(), reach[j, i].item(), mu[j, i].item()
+            rules += [(v >= floor, f"components[{i}].variance",
+                       f"must be at least {floor:.3g} at patch_dim {d}, got {v:g}"),
+                      (u <= r, f"components[{i}].mean",
+                       f"must be at most {r:.3g} in absolute value at variance {v:g}, got {u:g}")]
+        check(rules)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "patch_dim", d)
         # bytes, not ==: a mean of -0.0 and one of 0.0 can give results of either sign
@@ -162,7 +167,7 @@ class PatchWorld:
         # the oracle reads its constants component-major: means (K, d, 1, C), variances and
         # log-weights (K, 1, 1, C), C = cols, kept as private attributes that == does not compare
         for name, value in (("weights", weights), ("means", means), ("variances", variances),
-                            ("verifier_weights", vweights), ("_log_weights", log_weights),
+                            ("_log_weights", log_weights),
                             ("_means", means[:cols].transpose(1, 2, 0)[:, :, None]),
                             ("_variances", variances[:cols].T[:, None, None])):
             value = np.ascontiguousarray(value)
@@ -177,7 +182,7 @@ class PatchWorld:
         return PatchWorld, tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
-    def uniform(cls, grid, patch_dim: int, components, verifier_weights=None) -> "PatchWorld":
+    def uniform(cls, grid, patch_dim: int, components) -> "PatchWorld":
         """Replicate one mixture spec over every patch.
 
         components: iterable of (weight, mean, variance); the mean may be a
@@ -195,26 +200,12 @@ class PatchWorld:
             [np.broadcast_to(np.asarray(c[1], dtype=float), (max(d, 0),)) for c in comp]
         )
         variances = np.array([c[2] for c in comp], dtype=float)
-        # the oracle divides a squared distance of up to (|mean| + 1)^2 per coordinate by at
-        # least min(variance, 1), and the verifier's score is made of these terms; a value
-        # that is not finite or not positive is left to __post_init__
-        floor, rules = max(d, 1) / cls.MAX_SCORE, []
-        for i, (v, mu) in enumerate(zip(variances.tolist(), np.abs(means).max(axis=-1, initial=0))):
-            reach = math.sqrt(min(v, 1.0) / floor) - 1 if v >= floor else math.inf
-            rules += [(not 0 < v < floor, f"components[{i}].variance",
-                       f"must be at least {floor:.3g} at patch_dim {d}, got {v:g}"),
-                      (not math.inf > mu > reach, f"components[{i}].mean",
-                       f"must be at most {reach:.3g} in absolute value at variance {v:g}, "
-                       f"got {mu:g}")]
-        check(rules)
-        vw = np.full(m, 1.0 / m) if verifier_weights is None else verifier_weights
         return cls(
             grid=grid,
             patch_dim=d,
             weights=np.tile(weights, (m, 1)),
             means=np.tile(means, (m, 1, 1)),
             variances=np.tile(variances, (m, 1)),
-            verifier_weights=vw,
         )
 
     @property
@@ -611,12 +602,14 @@ def sample_base(predictor: NoisePredictor, rng: np.random.Generator,
 
 
 def verifier_score(world: PatchWorld, state: LatentState) -> float | np.ndarray:
-    """Weighted per-patch log-density of a clean state; higher is better."""
+    """Mean per-patch log-density of a clean state; higher is better. Each
+    term is scaled by 1/M before the sum (a mean divides after it: other bits)."""
     if abs(state.t) > _TIME_TOL:
         raise ValueError(f"verifier expects a state at t=0, got t={state.t}")
+    m = world.n_patches
     per_patch = _oracle_terms(*_at_time(world, state.x, 1.0, 0.0))[1]
-    per_patch = per_patch.reshape(*state.x.shape[:-1], world.n_patches)
-    total = np.sum(world.verifier_weights * per_patch, axis=-1)
+    per_patch = per_patch.reshape(*state.x.shape[:-1], m)
+    total = np.sum(np.full(m, 1.0 / m) * per_patch, axis=-1)
     return float(total) if np.ndim(total) == 0 else total
 
 

@@ -64,8 +64,8 @@ class MaskStats:
 class PatchEconomy:
     """Abstract repair economy over m_patches patches with ``defects`` bad ones.
 
-    repair_gain / harm_loss are the mean weighted per-patch gain of a repair
-    and loss of a harmed clean patch. repair_prob_global / repair_prob_local
+    repair_gain / harm_loss are the mean per-patch gain of a repair and loss
+    of a harmed clean patch. repair_prob_global / repair_prob_local
     are the chances one trial repairs a touched defective patch;
     harm_prob_global / harm_prob_local the chances it harms a touched clean
     patch. cost_global / cost_local price one trial of each strategy and

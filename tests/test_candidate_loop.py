@@ -1,4 +1,4 @@
-"""dfs_search, best_of_n, the scaling sweep trial and the testbed trial all
+"""dfs_search (best-of-N too), the scaling sweep trial and the testbed trial all
 run on the lockstep engine, which batches every base draw and every
 refinement of a trial. The references here run the same searches one
 candidate at a time through the public single-state functions, on the
@@ -42,7 +42,6 @@ from localtts.search import (
     SweepSettings,
     TrialSettings,
     attention_mask_source,
-    best_of_n,
     defect_injecting_sampler,
     dfs_search,
     oracle_mask_source,
@@ -290,7 +289,8 @@ def test_best_of_n_equals_reference_loop(world, n_steps, n, seed, defects, is_co
         row_sampler(1, 0.5, True) if defects else None, verifier)
     collected = []
     with mock.patch.object(search, "verifier_score", score):
-        best = best_of_n(new_pred, n, np.random.default_rng(seed), sampler, collect=collected)
+        best = dfs_search(new_pred, None, SearchConfig(seeds=n, refinements=0), None,
+                          np.random.default_rng(seed), sampler, collect=collected)
     assert best.lineage == ref_best.lineage and best.score == ref_best.score
     assert same_candidates(collected, ref_all)
     assert new_pred.nfe == ref_pred.nfe == n * n_steps
@@ -597,8 +597,9 @@ def test_search_memory_does_not_grow_with_its_budget():
     runs = {
         "sweep_trials": lambda n: sweep_trials(sweep_settings(kwargs, 1, n),
                                                [np.random.SeedSequence(3)]),
-        "best_of_n": lambda n: best_of_n(predictor, n, seeding.trial_rng(np.random.SeedSequence(3)),
-                                         trial_settings.sampler()),
+        "best_of_n": lambda n: dfs_search(predictor, None, SearchConfig(seeds=n, refinements=0),
+                                          None, seeding.trial_rng(np.random.SeedSequence(3)),
+                                          trial_settings.sampler()),
     }
 
     def peak(run, n):

@@ -48,8 +48,7 @@ def make_predictor(k: int, d: int, n_steps: int = 6, nudged: bool = False) -> No
         variances = world.variances.copy()
         variances[-1, 0] += 0.01
         world = PatchWorld(grid=world.grid, patch_dim=d, weights=world.weights,
-                           means=world.means, variances=variances,
-                           verifier_weights=world.verifier_weights)
+                           means=world.means, variances=variances)
     assert world._variances.shape[-1] == (world.n_patches if nudged else 1)
     return NoisePredictor(world=world, schedule=CosineSchedule(horizon=1.0, n_steps=n_steps))
 
@@ -248,8 +247,7 @@ def test_a_column_a_patch_phase_holds_no_table_of_centres():
     variances = shared.variances.copy()
     variances[-1, 0] += 0.01
     nudged = PatchWorld(grid=shared.grid, patch_dim=8, weights=shared.weights,
-                        means=shared.means, variances=variances,
-                        verifier_weights=shared.verifier_weights)
+                        means=shared.means, variances=variances)
     sched = CosineSchedule(horizon=1.0, n_steps=200)
     times = sched.step_times()[:-1]
     alphas, noise_vars = [sched.alpha(t) for t in times], [sched.sigma(t) ** 2 for t in times]

@@ -12,12 +12,10 @@ from localtts.search import (
     SweepRow,
     SweepSettings,
     attention_mask_source,
-    best_of_n,
     crossover_summary,
     defect_injecting_sampler,
     dfs_search,
     oracle_mask_source,
-    plain_sampler,
     split_budget,
     summarize_sweep,
     sweep_trial,
@@ -37,6 +35,12 @@ def make_predictor(n_steps=16, grid=(4, 4)):
     world = PatchWorld.uniform(grid, 2, [(1.0, 0.0, 0.09)])
     sched = CosineSchedule(horizon=1.0, n_steps=n_steps)
     return NoisePredictor(world=world, schedule=sched)
+
+
+def best_of_n(predictor, n, rng, base_sampler=None, collect=None):
+    """Best-of-N: the depth-2 search with n seeds and no refinements."""
+    return dfs_search(predictor, None, SearchConfig(seeds=n, refinements=0), None, rng,
+                      base_sampler, collect)
 
 
 class TestConfigs:
@@ -280,7 +284,7 @@ class TestSweepSettingsValidation:
         # small_settings builds a new world each call
         assert small_settings() == small_settings()
         assert small_settings() != small_settings(world=PatchWorld.uniform(
-            (4, 4), 2, [(1.0, 0.0, 0.09)], verifier_weights=np.r_[0.1, np.full(15, 0.06)]))
+            (4, 4), 2, [(1.0, 0.0, 0.1)]))
 
 
 class TestScalingSweep:
@@ -369,13 +373,3 @@ class TestScalingSweep:
         assert summary["efficiency_ratio"] == pytest.approx(32 / 18)
         rows_no_parity = rows[:3]
         assert crossover_summary(rows_no_parity, 3)["parity_n"] is None
-
-
-class TestPlainSampler:
-    def test_returns_state_without_context(self):
-        predictor = make_predictor(n_steps=8)
-        rng = np.random.default_rng(0)
-        batch = sample_base(predictor, rng, shape=(2,)).x
-        x, context = plain_sampler(predictor.world, batch, [rng, rng])
-        assert context == [None, None]
-        assert x is batch

@@ -88,8 +88,7 @@ def random_worlds(draw):
     weights /= weights.sum(axis=1, keepdims=True)
     return PatchWorld(grid=grid, patch_dim=d, weights=weights,
                       means=rng.normal(scale=draw(st.sampled_from([0.5, 2.0])), size=(m, k, d)),
-                      variances=rng.uniform(0.01, 1.5, size=(m, k)),
-                      verifier_weights=rng.dirichlet(np.ones(m)))
+                      variances=rng.uniform(0.01, 1.5, size=(m, k)))
 
 
 class TestCosineSchedule:
@@ -139,29 +138,49 @@ class TestPatchWorld:
         with pytest.raises(ValueError, match="positive"):
             PatchWorld.uniform((1, 1), 1, [(1.0, 0.0, 0.0)])
 
-    def test_verifier_weights_validated(self):
-        with pytest.raises(ValueError, match="verifier weights"):
-            PatchWorld.uniform((1, 2), 1, [(1.0, 0.0, 1.0)],
-                               verifier_weights=[0.9, 0.9])
-
-    @pytest.mark.parametrize("field", ["weights", "means", "variances", "verifier_weights"])
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, field, bad):
         world = PatchWorld.uniform((1, 2), 1, [(0.5, 0.0, 1.0), (0.5, 1.0, 1.0)])
-        arrays = {name: getattr(world, name).copy() for name in
-                  ("weights", "means", "variances", "verifier_weights")}
+        arrays = {name: getattr(world, name).copy() for name in ("weights", "means", "variances")}
         arrays[field].flat[-1] = bad
         with pytest.raises(FieldErrors) as err:
             PatchWorld(grid=world.grid, patch_dim=1, **arrays)
         assert f"{field}: must be finite" in err.value.errors
 
+    @staticmethod
+    def two_component_arrays(m: int) -> dict:
+        return dict(weights=np.full((m, 2), 0.5), means=np.zeros((m, 2, 1)),
+                    variances=np.full((m, 2), 0.09))
+
+    def test_variance_floor_holds_on_a_directly_built_world(self):
+        # a variance of 1e-300 would score a patch at x = 1 near -5e299, past MAX_SCORE;
+        # component 1 breaks the floor at patches 1 and 2, and patch 1 is reported
+        arrays = self.two_component_arrays(3)
+        arrays["variances"][1:, 1] = 1e-300, 1e-299
+        with pytest.raises(FieldErrors) as err:
+            PatchWorld(grid=(1, 3), patch_dim=1, **arrays)
+        assert err.value.errors == [
+            "components[1].variance: must be at least 1.91e-152 at patch_dim 1, got 1e-300"]
+
+    def test_mean_reach_holds_on_a_directly_built_world(self):
+        # each component's rules at the first patch that breaks one: patch 2 for component
+        # 0, patch 1 for component 1 (patch 2's larger mean is not reported)
+        arrays = self.two_component_arrays(3)
+        arrays["means"][2, 0, 0], arrays["means"][1:, 1, 0] = -1e200, (3e80, 1e90)
+        with pytest.raises(FieldErrors) as err:
+            PatchWorld(grid=(1, 3), patch_dim=1, **arrays)
+        assert err.value.errors == [
+            f"components[{i}].mean: must be at most 2.17e+75 in absolute value at variance "
+            f"0.09, got {mean}" for i, mean in ((0, "1e+200"), (1, "3e+80"))]
+
     def test_arrays_are_read_only_copies(self):
         weights = np.array([[0.5, 0.5]])
         world = PatchWorld(grid=(1, 1), patch_dim=1, weights=weights, means=np.zeros((1, 2, 1)),
-                           variances=np.ones((1, 2)), verifier_weights=np.ones(1))
+                           variances=np.ones((1, 2)))
         weights[0, 0] = 0.9  # the caller's array stays its own
         assert world.weights[0, 0] == 0.5
-        for name in ("weights", "means", "variances", "verifier_weights"):
+        for name in ("weights", "means", "variances"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(world, name)[...] = 0.0
 
@@ -180,7 +199,7 @@ class TestPatchWorld:
     def test_equality_compares_the_declared_fields_only(self):
         world = k3_world()
         assert [f.name for f in dataclasses.fields(world)] == [
-            "grid", "patch_dim", "weights", "means", "variances", "verifier_weights"]
+            "grid", "patch_dim", "weights", "means", "variances"]
         twin = object.__new__(PatchWorld)
         twin.__dict__.update(world.__dict__, _means=None, _variances=None, _log_weights=None)
         assert twin == world
@@ -189,14 +208,13 @@ class TestPatchWorld:
         spec = [(1.0, 0.0, 0.1)]
         assert PatchWorld.uniform((2, 2), 2, spec) == PatchWorld.uniform((2, 2), 2, spec)
         world = k3_world()
-        arrays = {name: getattr(world, name).copy() for name in
-                  ("weights", "means", "variances", "verifier_weights")}
+        arrays = {name: getattr(world, name).copy() for name in ("weights", "means", "variances")}
         assert PatchWorld(grid=world.grid, patch_dim=2, **arrays) == world
         means = arrays["means"].copy()
         means[1, 2, 0] += 0.5
-        vweights = arrays["verifier_weights"].copy()
-        vweights[:2] += (0.01, -0.01)
-        for name, changed in (("means", means), ("verifier_weights", vweights)):
+        variances = arrays["variances"].copy()
+        variances[1, 0] += 0.01
+        for name, changed in (("means", means), ("variances", variances)):
             assert PatchWorld(grid=world.grid, patch_dim=2, **{**arrays, name: changed}) != world
 
     def test_dimension_bookkeeping(self):
@@ -402,7 +420,8 @@ class TestComponentMajorOracle:
         assert same_bits(log_density(world, sched, x, t), log_dens)
         per_patch = reference_terms(world, 1.0, 0.0, x)[-1]
         verified = verifier_score(world, LatentState(x=x, t=0.0))
-        assert same_bits(verified, np.sum(world.verifier_weights * per_patch, axis=-1))
+        m = world.n_patches
+        assert same_bits(verified, np.sum(np.full(m, 1.0 / m) * per_patch, axis=-1))
         assert isinstance(verified, float) == (shape == ())
 
 
@@ -423,7 +442,7 @@ class TestSelectedPatchOracle:
         # patches 0 and 1 repeat one component: every component ties exactly
         weights[:2], means[:2], variances[:2] = 1.0 / k, means[:2, :1], variances[:2, :1]
         world = PatchWorld(grid=(3, 4), patch_dim=d, weights=weights, means=means,
-                           variances=variances, verifier_weights=np.full(m, 1.0 / m))
+                           variances=variances)
         x = rng.normal(size=(rows, world.dim))
         bits = rng.random((rows, m)) < 0.4
         bits[0], bits[1] = False, True  # a row with no masked patch, a row with all of them
